@@ -51,7 +51,10 @@ pub struct ModelStep {
 }
 
 /// Concrete model state: configuration values, scalar states, and maps.
-#[derive(Debug, Clone, Default, PartialEq)]
+///
+/// Equality compares the three observable components only; the step
+/// generation and undo log are bookkeeping for [`revert`](Self::revert).
+#[derive(Debug, Clone, Default)]
 pub struct ModelState {
     /// Config values by name (without the `cfg:` prefix).
     pub configs: BTreeMap<String, Value>,
@@ -59,9 +62,73 @@ pub struct ModelState {
     pub scalars: BTreeMap<String, Value>,
     /// Map state: map name → entries.
     pub maps: BTreeMap<String, BTreeMap<ValueKey, Value>>,
+    /// Step generation (bumped per [`step`](Self::step)).
+    generation: u64,
+    /// Pre-images of everything the most recent step committed, in
+    /// commit order; [`revert`](Self::revert) replays it backwards.
+    undo: Vec<Undo>,
+}
+
+/// One banked pre-image of a committed write.
+#[derive(Debug, Clone)]
+enum Undo {
+    /// A scalar's previous value (`None`: it was unset).
+    Scalar(String, Option<Value>),
+    /// A map entry's previous value, and whether the map existed
+    /// before the write materialised it.
+    Map(String, ValueKey, Option<Value>, bool),
+}
+
+impl PartialEq for ModelState {
+    fn eq(&self, other: &Self) -> bool {
+        self.configs == other.configs && self.scalars == other.scalars && self.maps == other.maps
+    }
 }
 
 impl ModelState {
+    /// The step generation: bumped at the start of every
+    /// [`step`](Self::step), so a caller can tell whether a failure
+    /// happened before or after a step began (only the latter has a
+    /// live undo log to replay).
+    pub fn generation(&self) -> u64 {
+        self.generation
+    }
+
+    /// Undo the most recent [`step`](Self::step): restore every scalar
+    /// and map entry it committed to its pre-image, in reverse commit
+    /// order — O(entries the step touched). A no-op when the step
+    /// committed nothing (default drop, or an eval error, which always
+    /// precedes the commit phase).
+    pub fn revert(&mut self) {
+        while let Some(u) = self.undo.pop() {
+            match u {
+                Undo::Scalar(name, Some(v)) => {
+                    self.scalars.insert(name, v);
+                }
+                Undo::Scalar(name, None) => {
+                    self.scalars.remove(&name);
+                }
+                Undo::Map(map, k, prev, existed) => {
+                    if !existed {
+                        self.maps.remove(&map);
+                        continue;
+                    }
+                    let Some(m) = self.maps.get_mut(&map) else {
+                        continue;
+                    };
+                    match prev {
+                        Some(v) => {
+                            m.insert(k, v);
+                        }
+                        None => {
+                            m.remove(&k);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     /// Set a config value.
     pub fn with_config(mut self, name: &str, v: Value) -> Self {
         self.configs.insert(name.to_string(), v);
@@ -82,6 +149,8 @@ impl ModelState {
 
     /// Run one packet through `model`, mutating the state.
     pub fn step(&mut self, model: &Model, pkt: &Packet) -> Result<ModelStep, EvalError> {
+        self.generation += 1;
+        self.undo.clear();
         for (ti, table) in model.tables.iter().enumerate() {
             // Configuration condition must hold for this deployment.
             if !self.all_true(&table.config, pkt)? {
@@ -166,19 +235,22 @@ impl ModelState {
                 }
             }
         }
+        // Commit phase: nothing below can fail, so a step either
+        // commits fully or (on any eval error above) not at all. Each
+        // write banks the value it replaces so `revert` can undo the
+        // packet.
         for (name, v) in new_scalars {
-            self.scalars.insert(name, v);
+            let prev = self.scalars.insert(name.clone(), v);
+            self.undo.push(Undo::Scalar(name, prev));
         }
         for (map, k, v) in map_commits {
-            let m = self.maps.entry(map).or_default();
-            match v {
-                Some(v) => {
-                    m.insert(k, v);
-                }
-                None => {
-                    m.remove(&k);
-                }
-            }
+            let existed = self.maps.contains_key(&map);
+            let m = self.maps.entry(map.clone()).or_default();
+            let prev = match v {
+                Some(v) => m.insert(k.clone(), v),
+                None => m.remove(&k),
+            };
+            self.undo.push(Undo::Map(map, k, prev, existed));
         }
         Ok(output)
     }
@@ -473,6 +545,49 @@ mod tests {
             r3.output.unwrap().get(nf_packet::Field::TcpSport).unwrap(),
             10001
         );
+    }
+
+    #[test]
+    fn revert_undoes_the_committed_step() {
+        let m = model_of(
+            r#"
+            state nat = map();
+            state next = 10000;
+            fn cb(pkt: packet) {
+                let k = (pkt.ip.src, pkt.tcp.sport);
+                if k not in nat {
+                    nat[k] = next;
+                    next = next + 1;
+                }
+                pkt.tcp.sport = nat[k];
+                send(pkt);
+            }
+            fn main() { sniff(cb); }
+        "#,
+        );
+        // `nat` starts undeclared: the first insert materialises it, and
+        // reverting that step must remove the map again.
+        let mut st = ModelState::default().with_scalar("next", Value::Int(10000));
+        let fresh = st.clone();
+        let g = st.generation();
+        st.step(&m, &tcp(5555, 80)).unwrap();
+        assert_eq!(st.generation(), g + 1);
+        st.revert();
+        assert_eq!(st, fresh);
+        assert!(st.maps.is_empty());
+        // Over live state: install two flows, step a third, revert it.
+        st.step(&m, &tcp(1, 80)).unwrap();
+        st.step(&m, &tcp(2, 80)).unwrap();
+        let before = st.clone();
+        st.step(&m, &tcp(3, 80)).unwrap();
+        assert_ne!(st, before);
+        st.revert();
+        assert_eq!(st, before);
+        assert_eq!(st.scalars["next"], Value::Int(10002));
+        // An existing-flow hit commits nothing but the rewrite.
+        st.step(&m, &tcp(1, 80)).unwrap();
+        st.revert();
+        assert_eq!(st, before);
     }
 
     #[test]

@@ -44,9 +44,9 @@
 //! unconditionally.
 //!
 //! Every mode runs **supervised**: each packet's eval is wrapped in
-//! `catch_unwind` behind a pre-image journal, so a panic or runtime
-//! error rolls partial state writes back and quarantines the packet
-//! ([`crate::supervise`]) instead of aborting the run; the compiled
+//! `catch_unwind` and journalled by the evaluator's undo log, so a
+//! panic or runtime error rolls partial state writes back and
+//! quarantines the packet ([`crate::supervise`]) instead of aborting the run; the compiled
 //! backend additionally falls back to the model evaluator per packet
 //! on a compiled-engine error. A deterministic [`FaultPlan`] in the
 //! [`RunConfig`] threads through dispatch and eval so the chaos
@@ -69,7 +69,7 @@ use nf_support::spsc::{Backoff, Producer, TrySendError};
 use nf_support::workload::{SliceSource, WorkloadSource};
 use nf_trace::{Histogram, Tracer};
 use nfactor_core::{Pipeline, Synthesis};
-use nfl_interp::{Interp, Value, ValueKey};
+use nfl_interp::{Interp, Value};
 use nfl_lint::{ShardingReport, StateShard};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -368,43 +368,30 @@ impl BackendState {
         }
     }
 
-    /// Capture the pre-image of everything a packet eval can mutate.
+    /// The backend's step generation: every evaluator bumps it when a
+    /// step begins and banks the pre-image of each write as it makes
+    /// it, so this number is the whole journal of a packet.
     fn journal(&self) -> Journal {
         match self {
-            BackendState::Interp(i) => Journal::Interp {
-                globals: i.globals.clone(),
-                packets_seen: i.packets_seen(),
-            },
-            BackendState::Model(ms) => Journal::Model {
-                scalars: ms.scalars.clone(),
-                maps: ms.maps.clone(),
-            },
-            BackendState::Compiled { state, .. } => Journal::Compiled {
-                generation: state.generation(),
-            },
+            BackendState::Interp(i) => i.packets_seen(),
+            BackendState::Model(ms) => ms.generation(),
+            BackendState::Compiled { state, .. } => state.generation(),
         }
     }
 
-    /// Restore the pre-image captured by [`journal`](Self::journal): a
+    /// Undo the packet journalled by [`journal`](Self::journal): a
     /// failed packet leaves no trace, however far into a fire it got.
+    /// The evaluator's undo log is replayed only if a step began since
+    /// — an injected fault fails *before* stepping, and replaying there
+    /// would un-commit the previous, successful packet.
     fn rollback(&mut self, journal: Journal) {
-        match (self, journal) {
-            (BackendState::Interp(i), Journal::Interp { globals, packets_seen }) => {
-                i.globals = globals;
-                i.rewind_packets_seen(packets_seen);
-            }
-            (BackendState::Model(ms), Journal::Model { scalars, maps }) => {
-                ms.scalars = scalars;
-                ms.maps = maps;
-            }
-            (BackendState::Compiled { state, .. }, Journal::Compiled { generation }) => {
-                if state.generation() != generation {
-                    state.revert();
-                }
-            }
-            // A journal is only ever replayed into the state it was
-            // captured from; a variant mismatch cannot happen.
-            _ => {}
+        if self.journal() == journal {
+            return;
+        }
+        match self {
+            BackendState::Interp(i) => i.revert(),
+            BackendState::Model(ms) => ms.revert(),
+            BackendState::Compiled { state, .. } => state.revert(),
         }
     }
 
@@ -473,29 +460,12 @@ impl BackendState {
     }
 }
 
-/// Pre-image of one packet's mutable state, captured before eval and
-/// restored on contained failure (see [`BackendState::journal`]).
-enum Journal {
-    Interp {
-        globals: HashMap<String, Value>,
-        packets_seen: u64,
-    },
-    Model {
-        scalars: BTreeMap<String, Value>,
-        maps: BTreeMap<String, BTreeMap<ValueKey, Value>>,
-    },
-    /// The compiled backend journals only its step generation: its
-    /// `step` is two-phase (all fallible evaluation precedes an
-    /// infallible commit) and banks per-entry pre-images as it
-    /// commits, so rollback is `CompiledState::revert` — O(entries
-    /// the packet touched), where a full pre-clone would be O(live
-    /// flows) per packet. The generation tells rollback whether a
-    /// step began at all: an injected fault fails *before* stepping,
-    /// and replaying the previous packet's undo log there would
-    /// un-commit a successful packet. The interpreter mutates state
-    /// mid-eval, so it still needs the full pre-image.
-    Compiled { generation: u64 },
-}
+/// One packet's journal: the backend's step generation, captured
+/// before eval (see [`BackendState::journal`]). Every backend keeps an
+/// undo log of the pre-images its most recent step overwrote, so
+/// rollback costs O(entries the packet touched) — a full pre-image
+/// copy would cost O(live flows) on every packet.
+type Journal = u64;
 
 /// One isolated eval: apply eval-side faults, journal, step under
 /// `catch_unwind`, roll back on any failure. `Err` carries the
@@ -2768,6 +2738,44 @@ mod tests {
         assert_eq!(run.merged.get("total"), Some(&Value::Int(0)));
         // Every third consecutive failure trips a supervised restart.
         assert_eq!(run.restarts, 3);
+    }
+
+    #[test]
+    fn fault_before_a_step_keeps_the_previous_packet_committed() {
+        // Injected errors and garbage fail before the evaluator steps,
+        // so the journalled generation has not moved: rollback must not
+        // replay the undo log, which still holds the previous (already
+        // committed) packet's pre-images.
+        let src = r#"
+            state seen = map();
+            state count = 0;
+            fn cb(pkt: packet) {
+                count = count + 1;
+                pkt.ip.id = count;
+                if pkt.ip.src in seen { send(pkt); } else { seen[pkt.ip.src] = 1; drop(pkt); }
+            }
+            fn main() { sniff(cb); }
+        "#;
+        let packets = PacketGen::new(21).batch(6);
+        for backend in [Backend::Interp, Backend::Model, Backend::Compiled] {
+            let engine =
+                ShardEngine::from_source(&pipeline("commit", 1), src, backend).unwrap();
+            for plan in ["err@0:1", "garbage@0:1", "err@0:1,err@0:4"] {
+                let faults = FaultPlan::parse(plan).unwrap();
+                let cfg = RunConfig::sequential().with_faults(faults);
+                let run = engine.run_with(SliceSource::new(&packets), &cfg).unwrap();
+                // Quarantined, or (compiled errors) retried on the model.
+                assert!(run.fault_summary().any(), "{backend:?} {plan}");
+                // Every processed packet's bump survived, packet 0's
+                // included.
+                assert_eq!(
+                    run.merged.get("count"),
+                    Some(&Value::Int(run.total_pkts() as i64)),
+                    "{backend:?} {plan}"
+                );
+                assert_matches_reference(&engine, &packets, &run);
+            }
+        }
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //!    [`quiet_catch_unwind`] (a `catch_unwind` whose panic output is
 //!    suppressed, because an *injected* or *contained* panic is not an
 //!    emergency worth a stderr backtrace) and rolls partial state
-//!    writes back from a pre-image journal.
+//!    writes back by replaying the evaluator's undo log.
 //! 2. **Account** — every contained failure becomes a
 //!    [`QuarantineRecord`] carrying the packet, the error, and where it
 //!    happened. Records are bounded by

@@ -7,14 +7,19 @@
 //! read-only thereafter; a deployment can override configs before the
 //! first packet ([`Interp::set_config`]) — that is the `mode = RR | HASH`
 //! knob of Figure 6.
+//!
+//! Every write to a global banks the value it replaces in an undo log,
+//! so [`Interp::revert`] can undo a failed packet in O(writes it made)
+//! rather than the caller copying all state before every packet.
 
 use crate::trace::{Trace, TraceEvent};
-use crate::value::{stable_hash, Value};
+use crate::value::{stable_hash, Value, ValueKey};
 use nf_packet::{frag, Packet};
 use nfl_analysis::normalize::PacketLoop;
 use nfl_lang::{BinOp, Expr, ExprKind, ForIter, LValue, Program, Stmt, StmtKind, UnOp};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
+use std::sync::Arc;
 
 /// Runtime errors. NFL is checked before execution, so most of these
 /// indicate corpus bugs rather than user-facing conditions.
@@ -87,7 +92,9 @@ enum Flow {
 /// The interpreter: program + persistent globals.
 #[derive(Debug, Clone)]
 pub struct Interp {
-    program: Program,
+    /// Shared, immutable: a packet borrows function bodies from it and
+    /// a clone of the interpreter copies a pointer, not the AST.
+    program: Arc<Program>,
     func: String,
     pkt_param: String,
     /// Globals: consts, configs and states, by name.
@@ -95,6 +102,145 @@ pub struct Interp {
     /// Names that are `config`s (settable before the first packet).
     config_names: Vec<String>,
     packets_seen: u64,
+    /// Pre-images of every write the most recent
+    /// [`process`](Self::process) made, in write order;
+    /// [`revert`](Self::revert) replays it backwards.
+    undo: Vec<Undo>,
+}
+
+/// One banked pre-image.
+#[derive(Debug, Clone)]
+enum Undo {
+    /// `packets_seen` before the step's bump.
+    Counter(u64),
+    /// A write to the named global.
+    Global(String, SlotUndo),
+}
+
+/// What one write replaced inside a variable's value.
+#[derive(Debug, Clone)]
+enum SlotUndo {
+    /// The whole previous value (plain assignment; packet-field stores,
+    /// whose payload writes a field-level undo could not invert).
+    Whole(Value),
+    /// A map entry's previous value (`None`: the key was absent).
+    Key(ValueKey, Option<Value>),
+    /// An array element's previous value.
+    Elem(usize, Value),
+    /// A `q_push` appended one packet at the back.
+    Pushed,
+    /// A `q_pop` removed this packet from the front.
+    Popped(Packet),
+}
+
+/// Resolve a variable to its storage — a local shadows a global — and
+/// whether it is a global, whose writes must be undo-logged.
+fn resolve<'a>(
+    locals: &'a mut HashMap<String, Value>,
+    globals: &'a mut HashMap<String, Value>,
+    name: &str,
+) -> Result<(&'a mut Value, bool), RuntimeError> {
+    if let Some(v) = locals.get_mut(name) {
+        return Ok((v, false));
+    }
+    globals
+        .get_mut(name)
+        .map(|v| (v, true))
+        .ok_or_else(|| RuntimeError::Unbound(name.to_string()))
+}
+
+/// Whether evaluating `e` can write a variable: a mutating builtin or a
+/// user function call anywhere inside it.
+fn may_write(e: &Expr) -> bool {
+    match &e.kind {
+        ExprKind::Int(_) | ExprKind::Bool(_) | ExprKind::Str(_) => false,
+        ExprKind::Var(_) | ExprKind::Field(..) => false,
+        ExprKind::Tuple(es) | ExprKind::Array(es) => es.iter().any(may_write),
+        ExprKind::Index(a, b) | ExprKind::Binary(_, a, b) => may_write(a) || may_write(b),
+        ExprKind::Unary(_, a) => may_write(a),
+        ExprKind::Call(name, args) => {
+            !matches!(
+                name.as_str(),
+                "send" | "drop" | "log" | "hash" | "len" | "min" | "max" | "checksum"
+                    | "fragment" | "map" | "queue"
+            ) || args.iter().any(may_write)
+        }
+    }
+}
+
+/// `base[i]` over a map, array or tuple.
+fn index_value(b: &Value, i: &Value) -> Result<Value, RuntimeError> {
+    match b {
+        Value::Map(m) => {
+            let k = i
+                .as_key()
+                .ok_or_else(|| RuntimeError::Type(format!("{} not keyable", i.type_name())))?;
+            m.get(&k)
+                .cloned()
+                .ok_or_else(|| RuntimeError::MissingKey(k.to_string()))
+        }
+        Value::Array(a) => {
+            let n = i
+                .as_int()
+                .ok_or_else(|| RuntimeError::Type("array index not int".into()))?;
+            let idx = usize::try_from(n)
+                .map_err(|_| RuntimeError::Index(format!("negative index {n}")))?;
+            a.get(idx).cloned().ok_or_else(|| {
+                RuntimeError::Index(format!("index {idx} out of bounds ({})", a.len()))
+            })
+        }
+        Value::Tuple(t) => {
+            let n = i
+                .as_int()
+                .ok_or_else(|| RuntimeError::Type("tuple index not int".into()))?;
+            let idx = usize::try_from(n)
+                .map_err(|_| RuntimeError::Index(format!("negative index {n}")))?;
+            t.get(idx).map(|v| Value::Int(*v)).ok_or_else(|| {
+                RuntimeError::Index(format!("tuple index {idx} (arity {})", t.len()))
+            })
+        }
+        other => Err(RuntimeError::Type(format!(
+            "cannot index {}",
+            other.type_name()
+        ))),
+    }
+}
+
+/// `a in b` (or `not in`) over a map or array.
+fn contains(op: BinOp, a: &Value, b: &Value) -> Result<Value, RuntimeError> {
+    let contained = match b {
+        Value::Map(m) => {
+            let k = a
+                .as_key()
+                .ok_or_else(|| RuntimeError::Type(format!("{} not keyable", a.type_name())))?;
+            m.contains_key(&k)
+        }
+        Value::Array(items) => items.contains(a),
+        other => {
+            return Err(RuntimeError::Type(format!(
+                "`in` over {}",
+                other.type_name()
+            )))
+        }
+    };
+    Ok(Value::Bool(if op == BinOp::In {
+        contained
+    } else {
+        !contained
+    }))
+}
+
+/// The `len` builtin.
+fn len_of(v: &Value) -> Result<Value, RuntimeError> {
+    match v {
+        Value::Array(a) => Ok(Value::Int(a.len() as i64)),
+        Value::Map(m) => Ok(Value::Int(m.len() as i64)),
+        Value::Str(s) => Ok(Value::Int(s.len() as i64)),
+        Value::Tuple(t) => Ok(Value::Int(t.len() as i64)),
+        Value::Queue(q) => Ok(Value::Int(q.len() as i64)),
+        Value::Packet(p) => Ok(Value::Int(p.wire_len() as i64)),
+        other => Err(RuntimeError::Type(format!("len of {}", other.type_name()))),
+    }
 }
 
 struct Ctx {
@@ -110,12 +256,13 @@ impl Interp {
     /// global initialisers.
     pub fn new(pl: &PacketLoop) -> Result<Interp, RuntimeError> {
         let mut interp = Interp {
-            program: pl.program.clone(),
+            program: Arc::new(pl.program.clone()),
             func: pl.func.clone(),
             pkt_param: pl.pkt_param.clone(),
             globals: HashMap::new(),
             config_names: pl.program.configs.iter().map(|i| i.name.clone()).collect(),
             packets_seen: 0,
+            undo: Vec::new(),
         };
         let mut ctx = Ctx {
             outputs: Vec::new(),
@@ -155,20 +302,61 @@ impl Interp {
         Ok(())
     }
 
-    /// Number of packets processed so far.
+    /// Number of packets processed so far. It doubles as the step
+    /// generation: [`process`](Self::process) bumps it before executing
+    /// and [`revert`](Self::revert) restores it, so a caller can tell
+    /// whether a failure happened before a step began (nothing to
+    /// undo) or during one.
     pub fn packets_seen(&self) -> u64 {
         self.packets_seen
     }
 
-    /// Reset the processed-packet counter to an earlier value.
-    ///
-    /// Used by the shard supervisor's per-packet rollback: `process`
-    /// bumps the counter before executing, so undoing a failed packet
-    /// means restoring both the touched globals *and* this counter
-    /// (otherwise a rolled-back run would diverge from a clean one on
-    /// `set_config`'s traffic-started check and in accounting).
-    pub fn rewind_packets_seen(&mut self, n: u64) {
-        self.packets_seen = self.packets_seen.min(n);
+    /// Undo the most recent [`process`](Self::process): restore every
+    /// global it wrote, in reverse write order, and the packet counter
+    /// — O(writes the packet made). A failed packet then leaves no
+    /// trace however far into the function it got. Idempotent: the log
+    /// drains as it replays.
+    pub fn revert(&mut self) {
+        while let Some(u) = self.undo.pop() {
+            let (name, u) = match u {
+                Undo::Counter(n) => {
+                    self.packets_seen = n;
+                    continue;
+                }
+                Undo::Global(name, u) => (name, u),
+            };
+            let Some(slot) = self.globals.get_mut(&name) else {
+                continue;
+            };
+            // Entries replay in reverse onto the value each was taken
+            // from, so the shapes always match.
+            match (u, slot) {
+                (SlotUndo::Whole(v), slot) => *slot = v,
+                (SlotUndo::Key(k, Some(v)), Value::Map(m)) => {
+                    m.insert(k, v);
+                }
+                (SlotUndo::Key(k, None), Value::Map(m)) => {
+                    m.remove(&k);
+                }
+                (SlotUndo::Elem(i, v), Value::Array(a)) => {
+                    if let Some(x) = a.get_mut(i) {
+                        *x = v;
+                    }
+                }
+                (SlotUndo::Pushed, Value::Queue(q)) => {
+                    q.pop_back();
+                }
+                (SlotUndo::Popped(p), Value::Queue(q)) => q.push_front(p),
+                _ => {}
+            }
+        }
+    }
+
+    /// Bank a write's pre-image when it hit a global.
+    fn log(&mut self, global: bool, name: &str, u: SlotUndo) {
+        if global {
+            self.undo.push(Undo::Global(name.to_string(), u));
+        }
     }
 
     /// Read a global (state inspection for tests and the verifier).
@@ -178,12 +366,13 @@ impl Interp {
 
     /// Process one packet through the per-packet function.
     pub fn process(&mut self, pkt: &Packet) -> Result<StepResult, RuntimeError> {
+        self.undo.clear();
+        self.undo.push(Undo::Counter(self.packets_seen));
         self.packets_seen += 1;
-        let f = self
-            .program
+        let program = Arc::clone(&self.program);
+        let f = program
             .function(&self.func)
-            .ok_or_else(|| RuntimeError::Unbound(self.func.clone()))?
-            .clone();
+            .ok_or_else(|| RuntimeError::Unbound(self.func.clone()))?;
         let mut locals: HashMap<String, Value> = HashMap::new();
         locals.insert(self.pkt_param.clone(), Value::Packet(pkt.clone()));
         let mut ctx = Ctx {
@@ -385,28 +574,21 @@ impl Interp {
     ) -> Result<(), RuntimeError> {
         match target {
             LValue::Var(name) => {
-                if locals.contains_key(name) {
-                    locals.insert(name.clone(), v);
-                } else if self.globals.contains_key(name) {
-                    self.globals.insert(name.clone(), v);
-                } else {
-                    return Err(RuntimeError::Unbound(name.clone()));
-                }
+                let (slot, global) = resolve(locals, &mut self.globals, name)?;
+                let prev = std::mem::replace(slot, v);
+                self.log(global, name, SlotUndo::Whole(prev));
                 Ok(())
             }
             LValue::Index(base, key) => {
                 let k = self.eval(key, locals, ctx)?;
-                let slot = locals
-                    .get_mut(base)
-                    .or_else(|| self.globals.get_mut(base))
-                    .ok_or_else(|| RuntimeError::Unbound(base.clone()))?;
-                match slot {
+                let (slot, global) = resolve(locals, &mut self.globals, base)?;
+                let undo = match slot {
                     Value::Map(m) => {
                         let key = k.as_key().ok_or_else(|| {
                             RuntimeError::Type(format!("{} is not keyable", k.type_name()))
                         })?;
-                        m.insert(key, v);
-                        Ok(())
+                        let prev = m.insert(key.clone(), v);
+                        SlotUndo::Key(key, prev)
                     }
                     Value::Array(a) => {
                         let i = k
@@ -414,51 +596,58 @@ impl Interp {
                             .ok_or_else(|| RuntimeError::Type("array index not int".into()))?;
                         let idx = usize::try_from(i)
                             .map_err(|_| RuntimeError::Index(format!("negative index {i}")))?;
-                        if idx >= a.len() {
+                        let Some(elem) = a.get_mut(idx) else {
                             return Err(RuntimeError::Index(format!(
                                 "index {idx} out of bounds (len {})",
                                 a.len()
                             )));
-                        }
-                        a[idx] = v;
-                        Ok(())
+                        };
+                        SlotUndo::Elem(idx, std::mem::replace(elem, v))
                     }
-                    other => Err(RuntimeError::Type(format!(
-                        "cannot index-assign into {}",
-                        other.type_name()
-                    ))),
-                }
+                    other => {
+                        return Err(RuntimeError::Type(format!(
+                            "cannot index-assign into {}",
+                            other.type_name()
+                        )))
+                    }
+                };
+                self.log(global, base, undo);
+                Ok(())
             }
             LValue::Field(base, field) => {
                 let iv = v
                     .as_int()
                     .ok_or_else(|| RuntimeError::Type("packet fields take ints".into()))?;
-                let slot = locals
-                    .get_mut(base)
-                    .or_else(|| self.globals.get_mut(base))
-                    .ok_or_else(|| RuntimeError::Unbound(base.clone()))?;
-                match slot {
-                    Value::Packet(p) => {
-                        let uv = u64::try_from(iv).map_err(|_| {
-                            RuntimeError::Packet(format!("negative field value {iv}"))
-                        })?;
-                        p.set(*field, uv)
-                            .map_err(|e| RuntimeError::Packet(e.to_string()))
-                    }
-                    other => Err(RuntimeError::Type(format!(
+                let (slot, global) = resolve(locals, &mut self.globals, base)?;
+                let Value::Packet(p) = slot else {
+                    return Err(RuntimeError::Type(format!(
                         "field store on {}",
-                        other.type_name()
-                    ))),
+                        slot.type_name()
+                    )));
+                };
+                let uv = u64::try_from(iv)
+                    .map_err(|_| RuntimeError::Packet(format!("negative field value {iv}")))?;
+                let prev = global.then(|| p.clone());
+                p.set(*field, uv)
+                    .map_err(|e| RuntimeError::Packet(e.to_string()))?;
+                if let Some(prev) = prev {
+                    self.log(global, base, SlotUndo::Whole(Value::Packet(prev)));
                 }
+                Ok(())
             }
         }
     }
 
-    fn lookup(&self, name: &str, locals: &HashMap<String, Value>) -> Result<Value, RuntimeError> {
+    /// Borrow a variable — a local shadows a global. Reads borrow; only
+    /// a value that escapes into a new binding is cloned.
+    fn lookup<'a>(
+        &'a self,
+        name: &str,
+        locals: &'a HashMap<String, Value>,
+    ) -> Result<&'a Value, RuntimeError> {
         locals
             .get(name)
             .or_else(|| self.globals.get(name))
-            .cloned()
             .ok_or_else(|| RuntimeError::Unbound(name.to_string()))
     }
 
@@ -472,10 +661,10 @@ impl Interp {
             ExprKind::Int(v) => Ok(Value::Int(*v)),
             ExprKind::Bool(b) => Ok(Value::Bool(*b)),
             ExprKind::Str(s) => Ok(Value::Str(s.clone())),
-            ExprKind::Var(name) => self.lookup(name, locals),
+            ExprKind::Var(name) => self.lookup(name, locals).cloned(),
             ExprKind::Field(base, field) => {
-                let v = self.lookup(base, locals)?;
-                let p = v
+                let p = self
+                    .lookup(base, locals)?
                     .as_packet()
                     .ok_or_else(|| RuntimeError::Type(format!("{base} is not a packet")))?;
                 let raw = p
@@ -502,42 +691,19 @@ impl Interp {
                 Ok(Value::Array(items))
             }
             ExprKind::Index(base, idx) => {
+                // `m[k]` on a variable borrows the container instead of
+                // cloning it — unless evaluating the index could write
+                // the container, which must then see the pre-image.
+                if let ExprKind::Var(name) = &base.kind {
+                    if !may_write(idx) {
+                        self.lookup(name, locals)?;
+                        let i = self.eval(idx, locals, ctx)?;
+                        return index_value(self.lookup(name, locals)?, &i);
+                    }
+                }
                 let b = self.eval(base, locals, ctx)?;
                 let i = self.eval(idx, locals, ctx)?;
-                match b {
-                    Value::Map(m) => {
-                        let k = i.as_key().ok_or_else(|| {
-                            RuntimeError::Type(format!("{} not keyable", i.type_name()))
-                        })?;
-                        m.get(&k)
-                            .cloned()
-                            .ok_or_else(|| RuntimeError::MissingKey(k.to_string()))
-                    }
-                    Value::Array(a) => {
-                        let n = i
-                            .as_int()
-                            .ok_or_else(|| RuntimeError::Type("array index not int".into()))?;
-                        let idx = usize::try_from(n)
-                            .map_err(|_| RuntimeError::Index(format!("negative index {n}")))?;
-                        a.get(idx).cloned().ok_or_else(|| {
-                            RuntimeError::Index(format!("index {idx} out of bounds ({})", a.len()))
-                        })
-                    }
-                    Value::Tuple(t) => {
-                        let n = i
-                            .as_int()
-                            .ok_or_else(|| RuntimeError::Type("tuple index not int".into()))?;
-                        let idx = usize::try_from(n)
-                            .map_err(|_| RuntimeError::Index(format!("negative index {n}")))?;
-                        t.get(idx).map(|v| Value::Int(*v)).ok_or_else(|| {
-                            RuntimeError::Index(format!("tuple index {idx} (arity {})", t.len()))
-                        })
-                    }
-                    other => Err(RuntimeError::Type(format!(
-                        "cannot index {}",
-                        other.type_name()
-                    ))),
-                }
+                index_value(&b, &i)
             }
             ExprKind::Binary(op, a, b) => self.eval_binary(*op, a, b, locals, ctx),
             ExprKind::Unary(op, inner) => {
@@ -584,6 +750,10 @@ impl Interp {
             };
         }
         let va = self.eval(a, locals, ctx)?;
+        if let (BinOp::In | BinOp::NotIn, ExprKind::Var(name)) = (op, &b.kind) {
+            // `k in m` borrows the container instead of cloning it.
+            return contains(op, &va, self.lookup(name, locals)?);
+        }
         let vb = self.eval(b, locals, ctx)?;
         match op {
             BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Mod
@@ -634,28 +804,7 @@ impl Interp {
                     _ => unreachable!(),
                 }))
             }
-            BinOp::In | BinOp::NotIn => {
-                let contained = match &vb {
-                    Value::Map(m) => {
-                        let k = va.as_key().ok_or_else(|| {
-                            RuntimeError::Type(format!("{} not keyable", va.type_name()))
-                        })?;
-                        m.contains_key(&k)
-                    }
-                    Value::Array(items) => items.contains(&va),
-                    other => {
-                        return Err(RuntimeError::Type(format!(
-                            "`in` over {}",
-                            other.type_name()
-                        )))
-                    }
-                };
-                Ok(Value::Bool(if op == BinOp::In {
-                    contained
-                } else {
-                    !contained
-                }))
-            }
+            BinOp::In | BinOp::NotIn => contains(op, &va, &vb),
             BinOp::And | BinOp::Or => unreachable!("handled above"),
         }
     }
@@ -678,12 +827,11 @@ impl Interp {
                 let key = k
                     .as_key()
                     .ok_or_else(|| RuntimeError::Type("unkeyable".into()))?;
-                let slot = locals
-                    .get_mut(base)
-                    .or_else(|| self.globals.get_mut(base))
-                    .ok_or_else(|| RuntimeError::Unbound(base.clone()))?;
+                let (slot, global) = resolve(locals, &mut self.globals, base)?;
                 if let Value::Map(m) = slot {
-                    m.remove(&key);
+                    if let Some(prev) = m.remove(&key) {
+                        self.log(global, base, SlotUndo::Key(key, Some(prev)));
+                    }
                     return Ok(Value::Unit);
                 }
                 return Err(RuntimeError::Type("map_remove on non-map".into()));
@@ -696,12 +844,10 @@ impl Interp {
                 let Value::Packet(p) = v else {
                     return Err(RuntimeError::Type("q_push takes a packet".into()));
                 };
-                let slot = locals
-                    .get_mut(base)
-                    .or_else(|| self.globals.get_mut(base))
-                    .ok_or_else(|| RuntimeError::Unbound(base.clone()))?;
+                let (slot, global) = resolve(locals, &mut self.globals, base)?;
                 if let Value::Queue(q) = slot {
                     q.push_back(p);
+                    self.log(global, base, SlotUndo::Pushed);
                     return Ok(Value::Unit);
                 }
                 return Err(RuntimeError::Type("q_push on non-queue".into()));
@@ -710,17 +856,27 @@ impl Interp {
                 let ExprKind::Var(base) = &args[0].kind else {
                     return Err(RuntimeError::Type("q_pop needs a variable".into()));
                 };
-                let slot = locals
-                    .get_mut(base)
-                    .or_else(|| self.globals.get_mut(base))
-                    .ok_or_else(|| RuntimeError::Unbound(base.clone()))?;
+                let (slot, global) = resolve(locals, &mut self.globals, base)?;
                 if let Value::Queue(q) = slot {
-                    return q
+                    let p = q
                         .pop_front()
-                        .map(Value::Packet)
-                        .ok_or_else(|| RuntimeError::Index("pop from empty queue".into()));
+                        .ok_or_else(|| RuntimeError::Index("pop from empty queue".into()))?;
+                    if global {
+                        self.log(global, base, SlotUndo::Popped(p.clone()));
+                    }
+                    return Ok(Value::Packet(p));
                 }
                 return Err(RuntimeError::Type("q_pop on non-queue".into()));
+            }
+            "len" => {
+                if let [Expr {
+                    kind: ExprKind::Var(v),
+                    ..
+                }] = args
+                {
+                    // `len(m)` borrows the container instead of cloning it.
+                    return len_of(self.lookup(v, locals)?);
+                }
             }
             _ => {}
         }
@@ -748,15 +904,7 @@ impl Interp {
                 Ok(Value::Unit)
             }
             "hash" => Ok(Value::Int(stable_hash(&vals[0]))),
-            "len" => match &vals[0] {
-                Value::Array(a) => Ok(Value::Int(a.len() as i64)),
-                Value::Map(m) => Ok(Value::Int(m.len() as i64)),
-                Value::Str(s) => Ok(Value::Int(s.len() as i64)),
-                Value::Tuple(t) => Ok(Value::Int(t.len() as i64)),
-                Value::Queue(q) => Ok(Value::Int(q.len() as i64)),
-                Value::Packet(p) => Ok(Value::Int(p.wire_len() as i64)),
-                other => Err(RuntimeError::Type(format!("len of {}", other.type_name()))),
-            },
+            "len" => len_of(&vals[0]),
             "min" | "max" => {
                 let x = vals[0]
                     .as_int()
@@ -803,11 +951,10 @@ impl Interp {
             | "fork" | "select2" => Err(RuntimeError::SocketNotUnfolded(name.to_string())),
             _ => {
                 // User function (when interpreting non-inlined programs).
-                let f = self
-                    .program
+                let program = Arc::clone(&self.program);
+                let f = program
                     .function(name)
-                    .ok_or_else(|| RuntimeError::Unbound(format!("function `{name}`")))?
-                    .clone();
+                    .ok_or_else(|| RuntimeError::Unbound(format!("function `{name}`")))?;
                 let mut frame: HashMap<String, Value> = HashMap::new();
                 for ((pname, _), v) in f.params.iter().zip(vals) {
                     frame.insert(pname.clone(), v);
@@ -1216,6 +1363,74 @@ mod more_tests {
         );
         i.process(&pkt()).unwrap();
         assert_eq!(i.global("total"), Some(&Value::Int(12)));
+    }
+
+    fn sorted_globals(i: &Interp) -> BTreeMap<String, Value> {
+        i.globals.iter().map(|(k, v)| (k.clone(), v.clone())).collect()
+    }
+
+    #[test]
+    fn mid_eval_division_by_zero_reverts_writes_and_packets_seen() {
+        let mut i = interp_of(
+            r#"
+            state seen = map();
+            state count = 0;
+            fn cb(pkt: packet) {
+                seen[pkt.ip.src] = pkt.tcp.dport;
+                count = count + 1;
+                let x = 1 / (pkt.ip.ttl - pkt.ip.ttl);
+                send(pkt);
+            }
+            fn main() { sniff(cb); }
+        "#,
+        );
+        let before = sorted_globals(&i);
+        assert!(matches!(i.process(&pkt()), Err(RuntimeError::Arith(_))));
+        // The failed packet got as far as both writes.
+        assert_eq!(i.global("count"), Some(&Value::Int(1)));
+        assert_eq!(i.packets_seen(), 1);
+        i.revert();
+        assert_eq!(sorted_globals(&i), before);
+        assert_eq!(i.packets_seen(), 0);
+        // The log drains as it replays: a second revert is a no-op.
+        i.revert();
+        assert_eq!(i.packets_seen(), 0);
+    }
+
+    #[test]
+    fn revert_undoes_every_kind_of_global_write() {
+        let mut i = interp_of(
+            r#"
+            state m = map();
+            state arr = [1, 2, 3];
+            state q = queue();
+            state n = 0;
+            fn cb(pkt: packet) {
+                let arr2 = [0];
+                arr2[0] = 5;
+                m[1] = 10;
+                m[2] = 20;
+                if n > 0 {
+                    map_remove(m, 1);
+                    m[2] = 21;
+                    arr[1] = 99;
+                    q_push(q, pkt);
+                    let old = q_pop(q);
+                }
+                q_push(q, pkt);
+                n = n + 1;
+                send(pkt);
+            }
+            fn main() { sniff(cb); }
+        "#,
+        );
+        i.process(&pkt()).unwrap();
+        let before = sorted_globals(&i);
+        i.process(&pkt()).unwrap();
+        assert_ne!(sorted_globals(&i), before);
+        i.revert();
+        assert_eq!(sorted_globals(&i), before);
+        assert_eq!(i.packets_seen(), 1);
     }
 
     #[test]

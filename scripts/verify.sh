@@ -150,6 +150,22 @@ if [ "$pkts" != "1000000" ]; then
 fi
 echo "    1000000 .nfw packets streamed across 4 shards at batch 32: ok"
 
+echo "==> streaming smoke: 100k fresh-flow firewall packets on interp and model"
+# Default traffic opens a new pinhole for most packets, so live state
+# grows with the stream. Per-packet rollback journaling is O(entries
+# touched) on every backend, so this finishes in seconds; a whole-state
+# journal made it quadratic (minutes).
+./target/release/nfactor workload --seed 7 --packets 100000 "$tracedir/fresh.nfw" > /dev/null
+for backend in interp model; do
+    out=$(./target/release/nfactor run --corpus firewall --workload "$tracedir/fresh.nfw" \
+        --shards 4 --batch 32 --backend "$backend")
+    pkts=$(printf '%s\n' "$out" | awk '/^packets/ {print $3}')
+    if [ "$pkts" != "100000" ]; then
+        echo "    expected 100000 packets on $backend, got '$pkts':"; echo "$out"; exit 1
+    fi
+    echo "    100000 fresh-flow packets on $backend: ok"
+done
+
 echo "==> deprecation gate: the legacy run* API has no non-wrapper callers"
 # The six pre-RunConfig entry points survive only as #[deprecated]
 # wrappers inside engine.rs; everything else goes through

@@ -9,10 +9,13 @@ use nf_support::check::{
     any_bool, any_u16, any_u32, any_u64, any_u8, check, int_range, tuple2, tuple3, uint_range,
     vec_of, Config, Gen,
 };
-use nfactor::core::accuracy::differential_test;
-use nfactor::core::Pipeline;
-use nfactor::packet::{Field, Packet, TcpFlags};
+use nfactor::core::accuracy::{differential_test, initial_model_state};
+use nfactor::core::{Pipeline, Synthesis};
+use nfactor::interp::Interp;
+use nfactor::model::ModelState;
+use nfactor::packet::{Field, Packet, PacketGen, TcpFlags};
 use nfactor::symex::{Solver, SymVal};
+use std::collections::BTreeMap;
 
 /// Wire-format round trip for arbitrary header values.
 #[test]
@@ -186,4 +189,71 @@ fn hash_is_stable_across_interp_and_model() {
         dsts.insert(out[0].get(Field::IpDst).unwrap());
     }
     assert!(dsts.len() > 1, "hash spreads load: {dsts:?}");
+}
+
+/// The undo logs behind per-packet rollback: on every corpus NF, after
+/// a generated warm-up stream, stepping one more packet and reverting
+/// it leaves the interpreter's and the model evaluator's state
+/// byte-identical to the pre-step snapshot — whether the step
+/// committed, dropped, or failed part-way.
+#[test]
+fn step_then_revert_restores_state() {
+    let corpus: Vec<(Synthesis, Interp, ModelState)> = [
+        ("fig1-lb", nfactor::corpus::fig1_lb::source()),
+        ("balance", nfactor::corpus::balance::source(6)),
+        ("snort", nfactor::corpus::snort::source(25)),
+        ("nat", nfactor::corpus::nat::source()),
+        ("firewall", nfactor::corpus::firewall::source()),
+        ("ratelimiter", nfactor::corpus::ratelimiter::source()),
+        ("portknock", nfactor::corpus::portknock::source()),
+        ("router", nfactor::corpus::router::source()),
+    ]
+    .into_iter()
+    .map(|(name, src)| {
+        let syn = Pipeline::builder()
+            .name(name)
+            .build()
+            .unwrap()
+            .synthesize(&src)
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        let interp = Interp::new(&syn.nf_loop).unwrap();
+        let model = initial_model_state(&syn, &interp);
+        (syn, interp, model)
+    })
+    .collect();
+    let interp_state = |i: &Interp| {
+        let sorted: BTreeMap<_, _> = i.globals.iter().collect();
+        format!("{sorted:?} packets_seen={}", i.packets_seen())
+    };
+    let model_state = |m: &ModelState| format!("{:?} {:?}", m.scalars, m.maps);
+    let cfg = Config::with_cases(64);
+    let input = tuple3(uint_range(0, 7), any_u64(), uint_range(0, 48));
+    check(
+        "step_then_revert_restores_state",
+        &cfg,
+        &input,
+        |(nf, seed, warm)| {
+            let (syn, interp0, model0) = &corpus[*nf as usize];
+            let (mut interp, mut model) = (interp0.clone(), model0.clone());
+            let mut gen = PacketGen::new(*seed);
+            // Failed warm-up packets are reverted, as the supervisor does.
+            for p in gen.batch(*warm as usize) {
+                if interp.process(&p).is_err() {
+                    interp.revert();
+                }
+                if model.step(&syn.model, &p).is_err() {
+                    model.revert();
+                }
+            }
+            let p = gen.next_packet();
+            let before = interp_state(&interp);
+            let _ = interp.process(&p);
+            interp.revert();
+            assert_eq!(interp_state(&interp), before, "{}: interp", syn.name);
+            let before = model_state(&model);
+            let _ = model.step(&syn.model, &p);
+            model.revert();
+            assert_eq!(model_state(&model), before, "{}: model", syn.name);
+        },
+    );
 }
