@@ -144,6 +144,11 @@ pub struct CompiledProgram {
     pub slot_names: Vec<String>,
     /// Map names (error messages, snapshots).
     pub map_names: Vec<String>,
+    /// Scalar name → slot: how the reference evaluator finds a slot by
+    /// name when it runs over the arenas.
+    pub(crate) slot_index: HashMap<String, usize>,
+    /// Map name → map arena index.
+    pub(crate) map_index: HashMap<String, usize>,
     /// Initial slot values (`None` = unset).
     pub init_slots: Vec<Option<Value>>,
     /// Initial map contents.
@@ -352,12 +357,21 @@ pub fn compile(model: &Model, init: &ModelState) -> Result<CompiledProgram, Comp
         })
         .collect();
     let init_materialized = (0..lw.map_names.len()).map(|i| i < init_map_count).collect();
+    let index = |names: &[String]| -> HashMap<String, usize> {
+        names
+            .iter()
+            .enumerate()
+            .map(|(i, n)| (n.clone(), i))
+            .collect()
+    };
     Ok(CompiledProgram {
         nf_name: model.nf_name.clone(),
         nodes,
         root,
         entries,
         state_preds: preds,
+        slot_index: index(&lw.slot_names),
+        map_index: index(&lw.map_names),
         slot_names: lw.slot_names,
         map_names: lw.map_names,
         init_slots,

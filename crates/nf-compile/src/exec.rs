@@ -8,11 +8,14 @@
 //! in reference order, and fires the first full match exactly as
 //! `ModelState::fire` would: all terms evaluated against the *pre*
 //! state, scalar commits before map commits, in source order.
+//! [`model_step`](CompiledState::model_step) runs the reference
+//! evaluator itself over the same arenas, for packets the compiled
+//! step fails on.
 
 use crate::compile::{CFlowAction, CMapOp, CompiledProgram};
 use crate::expr::{eval_expr, CExpr, RunEnv};
 use crate::tree::Node;
-use nf_model::EvalError;
+use nf_model::{step_on, EvalError, Model, ModelStep, Store};
 use nf_packet::Packet;
 use nfl_interp::value::{Value, ValueKey};
 use std::collections::{BTreeMap, HashMap};
@@ -42,12 +45,13 @@ pub struct CompiledState {
     memo: Vec<(u64, bool)>,
     /// Current packet generation (bumped per step).
     generation: u64,
-    /// Pre-images of everything the most recent [`step`](Self::step)
-    /// committed, in commit order. [`revert`](Self::revert) replays it
-    /// backwards, so a supervisor can undo a packet in O(entries it
-    /// touched) instead of cloning the whole state up front — the flow
-    /// maps hold one entry per live flow, and a per-packet full clone
-    /// would make every packet cost O(flows).
+    /// Pre-images of everything the most recent step (compiled or
+    /// [`model_step`](Self::model_step)) committed, in commit order.
+    /// [`revert`](Self::revert) replays it backwards, so a supervisor
+    /// can undo a packet in O(entries it touched) instead of cloning
+    /// the whole state up front — the flow maps hold one entry per
+    /// live flow, and a per-packet full clone would make every packet
+    /// cost O(flows).
     undo_slots: Vec<(usize, Option<Value>)>,
     /// Map-entry pre-images of the most recent step:
     /// `(map, key, previous value, was materialised)`.
@@ -69,17 +73,52 @@ impl CompiledState {
     }
 
     /// The step generation: bumped at the start of every
-    /// [`step`](Self::step), so a caller can tell whether a failure
-    /// happened before or after a step began (only the latter has a
-    /// live undo log to replay).
+    /// [`step`](Self::step) and [`model_step`](Self::model_step), so a
+    /// caller can tell whether a failure happened before or after a
+    /// step began (only the latter has a live undo log to replay).
     pub fn generation(&self) -> u64 {
         self.generation
     }
 
-    /// Undo the most recent [`step`](Self::step): restore every slot
-    /// and map entry it committed to its pre-image, in reverse commit
-    /// order. A no-op when the last step committed nothing (dropped
-    /// packet, eval error before the commit phase, or a fresh state).
+    /// Forget every memoised state predicate, in place: a supervisor
+    /// restart exists because cached derivations are no longer trusted.
+    /// The generation keeps counting up, so a journal taken before the
+    /// reset still tells whether a step began after it.
+    pub fn clear_memo(&mut self) {
+        self.memo.fill((0, false));
+    }
+
+    #[inline]
+    fn begin_step(&mut self) {
+        self.generation += 1;
+        self.undo_slots.clear();
+        self.undo_maps.clear();
+    }
+
+    /// Set slot `slot`, banking its pre-image.
+    #[inline]
+    fn commit_slot(&mut self, slot: usize, v: Value) {
+        let prev = self.slots[slot].replace(v);
+        self.undo_slots.push((slot, prev));
+    }
+
+    /// Insert (`Some`) or remove (`None`) `k` in map `map`, banking its
+    /// pre-image and whether the map had materialised.
+    #[inline]
+    fn commit_map(&mut self, map: usize, k: ValueKey, v: Option<Value>) {
+        let was = self.materialized[map];
+        self.materialized[map] = true;
+        let prev = match v {
+            Some(v) => self.maps[map].insert(k.clone(), v),
+            None => self.maps[map].remove(&k),
+        };
+        self.undo_maps.push((map, k, prev, was));
+    }
+
+    /// Undo the most recent step: restore every slot and map entry it
+    /// committed to its pre-image, in reverse commit order. A no-op
+    /// when the last step committed nothing (dropped packet, eval
+    /// error before the commit phase, or a fresh state).
     /// The predicate memo is left alone — it is keyed by generation,
     /// so entries from the undone packet can never be read again.
     pub fn revert(&mut self) {
@@ -105,9 +144,7 @@ impl CompiledState {
     /// succeeds, this returns `Ok` with the identical output, fired
     /// entry, and post-state.
     pub fn step(&mut self, prog: &CompiledProgram, pkt: &Packet) -> Result<CompiledStep, EvalError> {
-        self.generation += 1;
-        self.undo_slots.clear();
-        self.undo_maps.clear();
+        self.begin_step();
         // Walk the tree to a leaf.
         let mut node = prog.root;
         let cands = loop {
@@ -279,19 +316,31 @@ impl CompiledState {
         // commits fully or (on any eval error above) not at all. Each
         // write banks its pre-image so `revert` can undo the packet.
         for (slot, v) in new_scalars {
-            let prev = std::mem::replace(&mut self.slots[slot], Some(v));
-            self.undo_slots.push((slot, prev));
+            self.commit_slot(slot, v);
         }
         for (map, k, v) in map_commits {
-            let was = self.materialized[map];
-            self.materialized[map] = true;
-            let prev = match v {
-                Some(v) => self.maps[map].insert(k.clone(), v),
-                None => self.maps[map].remove(&k),
-            };
-            self.undo_maps.push((map, k, prev, was));
+            self.commit_map(map, k, v);
         }
         Ok(output)
+    }
+
+    /// Run one packet through the reference evaluator
+    /// ([`nf_model::step_on`]) directly over these arenas: the compiled
+    /// engine's fallback for a packet its own step fails on. Like
+    /// [`step`](Self::step), it bumps the generation, writes straight
+    /// into the arenas and banks every pre-image in the undo log, so
+    /// [`revert`](Self::revert) undoes it the same way. It costs
+    /// O(entries the packet touches), not O(live state).
+    ///
+    /// `model` is the model `prog` was compiled from. A state name the
+    /// program does not know fails the step before anything is written.
+    pub fn model_step(
+        &mut self,
+        prog: &CompiledProgram,
+        model: &Model,
+        pkt: &Packet,
+    ) -> Result<ModelStep, EvalError> {
+        step_on(&mut ArenaView { prog, state: self }, model, pkt)
     }
 
     /// Observable state snapshot — the same `name -> value` map the
@@ -317,62 +366,66 @@ impl CompiledState {
         }
         out
     }
+}
 
-    /// Rebuild the dense state from a `name -> value` snapshot (the
-    /// shape [`snapshot`](CompiledState::snapshot) and the reference
-    /// backends produce), dropping every memoised predicate.
-    ///
-    /// This is the supervisor's state-handoff surface: after a worker
-    /// restart (or a per-packet rollback) the fresh `CompiledState` is
-    /// repopulated from the surviving snapshot. Clearing the memo table
-    /// matters — a restart exists precisely because the cached
-    /// derivations are no longer trusted.
-    ///
-    /// Fails (leaving `self` untouched) when the snapshot names a state
-    /// the program does not know, or carries a non-map value for a map
-    /// state — both signal a snapshot from a different deployment.
-    pub fn restore(
-        &mut self,
-        prog: &CompiledProgram,
-        snap: &BTreeMap<String, Value>,
-    ) -> Result<(), String> {
-        let mut slots: Vec<Option<Value>> = vec![None; prog.slot_names.len()];
-        let mut maps: Vec<HashMap<ValueKey, Value>> =
-            vec![HashMap::new(); prog.map_names.len()];
-        let mut materialized = vec![false; prog.map_names.len()];
-        for (name, value) in snap {
-            if prog.configs.iter().any(|(k, _)| k == name) {
-                // Configs were constant-folded at compile time; the
-                // snapshot still carries them for observability.
-                continue;
-            }
-            if let Some(i) = prog.slot_names.iter().position(|n| n == name) {
-                slots[i] = Some(value.clone());
-            } else if let Some(i) = prog.map_names.iter().position(|n| n == name) {
-                match value {
-                    Value::Map(entries) => {
-                        maps[i] = entries
-                            .iter()
-                            .map(|(k, v)| (k.clone(), v.clone()))
-                            .collect();
-                        materialized[i] = true;
-                    }
-                    other => {
-                        return Err(format!(
-                            "restore: state `{name}` is a map but snapshot holds {other:?}"
-                        ))
-                    }
-                }
-            } else {
-                return Err(format!("restore: unknown state `{name}` in snapshot"));
-            }
-        }
-        self.slots = slots;
-        self.maps = maps;
-        self.materialized = materialized;
-        self.memo = vec![(0, false); prog.state_preds.len()];
-        self.generation = 0;
-        Ok(())
+/// The arenas seen by the model's state names, so the reference
+/// evaluator reads and writes them in place.
+struct ArenaView<'a> {
+    prog: &'a CompiledProgram,
+    state: &'a mut CompiledState,
+}
+
+impl ArenaView<'_> {
+    fn target(index: &HashMap<String, usize>, name: &str) -> Result<usize, EvalError> {
+        index.get(name).copied().ok_or_else(|| {
+            EvalError::Stuck(format!("state `{name}` is not in the compiled program"))
+        })
+    }
+}
+
+impl Store for ArenaView<'_> {
+    type Scalar = usize;
+    type Map = usize;
+
+    fn config(&self, name: &str) -> Option<&Value> {
+        self.prog.configs.get(name)
+    }
+
+    fn scalar(&self, name: &str) -> Option<&Value> {
+        let &slot = self.prog.slot_index.get(name)?;
+        self.state.slots[slot].as_ref()
+    }
+
+    fn map_get(&self, map: &str, key: &ValueKey) -> Option<&Value> {
+        let &m = self.prog.map_index.get(map)?;
+        self.state.maps[m].get(key)
+    }
+
+    fn map_contains(&self, map: &str, key: &ValueKey) -> bool {
+        self.prog
+            .map_index
+            .get(map)
+            .is_some_and(|&m| self.state.maps[m].contains_key(key))
+    }
+
+    fn scalar_target(&self, name: &str) -> Result<usize, EvalError> {
+        Self::target(&self.prog.slot_index, name)
+    }
+
+    fn map_target(&self, map: &str) -> Result<usize, EvalError> {
+        Self::target(&self.prog.map_index, map)
+    }
+
+    fn begin_step(&mut self) {
+        self.state.begin_step();
+    }
+
+    fn commit_scalar(&mut self, slot: usize, v: Value) {
+        self.state.commit_slot(slot, v);
+    }
+
+    fn commit_map(&mut self, map: usize, key: ValueKey, v: Option<Value>) {
+        self.state.commit_map(map, key, v);
     }
 }
 
@@ -403,18 +456,30 @@ mod tests {
         )
     }
 
-    /// Run a packet sequence through both evaluators and assert
-    /// identical per-packet results and final snapshots.
+    /// Run a packet sequence through the reference evaluator, the
+    /// compiled step, and the reference evaluator over the compiled
+    /// arenas (`model_step`); assert identical per-packet results and
+    /// final snapshots. Halfway through, the compiled state is
+    /// restarted as the supervisor does: its memo is cleared, and its
+    /// generation must not go back.
     fn lockstep(src: &str, init: ModelState, pkts: &[Packet]) {
         let m = model_of(src);
         let prog = compile(&m, &init).unwrap();
         let mut cs = CompiledState::new(&prog);
+        let mut arena = CompiledState::new(&prog);
         let mut ms = init;
         for (i, p) in pkts.iter().enumerate() {
+            if i == pkts.len() / 2 {
+                let g = cs.generation();
+                cs.clear_memo();
+                assert_eq!(cs.generation(), g, "restart keeps the generation");
+            }
             let want = ms.step(&m, p).expect("reference step");
             let got = cs.step(&prog, p).expect("compiled step");
             assert_eq!(got.output, want.output, "packet {i} output");
             assert_eq!(got.fired, want.fired, "packet {i} fired entry");
+            let on_arena = arena.model_step(&prog, &m, p).expect("model_step");
+            assert_eq!(on_arena, want, "packet {i} model_step");
         }
         let mut want = BTreeMap::new();
         for (k, v) in &ms.configs {
@@ -427,6 +492,7 @@ mod tests {
             want.insert(k.clone(), Value::Map(m.clone()));
         }
         assert_eq!(cs.snapshot(&prog), want, "final state snapshot");
+        assert_eq!(arena.snapshot(&prog), want, "final model_step snapshot");
     }
 
     #[test]
@@ -453,56 +519,6 @@ mod tests {
             init,
             &[tcp(5555, 80), tcp(5555, 80), tcp(7777, 80), tcp(5555, 443)],
         );
-    }
-
-    #[test]
-    fn restore_roundtrips_snapshot_and_rejects_foreign_state() {
-        let src = r#"
-            state nat = map();
-            state next = 10000;
-            fn cb(pkt: packet) {
-                let k = (pkt.ip.src, pkt.tcp.sport);
-                if k not in nat {
-                    nat[k] = next;
-                    next = next + 1;
-                }
-                pkt.tcp.sport = nat[k];
-                send(pkt);
-            }
-            fn main() { sniff(cb); }
-        "#;
-        let m = model_of(src);
-        let init = ModelState::default()
-            .with_scalar("next", Value::Int(10000))
-            .with_map("nat");
-        let prog = compile(&m, &init).unwrap();
-        let mut cs = CompiledState::new(&prog);
-        for p in [tcp(5555, 80), tcp(7777, 80)] {
-            cs.step(&prog, &p).unwrap();
-        }
-        let snap = cs.snapshot(&prog);
-
-        // A fresh state restored from the snapshot observes the same
-        // state and keeps agreeing with the original on further traffic.
-        let mut restored = CompiledState::new(&prog);
-        restored.restore(&prog, &snap).unwrap();
-        assert_eq!(restored.snapshot(&prog), snap);
-        for p in [tcp(5555, 443), tcp(9999, 80)] {
-            let a = cs.step(&prog, &p).unwrap();
-            let b = restored.step(&prog, &p).unwrap();
-            assert_eq!(a, b);
-        }
-        assert_eq!(restored.snapshot(&prog), cs.snapshot(&prog));
-
-        // Foreign snapshots are rejected without mutating the state.
-        let before = restored.snapshot(&prog);
-        let mut foreign = snap.clone();
-        foreign.insert("no_such_state".into(), Value::Int(1));
-        assert!(restored.restore(&prog, &foreign).is_err());
-        let mut wrong_shape = snap.clone();
-        wrong_shape.insert("nat".into(), Value::Int(1));
-        assert!(restored.restore(&prog, &wrong_shape).is_err());
-        assert_eq!(restored.snapshot(&prog), before);
     }
 
     #[test]
@@ -565,5 +581,45 @@ mod tests {
             )
             .with_scalar("idx", Value::Int(0));
         lockstep(src, init, &[tcp(1, 1), tcp(2, 2), tcp(3, 3)]);
+    }
+
+    #[test]
+    fn model_step_rejects_unknown_state_before_writing() {
+        let counter = model_of(
+            r#"
+            state count = 0;
+            state seen = map();
+            fn cb(pkt: packet) {
+                count = count + 1;
+                seen[pkt.tcp.sport] = 1;
+                send(pkt);
+            }
+            fn main() { sniff(cb); }
+        "#,
+        );
+        let init = ModelState::default()
+            .with_scalar("count", Value::Int(0))
+            .with_map("seen");
+        let prog = compile(&counter, &init).unwrap();
+        let mut cs = CompiledState::new(&prog);
+        cs.model_step(&prog, &counter, &tcp(1, 80)).unwrap();
+        let before = cs.snapshot(&prog);
+        // A model the program was not compiled from: its scalar and map
+        // writes name states the arenas do not have. The scalar write
+        // would commit first, so both must fail before any commit.
+        for foreign in [
+            "state total = 0; fn cb(pkt: packet) { total = 7; send(pkt); }",
+            "state hist = map(); fn cb(pkt: packet) { hist[1] = 7; send(pkt); }",
+            "state count = 0; state hist = map();
+             fn cb(pkt: packet) { count = 5; hist[1] = 7; send(pkt); }",
+        ] {
+            let m = model_of(&format!("{foreign} fn main() {{ sniff(cb); }}"));
+            let err = cs.model_step(&prog, &m, &tcp(2, 80)).unwrap_err();
+            assert!(
+                err.to_string().contains("is not in the compiled program"),
+                "{err}"
+            );
+            assert_eq!(cs.snapshot(&prog), before, "{foreign}");
+        }
     }
 }

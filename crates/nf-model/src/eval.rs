@@ -9,6 +9,11 @@
 //! its state transition; if nothing matches, the low-priority default
 //! **drop** fires.
 //!
+//! The evaluator itself ([`step_on`]) is generic over a [`Store`], so
+//! the same reference semantics can run over another backend's state
+//! layout in place (the compiled engine's dense arenas) instead of over
+//! a copy of it.
+//!
 //! Term evaluation mirrors the interpreter exactly (same euclidean `%`,
 //! the same stable `hash`), so model-vs-program equivalence is
 //! well-defined.
@@ -50,6 +55,44 @@ pub struct ModelStep {
     pub fired: Option<(usize, usize)>,
 }
 
+/// The state the reference evaluator reads and writes, by name.
+///
+/// Reads are by the model's names (without the `cfg:`/`st:` prefixes).
+/// A write is resolved to a target in the evaluation phase
+/// ([`scalar_target`](Store::scalar_target),
+/// [`map_target`](Store::map_target)), where it may still fail, and
+/// committed afterwards by an infallible call that banks the pre-image
+/// it overwrites. So a step either fails before touching the state or
+/// commits all of it, and the store can undo a committed step in
+/// O(entries it touched).
+pub trait Store {
+    /// A scalar write target, resolved before the commit phase.
+    type Scalar;
+    /// A map write target, resolved before the commit phase.
+    type Map;
+
+    /// A configuration value.
+    fn config(&self, name: &str) -> Option<&Value>;
+    /// A scalar state value (`None`: unset).
+    fn scalar(&self, name: &str) -> Option<&Value>;
+    /// The value at `key` in map `map`, if present.
+    fn map_get(&self, map: &str, key: &ValueKey) -> Option<&Value>;
+    /// Whether map `map` holds `key` (`false` for a map never written).
+    fn map_contains(&self, map: &str, key: &ValueKey) -> bool;
+    /// Resolve scalar `name` as a write target.
+    fn scalar_target(&self, name: &str) -> Result<Self::Scalar, EvalError>;
+    /// Resolve map `map` as a write target.
+    fn map_target(&self, map: &str) -> Result<Self::Map, EvalError>;
+    /// Start a step: bump the step generation and forget the previous
+    /// step's pre-images.
+    fn begin_step(&mut self);
+    /// Set a scalar, banking its previous value.
+    fn commit_scalar(&mut self, target: Self::Scalar, v: Value);
+    /// Insert (`Some`) or remove (`None`) a map entry, banking its
+    /// previous value.
+    fn commit_map(&mut self, target: Self::Map, key: ValueKey, v: Option<Value>);
+}
+
 /// Concrete model state: configuration values, scalar states, and maps.
 ///
 /// Equality compares the three observable components only; the step
@@ -82,6 +125,55 @@ enum Undo {
 impl PartialEq for ModelState {
     fn eq(&self, other: &Self) -> bool {
         self.configs == other.configs && self.scalars == other.scalars && self.maps == other.maps
+    }
+}
+
+impl Store for ModelState {
+    type Scalar = String;
+    type Map = String;
+
+    fn config(&self, name: &str) -> Option<&Value> {
+        self.configs.get(name)
+    }
+
+    fn scalar(&self, name: &str) -> Option<&Value> {
+        self.scalars.get(name)
+    }
+
+    fn map_get(&self, map: &str, key: &ValueKey) -> Option<&Value> {
+        self.maps.get(map).and_then(|m| m.get(key))
+    }
+
+    fn map_contains(&self, map: &str, key: &ValueKey) -> bool {
+        self.maps.get(map).is_some_and(|m| m.contains_key(key))
+    }
+
+    fn scalar_target(&self, name: &str) -> Result<String, EvalError> {
+        Ok(name.to_string())
+    }
+
+    fn map_target(&self, map: &str) -> Result<String, EvalError> {
+        Ok(map.to_string())
+    }
+
+    fn begin_step(&mut self) {
+        self.generation += 1;
+        self.undo.clear();
+    }
+
+    fn commit_scalar(&mut self, name: String, v: Value) {
+        let prev = self.scalars.insert(name.clone(), v);
+        self.undo.push(Undo::Scalar(name, prev));
+    }
+
+    fn commit_map(&mut self, map: String, k: ValueKey, v: Option<Value>) {
+        let existed = self.maps.contains_key(&map);
+        let m = self.maps.entry(map.clone()).or_default();
+        let prev = match v {
+            Some(v) => m.insert(k.clone(), v),
+            None => m.remove(&k),
+        };
+        self.undo.push(Undo::Map(map, k, prev, existed));
     }
 }
 
@@ -149,253 +241,245 @@ impl ModelState {
 
     /// Run one packet through `model`, mutating the state.
     pub fn step(&mut self, model: &Model, pkt: &Packet) -> Result<ModelStep, EvalError> {
-        self.generation += 1;
-        self.undo.clear();
-        for (ti, table) in model.tables.iter().enumerate() {
-            // Configuration condition must hold for this deployment.
-            if !self.all_true(&table.config, pkt)? {
-                continue;
-            }
-            for (ei, entry) in table.entries.iter().enumerate() {
-                if self.entry_matches(entry, pkt)? {
-                    let out = self.fire(entry, pkt)?;
-                    return Ok(ModelStep {
-                        output: out,
-                        fired: Some((ti, ei)),
-                    });
-                }
-            }
-        }
-        // Default action: drop (§3.2).
-        Ok(ModelStep {
-            output: None,
-            fired: None,
-        })
-    }
-
-    fn entry_matches(&self, entry: &Entry, pkt: &Packet) -> Result<bool, EvalError> {
-        Ok(self.all_true(&entry.flow_match, pkt)? && self.all_true(&entry.state_match, pkt)?)
-    }
-
-    fn all_true(&self, lits: &[SymVal], pkt: &Packet) -> Result<bool, EvalError> {
-        for lit in lits {
-            match self.eval(lit, pkt)? {
-                Value::Bool(true) => {}
-                Value::Bool(false) => return Ok(false),
-                other => {
-                    return Err(EvalError::Stuck(format!(
-                        "match literal evaluated to {other}"
-                    )))
-                }
-            }
-        }
-        Ok(true)
-    }
-
-    fn fire(&mut self, entry: &Entry, pkt: &Packet) -> Result<Option<Packet>, EvalError> {
-        // Evaluate everything against the PRE state, then commit.
-        let output = match &entry.flow_action {
-            FlowAction::Drop => None,
-            FlowAction::Forward { rewrites } => {
-                let mut out = pkt.clone();
-                for (field, term) in rewrites {
-                    let v = self.eval(term, pkt)?;
-                    let iv = v.as_int().ok_or_else(|| {
-                        EvalError::Stuck(format!("rewrite of {field} to non-int {v}"))
-                    })?;
-                    let uv = u64::try_from(iv)
-                        .map_err(|_| EvalError::Field(format!("negative value {iv}")))?;
-                    out.set(*field, uv)
-                        .map_err(|e| EvalError::Field(e.to_string()))?;
-                }
-                Some(out)
-            }
-        };
-        let mut new_scalars = Vec::new();
-        for (name, term) in &entry.state_action.updates {
-            new_scalars.push((name.clone(), self.eval(term, pkt)?));
-        }
-        let mut map_commits: Vec<(String, ValueKey, Option<Value>)> = Vec::new();
-        for op in &entry.state_action.map_ops {
-            match op {
-                MapOp::Insert { map, key, value } => {
-                    let k = self
-                        .eval(key, pkt)?
-                        .as_key()
-                        .ok_or_else(|| EvalError::Stuck("unkeyable map key".into()))?;
-                    let v = self.eval(value, pkt)?;
-                    map_commits.push((map.clone(), k, Some(v)));
-                }
-                MapOp::Remove { map, key } => {
-                    let k = self
-                        .eval(key, pkt)?
-                        .as_key()
-                        .ok_or_else(|| EvalError::Stuck("unkeyable map key".into()))?;
-                    map_commits.push((map.clone(), k, None));
-                }
-            }
-        }
-        // Commit phase: nothing below can fail, so a step either
-        // commits fully or (on any eval error above) not at all. Each
-        // write banks the value it replaces so `revert` can undo the
-        // packet.
-        for (name, v) in new_scalars {
-            let prev = self.scalars.insert(name.clone(), v);
-            self.undo.push(Undo::Scalar(name, prev));
-        }
-        for (map, k, v) in map_commits {
-            let existed = self.maps.contains_key(&map);
-            let m = self.maps.entry(map.clone()).or_default();
-            let prev = match v {
-                Some(v) => m.insert(k.clone(), v),
-                None => m.remove(&k),
-            };
-            self.undo.push(Undo::Map(map, k, prev, existed));
-        }
-        Ok(output)
+        step_on(self, model, pkt)
     }
 
     /// Evaluate a symbolic term against packet + state.
     pub fn eval(&self, term: &SymVal, pkt: &Packet) -> Result<Value, EvalError> {
-        match term {
-            SymVal::Int(v) => Ok(Value::Int(*v)),
-            SymVal::Bool(b) => Ok(Value::Bool(*b)),
-            SymVal::Str(s) => Ok(Value::Str(s.clone())),
-            SymVal::Var(name) => {
-                if let Some(path) = name.strip_prefix("pkt.") {
-                    let field = nf_packet::Field::from_path(path)
-                        .ok_or_else(|| EvalError::Stuck(format!("unknown field {path}")))?;
-                    let raw = pkt
-                        .get(field)
-                        .map_err(|e| EvalError::Stuck(e.to_string()))?;
-                    Ok(Value::Int(raw as i64))
-                } else if let Some(cfg) = name.strip_prefix("cfg:") {
-                    self.configs
-                        .get(cfg)
-                        .cloned()
-                        .ok_or_else(|| EvalError::Stuck(format!("config `{cfg}` unset")))
-                } else if let Some(stv) = name.strip_prefix("st:") {
-                    self.scalars
-                        .get(stv)
-                        .cloned()
-                        .ok_or_else(|| EvalError::Stuck(format!("state `{stv}` unset")))
-                } else {
-                    Err(EvalError::Stuck(format!("free variable `{name}`")))
-                }
+        eval_on(self, term, pkt)
+    }
+}
+
+/// Run one packet through `model` over the state in `st`: the first
+/// entry (in table order) whose config, flow and state matches hold
+/// fires; if none does, the default drop. Everything the fired entry
+/// computes is evaluated against the pre-state, then committed —
+/// scalars before maps, each in source order.
+pub fn step_on<S: Store>(st: &mut S, model: &Model, pkt: &Packet) -> Result<ModelStep, EvalError> {
+    st.begin_step();
+    for (ti, table) in model.tables.iter().enumerate() {
+        // Configuration condition must hold for this deployment.
+        if !all_true(st, &table.config, pkt)? {
+            continue;
+        }
+        for (ei, entry) in table.entries.iter().enumerate() {
+            if entry_matches(st, entry, pkt)? {
+                let out = fire(st, entry, pkt)?;
+                return Ok(ModelStep {
+                    output: out,
+                    fired: Some((ti, ei)),
+                });
             }
-            SymVal::Tuple(es) => {
-                let mut items = Vec::new();
-                for e in es {
-                    let v = self.eval(e, pkt)?;
-                    items.push(
-                        v.as_int()
-                            .ok_or_else(|| EvalError::Stuck("tuple of non-int".into()))?,
-                    );
-                }
-                Ok(Value::Tuple(items))
+        }
+    }
+    // Default action: drop (§3.2).
+    Ok(ModelStep {
+        output: None,
+        fired: None,
+    })
+}
+
+fn entry_matches<S: Store>(st: &S, entry: &Entry, pkt: &Packet) -> Result<bool, EvalError> {
+    Ok(all_true(st, &entry.flow_match, pkt)? && all_true(st, &entry.state_match, pkt)?)
+}
+
+fn all_true<S: Store>(st: &S, lits: &[SymVal], pkt: &Packet) -> Result<bool, EvalError> {
+    for lit in lits {
+        match eval_on(st, lit, pkt)? {
+            Value::Bool(true) => {}
+            Value::Bool(false) => return Ok(false),
+            other => {
+                return Err(EvalError::Stuck(format!(
+                    "match literal evaluated to {other}"
+                )))
             }
-            SymVal::Array(es) => {
-                let mut items = Vec::new();
-                for e in es {
-                    items.push(self.eval(e, pkt)?);
-                }
-                Ok(Value::Array(items))
+        }
+    }
+    Ok(true)
+}
+
+fn fire<S: Store>(st: &mut S, entry: &Entry, pkt: &Packet) -> Result<Option<Packet>, EvalError> {
+    // Evaluate everything against the PRE state, then commit.
+    let output = match &entry.flow_action {
+        FlowAction::Drop => None,
+        FlowAction::Forward { rewrites } => {
+            let mut out = pkt.clone();
+            for (field, term) in rewrites {
+                let v = eval_on(st, term, pkt)?;
+                let iv = v.as_int().ok_or_else(|| {
+                    EvalError::Stuck(format!("rewrite of {field} to non-int {v}"))
+                })?;
+                let uv = u64::try_from(iv)
+                    .map_err(|_| EvalError::Field(format!("negative value {iv}")))?;
+                out.set(*field, uv)
+                    .map_err(|e| EvalError::Field(e.to_string()))?;
             }
-            SymVal::Bin(op, a, b) => {
-                // Short-circuit logic mirrors the interpreter: the right
-                // side of `proto == 6 && tcp.flags & 2 != 0` must not be
-                // evaluated on a UDP packet.
-                if matches!(op, BinOp::And | BinOp::Or) {
-                    let va = self
-                        .eval(a, pkt)?
-                        .as_bool()
-                        .ok_or_else(|| EvalError::Stuck("logic on non-bool".into()))?;
-                    return match (op, va) {
-                        (BinOp::And, false) => Ok(Value::Bool(false)),
-                        (BinOp::Or, true) => Ok(Value::Bool(true)),
-                        _ => {
-                            let vb = self.eval(b, pkt)?.as_bool().ok_or_else(|| {
-                                EvalError::Stuck("logic on non-bool".into())
-                            })?;
-                            Ok(Value::Bool(vb))
-                        }
-                    };
-                }
-                let va = self.eval(a, pkt)?;
-                let vb = self.eval(b, pkt)?;
-                eval_bin(*op, &va, &vb)
-            }
-            SymVal::Not(a) => match self.eval(a, pkt)? {
-                Value::Bool(b) => Ok(Value::Bool(!b)),
-                other => Err(EvalError::Stuck(format!("not of {other}"))),
-            },
-            SymVal::Neg(a) => match self.eval(a, pkt)? {
-                Value::Int(v) => Ok(Value::Int(-v)),
-                other => Err(EvalError::Stuck(format!("neg of {other}"))),
-            },
-            SymVal::Hash(a) => {
-                let v = self.eval(a, pkt)?;
-                Ok(Value::Int(stable_hash(&v)))
-            }
-            SymVal::Min(a, b) | SymVal::Max(a, b) => {
-                let is_min = matches!(term, SymVal::Min(..));
-                let x = self
-                    .eval(a, pkt)?
-                    .as_int()
-                    .ok_or_else(|| EvalError::Stuck("min/max of non-int".into()))?;
-                let y = self
-                    .eval(b, pkt)?
-                    .as_int()
-                    .ok_or_else(|| EvalError::Stuck("min/max of non-int".into()))?;
-                Ok(Value::Int(if is_min { x.min(y) } else { x.max(y) }))
-            }
-            SymVal::MapGet(map, key) => {
-                let k = self
-                    .eval(key, pkt)?
+            Some(out)
+        }
+    };
+    let mut new_scalars = Vec::new();
+    for (name, term) in &entry.state_action.updates {
+        let v = eval_on(st, term, pkt)?;
+        new_scalars.push((st.scalar_target(name)?, v));
+    }
+    let mut map_commits = Vec::new();
+    for op in &entry.state_action.map_ops {
+        match op {
+            MapOp::Insert { map, key, value } => {
+                let k = eval_on(st, key, pkt)?
                     .as_key()
-                    .ok_or_else(|| EvalError::Stuck("unkeyable key".into()))?;
-                self.maps
-                    .get(map)
-                    .and_then(|m| m.get(&k))
+                    .ok_or_else(|| EvalError::Stuck("unkeyable map key".into()))?;
+                let v = eval_on(st, value, pkt)?;
+                map_commits.push((st.map_target(map)?, k, Some(v)));
+            }
+            MapOp::Remove { map, key } => {
+                let k = eval_on(st, key, pkt)?
+                    .as_key()
+                    .ok_or_else(|| EvalError::Stuck("unkeyable map key".into()))?;
+                map_commits.push((st.map_target(map)?, k, None));
+            }
+        }
+    }
+    // Commit phase: nothing below can fail, so a step either commits
+    // fully or (on any eval error above) not at all. Each write banks
+    // the value it replaces so the store can undo the packet.
+    for (target, v) in new_scalars {
+        st.commit_scalar(target, v);
+    }
+    for (target, k, v) in map_commits {
+        st.commit_map(target, k, v);
+    }
+    Ok(output)
+}
+
+/// Evaluate a symbolic term against packet + the state in `st`.
+pub(crate) fn eval_on<S: Store>(st: &S, term: &SymVal, pkt: &Packet) -> Result<Value, EvalError> {
+    match term {
+        SymVal::Int(v) => Ok(Value::Int(*v)),
+        SymVal::Bool(b) => Ok(Value::Bool(*b)),
+        SymVal::Str(s) => Ok(Value::Str(s.clone())),
+        SymVal::Var(name) => {
+            if let Some(path) = name.strip_prefix("pkt.") {
+                let field = nf_packet::Field::from_path(path)
+                    .ok_or_else(|| EvalError::Stuck(format!("unknown field {path}")))?;
+                let raw = pkt
+                    .get(field)
+                    .map_err(|e| EvalError::Stuck(e.to_string()))?;
+                Ok(Value::Int(raw as i64))
+            } else if let Some(cfg) = name.strip_prefix("cfg:") {
+                st.config(cfg)
                     .cloned()
-                    .ok_or_else(|| EvalError::Stuck(format!("{map}[{k}] missing")))
+                    .ok_or_else(|| EvalError::Stuck(format!("config `{cfg}` unset")))
+            } else if let Some(stv) = name.strip_prefix("st:") {
+                st.scalar(stv)
+                    .cloned()
+                    .ok_or_else(|| EvalError::Stuck(format!("state `{stv}` unset")))
+            } else {
+                Err(EvalError::Stuck(format!("free variable `{name}`")))
             }
-            SymVal::MapContains(map, key) => {
-                let k = self
-                    .eval(key, pkt)?
-                    .as_key()
-                    .ok_or_else(|| EvalError::Stuck("unkeyable key".into()))?;
-                Ok(Value::Bool(
-                    self.maps.get(map).map(|m| m.contains_key(&k)).unwrap_or(false),
-                ))
+        }
+        SymVal::Tuple(es) => {
+            let mut items = Vec::new();
+            for e in es {
+                let v = eval_on(st, e, pkt)?;
+                items.push(
+                    v.as_int()
+                        .ok_or_else(|| EvalError::Stuck("tuple of non-int".into()))?,
+                );
             }
-            SymVal::ArrayGet(base, idx) => {
-                let b = self.eval(base, pkt)?;
-                let i = self
-                    .eval(idx, pkt)?
-                    .as_int()
-                    .ok_or_else(|| EvalError::Stuck("array index".into()))?;
-                match b {
-                    Value::Array(items) => {
-                        let ix = usize::try_from(i)
-                            .map_err(|_| EvalError::Stuck("negative index".into()))?;
-                        items
-                            .get(ix)
-                            .cloned()
-                            .ok_or_else(|| EvalError::Stuck("array OOB".into()))
+            Ok(Value::Tuple(items))
+        }
+        SymVal::Array(es) => {
+            let mut items = Vec::new();
+            for e in es {
+                items.push(eval_on(st, e, pkt)?);
+            }
+            Ok(Value::Array(items))
+        }
+        SymVal::Bin(op, a, b) => {
+            // Short-circuit logic mirrors the interpreter: the right
+            // side of `proto == 6 && tcp.flags & 2 != 0` must not be
+            // evaluated on a UDP packet.
+            if matches!(op, BinOp::And | BinOp::Or) {
+                let va = eval_on(st, a, pkt)?
+                    .as_bool()
+                    .ok_or_else(|| EvalError::Stuck("logic on non-bool".into()))?;
+                return match (op, va) {
+                    (BinOp::And, false) => Ok(Value::Bool(false)),
+                    (BinOp::Or, true) => Ok(Value::Bool(true)),
+                    _ => {
+                        let vb = eval_on(st, b, pkt)?
+                            .as_bool()
+                            .ok_or_else(|| EvalError::Stuck("logic on non-bool".into()))?;
+                        Ok(Value::Bool(vb))
                     }
-                    other => Err(EvalError::Stuck(format!("indexing {other}"))),
-                }
+                };
             }
-            SymVal::Proj(base, i) => {
-                let b = self.eval(base, pkt)?;
-                match b {
-                    Value::Tuple(items) => items
-                        .get(*i)
-                        .map(|v| Value::Int(*v))
-                        .ok_or_else(|| EvalError::Stuck("tuple OOB".into())),
-                    other => Err(EvalError::Stuck(format!("projecting {other}"))),
+            let va = eval_on(st, a, pkt)?;
+            let vb = eval_on(st, b, pkt)?;
+            eval_bin(*op, &va, &vb)
+        }
+        SymVal::Not(a) => match eval_on(st, a, pkt)? {
+            Value::Bool(b) => Ok(Value::Bool(!b)),
+            other => Err(EvalError::Stuck(format!("not of {other}"))),
+        },
+        SymVal::Neg(a) => match eval_on(st, a, pkt)? {
+            Value::Int(v) => Ok(Value::Int(-v)),
+            other => Err(EvalError::Stuck(format!("neg of {other}"))),
+        },
+        SymVal::Hash(a) => {
+            let v = eval_on(st, a, pkt)?;
+            Ok(Value::Int(stable_hash(&v)))
+        }
+        SymVal::Min(a, b) | SymVal::Max(a, b) => {
+            let is_min = matches!(term, SymVal::Min(..));
+            let x = eval_on(st, a, pkt)?
+                .as_int()
+                .ok_or_else(|| EvalError::Stuck("min/max of non-int".into()))?;
+            let y = eval_on(st, b, pkt)?
+                .as_int()
+                .ok_or_else(|| EvalError::Stuck("min/max of non-int".into()))?;
+            Ok(Value::Int(if is_min { x.min(y) } else { x.max(y) }))
+        }
+        SymVal::MapGet(map, key) => {
+            let k = eval_on(st, key, pkt)?
+                .as_key()
+                .ok_or_else(|| EvalError::Stuck("unkeyable key".into()))?;
+            st.map_get(map, &k)
+                .cloned()
+                .ok_or_else(|| EvalError::Stuck(format!("{map}[{k}] missing")))
+        }
+        SymVal::MapContains(map, key) => {
+            let k = eval_on(st, key, pkt)?
+                .as_key()
+                .ok_or_else(|| EvalError::Stuck("unkeyable key".into()))?;
+            Ok(Value::Bool(st.map_contains(map, &k)))
+        }
+        SymVal::ArrayGet(base, idx) => {
+            let b = eval_on(st, base, pkt)?;
+            let i = eval_on(st, idx, pkt)?
+                .as_int()
+                .ok_or_else(|| EvalError::Stuck("array index".into()))?;
+            match b {
+                Value::Array(items) => {
+                    let ix = usize::try_from(i)
+                        .map_err(|_| EvalError::Stuck("negative index".into()))?;
+                    items
+                        .get(ix)
+                        .cloned()
+                        .ok_or_else(|| EvalError::Stuck("array OOB".into()))
                 }
+                other => Err(EvalError::Stuck(format!("indexing {other}"))),
+            }
+        }
+        SymVal::Proj(base, i) => {
+            let b = eval_on(st, base, pkt)?;
+            match b {
+                Value::Tuple(items) => items
+                    .get(*i)
+                    .map(|v| Value::Int(*v))
+                    .ok_or_else(|| EvalError::Stuck("tuple OOB".into())),
+                other => Err(EvalError::Stuck(format!("projecting {other}"))),
             }
         }
     }

@@ -28,7 +28,7 @@ pub mod model;
 pub mod render;
 pub mod text;
 
-pub use eval::{eval_bin, EvalError, ModelState, ModelStep};
+pub use eval::{eval_bin, step_on, EvalError, ModelState, ModelStep, Store};
 pub use fsm::{ModelFsm, Transition};
 pub use model::{Completeness, ConfigTable, Entry, FlowAction, Model, StateAction};
 pub use render::render_figure6;

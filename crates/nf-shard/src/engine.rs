@@ -395,68 +395,39 @@ impl BackendState {
         }
     }
 
-    /// Supervisor restart: rebuild derived caches from the persistent
-    /// state snapshot. Only the compiled backend carries derived state
-    /// (the predicate memo and its generation counter); the interpreter
-    /// and model evaluator *are* their persistent state, so a restart
-    /// is a no-op for them beyond the supervisor's accounting.
+    /// Supervisor restart: drop derived caches, in place. Only the
+    /// compiled backend carries derived state (the predicate memo); the
+    /// interpreter and model evaluator *are* their persistent state, so
+    /// a restart is a no-op for them beyond the supervisor's accounting.
     fn refresh(&mut self) {
-        if let BackendState::Compiled { prog, state } = self {
-            let snap = state.snapshot(prog);
-            let mut fresh = CompiledState::new(prog);
-            if fresh.restore(prog, &snap).is_ok() {
-                *state = fresh;
-            }
+        if let BackendState::Compiled { state, .. } = self {
+            state.clear_memo();
         }
     }
 
     /// The per-packet compiled→model fallback: evaluate this packet on
-    /// the reference model over the compiled state's snapshot, then
-    /// write the model's post-state back into the dense arenas. The
+    /// the reference model directly over the compiled arenas. The
     /// compiled engine's one-sided contract (identical behaviour
     /// wherever the reference succeeds) makes this exact: any packet
     /// the model can evaluate produces the same output either way.
+    /// `None` when the backend has no fallback.
     fn fallback_step(
         &mut self,
-        fb_model: &Model,
-        template: &ModelState,
+        model: Option<&Model>,
         pkt: &Packet,
-    ) -> Result<(Vec<Packet>, bool), String> {
-        let BackendState::Compiled { prog, state } = self else {
-            return Err("fallback is only defined for the compiled backend".into());
+    ) -> Option<Result<(Vec<Packet>, bool), String>> {
+        let (BackendState::Compiled { prog, state }, Some(model)) = (self, model) else {
+            return None;
         };
-        let snap = state.snapshot(prog);
-        // Seed from the template (the t=0 ModelState the program was
-        // compiled against) so the config/scalar/map split matches the
-        // model's view, then overlay the live snapshot.
-        let mut ms = template.clone();
-        for (k, v) in &snap {
-            if ms.configs.contains_key(k) {
-                continue;
-            }
-            match v {
-                Value::Map(m) => {
-                    ms.maps.insert(k.clone(), m.clone());
-                }
-                other => {
-                    ms.scalars.insert(k.clone(), other.clone());
-                }
-            }
-        }
-        let s = ms.step(fb_model, pkt).map_err(|e| e.to_string())?;
-        let mut post = BTreeMap::new();
-        for (k, v) in &ms.configs {
-            post.insert(k.clone(), v.clone());
-        }
-        for (k, v) in &ms.scalars {
-            post.insert(k.clone(), v.clone());
-        }
-        for (k, m) in &ms.maps {
-            post.insert(k.clone(), Value::Map(m.clone()));
-        }
-        state.restore(prog, &post)?;
-        let dropped = s.output.is_none();
-        Ok((s.output.into_iter().collect(), dropped))
+        Some(
+            state
+                .model_step(prog, model, pkt)
+                .map(|s| {
+                    let dropped = s.output.is_none();
+                    (s.output.into_iter().collect(), dropped)
+                })
+                .map_err(|e| e.to_string()),
+        )
     }
 }
 
@@ -471,12 +442,10 @@ type Journal = u64;
 /// `catch_unwind`, roll back on any failure. `Err` carries the
 /// quarantine reason, and the state is pre-packet clean whenever it is
 /// returned. A compiled-engine *error* (not a panic) retries the packet
-/// on the model evaluator when a fallback is available.
-#[allow(clippy::too_many_arguments)]
+/// on the model evaluator over the same state, under the same guard.
 fn supervised_step(
     state: &mut BackendState,
     model: Option<&Model>,
-    fallback: Option<&(Model, ModelState)>,
     shard: usize,
     nth: u64,
     pkt: &Packet,
@@ -505,24 +474,31 @@ fn supervised_step(
         if inject_panic {
             panic!("injected fault: panic on shard {shard} packet {nth}");
         }
-        if inject_err {
-            return Err(format!("injected fault: eval error on shard {shard} packet {nth}"));
+        let e = if inject_err {
+            format!("injected fault: eval error on shard {shard} packet {nth}")
+        } else {
+            match state.step(model, pkt) {
+                Ok(out) => return Ok(out),
+                Err(e) => e,
+            }
+        };
+        // The fallback writes into the live state: undo the failed
+        // step first. The fallback's own writes then stay under
+        // `journal`, so the rollback below undoes them if it fails.
+        state.rollback(journal);
+        match state.fallback_step(model, pkt) {
+            None => Err(e),
+            Some(Ok(out)) => {
+                *fallbacks += 1;
+                Ok(out)
+            }
+            Some(Err(fe)) => Err(format!("{e}; model fallback failed: {fe}")),
         }
-        state.step(model, pkt)
     });
     match stepped {
         Ok(Ok(out)) => Ok(out),
         Ok(Err(e)) => {
             state.rollback(journal);
-            if let Some((fb_model, template)) = fallback {
-                match state.fallback_step(fb_model, template, pkt) {
-                    Ok(out) => {
-                        *fallbacks += 1;
-                        return Ok(out);
-                    }
-                    Err(fe) => return Err(format!("{e}; model fallback failed: {fe}")),
-                }
-            }
             Err(e)
         }
         Err(msg) => {
@@ -804,7 +780,6 @@ struct ShardWorker {
     shard: usize,
     state: BackendState,
     model: Option<Arc<Model>>,
-    fallback: Option<Arc<(Model, ModelState)>>,
     faults: FaultPlan,
     policy: SupervisorPolicy,
     label: &'static str,
@@ -820,7 +795,6 @@ impl ShardWorker {
         match supervised_step(
             &mut self.state,
             self.model.as_deref(),
-            self.fallback.as_deref(),
             self.shard,
             nth,
             pkt,
@@ -1049,10 +1023,9 @@ pub struct ShardEngine {
     report: ShardingReport,
     tracer: Tracer,
     proto: BackendState,
+    /// The synthesized model: what the model backend evaluates, and
+    /// the compiled backend's per-packet fallback.
     model: Option<Arc<Model>>,
-    /// The compiled backend's per-packet escape hatch: the reference
-    /// model plus the t=0 `ModelState` it was compiled against.
-    fallback: Option<Arc<(Model, ModelState)>>,
     policy: SupervisorPolicy,
     telemetry: TelemetryConfig,
 }
@@ -1086,7 +1059,6 @@ impl ShardEngine {
                     tracer: pipeline.tracer().clone(),
                     proto: BackendState::Interp(interp),
                     model: None,
-                    fallback: None,
                     policy: SupervisorPolicy::default(),
                     telemetry: TelemetryConfig::default(),
                 })
@@ -1116,15 +1088,10 @@ impl ShardEngine {
         let interp =
             Interp::new(&syn.nf_loop).map_err(|e| ShardError::Build(e.to_string()))?;
         let tracer = pipeline.tracer().clone();
-        let (proto, model, fallback) = match backend {
-            Backend::Interp => (BackendState::Interp(interp), None, None),
+        let proto = match backend {
+            Backend::Interp => BackendState::Interp(interp),
             Backend::Model => {
-                let init = nfactor_core::accuracy::initial_model_state(syn, &interp);
-                (
-                    BackendState::Model(init),
-                    Some(Arc::new(syn.model.clone())),
-                    None,
-                )
+                BackendState::Model(nfactor_core::accuracy::initial_model_state(syn, &interp))
             }
             Backend::Compiled => {
                 let init = nfactor_core::accuracy::initial_model_state(syn, &interp);
@@ -1135,16 +1102,13 @@ impl ShardEngine {
                 tracer.count("compiled.nodes", prog.node_count() as u64);
                 tracer.count("compiled.table.entries", prog.entry_count() as u64);
                 let state = nf_compile::CompiledState::new(&prog);
-                (
-                    BackendState::Compiled {
-                        prog: Arc::new(prog),
-                        state,
-                    },
-                    None,
-                    Some(Arc::new((syn.model.clone(), init))),
-                )
+                BackendState::Compiled {
+                    prog: Arc::new(prog),
+                    state,
+                }
             }
         };
+        let model = (backend != Backend::Interp).then(|| Arc::new(syn.model.clone()));
         Ok(ShardEngine {
             name: syn.name.clone(),
             shards: pipeline.shards(),
@@ -1153,7 +1117,6 @@ impl ShardEngine {
             tracer,
             proto,
             model,
-            fallback,
             policy: SupervisorPolicy::default(),
             telemetry: TelemetryConfig::default(),
         })
@@ -1298,7 +1261,6 @@ impl ShardEngine {
             shard,
             state: self.proto.clone(),
             model: self.model.clone(),
-            fallback: self.fallback.clone(),
             faults: faults.clone(),
             policy: self.policy,
             label: self.proto.label(),
@@ -1599,7 +1561,6 @@ impl ShardEngine {
                     let turn = Arc::clone(&turn);
                     let skipped = Arc::clone(&skipped);
                     let model = self.model.clone();
-                    let fallback = self.fallback.clone();
                     let faults = faults.clone();
                     let label = self.proto.label();
                     let tracer = self.tracer.clone();
@@ -1666,7 +1627,6 @@ impl ShardEngine {
                                 let step = supervised_step(
                                     &mut guard,
                                     model.as_deref(),
-                                    fallback.as_deref(),
                                     w,
                                     nth,
                                     &pkt,

@@ -13,6 +13,12 @@ cargo build --release --offline
 echo "==> cargo test -q --offline --workspace"
 cargo test -q --offline --workspace
 
+echo "==> nfbench: build the benchmark and run its tests"
+# nfbench is a workspace of its own (outside the one above). Building
+# and testing it here means a change to an API it calls fails verify,
+# not the benchmark run.
+cargo test -q --release --offline --manifest-path nfbench/Cargo.toml
+
 echo "==> nfactor lint over the corpus"
 # The lint exits non-zero iff an error-severity (NFL006/NFL008)
 # diagnostic fires; the corpus must stay clean of those.
@@ -150,13 +156,13 @@ if [ "$pkts" != "1000000" ]; then
 fi
 echo "    1000000 .nfw packets streamed across 4 shards at batch 32: ok"
 
-echo "==> streaming smoke: 100k fresh-flow firewall packets on interp and model"
+echo "==> streaming smoke: 100k fresh-flow firewall packets on every backend"
 # Default traffic opens a new pinhole for most packets, so live state
 # grows with the stream. Per-packet rollback journaling is O(entries
 # touched) on every backend, so this finishes in seconds; a whole-state
 # journal made it quadratic (minutes).
 ./target/release/nfactor workload --seed 7 --packets 100000 "$tracedir/fresh.nfw" > /dev/null
-for backend in interp model; do
+for backend in interp model compiled; do
     out=$(./target/release/nfactor run --corpus firewall --workload "$tracedir/fresh.nfw" \
         --shards 4 --batch 32 --backend "$backend")
     pkts=$(printf '%s\n' "$out" | awk '/^packets/ {print $3}')
@@ -164,6 +170,37 @@ for backend in interp model; do
         echo "    expected 100000 packets on $backend, got '$pkts':"; echo "$out"; exit 1
     fi
     echo "    100000 fresh-flow packets on $backend: ok"
+done
+
+echo "==> NAT port-exhaustion smoke: 86k packets on model and compiled"
+# Past ~80k seed-1 packets the NAT runs out of ports: new flows fail
+# and are quarantined, and every third failure in a row restarts the
+# evaluator. The compiled backend retries each failure on the model,
+# in place on its arenas, and restarts in place too, so both backends
+# finish in about a second; copying all live state per fallback or
+# restart would take minutes, which the timeout catches. Both must
+# quarantine and restart alike.
+./target/release/nfactor workload --seed 1 --packets 86000 "$tracedir/nat.nfw" > /dev/null
+nat_ref=""
+for backend in model compiled; do
+    if ! out=$(timeout 60 ./target/release/nfactor run --corpus nat \
+        --workload "$tracedir/nat.nfw" --backend "$backend"); then
+        echo "    nat on $backend failed or ran past 60 s"; exit 1
+    fi
+    pkts=$(printf '%s\n' "$out" | awk '/^packets/ {print $3}')
+    quarantined=$(printf '%s\n' "$out" | awk '/^quarantined/ {print $3}')
+    restarts=$(printf '%s\n' "$out" | awk '/^restarts/ {print $3}')
+    offered=$(printf '%s\n' "$out" | awk '/^offered/ {print $3}')
+    if [ -z "$pkts" ] || [ "$((pkts + quarantined))" -ne "$offered" ]; then
+        echo "    $backend: packets ($pkts) + quarantined ($quarantined) != offered ($offered)"
+        echo "$out"; exit 1
+    fi
+    if [ -n "$nat_ref" ] && [ "$quarantined $restarts" != "$nat_ref" ]; then
+        echo "    $backend: quarantined/restarts '$quarantined $restarts' != model's '$nat_ref'"
+        exit 1
+    fi
+    nat_ref="$quarantined $restarts"
+    echo "    $backend: $pkts + $quarantined quarantined == $offered offered, $restarts restarts: ok"
 done
 
 echo "==> deprecation gate: the legacy run* API has no non-wrapper callers"

@@ -9,9 +9,10 @@ use nf_support::check::{
     any_bool, any_u16, any_u32, any_u64, any_u8, check, int_range, tuple2, tuple3, uint_range,
     vec_of, Config, Gen,
 };
+use nfactor::compile::{compile, CompiledProgram, CompiledState};
 use nfactor::core::accuracy::{differential_test, initial_model_state};
 use nfactor::core::{Pipeline, Synthesis};
-use nfactor::interp::Interp;
+use nfactor::interp::{Interp, Value};
 use nfactor::model::ModelState;
 use nfactor::packet::{Field, Packet, PacketGen, TcpFlags};
 use nfactor::symex::{Solver, SymVal};
@@ -193,12 +194,14 @@ fn hash_is_stable_across_interp_and_model() {
 
 /// The undo logs behind per-packet rollback: on every corpus NF, after
 /// a generated warm-up stream, stepping one more packet and reverting
-/// it leaves the interpreter's and the model evaluator's state
-/// byte-identical to the pre-step snapshot — whether the step
-/// committed, dropped, or failed part-way.
+/// it leaves each backend's state byte-identical to the pre-step
+/// snapshot — whether the step committed, dropped, or failed part-way.
+/// The compiled arenas are checked under both of their evaluators, the
+/// compiled step and the reference model run in place (`model_step`),
+/// and the latter must match `ModelState::step` packet for packet.
 #[test]
 fn step_then_revert_restores_state() {
-    let corpus: Vec<(Synthesis, Interp, ModelState)> = [
+    let corpus: Vec<(Synthesis, Interp, ModelState, CompiledProgram)> = [
         ("fig1-lb", nfactor::corpus::fig1_lb::source()),
         ("balance", nfactor::corpus::balance::source(6)),
         ("snort", nfactor::corpus::snort::source(25)),
@@ -218,7 +221,8 @@ fn step_then_revert_restores_state() {
             .unwrap_or_else(|e| panic!("{name}: {e}"));
         let interp = Interp::new(&syn.nf_loop).unwrap();
         let model = initial_model_state(&syn, &interp);
-        (syn, interp, model)
+        let prog = compile(&syn.model, &model).unwrap_or_else(|e| panic!("{name}: {e}"));
+        (syn, interp, model, prog)
     })
     .collect();
     let interp_state = |i: &Interp| {
@@ -226,6 +230,17 @@ fn step_then_revert_restores_state() {
         format!("{sorted:?} packets_seen={}", i.packets_seen())
     };
     let model_state = |m: &ModelState| format!("{:?} {:?}", m.scalars, m.maps);
+    // The model state in the by-name shape of `CompiledState::snapshot`.
+    let model_snapshot = |m: &ModelState| {
+        let mut out = m.configs.clone();
+        out.extend(m.scalars.iter().map(|(k, v)| (k.clone(), v.clone())));
+        out.extend(
+            m.maps
+                .iter()
+                .map(|(k, v)| (k.clone(), Value::Map(v.clone()))),
+        );
+        out
+    };
     let cfg = Config::with_cases(64);
     let input = tuple3(uint_range(0, 7), any_u64(), uint_range(0, 48));
     check(
@@ -233,16 +248,27 @@ fn step_then_revert_restores_state() {
         &cfg,
         &input,
         |(nf, seed, warm)| {
-            let (syn, interp0, model0) = &corpus[*nf as usize];
+            let (syn, interp0, model0, prog) = &corpus[*nf as usize];
             let (mut interp, mut model) = (interp0.clone(), model0.clone());
+            // Warmed by `model_step`, the arenas follow the model's own
+            // trajectory, so the two start every packet in one state.
+            let mut arena = CompiledState::new(prog);
             let mut gen = PacketGen::new(*seed);
             // Failed warm-up packets are reverted, as the supervisor does.
-            for p in gen.batch(*warm as usize) {
-                if interp.process(&p).is_err() {
+            for (i, p) in gen.batch(*warm as usize).iter().enumerate() {
+                if interp.process(p).is_err() {
                     interp.revert();
                 }
-                if model.step(&syn.model, &p).is_err() {
+                let want = model.step(&syn.model, p);
+                assert_eq!(
+                    arena.model_step(prog, &syn.model, p),
+                    want,
+                    "{}: packet {i}",
+                    syn.name
+                );
+                if want.is_err() {
                     model.revert();
+                    arena.revert();
                 }
             }
             let p = gen.next_packet();
@@ -250,10 +276,29 @@ fn step_then_revert_restores_state() {
             let _ = interp.process(&p);
             interp.revert();
             assert_eq!(interp_state(&interp), before, "{}: interp", syn.name);
+            let snap = arena.snapshot(prog);
+            assert_eq!(snap, model_snapshot(&model), "{}: pre-state", syn.name);
+            let _ = arena.step(prog, &p);
+            arena.revert();
+            assert_eq!(arena.snapshot(prog), snap, "{}: compiled", syn.name);
             let before = model_state(&model);
-            let _ = model.step(&syn.model, &p);
+            let want = model.step(&syn.model, &p);
+            assert_eq!(
+                arena.model_step(prog, &syn.model, &p),
+                want,
+                "{}: model_step",
+                syn.name
+            );
+            assert_eq!(
+                arena.snapshot(prog),
+                model_snapshot(&model),
+                "{}: post-state",
+                syn.name
+            );
             model.revert();
             assert_eq!(model_state(&model), before, "{}: model", syn.name);
+            arena.revert();
+            assert_eq!(arena.snapshot(prog), snap, "{}: model_step", syn.name);
         },
     );
 }
