@@ -1,7 +1,8 @@
 //! Micro-bench for `nfactor lint`: full-report lint time per corpus NF,
 //! plus the two dominant phases (context build vs. pass execution) at
-//! growing snort scales — the lint must stay cheap enough to run on
-//! every build, which `scripts/verify.sh` does.
+//! growing snort scales up to the paper's — the lint must stay cheap
+//! enough to run on every build, which `scripts/verify.sh` does and every
+//! engine build does for its placement plan.
 
 use nf_support::bench::Harness;
 use nfl_lint::{AnalysisCtx, PassManager};
@@ -34,11 +35,12 @@ fn bench_lint_corpus(h: &mut Harness) {
 /// Context construction vs. pass execution, separated: the context
 /// (normalise, types, PDG, dominators, slice, StateAlyzer) is built once
 /// and every pass reuses it — this group shows how much each side costs
-/// as the NF grows.
+/// as the NF grows, up to the paper-scale snort where costs quadratic in
+/// the statement or variable count show.
 fn bench_lint_phases(h: &mut Harness) {
     let mut g = h.benchmark_group("lint/phases");
     g.sample_size(10);
-    for rules in [25usize, 100] {
+    for rules in [25usize, 100, nf_corpus::snort::PAPER_SCALE_RULES] {
         let src = nf_corpus::snort::source(rules);
         let program = nfl_lang::parse_and_check(&src).unwrap();
         g.bench_function(format!("ctx/snort{rules}"), |b| {

@@ -17,6 +17,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod bitset;
 pub mod cd;
 pub mod cfg;
 pub mod defuse;

@@ -1,4 +1,4 @@
-//! Liveness analysis and dead-store diagnostics.
+//! Liveness analysis.
 //!
 //! Backward may-analysis over the CFG: a variable is *live* at a point if
 //! some path onward reads it before any strong redefinition. Persistent
@@ -7,116 +7,135 @@
 //! prune state updates and the paper needs the output-impact analysis
 //! instead.
 //!
-//! This module is a pure dataflow fact provider; the dead-store *lints*
-//! built on it (dead locals, dead/write-only state) live in `nfl-lint`
-//! and surface through `nfactor lint` as `NFL001`–`NFL003`.
+//! The solver runs over a given CFG and its per-node def/use sets (the
+//! ones [`crate::reach::Reaching`] already holds), with variables
+//! interned to dense indices and the flow sets kept as bitsets. The
+//! dead-store lints built on it (dead locals, dead/write-only state) live
+//! in `nfl-lint` and surface through `nfactor lint` as `NFL001`–`NFL003`.
 
-use crate::cfg::build_cfg;
-use crate::defuse::{def_use, DefKind};
-use nfl_lang::{Program, Stmt, StmtId};
+use crate::bitset::BitSet;
+use crate::cfg::{Cfg, NodeId};
+use crate::defuse::{DefKind, DefUse};
 use std::collections::{BTreeSet, HashMap};
 
 /// The liveness solution for one function.
 #[derive(Debug, Clone)]
 pub struct Liveness {
+    /// Interned variable names: bit positions in the flow sets.
+    vars: HashMap<String, usize>,
     /// Variables live at the *entry* of each CFG node.
-    pub live_in: Vec<BTreeSet<String>>,
+    live_in: Vec<BitSet>,
     /// Variables live at the *exit* of each CFG node.
-    pub live_out: Vec<BTreeSet<String>>,
+    live_out: Vec<BitSet>,
 }
 
-/// Compute liveness for `func` in `program`. `live_at_exit` seeds the
-/// exit node (persistent state names, usually).
-pub fn liveness(
-    program: &Program,
-    func: &str,
-    live_at_exit: &BTreeSet<String>,
-) -> (crate::cfg::Cfg, Liveness) {
-    let f = program.function(func).expect("function exists");
-    let cfg = build_cfg(f);
-    let n = cfg.len();
-    let mut stmt_by_id: HashMap<StmtId, &Stmt> = HashMap::new();
-    program.for_each_stmt(|s| {
-        stmt_by_id.insert(s.id, s);
-    });
-    let mut uses: Vec<BTreeSet<String>> = vec![BTreeSet::new(); n];
-    let mut strong_defs: Vec<BTreeSet<String>> = vec![BTreeSet::new(); n];
-    for (node, data) in cfg.nodes.iter().enumerate() {
-        if let Some(sid) = data.stmt {
-            if let Some(s) = stmt_by_id.get(&sid) {
-                let du = def_use(s);
-                uses[node] = du.uses.iter().cloned().collect();
-                strong_defs[node] = du
-                    .defs
-                    .iter()
-                    .filter(|(_, k)| *k == DefKind::Strong)
-                    .map(|(v, _)| v.clone())
-                    .collect();
-                // Weak defs also *use* the old value; def_use already
-                // records that in uses, so nothing more to do.
-            }
-        }
+impl Liveness {
+    /// Is `var` live at the entry of `node`?
+    pub fn live_in(&self, node: NodeId, var: &str) -> bool {
+        self.vars
+            .get(var)
+            .is_some_and(|&i| self.live_in[node].get(i))
     }
-    let mut live_in: Vec<BTreeSet<String>> = vec![BTreeSet::new(); n];
-    let mut live_out: Vec<BTreeSet<String>> = vec![BTreeSet::new(); n];
-    live_out[cfg.exit] = live_at_exit.clone();
-    live_in[cfg.exit] = live_at_exit.clone();
+
+    /// Is `var` live at the exit of `node`?
+    pub fn live_out(&self, node: NodeId, var: &str) -> bool {
+        self.vars
+            .get(var)
+            .is_some_and(|&i| self.live_out[node].get(i))
+    }
+}
+
+/// Compute liveness over `cfg`, whose per-node def/use sets are
+/// `node_du` (indexed by node). `live_at_exit` seeds the exit node
+/// (persistent state names, usually).
+pub fn liveness(cfg: &Cfg, node_du: &[DefUse], live_at_exit: &BTreeSet<String>) -> Liveness {
+    let n = cfg.len();
+    let mut vars: HashMap<String, usize> = HashMap::new();
+    let mut intern = |v: &str| match vars.get(v) {
+        Some(&i) => i,
+        None => {
+            let i = vars.len();
+            vars.insert(v.to_string(), i);
+            i
+        }
+    };
+    // Per node: the variables read (gen) and strongly redefined (kill).
+    // Weak defs also *use* the old value; def_use already records that in
+    // uses, so they kill nothing.
+    let (uses, strong_defs): (Vec<Vec<usize>>, Vec<Vec<usize>>) = node_du
+        .iter()
+        .map(|du| {
+            let uses = du.uses.iter().map(|v| intern(v)).collect();
+            let strong = du
+                .defs
+                .iter()
+                .filter(|(_, k)| *k == DefKind::Strong)
+                .map(|(v, _)| intern(v))
+                .collect();
+            (uses, strong)
+        })
+        .unzip();
+    let exit_seed: Vec<usize> = live_at_exit.iter().map(|v| intern(v)).collect();
+    let nbits = vars.len();
+
+    let mut live_in: Vec<BitSet> = vec![BitSet::new(nbits); n];
+    let mut live_out: Vec<BitSet> = vec![BitSet::new(nbits); n];
     let mut order = cfg.rpo();
     order.reverse();
     let mut changed = true;
     while changed {
         changed = false;
         for &node in &order {
-            let mut out: BTreeSet<String> = if node == cfg.exit {
-                live_at_exit.clone()
-            } else {
-                BTreeSet::new()
-            };
-            for s in cfg.succs(node) {
-                out.extend(live_in[s].iter().cloned());
+            let mut out = BitSet::new(nbits);
+            if node == cfg.exit {
+                for &v in &exit_seed {
+                    out.set(v);
+                }
             }
-            let mut inn: BTreeSet<String> = out
-                .iter()
-                .filter(|v| !strong_defs[node].contains(*v))
-                .cloned()
-                .collect();
-            inn.extend(uses[node].iter().cloned());
-            if inn != live_in[node] || out != live_out[node] {
+            for s in cfg.succs(node) {
+                out.union_with(&live_in[s]);
+            }
+            let mut inn = out.clone();
+            for &v in &strong_defs[node] {
+                inn.unset(v);
+            }
+            for &v in &uses[node] {
+                inn.set(v);
+            }
+            if inn != live_in[node] {
                 live_in[node] = inn;
+                changed = true;
+            }
+            if out != live_out[node] {
                 live_out[node] = out;
                 changed = true;
             }
         }
     }
-    (cfg, Liveness { live_in, live_out })
+    Liveness {
+        vars,
+        live_in,
+        live_out,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pdg::{default_boundary, Pdg};
     use nfl_lang::parse;
 
     /// Liveness at the node that defines `var` (its `live_out`).
     fn live_out_of(src: &str, var: &str, exit: &[&str]) -> bool {
         let p = parse(src).unwrap();
+        let pdg = Pdg::build(&p, "main", &default_boundary(&p, "main"));
+        let node_du = &pdg.reaching.node_du;
         let seed: BTreeSet<String> = exit.iter().map(|s| s.to_string()).collect();
-        let (cfg, live) = liveness(&p, "main", &seed);
-        let mut stmt_by_id: HashMap<StmtId, &Stmt> = HashMap::new();
-        p.for_each_stmt(|s| {
-            stmt_by_id.insert(s.id, s);
-        });
-        for node in 0..cfg.len() {
-            let Some(sid) = cfg.nodes[node].stmt else { continue };
-            let Some(s) = stmt_by_id.get(&sid) else { continue };
-            let defines = def_use(s)
-                .defs
-                .iter()
-                .any(|(d, k)| d == var && *k == DefKind::Strong);
-            if defines {
-                return live.live_out[node].contains(var);
-            }
-        }
-        panic!("no strong def of {var}");
+        let live = liveness(&pdg.cfg, node_du, &seed);
+        let node = (0..pdg.cfg.len())
+            .find(|&node| node_du[node].defines_strongly(var))
+            .unwrap_or_else(|| panic!("no strong def of {var}"));
+        live.live_out(node, var)
     }
 
     #[test]
@@ -174,5 +193,19 @@ mod tests {
             }
         "#;
         assert!(live_out_of(src, "i", &[]));
+    }
+
+    #[test]
+    fn use_is_live_in_not_out() {
+        // `log(x)` reads `x`: live into the call, dead after it.
+        let p = parse("fn main() { let x = 1; log(x); }").unwrap();
+        let pdg = Pdg::build(&p, "main", &default_boundary(&p, "main"));
+        let live = liveness(&pdg.cfg, &pdg.reaching.node_du, &BTreeSet::new());
+        let call = (0..pdg.cfg.len())
+            .find(|&n| pdg.reaching.node_du[n].uses.contains("x"))
+            .unwrap();
+        assert!(live.live_in(call, "x"));
+        assert!(!live.live_out(call, "x"));
+        assert!(!live.live_in(call, "never_mentioned"));
     }
 }

@@ -8,15 +8,16 @@
 
 use crate::cd::control_deps;
 use crate::cfg::{build_cfg, Cfg, NodeId};
-use crate::reach::{cross_iteration_deps, data_deps, reaching_definitions, Reaching};
+use crate::reach::{cross_iteration_deps, data_deps, reaching_definitions, Reaching, VarId};
 use nfl_lang::{Program, StmtId};
 use std::collections::{BTreeSet, HashSet, VecDeque};
 
 /// Why one node depends on another.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DepKind {
-    /// `to` reads a variable defined at `from`.
-    Data(String),
+    /// `to` reads a variable defined at `from` (its id in the PDG's
+    /// [`Reaching`] name table).
+    Data(VarId),
     /// `to` executes (or not) according to the branch at `from`.
     Control,
 }
@@ -62,17 +63,6 @@ impl Pdg {
     /// engine memoizes it as its own fact) doesn't rebuild it here.
     pub fn build_with_cfg(program: &Program, boundary_vars: &BTreeSet<String>, cfg: Cfg) -> Pdg {
         let reaching = reaching_definitions(program, &cfg, boundary_vars);
-        let mut edges = Vec::new();
-        let mut seen: HashSet<(NodeId, NodeId, String)> = HashSet::new();
-        for (from, to, var) in data_deps(&cfg, &reaching) {
-            if seen.insert((from, to, var.clone())) {
-                edges.push(DepEdge {
-                    from,
-                    to,
-                    kind: DepKind::Data(var),
-                });
-            }
-        }
         // Persistent state flows across packets through the implicit
         // packet loop (Figure 1: the NAT entry installed for a flow's
         // first packet serves its later packets).
@@ -83,8 +73,16 @@ impl Pdg {
             .chain(&program.states)
             .map(|i| i.name.clone())
             .collect();
-        for (from, to, var) in cross_iteration_deps(&cfg, &reaching, &persistent) {
-            if seen.insert((from, to, var.clone())) {
+        let cross = cross_iteration_deps(&cfg, &reaching, &persistent);
+        // A cross-iteration edge often repeats an intra-iteration one;
+        // keep the first of each `(from, to, var)`. An edge can only
+        // repeat one with the same target, so the seen set is kept per
+        // target: small sets, where one set over every candidate (~376k
+        // on paper-scale snort) cost more than the whole dataflow.
+        let mut edges = Vec::new();
+        let mut seen: Vec<HashSet<(NodeId, VarId)>> = vec![HashSet::new(); cfg.len()];
+        for (from, to, var) in data_deps(&cfg, &reaching).into_iter().chain(cross) {
+            if seen[to].insert((from, var)) {
                 edges.push(DepEdge {
                     from,
                     to,

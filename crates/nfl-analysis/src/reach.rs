@@ -11,104 +11,71 @@
 //! and `config` globals) are modelled as definitions at the entry node,
 //! so slices correctly extend to the NF's persistent state.
 //!
-//! Implementation note: definition sites are interned into dense indices
-//! and the flow sets are bitsets, so the analysis stays linear-ish even
-//! on the paper-scale snort corpus (≈2.6k statements, ≈500 state
-//! variables) — the naive `HashSet<(String, NodeId)>` formulation took
-//! tens of seconds there; this one takes milliseconds.
+//! Implementation note: variable names are interned once into dense
+//! [`VarId`]s and definition sites into dense indices, the flow sets are
+//! bitsets, and dependence edges are keyed by variable id, so the
+//! analysis stays linear-ish even on the paper-scale snort corpus
+//! (≈2.6k statements, ≈500 state variables) — the naive
+//! `HashSet<(String, NodeId)>` formulation took tens of seconds there;
+//! this one takes milliseconds.
 
+use crate::bitset::BitSet;
 use crate::cfg::{Cfg, NodeId};
 use crate::defuse::{def_use, DefKind, DefUse};
 use nfl_lang::{Program, Stmt};
 use std::collections::{BTreeSet, HashMap};
 
-/// A definition site: which variable, at which CFG node.
-pub type Def = (String, NodeId);
-
-/// A fixed-width bitset.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct BitSet {
-    words: Vec<u64>,
-}
-
-impl BitSet {
-    fn new(bits: usize) -> BitSet {
-        BitSet {
-            words: vec![0; bits.div_ceil(64)],
-        }
-    }
-
-    fn set(&mut self, i: usize) {
-        self.words[i / 64] |= 1 << (i % 64);
-    }
-
-    fn get(&self, i: usize) -> bool {
-        self.words[i / 64] & (1 << (i % 64)) != 0
-    }
-
-    /// `self |= other`; returns whether anything changed.
-    fn union_with(&mut self, other: &BitSet) -> bool {
-        let mut changed = false;
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            let new = *a | *b;
-            if new != *a {
-                *a = new;
-                changed = true;
-            }
-        }
-        changed
-    }
-
-    /// `self &= !mask`.
-    fn subtract(&mut self, mask: &BitSet) {
-        for (a, b) in self.words.iter_mut().zip(&mask.words) {
-            *a &= !*b;
-        }
-    }
-
-    fn iter_ones(&self) -> impl Iterator<Item = usize> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, &w)| {
-            let mut w = w;
-            let mut out = Vec::new();
-            while w != 0 {
-                let b = w.trailing_zeros() as usize;
-                out.push(wi * 64 + b);
-                w &= w - 1;
-            }
-            out
-        })
-    }
-}
+/// An interned variable name: an index into [`Reaching`]'s name table
+/// (see [`Reaching::var_id`] / [`Reaching::var_name`]).
+pub type VarId = usize;
 
 /// Result of the reaching-definitions analysis.
 #[derive(Debug, Clone)]
 pub struct Reaching {
     /// Def/use sets per node (empty for synthetic nodes).
     pub node_du: Vec<DefUse>,
-    /// The interned definition sites.
-    defs: Vec<Def>,
-    /// Definition-site indices per variable.
-    def_ids_by_var: HashMap<String, Vec<usize>>,
+    /// Interned variable names, indexed by [`VarId`]: every defined
+    /// variable (boundary variables included).
+    var_names: Vec<String>,
+    /// Name → [`VarId`].
+    var_ids: HashMap<String, VarId>,
+    /// The interned definition sites: which variable, at which node.
+    defs: Vec<(VarId, NodeId)>,
+    /// Definition-site indices per variable, indexed by [`VarId`].
+    def_ids_by_var: Vec<Vec<usize>>,
     /// Per node: the definitions reaching its entry.
     reach_in: Vec<BitSet>,
 }
 
 impl Reaching {
-    /// The definitions reaching the entry of `node`.
-    pub fn reaching_in(&self, node: NodeId) -> impl Iterator<Item = &Def> + '_ {
-        self.reach_in[node].iter_ones().map(move |i| &self.defs[i])
+    /// The id of `var`, if the function defines it anywhere (boundary
+    /// variables count as defined at entry).
+    pub fn var_id(&self, var: &str) -> Option<VarId> {
+        self.var_ids.get(var).copied()
+    }
+
+    /// The name behind an interned id.
+    pub fn var_name(&self, id: VarId) -> &str {
+        &self.var_names[id]
+    }
+
+    /// The definitions `(variable, defining node)` reaching the entry of
+    /// `node`.
+    pub fn reaching_in(&self, node: NodeId) -> impl Iterator<Item = (&str, NodeId)> + '_ {
+        self.reach_in[node].iter_ones().map(move |i| {
+            let (var, def_node) = self.defs[i];
+            (self.var_names[var].as_str(), def_node)
+        })
     }
 
     /// Does the definition of `var` at `def_node` reach `use_node`'s
     /// entry?
     pub fn reaches(&self, var: &str, def_node: NodeId, use_node: NodeId) -> bool {
-        self.def_ids_by_var
-            .get(var)
-            .map(|ids| {
-                ids.iter()
-                    .any(|&i| self.defs[i].1 == def_node && self.reach_in[use_node].get(i))
-            })
-            .unwrap_or(false)
+        self.var_id(var).is_some_and(|v| {
+            self.def_ids_by_var[v]
+                .iter()
+                .any(|&i| self.defs[i].1 == def_node && self.reach_in[use_node].get(i))
+        })
     }
 }
 
@@ -135,27 +102,42 @@ pub fn reaching_definitions(
         }
     }
 
-    // Intern definition sites: boundary defs at entry, then per-node defs.
-    let mut defs: Vec<Def> = Vec::new();
-    let mut def_ids_by_var: HashMap<String, Vec<usize>> = HashMap::new();
-    let mut intern = |var: &str, node: NodeId, defs: &mut Vec<Def>| {
+    // Intern definition sites (and their variables): boundary defs at
+    // entry, then per-node defs.
+    let mut var_names: Vec<String> = Vec::new();
+    let mut var_ids: HashMap<String, VarId> = HashMap::new();
+    let mut defs: Vec<(VarId, NodeId)> = Vec::new();
+    let mut def_ids_by_var: Vec<Vec<usize>> = Vec::new();
+    let mut intern = |var: &str, node: NodeId, defs: &mut Vec<(VarId, NodeId)>| {
+        let v = match var_ids.get(var) {
+            Some(&v) => v,
+            None => {
+                let v = var_names.len();
+                var_names.push(var.to_string());
+                var_ids.insert(var.to_string(), v);
+                def_ids_by_var.push(Vec::new());
+                v
+            }
+        };
         let id = defs.len();
-        defs.push((var.to_string(), node));
-        def_ids_by_var
-            .entry(var.to_string())
-            .or_default()
-            .push(id);
-        id
+        defs.push((v, node));
+        def_ids_by_var[v].push(id);
+        (v, id)
     };
     let mut boundary_ids = Vec::new();
     for v in boundary_vars {
-        boundary_ids.push(intern(v, cfg.entry, &mut defs));
+        boundary_ids.push(intern(v, cfg.entry, &mut defs).1);
     }
-    // gen set per node.
+    // gen set and strongly defined variables per node.
     let mut gen_ids: Vec<Vec<usize>> = vec![Vec::new(); n];
+    let mut strong_vars: Vec<Vec<VarId>> = vec![Vec::new(); n];
     for node in 0..n {
-        for (v, _) in &node_du[node].defs {
-            gen_ids[node].push(intern(v, node, &mut defs));
+        for (v, k) in &node_du[node].defs {
+            let (var, id) = intern(v, node, &mut defs);
+            gen_ids[node].push(id);
+            if *k == DefKind::Strong {
+                strong_vars[node].push(var);
+            }
         }
     }
     let nbits = defs.len();
@@ -164,13 +146,9 @@ pub fn reaching_definitions(
     // `var` except its own gens.
     let mut kill: Vec<BitSet> = vec![BitSet::new(nbits); n];
     for node in 0..n {
-        for (v, k) in &node_du[node].defs {
-            if *k == DefKind::Strong {
-                if let Some(ids) = def_ids_by_var.get(v) {
-                    for &i in ids {
-                        kill[node].set(i);
-                    }
-                }
+        for &v in &strong_vars[node] {
+            for &i in &def_ids_by_var[v] {
+                kill[node].set(i);
             }
         }
     }
@@ -214,25 +192,25 @@ pub fn reaching_definitions(
     }
     Reaching {
         node_du,
+        var_names,
+        var_ids,
         defs,
         def_ids_by_var,
         reach_in,
     }
 }
 
-/// A data-dependence edge `from → to`: `to` uses a variable defined at
-/// `from` (both CFG node ids; `from` may be the entry node for boundary
-/// variables).
-pub fn data_deps(cfg: &Cfg, reaching: &Reaching) -> Vec<(NodeId, NodeId, String)> {
+/// A data-dependence edge `from → to` on variable `var`: `to` uses a
+/// variable defined at `from` (both CFG node ids; `from` may be the
+/// entry node for boundary variables).
+pub fn data_deps(cfg: &Cfg, reaching: &Reaching) -> Vec<(NodeId, NodeId, VarId)> {
     let mut edges = Vec::new();
     for node in 0..cfg.len() {
         for used in &reaching.node_du[node].uses {
-            if let Some(ids) = reaching.def_ids_by_var.get(used) {
-                for &i in ids {
-                    if reaching.reach_in[node].get(i) {
-                        let (v, def_node) = &reaching.defs[i];
-                        edges.push((*def_node, node, v.clone()));
-                    }
+            let Some(var) = reaching.var_id(used) else { continue };
+            for &i in &reaching.def_ids_by_var[var] {
+                if reaching.reach_in[node].get(i) {
+                    edges.push((reaching.defs[i].1, node, var));
                 }
             }
         }
@@ -253,26 +231,28 @@ pub fn cross_iteration_deps(
     cfg: &Cfg,
     reaching: &Reaching,
     persistent: &BTreeSet<String>,
-) -> Vec<(NodeId, NodeId, String)> {
-    // All defs per persistent var.
-    let mut defs: Vec<(String, NodeId)> = Vec::new();
+) -> Vec<(NodeId, NodeId, VarId)> {
+    // The in-function definition nodes of each persistent variable, in
+    // node order.
+    let mut def_nodes: Vec<Vec<NodeId>> = vec![Vec::new(); reaching.var_names.len()];
     for node in 0..cfg.len() {
         for (v, _) in &reaching.node_du[node].defs {
             if persistent.contains(v) {
-                defs.push((v.clone(), node));
+                if let Some(var) = reaching.var_id(v) {
+                    def_nodes[var].push(node);
+                }
             }
         }
     }
     let mut edges = Vec::new();
     for node in 0..cfg.len() {
         for used in &reaching.node_du[node].uses {
+            let Some(var) = reaching.var_id(used) else { continue };
             if !persistent.contains(used) {
                 continue;
             }
-            for (v, def_node) in &defs {
-                if v == used {
-                    edges.push((*def_node, node, v.clone()));
-                }
+            for &def_node in &def_nodes[var] {
+                edges.push((def_node, node, var));
             }
         }
     }
@@ -311,23 +291,6 @@ mod tests {
     }
 
     #[test]
-    fn bitset_basics() {
-        let mut b = BitSet::new(130);
-        b.set(0);
-        b.set(64);
-        b.set(129);
-        assert!(b.get(0) && b.get(64) && b.get(129));
-        assert!(!b.get(1));
-        assert_eq!(b.iter_ones().collect::<Vec<_>>(), vec![0, 64, 129]);
-        let mut c = BitSet::new(130);
-        c.set(5);
-        assert!(c.union_with(&b));
-        assert!(!c.union_with(&b), "idempotent");
-        c.subtract(&b);
-        assert_eq!(c.iter_ones().collect::<Vec<_>>(), vec![5]);
-    }
-
-    #[test]
     fn straight_line_dep() {
         let (p, cfg, r) = analyze("fn main() { let a = 1; let b = a + 1; }");
         let deps = data_deps(&cfg, &r);
@@ -337,7 +300,7 @@ mod tests {
         let b_node = node_of(&p, &cfg, |s| {
             matches!(&s.kind, nfl_lang::StmtKind::Let { name, .. } if name == "b")
         });
-        assert!(deps.iter().any(|(f, t, v)| *f == a_node && *t == b_node && v == "a"));
+        assert!(deps.iter().any(|&(f, t, v)| f == a_node && t == b_node && r.var_name(v) == "a"));
         assert!(r.reaches("a", a_node, b_node));
     }
 
@@ -374,7 +337,7 @@ mod tests {
             matches!(&s.kind, nfl_lang::StmtKind::Let { name, .. } if name == "x")
         });
         assert!(
-            deps.iter().any(|(f, t, v)| *f == first && *t == x_node && v == "m"),
+            deps.iter().any(|&(f, t, v)| f == first && t == x_node && r.var_name(v) == "m"),
             "both weak defs of m must reach the read"
         );
     }
@@ -395,7 +358,7 @@ mod tests {
         });
         let defs_reaching_y: Vec<_> = deps
             .iter()
-            .filter(|(_, t, v)| *t == y_node && v == "x")
+            .filter(|&&(_, t, v)| t == y_node && r.var_name(v) == "x")
             .collect();
         assert_eq!(defs_reaching_y.len(), 2, "both branch defs reach the merge");
     }
@@ -411,7 +374,7 @@ mod tests {
         });
         // i = i + 1 depends on itself around the back edge.
         assert!(
-            deps.iter().any(|(f, t, v)| *f == assign && *t == assign && v == "i"),
+            deps.iter().any(|&(f, t, v)| f == assign && t == assign && r.var_name(v) == "i"),
             "loop-carried self dependence missing"
         );
     }
@@ -427,12 +390,12 @@ mod tests {
         });
         assert!(
             deps.iter()
-                .any(|(f, t, v)| *f == cfg.entry && *t == x_node && v == "rr"),
+                .any(|&(f, t, v)| f == cfg.entry && t == x_node && r.var_name(v) == "rr"),
             "entry-boundary def of state must reach"
         );
         // The accessor view agrees.
         assert!(r
             .reaching_in(x_node)
-            .any(|(v, n)| v == "rr" && *n == cfg.entry));
+            .any(|(v, n)| v == "rr" && n == cfg.entry));
     }
 }

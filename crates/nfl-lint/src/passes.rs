@@ -143,7 +143,9 @@ impl LintPass for DeadStorePass {
     }
     fn run(&self, ctx: &AnalysisCtx, sink: &mut LintSink) {
         let persistent = ctx.persistent();
-        let (cfg, live) = liveness(ctx.program(), ctx.func(), &persistent);
+        let cfg = &ctx.pdg.cfg;
+        let node_du = &ctx.pdg.reaching.node_du;
+        let live = liveness(cfg, node_du, &persistent);
         let stmts = ctx.stmt_map();
 
         // Dead locals: a `let` whose variable is not live out of the
@@ -152,7 +154,7 @@ impl LintPass for DeadStorePass {
             let Some(sid) = cfg.nodes[node].stmt else { continue };
             let Some(s) = stmts.get(&sid) else { continue };
             if let StmtKind::Let { name, .. } = &s.kind {
-                if !persistent.contains(name) && !live.live_out[node].contains(name) {
+                if !persistent.contains(name) && !live.live_out(node, name) {
                     sink.report(Diagnostic::new(
                         Code::DeadLocal,
                         s.span,
@@ -167,37 +169,25 @@ impl LintPass for DeadStorePass {
         }
 
         // Real reads vs writes of each variable across the per-packet
-        // function (a weak update's self-read does not count as a read).
-        let mut read = BTreeSet::new();
-        let mut written = BTreeSet::new();
-        if let Some(f) = ctx.program().function(ctx.func()) {
-            fn walk(stmts: &[Stmt], read: &mut BTreeSet<String>, written: &mut BTreeSet<String>) {
-                for s in stmts {
-                    let du = def_use(s);
-                    for u in &du.uses {
-                        if !du.defs.iter().any(|(d, _)| d == u) {
-                            read.insert(u.clone());
-                        }
-                    }
-                    for (d, _) in &du.defs {
-                        written.insert(d.clone());
-                    }
-                    match &s.kind {
-                        StmtKind::If { then_branch, else_branch, .. } => {
-                            walk(then_branch, read, written);
-                            walk(else_branch, read, written);
-                        }
-                        StmtKind::While { body, .. } | StmtKind::For { body, .. } => {
-                            walk(body, read, written)
-                        }
-                        _ => {}
-                    }
+        // function's CFG nodes (a weak update's self-read does not count
+        // as a read). Statements after a `return`/`break`/`continue` get
+        // no node: they never run, so they neither read nor write (NFL004
+        // reports them).
+        let mut read: BTreeSet<&str> = BTreeSet::new();
+        let mut written: BTreeSet<&str> = BTreeSet::new();
+        for du in node_du {
+            for u in &du.uses {
+                if !du.defines(u) {
+                    read.insert(u);
                 }
             }
-            walk(&f.body, &mut read, &mut written);
+            for (d, _) in &du.defs {
+                written.insert(d);
+            }
         }
         for st in &ctx.program().states {
-            if written.contains(&st.name) && !read.contains(&st.name) {
+            let name = st.name.as_str();
+            if written.contains(name) && !read.contains(name) {
                 sink.report(Diagnostic::new(
                     Code::WriteOnlyState,
                     st.span,
@@ -208,7 +198,7 @@ impl LintPass for DeadStorePass {
                         st.name
                     ),
                 ));
-            } else if !written.contains(&st.name) && !read.contains(&st.name) {
+            } else if !written.contains(name) && !read.contains(name) {
                 sink.report(Diagnostic::new(
                     Code::DeadState,
                     st.span,
@@ -649,6 +639,23 @@ mod tests {
             .filter(|d| d.code == Code::UnreachableCode)
             .collect();
         assert_eq!(unreachable.len(), 1, "{unreachable:?}");
+    }
+
+    #[test]
+    fn read_after_return_does_not_count() {
+        let sink = run_all(
+            r#"
+            state hits = 0;
+            fn cb(pkt: packet) {
+                hits = hits + 1;
+                send(pkt);
+                return;
+                log(hits);
+            }
+            fn main() { sniff(cb); }
+            "#,
+        );
+        assert!(has(&sink, Code::WriteOnlyState, "hits"));
     }
 
     #[test]

@@ -616,7 +616,7 @@ impl<'a> Tracer<'a> {
                 continue;
             }
             saw_def = true;
-            let o = self.classify_def(*def_node, v, visiting);
+            let o = self.classify_def(def_node, v, visiting);
             origin = Some(match origin {
                 None => o,
                 Some(acc) => acc.join(o),
@@ -735,7 +735,7 @@ impl<'a> Tracer<'a> {
             if dv != v {
                 continue;
             }
-            match self.shape_of_def(*def_node, v, visiting) {
+            match self.shape_of_def(def_node, v, visiting) {
                 None => {
                     exact = false;
                     break;
