@@ -406,20 +406,12 @@ impl Interp {
         Ok(Flow::Normal)
     }
 
-    fn record(
-        &mut self,
-        s: &Stmt,
-        uses: Vec<String>,
-        defs: Vec<String>,
-        branch: Option<bool>,
-        emitted: bool,
-        ctx: &mut Ctx,
-    ) -> usize {
+    /// Trace one executed instance of `s`, under the innermost branch
+    /// instance still open.
+    fn record(&mut self, s: &Stmt, branch: Option<bool>, emitted: bool, ctx: &mut Ctx) -> usize {
         let ctrl = ctx.ctrl.last().copied();
         ctx.trace.push(TraceEvent {
             stmt: s.id,
-            uses,
-            defs,
             branch,
             ctrl,
             emitted,
@@ -436,22 +428,19 @@ impl Interp {
         if ctx.steps > STEP_LIMIT {
             return Err(RuntimeError::StepLimit);
         }
-        let du = nfl_analysis::defuse::def_use(s);
-        let uses: Vec<String> = du.uses.iter().cloned().collect();
-        let defs: Vec<String> = du.defs.iter().map(|(v, _)| v.clone()).collect();
         match &s.kind {
             StmtKind::Let { name, value } => {
                 let emitted_before = ctx.outputs.len();
                 let v = self.eval(value, locals, ctx)?;
                 locals.insert(name.clone(), v);
-                self.record(s, uses, defs, None, ctx.outputs.len() > emitted_before, ctx);
+                self.record(s, None, ctx.outputs.len() > emitted_before, ctx);
                 Ok(Flow::Normal)
             }
             StmtKind::Assign { target, value } => {
                 let emitted_before = ctx.outputs.len();
                 let v = self.eval(value, locals, ctx)?;
                 self.assign(target, v, locals, ctx)?;
-                self.record(s, uses, defs, None, ctx.outputs.len() > emitted_before, ctx);
+                self.record(s, None, ctx.outputs.len() > emitted_before, ctx);
                 Ok(Flow::Normal)
             }
             StmtKind::If {
@@ -459,11 +448,8 @@ impl Interp {
                 then_branch,
                 else_branch,
             } => {
-                let c = self
-                    .eval(cond, locals, ctx)?
-                    .as_bool()
-                    .ok_or_else(|| RuntimeError::Type("if condition not bool".into()))?;
-                let ev = self.record(s, uses, defs, Some(c), false, ctx);
+                let c = self.eval_bool(cond, locals, ctx, "if condition not bool")?;
+                let ev = self.record(s, Some(c), false, ctx);
                 ctx.ctrl.push(ev);
                 let r = if c {
                     self.exec_block(then_branch, locals, ctx)
@@ -479,11 +465,8 @@ impl Interp {
                     if ctx.steps > STEP_LIMIT {
                         return Err(RuntimeError::StepLimit);
                     }
-                    let c = self
-                        .eval(cond, locals, ctx)?
-                        .as_bool()
-                        .ok_or_else(|| RuntimeError::Type("while condition not bool".into()))?;
-                    let ev = self.record(s, uses.clone(), defs.clone(), Some(c), false, ctx);
+                    let c = self.eval_bool(cond, locals, ctx, "while condition not bool")?;
+                    let ev = self.record(s, Some(c), false, ctx);
                     if !c {
                         break;
                     }
@@ -499,7 +482,10 @@ impl Interp {
                 Ok(Flow::Normal)
             }
             StmtKind::For { var, iter, body } => {
-                let items: Vec<Value> = match iter {
+                // A range is iterated lazily, never collected: its bound
+                // may come from the packet, and the step limit below must
+                // stop a huge one before it costs memory.
+                let (range, array) = match iter {
                     ForIter::Range(lo, hi) => {
                         let lo = self
                             .eval(lo, locals, ctx)?
@@ -509,10 +495,10 @@ impl Interp {
                             .eval(hi, locals, ctx)?
                             .as_int()
                             .ok_or_else(|| RuntimeError::Type("range bound not int".into()))?;
-                        (lo..hi).map(Value::Int).collect()
+                        (lo..hi, Vec::new())
                     }
                     ForIter::Array(a) => match self.eval(a, locals, ctx)? {
-                        Value::Array(items) => items,
+                        Value::Array(items) => (0..0, items),
                         other => {
                             return Err(RuntimeError::Type(format!(
                                 "for-in over {}",
@@ -521,12 +507,12 @@ impl Interp {
                         }
                     },
                 };
-                for item in items {
+                for item in range.map(Value::Int).chain(array) {
                     ctx.steps += 1;
                     if ctx.steps > STEP_LIMIT {
                         return Err(RuntimeError::StepLimit);
                     }
-                    let ev = self.record(s, uses.clone(), defs.clone(), Some(true), false, ctx);
+                    let ev = self.record(s, Some(true), false, ctx);
                     locals.insert(var.clone(), item);
                     ctx.ctrl.push(ev);
                     let flow = self.exec_block(body, locals, ctx)?;
@@ -537,7 +523,7 @@ impl Interp {
                         Flow::Continue | Flow::Normal => {}
                     }
                 }
-                self.record(s, uses, defs, Some(false), false, ctx);
+                self.record(s, Some(false), false, ctx);
                 Ok(Flow::Normal)
             }
             StmtKind::Return(v) => {
@@ -545,21 +531,21 @@ impl Interp {
                     let val = self.eval(e, locals, ctx)?;
                     locals.insert("__return".into(), val);
                 }
-                self.record(s, uses, defs, None, false, ctx);
+                self.record(s, None, false, ctx);
                 Ok(Flow::Return)
             }
             StmtKind::Break => {
-                self.record(s, uses, defs, None, false, ctx);
+                self.record(s, None, false, ctx);
                 Ok(Flow::Break)
             }
             StmtKind::Continue => {
-                self.record(s, uses, defs, None, false, ctx);
+                self.record(s, None, false, ctx);
                 Ok(Flow::Continue)
             }
             StmtKind::Expr(e) => {
                 let emitted_before = ctx.outputs.len();
                 self.eval(e, locals, ctx)?;
-                self.record(s, uses, defs, None, ctx.outputs.len() > emitted_before, ctx);
+                self.record(s, None, ctx.outputs.len() > emitted_before, ctx);
                 Ok(Flow::Normal)
             }
         }
@@ -723,6 +709,8 @@ impl Interp {
         }
     }
 
+    /// A binary operator. Every operator is dispatched exactly once, so
+    /// the match is exhaustive.
     fn eval_binary(
         &mut self,
         op: BinOp,
@@ -731,82 +719,84 @@ impl Interp {
         locals: &mut HashMap<String, Value>,
         ctx: &mut Ctx,
     ) -> Result<Value, RuntimeError> {
-        // Short-circuit logic first.
-        if matches!(op, BinOp::And | BinOp::Or) {
-            let va = self
-                .eval(a, locals, ctx)?
-                .as_bool()
-                .ok_or_else(|| RuntimeError::Type("logical operand not bool".into()))?;
-            return match (op, va) {
-                (BinOp::And, false) => Ok(Value::Bool(false)),
-                (BinOp::Or, true) => Ok(Value::Bool(true)),
-                _ => {
-                    let vb = self
-                        .eval(b, locals, ctx)?
-                        .as_bool()
-                        .ok_or_else(|| RuntimeError::Type("logical operand not bool".into()))?;
-                    Ok(Value::Bool(vb))
-                }
-            };
-        }
-        let va = self.eval(a, locals, ctx)?;
-        if let (BinOp::In | BinOp::NotIn, ExprKind::Var(name)) = (op, &b.kind) {
-            // `k in m` borrows the container instead of cloning it.
-            return contains(op, &va, self.lookup(name, locals)?);
-        }
-        let vb = self.eval(b, locals, ctx)?;
+        const ARITH: &str = "arith operand not int";
+        const ORDER: &str = "ordering non-ints";
+        let checked = |r: Option<i64>| {
+            r.map(Value::Int)
+                .ok_or_else(|| RuntimeError::Arith("overflow".into()))
+        };
         match op {
-            BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Mod
-            | BinOp::BitAnd | BinOp::BitOr => {
-                let x = va
-                    .as_int()
-                    .ok_or_else(|| RuntimeError::Type("arith operand not int".into()))?;
-                let y = vb
-                    .as_int()
-                    .ok_or_else(|| RuntimeError::Type("arith operand not int".into()))?;
-                let r = match op {
-                    BinOp::Add => x.checked_add(y),
-                    BinOp::Sub => x.checked_sub(y),
-                    BinOp::Mul => x.checked_mul(y),
-                    BinOp::Div => {
-                        if y == 0 {
-                            return Err(RuntimeError::Arith("division by zero".into()));
-                        }
-                        x.checked_div(y)
-                    }
-                    BinOp::Mod => {
-                        if y == 0 {
-                            return Err(RuntimeError::Arith("mod by zero".into()));
-                        }
-                        x.checked_rem_euclid(y)
-                    }
-                    BinOp::BitAnd => Some(x & y),
-                    BinOp::BitOr => Some(x | y),
-                    _ => unreachable!(),
-                };
-                r.map(Value::Int)
-                    .ok_or_else(|| RuntimeError::Arith("overflow".into()))
+            // Short-circuit: a false `a` decides `&&`, a true one `||`.
+            BinOp::And | BinOp::Or => {
+                const LOGIC: &str = "logical operand not bool";
+                let va = self.eval_bool(a, locals, ctx, LOGIC)?;
+                if va == (op == BinOp::Or) {
+                    return Ok(Value::Bool(va));
+                }
+                self.eval_bool(b, locals, ctx, LOGIC).map(Value::Bool)
             }
-            BinOp::Eq => Ok(Value::Bool(va == vb)),
-            BinOp::Ne => Ok(Value::Bool(va != vb)),
-            BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
-                let x = va
-                    .as_int()
-                    .ok_or_else(|| RuntimeError::Type("ordering non-ints".into()))?;
-                let y = vb
-                    .as_int()
-                    .ok_or_else(|| RuntimeError::Type("ordering non-ints".into()))?;
-                Ok(Value::Bool(match op {
-                    BinOp::Lt => x < y,
-                    BinOp::Le => x <= y,
-                    BinOp::Gt => x > y,
-                    BinOp::Ge => x >= y,
-                    _ => unreachable!(),
-                }))
+            BinOp::In | BinOp::NotIn => {
+                let va = self.eval(a, locals, ctx)?;
+                if let ExprKind::Var(name) = &b.kind {
+                    // `k in m` borrows the container instead of cloning it.
+                    return contains(op, &va, self.lookup(name, locals)?);
+                }
+                let vb = self.eval(b, locals, ctx)?;
+                contains(op, &va, &vb)
             }
-            BinOp::In | BinOp::NotIn => contains(op, &va, &vb),
-            BinOp::And | BinOp::Or => unreachable!("handled above"),
+            BinOp::Eq | BinOp::Ne => {
+                let va = self.eval(a, locals, ctx)?;
+                let vb = self.eval(b, locals, ctx)?;
+                Ok(Value::Bool((va == vb) == (op == BinOp::Eq)))
+            }
+            BinOp::Lt => self.int_op(a, b, locals, ctx, ORDER, |x, y| Ok(Value::Bool(x < y))),
+            BinOp::Le => self.int_op(a, b, locals, ctx, ORDER, |x, y| Ok(Value::Bool(x <= y))),
+            BinOp::Gt => self.int_op(a, b, locals, ctx, ORDER, |x, y| Ok(Value::Bool(x > y))),
+            BinOp::Ge => self.int_op(a, b, locals, ctx, ORDER, |x, y| Ok(Value::Bool(x >= y))),
+            BinOp::Add => self.int_op(a, b, locals, ctx, ARITH, |x, y| checked(x.checked_add(y))),
+            BinOp::Sub => self.int_op(a, b, locals, ctx, ARITH, |x, y| checked(x.checked_sub(y))),
+            BinOp::Mul => self.int_op(a, b, locals, ctx, ARITH, |x, y| checked(x.checked_mul(y))),
+            BinOp::Div => self.int_op(a, b, locals, ctx, ARITH, |x, y| match y {
+                0 => Err(RuntimeError::Arith("division by zero".into())),
+                _ => checked(x.checked_div(y)),
+            }),
+            BinOp::Mod => self.int_op(a, b, locals, ctx, ARITH, |x, y| match y {
+                0 => Err(RuntimeError::Arith("mod by zero".into())),
+                _ => checked(x.checked_rem_euclid(y)),
+            }),
+            BinOp::BitAnd => self.int_op(a, b, locals, ctx, ARITH, |x, y| Ok(Value::Int(x & y))),
+            BinOp::BitOr => self.int_op(a, b, locals, ctx, ARITH, |x, y| Ok(Value::Int(x | y))),
         }
+    }
+
+    /// Evaluate `e` as a condition; `what` names a non-bool result.
+    fn eval_bool(
+        &mut self,
+        e: &Expr,
+        locals: &mut HashMap<String, Value>,
+        ctx: &mut Ctx,
+        what: &str,
+    ) -> Result<bool, RuntimeError> {
+        self.eval(e, locals, ctx)?
+            .as_bool()
+            .ok_or_else(|| RuntimeError::Type(what.into()))
+    }
+
+    /// Evaluate both operands of an integer operator, `a` then `b`, and
+    /// apply `f`; `what` names a non-int operand.
+    fn int_op(
+        &mut self,
+        a: &Expr,
+        b: &Expr,
+        locals: &mut HashMap<String, Value>,
+        ctx: &mut Ctx,
+        what: &str,
+        f: impl FnOnce(i64, i64) -> Result<Value, RuntimeError>,
+    ) -> Result<Value, RuntimeError> {
+        let va = self.eval(a, locals, ctx)?;
+        let vb = self.eval(b, locals, ctx)?;
+        let int = |v: &Value| v.as_int().ok_or_else(|| RuntimeError::Type(what.into()));
+        f(int(&va)?, int(&vb)?)
     }
 
     fn eval_call(
@@ -1115,6 +1105,39 @@ mod tests {
         "#;
         let mut i = interp_of(src);
         assert!(matches!(i.process(&tcp_to(80)), Err(RuntimeError::StepLimit)));
+    }
+
+    #[test]
+    fn huge_for_range_hits_step_limit_and_reverts() {
+        // A trillion iterations: the step limit must stop the loop as it
+        // runs. Collecting the range up front would abort the process on
+        // the allocation before the limit was ever checked.
+        let src = r#"
+            state n = 0;
+            fn cb(pkt: packet) {
+                for i in 0..1000000000000 {
+                    n = n + 1;
+                }
+                send(pkt);
+            }
+            fn main() { sniff(cb); }
+        "#;
+        let mut i = interp_of(src);
+        assert!(matches!(
+            i.process(&tcp_to(80)),
+            Err(RuntimeError::StepLimit)
+        ));
+        let Some(Value::Int(ran)) = i.global("n") else {
+            panic!("n is an int")
+        };
+        assert!(
+            *ran > 0 && (*ran as usize) < STEP_LIMIT,
+            "{ran} iterations ran"
+        );
+        assert_eq!(i.packets_seen(), 1);
+        i.revert();
+        assert_eq!(i.global("n"), Some(&Value::Int(0)));
+        assert_eq!(i.packets_seen(), 0);
     }
 
     #[test]

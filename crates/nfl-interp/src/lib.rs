@@ -7,11 +7,13 @@
 //! model and the original program, and test whether they output the same
 //! result").
 //!
-//! Every execution also produces a [`trace::Trace`]: the dynamic sequence
-//! of executed statements with their runtime def/use variables and branch
-//! outcomes. The trace is what `nfl-slicer`'s *dynamic* slicer consumes
-//! (the paper's Figure 1 highlights a dynamic slice, citing Agrawal &
-//! Horgan \[3\]).
+//! Every execution also produces a [`trace::Trace`]: the ids of the
+//! executed statements in order, each branch's outcome and each
+//! statement's dynamic control link (the branch instance it ran under).
+//! The trace is what `nfl-slicer`'s *dynamic* slicer consumes (the
+//! paper's Figure 1 highlights a dynamic slice, citing Agrawal & Horgan
+//! \[3\]). What a statement reads and writes is a static property of its
+//! text, so the slicer reads def/use from the program, not the trace.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

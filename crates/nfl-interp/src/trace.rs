@@ -1,10 +1,13 @@
 //! Execution traces.
 //!
 //! A [`Trace`] is the dynamic record of one packet's journey through the
-//! NF: every executed statement, its runtime def/use variables, the
-//! outcome of each branch, and the *event index* of the branch instance
-//! each statement was controlled by. The dynamic slicer walks this
-//! backwards (Agrawal–Horgan \[3\]) to find the statements that *really*
+//! NF: the id of every executed statement, the outcome of each branch,
+//! and the *event index* of the branch instance each statement was
+//! controlled by. It records only what happened at run time. What a
+//! statement reads and writes is a static property of its text, so the
+//! dynamic slicer reads it from the program
+//! (`nfl_analysis::defuse::def_use`) as it walks the trace backwards
+//! (Agrawal–Horgan \[3\]) to find the statements that *really*
 //! contributed to an output, versus the static slice's *might*.
 
 use nfl_lang::StmtId;
@@ -14,10 +17,6 @@ use nfl_lang::StmtId;
 pub struct TraceEvent {
     /// The statement that executed.
     pub stmt: StmtId,
-    /// Variables the instance read.
-    pub uses: Vec<String>,
-    /// Variables the instance wrote.
-    pub defs: Vec<String>,
     /// For branch statements: which way the condition went.
     pub branch: Option<bool>,
     /// Event index of the innermost enclosing branch instance, if any —
@@ -67,8 +66,6 @@ mod tests {
     fn ev(stmt: u32, emitted: bool) -> TraceEvent {
         TraceEvent {
             stmt: StmtId(stmt),
-            uses: vec![],
-            defs: vec![],
             branch: None,
             ctrl: None,
             emitted,

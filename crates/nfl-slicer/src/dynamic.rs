@@ -12,60 +12,64 @@
 //! the slice; its uses become needed; a **strong** definition retires the
 //! variable, a weak one (map insert, packet-field store) leaves it needed
 //! (earlier writes may still matter). Control dependences follow the
-//! recorded dynamic `ctrl` links.
+//! recorded dynamic `ctrl` links. The trace records only which statements
+//! ran; what each reads and writes is a property of the statement's text,
+//! so it is derived here from the program, once per distinct statement.
 
+use nfl_analysis::defuse::{def_use, DefKind, DefUse};
 use nfl_interp::trace::Trace;
 use nfl_lang::{Program, Stmt, StmtId};
 use std::collections::{BTreeSet, HashMap, HashSet};
 
 /// Compute the dynamic slice of `trace` for the criterion event at index
 /// `criterion` (e.g. the `send` event). Returns the statement ids whose
-/// executed instances really contributed.
+/// executed instances really contributed. `program` must be the one the
+/// trace was recorded on.
 pub fn dynamic_slice(program: &Program, trace: &Trace, criterion: usize) -> HashSet<StmtId> {
+    let Some((crit_ev, earlier)) = trace.events.get(..=criterion).and_then(<[_]>::split_last)
+    else {
+        return HashSet::new();
+    };
     let mut stmt_map: HashMap<StmtId, &Stmt> = HashMap::new();
     program.for_each_stmt(|s| {
         stmt_map.insert(s.id, s);
     });
+    let mut def_uses: HashMap<StmtId, DefUse> = HashMap::new();
+    for ev in earlier.iter().chain([crit_ev]) {
+        if let Some(s) = stmt_map.get(&ev.stmt) {
+            def_uses.entry(ev.stmt).or_insert_with(|| def_use(s));
+        }
+    }
+    let unknown = DefUse::default();
+    let du_of = |id: StmtId| def_uses.get(&id).unwrap_or(&unknown);
 
     let mut in_slice_events: HashSet<usize> = HashSet::new();
     let mut needed: BTreeSet<String> = BTreeSet::new();
     let mut pending_ctrl: Vec<usize> = Vec::new();
 
-    let Some(crit_ev) = trace.events.get(criterion) else {
-        return HashSet::new();
-    };
     in_slice_events.insert(criterion);
-    needed.extend(crit_ev.uses.iter().cloned());
+    needed.extend(du_of(crit_ev.stmt).uses.iter().cloned());
     if let Some(c) = crit_ev.ctrl {
         pending_ctrl.push(c);
     }
 
-    for idx in (0..criterion).rev() {
-        let ev = &trace.events[idx];
-        let mut include = false;
+    for (idx, ev) in earlier.iter().enumerate().rev() {
+        let du = du_of(ev.stmt);
         // Control dependence: a branch instance some included event hangs
-        // off.
-        if pending_ctrl.contains(&idx) {
-            include = true;
-        }
-        // Data dependence: defines a needed variable.
-        if ev.defs.iter().any(|d| needed.contains(d)) {
-            include = true;
-        }
+        // off. Data dependence: defines a needed variable.
+        let include =
+            pending_ctrl.contains(&idx) || du.defs.iter().any(|(d, _)| needed.contains(d));
         if !include {
             continue;
         }
         in_slice_events.insert(idx);
         // Retire strongly-defined variables; weak defs stay needed.
-        if let Some(stmt) = stmt_map.get(&ev.stmt) {
-            let du = nfl_analysis::defuse::def_use(stmt);
-            for (v, kind) in &du.defs {
-                if *kind == nfl_analysis::defuse::DefKind::Strong {
-                    needed.remove(v);
-                }
+        for (v, kind) in &du.defs {
+            if *kind == DefKind::Strong {
+                needed.remove(v);
             }
         }
-        needed.extend(ev.uses.iter().cloned());
+        needed.extend(du.uses.iter().cloned());
         if let Some(c) = ev.ctrl {
             if !in_slice_events.contains(&c) {
                 pending_ctrl.push(c);

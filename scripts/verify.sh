@@ -7,6 +7,10 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Scratch space for the smokes' generated programs, traces and reports.
+tracedir=$(mktemp -d)
+trap 'rm -rf "$tracedir"' EXIT
+
 echo "==> cargo build --release --offline"
 cargo build --release --offline
 
@@ -86,6 +90,34 @@ if [ -z "$pkts" ] || [ "$((pkts + quarantined))" -ne "$offered" ]; then
 fi
 echo "    1 packet quarantined, $pkts of $offered processed: ok"
 
+echo "==> runaway-loop smoke: a packet-sized loop bound is quarantined, not fatal"
+# The range bound is the packet's source address, so no static check can
+# reject it. The interpreter must stop each packet at its step limit and
+# quarantine it. Building the range in memory first would abort the
+# whole process on the allocation; the address-space cap makes sure.
+cat > "$tracedir/runaway.nfl" <<'EOF'
+state n = 0;
+fn cb(pkt: packet) {
+    for i in 0..pkt.ip.src {
+        n = n + 1;
+    }
+    send(pkt);
+}
+fn main() { sniff(cb); }
+EOF
+./target/release/nfactor workload --seed 1 --packets 30 "$tracedir/runaway.nfw" > /dev/null
+if ! out=$(ulimit -v 1000000; timeout 60 ./target/release/nfactor run "$tracedir/runaway.nfl" \
+    --backend interp --workload "$tracedir/runaway.nfw"); then
+    echo "    the runaway loop aborted the run or ran past 60 s:"; echo "$out"; exit 1
+fi
+quarantined=$(printf '%s\n' "$out" | awk '/^quarantined/ {print $3}')
+offered=$(printf '%s\n' "$out" | awk '/^offered/ {print $3}')
+if [ "$offered" != "30" ] || [ "$quarantined" != "30" ]; then
+    echo "    expected all 30 offered packets quarantined, got '$quarantined' of '$offered':"
+    echo "$out"; exit 1
+fi
+echo "    $quarantined of $offered runaway packets quarantined, exit 0: ok"
+
 echo "==> chaos differential: faulted runs match fault-free references"
 # Every corpus NF x backend x shards {1,4} x fixed fault plans: the
 # surviving packets and merged state must be byte-identical to a
@@ -110,8 +142,6 @@ echo "==> trace smoke: Chrome trace + metrics JSON from a snort run"
 # the run degrades under a deadline (that is exactly when the numbers
 # matter). `json-check` uses the in-tree parser, so this also guards
 # the emitter/parser pair against drift.
-tracedir=$(mktemp -d)
-trap 'rm -rf "$tracedir"' EXIT
 ./target/release/nfactor synthesize --corpus snort \
     --trace-json "$tracedir/trace.json" \
     --metrics-json "$tracedir/metrics.json" > /dev/null
