@@ -28,8 +28,6 @@ pub mod filter;
 pub mod pipeline;
 
 pub use filter::filter_loop;
-#[allow(deprecated)]
-pub use pipeline::{synthesize, synthesize_program, Options};
 pub use pipeline::{
     Error, Metrics, Pipeline, PipelineBuilder, PipelineConfig, Synthesis, MAX_SHARDS,
 };

@@ -48,9 +48,7 @@ impl std::error::Error for Error {}
 
 /// The validated configuration a [`Pipeline`] runs with.
 ///
-/// Construct one through [`Pipeline::builder`]; the fields stay public
-/// for the deprecated [`Options`] struct-literal call sites and will be
-/// privatised when those wrappers are removed.
+/// Construct one through [`Pipeline::builder`].
 #[derive(Debug, Clone)]
 pub struct PipelineConfig {
     /// Limits for the model-extraction symbolic execution (on the slice).
@@ -102,13 +100,6 @@ impl Default for PipelineConfig {
         }
     }
 }
-
-/// Deprecated name of [`PipelineConfig`].
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Pipeline::builder()` (or `PipelineConfig` directly) instead"
-)]
-pub type Options = PipelineConfig;
 
 /// Most shards a pipeline will accept; past this the dispatch hash
 /// spreads flows thinner than any plausible core count and a typo'd
@@ -353,25 +344,6 @@ pub fn normalize_with_unfold(program: &Program) -> Result<PacketLoop, Error> {
         }
         Err(e) => Err(Error::Structure(e.to_string())),
     }
-}
-
-/// Run the pipeline on NFL source text.
-#[deprecated(since = "0.2.0", note = "use `Pipeline::builder()....build()?.synthesize(src)`")]
-pub fn synthesize(name: &str, src: &str, opts: &PipelineConfig) -> Result<Synthesis, Error> {
-    run_source(name, src, opts)
-}
-
-/// Run the pipeline on an already-checked program.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Pipeline::builder()....build()?.synthesize_program(name, program)`"
-)]
-pub fn synthesize_program(
-    name: &str,
-    program: &Program,
-    opts: &PipelineConfig,
-) -> Result<Synthesis, Error> {
-    run_program(name, program, opts)
 }
 
 fn run_source(name: &str, src: &str, opts: &PipelineConfig) -> Result<Synthesis, Error> {
@@ -770,18 +742,6 @@ mod tests {
         assert_eq!(p.shards(), 1);
         assert!(!p.config().measure_original);
         assert!(!p.tracer().is_enabled());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_wrappers_still_work() {
-        // One release of back-compat: the positional functions and the
-        // `Options` alias keep working while callers migrate.
-        let syn = synthesize("fig1-lb", LB_SRC, &Options::default()).unwrap();
-        assert_eq!(syn.metrics.ep_slice, 5);
-        let program = nfl_lang::parse_and_check(LB_SRC).unwrap();
-        let syn2 = synthesize_program("fig1-lb", &program, &Options::default()).unwrap();
-        assert_eq!(syn2.metrics.ep_slice, 5);
     }
 
     #[test]

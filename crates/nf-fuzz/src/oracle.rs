@@ -23,7 +23,7 @@ pub enum Stage {
     Parse,
     /// `nfl_lint::lint_program`.
     Lint,
-    /// `nfactor_core::synthesize`.
+    /// `nfactor_core::Pipeline::synthesize`.
     Synthesize,
     /// `nf_packet::Packet::from_wire`.
     WireDecode,

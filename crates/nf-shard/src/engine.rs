@@ -1,37 +1,46 @@
 //! The sharded execution engine.
 //!
-//! A [`ShardEngine`] runs one NF — either its NFL interpreter or its
-//! synthesized model ([`Backend`]) — across `n` worker shards, placing
-//! state as the [`ShardPlan`] dictates:
+//! A [`ShardEngine`] runs one NF — its NFL interpreter, its synthesized
+//! model, or that model compiled ([`Backend`]) — across `n` worker
+//! shards. The [`ShardPlan`] picks the run's *state-access policy*:
 //!
-//! * **Partitioned** plans steer each packet to the shard its dispatch
-//!   hash picks; every shard owns an independent copy of the program
-//!   state, and per-flow maps partition because all packets of a flow
-//!   (and, for symmetric keys, its reply direction) land on one shard.
-//!   There is deliberately **no work stealing**: stealing a packet
-//!   would move it away from the shard that owns its flow state, which
-//!   is exactly the locality the dispatch hash exists to preserve.
-//! * **Global-lock** plans (shared state) run one program instance
-//!   behind a ticket lock: workers take packets round-robin but process
-//!   them in global arrival order, so the result is bit-identical to a
-//!   single-threaded run — correct, serialised, and measured as such.
+//! * **Partitioned** plans are shared-nothing: each packet goes to the
+//!   shard its dispatch hash picks, and every shard owns an evaluator
+//!   with its own copy of the program state. Per-flow maps partition
+//!   because all packets of a flow (and, for symmetric keys, its reply
+//!   direction) land on one shard. There is deliberately **no work
+//!   stealing**: stealing a packet would move it away from the shard
+//!   that owns its flow state, which is exactly the locality the
+//!   dispatch hash exists to preserve.
+//! * **Global-lock** plans (shared state) give all shards one shared
+//!   evaluator behind a ticket: shards take packets round-robin but
+//!   step them in global arrival order, so the result is bit-identical
+//!   to a single-threaded run — correct, serialised, and measured as
+//!   such.
 //!
-//! After a run, per-shard states are merged back into one view
-//! ([`ShardRun::merged`]): partitioned maps union (their key sets are
-//! disjoint by construction — a collision is reported as an engine
-//! bug), log-only counters sum their per-shard deltas, and replicated
-//! state is checked untouched.
+//! Every run, whatever its mode and policy, has three parts:
 //!
-//! All execution goes through one entry point,
-//! [`ShardEngine::run_with`], which pulls packets from a streaming
-//! [`WorkloadSource`] in configurable batches ([`BatchConfig`]): the
-//! dispatcher hashes and bins a whole batch before a single ring push
-//! per shard, and workers drain whole bins between telemetry flushes.
-//! [`RunMode`] selects threaded execution (real `std::thread` workers
-//! over SPSC rings), sequential (the same dispatch executed on one
-//! thread with per-shard busy-time accounting — deterministic
-//! makespan measurement for single-core hosts), or the one-shard
-//! reference run.
+//! * the **dispatcher** pulls packets from a streaming
+//!   [`WorkloadSource`] in [`BatchConfig::size`] batches, routes each
+//!   one (dispatch hash plus the skew rebalancer, or round-robin under
+//!   the lock), numbers it within its shard, and applies and accounts
+//!   dispatch-side faults;
+//! * one **worker** per shard runs the per-packet body: the supervised
+//!   step on the evaluator the policy hands it, busy time, telemetry,
+//!   counters and retained outputs;
+//! * an **executor** connects the two. The threaded executor
+//!   ([`RunMode::Threaded`]) runs the workers on scoped `std::thread`s
+//!   fed over SPSC rings, one bin of up to a batch of packets per push.
+//!   The inline executor ([`RunMode::Sequential`], [`RunMode::Single`])
+//!   steps each packet as it is routed, in arrival order, on the calling
+//!   thread; its per-shard busy time gives a deterministic makespan on a
+//!   host without free cores.
+//!
+//! One function assembles every [`ShardRun`]. It merges the evaluators'
+//! states back into one view ([`ShardRun::merged`]): partitioned maps
+//! union (their key sets are disjoint by construction — a collision is
+//! reported as an engine bug), log-only counters sum their per-shard
+//! deltas, and replicated state is checked untouched.
 //!
 //! With [`BatchConfig::rebalance`] a partitioned dispatcher also
 //! counters skew: when a shard's queue stays above the high-water mark
@@ -43,37 +52,40 @@
 //! sharded≡single differential invariant survives rebalancing
 //! unconditionally.
 //!
-//! Every mode runs **supervised**: each packet's eval is wrapped in
+//! Every run is **supervised**: each packet's eval is wrapped in
 //! `catch_unwind` and journalled by the evaluator's undo log, so a
 //! panic or runtime error rolls partial state writes back and
-//! quarantines the packet ([`crate::supervise`]) instead of aborting the run; the compiled
-//! backend additionally falls back to the model evaluator per packet
-//! on a compiled-engine error. A deterministic [`FaultPlan`] in the
+//! quarantines the packet ([`crate::supervise`]) instead of aborting the
+//! run; the compiled backend additionally falls back to the model
+//! evaluator per packet on a compiled-engine error. The failure streak
+//! that triggers a restart belongs to the evaluator a restart refreshes,
+//! so under the global lock it counts the shared evaluator's failures in
+//! arrival order, in every mode. A deterministic [`FaultPlan`] in the
 //! [`RunConfig`] threads through dispatch and eval so the chaos
 //! differential suite can prove that non-quarantined behaviour is
 //! byte-identical to the fault-free run.
 
 use crate::dispatch::{dispatch_hash, dispatch_values};
-use crate::plan::{PlanMode, ShardPlan};
-use crate::telemetry::{FlightOutcome, RunStats, ShardStats, TelemetryConfig, WorkerTelemetry};
+use crate::plan::ShardPlan;
 use crate::supervise::{
     panic_message, quiet_catch_unwind, scramble_packet, Quarantine, QuarantineRecord,
     SupervisorPolicy, INJECTED_RING_DEADLINE,
 };
+use crate::telemetry::{FlightOutcome, RunStats, TelemetryConfig, WorkerTelemetry};
 use nf_compile::{CompiledProgram, CompiledState};
 use nf_model::{Model, ModelState};
 use nf_packet::Packet;
 use nf_support::fault::{FaultKind, FaultPlan};
 use nf_support::sketch::TopK;
-use nf_support::spsc::{Backoff, Producer, TrySendError};
-use nf_support::workload::{SliceSource, WorkloadSource};
+use nf_support::spsc::{Backoff, Consumer, Producer, TrySendError};
+use nf_support::workload::WorkloadSource;
 use nf_trace::{Histogram, Tracer};
 use nfactor_core::{Pipeline, Synthesis};
 use nfl_interp::{Interp, Value};
-use nfl_lint::{ShardingReport, StateShard};
+use nfl_lint::{DispatchKey, ShardingReport, StateShard};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Ring capacity per worker; deep enough to absorb dispatch bursts,
@@ -88,27 +100,6 @@ const BATCH_FILL_BOUNDS: [u64; 9] = [1, 2, 4, 8, 16, 32, 64, 128, 256];
 /// One dispatch bin: `(arrival seq, per-shard ordinal, packet)` rows
 /// pushed over the ring as a unit.
 type Bin = Vec<(u64, u64, Packet)>;
-
-/// Sentinel error a global-lock worker returns when it bailed out
-/// because *another* shard poisoned the ticket; filtered at join time
-/// in favour of the root cause.
-const ABORTED: &str = "aborted: another shard failed";
-
-/// Poisons the ticket counter unless disarmed — so a worker that exits
-/// abnormally (error return or panic) can never leave its peers
-/// spinning on a ticket that will not come.
-struct PoisonTicket {
-    turn: Arc<AtomicU64>,
-    armed: bool,
-}
-
-impl Drop for PoisonTicket {
-    fn drop(&mut self) {
-        if self.armed {
-            self.turn.store(u64::MAX, Ordering::Release);
-        }
-    }
-}
 
 /// What executes on each shard.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -197,8 +188,8 @@ impl Default for BatchConfig {
     }
 }
 
-/// The unified run configuration for [`ShardEngine::run_with`] — the
-/// one knob surface that replaced the six `run*` entry points.
+/// The unified run configuration for [`ShardEngine::run_with`], the
+/// engine's one run entry point.
 #[derive(Debug, Clone)]
 pub struct RunConfig {
     /// Execution mode: threaded, sequential, or single-shard.
@@ -508,6 +499,63 @@ fn supervised_step(
     }
 }
 
+/// One evaluator and the supervision state that belongs to it: the
+/// consecutive-failure streak a restart resets, and the restart and
+/// fallback tallies. A partitioned run gives every shard its own; under
+/// the global lock all shards step one, so its streak counts failures
+/// in arrival order whichever shard each packet came from.
+struct Evaluator {
+    state: BackendState,
+    fail_streak: u32,
+    restarts: u64,
+    fallbacks: u64,
+}
+
+impl Evaluator {
+    fn new(state: BackendState) -> Evaluator {
+        Evaluator {
+            state,
+            fail_streak: 0,
+            restarts: 0,
+            fallbacks: 0,
+        }
+    }
+
+    /// [`supervised_step`], then supervision: a success ends the
+    /// streak, and `restart_after` failures in a row restart the
+    /// evaluator in place.
+    fn step(
+        &mut self,
+        model: Option<&Model>,
+        shard: usize,
+        nth: u64,
+        pkt: &Packet,
+        faults: &FaultPlan,
+        restart_after: u32,
+    ) -> Result<(Vec<Packet>, bool), String> {
+        let stepped = supervised_step(
+            &mut self.state,
+            model,
+            shard,
+            nth,
+            pkt,
+            faults,
+            &mut self.fallbacks,
+        );
+        if stepped.is_ok() {
+            self.fail_streak = 0;
+        } else {
+            self.fail_streak += 1;
+            if self.fail_streak >= restart_after {
+                self.state.refresh();
+                self.restarts += 1;
+                self.fail_streak = 0;
+            }
+        }
+        stepped
+    }
+}
+
 /// Dispatch-side faults at `(shard, nth)`: forced ring-full attempts
 /// and whether to scramble the packet.
 fn dispatch_faults(faults: &FaultPlan, shard: usize, nth: u64) -> (u64, bool) {
@@ -526,28 +574,30 @@ fn dispatch_faults(faults: &FaultPlan, shard: usize, nth: u64) -> (u64, bool) {
     (forced, garbage)
 }
 
-/// The ring deadline in force for one dispatch: the policy's, or the
-/// injected default when a ring-overflow fault is forcing fulls.
-fn ring_deadline(policy: &SupervisorPolicy, forced: u64) -> Option<u32> {
-    policy
-        .ring_deadline
-        .or(if forced > 0 { Some(INJECTED_RING_DEADLINE) } else { None })
+/// Simulate a per-packet retry loop for *forced* ring-full faults at
+/// routing time, in every mode (bins mean the ring is pushed once per
+/// batch, so a forced per-packet full can no longer collide with a
+/// genuinely full ring). Every forced attempt is a retry until the
+/// deadline — the policy's, or the injected default — runs out.
+/// Returns whether the packet is delivered.
+fn simulate_dispatch(forced: u64, policy: &SupervisorPolicy, retries: &mut u64) -> bool {
+    let deadline = u64::from(policy.ring_deadline.unwrap_or(INJECTED_RING_DEADLINE));
+    *retries += forced.min(deadline + 1);
+    forced <= deadline
 }
 
 /// Enqueue one bin with bounded retry: spin-then-yield backoff on a
-/// full ring, dropping the whole bin once the policy deadline is
-/// exhausted (forced ring-full faults are simulated per packet at bin
-/// time, before binning). `Ok(true)` = delivered, `Ok(false)` =
-/// dropped past the deadline, `Err(())` = the worker is gone (its join
-/// reports why).
+/// full ring, giving the bin back once the policy deadline is
+/// exhausted. `Ok(None)` = delivered, `Ok(Some(bin))` = undelivered
+/// past the deadline, `Err(())` = the worker is gone (its join reports
+/// why).
 fn send_bin(
     tx: &Producer<Bin>,
-    bin: Bin,
+    mut bin: Bin,
     policy: &SupervisorPolicy,
     retries: &mut u64,
     wait_ns: &mut u64,
-) -> Result<bool, ()> {
-    let mut bin = bin;
+) -> Result<Option<Bin>, ()> {
     let mut attempts = 0u64;
     let mut backoff = Backoff::new();
     // Time spent in the retry path is ring-full *waiting*, not
@@ -556,20 +606,21 @@ fn send_bin(
     // when the workers are the bottleneck. The clock starts only on
     // the first full ring, so the delivered-first-try fast path never
     // touches it.
-    let mut waited: Option<std::time::Instant> = None;
+    let mut waited: Option<Instant> = None;
     let result = loop {
         match tx.try_send(bin) {
-            Ok(()) => break Ok(true),
+            Ok(()) => break Ok(None),
             Err((_, TrySendError::Disconnected)) => break Err(()),
             Err((b, TrySendError::Full)) => bin = b,
         }
-        waited.get_or_insert_with(std::time::Instant::now);
+        waited.get_or_insert_with(Instant::now);
         attempts += 1;
         *retries += 1;
-        if let Some(d) = policy.ring_deadline {
-            if attempts > u64::from(d) {
-                break Ok(false);
-            }
+        if policy
+            .ring_deadline
+            .is_some_and(|d| attempts > u64::from(d))
+        {
+            break Ok(Some(bin));
         }
         backoff.snooze();
     };
@@ -579,82 +630,14 @@ fn send_bin(
     result
 }
 
-/// Flush one dispatch bin: record its fill, push it over the ring, and
-/// account a whole-bin drop past the policy deadline. `Err(())` means
-/// the worker is gone.
-#[allow(clippy::too_many_arguments)]
-fn flush_bin(
-    bin: &mut Bin,
-    batch: usize,
-    tx: &Producer<Bin>,
-    policy: &SupervisorPolicy,
-    retries: &mut u64,
-    wait_ns: &mut u64,
-    fill: Option<&mut Histogram>,
-    dropped_seqs: &mut Vec<u64>,
-    dropped_shard: &mut u64,
-) -> Result<(), ()> {
-    if bin.is_empty() {
-        return Ok(());
-    }
-    if let Some(h) = fill {
-        h.observe(bin.len() as u64);
-    }
-    let out = std::mem::replace(bin, Vec::with_capacity(batch));
-    let seqs: Vec<u64> = out.iter().map(|(s, _, _)| *s).collect();
-    match send_bin(tx, out, policy, retries, wait_ns)? {
-        true => Ok(()),
-        false => {
-            *dropped_shard += seqs.len() as u64;
-            dropped_seqs.extend(seqs);
-            Ok(())
-        }
-    }
-}
-
-/// [`flush_bin`] for the global-lock dispatcher, which must also mark
-/// any dropped seq as skipped and advance the ticket turn past it so
-/// later packets are not deadlocked behind a hole in the order.
-#[allow(clippy::too_many_arguments)]
-fn flush_bin_global(
-    bin: &mut Bin,
-    batch: usize,
-    tx: &Producer<Bin>,
-    policy: &SupervisorPolicy,
-    retries: &mut u64,
-    wait_ns: &mut u64,
-    fill: Option<&mut Histogram>,
-    dropped_seqs: &mut Vec<u64>,
-    dropped_shard: &mut u64,
-    skipped: &Mutex<BTreeSet<u64>>,
-    turn: &AtomicU64,
-) -> Result<(), ()> {
-    let before = dropped_seqs.len();
-    flush_bin(bin, batch, tx, policy, retries, wait_ns, fill, dropped_seqs, dropped_shard)?;
-    for &seq in &dropped_seqs[before..] {
-        skipped.lock().unwrap_or_else(|e| e.into_inner()).insert(seq);
-        let _ = turn.compare_exchange(seq, seq + 1, Ordering::AcqRel, Ordering::Acquire);
-    }
-    Ok(())
-}
-
-/// The default divert high-water mark for threaded runs: 3/4 of the
-/// ring depth, measured in bins.
-fn threaded_high_water(cfg: &BatchConfig, ring_bins: usize) -> u64 {
+/// The default divert high-water mark: 3/4 of the executor's queue
+/// depth — ring depth in bins when threaded, the batch size inline
+/// (where the load signal is per-round bin fill).
+fn high_water(cfg: &BatchConfig, depth: usize) -> u64 {
     if cfg.high_water > 0 {
         cfg.high_water
     } else {
-        (ring_bins as u64 * 3 / 4).max(1)
-    }
-}
-
-/// The default divert high-water mark for sequential runs, where the
-/// load signal is per-round bin fill: 3/4 of the batch size.
-fn sequential_high_water(cfg: &BatchConfig, batch: usize) -> u64 {
-    if cfg.high_water > 0 {
-        cfg.high_water
-    } else {
-        (batch as u64 * 3 / 4).max(1)
+        (depth as u64 * 3 / 4).max(1)
     }
 }
 
@@ -753,99 +736,194 @@ impl Rebalancer {
     }
 }
 
-/// Simulate the old per-packet retry loop for *forced* ring-full
-/// faults at bin time, in every mode (bins mean the ring is pushed
-/// once per batch, so a forced per-packet full can no longer collide
-/// with a genuinely full ring). Returns whether the packet is
-/// delivered to its bin.
-fn simulate_dispatch(forced: u64, policy: &SupervisorPolicy, retries: &mut u64) -> bool {
-    let deadline = ring_deadline(policy, forced);
-    let mut attempts = 0u64;
-    while attempts < forced {
-        attempts += 1;
-        *retries += 1;
-        if let Some(d) = deadline {
-            if attempts > u64::from(d) {
-                return false;
+/// The global lock as a state-access policy: one evaluator for all
+/// shards, taken strictly in arrival order so a threaded run is
+/// bit-identical to the single-threaded reference.
+struct Ticket {
+    eval: Mutex<Evaluator>,
+    /// The arrival seq whose turn it is; `u64::MAX` poisons the ticket
+    /// so no shard spins on a turn that will not come.
+    turn: AtomicU64,
+    /// Seqs dropped at dispatch: a waiter whose turn never comes checks
+    /// here and advances the ticket past them, so a drop cannot stall
+    /// the run.
+    skipped: Mutex<BTreeSet<u64>>,
+}
+
+impl Ticket {
+    /// Record a dispatch drop: a hole in the arrival order.
+    fn skip(&self, seq: u64) {
+        self.skipped
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .insert(seq);
+        let _ = self
+            .turn
+            .compare_exchange(seq, seq + 1, Ordering::AcqRel, Ordering::Acquire);
+    }
+
+    /// Wait for `seq`'s turn and take the evaluator; `None` once
+    /// another shard has poisoned the ticket.
+    fn acquire(&self, seq: u64) -> Option<MutexGuard<'_, Evaluator>> {
+        let mut backoff = Backoff::new();
+        loop {
+            match self.turn.load(Ordering::Acquire) {
+                t if t == seq => return Some(self.eval.lock().unwrap_or_else(|e| e.into_inner())),
+                u64::MAX => return None,
+                t => {
+                    if backoff.yields()
+                        && self
+                            .skipped
+                            .lock()
+                            .unwrap_or_else(|e| e.into_inner())
+                            .contains(&t)
+                    {
+                        let _ = self.turn.compare_exchange(
+                            t,
+                            t + 1,
+                            Ordering::AcqRel,
+                            Ordering::Acquire,
+                        );
+                        continue;
+                    }
+                    backoff.snooze();
+                }
             }
         }
     }
-    true
+
+    /// Release the evaluator and hand the turn to the next seq.
+    fn release(&self, eval: MutexGuard<'_, Evaluator>, seq: u64) {
+        drop(eval);
+        self.turn.store(seq + 1, Ordering::Release);
+    }
 }
 
-/// Per-shard supervision bookkeeping wrapped around one shard's
-/// [`BackendState`]: the quarantine buffer, the consecutive-failure
-/// streak, and restart accounting.
-struct ShardWorker {
+/// Poisons the ticket unless disarmed — so a worker that exits
+/// abnormally can never leave its peers spinning on its turn.
+struct PoisonTicket<'t>(Option<&'t Ticket>);
+
+impl Drop for PoisonTicket<'_> {
+    fn drop(&mut self) {
+        if let Some(t) = self.0 {
+            t.turn.store(u64::MAX, Ordering::Release);
+        }
+    }
+}
+
+/// How a threaded worker reaches its evaluator: its own
+/// (shared-nothing), or the shared one through the ticket.
+enum Access<'t> {
+    Own(Evaluator),
+    Ticket(&'t Ticket),
+}
+
+/// One shard's per-packet body and its accounting: the supervised step
+/// on the evaluator the state-access policy hands it, busy time,
+/// telemetry, counters, quarantine and retained outputs. Both executors
+/// step every packet through [`handle`](Self::handle).
+struct ShardWorker<'a> {
     shard: usize,
-    state: BackendState,
-    model: Option<Arc<Model>>,
-    faults: FaultPlan,
-    policy: SupervisorPolicy,
     label: &'static str,
+    model: Option<&'a Model>,
+    faults: &'a FaultPlan,
+    restart_after: u32,
+    keep_outputs: bool,
+    tracer: &'a Tracer,
     quarantine: Quarantine,
-    fail_streak: u32,
-    restarts: u64,
-    fallbacks: u64,
+    tel: Option<WorkerTelemetry>,
+    outputs: Vec<SeqOutput>,
+    pkts: u64,
+    busy_ns: u64,
+    forwarded: u64,
 }
 
-impl ShardWorker {
-    /// Supervised processing of one packet; `None` means quarantined.
-    fn process(&mut self, seq: u64, nth: u64, pkt: &Packet) -> Option<(Vec<Packet>, bool)> {
-        match supervised_step(
-            &mut self.state,
-            self.model.as_deref(),
+impl<'a> ShardWorker<'a> {
+    /// Step one packet on `ev` under supervision and account it.
+    fn handle(&mut self, ev: &mut Evaluator, seq: u64, nth: u64, pkt: &Packet) {
+        let t0 = self.tracer.now();
+        let step = ev.step(
+            self.model,
             self.shard,
             nth,
             pkt,
-            &self.faults,
-            &mut self.fallbacks,
-        ) {
-            Ok(out) => {
-                self.fail_streak = 0;
-                Some(out)
-            }
-            Err(error) => {
-                self.quarantine.push(QuarantineRecord {
-                    seq,
-                    shard: self.shard,
-                    backend: self.label,
-                    error,
-                    packet: pkt.clone(),
-                });
-                self.fail_streak += 1;
-                if self.fail_streak >= self.policy.restart_after {
-                    self.state.refresh();
-                    self.restarts += 1;
-                    self.fail_streak = 0;
+            self.faults,
+            self.restart_after,
+        );
+        let step_ns = self.tracer.now().saturating_duration_since(t0).as_nanos() as u64;
+        self.busy_ns += step_ns;
+        if let Some(tel) = self.tel.as_mut() {
+            let outcome = match &step {
+                Ok((_, false)) => FlightOutcome::Forwarded,
+                Ok((_, true)) => FlightOutcome::Dropped,
+                Err(_) => FlightOutcome::Quarantined,
+            };
+            tel.record(seq, step_ns, outcome, pkt);
+            tel.maybe_flush(self.tracer);
+        }
+        match step {
+            Ok((outputs, dropped)) => {
+                self.pkts += 1;
+                self.forwarded += u64::from(!dropped);
+                if self.keep_outputs {
+                    self.outputs.push(SeqOutput {
+                        seq,
+                        shard: self.shard,
+                        outputs,
+                        dropped,
+                    });
                 }
-                None
             }
+            Err(error) => self.quarantine.push(QuarantineRecord {
+                seq,
+                shard: self.shard,
+                backend: self.label,
+                error,
+                packet: pkt.clone(),
+            }),
         }
     }
 
-    fn into_out(
-        self,
-        outputs: Vec<SeqOutput>,
-        pkts: u64,
-        busy_ns: u64,
-        forwarded: u64,
-        stats: Option<ShardStats>,
-    ) -> WorkerOut {
-        let snapshot = self.state.snapshot();
-        let (quarantined, quarantined_seqs) = self.quarantine.into_parts();
-        WorkerOut {
-            outputs,
-            snapshot,
-            pkts,
-            busy_ns,
-            forwarded,
-            quarantined,
-            quarantined_seqs,
-            restarts: self.restarts,
-            fallbacks: self.fallbacks,
-            stats,
+    /// The threaded executor's worker loop: drain bins off the ring
+    /// until the dispatcher hangs up. `Err` means another shard
+    /// poisoned the ticket.
+    fn drain<'t>(
+        mut self,
+        rx: Consumer<Bin>,
+        mut access: Access<'t>,
+    ) -> Result<(ShardWorker<'a>, Access<'t>), ()> {
+        let mut poison = PoisonTicket(match access {
+            Access::Own(_) => None,
+            Access::Ticket(t) => Some(t),
+        });
+        let wait_name = format!("shard.{}.ring.wait.ns", self.shard);
+        loop {
+            let wait = self.tracer.now();
+            let Some(bin) = rx.recv() else { break };
+            let waited = self.tracer.now().saturating_duration_since(wait);
+            self.tracer.observe_ns(&wait_name, waited.as_nanos() as u64);
+            if let Some(tel) = self.tel.as_mut() {
+                // Bins still queued after this dequeue — the backlog
+                // signal.
+                tel.occupancy(rx.len() as u64);
+            }
+            for (seq, nth, pkt) in bin {
+                match &mut access {
+                    Access::Own(ev) => self.handle(ev, seq, nth, &pkt),
+                    Access::Ticket(ticket) => {
+                        let wait = self.tracer.now();
+                        let mut ev = ticket.acquire(seq).ok_or(())?;
+                        let waited = self.tracer.now().saturating_duration_since(wait);
+                        self.tracer
+                            .observe_ns("lock.wait.ns", waited.as_nanos() as u64);
+                        self.handle(&mut ev, seq, nth, &pkt);
+                        ticket.release(ev, seq);
+                    }
+                }
+            }
         }
+        poison.0 = None;
+        Ok((self, access))
     }
 }
 
@@ -1001,18 +1079,203 @@ impl ShardRun {
     }
 }
 
-/// What one worker hands back at join time.
-struct WorkerOut {
-    outputs: Vec<SeqOutput>,
-    snapshot: BTreeMap<String, Value>,
-    pkts: u64,
-    busy_ns: u64,
-    forwarded: u64,
-    quarantined: Vec<QuarantineRecord>,
-    quarantined_seqs: Vec<u64>,
-    restarts: u64,
-    fallbacks: u64,
-    stats: Option<ShardStats>,
+/// The dispatch plane both executors share: pulls batches, routes each
+/// packet (the dispatch hash plus the [`Rebalancer`] for partitioned
+/// plans, round-robin under the global lock), numbers it within its
+/// shard, applies dispatch-side faults and accounts every drop.
+struct Dispatcher<'a> {
+    n: usize,
+    /// The plan's dispatch key; `None` under the global lock.
+    key: Option<&'a DispatchKey>,
+    faults: &'a FaultPlan,
+    policy: SupervisorPolicy,
+    batch: usize,
+    /// The global lock's ticket, told about every dispatch drop.
+    ticket: Option<&'a Ticket>,
+    rebalancer: Rebalancer,
+    seq: u64,
+    steered: Vec<u64>,
+    /// Packets routed to each shard in the current round.
+    round: Vec<u64>,
+    retries: Vec<u64>,
+    dropped_seqs: Vec<u64>,
+    dropped_per_shard: Vec<u64>,
+    /// Per-shard hot-key sketches: the telemetry plane's profile and
+    /// the rebalancer's divert evidence.
+    sketches: Vec<TopK<Vec<u64>>>,
+    fill: Vec<Histogram>,
+}
+
+/// What the dispatch plane hands [`ShardEngine::assemble`].
+struct Dispatched {
+    retries: Vec<u64>,
+    dropped_seqs: Vec<u64>,
+    dropped_per_shard: Vec<u64>,
+    sketches: Vec<TopK<Vec<u64>>>,
+    migrations: u64,
+}
+
+impl<'a> Dispatcher<'a> {
+    fn new(
+        engine: &'a ShardEngine,
+        cfg: &RunConfig,
+        faults: &'a FaultPlan,
+        n: usize,
+        depth: usize,
+        ticket: Option<&'a Ticket>,
+    ) -> Dispatcher<'a> {
+        let key = engine.plan.dispatch();
+        let telemetry_on = engine.telemetry_on();
+        let rebalancer =
+            Rebalancer::new(&cfg.batch, n, high_water(&cfg.batch, depth), key.is_some());
+        let sketched = key.is_some() && (telemetry_on || rebalancer.enabled);
+        Dispatcher {
+            n,
+            key,
+            faults,
+            policy: engine.policy,
+            batch: cfg.batch.size.max(1),
+            ticket,
+            rebalancer,
+            seq: 0,
+            steered: vec![0; n],
+            round: vec![0; n],
+            retries: vec![0; n],
+            dropped_seqs: Vec::new(),
+            dropped_per_shard: vec![0; n],
+            sketches: if sketched {
+                (0..n)
+                    .map(|_| TopK::new(engine.telemetry.hotkeys_k))
+                    .collect()
+            } else {
+                Vec::new()
+            },
+            fill: if telemetry_on {
+                (0..n).map(|_| Histogram::new(&BATCH_FILL_BOUNDS)).collect()
+            } else {
+                Vec::new()
+            },
+        }
+    }
+
+    /// Start a round: pull the next batch into `buf`. `false` at the
+    /// end of the stream.
+    fn pull(
+        &mut self,
+        source: &mut dyn WorkloadSource<Item = Packet>,
+        buf: &mut Vec<Packet>,
+    ) -> Result<bool, String> {
+        buf.clear();
+        self.round.fill(0);
+        let got = source
+            .next_batch(buf, self.batch)
+            .map_err(|e| e.to_string())?;
+        Ok(got > 0)
+    }
+
+    /// Route the next packet in arrival order to `(shard, seq, nth)`,
+    /// scrambling it in place under a garbage fault; `None` when
+    /// dispatch dropped it.
+    fn route(&mut self, pkt: &mut Packet) -> Option<(usize, u64, u64)> {
+        let seq = self.seq;
+        self.seq += 1;
+        let w = match self.key {
+            Some(key) => {
+                let w = if self.n > 1 {
+                    let h = dispatch_hash(key, pkt);
+                    self.rebalancer.route(h, (h % self.n as u64) as usize)
+                } else {
+                    0
+                };
+                if let Some(sketch) = self.sketches.get_mut(w) {
+                    sketch.offer(dispatch_values(key, pkt));
+                }
+                w
+            }
+            // Round-robin: the ticket serialises processing anyway.
+            None => (seq % self.n as u64) as usize,
+        };
+        self.round[w] += 1;
+        let nth = self.steered[w];
+        self.steered[w] += 1;
+        let (forced, garbage) = dispatch_faults(self.faults, w, nth);
+        if !simulate_dispatch(forced, &self.policy, &mut self.retries[w]) {
+            self.drop_seq(w, seq);
+            return None;
+        }
+        if garbage {
+            scramble_packet(pkt, seq);
+        }
+        Some((w, seq, nth))
+    }
+
+    /// Account one packet dropped at dispatch, and tell the ticket
+    /// about the hole so waiters can skip it.
+    fn drop_seq(&mut self, w: usize, seq: u64) {
+        if let Some(t) = self.ticket {
+            t.skip(seq);
+        }
+        self.dropped_seqs.push(seq);
+        self.dropped_per_shard[w] += 1;
+    }
+
+    /// The threaded executor's ring push: record the bin's fill, send
+    /// it, and account a whole-bin drop past the policy deadline.
+    /// `Err(())` means the worker is gone.
+    fn flush(
+        &mut self,
+        w: usize,
+        bin: &mut Bin,
+        tx: &Producer<Bin>,
+        wait_ns: &mut u64,
+    ) -> Result<(), ()> {
+        if bin.is_empty() {
+            return Ok(());
+        }
+        if let Some(h) = self.fill.get_mut(w) {
+            h.observe(bin.len() as u64);
+        }
+        let out = std::mem::replace(bin, Vec::with_capacity(self.batch));
+        if let Some(undelivered) = send_bin(tx, out, &self.policy, &mut self.retries[w], wait_ns)? {
+            for (seq, _, _) in undelivered {
+                self.drop_seq(w, seq);
+            }
+        }
+        Ok(())
+    }
+
+    /// The inline executor's batch boundary: each shard's share of the
+    /// round is both its bin fill and the rebalancer's load signal.
+    fn end_round(&mut self) {
+        for (h, &c) in self.fill.iter_mut().zip(&self.round) {
+            if c > 0 {
+                h.observe(c);
+            }
+        }
+        self.rebalancer.boundary(&self.round, &self.sketches);
+    }
+
+    /// Publish the dispatch plane's metrics and hand over its
+    /// accounting (hot keys only when telemetry is on).
+    fn finish(self, tracer: &Tracer, telemetry_on: bool) -> Dispatched {
+        for (w, h) in self.fill.iter().enumerate() {
+            tracer.merge_histogram(&format!("shard.{w}.batch.fill"), h);
+        }
+        if self.rebalancer.migrations > 0 {
+            tracer.count("shard.rebalance.migrations", self.rebalancer.migrations);
+        }
+        Dispatched {
+            retries: self.retries,
+            dropped_seqs: self.dropped_seqs,
+            dropped_per_shard: self.dropped_per_shard,
+            sketches: if telemetry_on {
+                self.sketches
+            } else {
+                Vec::new()
+            },
+            migrations: self.rebalancer.migrations,
+        }
+    }
 }
 
 /// A sharded runtime instance for one NF.
@@ -1181,1107 +1444,299 @@ impl ShardEngine {
     {
         let mut source = source;
         let faults = cfg.fault_plan.clone().unwrap_or_else(FaultPlan::new);
-        match (cfg.mode, self.plan.mode().clone()) {
-            (RunMode::Threaded, PlanMode::Partitioned(key)) => {
-                self.run_partitioned_threaded(&key, &mut source, &faults, cfg)
+        let n = if cfg.mode == RunMode::Single {
+            1
+        } else {
+            self.shards
+        };
+        // The state-access policy: shared-nothing gives every shard its
+        // own evaluator; the global lock gives all shards one.
+        let partitioned = cfg.mode == RunMode::Single || self.plan.partitioned();
+        let evals = (0..if partitioned { n } else { 1 })
+            .map(|_| Evaluator::new(self.proto.clone()))
+            .collect();
+        let workers = (0..n).map(|w| self.worker(w, cfg, &faults)).collect();
+        match cfg.mode {
+            RunMode::Threaded => {
+                self.run_threaded(workers, evals, partitioned, &mut source, cfg, &faults)
             }
-            (RunMode::Threaded, PlanMode::GlobalLock) => {
-                self.run_global_threaded(&mut source, &faults, cfg)
+            RunMode::Sequential | RunMode::Single => {
+                self.run_inline(workers, evals, partitioned, &mut source, cfg, &faults)
             }
-            (RunMode::Sequential, PlanMode::Partitioned(_)) => {
-                self.run_sequential_n(self.shards, &mut source, &faults, cfg)
-            }
-            (RunMode::Sequential, PlanMode::GlobalLock) => {
-                self.run_global_sequential(&mut source, &faults, cfg)
-            }
-            (RunMode::Single, _) => self.run_sequential_n(1, &mut source, &faults, cfg),
         }
     }
 
-    /// Run threaded over an in-memory slice.
-    #[deprecated(note = "use run_with(SliceSource::new(packets), &RunConfig::threaded())")]
-    pub fn run(&self, packets: &[Packet]) -> Result<ShardRun, ShardError> {
-        self.run_with(SliceSource::new(packets), &RunConfig::threaded())
-    }
-
-    /// Run threaded under a fault plan.
-    #[deprecated(note = "use run_with with RunConfig::threaded().with_faults(..)")]
-    pub fn run_faulted(
-        &self,
-        packets: &[Packet],
-        faults: &FaultPlan,
-    ) -> Result<ShardRun, ShardError> {
-        self.run_with(
-            SliceSource::new(packets),
-            &RunConfig::threaded().with_faults(faults.clone()),
-        )
-    }
-
-    /// Run the sharded dispatch sequentially on one thread.
-    #[deprecated(note = "use run_with(SliceSource::new(packets), &RunConfig::sequential())")]
-    pub fn run_sequential(&self, packets: &[Packet]) -> Result<ShardRun, ShardError> {
-        self.run_with(SliceSource::new(packets), &RunConfig::sequential())
-    }
-
-    /// Run sequentially under a fault plan.
-    #[deprecated(note = "use run_with with RunConfig::sequential().with_faults(..)")]
-    pub fn run_sequential_faulted(
-        &self,
-        packets: &[Packet],
-        faults: &FaultPlan,
-    ) -> Result<ShardRun, ShardError> {
-        self.run_with(
-            SliceSource::new(packets),
-            &RunConfig::sequential().with_faults(faults.clone()),
-        )
-    }
-
-    /// The one-shard reference run.
-    #[deprecated(note = "use run_with(SliceSource::new(packets), &RunConfig::single())")]
-    pub fn run_single(&self, packets: &[Packet]) -> Result<ShardRun, ShardError> {
-        self.run_with(SliceSource::new(packets), &RunConfig::single())
-    }
-
-    /// The one-shard reference run under a fault plan.
-    #[deprecated(note = "use run_with with RunConfig::single().with_faults(..)")]
-    pub fn run_single_faulted(
-        &self,
-        packets: &[Packet],
-        faults: &FaultPlan,
-    ) -> Result<ShardRun, ShardError> {
-        self.run_with(
-            SliceSource::new(packets),
-            &RunConfig::single().with_faults(faults.clone()),
-        )
-    }
-
-    /// A fresh supervised worker for shard `shard`.
-    fn shard_worker(&self, shard: usize, faults: &FaultPlan) -> ShardWorker {
+    /// A fresh worker for shard `shard`.
+    fn worker<'a>(
+        &'a self,
+        shard: usize,
+        cfg: &RunConfig,
+        faults: &'a FaultPlan,
+    ) -> ShardWorker<'a> {
+        let label = self.proto.label();
         ShardWorker {
             shard,
-            state: self.proto.clone(),
-            model: self.model.clone(),
-            faults: faults.clone(),
-            policy: self.policy,
-            label: self.proto.label(),
+            label,
+            model: self.model.as_deref(),
+            faults,
+            restart_after: self.policy.restart_after,
+            keep_outputs: cfg.keep_outputs,
+            tracer: &self.tracer,
             quarantine: Quarantine::new(self.policy.quarantine_cap),
-            fail_streak: 0,
-            restarts: 0,
-            fallbacks: 0,
+            tel: self
+                .telemetry_on()
+                .then(|| WorkerTelemetry::new(shard, label, &self.telemetry)),
+            outputs: Vec::new(),
+            pkts: 0,
+            busy_ns: 0,
+            forwarded: 0,
         }
     }
 
-    fn run_partitioned_threaded(
+    /// The inline executor: route each packet and step it on its
+    /// shard's worker at once, in arrival order, on this thread.
+    fn run_inline(
         &self,
-        key: &nfl_lint::DispatchKey,
+        mut workers: Vec<ShardWorker<'_>>,
+        mut evals: Vec<Evaluator>,
+        partitioned: bool,
         source: &mut dyn WorkloadSource<Item = Packet>,
+        cfg: &RunConfig,
         faults: &FaultPlan,
-        run_cfg: &RunConfig,
     ) -> Result<ShardRun, ShardError> {
-        let n = self.shards;
-        let policy = self.policy;
-        let telemetry_on = self.telemetry_on();
-        let cfg = self.telemetry;
-        let batch = run_cfg.batch.size.max(1);
+        let mut d = Dispatcher::new(
+            self,
+            cfg,
+            faults,
+            workers.len(),
+            cfg.batch.size.max(1),
+            None,
+        );
+        let mut buf = Vec::with_capacity(d.batch);
+        while d.pull(source, &mut buf).map_err(ShardError::Workload)? {
+            for mut pkt in buf.drain(..) {
+                if let Some((w, seq, nth)) = d.route(&mut pkt) {
+                    let ev = &mut evals[if partitioned { w } else { 0 }];
+                    workers[w].handle(ev, seq, nth, &pkt);
+                }
+            }
+            d.end_round();
+        }
+        let dispatched = d.finish(&self.tracer, self.telemetry_on());
+        self.assemble(workers, evals, partitioned, dispatched, 0, 0)
+    }
+
+    /// The threaded executor: one scoped thread per worker, fed bins
+    /// over an SPSC ring by the dispatcher on this thread.
+    fn run_threaded(
+        &self,
+        workers: Vec<ShardWorker<'_>>,
+        mut evals: Vec<Evaluator>,
+        partitioned: bool,
+        source: &mut dyn WorkloadSource<Item = Packet>,
+        cfg: &RunConfig,
+        faults: &FaultPlan,
+    ) -> Result<ShardRun, ShardError> {
+        let n = workers.len();
+        let batch = cfg.batch.size.max(1);
         let ring_bins = (RING_CAP / batch).max(2);
-        let keep_outputs = run_cfg.keep_outputs;
-        let mut rebalancer = Rebalancer::new(
-            &run_cfg.batch,
-            n,
-            threaded_high_water(&run_cfg.batch, ring_bins),
-            n > 1,
-        );
-        type ScopeOut = (
-            Vec<WorkerOut>,
-            Vec<u64>,
-            Vec<u64>,
-            Vec<u64>,
-            Vec<TopK<Vec<u64>>>,
-            u64,
-            u64,
-        );
-        let (outs, retries, dropped_seqs, dropped_per_shard, sketches, dispatch_ns, dispatch_wait_ns) =
-            std::thread::scope(|scope| -> Result<ScopeOut, ShardError> {
-                let mut producers = Vec::with_capacity(n);
-                let mut handles = Vec::with_capacity(n);
-                for w in 0..n {
-                    let (tx, rx) = nf_support::spsc::ring::<Bin>(ring_bins);
-                    producers.push(tx);
-                    let mut worker = self.shard_worker(w, faults);
-                    let tracer = self.tracer.clone();
-                    let label = self.proto.label();
-                    let handle = std::thread::Builder::new()
-                        .name(format!("nf-shard-{w}"))
-                        .spawn_scoped(scope, move || -> WorkerOut {
-                            let mut outputs = Vec::new();
-                            let (mut pkts, mut busy_ns) = (0u64, 0u64);
-                            let mut forwarded = 0u64;
-                            let wait_name = format!("shard.{w}.ring.wait.ns");
-                            let mut tel =
-                                telemetry_on.then(|| WorkerTelemetry::new(w, label, &cfg));
-                            loop {
-                                let wait = tracer.now();
-                                let Some(bin) = rx.recv() else { break };
-                                tracer.observe_ns(
-                                    &wait_name,
-                                    tracer.now().saturating_duration_since(wait).as_nanos()
-                                        as u64,
-                                );
-                                if let Some(tel) = tel.as_mut() {
-                                    // Bins still queued after this
-                                    // dequeue — the backlog signal.
-                                    tel.occupancy(rx.len() as u64);
-                                }
-                                for (seq, nth, pkt) in bin {
-                                    let t0 = tracer.now();
-                                    let step = worker.process(seq, nth, &pkt);
-                                    let step_ns = tracer
-                                        .now()
-                                        .saturating_duration_since(t0)
-                                        .as_nanos() as u64;
-                                    busy_ns += step_ns;
-                                    if let Some(tel) = tel.as_mut() {
-                                        let outcome = match &step {
-                                            Some((_, false)) => FlightOutcome::Forwarded,
-                                            Some((_, true)) => FlightOutcome::Dropped,
-                                            None => FlightOutcome::Quarantined,
-                                        };
-                                        tel.record(seq, step_ns, outcome, &pkt);
-                                        tel.maybe_flush(&tracer);
-                                    }
-                                    if let Some((outs, dropped)) = step {
-                                        pkts += 1;
-                                        if !dropped {
-                                            forwarded += 1;
-                                        }
-                                        if keep_outputs {
-                                            outputs.push(SeqOutput {
-                                                seq,
-                                                shard: w,
-                                                outputs: outs,
-                                                dropped,
-                                            });
-                                        }
-                                    }
-                                }
-                            }
-                            tracer.count(&format!("shard.{w}.pkts"), pkts);
-                            let stats = tel.map(|t| t.finish(&tracer));
-                            worker.into_out(outputs, pkts, busy_ns, forwarded, stats)
-                        })
-                        .map_err(|e| ShardError::Thread(e.to_string()))?;
-                    handles.push(handle);
-                }
-                let mut steered = vec![0u64; n];
-                let mut retries = vec![0u64; n];
-                let mut dispatch_wait_ns = 0u64;
-                let mut dropped_seqs = Vec::new();
-                let mut dropped_per_shard = vec![0u64; n];
-                // The dispatcher-side hot-key sketches serve both the
-                // telemetry plane and the rebalancer's divert decision.
-                let mut sketches: Vec<TopK<Vec<u64>>> =
-                    if telemetry_on || rebalancer.enabled {
-                        (0..n).map(|_| TopK::new(cfg.hotkeys_k)).collect()
-                    } else {
-                        Vec::new()
-                    };
-                let mut fill: Vec<Histogram> = if telemetry_on {
-                    (0..n).map(|_| Histogram::new(&BATCH_FILL_BOUNDS)).collect()
-                } else {
-                    Vec::new()
-                };
-                let mut bins: Vec<Bin> =
-                    (0..n).map(|_| Vec::with_capacity(batch)).collect();
-                let mut batch_buf: Vec<Packet> = Vec::with_capacity(batch);
-                let mut loads = vec![0u64; n];
-                let mut seq = 0u64;
-                let mut source_err: Option<String> = None;
-                let dispatch_span = self.tracer.span("shard.dispatch");
-                let d0 = self.tracer.now();
-                'dispatch: loop {
-                    batch_buf.clear();
-                    let got = match source.next_batch(&mut batch_buf, batch) {
-                        Ok(g) => g,
-                        Err(e) => {
-                            source_err = Some(e.to_string());
-                            break 'dispatch;
-                        }
-                    };
-                    if got == 0 {
-                        break;
-                    }
-                    for mut pkt in batch_buf.drain(..) {
-                        let i = seq;
-                        seq += 1;
-                        let h = dispatch_hash(key, &pkt);
-                        let hash_shard = if n > 1 { (h % n as u64) as usize } else { 0 };
-                        let w = rebalancer.route(h, hash_shard);
-                        if !sketches.is_empty() {
-                            sketches[w].offer(dispatch_values(key, &pkt));
-                        }
-                        let nth = steered[w];
-                        steered[w] += 1;
-                        let (forced, garbage) = dispatch_faults(faults, w, nth);
-                        if !simulate_dispatch(forced, &policy, &mut retries[w]) {
-                            dropped_seqs.push(i);
-                            dropped_per_shard[w] += 1;
-                            continue;
-                        }
-                        if garbage {
-                            scramble_packet(&mut pkt, i);
-                        }
-                        bins[w].push((i, nth, pkt));
-                        if bins[w].len() >= batch
-                            && flush_bin(
-                                &mut bins[w],
-                                batch,
-                                &producers[w],
-                                &policy,
-                                &mut retries[w],
-                                &mut dispatch_wait_ns,
-                                fill.get_mut(w),
-                                &mut dropped_seqs,
-                                &mut dropped_per_shard[w],
-                            )
-                            .is_err()
-                        {
-                            // The worker exited early; its join below
-                            // reports why.
-                            break 'dispatch;
-                        }
-                    }
-                    // Batch boundary: queued bins per ring are the load
-                    // signal the rebalancer watches.
-                    if rebalancer.enabled {
-                        for (l, tx) in loads.iter_mut().zip(&producers) {
-                            *l = tx.len() as u64;
-                        }
-                        rebalancer.boundary(&loads, &sketches);
-                    }
-                }
-                for w in 0..n {
-                    if flush_bin(
-                        &mut bins[w],
-                        batch,
-                        &producers[w],
-                        &policy,
-                        &mut retries[w],
-                        &mut dispatch_wait_ns,
-                        fill.get_mut(w),
-                        &mut dropped_seqs,
-                        &mut dropped_per_shard[w],
-                    )
-                    .is_err()
-                    {
-                        break;
-                    }
-                }
-                drop(producers);
-                let dispatch_ns =
-                    self.tracer.now().saturating_duration_since(d0).as_nanos() as u64;
-                dispatch_span.end();
-                for (w, h) in fill.iter().enumerate() {
-                    if h.count > 0 {
-                        self.tracer
-                            .merge_histogram(&format!("shard.{w}.batch.fill"), h);
-                    }
-                }
-                let mut outs = Vec::with_capacity(n);
-                for (i, handle) in handles.into_iter().enumerate() {
-                    match handle.join() {
-                        Ok(out) => outs.push(out),
-                        Err(payload) => {
-                            return Err(ShardError::Thread(format!(
-                                "shard {i} panicked: {}",
-                                panic_message(payload.as_ref())
-                            )))
-                        }
-                    }
-                }
-                if let Some(e) = source_err {
-                    return Err(ShardError::Workload(e));
-                }
-                Ok((
-                    outs,
-                    retries,
-                    dropped_seqs,
-                    dropped_per_shard,
-                    sketches,
-                    dispatch_ns,
-                    dispatch_wait_ns,
-                ))
-            })?;
-        if rebalancer.migrations > 0 {
-            self.tracer
-                .count("shard.rebalance.migrations", rebalancer.migrations);
-        }
-        let stats_sketches = if telemetry_on { sketches } else { Vec::new() };
-        let mut run = self.assemble(
-            outs,
-            true,
-            retries,
-            dropped_seqs,
-            dropped_per_shard,
-            stats_sketches,
-            dispatch_ns,
-            dispatch_wait_ns,
-        )?;
-        run.migrations = rebalancer.migrations;
-        Ok(run)
-    }
-
-    fn run_global_threaded(
-        &self,
-        source: &mut dyn WorkloadSource<Item = Packet>,
-        faults: &FaultPlan,
-        run_cfg: &RunConfig,
-    ) -> Result<ShardRun, ShardError> {
-        let n = self.shards;
-        let policy = self.policy;
-        let telemetry_on = self.telemetry_on();
-        let cfg = self.telemetry;
-        let batch = run_cfg.batch.size.max(1);
-        let ring_bins = (RING_CAP / batch).max(2);
-        let keep_outputs = run_cfg.keep_outputs;
-        let shared = Arc::new(Mutex::new(self.proto.clone()));
-        let turn = Arc::new(AtomicU64::new(0));
-        // Seqs that will never be processed (dropped at dispatch): a
-        // waiter whose turn never comes checks here and advances the
-        // ticket past them, so a drop cannot stall the run.
-        let skipped = Arc::new(Mutex::new(BTreeSet::<u64>::new()));
-        type ScopeOut = (Vec<WorkerOut>, Vec<u64>, Vec<u64>, Vec<u64>, u64, u64);
-        let (mut outs, retries, mut dropped_seqs, dropped_per_shard, dispatch_ns, dispatch_wait_ns) =
-            std::thread::scope(|scope| -> Result<ScopeOut, ShardError> {
-                let mut producers = Vec::with_capacity(n);
-                let mut handles = Vec::with_capacity(n);
-                for w in 0..n {
-                    let (tx, rx) = nf_support::spsc::ring::<Bin>(ring_bins);
-                    producers.push(tx);
-                    let shared = Arc::clone(&shared);
-                    let turn = Arc::clone(&turn);
-                    let skipped = Arc::clone(&skipped);
-                    let model = self.model.clone();
-                    let faults = faults.clone();
-                    let label = self.proto.label();
-                    let tracer = self.tracer.clone();
-                    let handle = std::thread::Builder::new()
-                        .name(format!("nf-shard-{w}"))
-                        .spawn_scoped(scope, move || -> Result<WorkerOut, String> {
-                            let mut poison = PoisonTicket {
-                                turn: Arc::clone(&turn),
-                                armed: true,
-                            };
-                            let mut outputs = Vec::new();
-                            let (mut pkts, mut busy_ns) = (0u64, 0u64);
-                            let mut forwarded = 0u64;
-                            let mut quarantine = Quarantine::new(policy.quarantine_cap);
-                            let (mut fail_streak, mut restarts) = (0u32, 0u64);
-                            let mut fallbacks = 0u64;
-                            let mut tel =
-                                telemetry_on.then(|| WorkerTelemetry::new(w, label, &cfg));
-                            while let Some(bin) = rx.recv() {
-                                if let Some(tel) = tel.as_mut() {
-                                    tel.occupancy(rx.len() as u64);
-                                }
-                                for (seq, nth, pkt) in bin {
-                                // Ticket lock: process strictly in arrival
-                                // order so the run is bit-identical to the
-                                // single-threaded reference. `u64::MAX` is
-                                // the poison ticket a failing shard leaves
-                                // behind so nobody spins forever.
-                                let wait = tracer.now();
-                                let mut backoff = Backoff::new();
-                                loop {
-                                    match turn.load(Ordering::Acquire) {
-                                        t if t == seq => break,
-                                        u64::MAX => {
-                                            return Err(ABORTED.into());
-                                        }
-                                        t => {
-                                            if backoff.yields() {
-                                                let set = skipped
-                                                    .lock()
-                                                    .unwrap_or_else(|e| e.into_inner());
-                                                if set.contains(&t) {
-                                                    let _ = turn.compare_exchange(
-                                                        t,
-                                                        t + 1,
-                                                        Ordering::AcqRel,
-                                                        Ordering::Acquire,
-                                                    );
-                                                    continue;
-                                                }
-                                            }
-                                            backoff.snooze();
-                                        }
-                                    }
-                                }
-                                let mut guard =
-                                    shared.lock().unwrap_or_else(|e| e.into_inner());
-                                tracer.observe_ns(
-                                    "lock.wait.ns",
-                                    tracer.now().saturating_duration_since(wait).as_nanos()
-                                        as u64,
-                                );
-                                let t0 = tracer.now();
-                                let step = supervised_step(
-                                    &mut guard,
-                                    model.as_deref(),
-                                    w,
-                                    nth,
-                                    &pkt,
-                                    &faults,
-                                    &mut fallbacks,
-                                );
-                                match step {
-                                    Ok((outs, dropped)) => {
-                                        fail_streak = 0;
-                                        drop(guard);
-                                        turn.store(seq + 1, Ordering::Release);
-                                        let step_ns = tracer
-                                            .now()
-                                            .saturating_duration_since(t0)
-                                            .as_nanos()
-                                            as u64;
-                                        busy_ns += step_ns;
-                                        if let Some(tel) = tel.as_mut() {
-                                            let outcome = if dropped {
-                                                FlightOutcome::Dropped
-                                            } else {
-                                                FlightOutcome::Forwarded
-                                            };
-                                            tel.record(seq, step_ns, outcome, &pkt);
-                                            tel.maybe_flush(&tracer);
-                                        }
-                                        pkts += 1;
-                                        if !dropped {
-                                            forwarded += 1;
-                                        }
-                                        if keep_outputs {
-                                            outputs.push(SeqOutput {
-                                                seq,
-                                                shard: w,
-                                                outputs: outs,
-                                                dropped,
-                                            });
-                                        }
-                                    }
-                                    Err(error) => {
-                                        // Contained: quarantine, advance
-                                        // the ticket, keep running.
-                                        fail_streak += 1;
-                                        if fail_streak >= policy.restart_after {
-                                            guard.refresh();
-                                            restarts += 1;
-                                            fail_streak = 0;
-                                        }
-                                        drop(guard);
-                                        turn.store(seq + 1, Ordering::Release);
-                                        let step_ns = tracer
-                                            .now()
-                                            .saturating_duration_since(t0)
-                                            .as_nanos()
-                                            as u64;
-                                        busy_ns += step_ns;
-                                        if let Some(tel) = tel.as_mut() {
-                                            tel.record(
-                                                seq,
-                                                step_ns,
-                                                FlightOutcome::Quarantined,
-                                                &pkt,
-                                            );
-                                            tel.maybe_flush(&tracer);
-                                        }
-                                        quarantine.push(QuarantineRecord {
-                                            seq,
-                                            shard: w,
-                                            backend: label,
-                                            error,
-                                            packet: pkt.clone(),
-                                        });
-                                    }
-                                }
-                                }
-                            }
-                            poison.armed = false;
-                            tracer.count(&format!("shard.{w}.pkts"), pkts);
-                            let (quarantined, quarantined_seqs) = quarantine.into_parts();
-                            let stats = tel.map(|t| t.finish(&tracer));
-                            Ok(WorkerOut {
-                                outputs,
-                                snapshot: BTreeMap::new(),
-                                pkts,
-                                busy_ns,
-                                forwarded,
-                                quarantined,
-                                quarantined_seqs,
-                                restarts,
-                                fallbacks,
-                                stats,
-                            })
-                        })
-                        .map_err(|e| ShardError::Thread(e.to_string()))?;
-                    handles.push(handle);
-                }
-                let mut steered = vec![0u64; n];
-                let mut retries = vec![0u64; n];
-                let mut dispatch_wait_ns = 0u64;
-                let mut dropped_seqs = Vec::new();
-                let mut dropped_per_shard = vec![0u64; n];
-                let mut fill: Vec<Histogram> = if telemetry_on {
-                    (0..n).map(|_| Histogram::new(&BATCH_FILL_BOUNDS)).collect()
-                } else {
-                    Vec::new()
-                };
-                let mut bins: Vec<Bin> =
-                    (0..n).map(|_| Vec::with_capacity(batch)).collect();
-                let mut batch_buf: Vec<Packet> = Vec::with_capacity(batch);
-                let mut seq = 0u64;
-                let mut source_err: Option<String> = None;
-                let dispatch_span = self.tracer.span("shard.dispatch");
-                let d0 = self.tracer.now();
-                'dispatch: loop {
-                    batch_buf.clear();
-                    let got = match source.next_batch(&mut batch_buf, batch) {
-                        Ok(g) => g,
-                        Err(e) => {
-                            source_err = Some(e.to_string());
-                            break 'dispatch;
-                        }
-                    };
-                    if got == 0 {
-                        break;
-                    }
-                    for mut pkt in batch_buf.drain(..) {
-                        let i = seq;
-                        seq += 1;
-                        // Round-robin: the ticket serialises processing
-                        // anyway.
-                        let w = (i % n as u64) as usize;
-                        let nth = steered[w];
-                        steered[w] += 1;
-                        let (forced, garbage) = dispatch_faults(faults, w, nth);
-                        if !simulate_dispatch(forced, &policy, &mut retries[w]) {
-                            // Record the hole in the ticket sequence
-                            // before accounting, so waiters can skip it.
-                            skipped
-                                .lock()
-                                .unwrap_or_else(|e| e.into_inner())
-                                .insert(i);
-                            let _ = turn.compare_exchange(
-                                i,
-                                i + 1,
-                                Ordering::AcqRel,
-                                Ordering::Acquire,
-                            );
-                            dropped_seqs.push(i);
-                            dropped_per_shard[w] += 1;
-                            continue;
-                        }
-                        if garbage {
-                            scramble_packet(&mut pkt, i);
-                        }
-                        bins[w].push((i, nth, pkt));
-                        if bins[w].len() >= batch
-                            && flush_bin_global(
-                                &mut bins[w],
-                                batch,
-                                &producers[w],
-                                &policy,
-                                &mut retries[w],
-                                &mut dispatch_wait_ns,
-                                fill.get_mut(w),
-                                &mut dropped_seqs,
-                                &mut dropped_per_shard[w],
-                                &skipped,
-                                &turn,
-                            )
-                            .is_err()
-                        {
-                            break 'dispatch;
-                        }
-                    }
-                }
-                for w in 0..n {
-                    if flush_bin_global(
-                        &mut bins[w],
-                        batch,
-                        &producers[w],
-                        &policy,
-                        &mut retries[w],
-                        &mut dispatch_wait_ns,
-                        fill.get_mut(w),
-                        &mut dropped_seqs,
-                        &mut dropped_per_shard[w],
-                        &skipped,
-                        &turn,
-                    )
-                    .is_err()
-                    {
-                        break;
-                    }
-                }
-                drop(producers);
-                let dispatch_ns =
-                    self.tracer.now().saturating_duration_since(d0).as_nanos() as u64;
-                dispatch_span.end();
-                for (w, h) in fill.iter().enumerate() {
-                    if h.count > 0 {
-                        self.tracer
-                            .merge_histogram(&format!("shard.{w}.batch.fill"), h);
-                    }
-                }
-                // Join everything, then report the root cause rather than
-                // a bystander's abort.
-                let mut outs = Vec::with_capacity(n);
-                let mut aborted = false;
-                let mut failure: Option<ShardError> = None;
-                for (i, handle) in handles.into_iter().enumerate() {
-                    match handle.join() {
-                        Ok(Ok(out)) => outs.push(out),
-                        Ok(Err(e)) if e == ABORTED => aborted = true,
-                        Ok(Err(e)) => failure = failure.or(Some(ShardError::Runtime(e))),
-                        Err(payload) => {
-                            turn.store(u64::MAX, Ordering::Release);
-                            failure = failure.or(Some(ShardError::Thread(format!(
-                                "shard {i} panicked: {}",
-                                panic_message(payload.as_ref())
-                            ))));
-                        }
-                    }
-                }
-                if let Some(err) = failure {
-                    return Err(err);
-                }
-                if aborted {
-                    return Err(ShardError::Thread(
-                        "worker aborted without a cause".into(),
-                    ));
-                }
-                if let Some(e) = source_err {
-                    return Err(ShardError::Workload(e));
-                }
-                Ok((
-                    outs,
-                    retries,
-                    dropped_seqs,
-                    dropped_per_shard,
-                    dispatch_ns,
-                    dispatch_wait_ns,
-                ))
-            })?;
-        let mut outputs: Vec<SeqOutput> = outs.iter().flat_map(|o| o.outputs.clone()).collect();
-        outputs.sort_by_key(|o| o.seq);
-        let forwarded = outs.iter().map(|o| o.forwarded).sum();
-        let merge_span = self.tracer.span("shard.merge");
-        let m0 = self.tracer.now();
-        let merged = shared.lock().unwrap_or_else(|e| e.into_inner()).snapshot();
-        let merge_ns = self.tracer.now().saturating_duration_since(m0).as_nanos() as u64;
-        merge_span.end();
-        let per_shard_pkts = outs.iter().map(|o| o.pkts).collect();
-        let busy_ns = outs.iter().map(|o| o.busy_ns).collect();
-        let shard_stats: Vec<ShardStats> =
-            outs.iter_mut().filter_map(|o| o.stats.take()).collect();
-        let (quarantined, quarantined_seqs, restarts, fallbacks) =
-            self.fold_faults(&mut outs, &retries, &dropped_per_shard);
-        dropped_seqs.sort_unstable();
-        let stats = (!shard_stats.is_empty()).then(|| {
-            RunStats::assemble(
-                shard_stats,
-                Vec::new(),
-                None,
-                dispatch_ns,
-                merge_ns,
-                &self.tracer,
-            )
+        let ticket = if partitioned { None } else { evals.pop() }.map(|ev| Ticket {
+            eval: Mutex::new(ev),
+            turn: AtomicU64::new(0),
+            skipped: Mutex::new(BTreeSet::new()),
         });
-        Ok(ShardRun {
-            outputs,
-            merged,
-            per_shard_pkts,
-            busy_ns,
-            partitioned: false,
-            quarantined,
-            quarantined_seqs,
-            dropped_seqs,
-            restarts,
-            retries: retries.iter().sum(),
-            fallbacks,
-            forwarded,
-            migrations: 0,
-            dispatch_ns,
-            dispatch_wait_ns,
-            stats,
-        })
-    }
-
-    fn run_sequential_n(
-        &self,
-        n: usize,
-        source: &mut dyn WorkloadSource<Item = Packet>,
-        faults: &FaultPlan,
-        run_cfg: &RunConfig,
-    ) -> Result<ShardRun, ShardError> {
-        let telemetry_on = self.telemetry_on();
-        let batch = run_cfg.batch.size.max(1);
-        let mut workers: Vec<ShardWorker> =
-            (0..n).map(|w| self.shard_worker(w, faults)).collect();
-        let mut tels: Vec<Option<WorkerTelemetry>> = (0..n)
-            .map(|w| {
-                telemetry_on
-                    .then(|| WorkerTelemetry::new(w, self.proto.label(), &self.telemetry))
-            })
-            .collect();
-        // Hot keys are a property of the dispatch key; a global-lock
-        // plan has none, so its profile is naturally empty.
-        let key = self.plan.dispatch().cloned();
-        let mut rebalancer = Rebalancer::new(
-            &run_cfg.batch,
-            n,
-            sequential_high_water(&run_cfg.batch, batch),
-            key.is_some() && n > 1,
-        );
-        let mut sketches: Vec<TopK<Vec<u64>>> =
-            if key.is_some() && (telemetry_on || rebalancer.enabled) {
-                (0..n).map(|_| TopK::new(self.telemetry.hotkeys_k)).collect()
-            } else {
-                Vec::new()
-            };
-        let mut fill: Vec<Histogram> = if telemetry_on {
-            (0..n).map(|_| Histogram::new(&BATCH_FILL_BOUNDS)).collect()
-        } else {
-            Vec::new()
+        let accesses: Vec<Access<'_>> = match &ticket {
+            Some(t) => (0..n).map(|_| Access::Ticket(t)).collect(),
+            None => evals.into_iter().map(Access::Own).collect(),
         };
-        let mut outputs = Vec::new();
-        let mut forwarded = 0u64;
-        let mut pkts = vec![0u64; n];
-        let mut busy = vec![0u64; n];
-        let mut steered = vec![0u64; n];
-        let mut retries = vec![0u64; n];
-        let mut dropped_seqs = Vec::new();
-        let mut dropped_per_shard = vec![0u64; n];
-        let mut seq = 0u64;
-        let mut batch_buf: Vec<Packet> = Vec::with_capacity(batch);
-        // Per-round bin fill doubles as the (deterministic) load signal
-        // the rebalancer watches in sequential mode.
-        let mut round_fill = vec![0u64; n];
-        loop {
-            batch_buf.clear();
-            let got = source
-                .next_batch(&mut batch_buf, batch)
-                .map_err(|e| ShardError::Workload(e.to_string()))?;
-            if got == 0 {
-                break;
+        let mut d = Dispatcher::new(self, cfg, faults, n, ring_bins, ticket.as_ref());
+        let joined = std::thread::scope(|scope| -> Result<_, ShardError> {
+            let mut producers = Vec::with_capacity(n);
+            let mut handles = Vec::with_capacity(n);
+            for (worker, access) in workers.into_iter().zip(accesses) {
+                let (tx, rx) = nf_support::spsc::ring::<Bin>(ring_bins);
+                producers.push(tx);
+                let handle = std::thread::Builder::new()
+                    .name(format!("nf-shard-{}", worker.shard))
+                    .spawn_scoped(scope, move || worker.drain(rx, access))
+                    .map_err(|e| ShardError::Thread(e.to_string()))?;
+                handles.push(handle);
             }
-            round_fill.iter_mut().for_each(|c| *c = 0);
-            for mut pkt in batch_buf.drain(..) {
-                let i = seq;
-                seq += 1;
-                let w = match &key {
-                    Some(k) if n > 1 => {
-                        let h = dispatch_hash(k, &pkt);
-                        rebalancer.route(h, (h % n as u64) as usize)
+            let mut bins: Vec<Bin> = (0..n).map(|_| Vec::with_capacity(batch)).collect();
+            let mut buf = Vec::with_capacity(batch);
+            let mut wait_ns = 0u64;
+            let mut source_err = None;
+            let dispatch_span = self.tracer.span("shard.dispatch");
+            let d0 = self.tracer.now();
+            'dispatch: loop {
+                match d.pull(source, &mut buf) {
+                    Ok(true) => {}
+                    Ok(false) => break,
+                    Err(e) => {
+                        source_err = Some(e);
+                        break;
                     }
-                    _ => 0,
-                };
-                if !sketches.is_empty() {
-                    if let Some(k) = &key {
-                        sketches[w].offer(dispatch_values(k, &pkt));
-                    }
                 }
-                round_fill[w] += 1;
-                let nth = steered[w];
-                steered[w] += 1;
-                let (forced, garbage) = dispatch_faults(faults, w, nth);
-                if !simulate_dispatch(forced, &self.policy, &mut retries[w]) {
-                    dropped_seqs.push(i);
-                    dropped_per_shard[w] += 1;
-                    continue;
-                }
-                if garbage {
-                    scramble_packet(&mut pkt, i);
-                }
-                let t0 = self.tracer.now();
-                let step = workers[w].process(i, nth, &pkt);
-                let step_ns =
-                    self.tracer.now().saturating_duration_since(t0).as_nanos() as u64;
-                busy[w] += step_ns;
-                if let Some(tel) = tels[w].as_mut() {
-                    let outcome = match &step {
-                        Some((_, false)) => FlightOutcome::Forwarded,
-                        Some((_, true)) => FlightOutcome::Dropped,
-                        None => FlightOutcome::Quarantined,
+                for mut pkt in buf.drain(..) {
+                    let Some((w, seq, nth)) = d.route(&mut pkt) else {
+                        continue;
                     };
-                    tel.record(i, step_ns, outcome, &pkt);
-                    tel.maybe_flush(&self.tracer);
-                }
-                if let Some((outs, dropped)) = step {
-                    pkts[w] += 1;
-                    if !dropped {
-                        forwarded += 1;
-                    }
-                    if run_cfg.keep_outputs {
-                        outputs.push(SeqOutput {
-                            seq: i,
-                            shard: w,
-                            outputs: outs,
-                            dropped,
-                        });
+                    bins[w].push((seq, nth, pkt));
+                    if bins[w].len() >= batch
+                        && d.flush(w, &mut bins[w], &producers[w], &mut wait_ns)
+                            .is_err()
+                    {
+                        // The worker exited early; its join reports why.
+                        break 'dispatch;
                     }
                 }
-            }
-            for (h, &c) in fill.iter_mut().zip(&round_fill) {
-                if c > 0 {
-                    h.observe(c);
+                // Batch boundary: queued bins per ring are the load
+                // signal the rebalancer watches.
+                if d.rebalancer.enabled {
+                    let loads: Vec<u64> = producers.iter().map(|tx| tx.len() as u64).collect();
+                    d.rebalancer.boundary(&loads, &d.sketches);
                 }
             }
-            rebalancer.boundary(&round_fill, &sketches);
-        }
-        for (w, count) in pkts.iter().enumerate() {
-            self.tracer.count(&format!("shard.{w}.pkts"), *count);
-        }
-        for (w, h) in fill.iter().enumerate() {
-            if h.count > 0 {
-                self.tracer.merge_histogram(&format!("shard.{w}.batch.fill"), h);
+            for (w, bin) in bins.iter_mut().enumerate() {
+                if d.flush(w, bin, &producers[w], &mut wait_ns).is_err() {
+                    break;
+                }
             }
-        }
-        if rebalancer.migrations > 0 {
-            self.tracer
-                .count("shard.rebalance.migrations", rebalancer.migrations);
-        }
-        let outs: Vec<WorkerOut> = workers
-            .into_iter()
-            .zip(pkts)
-            .zip(busy)
-            .zip(tels)
-            .map(|(((worker, pkts), busy_ns), tel)| {
-                let stats = tel.map(|t| t.finish(&self.tracer));
-                worker.into_out(Vec::new(), pkts, busy_ns, 0, stats)
-            })
-            .collect();
-        let stats_sketches = if telemetry_on { sketches } else { Vec::new() };
-        let mut run = self.assemble(
-            outs,
-            true,
-            retries,
-            dropped_seqs,
-            dropped_per_shard,
-            stats_sketches,
-            0,
-            0,
-        )?;
-        run.outputs = outputs;
-        run.forwarded = forwarded;
-        run.migrations = rebalancer.migrations;
-        Ok(run)
-    }
-
-    fn run_global_sequential(
-        &self,
-        source: &mut dyn WorkloadSource<Item = Packet>,
-        faults: &FaultPlan,
-        run_cfg: &RunConfig,
-    ) -> Result<ShardRun, ShardError> {
-        let n = self.shards;
-        let telemetry_on = self.telemetry_on();
-        let batch = run_cfg.batch.size.max(1);
-        // One shared evaluator; the worker's shard index is rewritten
-        // per packet so faults and quarantine records land on the right
-        // virtual shard.
-        let mut worker = self.shard_worker(0, faults);
-        let mut tels: Vec<Option<WorkerTelemetry>> = (0..n)
-            .map(|w| {
-                telemetry_on
-                    .then(|| WorkerTelemetry::new(w, self.proto.label(), &self.telemetry))
-            })
-            .collect();
-        let mut fill: Vec<Histogram> = if telemetry_on {
-            (0..n).map(|_| Histogram::new(&BATCH_FILL_BOUNDS)).collect()
-        } else {
-            Vec::new()
-        };
-        let mut outputs = Vec::new();
-        let mut forwarded = 0u64;
-        let mut pkts = vec![0u64; n];
-        let mut busy = vec![0u64; n];
-        let mut steered = vec![0u64; n];
-        let mut retries = vec![0u64; n];
-        let mut quarantined_per_shard = vec![0u64; n];
-        let mut dropped_seqs = Vec::new();
-        let mut dropped_per_shard = vec![0u64; n];
-        let mut seq = 0u64;
-        let mut batch_buf: Vec<Packet> = Vec::with_capacity(batch);
-        let mut round_fill = vec![0u64; n];
-        loop {
-            batch_buf.clear();
-            let got = source
-                .next_batch(&mut batch_buf, batch)
-                .map_err(|e| ShardError::Workload(e.to_string()))?;
-            if got == 0 {
-                break;
-            }
-            round_fill.iter_mut().for_each(|c| *c = 0);
-            for mut pkt in batch_buf.drain(..) {
-                let i = seq;
-                seq += 1;
-                let w = (i % n as u64) as usize;
-                round_fill[w] += 1;
-                let nth = steered[w];
-                steered[w] += 1;
-                let (forced, garbage) = dispatch_faults(faults, w, nth);
-                if !simulate_dispatch(forced, &self.policy, &mut retries[w]) {
-                    dropped_seqs.push(i);
-                    dropped_per_shard[w] += 1;
-                    continue;
-                }
-                if garbage {
-                    scramble_packet(&mut pkt, i);
-                }
-                worker.shard = w;
-                let t0 = self.tracer.now();
-                let step = worker.process(i, nth, &pkt);
-                let step_ns =
-                    self.tracer.now().saturating_duration_since(t0).as_nanos() as u64;
-                busy[w] += step_ns;
-                if let Some(tel) = tels[w].as_mut() {
-                    let outcome = match &step {
-                        Some((_, false)) => FlightOutcome::Forwarded,
-                        Some((_, true)) => FlightOutcome::Dropped,
-                        None => FlightOutcome::Quarantined,
-                    };
-                    tel.record(i, step_ns, outcome, &pkt);
-                    tel.maybe_flush(&self.tracer);
-                }
-                if let Some((outs, dropped)) = step {
-                    pkts[w] += 1;
-                    if !dropped {
-                        forwarded += 1;
+            drop(producers);
+            let dispatch_ns = self.tracer.now().saturating_duration_since(d0).as_nanos() as u64;
+            dispatch_span.end();
+            // Join everything, then report the root cause rather than a
+            // bystander's abort.
+            let (mut done, mut own, mut aborted, mut failure) =
+                (Vec::new(), Vec::new(), false, None);
+            for (w, handle) in handles.into_iter().enumerate() {
+                match handle.join() {
+                    Ok(Ok((worker, access))) => {
+                        done.push(worker);
+                        if let Access::Own(ev) = access {
+                            own.push(ev);
+                        }
                     }
-                    if run_cfg.keep_outputs {
-                        outputs.push(SeqOutput {
-                            seq: i,
-                            shard: w,
-                            outputs: outs,
-                            dropped,
-                        });
+                    Ok(Err(())) => aborted = true,
+                    Err(payload) => {
+                        let msg = panic_message(payload.as_ref());
+                        failure = failure.or(Some(ShardError::Thread(format!(
+                            "shard {w} panicked: {msg}"
+                        ))));
                     }
-                } else {
-                    quarantined_per_shard[w] += 1;
                 }
             }
-            for (h, &c) in fill.iter_mut().zip(&round_fill) {
-                if c > 0 {
-                    h.observe(c);
-                }
+            if let Some(err) = failure {
+                return Err(err);
             }
-        }
-        for (w, count) in pkts.iter().enumerate() {
-            self.tracer.count(&format!("shard.{w}.pkts"), *count);
-        }
-        for (w, h) in fill.iter().enumerate() {
-            if h.count > 0 {
-                self.tracer.merge_histogram(&format!("shard.{w}.batch.fill"), h);
+            if aborted {
+                return Err(ShardError::Thread("worker aborted without a cause".into()));
             }
-        }
-        for (w, q) in quarantined_per_shard.iter().enumerate() {
-            if *q > 0 {
-                self.tracer.count(&format!("shard.{w}.quarantined"), *q);
+            if let Some(e) = source_err {
+                return Err(ShardError::Workload(e));
             }
-        }
-        for (w, r) in retries.iter().enumerate() {
-            if *r > 0 {
-                self.tracer.count(&format!("shard.{w}.retries"), *r);
-            }
-        }
-        for (w, d) in dropped_per_shard.iter().enumerate() {
-            if *d > 0 {
-                self.tracer.count(&format!("shard.{w}.dropped"), *d);
-            }
-        }
-        if worker.restarts > 0 {
-            self.tracer.count("shard.0.restarts", worker.restarts);
-        }
-        if worker.fallbacks > 0 {
-            self.tracer.count("backend.fallbacks", worker.fallbacks);
-        }
-        let restarts = worker.restarts;
-        let fallbacks = worker.fallbacks;
-        let merge_span = self.tracer.span("shard.merge");
-        let m0 = self.tracer.now();
-        let merged = worker.state.snapshot();
-        let merge_ns = self.tracer.now().saturating_duration_since(m0).as_nanos() as u64;
-        merge_span.end();
-        let shard_stats: Vec<ShardStats> = tels
-            .into_iter()
-            .flatten()
-            .map(|t| t.finish(&self.tracer))
-            .collect();
-        let stats = (!shard_stats.is_empty()).then(|| {
-            RunStats::assemble(shard_stats, Vec::new(), None, 0, merge_ns, &self.tracer)
+            Ok((done, own, dispatch_ns, wait_ns))
         });
-        let (mut quarantined, mut quarantined_seqs) = worker.quarantine.into_parts();
-        quarantined.sort_by_key(|r| r.seq);
-        quarantined.truncate(self.policy.quarantine_cap);
-        quarantined_seqs.sort_unstable();
-        dropped_seqs.sort_unstable();
-        Ok(ShardRun {
-            outputs,
-            merged,
-            per_shard_pkts: pkts,
-            busy_ns: busy,
-            partitioned: false,
-            quarantined,
-            quarantined_seqs,
-            dropped_seqs,
-            restarts,
-            retries: retries.iter().sum(),
-            fallbacks,
-            forwarded,
-            migrations: 0,
-            dispatch_ns: 0,
-            dispatch_wait_ns: 0,
-            stats,
-        })
+        let (workers, mut evals, dispatch_ns, wait_ns) = joined?;
+        let dispatched = d.finish(&self.tracer, self.telemetry_on());
+        if let Some(t) = ticket {
+            evals.push(t.eval.into_inner().unwrap_or_else(|e| e.into_inner()));
+        }
+        self.assemble(
+            workers,
+            evals,
+            partitioned,
+            dispatched,
+            dispatch_ns,
+            wait_ns,
+        )
     }
 
-    /// Sort outputs, merge per-shard snapshots, fold the workers' fault
-    /// accounting into the run, and assemble the telemetry plane's
-    /// [`RunStats`] (hot-key sketches come from the dispatcher).
-    #[allow(clippy::too_many_arguments)]
+    /// Build the run's [`ShardRun`] — the one place every run ends:
+    /// merge the evaluators' state, fold the workers' and the
+    /// dispatcher's accounting into the run and its metrics, sort what
+    /// was retained, and assemble the telemetry plane's [`RunStats`].
     fn assemble(
         &self,
-        mut outs: Vec<WorkerOut>,
+        workers: Vec<ShardWorker<'_>>,
+        evals: Vec<Evaluator>,
         partitioned: bool,
-        retries: Vec<u64>,
-        mut dropped_seqs: Vec<u64>,
-        dropped_per_shard: Vec<u64>,
-        sketches: Vec<TopK<Vec<u64>>>,
+        d: Dispatched,
         dispatch_ns: u64,
         dispatch_wait_ns: u64,
     ) -> Result<ShardRun, ShardError> {
-        let mut outputs: Vec<SeqOutput> = outs.iter().flat_map(|o| o.outputs.clone()).collect();
-        outputs.sort_by_key(|o| o.seq);
-        let initial = self.proto.snapshot();
+        let initial = if partitioned {
+            self.proto.snapshot()
+        } else {
+            BTreeMap::new()
+        };
         let merge_span = self.tracer.span("shard.merge");
         let m0 = self.tracer.now();
-        let snapshots: Vec<&BTreeMap<String, Value>> =
-            outs.iter().map(|o| &o.snapshot).collect();
-        let merged = merge_states(&self.report, &initial, &snapshots)?;
+        // Each evaluator is dropped as soon as it is snapshotted, so the
+        // merge never holds live state, snapshot and merged view at once.
+        // Restarts belong to evaluators: under the global lock the one
+        // shared evaluator reports as shard 0.
+        let (mut restarts, mut fallbacks) = (0, 0);
+        let mut snapshots = Vec::with_capacity(evals.len());
+        for (e, ev) in evals.into_iter().enumerate() {
+            if ev.restarts > 0 {
+                self.tracer
+                    .count(&format!("shard.{e}.restarts"), ev.restarts);
+            }
+            restarts += ev.restarts;
+            fallbacks += ev.fallbacks;
+            snapshots.push(ev.state.snapshot());
+        }
+        let merged = if partitioned {
+            merge_states(&self.report, &initial, &snapshots)?
+        } else {
+            snapshots.pop().unwrap_or_default()
+        };
         let merge_ns = self.tracer.now().saturating_duration_since(m0).as_nanos() as u64;
         merge_span.end();
-        let per_shard_pkts = outs.iter().map(|o| o.pkts).collect();
-        let busy_ns = outs.iter().map(|o| o.busy_ns).collect();
-        let forwarded = outs.iter().map(|o| o.forwarded).sum();
-        let shard_stats: Vec<ShardStats> =
-            outs.iter_mut().filter_map(|o| o.stats.take()).collect();
-        let (quarantined, quarantined_seqs, restarts, fallbacks) =
-            self.fold_faults(&mut outs, &retries, &dropped_per_shard);
+        let (mut outputs, mut quarantined, mut quarantined_seqs) =
+            (Vec::new(), Vec::new(), Vec::new());
+        let (mut per_shard_pkts, mut busy_ns, mut forwarded) = (Vec::new(), Vec::new(), 0);
+        let mut shard_stats = Vec::new();
+        for w in workers {
+            let s = w.shard;
+            self.tracer.count(&format!("shard.{s}.pkts"), w.pkts);
+            let (records, seqs) = w.quarantine.into_parts();
+            if !seqs.is_empty() {
+                self.tracer
+                    .count(&format!("shard.{s}.quarantined"), seqs.len() as u64);
+            }
+            per_shard_pkts.push(w.pkts);
+            busy_ns.push(w.busy_ns);
+            forwarded += w.forwarded;
+            outputs.extend(w.outputs);
+            quarantined.extend(records);
+            quarantined_seqs.extend(seqs);
+            shard_stats.extend(w.tel.map(|t| t.finish(&self.tracer)));
+        }
+        for (w, (&r, &x)) in d.retries.iter().zip(&d.dropped_per_shard).enumerate() {
+            if r > 0 {
+                self.tracer.count(&format!("shard.{w}.retries"), r);
+            }
+            if x > 0 {
+                self.tracer.count(&format!("shard.{w}.dropped"), x);
+            }
+        }
+        if fallbacks > 0 {
+            self.tracer.count("backend.fallbacks", fallbacks);
+        }
+        outputs.sort_by_key(|o| o.seq);
+        quarantined.sort_by_key(|r| r.seq);
+        quarantined.truncate(self.policy.quarantine_cap);
+        quarantined_seqs.sort_unstable();
+        let mut dropped_seqs = d.dropped_seqs;
         dropped_seqs.sort_unstable();
         let stats = (!shard_stats.is_empty()).then(|| {
+            let key = self.plan.dispatch();
             RunStats::assemble(
                 shard_stats,
-                sketches,
-                self.plan.dispatch(),
+                d.sketches,
+                key,
                 dispatch_ns,
                 merge_ns,
                 &self.tracer,
@@ -2297,60 +1752,14 @@ impl ShardEngine {
             quarantined_seqs,
             dropped_seqs,
             restarts,
-            retries: retries.iter().sum(),
+            retries: d.retries.iter().sum(),
             fallbacks,
             forwarded,
-            migrations: 0,
+            migrations: d.migrations,
             dispatch_ns,
             dispatch_wait_ns,
             stats,
         })
-    }
-
-    /// Drain the workers' quarantine/restart/fallback accounting,
-    /// emitting nonzero per-shard supervision metrics along the way.
-    /// Returns (records sorted by seq and capped, sorted seqs, restarts,
-    /// fallbacks).
-    fn fold_faults(
-        &self,
-        outs: &mut [WorkerOut],
-        retries: &[u64],
-        dropped_per_shard: &[u64],
-    ) -> (Vec<QuarantineRecord>, Vec<u64>, u64, u64) {
-        let mut records = Vec::new();
-        let mut seqs = Vec::new();
-        let mut restarts = 0u64;
-        let mut fallbacks = 0u64;
-        for (w, out) in outs.iter_mut().enumerate() {
-            let q = out.quarantined_seqs.len() as u64;
-            if q > 0 {
-                self.tracer.count(&format!("shard.{w}.quarantined"), q);
-            }
-            if out.restarts > 0 {
-                self.tracer.count(&format!("shard.{w}.restarts"), out.restarts);
-            }
-            records.append(&mut out.quarantined);
-            seqs.append(&mut out.quarantined_seqs);
-            restarts += out.restarts;
-            fallbacks += out.fallbacks;
-        }
-        for (w, r) in retries.iter().enumerate() {
-            if *r > 0 {
-                self.tracer.count(&format!("shard.{w}.retries"), *r);
-            }
-        }
-        for (w, d) in dropped_per_shard.iter().enumerate() {
-            if *d > 0 {
-                self.tracer.count(&format!("shard.{w}.dropped"), *d);
-            }
-        }
-        if fallbacks > 0 {
-            self.tracer.count("backend.fallbacks", fallbacks);
-        }
-        records.sort_by_key(|r| r.seq);
-        records.truncate(self.policy.quarantine_cap);
-        seqs.sort_unstable();
-        (records, seqs, restarts, fallbacks)
     }
 }
 
@@ -2359,7 +1768,7 @@ impl ShardEngine {
 fn merge_states(
     report: &ShardingReport,
     initial: &BTreeMap<String, Value>,
-    shards: &[&BTreeMap<String, Value>],
+    shards: &[BTreeMap<String, Value>],
 ) -> Result<BTreeMap<String, Value>, ShardError> {
     let mut merged = BTreeMap::new();
     for (name, init) in initial {
@@ -2495,6 +1904,7 @@ fn merge_log(name: &str, init: &Value, values: &[&Value]) -> Result<Value, Shard
 mod tests {
     use super::*;
     use nf_packet::{PacketGen, TcpFlags};
+    use nf_support::workload::SliceSource;
 
     fn engine_for(src: &str, shards: usize) -> ShardEngine {
         ShardEngine::from_source(&pipeline("rl", shards), src, Backend::Interp).unwrap()
@@ -2797,6 +2207,22 @@ mod tests {
         let seq = engine.run_with(SliceSource::new(&packets), &RunConfig::sequential().with_faults(faults.clone())).unwrap();
         assert_eq!(run.output_signature(), seq.output_signature());
         assert_eq!(run.merged, seq.merged);
+        // The restart streak belongs to the shared evaluator, so both
+        // modes count its failures in arrival order: seqs 0, 1, 2 fail
+        // in a row and restart it once; seqs 0, 4, 8 have successes in
+        // between and never do.
+        for (plan, restarts) in [("err@0:0,err@1:0,err@2:0", 1), ("err@0:0,err@0:1,err@0:2", 0)] {
+            let faults = FaultPlan::parse(plan).unwrap();
+            let thr = engine
+                .run_with(SliceSource::new(&packets), &RunConfig::threaded().with_faults(faults.clone()))
+                .unwrap();
+            let seq = engine
+                .run_with(SliceSource::new(&packets), &RunConfig::sequential().with_faults(faults))
+                .unwrap();
+            assert_eq!(thr.fault_summary(), seq.fault_summary(), "{plan}");
+            assert_eq!(thr.restarts, restarts, "{plan}");
+            assert_eq!(thr.quarantined_seqs.len(), 3, "{plan}");
+        }
     }
 
     #[test]

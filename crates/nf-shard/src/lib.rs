@@ -19,8 +19,15 @@
 //!   ordered global lock — slower, but bit-identical to the
 //!   single-threaded run.
 //!
-//! Workers are `std::thread`s fed over the `nf_support::spsc` rings;
-//! per-shard metrics (`shard.N.pkts` counters, `shard.N.ring.wait.ns`
+//! Every run is one dispatcher, one per-packet worker body per shard,
+//! and one of two executors. The dispatcher pulls, routes and numbers
+//! packets and applies dispatch-side faults; the worker steps each
+//! packet under supervision on the evaluator the plan's state-access
+//! policy hands it (its own when partitioned, the one shared evaluator
+//! under the lock). The threaded executor runs the workers as
+//! `std::thread`s fed over the `nf_support::spsc` rings; the inline
+//! executor steps each packet as it is routed, on the calling thread.
+//! Per-shard metrics (`shard.N.pkts` counters, `shard.N.ring.wait.ns`
 //! and `lock.wait.ns` histograms) flow into the session's `nf-trace`
 //! tracer. There is no work stealing by design: moving a packet off
 //! its hash-assigned shard would abandon the flow-state locality the

@@ -233,17 +233,11 @@ for backend in model compiled; do
     echo "    $backend: $pkts + $quarantined quarantined == $offered offered, $restarts restarts: ok"
 done
 
-echo "==> deprecation gate: the legacy run* API has no non-wrapper callers"
-# The six pre-RunConfig entry points survive only as #[deprecated]
-# wrappers inside engine.rs; everything else goes through
-# run_with(source, &RunConfig).
-legacy=$(grep -rn -E '\.(run_faulted|run_sequential|run_sequential_faulted|run_single|run_single_faulted)\(|engine\.run\(' \
-    --include='*.rs' src crates tests | grep -v 'crates/nf-shard/src/engine.rs' || true)
-if [ -n "$legacy" ]; then
-    echo "    deprecated ShardEngine run* callers outside the engine.rs wrappers:"
-    echo "$legacy"; exit 1
-fi
-echo "    every call site uses run_with(source, &RunConfig): ok"
+echo "==> shard bench gate: 4 shards reach >= 2x one shard on simulated makespan"
+# The firewall runs sequentially at 1/2/4/8 shards; each run's makespan
+# is its slowest shard's busy time as the inline executor measured it.
+# The bench aborts if 4 shards fall short of 2x the one-shard throughput.
+NF_BENCH_DIR="$tracedir" cargo bench -q --offline -p bench --bench shard
 
 echo "==> incremental lint smoke: --watch re-lints the edit, metrics show cache hits"
 # First poll lints cold; the appended trailing comment re-parses but

@@ -174,6 +174,7 @@ fn random_fault_plans_never_break_accounting_or_merge() {
             .unwrap_or_else(|e| panic!("{}: {e}", nf.name));
         let packets = PacketGen::new(seed).batch(120);
         let faults = FaultPlan::random(seed, shards as usize, 120, 6);
+        let mut runs = Vec::new();
         for run in [
             engine.run_with(
                 SliceSource::new(&packets),
@@ -196,7 +197,16 @@ fn random_fault_plans_never_break_accounting_or_merge() {
                 nf.name,
                 faults.render()
             );
+            runs.push(run);
         }
+        // Both executors account faults alike. Retries are left out:
+        // real ring-full backoff on threads can add some.
+        let (threaded, sequential) = (&runs[0], &runs[1]);
+        let what = format!("{} under `{}`", nf.name, faults.render());
+        assert_eq!(threaded.quarantined_seqs, sequential.quarantined_seqs, "{what}");
+        assert_eq!(threaded.dropped_seqs, sequential.dropped_seqs, "{what}");
+        assert_eq!(threaded.restarts, sequential.restarts, "{what}");
+        assert_eq!(threaded.fallbacks, sequential.fallbacks, "{what}");
     });
 }
 
