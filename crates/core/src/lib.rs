@@ -16,9 +16,11 @@
 //! 6. **Refactor** each path into a model entry (lines 11–16) —
 //!    the per-configuration stateful match/action tables of Figure 2a.
 //!
-//! The [`Synthesis`] result carries every intermediate artifact plus the
-//! [`Metrics`] that regenerate the paper's Table 2, and [`accuracy`]
-//! implements the §5 equivalence experiments.
+//! [`Pipeline::analyze`] stops after step 4, with the placement verdict
+//! taken on the same PDG (an [`Analysis`]); [`Pipeline::finish`] runs
+//! steps 5–6 on it. The [`Synthesis`] result carries every intermediate
+//! artifact plus the [`Metrics`] that regenerate the paper's Table 2,
+//! and [`accuracy`] implements the §5 equivalence experiments.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -29,5 +31,5 @@ pub mod pipeline;
 
 pub use filter::filter_loop;
 pub use pipeline::{
-    Error, Metrics, Pipeline, PipelineBuilder, PipelineConfig, Synthesis, MAX_SHARDS,
+    Analysis, Error, Metrics, Pipeline, PipelineBuilder, PipelineConfig, Synthesis, MAX_SHARDS,
 };

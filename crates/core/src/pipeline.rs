@@ -2,17 +2,17 @@
 
 use crate::filter::filter_loop;
 use nf_model::Model;
-use nfl_analysis::normalize::{normalize, PacketLoop, StructureError};
+use nf_support::budget::Budget;
+use nf_trace::Tracer;
+use nfl_analysis::normalize::PacketLoop;
 use nfl_analysis::pdg::{default_boundary, Pdg};
 use nfl_lang::types::TypeInfo;
 use nfl_lang::Program;
-use nf_support::budget::Budget;
-use nf_trace::Tracer;
-use nfl_slicer::statealyzer::StateAlyzerInput;
+use nfl_lint::{AnalysisCtx, LoopError, ShardingReport};
+use nfl_slicer::statealyzer::{statealyzer, StateAlyzerInput, VarClasses};
 use nfl_slicer::static_slice::{
-    packet_slice_budgeted, slice_union, state_slice_budgeted, SliceResult,
+    packet_slice, packet_slice_budgeted, slice_union, state_slice_budgeted, SliceResult,
 };
-use nfl_slicer::statealyzer::{statealyzer, VarClasses};
 use nfl_symex::{ExplorationStats, PathLimits, SymExec};
 use std::fmt;
 use std::time::Duration;
@@ -45,6 +45,15 @@ impl fmt::Display for Error {
 }
 
 impl std::error::Error for Error {}
+
+impl From<LoopError> for Error {
+    fn from(e: LoopError) -> Error {
+        match e {
+            LoopError::Structure(m) => Error::Structure(m),
+            LoopError::Unfold(m) => Error::Unfold(m),
+        }
+    }
+}
 
 /// The validated configuration a [`Pipeline`] runs with.
 ///
@@ -250,12 +259,26 @@ impl Pipeline {
     /// Run Algorithm 1 on NFL source text, overriding the NF name (for
     /// callers reusing one pipeline across a corpus).
     pub fn synthesize_named(&self, name: &str, src: &str) -> Result<Synthesis, Error> {
-        run_source(name, src, &self.config)
+        self.finish(analyze_source(name, src, &self.config)?)
     }
 
     /// Run Algorithm 1 on an already parsed and checked program.
     pub fn synthesize_program(&self, name: &str, program: &Program) -> Result<Synthesis, Error> {
-        run_program(name, program, &self.config)
+        self.finish(analyze_program(name, program, &self.config)?)
+    }
+
+    /// Run the front half of Algorithm 1 on NFL source text under the
+    /// configured name: parse, normalise, slice, classify, and take the
+    /// placement verdict. No symbolic execution runs, so this accepts
+    /// every program an interpreter can run.
+    pub fn analyze(&self, src: &str) -> Result<Analysis, Error> {
+        analyze_source(&self.name, src, &self.config)
+    }
+
+    /// Run the back half of Algorithm 1 on a front half: symbolic
+    /// execution of the slice, then the model.
+    pub fn finish(&self, analysis: Analysis) -> Result<Synthesis, Error> {
+        finish(analysis, &self.config)
     }
 }
 
@@ -292,7 +315,33 @@ impl Metrics {
     }
 }
 
+/// The front half of Algorithm 1 for one NF, from [`Pipeline::analyze`]:
+/// the normalised loop, its slices and classes, and the placement
+/// verdict. [`Pipeline::finish`] continues it into a [`Synthesis`].
+#[derive(Debug, Clone)]
+pub struct Analysis {
+    /// NF name (for reports).
+    pub name: String,
+    /// The normalised (and, if needed, socket-unfolded) per-packet loop.
+    pub nf_loop: PacketLoop,
+    /// The placement verdict (see [`Synthesis::sharding`]).
+    pub sharding: ShardingReport,
+    type_info: TypeInfo,
+    packet_slice: SliceResult,
+    state_slice: SliceResult,
+    union_slice: SliceResult,
+    classes: VarClasses,
+    loc_orig: usize,
+    slicing_time: Duration,
+    /// Why slicing stopped early, when the budget ran out.
+    slicing_stop: Option<String>,
+}
+
 /// Everything the pipeline produced.
+///
+/// It holds no analysis context and no PDG: the pipeline drops both once
+/// the slices and the placement verdict are taken, so a `Synthesis`
+/// stays a small fraction of the analysis that made it.
 #[derive(Debug, Clone)]
 pub struct Synthesis {
     /// NF name (for reports).
@@ -309,6 +358,11 @@ pub struct Synthesis {
     pub union_slice: SliceResult,
     /// StateAlyzer classification (line 5, Table 1).
     pub classes: VarClasses,
+    /// The placement verdict: `nfl_lint::sharding::analyze` on the same
+    /// PDG the slices were taken on, equal to the `sharding` report
+    /// `nfactor lint` gives for the source. The sharded runtime places
+    /// state by it.
+    pub sharding: ShardingReport,
     /// The slice as a runnable program.
     pub sliced_loop: PacketLoop,
     /// All execution paths of the slice.
@@ -332,37 +386,23 @@ impl Synthesis {
     }
 }
 
-/// Normalise, unfolding sockets first when the program is the Figure 4d
-/// nested-loop shape.
-pub fn normalize_with_unfold(program: &Program) -> Result<PacketLoop, Error> {
-    match normalize(program) {
-        Ok(pl) => Ok(pl),
-        Err(StructureError::NestedLoop) => {
-            let unfolded = nf_tcp::unfold_sockets(program)
-                .map_err(|e| Error::Unfold(e.to_string()))?;
-            normalize(&unfolded).map_err(|e| Error::Structure(e.to_string()))
-        }
-        Err(e) => Err(Error::Structure(e.to_string())),
-    }
-}
-
-fn run_source(name: &str, src: &str, opts: &PipelineConfig) -> Result<Synthesis, Error> {
+fn analyze_source(name: &str, src: &str, opts: &PipelineConfig) -> Result<Analysis, Error> {
     let span = opts.tracer.span("pipeline.stage.frontend");
     let program = nfl_lang::parse_and_check(src).map_err(Error::Frontend)?;
     span.end();
-    run_program(name, &program, opts)
+    analyze_program(name, &program, opts)
 }
 
-fn run_program(
+fn analyze_program(
     name: &str,
     program: &Program,
     opts: &PipelineConfig,
-) -> Result<Synthesis, Error> {
+) -> Result<Analysis, Error> {
     let tracer = &opts.tracer;
 
     // 1. Structure normalisation (+ socket unfolding).
     let span = tracer.span("pipeline.stage.structure");
-    let nf_loop = normalize_with_unfold(program)?;
+    let nf_loop = AnalysisCtx::normalize_loop(program)?;
     let type_info =
         nfl_lang::types::check(&nf_loop.program).map_err(|e| Error::Frontend(e.to_string()))?;
     span.end();
@@ -387,9 +427,60 @@ fn run_program(
         &opts.budget,
         tracer,
     );
-    let slicing_stop = pkt_stop.or(st_stop);
+    let slicing_stop = pkt_stop.clone().or(st_stop);
     let union = slice_union(&pkt_slice, &st_slice);
     let slicing_time = slice_span.end();
+
+    // The placement verdict, on the same PDG: finish the lint's analysis
+    // context around it and run the sharding analysis. The context wants
+    // the full packet slice, so a budget-stopped one is grown again.
+    let span = tracer.span("lint.ctx.build");
+    let full_pkt_slice = match pkt_stop {
+        None => pkt_slice.stmts.clone(),
+        Some(_) => packet_slice(&pdg, &nf_loop.program, &nf_loop.func).stmts,
+    };
+    let ctx = AnalysisCtx::from_pdg(nf_loop, type_info, boundary, pdg, full_pkt_slice);
+    span.end();
+    let span = tracer.span("lint.pass.sharding");
+    let (sharding, _) = nfl_lint::sharding::analyze(&ctx);
+    span.end();
+    // Keep the loop and its types; the PDG and dominator trees go here.
+    let AnalysisCtx {
+        nf_loop,
+        info: type_info,
+        ..
+    } = ctx;
+
+    Ok(Analysis {
+        name: name.to_string(),
+        nf_loop,
+        sharding,
+        type_info,
+        packet_slice: pkt_slice,
+        state_slice: st_slice,
+        union_slice: union,
+        classes,
+        loc_orig: program.loc(),
+        slicing_time,
+        slicing_stop,
+    })
+}
+
+fn finish(analysis: Analysis, opts: &PipelineConfig) -> Result<Synthesis, Error> {
+    let tracer = &opts.tracer;
+    let Analysis {
+        name,
+        nf_loop,
+        sharding,
+        type_info,
+        packet_slice: pkt_slice,
+        state_slice: st_slice,
+        union_slice: union,
+        classes,
+        loc_orig,
+        slicing_time,
+        slicing_stop,
+    } = analysis;
 
     // 5. Symbolic execution on the slice, under the same budget.
     let sliced_loop = filter_loop(&nf_loop, &union.stmts);
@@ -420,7 +511,7 @@ fn run_program(
     // 6. Refactor paths into the model. A budget stop anywhere in the
     // pipeline stamps the model as a partial one, reason attached.
     let model_span = tracer.span("pipeline.stage.model");
-    let model = Model::from_paths(name, &exploration.paths);
+    let model = Model::from_paths(&name, &exploration.paths);
     let truncation = slicing_stop.or_else(|| exploration.stop_reason.clone());
     if let Some(reason) = &truncation {
         tracer.count("pipeline.truncated", 1);
@@ -448,7 +539,7 @@ fn run_program(
     }
 
     let metrics = Metrics {
-        loc_orig: program.loc(),
+        loc_orig,
         loc_slice: union.loc(&nf_loop.program),
         loc_path,
         slicing_time,
@@ -459,13 +550,14 @@ fn run_program(
     };
 
     Ok(Synthesis {
-        name: name.to_string(),
+        name,
         nf_loop,
         type_info,
         packet_slice: pkt_slice,
         state_slice: st_slice,
         union_slice: union,
         classes,
+        sharding,
         sliced_loop,
         exploration,
         model,
@@ -652,6 +744,21 @@ mod tests {
     }
 
     #[test]
+    fn truncated_slicing_keeps_the_lints_verdict() {
+        // An expired deadline stops the packet slice before its first
+        // criterion; the verdict must still come from the full slice.
+        let syn = Pipeline::builder()
+            .budget(Budget::unlimited().with_timeout_ms(0))
+            .build()
+            .unwrap()
+            .synthesize_named("fig1-lb", LB_SRC)
+            .unwrap();
+        assert!(syn.packet_slice.stmts.is_empty());
+        let lint = nfl_lint::lint_source("fig1-lb", LB_SRC).unwrap();
+        assert_eq!(syn.sharding, lint.sharding);
+    }
+
+    #[test]
     fn generous_budget_leaves_model_complete() {
         let syn = Pipeline::builder()
             .budget(
@@ -703,6 +810,11 @@ mod tests {
             assert!(metrics.counters.contains_key(&key), "missing {key}");
         }
         assert!(metrics.counters.contains_key("slice.pdg.edges"));
+        // The placement verdict is timed outside the slice stage.
+        for span in ["lint.ctx.build", "lint.pass.sharding"] {
+            let key = format!("{span}.ns");
+            assert!(metrics.counters.contains_key(&key), "missing {key}");
+        }
         assert!(metrics.counters.contains_key("symex.paths.explored"));
         assert_eq!(metrics.counter("pipeline.truncated"), Some(1));
         let reason = metrics.labels.get("pipeline.truncated.reason").unwrap();
@@ -762,6 +874,19 @@ mod tests {
             synth("odd", "fn main() { let x = 1; }"),
             Err(Error::Structure(_))
         ));
+    }
+
+    #[test]
+    fn failed_unfolding_errors() {
+        // A Figure 4d shape with no `listen(port)` matches no socket
+        // template.
+        let src = "fn main() {
+            while true {
+                let cfd = accept(0);
+                while true { let buf = sock_read(cfd); }
+            }
+        }";
+        assert!(matches!(synth("odd", src), Err(Error::Unfold(_))));
     }
 
     #[test]

@@ -441,7 +441,7 @@ impl Engine {
                 let parse = self.fetch(doc, QueryKind::Parse).as_parse();
                 let res = match parse.as_ref() {
                     Err(e) => Err(e.clone()),
-                    Ok(p) => AnalysisCtx::normalize_loop(p),
+                    Ok(p) => AnalysisCtx::normalize_loop(p).map_err(|e| e.to_string()),
                 };
                 let fp = match &res {
                     Ok(pl) => {

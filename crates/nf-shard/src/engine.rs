@@ -117,7 +117,7 @@ pub enum Backend {
 /// Errors from building or running a shard engine.
 #[derive(Debug)]
 pub enum ShardError {
-    /// Lint or parse failure while building.
+    /// Analysis, synthesis or backend set-up failure while building.
     Build(String),
     /// A shard hit a runtime error processing a packet.
     Runtime(String),
@@ -144,6 +144,10 @@ impl std::fmt::Display for ShardError {
 }
 
 impl std::error::Error for ShardError {}
+
+fn build_error(e: impl std::fmt::Display) -> ShardError {
+    ShardError::Build(e.to_string())
+}
 
 /// How [`ShardEngine::run_with`] executes the workload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1294,42 +1298,33 @@ pub struct ShardEngine {
 }
 
 impl ShardEngine {
-    /// Build an engine from NFL source: lints the program for the
-    /// placement plan, then instantiates the selected backend. Shard
-    /// count and tracer come from the [`Pipeline`].
+    /// Build an engine from NFL source. The pipeline's front half
+    /// ([`Pipeline::analyze`]) runs once: it parses, normalises and
+    /// slices the program, and takes the placement verdict on the PDG
+    /// it slices on. The interpreter backend runs the normalised
+    /// program from there, with no symbolic execution. The model and
+    /// compiled backends continue through [`Pipeline::finish`] into
+    /// [`ShardEngine::from_synthesis`]. Shard count and tracer come
+    /// from the [`Pipeline`].
     pub fn from_source(
         pipeline: &Pipeline,
         src: &str,
         backend: Backend,
     ) -> Result<ShardEngine, ShardError> {
+        let analysis = pipeline.analyze(src).map_err(build_error)?;
         match backend {
             Backend::Interp => {
-                let lint = nfl_lint::lint_source(pipeline.name(), src)
-                    .map_err(ShardError::Build)?;
-                // The lint analyses the (possibly socket-unfolded)
-                // program; run the same text so state names line up.
-                let program =
-                    nfl_lang::parse_and_check(&lint.source).map_err(ShardError::Build)?;
-                let nf_loop =
-                    nfl_analysis::normalize(&program).map_err(|e| ShardError::Build(e.to_string()))?;
-                let interp =
-                    Interp::new(&nf_loop).map_err(|e| ShardError::Build(e.to_string()))?;
-                Ok(ShardEngine {
-                    name: pipeline.name().to_string(),
-                    shards: pipeline.shards(),
-                    plan: ShardPlan::from_report(&lint.sharding),
-                    report: lint.sharding,
-                    tracer: pipeline.tracer().clone(),
-                    proto: BackendState::Interp(interp),
-                    model: None,
-                    policy: SupervisorPolicy::default(),
-                    telemetry: TelemetryConfig::default(),
-                })
+                let interp = Interp::new(&analysis.nf_loop).map_err(build_error)?;
+                Ok(ShardEngine::new(
+                    pipeline,
+                    analysis.name,
+                    analysis.sharding,
+                    BackendState::Interp(interp),
+                    None,
+                ))
             }
             Backend::Model | Backend::Compiled => {
-                let syn = pipeline
-                    .synthesize(src)
-                    .map_err(|e| ShardError::Build(e.to_string()))?;
+                let syn = pipeline.finish(analysis).map_err(build_error)?;
                 ShardEngine::from_synthesis(pipeline, &syn, backend)
             }
         }
@@ -1340,17 +1335,16 @@ impl ShardEngine {
     /// backend: the interpreter runs the synthesis's normalised
     /// program, the model backend its synthesized model, and the
     /// compiled backend the model lowered by `nf-compile` against the
-    /// program's initial configuration and state.
+    /// program's initial configuration and state. State is placed by
+    /// the verdict the synthesis carries ([`Synthesis::sharding`]); no
+    /// analysis runs here.
     pub fn from_synthesis(
         pipeline: &Pipeline,
         syn: &Synthesis,
         backend: Backend,
     ) -> Result<ShardEngine, ShardError> {
-        let lint = nfl_lint::lint_program(&syn.name, &syn.nf_loop.program)
-            .map_err(ShardError::Build)?;
-        let interp =
-            Interp::new(&syn.nf_loop).map_err(|e| ShardError::Build(e.to_string()))?;
-        let tracer = pipeline.tracer().clone();
+        let interp = Interp::new(&syn.nf_loop).map_err(build_error)?;
+        let tracer = pipeline.tracer();
         let proto = match backend {
             Backend::Interp => BackendState::Interp(interp),
             Backend::Model => {
@@ -1359,8 +1353,7 @@ impl ShardEngine {
             Backend::Compiled => {
                 let init = nfactor_core::accuracy::initial_model_state(syn, &interp);
                 let t0 = Instant::now();
-                let prog = nf_compile::compile(&syn.model, &init)
-                    .map_err(|e| ShardError::Build(e.to_string()))?;
+                let prog = nf_compile::compile(&syn.model, &init).map_err(build_error)?;
                 tracer.observe_ns("compile.ns", t0.elapsed().as_nanos() as u64);
                 tracer.count("compiled.nodes", prog.node_count() as u64);
                 tracer.count("compiled.table.entries", prog.entry_count() as u64);
@@ -1372,17 +1365,35 @@ impl ShardEngine {
             }
         };
         let model = (backend != Backend::Interp).then(|| Arc::new(syn.model.clone()));
-        Ok(ShardEngine {
-            name: syn.name.clone(),
+        Ok(ShardEngine::new(
+            pipeline,
+            syn.name.clone(),
+            syn.sharding.clone(),
+            proto,
+            model,
+        ))
+    }
+
+    /// The one constructor both entry points end in: the plan follows
+    /// from the verdict, the rest from the pipeline and the defaults.
+    fn new(
+        pipeline: &Pipeline,
+        name: String,
+        report: ShardingReport,
+        proto: BackendState,
+        model: Option<Arc<Model>>,
+    ) -> ShardEngine {
+        ShardEngine {
+            name,
             shards: pipeline.shards(),
-            plan: ShardPlan::from_report(&lint.sharding),
-            report: lint.sharding,
-            tracer,
+            plan: ShardPlan::from_report(&report),
+            report,
+            tracer: pipeline.tracer().clone(),
             proto,
             model,
             policy: SupervisorPolicy::default(),
             telemetry: TelemetryConfig::default(),
-        })
+        }
     }
 
     /// The NF name.
@@ -1400,7 +1411,7 @@ impl ShardEngine {
         &self.plan
     }
 
-    /// The lint report the plan was derived from.
+    /// The placement verdict the plan was derived from.
     pub fn report(&self) -> &ShardingReport {
         &self.report
     }

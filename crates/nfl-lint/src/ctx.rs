@@ -5,6 +5,10 @@
 //! post-dominator trees, the packet slice, and the StateAlyzer
 //! classification — everything `nfl-analysis`/`nfl-slicer` already know
 //! how to compute, materialised so each pass pays nothing extra.
+//!
+//! The synthesis pipeline builds the same context around the PDG it
+//! slices on ([`AnalysisCtx::from_pdg`]), so one engine build analyses
+//! its program once.
 
 use nfl_analysis::dom::{dominators, post_dominators, DomTree};
 use nfl_analysis::normalize::{normalize, PacketLoop, StructureError};
@@ -14,6 +18,26 @@ use nfl_lang::{Program, Stmt, StmtId};
 use nfl_slicer::statealyzer::{statealyzer, StateAlyzerInput, VarClasses};
 use nfl_slicer::static_slice::packet_slice;
 use std::collections::{BTreeSet, HashMap, HashSet};
+use std::fmt;
+
+/// Why a program has no per-packet loop.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum LoopError {
+    /// Normalisation matched no NF structure (or failed to inline).
+    Structure(String),
+    /// The Figure 4d nested-loop shape failed to socket-unfold.
+    Unfold(String),
+}
+
+impl fmt::Display for LoopError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            LoopError::Structure(m) | LoopError::Unfold(m) => f.write_str(m),
+        }
+    }
+}
+
+impl std::error::Error for LoopError {}
 
 /// Everything a lint pass may consult.
 #[derive(Debug, Clone)]
@@ -42,22 +66,24 @@ impl AnalysisCtx {
     /// Normalise `program` into its per-packet loop, unfolding sockets
     /// for the Figure 4d shape. This is the exact front half of
     /// [`AnalysisCtx::build`], exposed so incremental callers
-    /// (`nf-query`) can memoize the loop as its own fact.
-    pub fn normalize_loop(program: &Program) -> Result<PacketLoop, String> {
+    /// (`nf-query`) and the synthesis pipeline can run it on its own.
+    pub fn normalize_loop(program: &Program) -> Result<PacketLoop, LoopError> {
+        let structure = |e: StructureError| LoopError::Structure(e.to_string());
         match normalize(program) {
             Ok(pl) => Ok(pl),
             Err(StructureError::NestedLoop) => {
-                let unfolded = nf_tcp::unfold_sockets(program).map_err(|e| e.to_string())?;
-                normalize(&unfolded).map_err(|e| e.to_string())
+                let unfolded = nf_tcp::unfold_sockets(program)
+                    .map_err(|e| LoopError::Unfold(e.to_string()))?;
+                normalize(&unfolded).map_err(structure)
             }
-            Err(e) => Err(e.to_string()),
+            Err(e) => Err(structure(e)),
         }
     }
 
     /// Normalise `program` (unfolding sockets for the Figure 4d shape)
     /// and build the context.
     pub fn build(program: &Program) -> Result<AnalysisCtx, String> {
-        AnalysisCtx::from_loop(AnalysisCtx::normalize_loop(program)?)
+        AnalysisCtx::from_loop(AnalysisCtx::normalize_loop(program).map_err(|e| e.to_string())?)
     }
 
     /// Build the context from an already-normalised packet loop.
@@ -65,11 +91,24 @@ impl AnalysisCtx {
         let info = nfl_lang::types::check(&nf_loop.program).map_err(|e| e.to_string())?;
         let boundary = default_boundary(&nf_loop.program, &nf_loop.func);
         let pdg = Pdg::build(&nf_loop.program, &nf_loop.func, &boundary);
+        let pkt_slice = packet_slice(&pdg, &nf_loop.program, &nf_loop.func).stmts;
+        Ok(AnalysisCtx::from_pdg(nf_loop, info, boundary, pdg, pkt_slice))
+    }
+
+    /// Finish the context around a PDG the caller already built over
+    /// `nf_loop` from `boundary`, and the full packet slice taken on it:
+    /// adds the dominator trees and the whole-program classes.
+    pub fn from_pdg(
+        nf_loop: PacketLoop,
+        info: TypeInfo,
+        boundary: BTreeSet<String>,
+        pdg: Pdg,
+        pkt_slice: HashSet<StmtId>,
+    ) -> AnalysisCtx {
         let dom = dominators(&pdg.cfg);
         let post_dom = post_dominators(&pdg.cfg);
-        let pkt_slice = packet_slice(&pdg, &nf_loop.program, &nf_loop.func).stmts;
         let classes = statealyzer(&nf_loop, &pkt_slice, &info, StateAlyzerInput::WholeProgram);
-        Ok(AnalysisCtx {
+        AnalysisCtx {
             nf_loop,
             info,
             pdg,
@@ -78,7 +117,7 @@ impl AnalysisCtx {
             pkt_slice,
             classes,
             boundary,
-        })
+        }
     }
 
     /// The analysed program.

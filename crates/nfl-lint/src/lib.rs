@@ -50,7 +50,7 @@ pub mod passes;
 pub mod render;
 pub mod sharding;
 
-pub use ctx::AnalysisCtx;
+pub use ctx::{AnalysisCtx, LoopError};
 pub use diag::{Code, Diagnostic, Severity};
 pub use passes::{default_passes, finish_sink, LintPass, LintSink, PassManager};
 pub use sharding::{mirror_field, DispatchKey, ShardingReport, StateShard, StateVerdict};

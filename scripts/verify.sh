@@ -31,6 +31,27 @@ for nf in fig1-lb balance snort nat firewall ratelimiter portknock router; do
     echo "    lint $nf: ok"
 done
 
+echo "==> placement smoke: one plan per NF, whatever the backend"
+# Every backend places state by the verdict the pipeline takes on its
+# one analysis, so the plan `nfactor run` prints (the lines between
+# the header and the first blank line) must not depend on the backend.
+for nf in fig1-lb balance snort nat firewall ratelimiter portknock router; do
+    ref=""
+    for backend in interp model compiled; do
+        plan=$(./target/release/nfactor run --corpus "$nf" --backend "$backend" \
+            | awk 'NR > 1 && /^$/ {exit} NR > 1 {print}')
+        if [ -z "$plan" ]; then
+            echo "    $nf on $backend printed no plan"; exit 1
+        fi
+        if [ -n "$ref" ] && [ "$plan" != "$ref" ]; then
+            echo "    $nf: the $backend plan differs from interp's:"
+            printf '%s\n---\n%s\n' "$ref" "$plan"; exit 1
+        fi
+        ref=$plan
+    done
+    echo "    plan $nf: identical on interp, model, compiled: ok"
+done
+
 echo "==> fuzz smoke: 500 seeded cases, crash + differential oracles"
 # Deterministic (caps-only budgets): same seed, same verdicts. Exits
 # non-zero on any pipeline panic or interpreter/model mismatch.

@@ -292,7 +292,7 @@ fn run_workload_gen(mut args: Vec<String>) -> Result<(), String> {
     Ok(())
 }
 
-/// The `run` command: build a [`ShardEngine`] from the lint report's
+/// The `run` command: build a [`ShardEngine`] from the pipeline's
 /// placement plan, feed it the workload, print plan + merged results.
 #[allow(clippy::too_many_arguments)]
 fn run_shards(
