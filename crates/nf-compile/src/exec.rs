@@ -346,26 +346,50 @@ impl CompiledState {
     /// Observable state snapshot — the same `name -> value` map the
     /// reference backend produces (configs, set scalars, materialised
     /// maps), so sharded-merge and differential comparisons treat the
-    /// two backends interchangeably.
+    /// two backends interchangeably. It copies every entry; a caller
+    /// done with the state takes [`into_snapshot`](Self::into_snapshot).
     pub fn snapshot(&self, prog: &CompiledProgram) -> BTreeMap<String, Value> {
-        let mut out = BTreeMap::new();
-        for (k, v) in &prog.configs {
-            out.insert(k.clone(), v.clone());
-        }
-        for (i, slot) in self.slots.iter().enumerate() {
-            if let Some(v) = slot {
-                out.insert(prog.slot_names[i].clone(), v.clone());
-            }
-        }
-        for (i, m) in self.maps.iter().enumerate() {
-            if self.materialized[i] {
-                let ordered: BTreeMap<ValueKey, Value> =
-                    m.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
-                out.insert(prog.map_names[i].clone(), Value::Map(ordered));
-            }
-        }
-        out
+        by_name(
+            prog,
+            self.slots.iter().cloned(),
+            &self.maps,
+            &self.materialized,
+            |m| m.iter().map(|(k, v)| (k.clone(), v.clone())).collect(),
+        )
     }
+
+    /// [`snapshot`](Self::snapshot), consuming the state: every slot
+    /// value and map entry moves into the view, none is copied.
+    pub fn into_snapshot(self, prog: &CompiledProgram) -> BTreeMap<String, Value> {
+        by_name(prog, self.slots, self.maps, &self.materialized, |m| {
+            m.into_iter().collect()
+        })
+    }
+}
+
+/// The by-name view behind [`CompiledState::snapshot`] and
+/// [`CompiledState::into_snapshot`]: the program's configs, every set
+/// slot, and every materialised map in key order. `ordered` turns one
+/// map arena into its ordered map, by copy or by move.
+fn by_name<M>(
+    prog: &CompiledProgram,
+    slots: impl IntoIterator<Item = Option<Value>>,
+    maps: impl IntoIterator<Item = M>,
+    materialized: &[bool],
+    ordered: impl Fn(M) -> BTreeMap<ValueKey, Value>,
+) -> BTreeMap<String, Value> {
+    let mut out = prog.configs.clone();
+    for (name, slot) in prog.slot_names.iter().zip(slots) {
+        if let Some(v) = slot {
+            out.insert(name.clone(), v);
+        }
+    }
+    for ((name, m), &live) in prog.map_names.iter().zip(maps).zip(materialized) {
+        if live {
+            out.insert(name.clone(), Value::Map(ordered(m)));
+        }
+    }
+    out
 }
 
 /// The arenas seen by the model's state names, so the reference
@@ -461,13 +485,16 @@ mod tests {
     /// arenas (`model_step`); assert identical per-packet results and
     /// final snapshots. Halfway through, the compiled state is
     /// restarted as the supervisor does: its memo is cleared, and its
-    /// generation must not go back.
+    /// generation must not go back. After every packet, and after
+    /// reverting a copy of it, the consuming snapshot must equal the
+    /// copying one.
     fn lockstep(src: &str, init: ModelState, pkts: &[Packet]) {
         let m = model_of(src);
         let prog = compile(&m, &init).unwrap();
         let mut cs = CompiledState::new(&prog);
         let mut arena = CompiledState::new(&prog);
         let mut ms = init;
+        let mut before = cs.snapshot(&prog);
         for (i, p) in pkts.iter().enumerate() {
             if i == pkts.len() / 2 {
                 let g = cs.generation();
@@ -480,6 +507,21 @@ mod tests {
             assert_eq!(got.fired, want.fired, "packet {i} fired entry");
             let on_arena = arena.model_step(&prog, &m, p).expect("model_step");
             assert_eq!(on_arena, want, "packet {i} model_step");
+            let after = cs.snapshot(&prog);
+            assert_eq!(
+                cs.clone().into_snapshot(&prog),
+                after,
+                "packet {i} into_snapshot"
+            );
+            let mut undone = cs.clone();
+            undone.revert();
+            assert_eq!(undone.snapshot(&prog), before, "packet {i} revert");
+            assert_eq!(
+                undone.into_snapshot(&prog),
+                before,
+                "packet {i} reverted into_snapshot"
+            );
+            before = after;
         }
         let mut want = BTreeMap::new();
         for (k, v) in &ms.configs {
@@ -495,27 +537,44 @@ mod tests {
         assert_eq!(arena.snapshot(&prog), want, "final model_step snapshot");
     }
 
+    const NAT: &str = r#"
+        state nat = map();
+        state next = 10000;
+        fn cb(pkt: packet) {
+            let k = (pkt.ip.src, pkt.tcp.sport);
+            if k not in nat {
+                nat[k] = next;
+                next = next + 1;
+            }
+            pkt.tcp.sport = nat[k];
+            send(pkt);
+        }
+        fn main() { sniff(cb); }
+    "#;
+
     #[test]
     fn nat_lockstep_with_reference() {
-        let src = r#"
-            state nat = map();
-            state next = 10000;
-            fn cb(pkt: packet) {
-                let k = (pkt.ip.src, pkt.tcp.sport);
-                if k not in nat {
-                    nat[k] = next;
-                    next = next + 1;
-                }
-                pkt.tcp.sport = nat[k];
-                send(pkt);
-            }
-            fn main() { sniff(cb); }
-        "#;
         let init = ModelState::default()
             .with_scalar("next", Value::Int(10000))
             .with_map("nat");
         lockstep(
-            src,
+            NAT,
+            init,
+            &[tcp(5555, 80), tcp(5555, 80), tcp(7777, 80), tcp(5555, 443)],
+        );
+    }
+
+    #[test]
+    fn nat_lockstep_materialises_an_undeclared_map() {
+        // The initial state omits the map the model writes, so `nat`
+        // materialises on the first packet: the snapshot before it has
+        // no `nat`, and reverting that packet takes the map away again.
+        let init = ModelState::default().with_scalar("next", Value::Int(10000));
+        let prog = compile(&model_of(NAT), &init).unwrap();
+        let fresh = CompiledState::new(&prog).snapshot(&prog);
+        assert!(!fresh.contains_key("nat"));
+        lockstep(
+            NAT,
             init,
             &[tcp(5555, 80), tcp(5555, 80), tcp(7777, 80), tcp(5555, 443)],
         );

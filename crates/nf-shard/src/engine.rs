@@ -36,11 +36,14 @@
 //!   thread; its per-shard busy time gives a deterministic makespan on a
 //!   host without free cores.
 //!
-//! One function assembles every [`ShardRun`]. It merges the evaluators'
-//! states back into one view ([`ShardRun::merged`]): partitioned maps
-//! union (their key sets are disjoint by construction — a collision is
-//! reported as an engine bug), log-only counters sum their per-shard
-//! deltas, and replicated state is checked untouched.
+//! One function assembles every [`ShardRun`]. It consumes the
+//! evaluators into one merged view ([`ShardRun::merged`]), moving their
+//! state instead of copying it. Partitioned maps union: the first
+//! shard's map takes the other shards' entries over (their key sets are
+//! disjoint by construction — a collision is reported as an engine
+//! bug). Log-only counters sum their per-shard deltas, and replicated
+//! state is checked untouched. A run with one evaluator (one shard, or
+//! the global lock) merges to that evaluator's state, moved.
 //!
 //! With [`BatchConfig::rebalance`] a partitioned dispatcher also
 //! counters skew: when a shard's queue stays above the high-water mark
@@ -81,7 +84,7 @@ use nf_support::spsc::{Backoff, Consumer, Producer, TrySendError};
 use nf_support::workload::WorkloadSource;
 use nf_trace::{Histogram, Tracer};
 use nfactor_core::{Pipeline, Synthesis};
-use nfl_interp::{Interp, Value};
+use nfl_interp::{Interp, Value, ValueKey};
 use nfl_lint::{DispatchKey, ShardingReport, StateShard};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -329,28 +332,19 @@ impl BackendState {
         }
     }
 
-    /// A by-name snapshot of all persistent state.
-    fn snapshot(&self) -> BTreeMap<String, Value> {
+    /// Consume the evaluator into a by-name view of all its persistent
+    /// state. Every backend moves its values into the view whole; the
+    /// compiled arenas' entries move into key order.
+    fn into_snapshot(self) -> BTreeMap<String, Value> {
         match self {
-            BackendState::Interp(i) => i
-                .globals
-                .iter()
-                .map(|(k, v)| (k.clone(), v.clone()))
-                .collect(),
+            BackendState::Interp(i) => i.globals.into_iter().collect(),
             BackendState::Model(ms) => {
-                let mut out = BTreeMap::new();
-                for (k, v) in &ms.configs {
-                    out.insert(k.clone(), v.clone());
-                }
-                for (k, v) in &ms.scalars {
-                    out.insert(k.clone(), v.clone());
-                }
-                for (k, m) in &ms.maps {
-                    out.insert(k.clone(), Value::Map(m.clone()));
-                }
+                let mut out = ms.configs;
+                out.extend(ms.scalars);
+                out.extend(ms.maps.into_iter().map(|(k, m)| (k, Value::Map(m))));
                 out
             }
-            BackendState::Compiled { prog, state } => state.snapshot(prog),
+            BackendState::Compiled { prog, state } => state.into_snapshot(&prog),
         }
     }
 
@@ -1290,6 +1284,10 @@ pub struct ShardEngine {
     report: ShardingReport,
     tracer: Tracer,
     proto: BackendState,
+    /// `proto`'s by-name view: the baseline a partitioned merge unions
+    /// the shards' changes over. `proto` never changes, so this is
+    /// taken once, when the engine is built.
+    initial: BTreeMap<String, Value>,
     /// The synthesized model: what the model backend evaluates, and
     /// the compiled backend's per-packet fallback.
     model: Option<Arc<Model>>,
@@ -1389,6 +1387,7 @@ impl ShardEngine {
             plan: ShardPlan::from_report(&report),
             report,
             tracer: pipeline.tracer().clone(),
+            initial: proto.clone().into_snapshot(),
             proto,
             model,
             policy: SupervisorPolicy::default(),
@@ -1664,9 +1663,10 @@ impl ShardEngine {
     }
 
     /// Build the run's [`ShardRun`] — the one place every run ends:
-    /// merge the evaluators' state, fold the workers' and the
-    /// dispatcher's accounting into the run and its metrics, sort what
-    /// was retained, and assemble the telemetry plane's [`RunStats`].
+    /// consume the evaluators into one merged state, fold the workers'
+    /// and the dispatcher's accounting into the run and its metrics,
+    /// sort what was retained, and assemble the telemetry plane's
+    /// [`RunStats`].
     fn assemble(
         &self,
         workers: Vec<ShardWorker<'_>>,
@@ -1676,15 +1676,11 @@ impl ShardEngine {
         dispatch_ns: u64,
         dispatch_wait_ns: u64,
     ) -> Result<ShardRun, ShardError> {
-        let initial = if partitioned {
-            self.proto.snapshot()
-        } else {
-            BTreeMap::new()
-        };
         let merge_span = self.tracer.span("shard.merge");
         let m0 = self.tracer.now();
-        // Each evaluator is dropped as soon as it is snapshotted, so the
-        // merge never holds live state, snapshot and merged view at once.
+        // Each evaluator is consumed into its snapshot, and the merge
+        // moves entries out of the snapshots, so the join holds one copy
+        // of live state and never copies a live entry.
         // Restarts belong to evaluators: under the global lock the one
         // shared evaluator reports as shard 0.
         let (mut restarts, mut fallbacks) = (0, 0);
@@ -1696,10 +1692,10 @@ impl ShardEngine {
             }
             restarts += ev.restarts;
             fallbacks += ev.fallbacks;
-            snapshots.push(ev.state.snapshot());
+            snapshots.push(ev.state.into_snapshot());
         }
         let merged = if partitioned {
-            merge_states(&self.report, &initial, &snapshots)?
+            merge_states(&self.report, &self.initial, snapshots)?
         } else {
             snapshots.pop().unwrap_or_default()
         };
@@ -1775,33 +1771,34 @@ impl ShardEngine {
 }
 
 /// Merge per-shard state snapshots into one view, per the report's
-/// verdicts.
+/// verdicts. The snapshots are consumed: what the merged view keeps of
+/// them is moved, not copied.
 fn merge_states(
     report: &ShardingReport,
     initial: &BTreeMap<String, Value>,
-    shards: &[BTreeMap<String, Value>],
+    mut shards: Vec<BTreeMap<String, Value>>,
 ) -> Result<BTreeMap<String, Value>, ShardError> {
     let mut merged = BTreeMap::new();
     for (name, init) in initial {
-        let verdict = report.get(name).map(|s| s.verdict());
-        let values: Vec<&Value> = shards.iter().filter_map(|s| s.get(name)).collect();
-        let Some(first) = values.first() else {
+        let values: Vec<Value> = shards.iter_mut().filter_map(|s| s.remove(name)).collect();
+        if values.is_empty() {
             merged.insert(name.clone(), init.clone());
             continue;
-        };
-        let out = match verdict {
-            Some(StateShard::PerFlow) => merge_partitioned_map(name, init, &values)?,
-            Some(StateShard::LogOnly) => merge_log(name, init, &values)?,
-            Some(StateShard::Shared) => (*first).clone(),
+        }
+        let out = match report.get(name).map(|s| s.verdict()) {
+            Some(StateShard::PerFlow) => merge_partitioned_map(name, init, values)?,
+            Some(StateShard::LogOnly) => merge_log(name, init, values)?,
+            Some(StateShard::Shared) => first_of(values),
             // Read-only state and configs/consts (no verdict) must be
             // identical everywhere — drift means a placement bug.
             Some(StateShard::ReadOnly) | None => {
-                if let Some(bad) = values.iter().find(|v| **v != *first) {
+                let first = &values[0];
+                if let Some(bad) = values.iter().find(|v| *v != first) {
                     return Err(ShardError::Merge(format!(
                         "replicated `{name}` diverged across shards: {first:?} vs {bad:?}"
                     )));
                 }
-                (*first).clone()
+                first_of(values)
             }
         };
         merged.insert(name.clone(), out);
@@ -1809,65 +1806,76 @@ fn merge_states(
     Ok(merged)
 }
 
+/// The first shard's value, moved out. The merge passes only names
+/// some shard holds, so `values` is never empty.
+fn first_of(values: Vec<Value>) -> Value {
+    values.into_iter().next().unwrap_or(Value::Unit)
+}
+
 /// Union a partitioned map's per-shard copies. Entries that changed
-/// from their initial value must come from exactly one shard.
+/// from their initial value must come from exactly one shard. The
+/// union starts as the first shard's map and takes the other shards'
+/// changed entries over by move, so a one-shard merge is that shard's
+/// map.
 fn merge_partitioned_map(
     name: &str,
     init: &Value,
-    values: &[&Value],
+    values: Vec<Value>,
 ) -> Result<Value, ShardError> {
     let Value::Map(init_map) = init else {
         // A per-flow verdict on a non-map is unexpected; keep the first
         // copy rather than invent semantics.
-        return Ok((*values[0]).clone());
+        return Ok(first_of(values));
     };
-    let mut union = init_map.clone();
-    for v in values {
-        let Value::Map(m) = v else {
-            return Err(ShardError::Merge(format!(
-                "partitioned `{name}` is not a map on some shard"
-            )));
-        };
+    let mut maps = values.into_iter().map(|v| match v {
+        Value::Map(m) => Ok(m),
+        _ => Err(ShardError::Merge(format!(
+            "partitioned `{name}` is not a map on some shard"
+        ))),
+    });
+    let Some(first) = maps.next() else {
+        return Ok(init.clone());
+    };
+    let mut union = first?;
+    // Entries deleted (map_remove) on their owning shard must not
+    // survive via another shard's untouched initial copy.
+    let mut removed: BTreeSet<&ValueKey> = init_map
+        .keys()
+        .filter(|k| !union.contains_key(*k))
+        .collect();
+    for m in maps {
+        let m = m?;
+        removed.extend(init_map.keys().filter(|k| !m.contains_key(*k)));
         for (k, val) in m {
-            if init_map.get(k) == Some(val) {
+            let base = init_map.get(&k);
+            if base == Some(&val) {
                 continue; // unchanged initial entry, owned by no one
             }
-            match union.get(k) {
-                Some(existing) if existing != val && init_map.get(k) != Some(existing) => {
+            match union.get(&k) {
+                Some(existing) if *existing != val && base != Some(existing) => {
                     return Err(ShardError::Merge(format!(
                         "partitioned `{name}` key {k:?} written by multiple shards"
                     )));
                 }
                 _ => {
-                    union.insert(k.clone(), val.clone());
+                    union.insert(k, val);
                 }
             }
         }
     }
-    // Entries deleted (map_remove) on their owning shard must not
-    // survive via another shard's untouched initial copy.
-    let mut removed: Vec<nfl_interp::ValueKey> = Vec::new();
-    for k in init_map.keys() {
-        if values.iter().any(|v| match v {
-            Value::Map(m) => !m.contains_key(k),
-            _ => false,
-        }) {
-            removed.push(k.clone());
-        }
-    }
     for k in removed {
-        union.remove(&k);
+        union.remove(k);
     }
     Ok(Value::Map(union))
 }
 
 /// Merge log-only state by summing per-shard deltas over the initial
 /// value (integers; integer-valued map entries likewise).
-fn merge_log(name: &str, init: &Value, values: &[&Value]) -> Result<Value, ShardError> {
+fn merge_log(name: &str, init: &Value, values: Vec<Value>) -> Result<Value, ShardError> {
     match init {
         Value::Int(base) => {
             let mut total = *base;
-            for v in values {
+            for v in &values {
                 let Value::Int(x) = v else {
                     return Err(ShardError::Merge(format!(
                         "log-only `{name}` is not an integer on some shard"
@@ -1886,14 +1894,14 @@ fn merge_log(name: &str, init: &Value, values: &[&Value]) -> Result<Value, Shard
                     )));
                 };
                 for (k, val) in m {
-                    let base = init_map.get(k).and_then(|b| b.as_int()).unwrap_or(0);
+                    let base = init_map.get(&k).and_then(|b| b.as_int()).unwrap_or(0);
                     let Some(x) = val.as_int() else {
                         return Err(ShardError::Merge(format!(
                             "log-only `{name}` entry {k:?} is not an integer"
                         )));
                     };
-                    let cur = out.get(k).and_then(|c| c.as_int()).unwrap_or(base);
-                    out.insert(k.clone(), Value::Int(cur + (x - base)));
+                    let cur = out.get(&k).and_then(|c| c.as_int()).unwrap_or(base);
+                    out.insert(k, Value::Int(cur + (x - base)));
                 }
             }
             Ok(Value::Map(out))
@@ -1901,7 +1909,7 @@ fn merge_log(name: &str, init: &Value, values: &[&Value]) -> Result<Value, Shard
         other => {
             // Non-numeric log state: all shards must agree or the merge
             // has no meaning.
-            if let Some(bad) = values.iter().find(|v| **v != other) {
+            if let Some(bad) = values.iter().find(|v| *v != other) {
                 return Err(ShardError::Merge(format!(
                     "log-only `{name}` has non-mergeable type and diverged: {bad:?}"
                 )));
@@ -2370,6 +2378,448 @@ mod tests {
                 }
                 other => panic!("expected workload error, got {other:?}"),
             }
+        }
+    }
+
+    /// The merge rules pinned against the clone-based merge the by-move
+    /// one replaced, kept here as the oracle.
+    mod merge_rules {
+        use super::*;
+        use nf_support::check::{check, Config, Gen};
+        use nf_support::rng::Rng;
+        use nfl_lint::StateVerdict;
+        use std::cell::Cell;
+
+        type Snapshot = BTreeMap<String, Value>;
+
+        /// The clone-based merge: every shard's values stay borrowed, and
+        /// the union copies each entry it keeps.
+        mod oracle {
+            use super::*;
+
+            pub(super) fn merge_states(
+                report: &ShardingReport,
+                initial: &Snapshot,
+                shards: &[Snapshot],
+            ) -> Result<Snapshot, ShardError> {
+                let mut merged = BTreeMap::new();
+                for (name, init) in initial {
+                    let verdict = report.get(name).map(|s| s.verdict());
+                    let values: Vec<&Value> = shards.iter().filter_map(|s| s.get(name)).collect();
+                    let Some(first) = values.first() else {
+                        merged.insert(name.clone(), init.clone());
+                        continue;
+                    };
+                    let out = match verdict {
+                        Some(StateShard::PerFlow) => merge_partitioned_map(name, init, &values)?,
+                        Some(StateShard::LogOnly) => merge_log(name, init, &values)?,
+                        Some(StateShard::Shared) => (*first).clone(),
+                        Some(StateShard::ReadOnly) | None => {
+                            if let Some(bad) = values.iter().find(|v| **v != *first) {
+                                return Err(ShardError::Merge(format!(
+                                    "replicated `{name}` diverged across shards: {first:?} vs {bad:?}"
+                                )));
+                            }
+                            (*first).clone()
+                        }
+                    };
+                    merged.insert(name.clone(), out);
+                }
+                Ok(merged)
+            }
+
+            fn merge_partitioned_map(
+                name: &str,
+                init: &Value,
+                values: &[&Value],
+            ) -> Result<Value, ShardError> {
+                let Value::Map(init_map) = init else {
+                    return Ok((*values[0]).clone());
+                };
+                let mut union = init_map.clone();
+                for v in values {
+                    let Value::Map(m) = v else {
+                        return Err(ShardError::Merge(format!(
+                            "partitioned `{name}` is not a map on some shard"
+                        )));
+                    };
+                    for (k, val) in m {
+                        if init_map.get(k) == Some(val) {
+                            continue;
+                        }
+                        match union.get(k) {
+                            Some(existing)
+                                if existing != val && init_map.get(k) != Some(existing) =>
+                            {
+                                return Err(ShardError::Merge(format!(
+                                    "partitioned `{name}` key {k:?} written by multiple shards"
+                                )));
+                            }
+                            _ => {
+                                union.insert(k.clone(), val.clone());
+                            }
+                        }
+                    }
+                }
+                let mut removed: Vec<ValueKey> = Vec::new();
+                for k in init_map.keys() {
+                    if values.iter().any(|v| match v {
+                        Value::Map(m) => !m.contains_key(k),
+                        _ => false,
+                    }) {
+                        removed.push(k.clone());
+                    }
+                }
+                for k in removed {
+                    union.remove(&k);
+                }
+                Ok(Value::Map(union))
+            }
+
+            fn merge_log(name: &str, init: &Value, values: &[&Value]) -> Result<Value, ShardError> {
+                match init {
+                    Value::Int(base) => {
+                        let mut total = *base;
+                        for v in values {
+                            let Value::Int(x) = v else {
+                                return Err(ShardError::Merge(format!(
+                                    "log-only `{name}` is not an integer on some shard"
+                                )));
+                            };
+                            total += x - base;
+                        }
+                        Ok(Value::Int(total))
+                    }
+                    Value::Map(init_map) => {
+                        let mut out = init_map.clone();
+                        for v in values {
+                            let Value::Map(m) = v else {
+                                return Err(ShardError::Merge(format!(
+                                    "log-only `{name}` is not a map on some shard"
+                                )));
+                            };
+                            for (k, val) in m {
+                                let base = init_map.get(k).and_then(|b| b.as_int()).unwrap_or(0);
+                                let Some(x) = val.as_int() else {
+                                    return Err(ShardError::Merge(format!(
+                                        "log-only `{name}` entry {k:?} is not an integer"
+                                    )));
+                                };
+                                let cur = out.get(k).and_then(|c| c.as_int()).unwrap_or(base);
+                                out.insert(k.clone(), Value::Int(cur + (x - base)));
+                            }
+                        }
+                        Ok(Value::Map(out))
+                    }
+                    other => {
+                        if let Some(bad) = values.iter().find(|v| **v != other) {
+                            return Err(ShardError::Merge(format!(
+                                "log-only `{name}` has non-mergeable type and diverged: {bad:?}"
+                            )));
+                        }
+                        Ok(other.clone())
+                    }
+                }
+            }
+        }
+
+        /// One merge input: the verdict of each state name, the initial
+        /// view, and 1–4 shard snapshots derived from it.
+        #[derive(Debug, Clone)]
+        struct MergeCase {
+            verdicts: Vec<(String, StateShard)>,
+            initial: Snapshot,
+            shards: Vec<Snapshot>,
+        }
+
+        impl MergeCase {
+            fn report(&self) -> ShardingReport {
+                ShardingReport::from_states(
+                    self.verdicts
+                        .iter()
+                        .map(|(name, v)| {
+                            StateVerdict::new(name.as_str(), *v, "generated", Default::default(), 0)
+                        })
+                        .collect(),
+                )
+            }
+
+            /// Both merges' results, `Err` carrying the merge message.
+            fn merge(&self) -> (Result<Snapshot, String>, Result<Snapshot, String>) {
+                let report = self.report();
+                let want = oracle::merge_states(&report, &self.initial, &self.shards);
+                let got = merge_states(&report, &self.initial, self.shards.clone());
+                (outcome(got), outcome(want))
+            }
+        }
+
+        fn outcome(r: Result<Snapshot, ShardError>) -> Result<Snapshot, String> {
+            r.map_err(|e| match e {
+                ShardError::Merge(msg) => msg,
+                other => panic!("a merge fails only with ShardError::Merge, got {other:?}"),
+            })
+        }
+
+        fn int(rng: &mut Rng, hi: u64) -> Value {
+            Value::Int(rng.gen_below(hi) as i64)
+        }
+
+        /// A small flow map: keys from 0..12, so shards' writes overlap.
+        fn flow_map(rng: &mut Rng, max_len: u64) -> BTreeMap<ValueKey, Value> {
+            (0..rng.gen_below(max_len + 1))
+                .map(|_| (ValueKey::Int(rng.gen_below(12) as i64), int(rng, 4)))
+                .collect()
+        }
+
+        /// Shard `s` of `n`'s copy of a per-flow map: it changes or
+        /// deletes the initial keys and adds the new keys it owns (key
+        /// mod `n`), and now and then writes a key another shard owns.
+        fn per_flow_shard(
+            rng: &mut Rng,
+            init: &BTreeMap<ValueKey, Value>,
+            s: usize,
+            n: usize,
+        ) -> Value {
+            let owns = |rng: &mut Rng, k: &ValueKey| {
+                matches!(k, ValueKey::Int(i) if *i as usize % n == s) || rng.gen_bool(0.1)
+            };
+            let mut m = init.clone();
+            for k in init.keys() {
+                if owns(rng, k) {
+                    match rng.gen_index(3) {
+                        0 => {}
+                        1 => {
+                            m.insert(k.clone(), int(rng, 4));
+                        }
+                        _ => {
+                            m.remove(k);
+                        }
+                    }
+                }
+            }
+            for (k, v) in flow_map(rng, 4) {
+                if owns(rng, &k) {
+                    m.insert(k, v);
+                }
+            }
+            if rng.gen_bool(0.03) {
+                return Value::Int(0);
+            }
+            Value::Map(m)
+        }
+
+        /// Shard copy of a log-only value: the initial value plus a delta.
+        fn log_shard(rng: &mut Rng, init: &Value) -> Value {
+            match init {
+                Value::Int(base) if !rng.gen_bool(0.03) => {
+                    Value::Int(base + rng.gen_below(5) as i64)
+                }
+                Value::Map(init_map) if !rng.gen_bool(0.03) => {
+                    let mut m = init_map.clone();
+                    for (k, _) in flow_map(rng, 3) {
+                        let base = m.get(&k).and_then(Value::as_int).unwrap_or(0);
+                        let bumped = if rng.gen_bool(0.03) {
+                            Value::Str("?".into())
+                        } else {
+                            Value::Int(base + rng.gen_below(5) as i64)
+                        };
+                        m.insert(k, bumped);
+                    }
+                    Value::Map(m)
+                }
+                Value::Str(_) if rng.gen_bool(0.9) => init.clone(),
+                _ => Value::Str("other".into()),
+            }
+        }
+
+        fn gen_case(rng: &mut Rng) -> MergeCase {
+            let n = 1 + rng.gen_index(4);
+            let mut case = MergeCase {
+                verdicts: Vec::new(),
+                initial: BTreeMap::new(),
+                shards: vec![BTreeMap::new(); n],
+            };
+            // (name, verdict, initial value) for every verdict, and
+            // log-only state as an integer, a map and neither.
+            let flows = if rng.gen_bool(0.05) {
+                Value::Int(1)
+            } else {
+                Value::Map(flow_map(rng, 5))
+            };
+            let log = if rng.gen_bool(0.1) {
+                Value::Str("s".into())
+            } else {
+                int(rng, 10)
+            };
+            let mut counts = flow_map(rng, 3);
+            if rng.gen_bool(0.05) {
+                counts.insert(ValueKey::Int(99), Value::Str("x".into()));
+            }
+            let states = [
+                ("flows", Some(StateShard::PerFlow), flows),
+                ("hits", Some(StateShard::LogOnly), log),
+                ("per_src", Some(StateShard::LogOnly), Value::Map(counts)),
+                ("owner", Some(StateShard::Shared), int(rng, 4)),
+                (
+                    "table",
+                    Some(StateShard::ReadOnly),
+                    Value::Map(flow_map(rng, 3)),
+                ),
+                ("LIMIT", None, int(rng, 4)),
+            ];
+            for (name, verdict, init) in states {
+                if !rng.gen_bool(0.7) {
+                    continue;
+                }
+                for (s, shard) in case.shards.iter_mut().enumerate() {
+                    if rng.gen_bool(0.1) {
+                        continue; // the shard's evaluator lacks the name
+                    }
+                    let v = match (verdict, &init) {
+                        (Some(StateShard::PerFlow), Value::Map(m)) => per_flow_shard(rng, m, s, n),
+                        (Some(StateShard::LogOnly), _) => log_shard(rng, &init),
+                        (Some(StateShard::Shared), _) => int(rng, 4),
+                        _ if rng.gen_bool(0.05) => int(rng, 4),
+                        _ => init.clone(),
+                    };
+                    shard.insert(name.to_string(), v);
+                }
+                if let Some(v) = verdict {
+                    case.verdicts.push((name.to_string(), v));
+                }
+                case.initial.insert(name.to_string(), init);
+            }
+            for shard in &mut case.shards {
+                if rng.gen_bool(0.2) {
+                    // A name the initial view lacks: the merge drops it.
+                    shard.insert("scratch".into(), int(rng, 4));
+                }
+            }
+            case
+        }
+
+        /// Smaller cases: one shard fewer, or one state name fewer.
+        fn shrink_case(c: &MergeCase) -> Vec<MergeCase> {
+            let mut out = Vec::new();
+            for i in 0..c.shards.len() {
+                if c.shards.len() > 1 {
+                    let mut d = c.clone();
+                    d.shards.remove(i);
+                    out.push(d);
+                }
+            }
+            for name in c.initial.keys() {
+                let mut d = c.clone();
+                d.initial.remove(name);
+                d.shards.iter_mut().for_each(|s| {
+                    s.remove(name);
+                });
+                out.push(d);
+            }
+            out
+        }
+
+        #[test]
+        fn by_move_merge_equals_the_clone_based_oracle() {
+            let gen = Gen::new(gen_case).with_shrink(shrink_case);
+            let (ok, conflict, diverged, other) =
+                (Cell::new(0), Cell::new(0), Cell::new(0), Cell::new(0));
+            check("merge-by-move", &Config::with_cases(2000), &gen, |case| {
+                let (got, want) = case.merge();
+                assert_eq!(got, want);
+                let tally = match &want {
+                    Ok(_) => &ok,
+                    Err(m) if m.contains("written by multiple shards") => &conflict,
+                    Err(m) if m.contains("diverged") => &diverged,
+                    Err(_) => &other,
+                };
+                tally.set(tally.get() + 1);
+            });
+            // Every rule must have been reached, not just the happy path.
+            for (what, n) in [
+                ("ok", &ok),
+                ("conflict", &conflict),
+                ("diverged", &diverged),
+                ("other", &other),
+            ] {
+                assert!(
+                    n.get() >= 20,
+                    "only {} {what} outcomes in 2000 cases",
+                    n.get()
+                );
+            }
+        }
+
+        fn flows(entries: &[(i64, i64)]) -> Value {
+            Value::Map(
+                entries
+                    .iter()
+                    .map(|&(k, v)| (ValueKey::Int(k), Value::Int(v)))
+                    .collect(),
+            )
+        }
+
+        fn case(initial: Snapshot, shards: Vec<Snapshot>) -> MergeCase {
+            MergeCase {
+                verdicts: vec![
+                    ("flows".into(), StateShard::PerFlow),
+                    ("hits".into(), StateShard::LogOnly),
+                ],
+                initial,
+                shards,
+            }
+        }
+
+        fn snapshot(flows: Value, hits: i64) -> Snapshot {
+            BTreeMap::from([
+                ("flows".to_string(), flows),
+                ("hits".to_string(), Value::Int(hits)),
+                ("LIMIT".to_string(), Value::Int(3)),
+            ])
+        }
+
+        #[test]
+        fn one_shard_merge_is_that_shards_snapshot() {
+            // Key 1 unchanged, 2 changed, 3 deleted, 4 new.
+            let shard = snapshot(flows(&[(1, 10), (2, 21), (4, 40)]), 9);
+            let c = case(
+                snapshot(flows(&[(1, 10), (2, 20), (3, 30)]), 5),
+                vec![shard.clone()],
+            );
+            let (got, want) = c.merge();
+            assert_eq!(got, Ok(shard));
+            assert_eq!(got, want);
+        }
+
+        #[test]
+        fn initial_key_deleted_on_its_owner_stays_deleted() {
+            // Shard 0 owns key 1 and deletes it; shard 1 still holds its
+            // untouched initial copy.
+            let initial = snapshot(flows(&[(1, 10), (2, 20)]), 0);
+            let c = case(
+                initial.clone(),
+                vec![snapshot(flows(&[(2, 20)]), 0), initial],
+            );
+            let (got, want) = c.merge();
+            assert_eq!(got.as_ref().map(|m| &m["flows"]), Ok(&flows(&[(2, 20)])));
+            assert_eq!(got, want);
+        }
+
+        #[test]
+        fn two_shards_changing_one_key_is_a_merge_error() {
+            let c = case(
+                snapshot(flows(&[(1, 10)]), 0),
+                vec![
+                    snapshot(flows(&[(1, 11)]), 0),
+                    snapshot(flows(&[(1, 12)]), 0),
+                ],
+            );
+            let (got, want) = c.merge();
+            assert_eq!(
+                got,
+                Err("partitioned `flows` key Int(1) written by multiple shards".to_string())
+            );
+            assert_eq!(got, want);
         }
     }
 }

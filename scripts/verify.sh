@@ -211,16 +211,31 @@ echo "==> streaming smoke: 100k fresh-flow firewall packets on every backend"
 # Default traffic opens a new pinhole for most packets, so live state
 # grows with the stream. Per-packet rollback journaling is O(entries
 # touched) on every backend, so this finishes in seconds; a whole-state
-# journal made it quadratic (minutes).
+# journal made it quadratic (minutes). The merged `pinholes` map must
+# hold the same number of entries on every backend at 4 shards and on
+# one shard. The log-only counters are not compared: the model prunes
+# them, so they legitimately differ by backend.
 ./target/release/nfactor workload --seed 7 --packets 100000 "$tracedir/fresh.nfw" > /dev/null
-for backend in interp model compiled; do
+pinholes_ref=""
+for run in interp:4 model:4 compiled:4 compiled:1; do
+    backend=${run%:*}
+    shards=${run#*:}
     out=$(./target/release/nfactor run --corpus firewall --workload "$tracedir/fresh.nfw" \
-        --shards 4 --batch 32 --backend "$backend")
+        --shards "$shards" --batch 32 --backend "$backend")
     pkts=$(printf '%s\n' "$out" | awk '/^packets/ {print $3}')
     if [ "$pkts" != "100000" ]; then
-        echo "    expected 100000 packets on $backend, got '$pkts':"; echo "$out"; exit 1
+        echo "    expected 100000 packets on $backend x$shards, got '$pkts':"; echo "$out"; exit 1
     fi
-    echo "    100000 fresh-flow packets on $backend: ok"
+    pinholes=$(printf '%s\n' "$out" | awk '/^pinholes = map\(/ {gsub(/[^0-9]/, "", $3); print $3}')
+    if [ -z "$pinholes" ]; then
+        echo "    no merged pinholes map on $backend x$shards:"; echo "$out"; exit 1
+    fi
+    if [ -n "$pinholes_ref" ] && [ "$pinholes" != "$pinholes_ref" ]; then
+        echo "    $backend x$shards: $pinholes merged pinholes != $pinholes_ref on interp x4"
+        exit 1
+    fi
+    pinholes_ref=$pinholes
+    echo "    100000 fresh-flow packets on $backend x$shards, $pinholes merged pinholes: ok"
 done
 
 echo "==> NAT port-exhaustion smoke: 86k packets on model and compiled"
