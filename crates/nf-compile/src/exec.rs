@@ -11,6 +11,15 @@
 //! [`model_step`](CompiledState::model_step) runs the reference
 //! evaluator itself over the same arenas, for packets the compiled
 //! step fails on.
+//!
+//! Every term the step evaluates goes through the fast path of
+//! [`RunEnv`] first: residual literals and state predicates through
+//! `fast_bool`, rewrites through `fast_int`, map-op keys through
+//! `fast_key`, updates and inserted values through `fast_value` (see
+//! [`crate::expr`]). Where the fast path declines, the step runs
+//! [`eval_expr`] on the whole term and keeps its value or its error, so
+//! outputs, `fired`, post-state and error strings are those of
+//! [`eval_expr`] on every packet.
 
 use crate::compile::{CFlowAction, CMapOp, CompiledProgram};
 use crate::expr::{eval_expr, CExpr, RunEnv};
@@ -193,14 +202,8 @@ impl CompiledState {
         'cand: for c in cands {
             let entry = &prog.entries[c.entry];
             for &ri in &c.residuals {
-                match self.eval(prog, pkt, &entry.flow_lits[ri])? {
-                    Value::Bool(true) => {}
-                    Value::Bool(false) => continue 'cand,
-                    other => {
-                        return Err(EvalError::Stuck(format!(
-                            "match literal evaluated to {other}"
-                        )))
-                    }
+                if !self.truth(prog, pkt, &entry.flow_lits[ri], false)? {
+                    continue 'cand;
                 }
             }
             for sl in &entry.state_lits {
@@ -236,28 +239,44 @@ impl CompiledState {
         if gen == self.generation {
             return Ok(val);
         }
-        match self.eval(prog, pkt, &prog.state_preds[p])? {
-            Value::Bool(b) => {
-                self.memo[p] = (self.generation, b);
-                Ok(b)
-            }
+        let b = self.truth(prog, pkt, &prog.state_preds[p], wrapped)?;
+        self.memo[p] = (self.generation, b);
+        Ok(b)
+    }
+
+    fn env<'s>(&'s self, prog: &'s CompiledProgram, pkt: &'s Packet) -> RunEnv<'s> {
+        RunEnv {
+            pkt,
+            slots: &self.slots,
+            maps: &self.maps,
+            map_names: &prog.map_names,
+            slot_names: &prog.slot_names,
+        }
+    }
+
+    /// Evaluate a match literal or state predicate to its truth value.
+    /// A non-boolean value raises the reference's error: `not of v`
+    /// for a literal the source wrapped in `!`, else `match literal
+    /// evaluated to v`.
+    fn truth(
+        &self,
+        prog: &CompiledProgram,
+        pkt: &Packet,
+        e: &CExpr,
+        wrapped: bool,
+    ) -> Result<bool, EvalError> {
+        let env = self.env(prog, pkt);
+        if let Some(b) = env.fast_bool(e) {
+            return Ok(b);
+        }
+        match eval_expr(&env, e)? {
+            Value::Bool(b) => Ok(b),
             other => Err(EvalError::Stuck(if wrapped {
                 format!("not of {other}")
             } else {
                 format!("match literal evaluated to {other}")
             })),
         }
-    }
-
-    fn eval(&self, prog: &CompiledProgram, pkt: &Packet, e: &CExpr) -> Result<Value, EvalError> {
-        let env = RunEnv {
-            pkt,
-            slots: &self.slots,
-            maps: &self.maps,
-            map_names: &prog.map_names,
-            slot_names: &prog.slot_names,
-        };
-        eval_expr(&env, e)
     }
 
     /// Fire entry `ei`: evaluate rewrites, updates, and map operations
@@ -270,15 +289,33 @@ impl CompiledState {
         ei: usize,
     ) -> Result<Option<Packet>, EvalError> {
         let entry = &prog.entries[ei];
+        let env = self.env(prog, pkt);
+        let value = |term: &CExpr| {
+            env.fast_value(term)
+                .map_or_else(|| eval_expr(&env, term), Ok)
+        };
+        let key = |term: &CExpr| -> Result<ValueKey, EvalError> {
+            match env.fast_key(term) {
+                Some(k) => Ok(k),
+                None => eval_expr(&env, term)?
+                    .as_key()
+                    .ok_or_else(|| EvalError::Stuck("unkeyable map key".into())),
+            }
+        };
         let output = match &entry.flow_action {
             CFlowAction::Drop => None,
             CFlowAction::Forward { rewrites } => {
                 let mut out = pkt.clone();
                 for (field, term) in rewrites {
-                    let v = self.eval(prog, pkt, term)?;
-                    let iv = v.as_int().ok_or_else(|| {
-                        EvalError::Stuck(format!("rewrite of {field} to non-int {v}"))
-                    })?;
+                    let iv = match env.fast_int(term) {
+                        Some(iv) => iv,
+                        None => {
+                            let v = eval_expr(&env, term)?;
+                            v.as_int().ok_or_else(|| {
+                                EvalError::Stuck(format!("rewrite of {field} to non-int {v}"))
+                            })?
+                        }
+                    };
                     let uv = u64::try_from(iv)
                         .map_err(|_| EvalError::Field(format!("negative value {iv}")))?;
                     out.set(*field, uv)
@@ -289,27 +326,20 @@ impl CompiledState {
         };
         let mut new_scalars = Vec::with_capacity(entry.updates.len());
         for (slot, term) in &entry.updates {
-            new_scalars.push((*slot, self.eval(prog, pkt, term)?));
+            new_scalars.push((*slot, value(term)?));
         }
         let mut map_commits: Vec<(usize, ValueKey, Option<Value>)> =
             Vec::with_capacity(entry.map_ops.len());
         for op in &entry.map_ops {
             match op {
-                CMapOp::Insert { map, key, value } => {
-                    let k = self
-                        .eval(prog, pkt, key)?
-                        .as_key()
-                        .ok_or_else(|| EvalError::Stuck("unkeyable map key".into()))?;
-                    let v = self.eval(prog, pkt, value)?;
-                    map_commits.push((*map, k, Some(v)));
+                CMapOp::Insert {
+                    map,
+                    key: k,
+                    value: v,
+                } => {
+                    map_commits.push((*map, key(k)?, Some(value(v)?)));
                 }
-                CMapOp::Remove { map, key } => {
-                    let k = self
-                        .eval(prog, pkt, key)?
-                        .as_key()
-                        .ok_or_else(|| EvalError::Stuck("unkeyable map key".into()))?;
-                    map_commits.push((*map, k, None));
-                }
+                CMapOp::Remove { map, key: k } => map_commits.push((*map, key(k)?, None)),
             }
         }
         // Commit phase: nothing below can fail, so a step either

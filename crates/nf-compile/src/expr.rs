@@ -14,6 +14,34 @@
 //! `stable_hash` — so that for any packet on which the reference model
 //! evaluator succeeds, the compiled program produces the identical
 //! result.
+//!
+//! # The fast path
+//!
+//! [`eval_expr`] returns an owned [`Value`] for every term node: it
+//! clones each constant, slot and map value it reads, and builds a
+//! tuple key twice (`Value::Tuple`, then `as_key`). The runtime
+//! evaluates terms through a fast path on [`RunEnv`] instead, with one
+//! entry point per result type:
+//!
+//! * [`fast_bool`](RunEnv::fast_bool): residual literals and state
+//!   predicates;
+//! * [`fast_int`](RunEnv::fast_int): rewrites;
+//! * [`fast_key`](RunEnv::fast_key): map-op keys, and the keys of
+//!   `MapGet` and `MapContains`, built straight into a [`ValueKey`]
+//!   (one allocation per tuple key);
+//! * [`fast_value`](RunEnv::fast_value): updates and inserted values.
+//!
+//! Integers and booleans stay unboxed, and constants, slots and map
+//! entries are read by reference. An entry point answers (`Some`) only
+//! where [`eval_expr`] returns `Ok` with the same value (for keys,
+//! `as_key` of it). Otherwise it declines (`None`), and the caller runs
+//! [`eval_expr`] on the whole term. Re-running is exact because
+//! evaluation only reads state. [`eval_expr`] stays the one definition
+//! of semantics, of every error message and of constant folding; the
+//! fast path never produces an error of its own. It declines on every
+//! term [`eval_expr`] fails on, and answers every term it succeeds on,
+//! except one shape it leaves to [`eval_expr`]: a term containing an
+//! array literal that did not fold to a constant.
 
 use nf_model::{eval_bin, EvalError};
 use nf_packet::{Field, Packet};
@@ -149,6 +177,247 @@ impl Env for RunEnv<'_> {
     }
     fn map_name(&self, i: usize) -> &str {
         &self.map_names[i]
+    }
+}
+
+/// A fast-path result: an unboxed integer or boolean, or a borrowed
+/// value of any other type. It never owns a [`Value`].
+#[derive(Clone, Copy)]
+enum Fast<'v> {
+    Int(i64),
+    Bool(bool),
+    /// Never an integer or a boolean: [`Fast::of`] unboxes those.
+    Ref(&'v Value),
+}
+
+impl<'v> Fast<'v> {
+    #[inline]
+    fn of(v: &'v Value) -> Fast<'v> {
+        match v {
+            Value::Int(x) => Fast::Int(*x),
+            Value::Bool(b) => Fast::Bool(*b),
+            other => Fast::Ref(other),
+        }
+    }
+
+    /// `Value` equality, without building either side.
+    #[inline]
+    fn same(self, other: Fast<'_>) -> bool {
+        match (self, other) {
+            (Fast::Int(x), Fast::Int(y)) => x == y,
+            (Fast::Bool(x), Fast::Bool(y)) => x == y,
+            (Fast::Ref(a), Fast::Ref(b)) => a == b,
+            _ => false,
+        }
+    }
+
+    fn to_value(self) -> Value {
+        match self {
+            Fast::Int(x) => Value::Int(x),
+            Fast::Bool(b) => Value::Bool(b),
+            Fast::Ref(v) => v.clone(),
+        }
+    }
+}
+
+/// [`eval_bin`] on two integers, for the operators that yield one;
+/// `None` where it errs (division by zero) or yields a boolean.
+#[inline]
+fn int_bin(op: BinOp, x: i64, y: i64) -> Option<i64> {
+    Some(match op {
+        BinOp::Add => x.wrapping_add(y),
+        BinOp::Sub => x.wrapping_sub(y),
+        BinOp::Mul => x.wrapping_mul(y),
+        BinOp::Div if y != 0 => x.wrapping_div(y),
+        BinOp::Mod if y != 0 => x.rem_euclid(y),
+        BinOp::BitAnd => x & y,
+        BinOp::BitOr => x | y,
+        _ => return None,
+    })
+}
+
+#[inline]
+fn is_arith(op: BinOp) -> bool {
+    matches!(
+        op,
+        BinOp::Add
+            | BinOp::Sub
+            | BinOp::Mul
+            | BinOp::Div
+            | BinOp::Mod
+            | BinOp::BitAnd
+            | BinOp::BitOr
+    )
+}
+
+/// The fast path (see the module docs). Each entry point answers only
+/// where [`eval_expr`] returns `Ok` with the same value, and declines
+/// (`None`) otherwise.
+impl RunEnv<'_> {
+    /// A boolean term: a residual flow literal or a state predicate.
+    pub fn fast_bool(&self, term: &CExpr) -> Option<bool> {
+        match term {
+            CExpr::Bin(BinOp::And, a, b) => Some(self.fast_bool(a)? && self.fast_bool(b)?),
+            CExpr::Bin(BinOp::Or, a, b) => Some(self.fast_bool(a)? || self.fast_bool(b)?),
+            CExpr::Bin(BinOp::Eq, a, b) => self.fast_eq(a, b),
+            CExpr::Bin(BinOp::Ne, a, b) => Some(!self.fast_eq(a, b)?),
+            CExpr::Bin(op @ (BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge), a, b) => {
+                let (x, y) = (self.int_operand(a)?, self.int_operand(b)?);
+                Some(match op {
+                    BinOp::Lt => x < y,
+                    BinOp::Le => x <= y,
+                    BinOp::Gt => x > y,
+                    _ => x >= y,
+                })
+            }
+            CExpr::Not(a) => Some(!self.fast_bool(a)?),
+            CExpr::MapContains(m, key) => Some(self.maps[*m].contains_key(&self.fast_key(key)?)),
+            _ => self.borrow(term)?.as_bool(),
+        }
+    }
+
+    /// An integer term: a rewrite, or an operand of arithmetic, an
+    /// ordering, an index or a tuple item.
+    pub fn fast_int(&self, term: &CExpr) -> Option<i64> {
+        match term {
+            CExpr::Pkt(f) => self.field(*f),
+            CExpr::Bin(op, a, b) if is_arith(*op) => {
+                int_bin(*op, self.int_operand(a)?, self.int_operand(b)?)
+            }
+            CExpr::Neg(a) => Some(-self.int_operand(a)?),
+            CExpr::Min(a, b) => Some(self.int_operand(a)?.min(self.int_operand(b)?)),
+            CExpr::Max(a, b) => Some(self.int_operand(a)?.max(self.int_operand(b)?)),
+            CExpr::Hash(a) => Some(match &**a {
+                CExpr::Tuple(items) => stable_hash(&Value::Tuple(self.ints(items)?)),
+                _ => match self.operand(a)? {
+                    Fast::Int(x) => stable_hash(&Value::Int(x)),
+                    Fast::Bool(b) => stable_hash(&Value::Bool(b)),
+                    Fast::Ref(v) => stable_hash(v),
+                },
+            }),
+            CExpr::Proj(base, i) => match &**base {
+                // `eval_expr` builds the whole tuple before projecting,
+                // so every item must be an integer.
+                CExpr::Tuple(items) => {
+                    let mut picked = None;
+                    for (j, e) in items.iter().enumerate() {
+                        let x = self.int_operand(e)?;
+                        if j == *i {
+                            picked = Some(x);
+                        }
+                    }
+                    picked
+                }
+                _ => match self.borrow(base)? {
+                    Value::Tuple(items) => items.get(*i).copied(),
+                    _ => None,
+                },
+            },
+            _ => self.borrow(term)?.as_int(),
+        }
+    }
+
+    /// A map key: `as_key` of the term's value, built straight into the
+    /// key type.
+    pub fn fast_key(&self, term: &CExpr) -> Option<ValueKey> {
+        if let CExpr::Tuple(items) = term {
+            return self.ints(items).map(ValueKey::Tuple);
+        }
+        match self.fast(term)? {
+            Fast::Int(x) => Some(ValueKey::Int(x)),
+            Fast::Bool(b) => Some(ValueKey::Bool(b)),
+            Fast::Ref(v) => v.as_key(),
+        }
+    }
+
+    /// A term of any type, owned: a scalar update or an inserted map
+    /// value.
+    pub fn fast_value(&self, term: &CExpr) -> Option<Value> {
+        match term {
+            CExpr::Tuple(items) => self.ints(items).map(Value::Tuple),
+            _ => self.fast(term).map(Fast::to_value),
+        }
+    }
+
+    /// The items of a tuple term, each of which must be an integer.
+    fn ints(&self, items: &[CExpr]) -> Option<Vec<i64>> {
+        let mut out = Vec::with_capacity(items.len());
+        for e in items {
+            out.push(self.int_operand(e)?);
+        }
+        Some(out)
+    }
+
+    #[inline]
+    fn field(&self, f: Field) -> Option<i64> {
+        self.pkt.get(f).ok().map(|raw| raw as i64)
+    }
+
+    /// `a == b`, evaluating both sides as `eval_expr` does.
+    #[inline]
+    fn fast_eq(&self, a: &CExpr, b: &CExpr) -> Option<bool> {
+        match (a, b) {
+            (CExpr::Tuple(_), _) | (_, CExpr::Tuple(_)) => {
+                Some(self.fast_value(a)? == self.fast_value(b)?)
+            }
+            _ => Some(self.operand(a)?.same(self.operand(b)?)),
+        }
+    }
+
+    /// [`fast`](Self::fast), with the leaves most operands are (fields
+    /// and constants) inlined into the caller.
+    #[inline(always)]
+    fn operand<'s>(&'s self, term: &'s CExpr) -> Option<Fast<'s>> {
+        match term {
+            CExpr::Const(v) => Some(Fast::of(v)),
+            CExpr::Pkt(f) => self.field(*f).map(Fast::Int),
+            _ => self.fast(term),
+        }
+    }
+
+    /// [`fast_int`](Self::fast_int), with its leaves inlined likewise.
+    #[inline(always)]
+    fn int_operand(&self, term: &CExpr) -> Option<i64> {
+        match term {
+            CExpr::Const(v) => v.as_int(),
+            CExpr::Pkt(f) => self.field(*f),
+            _ => self.fast_int(term),
+        }
+    }
+
+    /// A term of any type except a tuple or array built from terms,
+    /// unboxed or borrowed.
+    fn fast<'s>(&'s self, term: &'s CExpr) -> Option<Fast<'s>> {
+        Some(match term {
+            CExpr::Const(v) => Fast::of(v),
+            CExpr::Pkt(f) => Fast::Int(self.field(*f)?),
+            CExpr::Slot(i) => Fast::of(self.slots[*i].as_ref()?),
+            CExpr::MapGet(..) | CExpr::ArrayGet(..) => Fast::of(self.borrow(term)?),
+            CExpr::Bin(op, ..) if !is_arith(*op) => Fast::Bool(self.fast_bool(term)?),
+            CExpr::Not(_) | CExpr::MapContains(..) => Fast::Bool(self.fast_bool(term)?),
+            CExpr::Bin(..)
+            | CExpr::Neg(_)
+            | CExpr::Hash(_)
+            | CExpr::Min(..)
+            | CExpr::Max(..)
+            | CExpr::Proj(..) => Fast::Int(self.fast_int(term)?),
+            CExpr::Stuck(_) | CExpr::Tuple(_) | CExpr::Array(_) => return None,
+        })
+    }
+
+    /// The value a constant, slot, map entry or array element holds,
+    /// by reference.
+    fn borrow<'s>(&'s self, term: &'s CExpr) -> Option<&'s Value> {
+        match term {
+            CExpr::Const(v) => Some(v),
+            CExpr::Slot(i) => self.slots[*i].as_ref(),
+            CExpr::MapGet(m, key) => self.maps[*m].get(&self.fast_key(key)?),
+            CExpr::ArrayGet(base, idx) => match self.borrow(base)? {
+                Value::Array(items) => items.get(usize::try_from(self.int_operand(idx)?).ok()?),
+                _ => None,
+            },
+            _ => None,
+        }
     }
 }
 

@@ -5,12 +5,12 @@
 //! which arrive from outside the trust boundary; this crate drives the
 //! whole stack with four seeded input diets and two oracles:
 //!
-//! | diet (case `i % 4`)           | oracle(s)                         |
-//! |-------------------------------|-----------------------------------|
-//! | grammar-generated NFL program | crash + differential              |
-//! | byte-mutated NFL text         | crash (parse / lint / synthesize) |
-//! | byte-mutated wire packet      | crash (decode / re-encode)        |
-//! | pure random bytes             | crash (both surfaces)             |
+//! | diet (case `i % 4`)           | oracle(s)                                      |
+//! |-------------------------------|------------------------------------------------|
+//! | grammar-generated NFL program | crash + differential (interp, model, compiled) |
+//! | byte-mutated NFL text         | crash (parse / lint / synthesize)              |
+//! | byte-mutated wire packet      | crash (decode / re-encode)                     |
+//! | pure random bytes             | crash (both surfaces)                          |
 //!
 //! Everything is deterministic in the seed — same seed, same cases, same
 //! verdicts — because synthesis runs under a caps-only
@@ -107,7 +107,8 @@ pub struct FuzzReport {
     pub cases: usize,
     /// Cases that panicked somewhere in the pipeline.
     pub panics: usize,
-    /// Differential mismatches between interpreter and model.
+    /// Differential mismatches: interpreter vs model, or compiled
+    /// program vs model.
     pub mismatches: usize,
     /// Differential comparisons actually performed.
     pub diff_checked: usize,

@@ -9,10 +9,16 @@
 //!   interpreter must agree packet-for-packet on a seeded stream. Cases
 //!   the model legitimately cannot mirror (truncated exploration,
 //!   interpreter runtime errors) are reported as skipped, not failed.
+//!   Once they agree, the model's compiled lowering must match the
+//!   model on the same stream in output, fired entry and post-state,
+//!   wherever the model succeeds.
 
+use nf_compile::CompiledProgram;
+use nf_model::{Model, ModelState};
 use nf_support::budget::Budget;
-use nfactor_core::accuracy::differential_test;
-use nfactor_core::Pipeline;
+use nfactor_core::accuracy::{differential_test, initial_model_state};
+use nfactor_core::{Pipeline, Synthesis};
+use nfl_interp::Interp;
 use nfl_symex::PathLimits;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -27,7 +33,7 @@ pub enum Stage {
     Synthesize,
     /// `nf_packet::Packet::from_wire`.
     WireDecode,
-    /// Interpreter-vs-model agreement.
+    /// Interpreter-vs-model and compiled-vs-model agreement.
     Differential,
 }
 
@@ -58,7 +64,8 @@ pub enum Verdict {
         /// The panic payload, when it was a string.
         message: String,
     },
-    /// Model and interpreter disagreed on a packet.
+    /// Model and interpreter, or compiled program and model,
+    /// disagreed on a packet.
     Mismatch {
         /// Human-readable description of the first disagreement.
         detail: String,
@@ -147,7 +154,10 @@ pub fn check_wire(bytes: &[u8]) -> Verdict {
 
 /// Differential oracle: synthesize `src`, then drive the concrete
 /// interpreter and the model evaluator with the same `trials`-packet
-/// seeded stream and demand identical outputs.
+/// seeded stream and demand identical outputs. When they agree, check
+/// the model's compiled lowering against the model on that stream
+/// ([`nf_verify::modeldiff::program_vs_model`]); a model that does not
+/// compile is skipped.
 pub fn check_differential(name: &str, src: &str, seed: u64, trials: usize) -> Verdict {
     let syn = match guarded(Stage::Synthesize, || {
         fuzz_pipeline(name).and_then(|p| p.synthesize(src))
@@ -169,7 +179,7 @@ pub fn check_differential(name: &str, src: &str, seed: u64, trials: usize) -> Ve
         // Interpreter runtime errors (e.g. arithmetic overflow) make the
         // streams incomparable from that packet on — skip, don't fail.
         Ok(Err(e)) => Verdict::Skipped(format!("incomparable: {e}")),
-        Ok(Ok(report)) if report.perfect() => Verdict::Pass,
+        Ok(Ok(report)) if report.perfect() => check_compiled(&syn, seed, trials),
         Ok(Ok(report)) => {
             let (trial, prog, model) = &report.mismatches[0];
             Verdict::Mismatch {
@@ -177,6 +187,60 @@ pub fn check_differential(name: &str, src: &str, seed: u64, trials: usize) -> Ve
                     "trial {trial}: program {:?} vs model {:?} ({} of {} agreed)",
                     prog.as_ref().map(|p| p.to_string()),
                     model.as_ref().map(|p| p.to_string()),
+                    report.agreements,
+                    report.trials
+                ),
+            }
+        }
+    }
+}
+
+/// The compiled half of [`check_differential`]: compile the model at
+/// the interpreter's initial state and run it against the model on the
+/// same stream. One-sided, like the contract: trials where the model
+/// errs are skipped. It compiles here rather than through
+/// `compiled_vs_model`, which reports both as one error string, so
+/// that a compile error (skipped) stays apart from a compiled-step
+/// error (a mismatch).
+fn check_compiled(syn: &Synthesis, seed: u64, trials: usize) -> Verdict {
+    let state = match Interp::new(&syn.nf_loop) {
+        Ok(interp) => initial_model_state(syn, &interp),
+        Err(e) => return Verdict::Skipped(format!("interpreter error: {e}")),
+    };
+    match nf_compile::compile(&syn.model, &state) {
+        Ok(prog) => compiled_verdict(&prog, &syn.model, &state, seed, trials),
+        Err(e) => Verdict::Skipped(format!("compile error: {e}")),
+    }
+}
+
+/// Run `prog` against `model` from `state`; any divergence, or a
+/// compiled-step error where the model succeeded, is a mismatch.
+fn compiled_verdict(
+    prog: &CompiledProgram,
+    model: &Model,
+    state: &ModelState,
+    seed: u64,
+    trials: usize,
+) -> Verdict {
+    let run = guarded(Stage::Differential, || {
+        nf_verify::modeldiff::program_vs_model(prog, model, state, seed, trials)
+    });
+    match run {
+        Err(v) => v,
+        // The compiled step failed where the model succeeded.
+        Ok(Err(e)) => Verdict::Mismatch {
+            detail: format!("compiled vs model: {e}"),
+        },
+        Ok(Ok(report)) if report.equivalent() => Verdict::Pass,
+        Ok(Ok(report)) => {
+            let d = &report.divergences[0];
+            Verdict::Mismatch {
+                detail: format!(
+                    "compiled vs model, trial {} ({}): model {:?} vs compiled {:?} ({} of {} agreed)",
+                    d.trial,
+                    d.aspect,
+                    d.a_output.as_ref().map(|p| p.to_string()),
+                    d.b_output.as_ref().map(|p| p.to_string()),
                     report.agreements,
                     report.trials
                 ),
@@ -200,6 +264,50 @@ mod tests {
         "#;
         assert_eq!(check_source("t", src), Verdict::Pass);
         assert_eq!(check_differential("t", src, 3, 50), Verdict::Pass);
+    }
+
+    #[test]
+    fn corpus_nfs_pass_both_differential_halves() {
+        // fig1-lb exercises tuples, array indexing and NAT maps in the
+        // compiled half; the firewall its fresh-flow pinholes.
+        for (name, src) in [
+            ("fig1-lb", nf_corpus::fig1_lb::source()),
+            ("firewall", nf_corpus::firewall::source()),
+        ] {
+            assert_eq!(
+                check_differential(name, &src, 7, 200),
+                Verdict::Pass,
+                "{name}"
+            );
+        }
+    }
+
+    #[test]
+    fn compiled_divergence_is_a_mismatch() {
+        let src = nf_corpus::fig1_lb::source();
+        let syn = fuzz_pipeline("lb").unwrap().synthesize(&src).unwrap();
+        let state = initial_model_state(&syn, &Interp::new(&syn.nf_loop).unwrap());
+        let mut prog = nf_compile::compile(&syn.model, &state).unwrap();
+        assert_eq!(
+            compiled_verdict(&prog, &syn.model, &state, 7, 200),
+            Verdict::Pass
+        );
+        // Every forwarding entry now writes ip.src := 0.
+        for e in &mut prog.entries {
+            if let nf_compile::CFlowAction::Forward { rewrites } = &mut e.flow_action {
+                rewrites.push((
+                    nf_packet::Field::IpSrc,
+                    nf_compile::CExpr::Const(nfl_interp::Value::Int(0)),
+                ));
+            }
+        }
+        match compiled_verdict(&prog, &syn.model, &state, 7, 200) {
+            Verdict::Mismatch { detail } => {
+                assert!(detail.starts_with("compiled vs model, trial"), "{detail}");
+                assert!(detail.contains("(output)"), "{detail}");
+            }
+            v => panic!("expected a mismatch, got {v:?}"),
+        }
     }
 
     #[test]

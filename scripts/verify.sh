@@ -35,11 +35,16 @@ echo "==> placement smoke: one plan per NF, whatever the backend"
 # Every backend places state by the verdict the pipeline takes on its
 # one analysis, so the plan `nfactor run` prints (the lines between
 # the header and the first blank line) must not depend on the backend.
+# The compiled backend must also print the model's run: once the header
+# (it names the backend) and the wall-clock `makespan` and `throughput`
+# lines are dropped, the packet counts and the merged state must be
+# identical. The interpreter is left out of that check: the model
+# prunes log-only counters, so its merged state differs by design.
 for nf in fig1-lb balance snort nat firewall ratelimiter portknock router; do
     ref=""
     for backend in interp model compiled; do
-        plan=$(./target/release/nfactor run --corpus "$nf" --backend "$backend" \
-            | awk 'NR > 1 && /^$/ {exit} NR > 1 {print}')
+        out=$(./target/release/nfactor run --corpus "$nf" --backend "$backend")
+        plan=$(printf '%s\n' "$out" | awk 'NR > 1 && /^$/ {exit} NR > 1 {print}')
         if [ -z "$plan" ]; then
             echo "    $nf on $backend printed no plan"; exit 1
         fi
@@ -48,13 +53,21 @@ for nf in fig1-lb balance snort nat firewall ratelimiter portknock router; do
             printf '%s\n---\n%s\n' "$ref" "$plan"; exit 1
         fi
         ref=$plan
+        run=$(printf '%s\n' "$out" | awk 'NR > 1 && !/^(makespan|throughput) /')
+        if [ "$backend" = model ]; then
+            model_run=$run
+        elif [ "$backend" = compiled ] && [ "$run" != "$model_run" ]; then
+            echo "    $nf: the compiled run differs from the model's:"
+            printf '%s\n---\n%s\n' "$model_run" "$run"; exit 1
+        fi
     done
-    echo "    plan $nf: identical on interp, model, compiled: ok"
+    echo "    plan $nf: identical on interp, model, compiled; compiled run == model run: ok"
 done
 
 echo "==> fuzz smoke: 500 seeded cases, crash + differential oracles"
 # Deterministic (caps-only budgets): same seed, same verdicts. Exits
-# non-zero on any pipeline panic or interpreter/model mismatch.
+# non-zero on any pipeline panic, interpreter/model mismatch, or
+# compiled/model mismatch.
 ./target/release/nfactor fuzz --seed 0 --cases 500
 
 echo "==> shard smoke: fig1-lb across 4 shards, merged log aggregation"
