@@ -19,10 +19,14 @@
 //! 4. **Tree construction.** Flow literals of the recognised
 //!    single-field shapes become shared decision-tree nodes
 //!    ([`crate::tree`]); the rest stay residual at the leaves.
-//! 5. **State-tag interning.** State-match literals are canonicalised
-//!    (leading negations stripped into an expected polarity) and
-//!    deduplicated, so one evaluation per packet serves every entry
-//!    that tests the same predicate.
+//! 5. **Interning.** State-match literals and the flow literals the
+//!    tree leaves residual are canonicalised (leading negations stripped
+//!    into an expected polarity) and deduplicated into one predicate
+//!    table; each leaf candidate lists its obligations against it. The
+//!    distinct `(map, key term)` pairs that `MapGet` and `MapContains`
+//!    read are interned too. The runtime memoises both per packet, so a
+//!    step evaluates each distinct predicate, and builds and probes
+//!    each distinct map key, at most once, whichever entries share it.
 
 use crate::expr::{fold, CExpr};
 use crate::tree::{build, classify, Cand, Node};
@@ -92,11 +96,13 @@ pub enum CMapOp {
     },
 }
 
-/// One state-match obligation of an entry: interned predicate `pred`
-/// must evaluate to `expect`.
+/// One match obligation: interned predicate `pred` must evaluate to
+/// `expect`. State-match literals and residual flow literals both take
+/// this form.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StateLit {
-    /// Index into [`CompiledProgram::state_preds`].
+pub struct PredLit {
+    /// Index into the predicate table ([`CompiledProgram::pred`]): the
+    /// state predicates, then the residual flow predicates.
     pub pred: usize,
     /// Required truth value (negations folded into the polarity).
     pub expect: bool,
@@ -116,7 +122,7 @@ pub struct CEntry {
     /// the rest as residuals.
     pub flow_lits: Vec<CExpr>,
     /// State-match obligations, in source order.
-    pub state_lits: Vec<StateLit>,
+    pub state_lits: Vec<PredLit>,
     /// Packet action.
     pub flow_action: CFlowAction,
     /// Scalar state writes `(slot, value term)`, committed in order.
@@ -140,6 +146,15 @@ pub struct CompiledProgram {
     pub entries: Vec<CEntry>,
     /// Interned state-match predicates (canonical, negation-stripped).
     pub state_preds: Vec<CExpr>,
+    /// Interned residual flow predicates, likewise canonical; they
+    /// follow `state_preds` in the predicate table.
+    pub flow_preds: Vec<CExpr>,
+    /// The distinct key terms each map is read under by `MapGet` and
+    /// `MapContains`, indexed like `map_names`, each with its slot in
+    /// the per-step probe memo.
+    pub(crate) probe_keys: Vec<Vec<(CExpr, usize)>>,
+    /// Number of probe-memo slots (distinct `(map, key term)` pairs).
+    pub(crate) probe_count: usize,
     /// Scalar slot names (error messages, snapshots).
     pub slot_names: Vec<String>,
     /// Map names (error messages, snapshots).
@@ -171,6 +186,20 @@ impl CompiledProgram {
     /// Number of flattened table entries.
     pub fn entry_count(&self) -> usize {
         self.entries.len()
+    }
+
+    /// Interned predicate `p` ([`PredLit::pred`]).
+    pub fn pred(&self, p: usize) -> &CExpr {
+        match p.checked_sub(self.state_preds.len()) {
+            Some(f) => &self.flow_preds[f],
+            None => &self.state_preds[p],
+        }
+    }
+
+    /// Size of the predicate table: state predicates plus residual flow
+    /// predicates.
+    pub(crate) fn pred_count(&self) -> usize {
+        self.state_preds.len() + self.flow_preds.len()
     }
 }
 
@@ -255,9 +284,10 @@ impl Lowerer<'_> {
     }
 }
 
-/// Canonicalise a state-match literal: strip leading negations into the
-/// expected polarity and intern the remaining predicate.
-fn intern_state_lit(lowered: CExpr, preds: &mut Vec<CExpr>) -> StateLit {
+/// Canonicalise a match literal: strip leading negations into the
+/// expected polarity and intern the remaining predicate in `preds`,
+/// whose first entry sits at `base` in the predicate table.
+fn intern_lit(lowered: CExpr, preds: &mut Vec<CExpr>, base: usize) -> PredLit {
     let mut expect = true;
     let mut wrapped = false;
     let mut e = lowered;
@@ -273,10 +303,66 @@ fn intern_state_lit(lowered: CExpr, preds: &mut Vec<CExpr>) -> StateLit {
             preds.len() - 1
         }
     };
-    StateLit {
-        pred,
+    PredLit {
+        pred: base + pred,
         expect,
         wrapped,
+    }
+}
+
+/// Give every leaf candidate its obligations in evaluation order: its
+/// residual flow literals, interned into a predicate table after the
+/// `state` predicates, then its entry's state tags. Returns the flow
+/// predicates.
+fn intern_leaves(nodes: &mut [Node], entries: &[CEntry], state: usize) -> Vec<CExpr> {
+    let mut preds = Vec::new();
+    let mut tags: Vec<Vec<Option<PredLit>>> = entries
+        .iter()
+        .map(|e| vec![None; e.flow_lits.len()])
+        .collect();
+    for node in nodes {
+        let Node::Leaf { cands } = node else { continue };
+        for c in cands {
+            let entry = &entries[c.entry];
+            let mut lits = Vec::with_capacity(c.residuals.len() + entry.state_lits.len());
+            for &ri in &c.residuals {
+                let lit = *tags[c.entry][ri].get_or_insert_with(|| {
+                    intern_lit(entry.flow_lits[ri].clone(), &mut preds, state)
+                });
+                lits.push(lit);
+            }
+            lits.extend_from_slice(&entry.state_lits);
+            c.lits = lits;
+        }
+    }
+    preds
+}
+
+/// Intern the `(map, key term)` pair of every `MapGet` and `MapContains`
+/// in `term`, keys included, into `keys` (one list per map); `count`
+/// numbers the pairs.
+fn intern_probes(term: &CExpr, keys: &mut [Vec<(CExpr, usize)>], count: &mut usize) {
+    match term {
+        CExpr::MapGet(m, k) | CExpr::MapContains(m, k) => {
+            if !keys[*m].iter().any(|(known, _)| known == &**k) {
+                keys[*m].push(((**k).clone(), *count));
+                *count += 1;
+            }
+            intern_probes(k, keys, count);
+        }
+        CExpr::Const(_) | CExpr::Pkt(_) | CExpr::Slot(_) | CExpr::Stuck(_) => {}
+        CExpr::Tuple(es) | CExpr::Array(es) => {
+            for e in es {
+                intern_probes(e, keys, count);
+            }
+        }
+        CExpr::Bin(_, a, b) | CExpr::Min(a, b) | CExpr::Max(a, b) | CExpr::ArrayGet(a, b) => {
+            intern_probes(a, keys, count);
+            intern_probes(b, keys, count);
+        }
+        CExpr::Not(a) | CExpr::Neg(a) | CExpr::Hash(a) | CExpr::Proj(a, _) => {
+            intern_probes(a, keys, count)
+        }
     }
 }
 
@@ -341,6 +427,27 @@ pub fn compile(model: &Model, init: &ModelState) -> Result<CompiledProgram, Comp
     }
     let mut nodes = Vec::new();
     let root = build(&mut nodes, cands);
+    let flow_preds = intern_leaves(&mut nodes, &entries, preds.len());
+    let mut probe_keys = vec![Vec::new(); lw.map_names.len()];
+    let mut probe_count = 0;
+    let actions = entries.iter().flat_map(|e| {
+        let rewrites = match &e.flow_action {
+            CFlowAction::Forward { rewrites } => rewrites.as_slice(),
+            CFlowAction::Drop => &[],
+        };
+        let ops = e.map_ops.iter().flat_map(|op| match op {
+            CMapOp::Insert { key, value, .. } => [Some(key), Some(value)],
+            CMapOp::Remove { key, .. } => [Some(key), None],
+        });
+        rewrites
+            .iter()
+            .map(|(_, t)| t)
+            .chain(e.updates.iter().map(|(_, t)| t))
+            .chain(ops.flatten())
+    });
+    for term in preds.iter().chain(&flow_preds).chain(actions) {
+        intern_probes(term, &mut probe_keys, &mut probe_count);
+    }
     let init_slots = lw
         .slot_names
         .iter()
@@ -370,6 +477,9 @@ pub fn compile(model: &Model, init: &ModelState) -> Result<CompiledProgram, Comp
         root,
         entries,
         state_preds: preds,
+        flow_preds,
+        probe_keys,
+        probe_count,
         slot_index: index(&lw.slot_names),
         map_index: index(&lw.map_names),
         slot_names: lw.slot_names,
@@ -391,7 +501,7 @@ fn lower_entry(
     let state_lits = entry
         .state_match
         .iter()
-        .map(|l| intern_state_lit(lw.lower(l), preds))
+        .map(|l| intern_lit(lw.lower(l), preds, 0))
         .collect();
     let flow_action = match &entry.flow_action {
         FlowAction::Drop => CFlowAction::Drop,

@@ -32,7 +32,9 @@
 //! * [`fast_value`](RunEnv::fast_value): updates and inserted values.
 //!
 //! Integers and booleans stay unboxed, and constants, slots and map
-//! entries are read by reference. An entry point answers (`Some`) only
+//! entries are read by reference. With a [`Probes`] memo, each
+//! `(map, key term)` pair the program reads is built and probed once
+//! per step, whichever terms read it. An entry point answers (`Some`) only
 //! where [`eval_expr`] returns `Ok` with the same value (for keys,
 //! `as_key` of it). Otherwise it declines (`None`), and the caller runs
 //! [`eval_expr`] on the whole term. Re-running is exact because
@@ -47,6 +49,7 @@ use nf_model::{eval_bin, EvalError};
 use nf_packet::{Field, Packet};
 use nfl_interp::value::{stable_hash, Value, ValueKey};
 use nfl_lang::BinOp;
+use std::cell::Cell;
 
 /// A compile-time-resolved expression.
 #[derive(Debug, Clone, PartialEq)]
@@ -141,8 +144,9 @@ impl Env for ConstEnv {
     }
 }
 
-/// The per-packet runtime environment.
-pub struct RunEnv<'a> {
+/// The per-packet runtime environment: `'a` borrows the packet and the
+/// state, `'p` the step's probe memo.
+pub struct RunEnv<'a, 'p> {
     /// The packet being classified.
     pub pkt: &'a Packet,
     /// Scalar slots (`None` = unset, mirroring an absent scalar in
@@ -154,9 +158,49 @@ pub struct RunEnv<'a> {
     pub map_names: &'a [String],
     /// Scalar names (for error messages).
     pub slot_names: &'a [String],
+    /// The step's probe memo; `None` probes every map read afresh.
+    pub probes: Option<Probes<'a, 'p>>,
 }
 
-impl Env for RunEnv<'_> {
+/// One probe-memo slot: `None` until the step first reads its
+/// `(map, key term)`, then what that probe found.
+pub(crate) type ProbeSlot<'a> = Cell<Option<Option<&'a Value>>>;
+
+/// Probe-memo slots per step. The step keeps them on its stack, so the
+/// memo never allocates; a program's first `PROBE_SLOTS` distinct
+/// `(map, key term)` pairs (state tags' first) are memoised, and reads
+/// of any further pair probe afresh.
+pub(crate) const PROBE_SLOTS: usize = 8;
+
+/// A step's probe memo: the fast path builds the key of each
+/// `(map, key term)` pair the program reads, and probes the map, once
+/// per step, and serves every later read of the pair from here. The
+/// state does not change while a step evaluates, so within a step
+/// equal pairs always find the same entry.
+#[derive(Clone, Copy)]
+pub struct Probes<'a, 'p> {
+    /// Per map, the program's distinct key terms with their slots.
+    keys: &'p [Vec<(CExpr, usize)>],
+    slots: &'p [ProbeSlot<'a>],
+}
+
+impl<'a, 'p> Probes<'a, 'p> {
+    pub(crate) fn new(keys: &'p [Vec<(CExpr, usize)>], slots: &'p [ProbeSlot<'a>]) -> Self {
+        Probes { keys, slots }
+    }
+
+    /// The slot of `(map, key)`, if the program reads that pair and it
+    /// has one. The lookup compares the key term with the map's few
+    /// interned ones; it never hashes a term.
+    #[inline]
+    fn slot(&self, map: usize, key: &CExpr) -> Option<&'p ProbeSlot<'a>> {
+        let keys = self.keys.get(map)?;
+        let &(_, slot) = keys.iter().find(|(k, _)| k == key)?;
+        self.slots.get(slot)
+    }
+}
+
+impl Env for RunEnv<'_, '_> {
     fn pkt_field(&self, f: Field) -> Result<Value, EvalError> {
         let raw = self
             .pkt
@@ -253,7 +297,7 @@ fn is_arith(op: BinOp) -> bool {
 /// The fast path (see the module docs). Each entry point answers only
 /// where [`eval_expr`] returns `Ok` with the same value, and declines
 /// (`None`) otherwise.
-impl RunEnv<'_> {
+impl<'a> RunEnv<'a, '_> {
     /// A boolean term: a residual flow literal or a state predicate.
     pub fn fast_bool(&self, term: &CExpr) -> Option<bool> {
         match term {
@@ -271,7 +315,7 @@ impl RunEnv<'_> {
                 })
             }
             CExpr::Not(a) => Some(!self.fast_bool(a)?),
-            CExpr::MapContains(m, key) => Some(self.maps[*m].contains_key(&self.fast_key(key)?)),
+            CExpr::MapContains(m, key) => Some(self.probe(*m, key)?.is_some()),
             _ => self.borrow(term)?.as_bool(),
         }
     }
@@ -337,6 +381,23 @@ impl RunEnv<'_> {
             CExpr::Tuple(items) => self.ints(items).map(Value::Tuple),
             _ => self.fast(term).map(Fast::to_value),
         }
+    }
+
+    /// Map `m`'s entry at `key`'s value (`Some(None)` when absent), or
+    /// `None` where the key does not build. With a probe memo the key
+    /// is built and probed once per step.
+    #[inline]
+    fn probe(&self, m: usize, key: &CExpr) -> Option<Option<&'a Value>> {
+        let slot = self.probes.and_then(|p| p.slot(m, key));
+        if let Some(found) = slot.and_then(Cell::get) {
+            return Some(found);
+        }
+        let maps: &'a [std::collections::HashMap<ValueKey, Value>] = self.maps;
+        let found = maps[m].get(&self.fast_key(key)?);
+        if let Some(slot) = slot {
+            slot.set(Some(found));
+        }
+        Some(found)
     }
 
     /// The items of a tuple term, each of which must be an integer.
@@ -411,7 +472,7 @@ impl RunEnv<'_> {
         match term {
             CExpr::Const(v) => Some(v),
             CExpr::Slot(i) => self.slots[*i].as_ref(),
-            CExpr::MapGet(m, key) => self.maps[*m].get(&self.fast_key(key)?),
+            CExpr::MapGet(m, key) => self.probe(*m, key)?,
             CExpr::ArrayGet(base, idx) => match self.borrow(base)? {
                 Value::Array(items) => items.get(usize::try_from(self.int_operand(idx)?).ok()?),
                 _ => None,

@@ -18,9 +18,12 @@
 //!   [`CExpr`] with every name resolved — configs folded to constants,
 //!   state scalars to dense arena slots, maps to arena indices — and
 //!   constant subterms folded through the reference evaluator itself.
-//! * **State tags** ([`compile`]): state-match literals are
-//!   canonicalised and interned; each distinct predicate is evaluated
-//!   at most once per packet (memoised), like an XFSM's state lookup.
+//! * **Interning** ([`compile`]): state-match literals and residual
+//!   flow literals are canonicalised and interned into one predicate
+//!   table, and the `(map, key term)` pairs the terms read into a probe
+//!   table; per packet each distinct predicate is evaluated, and each
+//!   distinct map key built and probed, at most once (memoised), like
+//!   an XFSM's flow-context lookup.
 //! * **Runtime** ([`exec`]): [`CompiledState`] holds the slot/map
 //!   arenas; [`CompiledState::step`] walks the tree, checks residuals
 //!   and tags, and fires the matched entry with the reference's exact
@@ -49,8 +52,8 @@ pub mod exec;
 pub mod tree;
 
 pub use compile::{
-    compile, render, CEntry, CFlowAction, CMapOp, CompileError, CompiledProgram, StateLit,
+    compile, render, CEntry, CFlowAction, CMapOp, CompileError, CompiledProgram, PredLit,
 };
 pub use exec::{CompiledState, CompiledStep};
-pub use expr::{eval_expr, fold, CExpr, Env, RunEnv};
+pub use expr::{eval_expr, fold, CExpr, Env, Probes, RunEnv};
 pub use tree::{classify, FieldTest, Node, TestKind};

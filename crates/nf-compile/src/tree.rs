@@ -21,6 +21,7 @@
 //! that field demoted back to residual literals — which then evaluate
 //! (and fail) in exactly the reference order.
 
+use crate::compile::PredLit;
 use crate::expr::CExpr;
 use nf_packet::Field;
 use nfl_lang::BinOp;
@@ -173,6 +174,10 @@ pub struct LeafCand {
     /// literals the path to this leaf did *not* prove; they evaluate
     /// here, in original order.
     pub residuals: Vec<usize>,
+    /// What the candidate must satisfy here, in evaluation order: one
+    /// interned obligation per residual, then the entry's state tags.
+    /// Empty until [`compile`](crate::compile) interns the predicates.
+    pub lits: Vec<PredLit>,
 }
 
 /// A candidate under construction: one entry plus its outstanding flow
@@ -241,6 +246,7 @@ fn leaf(cands: Vec<Cand>) -> Node {
             .map(|c| LeafCand {
                 entry: c.entry,
                 residuals: c.lits.iter().map(|(i, _)| *i).collect(),
+                lits: Vec::new(),
             })
             .collect(),
     }

@@ -381,6 +381,7 @@ fn fast_path_agrees_with_eval_expr() {
                     maps: &maps,
                     map_names: &prog.map_names,
                     slot_names: &prog.slot_names,
+                    probes: None,
                 };
                 for t in terms {
                     agree(&env, t, &tally);
@@ -398,6 +399,7 @@ fn fast_path_agrees_with_eval_expr() {
                 maps: &maps,
                 map_names: &no_names,
                 slot_names: &no_names,
+                probes: None,
             };
             for _ in 0..48 {
                 agree(&env, &term(&mut rng, 4), &tally);

@@ -79,7 +79,7 @@ pub enum Transport {
 }
 
 /// A parsed, field-addressable packet.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct Packet {
     /// Ethernet source (packed 48-bit).
     pub eth_src: u64,
@@ -101,6 +101,28 @@ pub struct Packet {
     pub transport: Transport,
     /// Payload bytes.
     pub payload: Vec<u8>,
+}
+
+impl Clone for Packet {
+    fn clone(&self) -> Packet {
+        Packet {
+            transport: self.transport.clone(),
+            payload: self.payload.clone(),
+            ..*self
+        }
+    }
+
+    /// Reuses `self`'s payload buffer, so a recycled packet is
+    /// overwritten without allocating.
+    fn clone_from(&mut self, source: &Packet) {
+        let mut payload = std::mem::take(&mut self.payload);
+        payload.clone_from(&source.payload);
+        *self = Packet {
+            transport: source.transport.clone(),
+            payload,
+            ..*source
+        };
+    }
 }
 
 impl Default for Packet {

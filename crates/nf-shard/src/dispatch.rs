@@ -47,20 +47,14 @@ fn field_value(pkt: &Packet, f: Field) -> u64 {
 /// The values a dispatch key hashes for `pkt`: the canonical direction
 /// for symmetric keys, the raw field values otherwise.
 pub fn dispatch_values(key: &DispatchKey, pkt: &Packet) -> Vec<u64> {
-    let forward: Vec<u64> = key.fields().iter().map(|f| field_value(pkt, *f)).collect();
-    if !key.symmetric() {
-        return forward;
-    }
-    let reverse: Vec<u64> = key
-        .fields()
-        .iter()
-        .map(|f| field_value(pkt, mirror_field(*f)))
-        .collect();
-    if reverse < forward {
-        reverse
-    } else {
-        forward
-    }
+    canonical(key, pkt).collect()
+}
+
+/// [`dispatch_values`] into `out`, replacing what it held, so one
+/// buffer serves every packet.
+pub fn dispatch_values_into(key: &DispatchKey, pkt: &Packet, out: &mut Vec<u64>) {
+    out.clear();
+    out.extend(canonical(key, pkt));
 }
 
 /// The full 64-bit dispatch hash of `pkt` under `key` — the quantity
@@ -68,30 +62,32 @@ pub fn dispatch_values(key: &DispatchKey, pkt: &Packet) -> Vec<u64> {
 /// rebalancer keys its seen-flow table on this, so two packets steer
 /// together iff they hash identically.
 pub fn dispatch_hash(key: &DispatchKey, pkt: &Packet) -> u64 {
-    // Allocation-free equivalent of `fnv1a(&dispatch_values(..))`:
-    // this runs once per packet on the dispatcher thread, so the
-    // `Vec`s behind `dispatch_values` would be the hot path's only
-    // heap traffic. The canonical-direction choice compares the two
-    // orientations field by field, exactly as the `Vec` comparison
-    // would (`reverse < forward` lexicographically).
-    let fields = key.fields();
-    if !key.symmetric() {
-        return fnv1a_fold(fields.iter().map(|f| field_value(pkt, *f)));
-    }
-    let mut reversed = false;
-    for f in fields {
-        let fw = field_value(pkt, *f);
-        let rv = field_value(pkt, mirror_field(*f));
+    // This runs once per packet on the dispatcher thread, so it hashes
+    // the values as they are read instead of materialising them.
+    fnv1a_fold(canonical(key, pkt))
+}
+
+/// The dispatch values of `pkt` under `key`, read in order without
+/// allocating: for a symmetric key, the mirrored values when they sort
+/// before the forward ones.
+fn canonical<'k>(key: &'k DispatchKey, pkt: &'k Packet) -> impl Iterator<Item = u64> + 'k {
+    let mirrored = key.symmetric() && reversed(key, pkt);
+    key.fields()
+        .iter()
+        .map(move |&f| field_value(pkt, if mirrored { mirror_field(f) } else { f }))
+}
+
+/// Whether the mirrored values of `key` sort before the forward ones,
+/// compared field by field exactly as `reverse < forward` compares the
+/// two sequences.
+fn reversed(key: &DispatchKey, pkt: &Packet) -> bool {
+    for &f in key.fields() {
+        let (fw, rv) = (field_value(pkt, f), field_value(pkt, mirror_field(f)));
         if rv != fw {
-            reversed = rv < fw;
-            break;
+            return rv < fw;
         }
     }
-    if reversed {
-        fnv1a_fold(fields.iter().map(|f| field_value(pkt, mirror_field(*f))))
-    } else {
-        fnv1a_fold(fields.iter().map(|f| field_value(pkt, *f)))
-    }
+    false
 }
 
 /// The shard (in `0..shards`) that owns `pkt` under `key`.

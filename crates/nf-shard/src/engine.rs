@@ -26,15 +26,20 @@
 //!   the lock), numbers it within its shard, and applies and accounts
 //!   dispatch-side faults;
 //! * one **worker** per shard runs the per-packet body: the supervised
-//!   step on the evaluator the policy hands it, busy time, telemetry,
-//!   counters and retained outputs;
+//!   step on the evaluator the policy hands it, telemetry, counters and
+//!   retained outputs (built only when the run keeps them). It steps
+//!   packets in *runs* of back-to-back steps and reads the clock once
+//!   per run for its busy time;
 //! * an **executor** connects the two. The threaded executor
 //!   ([`RunMode::Threaded`]) runs the workers on scoped `std::thread`s
-//!   fed over SPSC rings, one bin of up to a batch of packets per push.
-//!   The inline executor ([`RunMode::Sequential`], [`RunMode::Single`])
-//!   steps each packet as it is routed, in arrival order, on the calling
-//!   thread; its per-shard busy time gives a deterministic makespan on a
-//!   host without free cores.
+//!   fed over SPSC rings, one bin of up to a batch of packets per push;
+//!   a bin is a run, and so is each packet under the global lock. The
+//!   inline executor ([`RunMode::Sequential`], [`RunMode::Single`])
+//!   routes a whole batch, then steps each shard's share of it as a run
+//!   on the calling thread (under the global lock, the batch in arrival
+//!   order, one run per stretch routed to the same shard); its
+//!   per-shard busy time gives a deterministic makespan on a host
+//!   without free cores.
 //!
 //! One function assembles every [`ShardRun`]. It consumes the
 //! evaluators into one merged view ([`ShardRun::merged`]), moving their
@@ -68,15 +73,15 @@
 //! differential suite can prove that non-quarantined behaviour is
 //! byte-identical to the fault-free run.
 
-use crate::dispatch::{dispatch_hash, dispatch_values};
+use crate::dispatch::{dispatch_hash, dispatch_values_into};
 use crate::plan::ShardPlan;
 use crate::supervise::{
     panic_message, quiet_catch_unwind, scramble_packet, Quarantine, QuarantineRecord,
     SupervisorPolicy, INJECTED_RING_DEADLINE,
 };
 use crate::telemetry::{FlightOutcome, RunStats, TelemetryConfig, WorkerTelemetry};
-use nf_compile::{CompiledProgram, CompiledState};
-use nf_model::{Model, ModelState};
+use nf_compile::{CompiledProgram, CompiledState, CompiledStep};
+use nf_model::{Model, ModelState, ModelStep};
 use nf_packet::Packet;
 use nf_support::fault::{FaultKind, FaultPlan};
 use nf_support::sketch::TopK;
@@ -84,7 +89,7 @@ use nf_support::spsc::{Backoff, Consumer, Producer, TrySendError};
 use nf_support::workload::WorkloadSource;
 use nf_trace::{Histogram, Tracer};
 use nfactor_core::{Pipeline, Synthesis};
-use nfl_interp::{Interp, Value, ValueKey};
+use nfl_interp::{Interp, StepResult, Value, ValueKey};
 use nfl_lint::{DispatchKey, ShardingReport, StateShard};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -104,6 +109,14 @@ const BATCH_FILL_BOUNDS: [u64; 9] = [1, 2, 4, 8, 16, 32, 64, 128, 256];
 /// pushed over the ring as a unit.
 type Bin = Vec<(u64, u64, Packet)>;
 
+/// A packet the inline executor has routed: `(shard, seq, nth, packet)`.
+type Routed = (usize, u64, u64, Packet);
+
+/// The `(seq, nth, packet)` a worker steps for a routed packet.
+fn row((_, seq, nth, pkt): &Routed) -> (u64, u64, &Packet) {
+    (*seq, *nth, pkt)
+}
+
 /// What executes on each shard.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
@@ -112,8 +125,8 @@ pub enum Backend {
     /// The synthesized model evaluator.
     Model,
     /// The model compiled to a flattened XFSM dispatch engine
-    /// (`nf-compile`): decision-tree flow classification, memoized
-    /// state tags, dense state arenas.
+    /// (`nf-compile`): decision-tree flow classification, predicates
+    /// and map probes memoised per packet, dense state arenas.
     Compiled,
 }
 
@@ -303,31 +316,56 @@ enum BackendState {
     },
 }
 
+/// One packet's result, as its backend returned it. The worker reads
+/// whether the packet was dropped from it, and turns it into a packet
+/// list only when it keeps outputs.
+enum Stepped {
+    /// The interpreter's step: every `send`, in order.
+    Interp(StepResult),
+    /// The model evaluator's step, also the compiled backend's
+    /// fallback.
+    Model(ModelStep),
+    /// The compiled program's step.
+    Compiled(CompiledStep),
+}
+
+impl Stepped {
+    fn dropped(&self) -> bool {
+        match self {
+            Stepped::Interp(r) => r.dropped,
+            Stepped::Model(ModelStep { output, .. })
+            | Stepped::Compiled(CompiledStep { output, .. }) => output.is_none(),
+        }
+    }
+
+    fn into_outputs(self) -> Vec<Packet> {
+        match self {
+            Stepped::Interp(r) => r.outputs,
+            Stepped::Model(ModelStep { output, .. })
+            | Stepped::Compiled(CompiledStep { output, .. }) => output.into_iter().collect(),
+        }
+    }
+}
+
 impl BackendState {
-    /// Process one packet, returning `(outputs, dropped)`.
-    fn step(&mut self, model: Option<&Model>, pkt: &Packet) -> Result<(Vec<Packet>, bool), String> {
+    /// Process one packet.
+    fn step(&mut self, model: Option<&Model>, pkt: &Packet) -> Result<Stepped, String> {
         match self {
             BackendState::Interp(i) => i
                 .process(pkt)
-                .map(|r| (r.outputs, r.dropped))
+                .map(Stepped::Interp)
                 .map_err(|e| e.to_string()),
             BackendState::Model(ms) => {
                 let Some(m) = model else {
                     return Err("model backend without a model".into());
                 };
                 ms.step(m, pkt)
-                    .map(|s| {
-                        let dropped = s.output.is_none();
-                        (s.output.into_iter().collect(), dropped)
-                    })
+                    .map(Stepped::Model)
                     .map_err(|e| e.to_string())
             }
             BackendState::Compiled { prog, state } => state
                 .step(prog, pkt)
-                .map(|s| {
-                    let dropped = s.output.is_none();
-                    (s.output.into_iter().collect(), dropped)
-                })
+                .map(Stepped::Compiled)
                 .map_err(|e| e.to_string()),
         }
     }
@@ -385,7 +423,7 @@ impl BackendState {
     }
 
     /// Supervisor restart: drop derived caches, in place. Only the
-    /// compiled backend carries derived state (the predicate memo); the
+    /// compiled backend carries derived state (its memo); the
     /// interpreter and model evaluator *are* their persistent state, so
     /// a restart is a no-op for them beyond the supervisor's accounting.
     fn refresh(&mut self) {
@@ -404,17 +442,14 @@ impl BackendState {
         &mut self,
         model: Option<&Model>,
         pkt: &Packet,
-    ) -> Option<Result<(Vec<Packet>, bool), String>> {
+    ) -> Option<Result<Stepped, String>> {
         let (BackendState::Compiled { prog, state }, Some(model)) = (self, model) else {
             return None;
         };
         Some(
             state
                 .model_step(prog, model, pkt)
-                .map(|s| {
-                    let dropped = s.output.is_none();
-                    (s.output.into_iter().collect(), dropped)
-                })
+                .map(Stepped::Model)
                 .map_err(|e| e.to_string()),
         )
     }
@@ -440,7 +475,7 @@ fn supervised_step(
     pkt: &Packet,
     faults: &FaultPlan,
     fallbacks: &mut u64,
-) -> Result<(Vec<Packet>, bool), String> {
+) -> Result<Stepped, String> {
     let (mut inject_panic, mut inject_err, mut garbage) = (false, false, false);
     if !faults.is_empty() {
         for k in faults.at(shard, nth) {
@@ -530,7 +565,7 @@ impl Evaluator {
         pkt: &Packet,
         faults: &FaultPlan,
         restart_after: u32,
-    ) -> Result<(Vec<Packet>, bool), String> {
+    ) -> Result<Stepped, String> {
         let stepped = supervised_step(
             &mut self.state,
             model,
@@ -812,14 +847,14 @@ impl Drop for PoisonTicket<'_> {
 /// How a threaded worker reaches its evaluator: its own
 /// (shared-nothing), or the shared one through the ticket.
 enum Access<'t> {
-    Own(Evaluator),
+    Own(Box<Evaluator>),
     Ticket(&'t Ticket),
 }
 
 /// One shard's per-packet body and its accounting: the supervised step
 /// on the evaluator the state-access policy hands it, busy time,
 /// telemetry, counters, quarantine and retained outputs. Both executors
-/// step every packet through [`handle`](Self::handle).
+/// step packets through [`run`](Self::run), a stretch at a time.
 struct ShardWorker<'a> {
     shard: usize,
     label: &'static str,
@@ -837,9 +872,30 @@ struct ShardWorker<'a> {
 }
 
 impl<'a> ShardWorker<'a> {
-    /// Step one packet on `ev` under supervision and account it.
-    fn handle(&mut self, ev: &mut Evaluator, seq: u64, nth: u64, pkt: &Packet) {
+    /// Step a run of back-to-back packets `(seq, nth, packet)` on `ev`,
+    /// and add the run's wall time to busy time: the clock is read once
+    /// per run, not per packet. An empty run reads no clock.
+    fn run<'p>(
+        &mut self,
+        ev: &mut Evaluator,
+        rows: impl IntoIterator<Item = (u64, u64, &'p Packet)>,
+    ) {
+        let mut rows = rows.into_iter().peekable();
+        if rows.peek().is_none() {
+            return;
+        }
         let t0 = self.tracer.now();
+        for (seq, nth, pkt) in rows {
+            self.handle(ev, seq, nth, pkt);
+        }
+        self.busy_ns += self.tracer.now().saturating_duration_since(t0).as_nanos() as u64;
+    }
+
+    /// Step one packet on `ev` under supervision and account it. The
+    /// packet's own eval latency is timed only while telemetry records
+    /// it.
+    fn handle(&mut self, ev: &mut Evaluator, seq: u64, nth: u64, pkt: &Packet) {
+        let t0 = self.tel.is_some().then(|| self.tracer.now());
         let step = ev.step(
             self.model,
             self.shard,
@@ -848,26 +904,26 @@ impl<'a> ShardWorker<'a> {
             self.faults,
             self.restart_after,
         );
-        let step_ns = self.tracer.now().saturating_duration_since(t0).as_nanos() as u64;
-        self.busy_ns += step_ns;
-        if let Some(tel) = self.tel.as_mut() {
+        if let (Some(tel), Some(t0)) = (self.tel.as_mut(), t0) {
+            let step_ns = self.tracer.now().saturating_duration_since(t0).as_nanos() as u64;
             let outcome = match &step {
-                Ok((_, false)) => FlightOutcome::Forwarded,
-                Ok((_, true)) => FlightOutcome::Dropped,
+                Ok(s) if s.dropped() => FlightOutcome::Dropped,
+                Ok(_) => FlightOutcome::Forwarded,
                 Err(_) => FlightOutcome::Quarantined,
             };
             tel.record(seq, step_ns, outcome, pkt);
             tel.maybe_flush(self.tracer);
         }
         match step {
-            Ok((outputs, dropped)) => {
+            Ok(stepped) => {
+                let dropped = stepped.dropped();
                 self.pkts += 1;
                 self.forwarded += u64::from(!dropped);
                 if self.keep_outputs {
                     self.outputs.push(SeqOutput {
                         seq,
                         shard: self.shard,
-                        outputs,
+                        outputs: stepped.into_outputs(),
                         dropped,
                     });
                 }
@@ -883,8 +939,10 @@ impl<'a> ShardWorker<'a> {
     }
 
     /// The threaded executor's worker loop: drain bins off the ring
-    /// until the dispatcher hangs up. `Err` means another shard
-    /// poisoned the ticket.
+    /// until the dispatcher hangs up. A bin is one run on the worker's
+    /// own evaluator; under the global lock each packet is a run of its
+    /// own between ticket acquire and release, so lock waits stay out
+    /// of busy time. `Err` means another shard poisoned the ticket.
     fn drain<'t>(
         mut self,
         rx: Consumer<Bin>,
@@ -905,17 +963,19 @@ impl<'a> ShardWorker<'a> {
                 // signal.
                 tel.occupancy(rx.len() as u64);
             }
-            for (seq, nth, pkt) in bin {
-                match &mut access {
-                    Access::Own(ev) => self.handle(ev, seq, nth, &pkt),
-                    Access::Ticket(ticket) => {
+            match &mut access {
+                Access::Own(ev) => {
+                    self.run(ev, bin.iter().map(|(seq, nth, pkt)| (*seq, *nth, pkt)))
+                }
+                Access::Ticket(ticket) => {
+                    for (seq, nth, pkt) in &bin {
                         let wait = self.tracer.now();
-                        let mut ev = ticket.acquire(seq).ok_or(())?;
+                        let mut ev = ticket.acquire(*seq).ok_or(())?;
                         let waited = self.tracer.now().saturating_duration_since(wait);
                         self.tracer
                             .observe_ns("lock.wait.ns", waited.as_nanos() as u64);
-                        self.handle(&mut ev, seq, nth, &pkt);
-                        ticket.release(ev, seq);
+                        self.run(&mut ev, [(*seq, *nth, pkt)]);
+                        ticket.release(ev, *seq);
                     }
                 }
             }
@@ -1101,6 +1161,9 @@ struct Dispatcher<'a> {
     /// Per-shard hot-key sketches: the telemetry plane's profile and
     /// the rebalancer's divert evidence.
     sketches: Vec<TopK<Vec<u64>>>,
+    /// The packet's dispatch-key values, offered to its shard's sketch
+    /// by reference: one buffer for every packet.
+    key_values: Vec<u64>,
     fill: Vec<Histogram>,
 }
 
@@ -1148,6 +1211,7 @@ impl<'a> Dispatcher<'a> {
             } else {
                 Vec::new()
             },
+            key_values: Vec::new(),
             fill: if telemetry_on {
                 (0..n).map(|_| Histogram::new(&BATCH_FILL_BOUNDS)).collect()
             } else {
@@ -1186,7 +1250,8 @@ impl<'a> Dispatcher<'a> {
                     0
                 };
                 if let Some(sketch) = self.sketches.get_mut(w) {
-                    sketch.offer(dispatch_values(key, pkt));
+                    dispatch_values_into(key, pkt, &mut self.key_values);
+                    sketch.offer_ref(self.key_values.as_slice());
                 }
                 w
             }
@@ -1503,8 +1568,11 @@ impl ShardEngine {
         }
     }
 
-    /// The inline executor: route each packet and step it on its
-    /// shard's worker at once, in arrival order, on this thread.
+    /// The inline executor: route each batch, then step it on this
+    /// thread. Shared-nothing, each shard steps its share of the batch
+    /// as one run, in arrival order. Under the global lock the shared
+    /// evaluator steps the whole batch in arrival order, one run per
+    /// stretch of packets routed to the same shard.
     fn run_inline(
         &self,
         mut workers: Vec<ShardWorker<'_>>,
@@ -1523,13 +1591,22 @@ impl ShardEngine {
             None,
         );
         let mut buf = Vec::with_capacity(d.batch);
+        let mut routed: Vec<Routed> = Vec::with_capacity(d.batch);
         while d.pull(source, &mut buf).map_err(ShardError::Workload)? {
-            for mut pkt in buf.drain(..) {
-                if let Some((w, seq, nth)) = d.route(&mut pkt) {
-                    let ev = &mut evals[if partitioned { w } else { 0 }];
-                    workers[w].handle(ev, seq, nth, &pkt);
+            routed.extend(buf.drain(..).filter_map(|mut pkt| {
+                let (w, seq, nth) = d.route(&mut pkt)?;
+                Some((w, seq, nth, pkt))
+            }));
+            if partitioned {
+                for (w, (worker, ev)) in workers.iter_mut().zip(&mut evals).enumerate() {
+                    worker.run(ev, routed.iter().filter(|r| r.0 == w).map(row));
+                }
+            } else {
+                for stretch in routed.chunk_by(|a, b| a.0 == b.0) {
+                    workers[stretch[0].0].run(&mut evals[0], stretch.iter().map(row));
                 }
             }
+            routed.clear();
             d.end_round();
         }
         let dispatched = d.finish(&self.tracer, self.telemetry_on());
@@ -1557,7 +1634,10 @@ impl ShardEngine {
         });
         let accesses: Vec<Access<'_>> = match &ticket {
             Some(t) => (0..n).map(|_| Access::Ticket(t)).collect(),
-            None => evals.into_iter().map(Access::Own).collect(),
+            None => evals
+                .into_iter()
+                .map(|ev| Access::Own(Box::new(ev)))
+                .collect(),
         };
         let mut d = Dispatcher::new(self, cfg, faults, n, ring_bins, ticket.as_ref());
         let joined = std::thread::scope(|scope| -> Result<_, ShardError> {
@@ -1624,7 +1704,7 @@ impl ShardEngine {
                     Ok(Ok((worker, access))) => {
                         done.push(worker);
                         if let Access::Own(ev) = access {
-                            own.push(ev);
+                            own.push(*ev);
                         }
                     }
                     Ok(Err(())) => aborted = true,

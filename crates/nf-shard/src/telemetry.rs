@@ -159,16 +159,27 @@ impl WorkerTelemetry {
     }
 
     /// Record one evaluated packet: eval latency plus a flight-recorder
-    /// entry.
+    /// entry. Once the recorder is full, the packet is copied into the
+    /// evicted event's buffers, so recording does not allocate.
     pub fn record(&mut self, seq: u64, latency_ns: u64, outcome: FlightOutcome, pkt: &Packet) {
         self.pending_eval.observe(latency_ns);
-        self.flight.push(FlightEvent {
-            seq,
-            shard: self.shard,
-            backend: self.backend,
-            outcome,
-            latency_ns,
-            packet: pkt.clone(),
+        let (shard, backend) = (self.shard, self.backend);
+        self.flight.push_with(|evicted| {
+            let packet = match evicted {
+                Some(FlightEvent { mut packet, .. }) => {
+                    packet.clone_from(pkt);
+                    packet
+                }
+                None => pkt.clone(),
+            };
+            FlightEvent {
+                seq,
+                shard,
+                backend,
+                outcome,
+                latency_ns,
+                packet,
+            }
         });
         self.since_flush += 1;
     }

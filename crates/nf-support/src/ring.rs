@@ -26,10 +26,18 @@ impl<T> RingLog<T> {
 
     /// Append `value`, evicting the oldest retained entry when full.
     pub fn push(&mut self, value: T) {
-        if self.buf.len() == self.cap {
-            self.buf.pop_front();
-        }
-        self.buf.push_back(value);
+        self.push_with(|_| value);
+    }
+
+    /// Append the entry `make` builds. When the log is full, `make` is
+    /// handed the entry this push evicts, so it can reuse its buffers.
+    pub fn push_with(&mut self, make: impl FnOnce(Option<T>) -> T) {
+        let evicted = if self.buf.len() == self.cap {
+            self.buf.pop_front()
+        } else {
+            None
+        };
+        self.buf.push_back(make(evicted));
         self.pushed += 1;
     }
 
@@ -79,6 +87,21 @@ mod tests {
         assert_eq!(r.pushed(), 10);
         assert_eq!(r.iter().copied().collect::<Vec<_>>(), vec![7, 8, 9]);
         assert_eq!(r.into_vec(), vec![7, 8, 9]);
+    }
+
+    #[test]
+    fn push_with_hands_over_the_evicted_entry() {
+        let mut r = RingLog::new(2);
+        let mut evicted = Vec::new();
+        for i in 0..4 {
+            r.push_with(|old| {
+                evicted.push(old);
+                i
+            });
+        }
+        assert_eq!(evicted, vec![None, None, Some(0), Some(1)]);
+        assert_eq!(r.pushed(), 4);
+        assert_eq!(r.into_vec(), vec![2, 3]);
     }
 
     #[test]

@@ -20,6 +20,8 @@
 //! and the structure stays allocation-free after construction apart
 //! from key clones.
 
+use std::borrow::Borrow;
+
 /// One tracked key with its (over-)estimate and error bound.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TopEntry<K> {
@@ -55,16 +57,36 @@ impl<K: Eq + Clone> TopK<K> {
 
     /// Count `n` occurrences of `key` at once.
     pub fn offer_n(&mut self, key: K, n: u64) {
+        self.offer_ref_n(&key, n);
+    }
+
+    /// Count one occurrence of a borrowed key (a `[u64]` for a
+    /// `Vec<u64>` sketch): the key is copied only when the sketch
+    /// starts tracking it, into the evicted entry's buffer if one is
+    /// evicted.
+    pub fn offer_ref<Q>(&mut self, key: &Q)
+    where
+        K: Borrow<Q>,
+        Q: Eq + ToOwned<Owned = K> + ?Sized,
+    {
+        self.offer_ref_n(key, 1);
+    }
+
+    fn offer_ref_n<Q>(&mut self, key: &Q, n: u64)
+    where
+        K: Borrow<Q>,
+        Q: Eq + ToOwned<Owned = K> + ?Sized,
+    {
         if n == 0 {
             return;
         }
         self.total += n;
-        if let Some(slot) = self.slots.iter_mut().find(|s| s.key == key) {
+        if let Some(slot) = self.slots.iter_mut().find(|s| s.key.borrow() == key) {
             slot.count += n;
             return;
         }
         if self.slots.len() < self.cap {
-            self.slots.push(TopEntry { key, count: n, err: 0 });
+            self.slots.push(TopEntry { key: key.to_owned(), count: n, err: 0 });
             return;
         }
         // Evict the current minimum; the newcomer inherits its count as
@@ -72,7 +94,7 @@ impl<K: Eq + Clone> TopK<K> {
         // untracked, never more). `None` only with a zero-cap sketch,
         // which tracks nothing by construction.
         if let Some(min) = self.slots.iter_mut().min_by_key(|s| s.count) {
-            min.key = key;
+            key.clone_into(&mut min.key);
             min.err = min.count;
             min.count += n;
         }
@@ -146,6 +168,18 @@ mod tests {
         assert!(!s.contains(&1));
         assert_eq!(s.estimate(&3), Some(2));
         assert_eq!(s.entries().iter().find(|e| e.key == 3).unwrap().err, 1);
+    }
+
+    #[test]
+    fn borrowed_offers_count_like_owned_ones() {
+        let keys: [&[u64]; 6] = [&[1, 2], &[3], &[1, 2], &[4, 5, 6], &[3], &[7]];
+        let (mut owned, mut borrowed) = (TopK::new(2), TopK::new(2));
+        for k in keys {
+            owned.offer(k.to_vec());
+            borrowed.offer_ref(k);
+        }
+        assert_eq!(owned.entries(), borrowed.entries());
+        assert_eq!(owned.total(), borrowed.total());
     }
 
     #[test]

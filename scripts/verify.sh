@@ -40,6 +40,8 @@ echo "==> placement smoke: one plan per NF, whatever the backend"
 # lines are dropped, the packet counts and the merged state must be
 # identical. The interpreter is left out of that check: the model
 # prunes log-only counters, so its merged state differs by design.
+# Every run's makespan must be positive: busy time is read once per
+# run of steps, and a run that stepped packets took time.
 for nf in fig1-lb balance snort nat firewall ratelimiter portknock router; do
     ref=""
     for backend in interp model compiled; do
@@ -53,6 +55,10 @@ for nf in fig1-lb balance snort nat firewall ratelimiter portknock router; do
             printf '%s\n---\n%s\n' "$ref" "$plan"; exit 1
         fi
         ref=$plan
+        makespan=$(printf '%s\n' "$out" | awk '/^makespan/ {print $3}')
+        if ! awk -v m="$makespan" 'BEGIN {exit !(m > 0)}'; then
+            echo "    $nf on $backend printed a zero makespan: '$makespan'"; exit 1
+        fi
         run=$(printf '%s\n' "$out" | awk 'NR > 1 && !/^(makespan|throughput) /')
         if [ "$backend" = model ]; then
             model_run=$run
@@ -198,6 +204,23 @@ grep -q '"p99"' "$tracedir/stats.json"
 grep -q '"hotkeys"' "$tracedir/stats.json"
 grep -q '"ring_occupancy"' "$tracedir/stats.json"
 echo "    stats JSON carries percentiles, occupancy, hot keys: ok"
+# Per shard: busy time (read once per run of steps) must be positive,
+# and the eval-latency histogram must hold one sample per packet.
+if ! awk '
+    /"shard":/ { gsub(/[^0-9]/, "", $2); shard = $2 }
+    /"pkts":/ { gsub(/[^0-9]/, "", $2); pkts = $2 }
+    /"busy_ns":/ { gsub(/[^0-9]/, "", $2); busy = $2 }
+    /"eval_ns":/ { in_eval = 1; next }
+    in_eval && /"count":/ {
+        gsub(/[^0-9]/, "", $2); in_eval = 0; seen++
+        if (busy + 0 == 0) { print "    shard " shard ": busy_ns is 0"; bad = 1 }
+        if ($2 != pkts) { print "    shard " shard ": eval_ns count " $2 " != pkts " pkts; bad = 1 }
+    }
+    END { if (seen == 0) { print "    no per-shard stats"; bad = 1 } exit bad }
+' "$tracedir/stats.json"; then
+    exit 1
+fi
+echo "    every shard busy, one eval latency per packet: ok"
 ./target/release/nfactor json-check "$tracedir/flight.json" > /dev/null
 grep -q '"trace"' "$tracedir/flight.json"
 echo "    flight dump valid with a replayable trace: ok"

@@ -7,7 +7,7 @@ use nfactor::core::{Pipeline, Synthesis};
 use nfactor::fuzz::{run, FuzzConfig};
 use nfactor::model::Completeness;
 use nfactor::packet::PacketGen;
-use nfactor::shard::{Backend, RunConfig, ShardEngine, SliceSource};
+use nfactor::shard::{Backend, RunConfig, RunMode, ShardEngine, SliceSource};
 use nfactor::support::budget::Budget;
 use nfactor::support::check::{check, tuple3, uint_range, Config};
 use nfactor::support::fault::FaultPlan;
@@ -208,6 +208,88 @@ fn random_fault_plans_never_break_accounting_or_merge() {
         assert_eq!(threaded.restarts, sequential.restarts, "{what}");
         assert_eq!(threaded.fallbacks, sequential.fallbacks, "{what}");
     });
+}
+
+/// Whether a run keeps its per-packet outputs changes nothing else it
+/// reports, and its busy time covers every packet it stepped: every
+/// corpus NF on every backend and executor, under a seeded fault plan.
+/// With telemetry on, each shard's eval histogram holds one latency per
+/// packet it stepped (processed or quarantined at eval), and the shard's
+/// busy time, read once per run of back-to-back steps, covers them all.
+#[test]
+fn outputs_and_busy_time_agree_across_backends_and_executors() {
+    const SHARDS: usize = 3;
+    const PACKETS: usize = 150;
+    for (i, nf) in nfactor::corpus::default_corpus().into_iter().enumerate() {
+        let seed = 0x0B5E_55ED + i as u64;
+        let packets = PacketGen::new(seed).batch(PACKETS);
+        let faults = FaultPlan::random(seed, SHARDS, (PACKETS / SHARDS) as u64, 6);
+        let pipeline = Pipeline::builder()
+            .name(nf.name)
+            .shards(SHARDS)
+            .tracer(nfactor::trace::Tracer::enabled())
+            .build()
+            .unwrap();
+        for backend in [Backend::Interp, Backend::Model, Backend::Compiled] {
+            let engine = ShardEngine::from_source(&pipeline, &nf.source, backend)
+                .unwrap_or_else(|e| panic!("{} on {backend:?}: {e}", nf.name));
+            for mode in [
+                RunConfig::threaded(),
+                RunConfig::sequential(),
+                RunConfig::single(),
+            ] {
+                let what = format!(
+                    "{} on {backend:?}, {:?}, `{}`",
+                    nf.name,
+                    mode.mode,
+                    faults.render()
+                );
+                let mut cfg = mode.with_faults(faults.clone());
+                let kept = engine
+                    .run_with(SliceSource::new(&packets), &cfg)
+                    .unwrap_or_else(|e| panic!("{what}: {e}"));
+                cfg.keep_outputs = false;
+                let streamed = engine
+                    .run_with(SliceSource::new(&packets), &cfg)
+                    .unwrap_or_else(|e| panic!("{what}, outputs off: {e}"));
+                assert!(streamed.outputs.is_empty(), "{what}");
+                assert_eq!(kept.outputs.len() as u64, kept.total_pkts(), "{what}");
+                assert_eq!(
+                    kept.outputs.iter().filter(|o| !o.dropped).count() as u64,
+                    kept.forwarded,
+                    "{what}"
+                );
+                assert_eq!(streamed.forwarded, kept.forwarded, "{what}");
+                assert_eq!(streamed.per_shard_pkts, kept.per_shard_pkts, "{what}");
+                assert_eq!(streamed.quarantined_seqs, kept.quarantined_seqs, "{what}");
+                assert_eq!(streamed.merged, kept.merged, "{what}");
+                let (mut a, mut b) = (streamed.fault_summary(), kept.fault_summary());
+                if cfg.mode == RunMode::Threaded {
+                    // Real ring-full backoff on threads can add retries.
+                    (a.retries, b.retries) = (0, 0);
+                }
+                assert_eq!(a, b, "{what}");
+                for run in [&kept, &streamed] {
+                    let stats = run.stats.as_ref().expect("telemetry on");
+                    // At most 6 faults: every quarantine record is kept.
+                    assert_eq!(run.quarantined.len(), run.quarantined_seqs.len(), "{what}");
+                    let shards = run.per_shard_pkts.iter().zip(&run.busy_ns).enumerate();
+                    for (w, (&pkts, &busy)) in shards {
+                        let stepped =
+                            pkts + run.quarantined.iter().filter(|q| q.shard == w).count() as u64;
+                        let eval = &stats.shards[w].eval;
+                        assert_eq!(eval.count, stepped, "{what}: shard {w} latencies");
+                        assert!(
+                            busy >= eval.sum,
+                            "{what}: shard {w} busy {busy} < {}",
+                            eval.sum
+                        );
+                        assert!(stepped == 0 || busy > 0, "{what}: shard {w} never busy");
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// An unlimited budget still yields a Full model on every corpus NF —
