@@ -86,7 +86,8 @@ fn main() {
             .iter()
             .all(|s| s.get(Field::TcpDport).contains(80) && s.get(Field::TcpDport).size() == 1)
     );
-    state.maps.get_mut("pinholes").unwrap().insert(
+    state.insert_entry(
+        "pinholes",
         nfl_interp::ValueKey::Tuple(vec![0x08080808, 443, 0x0a000005, 5000]),
         nfl_interp::Value::Int(1),
     );

@@ -53,15 +53,11 @@ pub fn initial_model_state(syn: &Synthesis, interp: &Interp) -> ModelState {
         }
     }
     for item in &syn.nf_loop.program.states {
-        match interp.global(&item.name) {
-            Some(Value::Map(_)) => {
-                st.maps.entry(item.name.clone()).or_default();
-            }
-            Some(v) => {
-                st.scalars.insert(item.name.clone(), v.clone());
-            }
-            None => {}
-        }
+        st = match interp.global(&item.name) {
+            Some(Value::Map(_)) => st.with_map(&item.name),
+            Some(v) => st.with_scalar(&item.name, v.clone()),
+            None => st,
+        };
     }
     st
 }

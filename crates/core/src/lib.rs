@@ -1,7 +1,7 @@
 //! NFactor — automatic synthesis of NF forwarding models by program
 //! analysis (HotNets-XV 2016), end to end.
 //!
-//! [`synthesize`] runs the whole of Algorithm 1 on an NFL source:
+//! [`Pipeline::synthesize`] runs the whole of Algorithm 1 on an NFL source:
 //!
 //! 1. **Normalise** the code structure to a single per-packet loop
 //!    (Figure 4b/4c → 4a via `nfl-analysis`; Figure 4d via `nf-tcp`'s

@@ -6,8 +6,10 @@
 //!
 //! 1. **Name resolution.** Every `cfg:` variable folds to its concrete
 //!    value (configurations never change at runtime), every `st:`
-//!    scalar becomes a dense arena slot index, every state map a map
-//!    index. Constant subterms fold through the reference evaluator.
+//!    scalar becomes a slot of the program's store, every state map an
+//!    arena of it; a name the deployment lacks joins the store's
+//!    layout, which is closed once lowering ends. Constant subterms
+//!    fold through the reference evaluator.
 //! 2. **Table selection.** Config-table conditions are evaluated *now*:
 //!    a table whose condition folds to `false` is dropped entirely, one
 //!    that folds to `true` contributes its entries. A condition that
@@ -32,9 +34,8 @@ use crate::expr::{fold, CExpr};
 use crate::tree::{build, classify, Cand, Node};
 use nf_model::{Entry, FlowAction, Model, ModelState};
 use nf_packet::Field;
-use nfl_interp::value::{Value, ValueKey};
+use nfl_interp::value::Value;
 use nfl_symex::{MapOp, SymVal};
-use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
 /// Compilation failure.
@@ -133,7 +134,7 @@ pub struct CEntry {
 }
 
 /// The compiled form of a model: decision tree + flattened entries +
-/// interned state predicates + dense initial state.
+/// interned predicates and probes + the initial store.
 #[derive(Debug, Clone)]
 pub struct CompiledProgram {
     /// Name of the NF the model was extracted from.
@@ -150,31 +151,16 @@ pub struct CompiledProgram {
     /// follow `state_preds` in the predicate table.
     pub flow_preds: Vec<CExpr>,
     /// The distinct key terms each map is read under by `MapGet` and
-    /// `MapContains`, indexed like `map_names`, each with its slot in
-    /// the per-step probe memo.
+    /// `MapContains`, indexed like the layout's map names, each with its
+    /// slot in the per-step probe memo.
     pub(crate) probe_keys: Vec<Vec<(CExpr, usize)>>,
     /// Number of probe-memo slots (distinct `(map, key term)` pairs).
     pub(crate) probe_count: usize,
-    /// Scalar slot names (error messages, snapshots).
-    pub slot_names: Vec<String>,
-    /// Map names (error messages, snapshots).
-    pub map_names: Vec<String>,
-    /// Scalar name → slot: how the reference evaluator finds a slot by
-    /// name when it runs over the arenas.
-    pub(crate) slot_index: HashMap<String, usize>,
-    /// Map name → map arena index.
-    pub(crate) map_index: HashMap<String, usize>,
-    /// Initial slot values (`None` = unset).
-    pub init_slots: Vec<Option<Value>>,
-    /// Initial map contents.
-    pub init_maps: Vec<HashMap<ValueKey, Value>>,
-    /// Which maps exist in the initial state (a map not declared there
-    /// only materialises in snapshots once written, mirroring
-    /// `ModelState.maps`).
-    pub init_materialized: Vec<bool>,
-    /// Concrete configuration, kept for snapshot parity with the
-    /// reference backend.
-    pub configs: BTreeMap<String, Value>,
+    /// The initial store: the deployment's configs, initial scalars
+    /// and maps, laid out by the closed layout every [`CExpr::Slot`] and
+    /// map index refers to. Each `CompiledState` starts as a clone of
+    /// it and shares its layout.
+    pub init: ModelState,
 }
 
 impl CompiledProgram {
@@ -203,34 +189,13 @@ impl CompiledProgram {
     }
 }
 
-/// Name-resolution context during lowering.
-struct Lowerer<'a> {
-    configs: &'a BTreeMap<String, Value>,
-    slot_names: Vec<String>,
-    map_names: Vec<String>,
+/// Name-resolution context during lowering: the program's store, whose
+/// configs fold and whose layout gains each state name a term uses.
+struct Lowerer {
+    store: ModelState,
 }
 
-impl Lowerer<'_> {
-    fn slot_idx(&mut self, name: &str) -> usize {
-        match self.slot_names.iter().position(|n| n == name) {
-            Some(i) => i,
-            None => {
-                self.slot_names.push(name.to_string());
-                self.slot_names.len() - 1
-            }
-        }
-    }
-
-    fn map_idx(&mut self, name: &str) -> usize {
-        match self.map_names.iter().position(|n| n == name) {
-            Some(i) => i,
-            None => {
-                self.map_names.push(name.to_string());
-                self.map_names.len() - 1
-            }
-        }
-    }
-
+impl Lowerer {
     /// Lower one symbolic term, folding constants as we go. Terms the
     /// reference evaluator would fail on lower to [`CExpr::Stuck`]
     /// carrying the reference's exact message, so the error surfaces at
@@ -247,12 +212,12 @@ impl Lowerer<'_> {
                         None => CExpr::Stuck(format!("unknown field {path}")),
                     }
                 } else if let Some(cfg) = name.strip_prefix("cfg:") {
-                    match self.configs.get(cfg) {
+                    match self.store.configs.get(cfg) {
                         Some(v) => CExpr::Const(v.clone()),
                         None => CExpr::Stuck(format!("config `{cfg}` unset")),
                     }
                 } else if let Some(stv) = name.strip_prefix("st:") {
-                    CExpr::Slot(self.slot_idx(stv))
+                    CExpr::Slot(self.store.declare_slot(stv))
                 } else {
                     CExpr::Stuck(format!("free variable `{name}`"))
                 }
@@ -268,11 +233,11 @@ impl Lowerer<'_> {
             SymVal::Min(a, b) => CExpr::Min(Box::new(self.lower(a)), Box::new(self.lower(b))),
             SymVal::Max(a, b) => CExpr::Max(Box::new(self.lower(a)), Box::new(self.lower(b))),
             SymVal::MapGet(m, k) => {
-                let mi = self.map_idx(m);
+                let mi = self.store.declare_map(m);
                 CExpr::MapGet(mi, Box::new(self.lower(k)))
             }
             SymVal::MapContains(m, k) => {
-                let mi = self.map_idx(m);
+                let mi = self.store.declare_map(m);
                 CExpr::MapContains(mi, Box::new(self.lower(k)))
             }
             SymVal::ArrayGet(a, i) => {
@@ -370,6 +335,11 @@ fn intern_probes(term: &CExpr, keys: &mut [Vec<(CExpr, usize)>], count: &mut usi
 /// (configuration values, initial scalars, declared maps) — the same
 /// `ModelState` the reference backend starts from.
 ///
+/// The program's store ([`CompiledProgram::init`]) lays out `init`'s
+/// set scalars, then its declared maps, each in name order; lowering
+/// appends the state names the selected tables use that `init` lacks,
+/// in the order it meets them, and then the layout is closed.
+///
 /// The contract with the reference evaluator is one-sided: for every
 /// packet on which `ModelState::step` succeeds, the compiled program
 /// succeeds with the identical output, fired entry, and post-state. On
@@ -377,12 +347,18 @@ fn intern_probes(term: &CExpr, keys: &mut [Vec<(CExpr, usize)>], count: &mut usi
 /// differ (the tree can prove an entry unmatchable without evaluating
 /// the literal that would have raised the error).
 pub fn compile(model: &Model, init: &ModelState) -> Result<CompiledProgram, CompileError> {
-    let mut lw = Lowerer {
-        configs: &init.configs,
-        slot_names: init.scalars.keys().cloned().collect(),
-        map_names: init.maps.keys().cloned().collect(),
-    };
-    let init_map_count = lw.map_names.len();
+    let mut store = ModelState::default();
+    store.configs = init.configs.clone();
+    for (name, v) in init.scalars_by_name() {
+        store = store.with_scalar(name, v.clone());
+    }
+    for (name, entries) in init.maps_by_name() {
+        store = store.with_map(name);
+        for (k, v) in entries {
+            store.insert_entry(name, k.clone(), v.clone());
+        }
+    }
+    let mut lw = Lowerer { store };
     let mut entries: Vec<CEntry> = Vec::new();
     let mut cands: Vec<Cand> = Vec::new();
     let mut preds: Vec<CExpr> = Vec::new();
@@ -428,7 +404,7 @@ pub fn compile(model: &Model, init: &ModelState) -> Result<CompiledProgram, Comp
     let mut nodes = Vec::new();
     let root = build(&mut nodes, cands);
     let flow_preds = intern_leaves(&mut nodes, &entries, preds.len());
-    let mut probe_keys = vec![Vec::new(); lw.map_names.len()];
+    let mut probe_keys = vec![Vec::new(); lw.store.layout().map_names().len()];
     let mut probe_count = 0;
     let actions = entries.iter().flat_map(|e| {
         let rewrites = match &e.flow_action {
@@ -448,29 +424,8 @@ pub fn compile(model: &Model, init: &ModelState) -> Result<CompiledProgram, Comp
     for term in preds.iter().chain(&flow_preds).chain(actions) {
         intern_probes(term, &mut probe_keys, &mut probe_count);
     }
-    let init_slots = lw
-        .slot_names
-        .iter()
-        .map(|n| init.scalars.get(n).cloned())
-        .collect();
-    let init_maps = lw
-        .map_names
-        .iter()
-        .map(|n| {
-            init.maps
-                .get(n)
-                .map(|m| m.iter().map(|(k, v)| (k.clone(), v.clone())).collect())
-                .unwrap_or_default()
-        })
-        .collect();
-    let init_materialized = (0..lw.map_names.len()).map(|i| i < init_map_count).collect();
-    let index = |names: &[String]| -> HashMap<String, usize> {
-        names
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (n.clone(), i))
-            .collect()
-    };
+    let mut init = lw.store;
+    init.close();
     Ok(CompiledProgram {
         nf_name: model.nf_name.clone(),
         nodes,
@@ -480,19 +435,12 @@ pub fn compile(model: &Model, init: &ModelState) -> Result<CompiledProgram, Comp
         flow_preds,
         probe_keys,
         probe_count,
-        slot_index: index(&lw.slot_names),
-        map_index: index(&lw.map_names),
-        slot_names: lw.slot_names,
-        map_names: lw.map_names,
-        init_slots,
-        init_maps,
-        init_materialized,
-        configs: init.configs.clone(),
+        init,
     })
 }
 
 fn lower_entry(
-    lw: &mut Lowerer<'_>,
+    lw: &mut Lowerer,
     entry: &Entry,
     origin: (usize, usize),
     preds: &mut Vec<CExpr>,
@@ -516,7 +464,7 @@ fn lower_entry(
         .state_action
         .updates
         .iter()
-        .map(|(name, term)| (lw.slot_idx(name), lw.lower(term)))
+        .map(|(name, term)| (lw.store.declare_slot(name), lw.lower(term)))
         .collect();
     let map_ops = entry
         .state_action
@@ -524,12 +472,12 @@ fn lower_entry(
         .iter()
         .map(|op| match op {
             MapOp::Insert { map, key, value } => CMapOp::Insert {
-                map: lw.map_idx(map),
+                map: lw.store.declare_map(map),
                 key: lw.lower(key),
                 value: lw.lower(value),
             },
             MapOp::Remove { map, key } => CMapOp::Remove {
-                map: lw.map_idx(map),
+                map: lw.store.declare_map(map),
                 key: lw.lower(key),
             },
         })
@@ -547,6 +495,7 @@ fn lower_entry(
 /// Render a compiled program as deterministic text — the golden-file
 /// format, and what `modeldiff --mode compiled-vs-model` prints.
 pub fn render(p: &CompiledProgram) -> String {
+    let (slot_names, map_names) = (p.init.layout().slot_names(), p.init.layout().map_names());
     let mut s = String::new();
     s.push_str(&format!(
         "compiled {}: {} entries, {} nodes, {} state preds, {} slots, {} maps\n",
@@ -554,14 +503,14 @@ pub fn render(p: &CompiledProgram) -> String {
         p.entries.len(),
         p.nodes.len(),
         p.state_preds.len(),
-        p.slot_names.len(),
-        p.map_names.len(),
+        slot_names.len(),
+        map_names.len(),
     ));
-    if !p.slot_names.is_empty() {
-        s.push_str(&format!("slots: [{}]\n", p.slot_names.join(", ")));
+    if !slot_names.is_empty() {
+        s.push_str(&format!("slots: [{}]\n", slot_names.join(", ")));
     }
-    if !p.map_names.is_empty() {
-        s.push_str(&format!("maps: [{}]\n", p.map_names.join(", ")));
+    if !map_names.is_empty() {
+        s.push_str(&format!("maps: [{}]\n", map_names.join(", ")));
     }
     s.push_str("entries:\n");
     for (i, e) in p.entries.iter().enumerate() {
@@ -595,7 +544,7 @@ pub fn render(p: &CompiledProgram) -> String {
             let ups: Vec<String> = e
                 .updates
                 .iter()
-                .map(|(slot, t)| format!("st:{} := {}", p.slot_names[*slot], fmt_expr(p, t)))
+                .map(|(slot, t)| format!("st:{} := {}", slot_names[*slot], fmt_expr(p, t)))
                 .collect();
             s.push_str(&format!("    updates: [{}]\n", ups.join(", ")));
         }
@@ -606,12 +555,12 @@ pub fn render(p: &CompiledProgram) -> String {
                 .map(|op| match op {
                     CMapOp::Insert { map, key, value } => format!(
                         "{}[{}] := {}",
-                        p.map_names[*map],
+                        map_names[*map],
                         fmt_expr(p, key),
                         fmt_expr(p, value)
                     ),
                     CMapOp::Remove { map, key } => {
-                        format!("del {}[{}]", p.map_names[*map], fmt_expr(p, key))
+                        format!("del {}[{}]", map_names[*map], fmt_expr(p, key))
                     }
                 })
                 .collect();
@@ -686,10 +635,11 @@ pub fn render(p: &CompiledProgram) -> String {
 
 /// Pretty-print a compiled expression with slot/map names restored.
 pub fn fmt_expr(p: &CompiledProgram, e: &CExpr) -> String {
+    let layout = p.init.layout();
     match e {
         CExpr::Const(v) => format!("{v}"),
         CExpr::Pkt(f) => format!("pkt.{}", f.path()),
-        CExpr::Slot(i) => format!("st:{}", p.slot_names[*i]),
+        CExpr::Slot(i) => format!("st:{}", layout.slot_names()[*i]),
         CExpr::Stuck(m) => format!("stuck<{m}>"),
         CExpr::Tuple(es) => {
             let parts: Vec<String> = es.iter().map(|x| fmt_expr(p, x)).collect();
@@ -707,8 +657,8 @@ pub fn fmt_expr(p: &CompiledProgram, e: &CExpr) -> String {
         CExpr::Hash(a) => format!("hash({})", fmt_expr(p, a)),
         CExpr::Min(a, b) => format!("min({}, {})", fmt_expr(p, a), fmt_expr(p, b)),
         CExpr::Max(a, b) => format!("max({}, {})", fmt_expr(p, a), fmt_expr(p, b)),
-        CExpr::MapGet(m, k) => format!("{}[{}]", p.map_names[*m], fmt_expr(p, k)),
-        CExpr::MapContains(m, k) => format!("({} in {})", fmt_expr(p, k), p.map_names[*m]),
+        CExpr::MapGet(m, k) => format!("{}[{}]", layout.map_names()[*m], fmt_expr(p, k)),
+        CExpr::MapContains(m, k) => format!("({} in {})", fmt_expr(p, k), layout.map_names()[*m]),
         CExpr::ArrayGet(a, i) => format!("{}[{}]", fmt_expr(p, a), fmt_expr(p, i)),
         CExpr::Proj(a, i) => format!("{}.{}", fmt_expr(p, a), i),
     }
@@ -765,7 +715,7 @@ mod tests {
         let p = compile(&m, &init).unwrap();
         // Only the mode==1 table survives; its single entry remains.
         assert_eq!(p.entry_count(), 1);
-        assert_eq!(p.slot_names, vec!["idx".to_string()]);
+        assert_eq!(p.init.layout().slot_names(), ["idx".to_string()]);
     }
 
     #[test]

@@ -1,19 +1,20 @@
 //! The compiled-program runtime.
 //!
-//! [`CompiledState`] is the dense mutable state of one deployment: a
-//! scalar slot arena (`Vec<Option<Value>>`) and hash-map arenas, plus
-//! the per-packet memo. One [`step`](CompiledState::step) walks the
-//! decision tree to a leaf, checks the leaf candidates' obligations
-//! (residual flow literals, then state tags) in reference order, and
-//! fires the first full match exactly as `ModelState::fire` would: all
-//! terms evaluated against the *pre* state, scalar commits before map
-//! commits, in source order.
-//! [`model_step`](CompiledState::model_step) runs the reference
-//! evaluator itself over the same arenas, for packets the compiled
-//! step fails on.
+//! [`CompiledState`] is the state of one deployment: the program's
+//! initial store ([`ModelState`], from `nf-model`), stepped, plus the
+//! predicate memo and the buffer of pending writes. One
+//! [`step`](CompiledState::step) walks the decision tree to a leaf,
+//! checks the leaf candidates' obligations (residual flow literals,
+//! then state tags) in reference order, and fires the first full match
+//! exactly as the reference step would: all terms evaluated against the
+//! *pre* state, then committed through the store's one commit path
+//! ([`ModelState::commit`]), scalars before maps, in source order. For
+//! a packet the compiled step fails on, the reference step
+//! ([`ModelState::step`]) runs on the same store, and the store's undo
+//! log reverts either step.
 //!
 //! Each packet pays once for each distinct piece of work. Flow literals
-//! and state tags are interned predicates ([`crate::compile`]), and one
+//! and state tags are interned predicates ([`mod@crate::compile`]), and one
 //! generation-stamped memo serves them all, so a step evaluates each
 //! distinct predicate at most once, whatever its polarity and however
 //! many candidates test it. The memo holds the predicate's truth value;
@@ -34,82 +35,37 @@
 use crate::compile::{CEntry, CFlowAction, CMapOp, CompiledProgram, PredLit};
 use crate::expr::{eval_expr, CExpr, ProbeSlot, Probes, RunEnv, PROBE_SLOTS};
 use crate::tree::{LeafCand, Node};
-use nf_model::{step_on, EvalError, Model, ModelStep, Store};
+use nf_model::{EvalError, ModelState, ModelStep, Writes};
 use nf_packet::Packet;
 use nfl_interp::value::{Value, ValueKey};
-use std::collections::{BTreeMap, HashMap};
-
-/// Result of pushing one packet through a compiled program — the same
-/// shape as `nf_model::ModelStep`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CompiledStep {
-    /// The forwarded packet, if any (`None` = dropped).
-    pub output: Option<Packet>,
-    /// `(table, entry)` of the fired source-model entry, if any.
-    pub fired: Option<(usize, usize)>,
-}
+use std::collections::BTreeMap;
 
 /// Mutable runtime state of one compiled deployment.
 #[derive(Debug, Clone)]
 pub struct CompiledState {
-    /// Scalar slots; `None` mirrors an absent `ModelState` scalar.
-    pub slots: Vec<Option<Value>>,
-    /// Map arenas, indexed like `CompiledProgram::map_names`.
-    pub maps: Vec<HashMap<ValueKey, Value>>,
-    /// Whether each map has materialised (declared initially or written
-    /// since) — only materialised maps appear in snapshots, mirroring
-    /// `ModelState.maps`.
-    materialized: Vec<bool>,
+    /// The store: slots and map arenas laid out by the program's closed
+    /// layout, with the undo log both steps commit through. The
+    /// reference step runs on it directly (`store.step(model, pkt)`),
+    /// and `store.revert()` undoes the most recent step of either kind.
+    pub store: ModelState,
     /// Predicate memo: `memo[p] = (generation, truth value)` for
-    /// predicate `p` of the program's predicate table.
+    /// predicate `p` of the program's predicate table. The store bumps
+    /// the generation at every step, so a truth value is never read
+    /// after its packet, nor after a revert.
     memo: Vec<(u64, bool)>,
-    /// Current packet generation (bumped per step).
-    generation: u64,
     /// The fired entry's writes between evaluation and commit; empty
     /// between steps, kept for its allocations.
-    pending: Pending,
-    /// Pre-images of everything the most recent step (compiled or
-    /// [`model_step`](Self::model_step)) committed, in commit order.
-    /// [`revert`](Self::revert) replays it backwards, so a supervisor
-    /// can undo a packet in O(entries it touched) instead of cloning
-    /// the whole state up front — the flow maps hold one entry per
-    /// live flow, and a per-packet full clone would make every packet
-    /// cost O(flows).
-    undo_slots: Vec<(usize, Option<Value>)>,
-    /// Map-entry pre-images of the most recent step:
-    /// `(map, key, previous value, was materialised)`.
-    undo_maps: Vec<(usize, ValueKey, Option<Value>, bool)>,
-}
-
-/// The writes a fired entry has evaluated and not yet committed, in
-/// commit order.
-#[derive(Debug, Clone, Default)]
-struct Pending {
-    slots: Vec<(usize, Value)>,
-    maps: Vec<(usize, ValueKey, Option<Value>)>,
+    pending: Writes,
 }
 
 impl CompiledState {
     /// Fresh state at the program's initial deployment.
     pub fn new(prog: &CompiledProgram) -> CompiledState {
         CompiledState {
-            slots: prog.init_slots.clone(),
-            maps: prog.init_maps.clone(),
-            materialized: prog.init_materialized.clone(),
+            store: prog.init.clone(),
             memo: vec![(0, false); prog.pred_count()],
-            generation: 0,
-            pending: Pending::default(),
-            undo_slots: Vec::new(),
-            undo_maps: Vec::new(),
+            pending: Writes::default(),
         }
-    }
-
-    /// The step generation: bumped at the start of every
-    /// [`step`](Self::step) and [`model_step`](Self::model_step), so a
-    /// caller can tell whether a failure happened before or after a
-    /// step began (only the latter has a live undo log to replay).
-    pub fn generation(&self) -> u64 {
-        self.generation
     }
 
     /// Forget every memoised predicate, in place: a supervisor restart
@@ -122,64 +78,13 @@ impl CompiledState {
         self.memo.fill((0, false));
     }
 
-    #[inline]
-    fn begin_step(&mut self) {
-        self.generation += 1;
-        self.undo_slots.clear();
-        self.undo_maps.clear();
-    }
-
-    /// Set slot `slot`, banking its pre-image.
-    #[inline]
-    fn commit_slot(&mut self, slot: usize, v: Value) {
-        let prev = self.slots[slot].replace(v);
-        self.undo_slots.push((slot, prev));
-    }
-
-    /// Insert (`Some`) or remove (`None`) `k` in map `map`, banking its
-    /// pre-image and whether the map had materialised.
-    #[inline]
-    fn commit_map(&mut self, map: usize, k: ValueKey, v: Option<Value>) {
-        let was = self.materialized[map];
-        self.materialized[map] = true;
-        let prev = match v {
-            Some(v) => self.maps[map].insert(k.clone(), v),
-            None => self.maps[map].remove(&k),
-        };
-        self.undo_maps.push((map, k, prev, was));
-    }
-
-    /// Undo the most recent step: restore every slot and map entry it
-    /// committed to its pre-image, in reverse commit order. A no-op
-    /// when the last step committed nothing (dropped packet, eval
-    /// error before the commit phase, or a fresh state).
-    /// The memo is left alone: predicate values are keyed by
-    /// generation, so those of the undone packet can never be read
-    /// again, and probes live for one step.
-    pub fn revert(&mut self) {
-        while let Some((map, k, prev, was)) = self.undo_maps.pop() {
-            match prev {
-                Some(v) => {
-                    self.maps[map].insert(k, v);
-                }
-                None => {
-                    self.maps[map].remove(&k);
-                }
-            }
-            self.materialized[map] = was;
-        }
-        while let Some((slot, prev)) = self.undo_slots.pop() {
-            self.slots[slot] = prev;
-        }
-    }
-
     /// Run one packet through the compiled program, mutating the state.
     ///
     /// For any packet on which the reference `ModelState::step`
     /// succeeds, this returns `Ok` with the identical output, fired
     /// entry, and post-state.
-    pub fn step(&mut self, prog: &CompiledProgram, pkt: &Packet) -> Result<CompiledStep, EvalError> {
-        self.begin_step();
+    pub fn step(&mut self, prog: &CompiledProgram, pkt: &Packet) -> Result<ModelStep, EvalError> {
+        let generation = self.store.begin_step();
         let cands = leaf(prog, pkt)?;
         // The probe memo lives on the stack for this step; a program
         // that reads no map does not even build it.
@@ -190,84 +95,39 @@ impl CompiledState {
         } else {
             None
         };
+        let layout = self.store.layout();
         let env = RunEnv {
             pkt,
-            slots: &self.slots,
-            maps: &self.maps,
-            map_names: &prog.map_names,
-            slot_names: &prog.slot_names,
+            slots: &self.store.scalars,
+            maps: &self.store.maps,
+            map_names: layout.map_names(),
+            slot_names: layout.slot_names(),
             probes,
         };
         let mut memo = Memo {
             truths: &mut self.memo,
-            generation: self.generation,
+            generation,
         };
         let Some(ei) = select(prog, &env, &mut memo, cands)? else {
             // Default action: drop.
-            return Ok(CompiledStep {
+            return Ok(ModelStep {
                 output: None,
                 fired: None,
             });
         };
         let entry = &prog.entries[ei];
         let output = evaluate(&env, entry, &mut self.pending)?;
-        // Commit phase: nothing below can fail, so a step either
-        // commits fully or (on any eval error above) not at all. Each
-        // write banks its pre-image so `revert` can undo the packet.
-        let mut pending = std::mem::take(&mut self.pending);
-        for (slot, v) in pending.slots.drain(..) {
-            self.commit_slot(slot, v);
-        }
-        for (map, k, v) in pending.maps.drain(..) {
-            self.commit_map(map, k, v);
-        }
-        self.pending = pending;
-        Ok(CompiledStep {
+        self.store.commit(&mut self.pending);
+        Ok(ModelStep {
             output,
             fired: Some(entry.origin),
         })
     }
 
-    /// Run one packet through the reference evaluator
-    /// ([`nf_model::step_on`]) directly over these arenas: the compiled
-    /// engine's fallback for a packet its own step fails on. Like
-    /// [`step`](Self::step), it bumps the generation, writes straight
-    /// into the arenas and banks every pre-image in the undo log, so
-    /// [`revert`](Self::revert) undoes it the same way. It costs
-    /// O(entries the packet touches), not O(live state).
-    ///
-    /// `model` is the model `prog` was compiled from. A state name the
-    /// program does not know fails the step before anything is written.
-    pub fn model_step(
-        &mut self,
-        prog: &CompiledProgram,
-        model: &Model,
-        pkt: &Packet,
-    ) -> Result<ModelStep, EvalError> {
-        step_on(&mut ArenaView { prog, state: self }, model, pkt)
-    }
-
-    /// Observable state snapshot — the same `name -> value` map the
-    /// reference backend produces (configs, set scalars, materialised
-    /// maps), so sharded-merge and differential comparisons treat the
-    /// two backends interchangeably. It copies every entry; a caller
-    /// done with the state takes [`into_snapshot`](Self::into_snapshot).
-    pub fn snapshot(&self, prog: &CompiledProgram) -> BTreeMap<String, Value> {
-        by_name(
-            prog,
-            self.slots.iter().cloned(),
-            &self.maps,
-            &self.materialized,
-            |m| m.iter().map(|(k, v)| (k.clone(), v.clone())).collect(),
-        )
-    }
-
-    /// [`snapshot`](Self::snapshot), consuming the state: every slot
-    /// value and map entry moves into the view, none is copied.
-    pub fn into_snapshot(self, prog: &CompiledProgram) -> BTreeMap<String, Value> {
-        by_name(prog, self.slots, self.maps, &self.materialized, |m| {
-            m.into_iter().collect()
-        })
+    /// The store's by-name view ([`ModelState::snapshot`]). The program
+    /// is not read: the store carries its layout and configs.
+    pub fn snapshot(&self, _prog: &CompiledProgram) -> BTreeMap<String, Value> {
+        self.store.snapshot()
     }
 }
 
@@ -382,13 +242,13 @@ fn truth(env: &RunEnv, e: &CExpr, wrapped: bool) -> Result<bool, EvalError> {
 }
 
 /// Evaluate the fired entry's rewrites, updates and map operations
-/// against the pre-state, exactly as `ModelState::fire` does: returns
+/// against the pre-state, exactly as the reference step does: returns
 /// the output packet and leaves the writes in `pending`.
 #[inline]
 fn evaluate(
     env: &RunEnv,
     entry: &CEntry,
-    pending: &mut Pending,
+    pending: &mut Writes,
 ) -> Result<Option<Packet>, EvalError> {
     // An earlier step that failed mid-evaluation may have left writes.
     pending.slots.clear();
@@ -445,92 +305,6 @@ fn evaluate(
     Ok(output)
 }
 
-/// The by-name view behind [`CompiledState::snapshot`] and
-/// [`CompiledState::into_snapshot`]: the program's configs, every set
-/// slot, and every materialised map in key order. `ordered` turns one
-/// map arena into its ordered map, by copy or by move.
-fn by_name<M>(
-    prog: &CompiledProgram,
-    slots: impl IntoIterator<Item = Option<Value>>,
-    maps: impl IntoIterator<Item = M>,
-    materialized: &[bool],
-    ordered: impl Fn(M) -> BTreeMap<ValueKey, Value>,
-) -> BTreeMap<String, Value> {
-    let mut out = prog.configs.clone();
-    for (name, slot) in prog.slot_names.iter().zip(slots) {
-        if let Some(v) = slot {
-            out.insert(name.clone(), v);
-        }
-    }
-    for ((name, m), &live) in prog.map_names.iter().zip(maps).zip(materialized) {
-        if live {
-            out.insert(name.clone(), Value::Map(ordered(m)));
-        }
-    }
-    out
-}
-
-/// The arenas seen by the model's state names, so the reference
-/// evaluator reads and writes them in place.
-struct ArenaView<'a> {
-    prog: &'a CompiledProgram,
-    state: &'a mut CompiledState,
-}
-
-impl ArenaView<'_> {
-    fn target(index: &HashMap<String, usize>, name: &str) -> Result<usize, EvalError> {
-        index.get(name).copied().ok_or_else(|| {
-            EvalError::Stuck(format!("state `{name}` is not in the compiled program"))
-        })
-    }
-}
-
-impl Store for ArenaView<'_> {
-    type Scalar = usize;
-    type Map = usize;
-
-    fn config(&self, name: &str) -> Option<&Value> {
-        self.prog.configs.get(name)
-    }
-
-    fn scalar(&self, name: &str) -> Option<&Value> {
-        let &slot = self.prog.slot_index.get(name)?;
-        self.state.slots[slot].as_ref()
-    }
-
-    fn map_get(&self, map: &str, key: &ValueKey) -> Option<&Value> {
-        let &m = self.prog.map_index.get(map)?;
-        self.state.maps[m].get(key)
-    }
-
-    fn map_contains(&self, map: &str, key: &ValueKey) -> bool {
-        self.prog
-            .map_index
-            .get(map)
-            .is_some_and(|&m| self.state.maps[m].contains_key(key))
-    }
-
-    fn scalar_target(&self, name: &str) -> Result<usize, EvalError> {
-        Self::target(&self.prog.slot_index, name)
-    }
-
-    fn map_target(&self, map: &str) -> Result<usize, EvalError> {
-        Self::target(&self.prog.map_index, map)
-    }
-
-    fn begin_step(&mut self) {
-        self.state.begin_step();
-    }
-
-    fn commit_scalar(&mut self, slot: usize, v: Value) {
-        self.state.commit_slot(slot, v);
-    }
-
-    fn commit_map(&mut self, map: usize, key: ValueKey, v: Option<Value>) {
-        self.state.commit_map(map, key, v);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -563,7 +337,7 @@ mod tests {
 
     /// Run a packet sequence through the reference evaluator, the
     /// compiled step, and the reference evaluator over the compiled
-    /// arenas (`model_step`); assert identical per-packet results and
+    /// store (`store.step`); assert identical per-packet results and
     /// final snapshots. Halfway through, the compiled state is
     /// restarted as the supervisor does: its predicate memo is cleared,
     /// no probe memo is left, and its generation must not go back. After every packet, and after
@@ -578,9 +352,9 @@ mod tests {
         let mut before = cs.snapshot(&prog);
         for (i, p) in pkts.iter().enumerate() {
             if i == pkts.len() / 2 {
-                let g = cs.generation();
+                let g = cs.store.generation();
                 cs.clear_memo();
-                assert_eq!(cs.generation(), g, "restart keeps the generation");
+                assert_eq!(cs.store.generation(), g, "restart keeps the generation");
                 assert!(
                     cs.memo.iter().all(|&m| m == (0, false)),
                     "restart forgets every memoised predicate"
@@ -590,34 +364,25 @@ mod tests {
             let got = cs.step(&prog, p).expect("compiled step");
             assert_eq!(got.output, want.output, "packet {i} output");
             assert_eq!(got.fired, want.fired, "packet {i} fired entry");
-            let on_arena = arena.model_step(&prog, &m, p).expect("model_step");
+            let on_arena = arena.store.step(&m, p).expect("model_step");
             assert_eq!(on_arena, want, "packet {i} model_step");
             let after = cs.snapshot(&prog);
             assert_eq!(
-                cs.clone().into_snapshot(&prog),
+                cs.store.clone().into_snapshot(),
                 after,
                 "packet {i} into_snapshot"
             );
             let mut undone = cs.clone();
-            undone.revert();
+            undone.store.revert();
             assert_eq!(undone.snapshot(&prog), before, "packet {i} revert");
             assert_eq!(
-                undone.into_snapshot(&prog),
+                undone.store.into_snapshot(),
                 before,
                 "packet {i} reverted into_snapshot"
             );
             before = after;
         }
-        let mut want = BTreeMap::new();
-        for (k, v) in &ms.configs {
-            want.insert(k.clone(), v.clone());
-        }
-        for (k, v) in &ms.scalars {
-            want.insert(k.clone(), v.clone());
-        }
-        for (k, m) in &ms.maps {
-            want.insert(k.clone(), Value::Map(m.clone()));
-        }
+        let want = ms.snapshot();
         assert_eq!(cs.snapshot(&prog), want, "final state snapshot");
         assert_eq!(arena.snapshot(&prog), want, "final model_step snapshot");
     }
@@ -975,7 +740,7 @@ mod tests {
             .with_map("seen");
         let prog = compile(&counter, &init).unwrap();
         let mut cs = CompiledState::new(&prog);
-        cs.model_step(&prog, &counter, &tcp(1, 80)).unwrap();
+        cs.store.step(&counter, &tcp(1, 80)).unwrap();
         let before = cs.snapshot(&prog);
         // A model the program was not compiled from: its scalar and map
         // writes name states the arenas do not have. The scalar write
@@ -987,7 +752,7 @@ mod tests {
              fn cb(pkt: packet) { count = 5; hist[1] = 7; send(pkt); }",
         ] {
             let m = model_of(&format!("{foreign} fn main() {{ sniff(cb); }}"));
-            let err = cs.model_step(&prog, &m, &tcp(2, 80)).unwrap_err();
+            let err = cs.store.step(&m, &tcp(2, 80)).unwrap_err();
             assert!(
                 err.to_string().contains("is not in the compiled program"),
                 "{err}"

@@ -4,7 +4,8 @@
 //! resolved at compile time: configuration variables are folded to
 //! their concrete [`Value`]s (configs never change at runtime — only
 //! `st:` scalars and maps are written by state actions), state scalars
-//! become dense arena slot indices, and state maps become map indices.
+//! become slot indices and state maps arena indices of the program's
+//! store layout.
 //! Constant subterms are folded through the *same* evaluator that runs
 //! at packet time, so folding can never change semantics.
 //!
@@ -106,8 +107,9 @@ impl CExpr {
 
 /// Where evaluation reads packet fields, state slots, and maps from.
 /// Two implementations: the runtime environment (a packet plus a
-/// [`CompiledState`](crate::CompiledState) arena) and the compile-time
-/// constant environment (which has none of those and errors if asked).
+/// [`CompiledState`](crate::CompiledState)'s store arenas) and the
+/// compile-time constant environment (which has none of those and
+/// errors if asked).
 pub trait Env {
     /// Read a packet field as the evaluator does (`raw as i64`).
     fn pkt_field(&self, f: Field) -> Result<Value, EvalError>;
@@ -149,10 +151,9 @@ impl Env for ConstEnv {
 pub struct RunEnv<'a, 'p> {
     /// The packet being classified.
     pub pkt: &'a Packet,
-    /// Scalar slots (`None` = unset, mirroring an absent scalar in
-    /// `ModelState.scalars`).
+    /// Scalar slots (`None` = unset), as in `ModelState::scalars`.
     pub slots: &'a [Option<Value>],
-    /// Map arenas.
+    /// Map arenas, as in `ModelState::maps`.
     pub maps: &'a [std::collections::HashMap<ValueKey, Value>],
     /// Map names (for error messages).
     pub map_names: &'a [String],

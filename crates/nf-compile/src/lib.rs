@@ -1,12 +1,13 @@
 //! Compiled execution of synthesized NF models.
 //!
 //! The model evaluator in `nf-model` is an interpreter over the model's
-//! symbolic terms: per packet it scans tables in order, re-resolves
-//! config/state names through `BTreeMap`s, and re-walks every match
-//! literal. This crate compiles a [`Model`](nf_model::Model) — together
-//! with one concrete deployment (configuration + initial state) — into
-//! a flattened XFSM dispatch engine, the form the paper's §2.3 model is
-//! meant to take on a switch:
+//! symbolic terms: per packet it scans tables in order, resolves
+//! config/state names through the store's name index, and re-walks
+//! every match literal. This crate compiles a [`Model`](nf_model::Model)
+//! — together with one concrete deployment (configuration + initial
+//! state) — into a flattened XFSM dispatch engine, the form the paper's
+//! §2.3 model is meant to take on a switch. It keeps its state in the
+//! same store ([`nf_model::ModelState`]) the evaluator steps:
 //!
 //! * **Decision tree** ([`tree`]): flow-match literals of the
 //!   recognised single-field shapes (`pkt.f == c`, masked prefix tests,
@@ -15,19 +16,25 @@
 //!   once. Unrecognised literals stay *residual* and evaluate per-entry
 //!   at the leaves, in source order.
 //! * **Expression IR** ([`expr`]): match/action terms are lowered to
-//!   [`CExpr`] with every name resolved — configs folded to constants,
-//!   state scalars to dense arena slots, maps to arena indices — and
-//!   constant subterms folded through the reference evaluator itself.
-//! * **Interning** ([`compile`]): state-match literals and residual
+//!   [`CExpr`] with every name resolved against the program's initial
+//!   store ([`CompiledProgram::init`]) — configs folded to constants,
+//!   state scalars to slots of its slot arena, maps to its map arenas —
+//!   and constant subterms folded through the reference evaluator
+//!   itself. Lowering adds the state names the tables use to the
+//!   store's layout, then closes it.
+//! * **Interning** ([`mod@compile`]): state-match literals and residual
 //!   flow literals are canonicalised and interned into one predicate
 //!   table, and the `(map, key term)` pairs the terms read into a probe
 //!   table; per packet each distinct predicate is evaluated, and each
 //!   distinct map key built and probed, at most once (memoised), like
 //!   an XFSM's flow-context lookup.
-//! * **Runtime** ([`exec`]): [`CompiledState`] holds the slot/map
-//!   arenas; [`CompiledState::step`] walks the tree, checks residuals
-//!   and tags, and fires the matched entry with the reference's exact
-//!   pre-state-evaluate-then-commit discipline.
+//! * **Runtime** ([`exec`]): [`CompiledState`] is the initial store,
+//!   stepped, plus the predicate memo; [`CompiledState::step`] walks
+//!   the tree, checks residuals and tags, and fires the matched entry
+//!   with the reference's exact pre-state-evaluate-then-commit
+//!   discipline, committing through the store's undo log. The
+//!   reference step ([`nf_model::ModelState::step`]) runs on the same
+//!   store when the compiled step fails.
 //!
 //! # Semantics contract
 //!
@@ -54,6 +61,6 @@ pub mod tree;
 pub use compile::{
     compile, render, CEntry, CFlowAction, CMapOp, CompileError, CompiledProgram, PredLit,
 };
-pub use exec::{CompiledState, CompiledStep};
+pub use exec::CompiledState;
 pub use expr::{eval_expr, fold, CExpr, Env, Probes, RunEnv};
 pub use tree::{classify, FieldTest, Node, TestKind};

@@ -176,7 +176,7 @@ pub struct LeafCand {
     pub residuals: Vec<usize>,
     /// What the candidate must satisfy here, in evaluation order: one
     /// interned obligation per residual, then the entry's state tags.
-    /// Empty until [`compile`](crate::compile) interns the predicates.
+    /// Empty until [`compile`](fn@crate::compile) interns the predicates.
     pub lits: Vec<PredLit>,
 }
 

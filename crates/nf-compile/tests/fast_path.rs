@@ -374,13 +374,13 @@ fn fast_path_agrees_with_eval_expr() {
             let mut rng = Rng::new(seed);
             let pkt = packet(&mut rng);
             for (prog, terms) in &corpus {
-                let (slots, maps) = arena(&mut rng, &pkt, &prog.init_slots, &prog.init_maps);
+                let (slots, maps) = arena(&mut rng, &pkt, &prog.init.scalars, &prog.init.maps);
                 let env = RunEnv {
                     pkt: &pkt,
                     slots: &slots,
                     maps: &maps,
-                    map_names: &prog.map_names,
-                    slot_names: &prog.slot_names,
+                    map_names: prog.init.layout().map_names(),
+                    slot_names: prog.init.layout().slot_names(),
                     probes: None,
                 };
                 for t in terms {

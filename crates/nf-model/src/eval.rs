@@ -3,27 +3,23 @@
 //! §5 Accuracy: *"we generate random inputs (i.e., packets) to both
 //! NFactor model and the original program, and test whether they output
 //! the same result."* This module is the model side of that experiment:
-//! [`ModelState`] holds the concrete state (scalars + maps), and
-//! [`ModelState::step`] runs one packet through the table — find the
-//! entry whose flow and state matches hold, apply its rewrites, commit
-//! its state transition; if nothing matches, the low-priority default
-//! **drop** fires.
-//!
-//! The evaluator itself ([`step_on`]) is generic over a [`Store`], so
-//! the same reference semantics can run over another backend's state
-//! layout in place (the compiled engine's dense arenas) instead of over
-//! a copy of it.
+//! [`ModelState::step`] runs one packet through the table over the
+//! store ([`crate::store`]) — find the entry whose flow and state
+//! matches hold, apply its rewrites, commit its state transition; if
+//! nothing matches, the low-priority default **drop** fires. The
+//! compiled engine keeps the same store and falls back to this step on
+//! it in place.
 //!
 //! Term evaluation mirrors the interpreter exactly (same euclidean `%`,
 //! the same stable `hash`), so model-vs-program equivalence is
 //! well-defined.
 
 use crate::model::{Entry, FlowAction, Model};
+use crate::store::{ModelState, Writes};
 use nf_packet::Packet;
-use nfl_interp::value::{stable_hash, Value, ValueKey};
+use nfl_interp::value::{stable_hash, Value};
 use nfl_lang::BinOp;
 use nfl_symex::{MapOp, SymVal};
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// Errors during model evaluation.
@@ -55,193 +51,35 @@ pub struct ModelStep {
     pub fired: Option<(usize, usize)>,
 }
 
-/// The state the reference evaluator reads and writes, by name.
-///
-/// Reads are by the model's names (without the `cfg:`/`st:` prefixes).
-/// A write is resolved to a target in the evaluation phase
-/// ([`scalar_target`](Store::scalar_target),
-/// [`map_target`](Store::map_target)), where it may still fail, and
-/// committed afterwards by an infallible call that banks the pre-image
-/// it overwrites. So a step either fails before touching the state or
-/// commits all of it, and the store can undo a committed step in
-/// O(entries it touched).
-pub trait Store {
-    /// A scalar write target, resolved before the commit phase.
-    type Scalar;
-    /// A map write target, resolved before the commit phase.
-    type Map;
-
-    /// A configuration value.
-    fn config(&self, name: &str) -> Option<&Value>;
-    /// A scalar state value (`None`: unset).
-    fn scalar(&self, name: &str) -> Option<&Value>;
-    /// The value at `key` in map `map`, if present.
-    fn map_get(&self, map: &str, key: &ValueKey) -> Option<&Value>;
-    /// Whether map `map` holds `key` (`false` for a map never written).
-    fn map_contains(&self, map: &str, key: &ValueKey) -> bool;
-    /// Resolve scalar `name` as a write target.
-    fn scalar_target(&self, name: &str) -> Result<Self::Scalar, EvalError>;
-    /// Resolve map `map` as a write target.
-    fn map_target(&self, map: &str) -> Result<Self::Map, EvalError>;
-    /// Start a step: bump the step generation and forget the previous
-    /// step's pre-images.
-    fn begin_step(&mut self);
-    /// Set a scalar, banking its previous value.
-    fn commit_scalar(&mut self, target: Self::Scalar, v: Value);
-    /// Insert (`Some`) or remove (`None`) a map entry, banking its
-    /// previous value.
-    fn commit_map(&mut self, target: Self::Map, key: ValueKey, v: Option<Value>);
-}
-
-/// Concrete model state: configuration values, scalar states, and maps.
-///
-/// Equality compares the three observable components only; the step
-/// generation and undo log are bookkeeping for [`revert`](Self::revert).
-#[derive(Debug, Clone, Default)]
-pub struct ModelState {
-    /// Config values by name (without the `cfg:` prefix).
-    pub configs: BTreeMap<String, Value>,
-    /// Scalar state values by name (without the `st:` prefix).
-    pub scalars: BTreeMap<String, Value>,
-    /// Map state: map name → entries.
-    pub maps: BTreeMap<String, BTreeMap<ValueKey, Value>>,
-    /// Step generation (bumped per [`step`](Self::step)).
-    generation: u64,
-    /// Pre-images of everything the most recent step committed, in
-    /// commit order; [`revert`](Self::revert) replays it backwards.
-    undo: Vec<Undo>,
-}
-
-/// One banked pre-image of a committed write.
-#[derive(Debug, Clone)]
-enum Undo {
-    /// A scalar's previous value (`None`: it was unset).
-    Scalar(String, Option<Value>),
-    /// A map entry's previous value, and whether the map existed
-    /// before the write materialised it.
-    Map(String, ValueKey, Option<Value>, bool),
-}
-
-impl PartialEq for ModelState {
-    fn eq(&self, other: &Self) -> bool {
-        self.configs == other.configs && self.scalars == other.scalars && self.maps == other.maps
-    }
-}
-
-impl Store for ModelState {
-    type Scalar = String;
-    type Map = String;
-
-    fn config(&self, name: &str) -> Option<&Value> {
-        self.configs.get(name)
-    }
-
-    fn scalar(&self, name: &str) -> Option<&Value> {
-        self.scalars.get(name)
-    }
-
-    fn map_get(&self, map: &str, key: &ValueKey) -> Option<&Value> {
-        self.maps.get(map).and_then(|m| m.get(key))
-    }
-
-    fn map_contains(&self, map: &str, key: &ValueKey) -> bool {
-        self.maps.get(map).is_some_and(|m| m.contains_key(key))
-    }
-
-    fn scalar_target(&self, name: &str) -> Result<String, EvalError> {
-        Ok(name.to_string())
-    }
-
-    fn map_target(&self, map: &str) -> Result<String, EvalError> {
-        Ok(map.to_string())
-    }
-
-    fn begin_step(&mut self) {
-        self.generation += 1;
-        self.undo.clear();
-    }
-
-    fn commit_scalar(&mut self, name: String, v: Value) {
-        let prev = self.scalars.insert(name.clone(), v);
-        self.undo.push(Undo::Scalar(name, prev));
-    }
-
-    fn commit_map(&mut self, map: String, k: ValueKey, v: Option<Value>) {
-        let existed = self.maps.contains_key(&map);
-        let m = self.maps.entry(map.clone()).or_default();
-        let prev = match v {
-            Some(v) => m.insert(k.clone(), v),
-            None => m.remove(&k),
-        };
-        self.undo.push(Undo::Map(map, k, prev, existed));
-    }
-}
-
 impl ModelState {
-    /// The step generation: bumped at the start of every
-    /// [`step`](Self::step), so a caller can tell whether a failure
-    /// happened before or after a step began (only the latter has a
-    /// live undo log to replay).
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
-    /// Undo the most recent [`step`](Self::step): restore every scalar
-    /// and map entry it committed to its pre-image, in reverse commit
-    /// order — O(entries the step touched). A no-op when the step
-    /// committed nothing (default drop, or an eval error, which always
-    /// precedes the commit phase).
-    pub fn revert(&mut self) {
-        while let Some(u) = self.undo.pop() {
-            match u {
-                Undo::Scalar(name, Some(v)) => {
-                    self.scalars.insert(name, v);
-                }
-                Undo::Scalar(name, None) => {
-                    self.scalars.remove(&name);
-                }
-                Undo::Map(map, k, prev, existed) => {
-                    if !existed {
-                        self.maps.remove(&map);
-                        continue;
-                    }
-                    let Some(m) = self.maps.get_mut(&map) else {
-                        continue;
-                    };
-                    match prev {
-                        Some(v) => {
-                            m.insert(k, v);
-                        }
-                        None => {
-                            m.remove(&k);
-                        }
-                    }
+    /// Run one packet through `model`, mutating the state: the first
+    /// entry (in table order) whose config, flow and state matches hold
+    /// fires; if none does, the default drop. Everything the fired entry
+    /// computes is evaluated against the pre-state, then committed
+    /// through [`commit`](Self::commit), so [`revert`](Self::revert)
+    /// undoes the step.
+    pub fn step(&mut self, model: &Model, pkt: &Packet) -> Result<ModelStep, EvalError> {
+        self.begin_step();
+        for (ti, table) in model.tables.iter().enumerate() {
+            // Configuration condition must hold for this deployment.
+            if !all_true(self, &table.config, pkt)? {
+                continue;
+            }
+            for (ei, entry) in table.entries.iter().enumerate() {
+                if entry_matches(self, entry, pkt)? {
+                    let out = fire(self, entry, pkt)?;
+                    return Ok(ModelStep {
+                        output: out,
+                        fired: Some((ti, ei)),
+                    });
                 }
             }
         }
-    }
-
-    /// Set a config value.
-    pub fn with_config(mut self, name: &str, v: Value) -> Self {
-        self.configs.insert(name.to_string(), v);
-        self
-    }
-
-    /// Set a scalar state value.
-    pub fn with_scalar(mut self, name: &str, v: Value) -> Self {
-        self.scalars.insert(name.to_string(), v);
-        self
-    }
-
-    /// Declare an (initially empty) state map.
-    pub fn with_map(mut self, name: &str) -> Self {
-        self.maps.entry(name.to_string()).or_default();
-        self
-    }
-
-    /// Run one packet through `model`, mutating the state.
-    pub fn step(&mut self, model: &Model, pkt: &Packet) -> Result<ModelStep, EvalError> {
-        step_on(self, model, pkt)
+        // Default action: drop (§3.2).
+        Ok(ModelStep {
+            output: None,
+            fired: None,
+        })
     }
 
     /// Evaluate a symbolic term against packet + state.
@@ -250,40 +88,11 @@ impl ModelState {
     }
 }
 
-/// Run one packet through `model` over the state in `st`: the first
-/// entry (in table order) whose config, flow and state matches hold
-/// fires; if none does, the default drop. Everything the fired entry
-/// computes is evaluated against the pre-state, then committed —
-/// scalars before maps, each in source order.
-pub fn step_on<S: Store>(st: &mut S, model: &Model, pkt: &Packet) -> Result<ModelStep, EvalError> {
-    st.begin_step();
-    for (ti, table) in model.tables.iter().enumerate() {
-        // Configuration condition must hold for this deployment.
-        if !all_true(st, &table.config, pkt)? {
-            continue;
-        }
-        for (ei, entry) in table.entries.iter().enumerate() {
-            if entry_matches(st, entry, pkt)? {
-                let out = fire(st, entry, pkt)?;
-                return Ok(ModelStep {
-                    output: out,
-                    fired: Some((ti, ei)),
-                });
-            }
-        }
-    }
-    // Default action: drop (§3.2).
-    Ok(ModelStep {
-        output: None,
-        fired: None,
-    })
-}
-
-fn entry_matches<S: Store>(st: &S, entry: &Entry, pkt: &Packet) -> Result<bool, EvalError> {
+fn entry_matches(st: &ModelState, entry: &Entry, pkt: &Packet) -> Result<bool, EvalError> {
     Ok(all_true(st, &entry.flow_match, pkt)? && all_true(st, &entry.state_match, pkt)?)
 }
 
-fn all_true<S: Store>(st: &S, lits: &[SymVal], pkt: &Packet) -> Result<bool, EvalError> {
+fn all_true(st: &ModelState, lits: &[SymVal], pkt: &Packet) -> Result<bool, EvalError> {
     for lit in lits {
         match eval_on(st, lit, pkt)? {
             Value::Bool(true) => {}
@@ -298,7 +107,7 @@ fn all_true<S: Store>(st: &S, lits: &[SymVal], pkt: &Packet) -> Result<bool, Eva
     Ok(true)
 }
 
-fn fire<S: Store>(st: &mut S, entry: &Entry, pkt: &Packet) -> Result<Option<Packet>, EvalError> {
+fn fire(st: &mut ModelState, entry: &Entry, pkt: &Packet) -> Result<Option<Packet>, EvalError> {
     // Evaluate everything against the PRE state, then commit.
     let output = match &entry.flow_action {
         FlowAction::Drop => None,
@@ -317,12 +126,11 @@ fn fire<S: Store>(st: &mut S, entry: &Entry, pkt: &Packet) -> Result<Option<Pack
             Some(out)
         }
     };
-    let mut new_scalars = Vec::new();
+    let mut writes = Writes::default();
     for (name, term) in &entry.state_action.updates {
         let v = eval_on(st, term, pkt)?;
-        new_scalars.push((st.scalar_target(name)?, v));
+        writes.slots.push((st.slot_target(name)?, v));
     }
-    let mut map_commits = Vec::new();
     for op in &entry.state_action.map_ops {
         match op {
             MapOp::Insert { map, key, value } => {
@@ -330,30 +138,22 @@ fn fire<S: Store>(st: &mut S, entry: &Entry, pkt: &Packet) -> Result<Option<Pack
                     .as_key()
                     .ok_or_else(|| EvalError::Stuck("unkeyable map key".into()))?;
                 let v = eval_on(st, value, pkt)?;
-                map_commits.push((st.map_target(map)?, k, Some(v)));
+                writes.maps.push((st.map_target(map)?, k, Some(v)));
             }
             MapOp::Remove { map, key } => {
                 let k = eval_on(st, key, pkt)?
                     .as_key()
                     .ok_or_else(|| EvalError::Stuck("unkeyable map key".into()))?;
-                map_commits.push((st.map_target(map)?, k, None));
+                writes.maps.push((st.map_target(map)?, k, None));
             }
         }
     }
-    // Commit phase: nothing below can fail, so a step either commits
-    // fully or (on any eval error above) not at all. Each write banks
-    // the value it replaces so the store can undo the packet.
-    for (target, v) in new_scalars {
-        st.commit_scalar(target, v);
-    }
-    for (target, k, v) in map_commits {
-        st.commit_map(target, k, v);
-    }
+    st.commit(&mut writes);
     Ok(output)
 }
 
 /// Evaluate a symbolic term against packet + the state in `st`.
-pub(crate) fn eval_on<S: Store>(st: &S, term: &SymVal, pkt: &Packet) -> Result<Value, EvalError> {
+fn eval_on(st: &ModelState, term: &SymVal, pkt: &Packet) -> Result<Value, EvalError> {
     match term {
         SymVal::Int(v) => Ok(Value::Int(*v)),
         SymVal::Bool(b) => Ok(Value::Bool(*b)),
@@ -367,7 +167,8 @@ pub(crate) fn eval_on<S: Store>(st: &S, term: &SymVal, pkt: &Packet) -> Result<V
                     .map_err(|e| EvalError::Stuck(e.to_string()))?;
                 Ok(Value::Int(raw as i64))
             } else if let Some(cfg) = name.strip_prefix("cfg:") {
-                st.config(cfg)
+                st.configs
+                    .get(cfg)
                     .cloned()
                     .ok_or_else(|| EvalError::Stuck(format!("config `{cfg}` unset")))
             } else if let Some(stv) = name.strip_prefix("st:") {
@@ -445,7 +246,8 @@ pub(crate) fn eval_on<S: Store>(st: &S, term: &SymVal, pkt: &Packet) -> Result<V
             let k = eval_on(st, key, pkt)?
                 .as_key()
                 .ok_or_else(|| EvalError::Stuck("unkeyable key".into()))?;
-            st.map_get(map, &k)
+            st.map(map)
+                .and_then(|m| m.get(&k))
                 .cloned()
                 .ok_or_else(|| EvalError::Stuck(format!("{map}[{k}] missing")))
         }
@@ -453,7 +255,7 @@ pub(crate) fn eval_on<S: Store>(st: &S, term: &SymVal, pkt: &Packet) -> Result<V
             let k = eval_on(st, key, pkt)?
                 .as_key()
                 .ok_or_else(|| EvalError::Stuck("unkeyable key".into()))?;
-            Ok(Value::Bool(st.map_contains(map, &k)))
+            Ok(Value::Bool(st.map(map).is_some_and(|m| m.contains_key(&k))))
         }
         SymVal::ArrayGet(base, idx) => {
             let b = eval_on(st, base, pkt)?;
@@ -614,14 +416,15 @@ mod tests {
             r1.output.unwrap().get(nf_packet::Field::TcpSport).unwrap(),
             10000
         );
-        assert_eq!(st.scalars["next"], Value::Int(10001));
+        assert_eq!(st.scalar("next"), Some(&Value::Int(10001)));
         // Same flow hits the existing-connection entry, same rewrite.
         let r2 = st.step(&m, &tcp(5555, 80)).unwrap();
         assert_eq!(
             r2.output.unwrap().get(nf_packet::Field::TcpSport).unwrap(),
             10000
         );
-        assert_eq!(st.scalars["next"], Value::Int(10001), "no double install");
+        let next = st.scalar("next");
+        assert_eq!(next, Some(&Value::Int(10001)), "no double install");
         assert_ne!(r1.fired, r2.fired, "different entries fired");
         // New flow gets the next port.
         let r3 = st.step(&m, &tcp(7777, 80)).unwrap();
@@ -658,7 +461,7 @@ mod tests {
         assert_eq!(st.generation(), g + 1);
         st.revert();
         assert_eq!(st, fresh);
-        assert!(st.maps.is_empty());
+        assert!(st.map("nat").is_none());
         // Over live state: install two flows, step a third, revert it.
         st.step(&m, &tcp(1, 80)).unwrap();
         st.step(&m, &tcp(2, 80)).unwrap();
@@ -667,7 +470,7 @@ mod tests {
         assert_ne!(st, before);
         st.revert();
         assert_eq!(st, before);
-        assert_eq!(st.scalars["next"], Value::Int(10002));
+        assert_eq!(st.scalar("next"), Some(&Value::Int(10002)));
         // An existing-flow hit commits nothing but the rewrite.
         st.step(&m, &tcp(1, 80)).unwrap();
         st.revert();

@@ -12,6 +12,10 @@
 //! * [`eval`] — a concrete evaluator: run the model like a switch on a
 //!   real packet and real state. This is what the §5 accuracy experiment
 //!   executes 1000 times against the original program.
+//! * [`store`] — that state: one store of configs, scalar slots and map
+//!   arenas behind a shared name layout, with the undo log every step
+//!   commits through. The compiled engine (`nf-compile`) runs on the
+//!   same store.
 //! * [`render`] — the Figure 6 pretty-printer.
 //! * [`fsm`] — the state-machine view (§2.4: "the state transition logic
 //!   can be used to build a finite state machine", as BUZZ does).
@@ -26,10 +30,12 @@ pub mod fsm;
 pub mod json;
 pub mod model;
 pub mod render;
+pub mod store;
 pub mod text;
 
-pub use eval::{eval_bin, step_on, EvalError, ModelState, ModelStep, Store};
+pub use eval::{eval_bin, EvalError, ModelStep};
 pub use fsm::{ModelFsm, Transition};
 pub use model::{Completeness, ConfigTable, Entry, FlowAction, Model, StateAction};
 pub use render::render_figure6;
+pub use store::{Layout, ModelState, Writes};
 pub use text::{from_text, parse_term, to_text};

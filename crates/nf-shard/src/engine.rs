@@ -80,7 +80,7 @@ use crate::supervise::{
     SupervisorPolicy, INJECTED_RING_DEADLINE,
 };
 use crate::telemetry::{FlightOutcome, RunStats, TelemetryConfig, WorkerTelemetry};
-use nf_compile::{CompiledProgram, CompiledState, CompiledStep};
+use nf_compile::{CompiledProgram, CompiledState};
 use nf_model::{Model, ModelState, ModelStep};
 use nf_packet::Packet;
 use nf_support::fault::{FaultKind, FaultPlan};
@@ -303,9 +303,9 @@ impl FaultSummary {
     }
 }
 
-/// Per-shard program state: an interpreter, a model-state instance, or
-/// a compiled program plus its dense state arena (the program itself is
-/// immutable and shared across shards via `Arc`).
+/// Per-shard program state: an interpreter, a model store, or a
+/// compiled program plus its state, which is a model store too (the
+/// program itself is immutable and shared across shards via `Arc`).
 #[derive(Debug, Clone)]
 enum BackendState {
     Interp(Interp),
@@ -322,27 +322,22 @@ enum BackendState {
 enum Stepped {
     /// The interpreter's step: every `send`, in order.
     Interp(StepResult),
-    /// The model evaluator's step, also the compiled backend's
-    /// fallback.
+    /// The model evaluator's or the compiled program's step.
     Model(ModelStep),
-    /// The compiled program's step.
-    Compiled(CompiledStep),
 }
 
 impl Stepped {
     fn dropped(&self) -> bool {
         match self {
             Stepped::Interp(r) => r.dropped,
-            Stepped::Model(ModelStep { output, .. })
-            | Stepped::Compiled(CompiledStep { output, .. }) => output.is_none(),
+            Stepped::Model(m) => m.output.is_none(),
         }
     }
 
     fn into_outputs(self) -> Vec<Packet> {
         match self {
             Stepped::Interp(r) => r.outputs,
-            Stepped::Model(ModelStep { output, .. })
-            | Stepped::Compiled(CompiledStep { output, .. }) => output.into_iter().collect(),
+            Stepped::Model(m) => m.output.into_iter().collect(),
         }
     }
 }
@@ -365,24 +360,19 @@ impl BackendState {
             }
             BackendState::Compiled { prog, state } => state
                 .step(prog, pkt)
-                .map(Stepped::Compiled)
+                .map(Stepped::Model)
                 .map_err(|e| e.to_string()),
         }
     }
 
     /// Consume the evaluator into a by-name view of all its persistent
-    /// state. Every backend moves its values into the view whole; the
-    /// compiled arenas' entries move into key order.
+    /// state. Every backend moves its values into the view whole; a
+    /// store's map entries move into key order.
     fn into_snapshot(self) -> BTreeMap<String, Value> {
         match self {
             BackendState::Interp(i) => i.globals.into_iter().collect(),
-            BackendState::Model(ms) => {
-                let mut out = ms.configs;
-                out.extend(ms.scalars);
-                out.extend(ms.maps.into_iter().map(|(k, m)| (k, Value::Map(m))));
-                out
-            }
-            BackendState::Compiled { prog, state } => state.into_snapshot(&prog),
+            BackendState::Model(ms) => ms.into_snapshot(),
+            BackendState::Compiled { state, .. } => state.store.into_snapshot(),
         }
     }
 
@@ -402,7 +392,7 @@ impl BackendState {
         match self {
             BackendState::Interp(i) => i.packets_seen(),
             BackendState::Model(ms) => ms.generation(),
-            BackendState::Compiled { state, .. } => state.generation(),
+            BackendState::Compiled { state, .. } => state.store.generation(),
         }
     }
 
@@ -418,7 +408,7 @@ impl BackendState {
         match self {
             BackendState::Interp(i) => i.revert(),
             BackendState::Model(ms) => ms.revert(),
-            BackendState::Compiled { state, .. } => state.revert(),
+            BackendState::Compiled { state, .. } => state.store.revert(),
         }
     }
 
@@ -432,23 +422,23 @@ impl BackendState {
         }
     }
 
-    /// The per-packet compiled→model fallback: evaluate this packet on
-    /// the reference model directly over the compiled arenas. The
-    /// compiled engine's one-sided contract (identical behaviour
-    /// wherever the reference succeeds) makes this exact: any packet
-    /// the model can evaluate produces the same output either way.
-    /// `None` when the backend has no fallback.
+    /// The per-packet compiled→model fallback: the reference step on
+    /// the compiled state's own store. The compiled engine's one-sided
+    /// contract (identical behaviour wherever the reference succeeds)
+    /// makes this exact: any packet the model can evaluate produces the
+    /// same output either way. `None` when the backend has no fallback.
     fn fallback_step(
         &mut self,
         model: Option<&Model>,
         pkt: &Packet,
     ) -> Option<Result<Stepped, String>> {
-        let (BackendState::Compiled { prog, state }, Some(model)) = (self, model) else {
+        let (BackendState::Compiled { state, .. }, Some(model)) = (self, model) else {
             return None;
         };
         Some(
             state
-                .model_step(prog, model, pkt)
+                .store
+                .step(model, pkt)
                 .map(Stepped::Model)
                 .map_err(|e| e.to_string()),
         )

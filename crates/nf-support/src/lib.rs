@@ -9,7 +9,7 @@
 //! * [`rng`] — a seeded SplitMix64 / xoshiro256** PRNG (replaces `rand`).
 //! * [`check`] — a minimal property-testing harness with generators,
 //!   bounded shrinking, and deterministic seeds (replaces `proptest`).
-//! * [`bench`] — a `harness = false` micro-benchmark runner with warmup /
+//! * [`mod@bench`] — a `harness = false` micro-benchmark runner with warmup /
 //!   iteration control and JSON reports (replaces `criterion`).
 //! * [`json`] — a small JSON `Value` with `render` / `parse` and the
 //!   [`json::ToJson`] / [`json::FromJson`] traits model types implement by

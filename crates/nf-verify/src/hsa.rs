@@ -501,10 +501,11 @@ impl StatefulNf {
             }
             _ => return None,
         };
-        let entries = self.state.maps.get(map)?;
-        // Point spaces for each stored key.
+        let mut keys: Vec<_> = self.state.map(map)?.keys().collect();
+        keys.sort_unstable();
+        // Point spaces for each stored key, in key order.
         let mut points = Vec::new();
-        for k in entries.keys() {
+        for &k in &keys {
             let vals: Vec<u64> = match k {
                 nfl_interp::ValueKey::Tuple(t) => {
                     t.iter().map(|v| *v as u64).collect()
@@ -534,7 +535,7 @@ impl StatefulNf {
             // from the space field-wise (approximate by removing the
             // first key field's points — sound for disjointness checks).
             let mut miss_space = space.clone();
-            for k in entries.keys() {
+            for k in keys {
                 if let nfl_interp::ValueKey::Tuple(t) = k {
                     if let (Some(f), Some(v)) = (fields.first(), t.first()) {
                         miss_space =
@@ -621,7 +622,8 @@ mod tests {
             .with_scalar("blocked_count", Value::Int(0))
             .with_map("pinholes");
         for (a, b, c, d) in pinholes {
-            state.maps.get_mut("pinholes").unwrap().insert(
+            state.insert_entry(
+                "pinholes",
                 nfl_interp::ValueKey::Tuple(vec![
                     i64::from(a),
                     i64::from(b),

@@ -19,10 +19,8 @@ use nf_model::{
     ConfigTable, Entry, FlowAction, Model, ModelState, StateAction,
 };
 use nf_packet::{Field, Packet, PacketGen};
-use nfl_interp::Value;
 use nfl_lang::BinOp;
 use nfl_symex::{MapOp, SymVal};
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// One observed divergence between two models.
@@ -137,9 +135,8 @@ pub fn compiled_vs_model(
 /// Drive the compiled program `prog` against the reference evaluator
 /// running `model` on the same seeded stream, both from `state`, and
 /// diff what the compiled contract promises: after every packet, the
-/// output, the fired entry and the post-state (the compiled
-/// [`snapshot`](CompiledState::snapshot) against the model state's
-/// by-name view).
+/// output, the fired entry and the post-state (the compiled state's
+/// store against the model's, compared by name).
 ///
 /// The contract is one-sided — the compiled engine is only pinned
 /// where the reference evaluator succeeds. Trials on which the
@@ -172,7 +169,7 @@ pub fn program_vs_model(
             "output"
         } else if got.fired != want.fired {
             "fired entry"
-        } else if cs.snapshot(prog) != by_name(&ms) {
+        } else if cs.store != ms {
             "post-state"
         } else {
             agreements += 1;
@@ -193,19 +190,6 @@ pub fn program_vs_model(
         agreements,
         divergences,
     })
-}
-
-/// The model state as one `name -> value` map (configs, scalars, maps),
-/// the shape of [`CompiledState::snapshot`].
-fn by_name(ms: &ModelState) -> BTreeMap<String, Value> {
-    let mut out = ms.configs.clone();
-    out.extend(ms.scalars.iter().map(|(k, v)| (k.clone(), v.clone())));
-    out.extend(
-        ms.maps
-            .iter()
-            .map(|(k, m)| (k.clone(), Value::Map(m.clone()))),
-    );
-    out
 }
 
 fn pkt_var(field: Field) -> SymVal {

@@ -258,11 +258,11 @@ pub fn generate_tests(
                     ungenerated += 1;
                     continue;
                 }
-                let Some(entries) = st.maps.get(map.as_str()) else {
+                let Some(entries) = st.map(map) else {
                     ungenerated += 1;
                     continue;
                 };
-                let Some(first_key) = entries.keys().next() else {
+                let Some(first_key) = entries.keys().min() else {
                     ungenerated += 1;
                     continue;
                 };

@@ -31,7 +31,8 @@ fn fw_with_pinholes(pinholes: &[(u32, u16, u32, u16)]) -> StatefulNf {
         .with_scalar("blocked_count", Value::Int(0))
         .with_map("pinholes");
     for &(a, b, c, d) in pinholes {
-        state.maps.get_mut("pinholes").unwrap().insert(
+        state.insert_entry(
+            "pinholes",
             ValueKey::Tuple(vec![i64::from(a), i64::from(b), i64::from(c), i64::from(d)]),
             Value::Int(1),
         );

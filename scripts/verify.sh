@@ -357,6 +357,10 @@ esac
 echo "==> panic gate"
 ./scripts/panic_gate.sh
 
+echo "==> docs: every intra-doc link resolves"
+# A deleted or renamed item must not leave a dangling doc link.
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --no-deps --workspace --offline
+
 echo "==> metrics gate: README observability table vs code"
 ./scripts/metrics_gate.sh
 

@@ -53,7 +53,8 @@ fn stateful_reachability_distinguishes_states() {
         state: base_state.clone(),
     };
     let mut opened_state = base_state;
-    opened_state.maps.get_mut("pinholes").unwrap().insert(
+    opened_state.insert_entry(
+        "pinholes",
         ValueKey::Tuple(vec![0x08080808, 443, 0x0a000005, 5000]),
         Value::Int(1),
     );

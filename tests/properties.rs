@@ -12,9 +12,11 @@ use nf_support::check::{
 use nfactor::compile::{compile, CompiledProgram, CompiledState};
 use nfactor::core::accuracy::{differential_test, initial_model_state};
 use nfactor::core::{Pipeline, Synthesis};
-use nfactor::interp::{Interp, Value};
+use nfactor::fuzz::{gen_program, GrammarConfig};
+use nfactor::interp::Interp;
 use nfactor::model::ModelState;
 use nfactor::packet::{Field, Packet, PacketGen, TcpFlags};
+use nfactor::support::rng::Rng;
 use nfactor::symex::{Solver, SymVal};
 use std::collections::BTreeMap;
 
@@ -192,16 +194,32 @@ fn hash_is_stable_across_interp_and_model() {
     assert!(dsts.len() > 1, "hash spreads load: {dsts:?}");
 }
 
-/// The undo logs behind per-packet rollback: on every corpus NF, after
-/// a generated warm-up stream, stepping one more packet and reverting
-/// it leaves each backend's state byte-identical to the pre-step
-/// snapshot — whether the step committed, dropped, or failed part-way.
-/// The compiled arenas are checked under both of their evaluators, the
-/// compiled step and the reference model run in place (`model_step`),
-/// and the latter must match `ModelState::step` packet for packet.
+/// Grammar-generated NFs the revert property covers, beside the corpus.
+const GENERATED: usize = 24;
+
+/// An NF's synthesis, its fresh interpreter, its initial model store and
+/// its compiled program; `None` when any of them fails to build.
+fn build_nf(name: &str, src: &str) -> Option<(Synthesis, Interp, ModelState, CompiledProgram)> {
+    let pipeline = Pipeline::builder().name(name).build().ok()?;
+    let syn = pipeline.synthesize(src).ok()?;
+    let interp = Interp::new(&syn.nf_loop).ok()?;
+    let model = initial_model_state(&syn, &interp);
+    let prog = compile(&syn.model, &model).ok()?;
+    Some((syn, interp, model, prog))
+}
+
+/// The undo logs behind per-packet rollback: on every corpus NF and on
+/// grammar-generated NFs, after a generated warm-up stream, stepping one
+/// more packet and reverting it leaves each backend's state equal to the
+/// pre-step state — whether the step committed, dropped, or failed
+/// part-way. The compiled state's store is checked under both of its
+/// steps, the compiled step and the reference step run on it
+/// (`store.step`), and the latter must match `ModelState::step` on the
+/// model's own store packet for packet. A generated NF that does not
+/// synthesize or compile is skipped.
 #[test]
 fn step_then_revert_restores_state() {
-    let corpus: Vec<(Synthesis, Interp, ModelState, CompiledProgram)> = [
+    let mut nfs: Vec<_> = [
         ("fig1-lb", nfactor::corpus::fig1_lb::source()),
         ("balance", nfactor::corpus::balance::source(6)),
         ("snort", nfactor::corpus::snort::source(25)),
@@ -212,46 +230,34 @@ fn step_then_revert_restores_state() {
         ("router", nfactor::corpus::router::source()),
     ]
     .into_iter()
-    .map(|(name, src)| {
-        let syn = Pipeline::builder()
-            .name(name)
-            .build()
-            .unwrap()
-            .synthesize(&src)
-            .unwrap_or_else(|e| panic!("{name}: {e}"));
-        let interp = Interp::new(&syn.nf_loop).unwrap();
-        let model = initial_model_state(&syn, &interp);
-        let prog = compile(&syn.model, &model).unwrap_or_else(|e| panic!("{name}: {e}"));
-        (syn, interp, model, prog)
-    })
+    .map(|(name, src)| build_nf(name, &src).unwrap_or_else(|| panic!("{name} does not build")))
     .collect();
+    nfs.extend(
+        (1..=4 * GENERATED as u64)
+            .filter_map(|seed| {
+                let prog = gen_program(&mut Rng::new(seed), GrammarConfig::default());
+                build_nf(&format!("gen-{seed}"), &prog.source)
+            })
+            .take(GENERATED),
+    );
+    assert_eq!(nfs.len(), 8 + GENERATED, "too few generated NFs build");
     let interp_state = |i: &Interp| {
         let sorted: BTreeMap<_, _> = i.globals.iter().collect();
         format!("{sorted:?} packets_seen={}", i.packets_seen())
     };
-    let model_state = |m: &ModelState| format!("{:?} {:?}", m.scalars, m.maps);
-    // The model state in the by-name shape of `CompiledState::snapshot`.
-    let model_snapshot = |m: &ModelState| {
-        let mut out = m.configs.clone();
-        out.extend(m.scalars.iter().map(|(k, v)| (k.clone(), v.clone())));
-        out.extend(
-            m.maps
-                .iter()
-                .map(|(k, v)| (k.clone(), Value::Map(v.clone()))),
-        );
-        out
-    };
-    let cfg = Config::with_cases(64);
-    let input = tuple3(uint_range(0, 7), any_u64(), uint_range(0, 48));
+    let cfg = Config::with_cases(128);
+    let last = nfs.len() as u64 - 1;
+    let input = tuple3(uint_range(0, last), any_u64(), uint_range(0, 48));
     check(
         "step_then_revert_restores_state",
         &cfg,
         &input,
         |(nf, seed, warm)| {
-            let (syn, interp0, model0, prog) = &corpus[*nf as usize];
+            let (syn, interp0, model0, prog) = &nfs[*nf as usize];
             let (mut interp, mut model) = (interp0.clone(), model0.clone());
-            // Warmed by `model_step`, the arenas follow the model's own
-            // trajectory, so the two start every packet in one state.
+            // Warmed by the reference step on its own store, the
+            // compiled state follows the model's own trajectory, so the
+            // two start every packet in one state.
             let mut arena = CompiledState::new(prog);
             let mut gen = PacketGen::new(*seed);
             // Failed warm-up packets are reverted, as the supervisor does.
@@ -261,14 +267,14 @@ fn step_then_revert_restores_state() {
                 }
                 let want = model.step(&syn.model, p);
                 assert_eq!(
-                    arena.model_step(prog, &syn.model, p),
+                    arena.store.step(&syn.model, p),
                     want,
                     "{}: packet {i}",
                     syn.name
                 );
                 if want.is_err() {
                     model.revert();
-                    arena.revert();
+                    arena.store.revert();
                 }
             }
             let p = gen.next_packet();
@@ -277,27 +283,27 @@ fn step_then_revert_restores_state() {
             interp.revert();
             assert_eq!(interp_state(&interp), before, "{}: interp", syn.name);
             let snap = arena.snapshot(prog);
-            assert_eq!(snap, model_snapshot(&model), "{}: pre-state", syn.name);
+            assert_eq!(snap, model.snapshot(), "{}: pre-state", syn.name);
             let _ = arena.step(prog, &p);
-            arena.revert();
+            arena.store.revert();
             assert_eq!(arena.snapshot(prog), snap, "{}: compiled", syn.name);
-            let before = model_state(&model);
+            let before = model.clone();
             let want = model.step(&syn.model, &p);
             assert_eq!(
-                arena.model_step(prog, &syn.model, &p),
+                arena.store.step(&syn.model, &p),
                 want,
                 "{}: model_step",
                 syn.name
             );
             assert_eq!(
                 arena.snapshot(prog),
-                model_snapshot(&model),
+                model.snapshot(),
                 "{}: post-state",
                 syn.name
             );
             model.revert();
-            assert_eq!(model_state(&model), before, "{}: model", syn.name);
-            arena.revert();
+            assert_eq!(model, before, "{}: model", syn.name);
+            arena.store.revert();
             assert_eq!(arena.snapshot(prog), snap, "{}: model_step", syn.name);
         },
     );
