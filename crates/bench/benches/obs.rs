@@ -47,10 +47,7 @@ fn main() {
     let src = nf_corpus::firewall::source();
     let packets = PacketGen::new(0x0B5E).batch(PACKETS);
 
-    let off_cfg = TelemetryConfig {
-        enabled: false,
-        ..TelemetryConfig::default()
-    };
+    let off_cfg = TelemetryConfig { enabled: false };
     let off = build(&src, Tracer::disabled(), off_cfg);
     let on = build(&src, Tracer::enabled(), TelemetryConfig::default());
 

@@ -7,7 +7,6 @@ use nf_trace::Tracer;
 use nfl_analysis::normalize::PacketLoop;
 use nfl_analysis::pdg::{default_boundary, Pdg};
 use nfl_lang::types::TypeInfo;
-use nfl_lang::Program;
 use nfl_lint::{AnalysisCtx, LoopError, ShardingReport};
 use nfl_slicer::statealyzer::{statealyzer, StateAlyzerInput, VarClasses};
 use nfl_slicer::static_slice::{
@@ -62,15 +61,11 @@ impl From<LoopError> for Error {
 pub struct PipelineConfig {
     /// Limits for the model-extraction symbolic execution (on the slice).
     pub limits: PathLimits,
-    /// Which statements feed StateAlyzer (ablation knob; NFactor's
-    /// default is the packet slice).
-    pub statealyzer_input: StateAlyzerInput,
     /// Also symbolically execute the *original* (unsliced) per-packet
-    /// function, to fill Table 2's "orig" columns. Off by default — this
-    /// is the expensive side the paper reports as ">1 hr" for snort.
+    /// function, stopping just past 1,000 paths, to fill Table 2's
+    /// "orig" columns. Off by default — this is the expensive side the
+    /// paper reports as ">1 hr" for snort.
     pub measure_original: bool,
-    /// Limits for that original-program execution.
-    pub original_limits: PathLimits,
     /// Resource budget for the whole pipeline (wall-clock deadline plus
     /// path/step/solver caps). On exhaustion the pipeline degrades
     /// gracefully: it returns a *partial* model stamped
@@ -95,20 +90,27 @@ impl Default for PipelineConfig {
     fn default() -> Self {
         PipelineConfig {
             limits: PathLimits::default(),
-            statealyzer_input: StateAlyzerInput::PacketSlice,
             measure_original: false,
-            original_limits: PathLimits {
-                loop_bound: 4,
-                max_paths: 1001, // just past the paper's ">1000"
-                max_steps: 20_000,
-                track_executed: false,
-            },
             budget: Budget::unlimited(),
             tracer: Tracer::disabled(),
             shards: 1,
         }
     }
 }
+
+/// Which statements feed StateAlyzer: NFactor's packet slice. The
+/// `ablation/statealyzer_input` bench compares the alternatives by
+/// calling `statealyzer` directly.
+const STATEALYZER_INPUT: StateAlyzerInput = StateAlyzerInput::PacketSlice;
+
+/// Limits for the original-program exploration
+/// ([`PipelineConfig::measure_original`]).
+const ORIGINAL_LIMITS: PathLimits = PathLimits {
+    loop_bound: 4,
+    max_paths: 1001, // just past the paper's ">1000"
+    max_steps: 20_000,
+    track_executed: false,
+};
 
 /// Most shards a pipeline will accept; past this the dispatch hash
 /// spreads flows thinner than any plausible core count and a typo'd
@@ -155,21 +157,9 @@ impl PipelineBuilder {
         self
     }
 
-    /// Which statements feed StateAlyzer (ablation knob).
-    pub fn statealyzer_input(mut self, input: StateAlyzerInput) -> Self {
-        self.config.statealyzer_input = input;
-        self
-    }
-
     /// Also explore the unsliced program (Table 2's "orig" columns).
     pub fn measure_original(mut self, on: bool) -> Self {
         self.config.measure_original = on;
-        self
-    }
-
-    /// Path limits for that original-program exploration.
-    pub fn original_limits(mut self, limits: PathLimits) -> Self {
-        self.config.original_limits = limits;
         self
     }
 
@@ -260,11 +250,6 @@ impl Pipeline {
     /// callers reusing one pipeline across a corpus).
     pub fn synthesize_named(&self, name: &str, src: &str) -> Result<Synthesis, Error> {
         self.finish(analyze_source(name, src, &self.config)?)
-    }
-
-    /// Run Algorithm 1 on an already parsed and checked program.
-    pub fn synthesize_program(&self, name: &str, program: &Program) -> Result<Synthesis, Error> {
-        self.finish(analyze_program(name, program, &self.config)?)
     }
 
     /// Run the front half of Algorithm 1 on NFL source text under the
@@ -387,22 +372,14 @@ impl Synthesis {
 }
 
 fn analyze_source(name: &str, src: &str, opts: &PipelineConfig) -> Result<Analysis, Error> {
-    let span = opts.tracer.span("pipeline.stage.frontend");
+    let tracer = &opts.tracer;
+    let span = tracer.span("pipeline.stage.frontend");
     let program = nfl_lang::parse_and_check(src).map_err(Error::Frontend)?;
     span.end();
-    analyze_program(name, &program, opts)
-}
-
-fn analyze_program(
-    name: &str,
-    program: &Program,
-    opts: &PipelineConfig,
-) -> Result<Analysis, Error> {
-    let tracer = &opts.tracer;
 
     // 1. Structure normalisation (+ socket unfolding).
     let span = tracer.span("pipeline.stage.structure");
-    let nf_loop = AnalysisCtx::normalize_loop(program)?;
+    let nf_loop = AnalysisCtx::normalize_loop(&program)?;
     let type_info =
         nfl_lang::types::check(&nf_loop.program).map_err(|e| Error::Frontend(e.to_string()))?;
     span.end();
@@ -418,7 +395,7 @@ fn analyze_program(
     }
     let (pkt_slice, pkt_stop) =
         packet_slice_budgeted(&pdg, &nf_loop.program, &nf_loop.func, &opts.budget, tracer);
-    let classes = statealyzer(&nf_loop, &pkt_slice.stmts, &type_info, opts.statealyzer_input);
+    let classes = statealyzer(&nf_loop, &pkt_slice.stmts, &type_info, STATEALYZER_INPUT);
     let (st_slice, st_stop) = state_slice_budgeted(
         &pdg,
         &nf_loop.program,
@@ -499,7 +476,7 @@ fn finish(analysis: Analysis, opts: &PipelineConfig) -> Result<Synthesis, Error>
     let (ep_orig, se_time_orig) = if opts.measure_original {
         let orig_span = tracer.span("pipeline.stage.orig");
         let stats = SymExec::new(&nf_loop)
-            .with_limits(opts.original_limits)
+            .with_limits(ORIGINAL_LIMITS)
             .explore()
             .map_err(|e| Error::Symex(e.to_string()))?;
         let dur = orig_span.end();

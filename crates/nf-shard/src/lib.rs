@@ -35,23 +35,23 @@
 //!
 //! The runtime is **supervised** ([`supervise`]): each packet's eval is
 //! isolated behind `catch_unwind` with journal-based state rollback, a
-//! failing packet is quarantined instead of aborting the run, a shard
-//! that fails repeatedly is rebuilt with state handoff, and a
+//! failing packet is quarantined instead of aborting the run, an
+//! evaluator that fails repeatedly is restarted in place, and a
 //! deterministic [`nf_support::fault`] plan can inject
 //! panic/error/delay/ring-overflow/garbage faults at chosen
 //! `(shard, nth-packet)` points — the chaos differential suite's
 //! substrate.
 //!
 //! The runtime is also **observable** ([`telemetry`]): workers record
-//! eval latency, ring occupancy, and a bounded per-packet flight
-//! recorder into private buffers merged at join, the dispatcher
-//! profiles hot dispatch keys with a space-saving sketch, and the run
-//! surfaces it all as `shard.N.*` histograms/labels (the `nfactor top`
-//! live view) and a [`RunStats`] document (`--stats-json`,
-//! `--flight-out`). Telemetry never changes what a run computes.
+//! eval latency, ring occupancy, and a per-packet flight recorder of
+//! [`FLIGHT_CAP`] events into private buffers merged at join, the
+//! dispatcher profiles hot dispatch keys with a space-saving sketch,
+//! and the run surfaces it all as `shard.N.*` histograms/labels (the
+//! `nfactor top` live view) and a [`RunStats`] document
+//! (`--stats-json`, `--flight-out`). Telemetry never changes what a run
+//! computes.
 //!
-//! Packets reach the engine through a pull-based
-//! [`WorkloadSource`](nf_support::workload::WorkloadSource) — an
+//! Packets reach the engine through a pull-based [`WorkloadSource`] — an
 //! in-memory slice, the seeded generator, or a `.nfw` binary trace —
 //! dispatched in configurable batches ([`BatchConfig`]) under one
 //! unified entry point, [`ShardEngine::run_with`]:
@@ -82,8 +82,8 @@ pub use engine::{
     ShardRun,
 };
 pub use plan::{Placement, PlanMode, ShardPlan};
-pub use supervise::{panic_message, quarantine_to_json, QuarantineRecord, SupervisorPolicy};
+pub use supervise::{panic_message, quarantine_to_json, QuarantineRecord};
 pub use telemetry::{
-    render_top, FlightEvent, FlightOutcome, RunStats, ShardStats, TelemetryConfig,
+    render_top, FlightEvent, FlightOutcome, RunStats, ShardStats, TelemetryConfig, FLIGHT_CAP,
 };
 pub use nf_support::workload::{SliceSource, WorkloadError, WorkloadSource};

@@ -1,66 +1,44 @@
-//! The supervision layer: quarantine records, restart/backoff policy,
-//! and the panic-capture plumbing the engine's per-packet isolation is
-//! built on.
+//! The supervision layer: quarantine records, the restart and
+//! dispatch-deadline limits, and the panic-capture plumbing the
+//! engine's per-packet isolation is built on.
 //!
 //! A fault-tolerant shard runtime has three jobs this module supports:
 //!
 //! 1. **Contain** — a packet whose eval panics or errors must not take
 //!    the run down. The engine wraps each eval in
-//!    [`quiet_catch_unwind`] (a `catch_unwind` whose panic output is
+//!    `quiet_catch_unwind` (a `catch_unwind` whose panic output is
 //!    suppressed, because an *injected* or *contained* panic is not an
 //!    emergency worth a stderr backtrace) and rolls partial state
 //!    writes back by replaying the evaluator's undo log.
 //! 2. **Account** — every contained failure becomes a
 //!    [`QuarantineRecord`] carrying the packet, the error, and where it
-//!    happened. Records are bounded by
-//!    [`SupervisorPolicy::quarantine_cap`] (the *count* of failures is
-//!    always exact; only the retained records are capped) and render to
+//!    happened. A run retains at most [`QUARANTINE_CAP`] records, those
+//!    with the lowest arrival seqs (the *count* of failures is always
+//!    exact; only the retained records are capped), and they render to
 //!    JSON whose `trace` form `nfactor run --workload` can replay
 //!    directly — a quarantined packet is a ready-made fuzz/ddmin input.
-//! 3. **Recover** — after [`SupervisorPolicy::restart_after`]
-//!    consecutive failures on one shard the engine rebuilds that
-//!    shard's evaluator from scratch and hands the persistent state
-//!    snapshot over, clearing any derived caches a misbehaving packet
-//!    may have corrupted.
+//! 3. **Recover** — after [`RESTART_AFTER`] consecutive failures on one
+//!    evaluator the engine restarts it in place, clearing any derived
+//!    caches a misbehaving packet may have corrupted.
 
 use nf_packet::{Field, Packet};
 use nf_support::json::{ToJson, Value as Json};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::Once;
 
-/// Knobs for the shard supervisor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SupervisorPolicy {
-    /// Rebuild a shard's evaluator (with state handoff) after this many
-    /// *consecutive* quarantined packets.
-    pub restart_after: u32,
-    /// Retain at most this many full quarantine records per run; the
-    /// quarantined *count* is always exact.
-    pub quarantine_cap: usize,
-    /// If set, a dispatch that still cannot enqueue after this many
-    /// backoff attempts drops the packet with accounting instead of
-    /// retrying forever. `None` (the default) retries indefinitely —
-    /// under real load a draining worker always makes room, and
-    /// deterministic tests must not drop packets by timing accident.
-    pub ring_deadline: Option<u32>,
-}
+/// Consecutive quarantined packets on one evaluator that restart it.
+pub const RESTART_AFTER: u32 = 3;
 
-impl Default for SupervisorPolicy {
-    fn default() -> SupervisorPolicy {
-        SupervisorPolicy {
-            restart_after: 3,
-            quarantine_cap: 64,
-            ring_deadline: None,
-        }
-    }
-}
+/// Full quarantine records a run retains; the quarantined *count* is
+/// always exact.
+pub const QUARANTINE_CAP: usize = 64;
 
-/// The retry deadline applied to an *injected* ring-overflow fault when
-/// the policy sets none: large enough that a plan exercising
-/// retry-with-backoff (small forced-full count) never drops, small
-/// enough that the default overflow injection
+/// The retry deadline of an *injected* ring-overflow fault: large
+/// enough that a plan exercising retry-with-backoff (small forced-full
+/// count) never drops, small enough that the default overflow injection
 /// (`fault::DEFAULT_OVERFLOW_ATTEMPTS`) reliably exercises
-/// drop-with-accounting.
+/// drop-with-accounting. A genuinely full ring is retried until the
+/// worker drains it.
 pub const INJECTED_RING_DEADLINE: u32 = 4096;
 
 /// One contained per-packet failure.
@@ -122,30 +100,21 @@ pub fn quarantine_to_json(records: &[QuarantineRecord], total: u64) -> Json {
     ])
 }
 
-/// Bounded quarantine buffer: retains up to `cap` full records while
-/// tracking the arrival seq of *every* push exactly (the seqs are what
-/// accounting and the chaos oracle need; the full records are for
-/// humans and replay, so capping them bounds memory without losing the
-/// count).
+/// Bounded quarantine buffer: retains up to [`QUARANTINE_CAP`] full
+/// records while tracking the arrival seq of *every* push exactly (the
+/// seqs are what accounting and the chaos oracle need; the full records
+/// are for humans and replay, so capping them bounds memory without
+/// losing the count).
 #[derive(Debug, Default)]
 pub(crate) struct Quarantine {
     records: Vec<QuarantineRecord>,
     seqs: Vec<u64>,
-    cap: usize,
 }
 
 impl Quarantine {
-    pub(crate) fn new(cap: usize) -> Quarantine {
-        Quarantine {
-            records: Vec::new(),
-            seqs: Vec::new(),
-            cap,
-        }
-    }
-
     pub(crate) fn push(&mut self, r: QuarantineRecord) {
         self.seqs.push(r.seq);
-        if self.records.len() < self.cap {
+        if self.records.len() < QUARANTINE_CAP {
             self.records.push(r);
         }
     }
@@ -233,8 +202,9 @@ mod tests {
     #[test]
     fn quarantine_caps_records_but_counts_everything() {
         let pkt = PacketGen::new(1).batch(1).pop().unwrap();
-        let mut q = Quarantine::new(2);
-        for seq in 0..5 {
+        let mut q = Quarantine::default();
+        let pushed = QUARANTINE_CAP as u64 + 3;
+        for seq in 0..pushed {
             q.push(QuarantineRecord {
                 seq,
                 shard: 0,
@@ -244,8 +214,8 @@ mod tests {
             });
         }
         let (records, seqs) = q.into_parts();
-        assert_eq!(records.len(), 2);
-        assert_eq!(seqs, vec![0, 1, 2, 3, 4]);
+        assert_eq!(records.len(), QUARANTINE_CAP);
+        assert_eq!(seqs, (0..pushed).collect::<Vec<_>>());
     }
 
     #[test]

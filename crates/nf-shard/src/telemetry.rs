@@ -4,16 +4,16 @@
 //! Telemetry is recorded **off the hot path**: each worker owns a
 //! [`WorkerTelemetry`] of private buffers — no shared-sink lock per
 //! packet — and folds them into the run's `nf-trace` tracer every
-//! [`TelemetryConfig::flush_every`] packets plus once at join, where
+//! [`FLUSH_EVERY`] packets plus once at join, where
 //! they surface as `shard.N.eval.ns` / `shard.N.ring.occupancy`
 //! histograms for the live `nfactor top` view. At join the engine also
 //! assembles a [`RunStats`] (`nfactor run --stats-json`) carrying the
-//! full per-shard summaries, the dispatcher's space-saving top-K over
-//! dispatch-key values ([`HotKey`], exported as `shard.N.hotkeys` —
-//! the input the ROADMAP's skew-aware rebalancing consumes), and the
-//! merged flight recorder: the last N per-packet events, replayable as
-//! a `--workload` via the dump's `trace` key exactly like quarantine
-//! records.
+//! full per-shard summaries, the dispatcher's space-saving sketch of
+//! the top [`HOTKEYS_K`] dispatch-key values ([`HotKey`], exported as
+//! `shard.N.hotkeys` — the evidence skew-aware rebalancing consumes),
+//! and the merged flight recorder: the last [`FLIGHT_CAP`] per-packet
+//! events, replayable as a `--workload` via the dump's `trace` key
+//! exactly like quarantine records.
 //!
 //! Everything here is observation only: with telemetry enabled or
 //! disabled, a run's outputs and merged state are identical, and under
@@ -34,33 +34,31 @@ use std::fmt::Write as _;
 /// dequeue, from an empty ring up to the full `RING_CAP`.
 pub const OCCUPANCY_BUCKETS: [u64; 8] = [0, 1, 2, 4, 16, 64, 256, 1024];
 
-/// Knobs for the telemetry plane.
+/// Tracked keys per shard in the hot-key profiler (the space-saving
+/// sketch's capacity).
+pub const HOTKEYS_K: usize = 8;
+
+/// Flight-recorder capacity: per-packet events retained per worker
+/// while running, and in the merged run-level recorder's dump.
+pub const FLIGHT_CAP: usize = 64;
+
+/// Worker-local histogram flush cadence, in packets: often enough for
+/// a fresh `nfactor top`, rarely enough that the shared sink lock is
+/// not taken per packet.
+pub const FLUSH_EVERY: u64 = 64;
+
+/// The telemetry plane's switch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TelemetryConfig {
     /// Master switch. Effective telemetry additionally requires the
     /// engine's tracer to be recording — with a disabled tracer there
     /// is nowhere to flush to and nothing is collected.
     pub enabled: bool,
-    /// Tracked keys per shard in the hot-key profiler (the space-saving
-    /// sketch's capacity).
-    pub hotkeys_k: usize,
-    /// Flight-recorder capacity: per-packet events retained per worker
-    /// while running, and in the merged run-level recorder.
-    pub flight_cap: usize,
-    /// Worker-local histogram flush cadence, in packets. Lower values
-    /// make `nfactor top` fresher; higher values take the shared sink
-    /// lock less often.
-    pub flush_every: u64,
 }
 
 impl Default for TelemetryConfig {
     fn default() -> TelemetryConfig {
-        TelemetryConfig {
-            enabled: true,
-            hotkeys_k: 8,
-            flight_cap: 64,
-            flush_every: 64,
-        }
+        TelemetryConfig { enabled: true }
     }
 }
 
@@ -127,7 +125,6 @@ impl FlightEvent {
 pub struct WorkerTelemetry {
     shard: usize,
     backend: &'static str,
-    flush_every: u64,
     eval_name: String,
     occupancy_name: String,
     /// Cumulative histograms, handed over at join.
@@ -142,18 +139,17 @@ pub struct WorkerTelemetry {
 
 impl WorkerTelemetry {
     /// Buffers for shard `shard` running `backend`.
-    pub fn new(shard: usize, backend: &'static str, cfg: &TelemetryConfig) -> WorkerTelemetry {
+    pub fn new(shard: usize, backend: &'static str) -> WorkerTelemetry {
         WorkerTelemetry {
             shard,
             backend,
-            flush_every: cfg.flush_every.max(1),
             eval_name: format!("shard.{shard}.eval.ns"),
             occupancy_name: format!("shard.{shard}.ring.occupancy"),
             eval: Histogram::new(&DEFAULT_NS_BUCKETS),
             occupancy: Histogram::new(&OCCUPANCY_BUCKETS),
             pending_eval: Histogram::new(&DEFAULT_NS_BUCKETS),
             pending_occupancy: Histogram::new(&OCCUPANCY_BUCKETS),
-            flight: RingLog::new(cfg.flight_cap),
+            flight: RingLog::new(FLIGHT_CAP),
             since_flush: 0,
         }
     }
@@ -192,7 +188,7 @@ impl WorkerTelemetry {
 
     /// Flush to the tracer if the cadence says so.
     pub fn maybe_flush(&mut self, tracer: &Tracer) {
-        if self.since_flush >= self.flush_every {
+        if self.since_flush >= FLUSH_EVERY {
             self.flush(tracer);
         }
     }
@@ -512,36 +508,34 @@ mod tests {
     #[test]
     fn worker_telemetry_flushes_on_cadence_and_at_finish() {
         let tracer = Tracer::enabled();
-        let cfg = TelemetryConfig {
-            flush_every: 4,
-            ..TelemetryConfig::default()
-        };
-        let mut tel = WorkerTelemetry::new(1, "interp", &cfg);
+        let mut tel = WorkerTelemetry::new(1, "interp");
         let pkt = PacketGen::new(1).batch(1).pop().unwrap();
-        for seq in 0..6u64 {
+        let recorded = FLUSH_EVERY + 6;
+        for seq in 0..recorded {
             tel.record(seq, 1_500, FlightOutcome::Forwarded, &pkt);
             tel.maybe_flush(&tracer);
         }
-        // 4 of 6 observations flushed on cadence; 2 pending.
+        // One cadence's worth of observations flushed; 6 pending.
         let mid = tracer.metrics();
-        assert_eq!(mid.histograms["shard.1.eval.ns"].count, 4);
+        assert_eq!(mid.histograms["shard.1.eval.ns"].count, FLUSH_EVERY);
         let stats = tel.finish(&tracer);
-        assert_eq!(tracer.metrics().histograms["shard.1.eval.ns"].count, 6);
-        assert_eq!(stats.eval.count, 6);
-        assert_eq!(stats.flight.len(), 6);
+        assert_eq!(
+            tracer.metrics().histograms["shard.1.eval.ns"].count,
+            recorded
+        );
+        assert_eq!(stats.eval.count, recorded);
+        assert_eq!(stats.flight.len(), FLIGHT_CAP);
     }
 
     #[test]
     fn flight_merge_keeps_most_recent_by_seq() {
         let tracer = Tracer::disabled();
-        let cfg = TelemetryConfig {
-            flight_cap: 3,
-            ..TelemetryConfig::default()
-        };
         let pkt = PacketGen::new(2).batch(1).pop().unwrap();
-        let mut a = WorkerTelemetry::new(0, "interp", &cfg);
-        let mut b = WorkerTelemetry::new(1, "interp", &cfg);
-        for seq in 0..10u64 {
+        let mut a = WorkerTelemetry::new(0, "interp");
+        let mut b = WorkerTelemetry::new(1, "interp");
+        // Each worker records one event past its recorder's capacity.
+        let recorded = 2 * FLIGHT_CAP as u64 + 2;
+        for seq in 0..recorded {
             let tel = if seq % 2 == 0 { &mut a } else { &mut b };
             tel.record(seq, 100, FlightOutcome::Forwarded, &pkt);
         }
@@ -553,27 +547,27 @@ mod tests {
             0,
             &tracer,
         );
-        let (events, recorded) = stats.flight(3);
-        assert_eq!(recorded, 10);
+        let (events, total) = stats.flight(FLIGHT_CAP);
+        assert_eq!(total, recorded);
         let seqs: Vec<u64> = events.iter().map(|e| e.seq).collect();
-        assert_eq!(seqs, vec![7, 8, 9]);
+        let last: Vec<u64> = (recorded - FLIGHT_CAP as u64..recorded).collect();
+        assert_eq!(seqs, last);
         // The dump is valid JSON with a replayable trace.
-        let dump = stats.flight_json(3);
+        let dump = stats.flight_json(FLIGHT_CAP);
         let rendered = dump.render();
         let parsed = Value::parse(&rendered).expect("flight dump re-parses");
         let Some(Value::Array(trace)) = parsed.get("trace") else {
             panic!("flight dump lacks a trace array");
         };
-        assert_eq!(trace.len(), 3);
+        assert_eq!(trace.len(), FLIGHT_CAP);
     }
 
     #[test]
     fn render_top_shows_each_shard_row() {
         let tracer = Tracer::enabled();
-        let cfg = TelemetryConfig::default();
         let pkt = PacketGen::new(3).batch(1).pop().unwrap();
         for w in 0..2 {
-            let mut tel = WorkerTelemetry::new(w, "interp", &cfg);
+            let mut tel = WorkerTelemetry::new(w, "interp");
             tel.record(0, 2_000_000, FlightOutcome::Forwarded, &pkt);
             tel.occupancy(5);
             tel.finish(&tracer);

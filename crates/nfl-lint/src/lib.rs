@@ -3,9 +3,8 @@
 //! The synthesis pipeline (`nfl-slicer`, `nfl-symex`) consumes the
 //! CFG/def-use/dominator/PDG machinery of `nfl-analysis` to *extract*
 //! models; this crate points the same machinery back at the NF source to
-//! *judge* it. A [`PassManager`](passes::PassManager) runs registered
-//! [`LintPass`](passes::LintPass)es over one shared
-//! [`AnalysisCtx`](ctx::AnalysisCtx) (built once: normalisation, types,
+//! *judge* it. A [`PassManager`] runs registered [`LintPass`]es over
+//! one shared [`AnalysisCtx`] (built once: normalisation, types,
 //! PDG, dominators, packet slice, StateAlyzer classes), and every pass
 //! reports through a common [`Diagnostic`] carrying a stable `NFL0xx`
 //! [`Code`], a [`Severity`], and a byte [`Span`](nfl_lang::Span).

@@ -357,9 +357,10 @@ esac
 echo "==> panic gate"
 ./scripts/panic_gate.sh
 
-echo "==> docs: every intra-doc link resolves"
-# A deleted or renamed item must not leave a dangling doc link.
-RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --no-deps --workspace --offline
+echo "==> docs: rustdoc builds without a warning"
+# A deleted or renamed item must not leave a dangling doc link, and a
+# public doc must not link to a private item.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 
 echo "==> metrics gate: README observability table vs code"
 ./scripts/metrics_gate.sh

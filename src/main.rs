@@ -144,7 +144,7 @@ RUN OPTIONS
   --stats-json FILE write the telemetry plane's run stats as JSON:
                     per-shard eval-latency percentiles, ring occupancy,
                     hot dispatch keys, dispatch/merge timing
-  --flight-out FILE write the flight recorder (last N per-packet events)
+  --flight-out FILE write the flight recorder (last 64 per-packet events)
                     as JSON; its `trace` key is a valid --workload file
 
 TOP OPTIONS
@@ -328,7 +328,6 @@ fn run_shards(
         .with_batch(BatchConfig {
             size: batch.unwrap_or(32).clamp(1, 4096) as usize,
             rebalance,
-            ..BatchConfig::default()
         });
     // The CLI only reports aggregates, so stream at constant memory
     // instead of retaining a SeqOutput per packet.
@@ -406,7 +405,7 @@ fn run_shards(
         let stats = run.stats.as_ref().ok_or_else(|| {
             "--flight-out: telemetry is disabled for this run".to_string()
         })?;
-        let dump = stats.flight_json(engine.telemetry().flight_cap);
+        let dump = stats.flight_json(nfactor::shard::FLIGHT_CAP);
         std::fs::write(path, dump.render_pretty() + "\n")
             .map_err(|e| format!("{path}: {e}"))?;
     } else if !run.quarantined_seqs.is_empty() {

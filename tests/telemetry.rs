@@ -78,10 +78,7 @@ fn telemetry_does_not_change_run_behaviour() {
 #[test]
 fn telemetry_config_switch_disables_collection() {
     let mut e = engine("firewall", 2, Tracer::enabled());
-    e.set_telemetry(TelemetryConfig {
-        enabled: false,
-        ..TelemetryConfig::default()
-    });
+    e.set_telemetry(TelemetryConfig { enabled: false });
     let run = e.run_with(SliceSource::new(&PacketGen::new(1).batch(100)), &RunConfig::threaded()).expect("run");
     assert!(run.stats.is_none());
 }
@@ -148,8 +145,8 @@ fn flight_recorder_captures_faults_and_replays() {
     let stats = run.stats.as_ref().expect("telemetry on");
     let (events, recorded) = stats.flight(1_000_000);
     assert_eq!(recorded, 400, "every offered packet was recorded");
-    // Default flight_cap is 64 per worker; with 2 workers at most 128
-    // events survive, and they are the latest by seq.
+    // Each worker retains FLIGHT_CAP (64) events; with 2 workers at
+    // most 128 survive, and they are the latest by seq.
     assert!(events.len() <= 128);
     let seqs: Vec<u64> = events.iter().map(|e| e.seq).collect();
     let mut sorted = seqs.clone();
