@@ -129,7 +129,7 @@ fn bench_solver(h: &mut Harness) {
     let mut g = h.benchmark_group("ablation/solver");
     let solver = Solver;
     // NF-shaped conjunction: field equalities, intervals, mask, residue.
-    let var = |n: &str| SymVal::Var(n.to_string());
+    let var = SymVal::var;
     let cs: Vec<SymVal> = vec![
         SymVal::bin(BinOp::Eq, var("pkt.tcp.dport"), SymVal::Int(80)),
         SymVal::bin(BinOp::Gt, var("pkt.ip.ttl"), SymVal::Int(1)),

@@ -4,12 +4,14 @@
 //! configuration + initial state) and produces a flattened dispatch
 //! structure the runtime walks per packet:
 //!
-//! 1. **Name resolution.** Every `cfg:` variable folds to its concrete
-//!    value (configurations never change at runtime), every `st:`
-//!    scalar becomes a slot of the program's store, every state map an
-//!    arena of it; a name the deployment lacks joins the store's
-//!    layout, which is closed once lowering ends. Constant subterms
-//!    fold through the reference evaluator.
+//! 1. **Name resolution.** Every config variable ([`SymVal::Cfg`])
+//!    folds to its concrete value (configurations never change at
+//!    runtime), every state scalar ([`SymVal::St`]) becomes a slot of
+//!    the program's store, every packet field ([`SymVal::Pkt`]) a field
+//!    read, every state map an arena of the store; a name the
+//!    deployment lacks joins the store's layout, which is closed once
+//!    lowering ends. Constant subterms fold through the reference
+//!    evaluator.
 //! 2. **Table selection.** Config-table conditions are evaluated *now*:
 //!    a table whose condition folds to `false` is dropped entirely, one
 //!    that folds to `true` contributes its entries. A condition that
@@ -205,23 +207,13 @@ impl Lowerer {
             SymVal::Int(i) => CExpr::Const(Value::Int(*i)),
             SymVal::Bool(b) => CExpr::Const(Value::Bool(*b)),
             SymVal::Str(s) => CExpr::Const(Value::Str(s.clone())),
-            SymVal::Var(name) => {
-                if let Some(path) = name.strip_prefix("pkt.") {
-                    match Field::from_path(path) {
-                        Some(f) => CExpr::Pkt(f),
-                        None => CExpr::Stuck(format!("unknown field {path}")),
-                    }
-                } else if let Some(cfg) = name.strip_prefix("cfg:") {
-                    match self.store.configs.get(cfg) {
-                        Some(v) => CExpr::Const(v.clone()),
-                        None => CExpr::Stuck(format!("config `{cfg}` unset")),
-                    }
-                } else if let Some(stv) = name.strip_prefix("st:") {
-                    CExpr::Slot(self.store.declare_slot(stv))
-                } else {
-                    CExpr::Stuck(format!("free variable `{name}`"))
-                }
-            }
+            SymVal::Pkt(f) => CExpr::Pkt(*f),
+            SymVal::Cfg(cfg) => match self.store.configs.get(cfg) {
+                Some(v) => CExpr::Const(v.clone()),
+                None => CExpr::Stuck(format!("config `{cfg}` unset")),
+            },
+            SymVal::St(stv) => CExpr::Slot(self.store.declare_slot(stv)),
+            SymVal::Var(name) => CExpr::Stuck(format!("free variable `{name}`")),
             SymVal::Tuple(es) => CExpr::Tuple(es.iter().map(|e| self.lower(e)).collect()),
             SymVal::Array(es) => CExpr::Array(es.iter().map(|e| self.lower(e)).collect()),
             SymVal::Bin(op, a, b) => {

@@ -644,7 +644,7 @@ mod tests {
     /// missing-layer text for a transport field read.
     #[test]
     fn shared_residual_literal_keeps_the_reference_errors() {
-        let var = |name: &str| SymVal::Var(name.into());
+        let var = SymVal::var;
         let not = |v: SymVal| SymVal::Not(Box::new(v));
         // `answers[proto]`: a boolean for TCP (6) and UDP (17), the
         // integer 7 for every other protocol.

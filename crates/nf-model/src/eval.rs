@@ -12,7 +12,11 @@
 //!
 //! Term evaluation mirrors the interpreter exactly (same euclidean `%`,
 //! the same stable `hash`), so model-vs-program equivalence is
-//! well-defined.
+//! well-defined. Variables resolve by the class Algorithm 1 partitions
+//! the match by: a [`SymVal::Pkt`] reads its field of the packet, a
+//! [`SymVal::Cfg`] the deployment's config and a [`SymVal::St`] the
+//! store's scalar; an untyped [`SymVal::Var`] (`pkt.len`) cannot be
+//! evaluated.
 
 use crate::model::{Entry, FlowAction, Model};
 use crate::store::{ModelState, Writes};
@@ -158,27 +162,20 @@ fn eval_on(st: &ModelState, term: &SymVal, pkt: &Packet) -> Result<Value, EvalEr
         SymVal::Int(v) => Ok(Value::Int(*v)),
         SymVal::Bool(b) => Ok(Value::Bool(*b)),
         SymVal::Str(s) => Ok(Value::Str(s.clone())),
-        SymVal::Var(name) => {
-            if let Some(path) = name.strip_prefix("pkt.") {
-                let field = nf_packet::Field::from_path(path)
-                    .ok_or_else(|| EvalError::Stuck(format!("unknown field {path}")))?;
-                let raw = pkt
-                    .get(field)
-                    .map_err(|e| EvalError::Stuck(e.to_string()))?;
-                Ok(Value::Int(raw as i64))
-            } else if let Some(cfg) = name.strip_prefix("cfg:") {
-                st.configs
-                    .get(cfg)
-                    .cloned()
-                    .ok_or_else(|| EvalError::Stuck(format!("config `{cfg}` unset")))
-            } else if let Some(stv) = name.strip_prefix("st:") {
-                st.scalar(stv)
-                    .cloned()
-                    .ok_or_else(|| EvalError::Stuck(format!("state `{stv}` unset")))
-            } else {
-                Err(EvalError::Stuck(format!("free variable `{name}`")))
-            }
-        }
+        SymVal::Pkt(field) => pkt
+            .get(*field)
+            .map(|raw| Value::Int(raw as i64))
+            .map_err(|e| EvalError::Stuck(e.to_string())),
+        SymVal::Cfg(cfg) => st
+            .configs
+            .get(cfg)
+            .cloned()
+            .ok_or_else(|| EvalError::Stuck(format!("config `{cfg}` unset"))),
+        SymVal::St(stv) => st
+            .scalar(stv)
+            .cloned()
+            .ok_or_else(|| EvalError::Stuck(format!("state `{stv}` unset"))),
+        SymVal::Var(name) => Err(EvalError::Stuck(format!("free variable `{name}`"))),
         SymVal::Tuple(es) => {
             let mut items = Vec::new();
             for e in es {

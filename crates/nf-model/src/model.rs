@@ -13,10 +13,12 @@
 //!
 //! In our symbolic setting `cndStmts` is the path condition; the
 //! intersections become a *partition of the condition literals by the
-//! variables they mention*: literals over configuration variables only
-//! select the table; literals mentioning packet fields form the flow
-//! match; literals touching state scalars or state maps form the state
-//! match.
+//! variables they mention*, which the term language types
+//! ([`SymVal::mentions`]): literals over configuration variables
+//! ([`SymVal::Cfg`]) only select the table; literals mentioning packet
+//! fields ([`SymVal::Pkt`], or the packet's length) form the flow match;
+//! literals touching state scalars ([`SymVal::St`]) or state maps form
+//! the state match.
 
 use nf_packet::Field;
 use nfl_symex::{MapOp, Path, SymVal};
@@ -80,18 +82,16 @@ impl Entry {
         let mut flow_match = Vec::new();
         let mut state_match = Vec::new();
         for lit in &path.constraints {
-            let pkt = lit.mentions_prefix("pkt.");
-            let state = lit.mentions_prefix("st:") || lit.mentions_map();
-            let cfg = lit.mentions_prefix("cfg:");
+            let m = lit.mentions();
             // State first: a membership predicate like
             // `(f.src, f.sport) in nat` spans flow *and* state — the
             // paper's `P(f, s)` — and belongs to the state side of the
             // match.
-            if state {
+            if m.state {
                 state_match.push(lit.clone());
-            } else if pkt {
+            } else if m.pkt {
                 flow_match.push(lit.clone());
-            } else if cfg {
+            } else if m.cfg {
                 config.push(lit.clone());
             } else {
                 // Constant-only literal (shouldn't survive folding) —
@@ -254,7 +254,13 @@ impl Model {
                     }
                 }
                 for lit in &e.state_match {
-                    collect_map_names(lit, &mut names);
+                    lit.walk(&mut |v| {
+                        if let SymVal::MapGet(m, _) | SymVal::MapContains(m, _) = v {
+                            if !names.contains(m) {
+                                names.push(m.clone());
+                            }
+                        }
+                    });
                 }
             }
         }
@@ -277,38 +283,11 @@ impl Model {
     }
 }
 
-fn collect_map_names(v: &SymVal, out: &mut Vec<String>) {
-    match v {
-        SymVal::MapGet(m, k) | SymVal::MapContains(m, k) => {
-            if !out.contains(m) {
-                out.push(m.clone());
-            }
-            collect_map_names(k, out);
-        }
-        SymVal::Tuple(es) | SymVal::Array(es) => {
-            for e in es {
-                collect_map_names(e, out);
-            }
-        }
-        SymVal::Bin(_, a, b)
-        | SymVal::ArrayGet(a, b)
-        | SymVal::Min(a, b)
-        | SymVal::Max(a, b) => {
-            collect_map_names(a, out);
-            collect_map_names(b, out);
-        }
-        SymVal::Not(a) | SymVal::Neg(a) | SymVal::Hash(a) | SymVal::Proj(a, _) => {
-            collect_map_names(a, out)
-        }
-        _ => {}
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use nfl_analysis::normalize::normalize;
-    use nfl_lang::parse_and_check;
+    use nfl_lang::{parse_and_check, BinOp};
     use nfl_symex::SymExec;
 
     fn model_of(src: &str) -> Model {
@@ -386,6 +365,31 @@ mod tests {
         assert!(fwd[0].flow_match[0].to_string().contains("pkt.tcp.dport"));
         assert_eq!(fwd[0].state_match.len(), 1);
         assert!(fwd[0].state_match[0].to_string().contains("in seen"));
+    }
+
+    /// A literal over `len(pkt)` and a config is a flow literal: the
+    /// packet's length counts as a packet mention though no field names it.
+    #[test]
+    fn packet_length_literals_join_the_flow_match() {
+        let lits = [
+            SymVal::bin(BinOp::Gt, SymVal::pkt_len(), SymVal::Cfg("MTU".into())),
+            SymVal::bin(BinOp::Eq, SymVal::Cfg("mode".into()), SymVal::Int(1)),
+            SymVal::bin(BinOp::Lt, SymVal::St("idx".into()), SymVal::Pkt(Field::IpTtl)),
+            SymVal::bin(BinOp::Ne, SymVal::map_len("nat"), SymVal::Int(0)),
+        ];
+        let path = Path {
+            constraints: lits.to_vec(),
+            decisions: Vec::new(),
+            outputs: Vec::new(),
+            state_updates: Default::default(),
+            map_ops: Vec::new(),
+            executed: Default::default(),
+            truncated: false,
+        };
+        let (config, entry) = Entry::from_path(&path);
+        assert_eq!(config, vec![lits[1].clone()]);
+        assert_eq!(entry.flow_match, vec![lits[0].clone(), lits[3].clone()]);
+        assert_eq!(entry.state_match, vec![lits[2].clone()]);
     }
 
     #[test]

@@ -111,7 +111,7 @@ impl<'a> TermParser<'a> {
         let start = self.pos;
         while let Some(c) = self.peek() {
             // A `.` followed by a digit is a tuple projection, not part
-            // of the name (`st:t.0` is Proj(Var("st:t"), 0); names like
+            // of the name (`st:t.0` is Proj(St("t"), 0); names like
             // `pkt.ip.src` have alphabetic segments and are unaffected).
             if c == b'.'
                 && self
@@ -303,7 +303,8 @@ impl<'a> TermParser<'a> {
                         let (a, b) = self.call2()?;
                         Ok(SymVal::Max(Box::new(a), Box::new(b)))
                     }
-                    _ => Ok(SymVal::Var(name)),
+                    "checksum" if self.eat("(pkt)") => Ok(SymVal::checksum()),
+                    _ => Ok(SymVal::var(&name)),
                 }
             }
         }
@@ -659,6 +660,26 @@ mod tests {
         }
     }
 
+    /// Variables parse to their typed variant; names of no class stay
+    /// untyped, and every one prints back as it was read.
+    #[test]
+    fn variables_parse_typed() {
+        for (src, want) in [
+            ("pkt.tcp.dport", SymVal::Pkt(Field::TcpDport)),
+            ("cfg:LB_PORT", SymVal::Cfg("LB_PORT".into())),
+            ("st:rr_idx", SymVal::St("rr_idx".into())),
+            ("st:t.0", SymVal::Proj(Box::new(SymVal::St("t".into())), 0)),
+            ("pkt.len", SymVal::Var("pkt.len".into())),
+            ("pkt.nonsense", SymVal::Var("pkt.nonsense".into())),
+            ("len:nat", SymVal::Var("len:nat".into())),
+            ("checksum(pkt)", SymVal::Var("checksum(pkt)".into())),
+        ] {
+            let t = parse_term(src).unwrap_or_else(|e| panic!("{src}: {e}"));
+            assert_eq!(t, want, "{src}");
+            assert_eq!(t.to_string(), src);
+        }
+    }
+
     #[test]
     fn bad_terms_error() {
         for src in ["", "(1 +", "nat[", "((a b))", "1 2"] {
@@ -833,9 +854,11 @@ mod fuzz_tests {
             any_bool().map(SymVal::Bool),
             identifier(5).map(SymVal::Var),
             Gen::one_of(vec![
-                Gen::just(SymVal::Var("pkt.ip.src".into())),
-                Gen::just(SymVal::Var("cfg:mode".into())),
-                Gen::just(SymVal::Var("st:idx".into())),
+                Gen::just(SymVal::Pkt(Field::IpSrc)),
+                identifier(5).map(SymVal::Cfg),
+                identifier(5).map(SymVal::St),
+                Gen::just(SymVal::pkt_len()),
+                Gen::just(SymVal::checksum()),
             ]),
         ]);
         check::recursive(leaf.clone(), 3, move |inner| {

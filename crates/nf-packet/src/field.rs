@@ -113,15 +113,6 @@ impl Field {
             Field::PayloadByte0 | Field::PayloadByte1 => u64::from(u8::MAX),
         }
     }
-
-    /// Whether a model that rewrites this field performs a *forwarding
-    /// relevant* transformation (header rewrite) as opposed to bookkeeping.
-    pub fn is_rewritable(&self) -> bool {
-        !matches!(
-            self,
-            Field::PayloadLen | Field::PayloadByte0 | Field::PayloadByte1 | Field::IpLen
-        )
-    }
 }
 
 impl fmt::Display for Field {

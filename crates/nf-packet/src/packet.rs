@@ -285,11 +285,6 @@ impl Packet {
         }
     }
 
-    /// Does this packet carry any transport ports (TCP or UDP)?
-    pub fn has_ports(&self) -> bool {
-        !matches!(self.transport, Transport::Other)
-    }
-
     fn transport_len(&self) -> usize {
         match self.transport {
             Transport::Tcp { .. } => TcpHeader::LEN,

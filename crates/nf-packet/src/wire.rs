@@ -387,10 +387,6 @@ impl TcpFlags {
     pub fn has_rst(&self) -> bool {
         self.0 & Self::RST != 0
     }
-    /// Is the PSH bit set?
-    pub fn has_psh(&self) -> bool {
-        self.0 & Self::PSH != 0
-    }
 }
 
 impl fmt::Display for TcpFlags {

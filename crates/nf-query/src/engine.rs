@@ -231,11 +231,6 @@ impl Engine {
         self.rev
     }
 
-    /// Names of all loaded documents.
-    pub fn doc_names(&self) -> Vec<String> {
-        self.docs.keys().cloned().collect()
-    }
-
     /// The current text of a loaded document.
     pub fn source(&self, doc: &str) -> Option<Arc<String>> {
         self.docs.get(doc).map(|d| d.text.clone())

@@ -1,5 +1,5 @@
 //! Work budgets for pipeline stages — wall-clock deadline plus
-//! path / step / solver-call caps.
+//! path and solver-call caps.
 //!
 //! The paper's vendor workflow (§4) runs NFactor unattended over
 //! arbitrary NF sources, so every stage must terminate inside a bound
@@ -26,8 +26,6 @@ pub struct Budget {
     pub deadline: Option<Instant>,
     /// Cap on symbolic execution paths (tightens `PathLimits::max_paths`).
     pub max_paths: Option<usize>,
-    /// Cap on per-path symbolic steps (tightens `PathLimits::max_steps`).
-    pub max_steps: Option<usize>,
     /// Cap on SMT-lite solver invocations across the whole exploration.
     pub max_solver_calls: Option<usize>,
 }
@@ -57,12 +55,6 @@ impl Budget {
     /// Cap the number of explored paths.
     pub fn with_max_paths(mut self, n: usize) -> Budget {
         self.max_paths = Some(n);
-        self
-    }
-
-    /// Cap the number of symbolic steps per path.
-    pub fn with_max_steps(mut self, n: usize) -> Budget {
-        self.max_steps = Some(n);
         self
     }
 
@@ -114,10 +106,8 @@ mod tests {
     fn caps_compose() {
         let b = Budget::unlimited()
             .with_max_paths(10)
-            .with_max_steps(100)
             .with_max_solver_calls(5);
         assert_eq!(b.max_paths, Some(10));
-        assert_eq!(b.max_steps, Some(100));
         assert_eq!(b.max_solver_calls, Some(5));
         assert!(!b.expired());
     }

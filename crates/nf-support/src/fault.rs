@@ -70,12 +70,6 @@ impl FaultKind {
             FaultKind::Garbage => "garbage",
         }
     }
-
-    /// Whether the fault is injected on the dispatcher side (before the
-    /// packet reaches a worker).
-    pub fn dispatch_side(&self) -> bool {
-        matches!(self, FaultKind::RingOverflow(_) | FaultKind::Garbage)
-    }
 }
 
 /// Where a fault applies: one shard, or every shard.

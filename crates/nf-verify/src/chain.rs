@@ -31,10 +31,8 @@ pub struct Footprint {
 
 fn fields_of(term: &SymVal, out: &mut BTreeSet<Field>) {
     for v in term.free_vars() {
-        if let Some(path) = v.strip_prefix("pkt.") {
-            if let Some(f) = Field::from_path(path) {
-                out.insert(f);
-            }
+        if let SymVal::Pkt(f) = v {
+            out.insert(*f);
         }
     }
 }

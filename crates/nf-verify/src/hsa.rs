@@ -277,7 +277,7 @@ impl StatefulNf {
         // evaluate concretely under the snapshot.
         let mut packet_dependent_state: Vec<&SymVal> = Vec::new();
         for lit in &entry.state_match {
-            if lit.mentions_prefix("pkt.") {
+            if lit.mentions().pkt {
                 packet_dependent_state.push(lit);
                 continue;
             }
@@ -398,14 +398,9 @@ impl StatefulNf {
         };
         let dummy = nf_packet::Packet::default();
         let (field, mask) = match (&**ma, &**mb) {
-            (SymVal::Var(v), m) if v.starts_with("pkt.") => (
-                Field::from_path(&v["pkt.".len()..])?,
-                self.state.eval(m, &dummy).ok()?.as_int()?,
-            ),
-            (m, SymVal::Var(v)) if v.starts_with("pkt.") => (
-                Field::from_path(&v["pkt.".len()..])?,
-                self.state.eval(m, &dummy).ok()?.as_int()?,
-            ),
+            (SymVal::Pkt(f), m) | (m, SymVal::Pkt(f)) => {
+                (*f, self.state.eval(m, &dummy).ok()?.as_int()?)
+            }
             _ => return None,
         };
         let rhs_val = self.state.eval(rhs, &dummy).ok()?.as_int()?;
@@ -455,12 +450,11 @@ impl StatefulNf {
         let SymVal::Bin(op, a, b) = lit else {
             return None;
         };
-        let (field_side, const_side, op) = match (&**a, &**b) {
-            (SymVal::Var(v), rhs) if v.starts_with("pkt.") => (v, rhs, *op),
-            (lhs, SymVal::Var(v)) if v.starts_with("pkt.") => (v, lhs, flip(*op)),
+        let (field, const_side, op) = match (&**a, &**b) {
+            (SymVal::Pkt(f), rhs) => (*f, rhs, *op),
+            (lhs, SymVal::Pkt(f)) => (*f, lhs, flip(*op)),
             _ => return None,
         };
-        let field = Field::from_path(field_side.strip_prefix("pkt.")?)?;
         let value = self
             .state
             .eval(const_side, &nf_packet::Packet::default())
@@ -486,21 +480,7 @@ impl StatefulNf {
             _ => return None,
         };
         // Key must be a tuple/var of packet fields.
-        let fields: Vec<Field> = match &**key {
-            SymVal::Tuple(es) => es
-                .iter()
-                .map(|e| match e {
-                    SymVal::Var(v) if v.starts_with("pkt.") => {
-                        Field::from_path(&v["pkt.".len()..])
-                    }
-                    _ => None,
-                })
-                .collect::<Option<Vec<_>>>()?,
-            SymVal::Var(v) if v.starts_with("pkt.") => {
-                vec![Field::from_path(&v["pkt.".len()..])?]
-            }
-            _ => return None,
-        };
+        let fields = key.key_fields()?;
         let mut keys: Vec<_> = self.state.map(map)?.keys().collect();
         keys.sort_unstable();
         // Point spaces for each stored key, in key order.

@@ -68,15 +68,14 @@ impl fmt::Display for ComplianceReport {
     }
 }
 
-/// Build a packet from a solver assignment of `pkt.*` variables.
+/// Build a packet from a solver assignment (keyed by rendered variable
+/// name): each packet-field variable sets its field.
 fn packet_of_model(assignment: &HashMap<String, i64>) -> Packet {
     let mut pkt = Packet::tcp(0x0a000001, 40000, 0x0b000001, 80, nf_packet::TcpFlags(0));
     for (var, value) in assignment {
-        if let Some(path) = var.strip_prefix("pkt.") {
-            if let Some(field) = Field::from_path(path) {
-                if *value >= 0 {
-                    let _ = pkt.set(field, *value as u64);
-                }
+        if let SymVal::Pkt(field) = SymVal::var(var) {
+            if *value >= 0 {
+                let _ = pkt.set(field, *value as u64);
             }
         }
     }
@@ -84,26 +83,20 @@ fn packet_of_model(assignment: &HashMap<String, i64>) -> Packet {
 }
 
 fn field_domain(var: &str) -> (i64, i64) {
-    if let Some(path) = var.strip_prefix("pkt.") {
-        if let Some(f) = Field::from_path(path) {
-            return (0, f.max_value().min(i64::MAX as u64) as i64);
-        }
+    match SymVal::var(var) {
+        SymVal::Pkt(f) => (0, f.max_value().min(i64::MAX as u64) as i64),
+        _ => (0, i64::MAX / 4),
     }
-    (0, i64::MAX / 4)
 }
 
 /// Substitute pinned configuration values into a term so the solver sees
 /// concrete constants where the deployment has them.
 fn pin_configs(term: &SymVal, configs: &HashMap<String, i64>) -> SymVal {
     match term {
-        SymVal::Var(v) => {
-            if let Some(c) = v.strip_prefix("cfg:") {
-                if let Some(val) = configs.get(c) {
-                    return SymVal::Int(*val);
-                }
-            }
-            term.clone()
-        }
+        SymVal::Cfg(c) => match configs.get(c) {
+            Some(val) => SymVal::Int(*val),
+            None => term.clone(),
+        },
         SymVal::Tuple(es) => SymVal::Tuple(es.iter().map(|e| pin_configs(e, configs)).collect()),
         SymVal::Array(es) => SymVal::Array(es.iter().map(|e| pin_configs(e, configs)).collect()),
         SymVal::Bin(op, a, b) => SymVal::bin(
@@ -151,22 +144,7 @@ fn membership_requirements(entry: &Entry) -> Vec<(String, Vec<Field>, bool)> {
             },
             _ => continue,
         };
-        let fields: Option<Vec<Field>> = match &**key {
-            SymVal::Tuple(es) => es
-                .iter()
-                .map(|e| match e {
-                    SymVal::Var(v) if v.starts_with("pkt.") => {
-                        Field::from_path(&v["pkt.".len()..])
-                    }
-                    _ => None,
-                })
-                .collect(),
-            SymVal::Var(v) if v.starts_with("pkt.") => {
-                Field::from_path(&v["pkt.".len()..]).map(|f| vec![f])
-            }
-            _ => None,
-        };
-        if let Some(fields) = fields {
+        if let Some(fields) = key.key_fields() {
             out.push((map.clone(), fields, polarity));
         }
     }
@@ -284,7 +262,7 @@ pub fn generate_tests(
                     .map(|(f, v)| {
                         SymVal::Bin(
                             nfl_lang::BinOp::Eq,
-                            Box::new(SymVal::Var(format!("pkt.{}", f.path()))),
+                            Box::new(SymVal::Pkt(*f)),
                             Box::new(SymVal::Int(*v)),
                         )
                     })

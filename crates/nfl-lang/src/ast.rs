@@ -65,23 +65,6 @@ pub enum BinOp {
 }
 
 impl BinOp {
-    /// Does this operator produce a boolean?
-    pub fn is_comparison(&self) -> bool {
-        matches!(
-            self,
-            BinOp::Eq
-                | BinOp::Ne
-                | BinOp::Lt
-                | BinOp::Le
-                | BinOp::Gt
-                | BinOp::Ge
-                | BinOp::And
-                | BinOp::Or
-                | BinOp::In
-                | BinOp::NotIn
-        )
-    }
-
     /// Surface syntax of the operator.
     pub fn symbol(&self) -> &'static str {
         match self {

@@ -48,24 +48,9 @@ pub struct PassManager {
 }
 
 impl PassManager {
-    /// An empty manager.
-    pub fn new() -> PassManager {
-        PassManager { passes: Vec::new() }
-    }
-
     /// The default registry: every built-in pass, in code order.
     pub fn with_default_passes() -> PassManager {
         PassManager { passes: default_passes() }
-    }
-
-    /// Add a pass to the registry.
-    pub fn register(&mut self, pass: Box<dyn LintPass>) {
-        self.passes.push(pass);
-    }
-
-    /// Registered pass names, in run order.
-    pub fn pass_names(&self) -> Vec<&'static str> {
-        self.passes.iter().map(|p| p.name()).collect()
     }
 
     /// The registered passes, in run order.

@@ -85,48 +85,36 @@ fn calls_pkt_output(s: &Stmt) -> bool {
         .any(|e| e.calls().iter().any(|c| builtins::is_packet_output(c)))
 }
 
-/// Backward slice from a single statement (criterion = the statement and
-/// all variables it reads).
-pub fn backward_slice(pdg: &Pdg, program: &Program, criterion: StmtId) -> SliceResult {
-    let Some(node) = pdg.node_of(criterion) else {
-        return SliceResult::default();
-    };
-    let nodes = pdg.backward_reachable([node]);
-    let mut stmts = pdg.stmts_of(&nodes);
-    close_over_jumps(program, func_of_stmt(program, criterion), &mut stmts);
-    SliceResult {
-        stmts,
-        criteria: vec![criterion],
-    }
-}
-
-/// The function containing a statement (for jump closure).
-fn func_of_stmt(program: &Program, id: StmtId) -> &str {
-    for f in &program.functions {
-        let mut found = false;
-        visit(&f.body, &mut |s| {
-            if s.id == id {
-                found = true;
-            }
-        });
-        if found {
-            return &f.name;
-        }
-    }
-    ""
-}
-
-/// Algorithm 1 lines 1–4: the packet processing slice, grown backwards
-/// from every statement that calls `send`.
-pub fn packet_slice(pdg: &Pdg, program: &Program, func: &str) -> SliceResult {
-    let mut criteria = Vec::new();
+/// The statements of `func` that `pick` selects, in program order — a
+/// slice's criteria.
+fn criteria(program: &Program, func: &str, mut pick: impl FnMut(&Stmt) -> bool) -> Vec<StmtId> {
+    let mut out = Vec::new();
     if let Some(f) = program.function(func) {
         visit(&f.body, &mut |s| {
-            if calls_pkt_output(s) {
-                criteria.push(s.id);
+            if pick(s) {
+                out.push(s.id);
             }
         });
     }
+    out
+}
+
+/// Algorithm 1 lines 1–4's criteria: every statement that calls `send`.
+fn packet_criteria(program: &Program, func: &str) -> Vec<StmtId> {
+    criteria(program, func, calls_pkt_output)
+}
+
+/// Algorithm 1 lines 6–9's criteria: every statement that defines an
+/// output-impacting state variable.
+fn state_criteria(program: &Program, func: &str, ois_vars: &BTreeSet<String>) -> Vec<StmtId> {
+    criteria(program, func, |s| {
+        let du = nfl_analysis::defuse::def_use(s);
+        du.defs.iter().any(|(v, _)| ois_vars.contains(v))
+    })
+}
+
+/// Grow a slice backwards from all `criteria` at once, closed over jumps.
+fn grow(pdg: &Pdg, program: &Program, func: &str, criteria: Vec<StmtId>) -> SliceResult {
     let seeds: Vec<_> = criteria.iter().filter_map(|c| pdg.node_of(*c)).collect();
     let nodes = pdg.backward_reachable(seeds);
     let mut stmts = pdg.stmts_of(&nodes);
@@ -134,6 +122,23 @@ pub fn packet_slice(pdg: &Pdg, program: &Program, func: &str) -> SliceResult {
         close_over_jumps(program, func, &mut stmts);
     }
     SliceResult { stmts, criteria }
+}
+
+/// Algorithm 1 lines 1–4: the packet processing slice, grown backwards
+/// from every statement that calls `send`.
+pub fn packet_slice(pdg: &Pdg, program: &Program, func: &str) -> SliceResult {
+    grow(pdg, program, func, packet_criteria(program, func))
+}
+
+/// Algorithm 1 lines 6–9: the state transition slice, grown backwards
+/// from every assignment whose LHS is an output-impacting state variable.
+pub fn state_slice(
+    pdg: &Pdg,
+    program: &Program,
+    func: &str,
+    ois_vars: &BTreeSet<String>,
+) -> SliceResult {
+    grow(pdg, program, func, state_criteria(program, func, ois_vars))
 }
 
 /// [`packet_slice`] under a [`Budget`]: the slice is grown one criterion
@@ -152,19 +157,8 @@ pub fn packet_slice_budgeted(
     tracer: &Tracer,
 ) -> (SliceResult, Option<String>) {
     let span = tracer.span("slice.packet");
-    let (result, stopped) = if budget.deadline.is_none() {
-        (packet_slice(pdg, program, func), None)
-    } else {
-        let mut criteria = Vec::new();
-        if let Some(f) = program.function(func) {
-            visit(&f.body, &mut |s| {
-                if calls_pkt_output(s) {
-                    criteria.push(s.id);
-                }
-            });
-        }
-        grow_budgeted(pdg, program, func, criteria, budget, "packet slicing")
-    };
+    let criteria = packet_criteria(program, func);
+    let (result, stopped) = grow_budgeted(pdg, program, func, criteria, budget, "packet slicing");
     span.end();
     if tracer.is_enabled() {
         tracer.count("slice.packet.stmts", result.stmts.len() as u64);
@@ -183,20 +177,8 @@ pub fn state_slice_budgeted(
     tracer: &Tracer,
 ) -> (SliceResult, Option<String>) {
     let span = tracer.span("slice.state");
-    let (result, stopped) = if budget.deadline.is_none() {
-        (state_slice(pdg, program, func, ois_vars), None)
-    } else {
-        let mut criteria = Vec::new();
-        if let Some(f) = program.function(func) {
-            visit(&f.body, &mut |s| {
-                let du = nfl_analysis::defuse::def_use(s);
-                if du.defs.iter().any(|(v, _)| ois_vars.contains(v)) {
-                    criteria.push(s.id);
-                }
-            });
-        }
-        grow_budgeted(pdg, program, func, criteria, budget, "state slicing")
-    };
+    let criteria = state_criteria(program, func, ois_vars);
+    let (result, stopped) = grow_budgeted(pdg, program, func, criteria, budget, "state slicing");
     span.end();
     if tracer.is_enabled() {
         tracer.count("slice.state.stmts", result.stmts.len() as u64);
@@ -205,7 +187,8 @@ pub fn state_slice_budgeted(
     (result, stopped)
 }
 
-/// Shared budgeted growth loop: one backward-reachability pass per
+/// Shared budgeted growth: with no deadline, [`grow`] from every
+/// criterion at once; otherwise one backward-reachability pass per
 /// criterion, stopping (and reporting why) once the deadline passes.
 fn grow_budgeted(
     pdg: &Pdg,
@@ -215,6 +198,9 @@ fn grow_budgeted(
     budget: &Budget,
     stage: &str,
 ) -> (SliceResult, Option<String>) {
+    if budget.deadline.is_none() {
+        return (grow(pdg, program, func, criteria), None);
+    }
     let mut stmts: HashSet<StmtId> = HashSet::new();
     let mut done = Vec::new();
     let mut stopped = None;
@@ -239,32 +225,6 @@ fn grow_budgeted(
         },
         stopped,
     )
-}
-
-/// Algorithm 1 lines 6–9: the state transition slice, grown backwards
-/// from every assignment whose LHS is an output-impacting state variable.
-pub fn state_slice(
-    pdg: &Pdg,
-    program: &Program,
-    func: &str,
-    ois_vars: &BTreeSet<String>,
-) -> SliceResult {
-    let mut criteria = Vec::new();
-    if let Some(f) = program.function(func) {
-        visit(&f.body, &mut |s| {
-            let du = nfl_analysis::defuse::def_use(s);
-            if du.defs.iter().any(|(v, _)| ois_vars.contains(v)) {
-                criteria.push(s.id);
-            }
-        });
-    }
-    let seeds: Vec<_> = criteria.iter().filter_map(|c| pdg.node_of(*c)).collect();
-    let nodes = pdg.backward_reachable(seeds);
-    let mut stmts = pdg.stmts_of(&nodes);
-    if !stmts.is_empty() {
-        close_over_jumps(program, func, &mut stmts);
-    }
-    SliceResult { stmts, criteria }
 }
 
 fn visit<'a>(stmts: &'a [Stmt], f: &mut impl FnMut(&'a Stmt)) {

@@ -17,7 +17,7 @@ use nf_support::budget::Budget;
 use nf_trace::Tracer;
 use nfl_analysis::normalize::PacketLoop;
 use nfl_lang::{BinOp, Expr, ExprKind, ForIter, LValue, Program, Stmt, StmtId, StmtKind, UnOp};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::fmt;
 use std::time::Instant;
 
@@ -174,9 +174,6 @@ impl ExploreCtx {
         if let Some(n) = budget.max_paths {
             limits.max_paths = limits.max_paths.min(n);
         }
-        if let Some(n) = budget.max_steps {
-            limits.max_steps = limits.max_steps.min(n);
-        }
         ExploreCtx {
             limits,
             solver_calls: 0,
@@ -293,7 +290,7 @@ struct ExecState {
     constraints: Vec<SymVal>,
     /// Free variables mentioned anywhere in `constraints` — used for the
     /// disjointness fast path at forks.
-    constraint_vars: BTreeSet<String>,
+    constraint_vars: HashSet<SymVal>,
     decisions: Vec<(StmtId, bool)>,
     outputs: Vec<SymPacket>,
     map_ops: Vec<MapOp>,
@@ -419,7 +416,7 @@ impl SymExec {
             } else {
                 match &concrete {
                     SV::Val(SymVal::Int(_)) | SV::Val(SymVal::Bool(_)) => {
-                        SV::Val(SymVal::Var(format!("cfg:{}", item.name)))
+                        SV::Val(SymVal::Cfg(item.name.clone()))
                     }
                     _ => concrete,
                 }
@@ -437,10 +434,7 @@ impl SymExec {
                     env.insert(item.name.clone(), SV::Unit);
                 }
                 _ => {
-                    env.insert(
-                        item.name.clone(),
-                        SV::Val(SymVal::Var(format!("st:{}", item.name))),
-                    );
+                    env.insert(item.name.clone(), SV::Val(SymVal::St(item.name.clone())));
                 }
             }
         }
@@ -449,7 +443,7 @@ impl SymExec {
             env,
             maps,
             constraints: Vec::new(),
-            constraint_vars: BTreeSet::new(),
+            constraint_vars: HashSet::new(),
             decisions: Vec::new(),
             outputs: Vec::new(),
             map_ops: Vec::new(),
@@ -479,7 +473,7 @@ impl SymExec {
                 let mut state_updates = BTreeMap::new();
                 for name in &state_names {
                     if let Some(SV::Val(v)) = st.env.get(name) {
-                        if *v != SymVal::Var(format!("st:{name}")) {
+                        if !matches!(v, SymVal::St(n) if n == name) {
                             state_updates.insert(name.clone(), v.clone());
                         }
                     }
@@ -880,13 +874,11 @@ impl SymExec {
     /// cell suffers from. Map-membership consistency is enforced by the
     /// engine's overlay facts independently of the solver.
     fn push_and_check(&self, st: &mut ExecState, lit: SymVal, cx: &mut ExploreCtx) -> bool {
-        let lit_vars: Vec<String> = lit.free_vars();
-        let disjoint = lit_vars.iter().all(|v| !st.constraint_vars.contains(v));
+        let lit_vars = lit.free_vars();
+        let disjoint = lit_vars.iter().all(|v| !st.constraint_vars.contains(*v));
+        st.constraint_vars.extend(lit_vars.into_iter().cloned());
         self.learn_map_fact(st, &lit);
-        st.constraints.push(lit.clone());
-        for v in lit_vars {
-            st.constraint_vars.insert(v);
-        }
+        st.constraints.push(lit);
         cx.solver_calls += 1;
         let feasible = if disjoint {
             self.solver.check(std::slice::from_ref(st.constraints.last().unwrap()))
@@ -1166,8 +1158,8 @@ impl SymExec {
                         Ok(SV::Val(SymVal::Int(items.len() as i64)))
                     }
                     SV::Val(SymVal::Str(s)) => Ok(SV::Val(SymVal::Int(s.len() as i64))),
-                    SV::Packet(_) => Ok(SV::Val(SymVal::Var("pkt.len".into()))),
-                    SV::MapRef(m) => Ok(SV::Val(SymVal::Var(format!("len:{m}")))),
+                    SV::Packet(_) => Ok(SV::Val(SymVal::pkt_len())),
+                    SV::MapRef(m) => Ok(SV::Val(SymVal::map_len(&m))),
                     _ => Err(SymexError::Malformed("len of unsupported value".into())),
                 }
             }
@@ -1188,7 +1180,7 @@ impl SymExec {
             }
             "checksum" => {
                 let _ = self.eval(st, &args[0])?;
-                Ok(SV::Val(SymVal::Var("checksum(pkt)".into())))
+                Ok(SV::Val(SymVal::checksum()))
             }
             "fragment" => {
                 // Forwarding model: fragmentation is identity (§2.3 —

@@ -58,7 +58,9 @@ impl ToJson for SymVal {
             SymVal::Int(v) => tagged("int", vec![("v".into(), Value::Int(*v))]),
             SymVal::Bool(b) => tagged("bool", vec![("v".into(), Value::Bool(*b))]),
             SymVal::Str(s) => tagged("str", vec![("v".into(), Value::Str(s.clone()))]),
-            SymVal::Var(n) => tagged("var", vec![("name".into(), Value::Str(n.clone()))]),
+            SymVal::Pkt(_) | SymVal::Cfg(_) | SymVal::St(_) | SymVal::Var(_) => {
+                tagged("var", vec![("name".into(), Value::Str(self.to_string()))])
+            }
             SymVal::Tuple(es) => tagged(
                 "tuple",
                 vec![(
@@ -144,7 +146,7 @@ impl FromJson for SymVal {
                     .ok_or_else(|| JsonError::msg("bool term needs a boolean 'v'"))?,
             ),
             "str" => SymVal::Str(str_field(v, "v")?),
-            "var" => SymVal::Var(str_field(v, "name")?),
+            "var" => SymVal::var(&str_field(v, "name")?),
             "tuple" => SymVal::Tuple(items(v)?),
             "array" => SymVal::Array(items(v)?),
             "bin" => {
@@ -247,20 +249,29 @@ impl FromJson for SymPacket {
 mod tests {
     use super::*;
 
+    fn parse(json: &str) -> SymVal {
+        SymVal::from_json(&Value::parse(json).unwrap()).unwrap()
+    }
+
     fn roundtrip(v: &SymVal) {
         let json = v.to_json().render();
-        let parsed = SymVal::from_json(&Value::parse(&json).unwrap()).unwrap();
-        assert_eq!(&parsed, v, "{json}");
+        assert_eq!(&parse(&json), v, "{json}");
     }
 
     #[test]
     fn every_node_kind_roundtrips() {
-        let x = SymVal::Var("pkt.ip.src".into());
+        let x = SymVal::Pkt(nf_packet::Field::IpSrc);
         for v in [
             SymVal::Int(-5),
             SymVal::Bool(true),
             SymVal::Str("GET /".into()),
             x.clone(),
+            SymVal::Cfg("mode".into()),
+            SymVal::St("idx".into()),
+            SymVal::pkt_len(),
+            SymVal::map_len("nat"),
+            SymVal::checksum(),
+            SymVal::Var("x".into()),
             SymVal::Tuple(vec![SymVal::Int(1), x.clone()]),
             SymVal::Array(vec![]),
             SymVal::Bin(BinOp::NotIn, Box::new(x.clone()), Box::new(SymVal::Int(1))),
@@ -331,11 +342,32 @@ mod tests {
         let mut p = SymPacket::fresh();
         p.set(
             nf_packet::Field::IpDst,
-            SymVal::MapGet("nat".into(), Box::new(SymVal::Var("pkt.ip.src".into()))),
+            SymVal::MapGet("nat".into(), Box::new(SymVal::Pkt(nf_packet::Field::IpSrc))),
         );
         let json = p.to_json().render();
         let parsed = SymPacket::from_json(&Value::parse(&json).unwrap()).unwrap();
         assert_eq!(parsed, p);
+    }
+
+    /// Every variable is written as its rendered name and read back typed;
+    /// names of no class stay untyped.
+    #[test]
+    fn variables_read_back_typed() {
+        let var = |name: &str| format!(r#"{{"t": "var", "name": "{name}"}}"#);
+        assert_eq!(
+            parse(&var("pkt.tcp.dport")),
+            SymVal::Pkt(nf_packet::Field::TcpDport)
+        );
+        assert_eq!(parse(&var("cfg:mode")), SymVal::Cfg("mode".into()));
+        assert_eq!(parse(&var("st:idx")), SymVal::St("idx".into()));
+        for name in ["pkt.len", "pkt.nonsense", "len:nat", "checksum(pkt)"] {
+            assert_eq!(parse(&var(name)), SymVal::Var(name.into()), "{name}");
+        }
+        assert_eq!(
+            SymVal::Cfg("mode".into()).to_json().render(),
+            SymVal::Var("cfg:mode".into()).to_json().render(),
+            "the encoding is unchanged"
+        );
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! engine:
 //!
 //! * [`sym`] — the symbolic value language: packet fields and
-//!   configuration/state scalars are free variables; map reads are
+//!   configuration/state scalars are free variables, typed by
+//!   Algorithm 1's classes (`SymVal::{Pkt, Cfg, St}`); map reads are
 //!   uninterpreted `MapGet` terms; `hash` is uninterpreted; array reads
 //!   with symbolic indices stay symbolic (`server[idx]` in Figure 6 is
 //!   exactly such a term).

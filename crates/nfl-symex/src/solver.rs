@@ -270,14 +270,16 @@ impl State {
                 Ok(true)
             }
             SymVal::Bin(op, a, b) if is_cmp(*op) => self.assert_cmp(*op, a, b),
-            SymVal::Var(v) => {
+            other => match other.var_name() {
                 // A bare boolean variable: constrain to 1.
-                let f = self.fact(v);
-                f.lo = f.lo.max(1);
-                f.hi = f.hi.min(1);
-                Ok(true)
-            }
-            _ => Ok(false),
+                Some(v) => {
+                    let f = self.fact(&v);
+                    f.lo = f.lo.max(1);
+                    f.hi = f.hi.min(1);
+                    Ok(true)
+                }
+                None => Ok(false),
+            },
         }
     }
 
@@ -579,10 +581,12 @@ fn flip(op: BinOp) -> BinOp {
 /// variables named by their canonical rendering, so repeated occurrences
 /// of the same term correlate.
 fn normalise(v: &SymVal) -> Term {
+    if let Some(name) = v.var_name() {
+        return Term::Affine(name, 0);
+    }
     match v {
         SymVal::Int(c) => Term::Const(*c),
         SymVal::Bool(b) => Term::Const(i64::from(*b)),
-        SymVal::Var(name) => Term::Affine(name.clone(), 0),
         SymVal::Bin(BinOp::Add, a, b) => match (normalise(a), normalise(b)) {
             (Term::Affine(v, o), Term::Const(c)) | (Term::Const(c), Term::Affine(v, o)) => {
                 Term::Affine(v, o + c)
@@ -595,8 +599,7 @@ fn normalise(v: &SymVal) -> Term {
         },
         SymVal::Bin(BinOp::Mod, a, b) => match (&**a, normalise(b)) {
             (_, Term::Const(m)) if m > 0 => {
-                let base = base_var_name(a);
-                Term::Mod(base, m)
+                Term::Mod(a.var_name().unwrap_or_else(|| format!("opaque:{a}")), m)
             }
             _ => opaque(v),
         },
@@ -612,13 +615,6 @@ fn normalise(v: &SymVal) -> Term {
     }
 }
 
-fn base_var_name(v: &SymVal) -> String {
-    match v {
-        SymVal::Var(name) => name.clone(),
-        other => format!("opaque:{other}"),
-    }
-}
-
 fn opaque(_v: &SymVal) -> Term {
     Term::Opaque
 }
@@ -628,7 +624,7 @@ mod tests {
     use super::*;
 
     fn var(n: &str) -> SymVal {
-        SymVal::Var(n.into())
+        SymVal::var(n)
     }
     fn eq(a: SymVal, b: SymVal) -> SymVal {
         SymVal::Bin(BinOp::Eq, Box::new(a), Box::new(b))

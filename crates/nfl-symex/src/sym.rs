@@ -1,12 +1,19 @@
 //! The symbolic value language.
 //!
-//! A [`SymVal`] is either concrete or a term over free variables:
-//! packet fields (`pkt.tcp.dport`), scalar configs (`cfg:mode`), scalar
-//! states (`st:rr_idx`), uninterpreted `hash(…)`, map reads
-//! (`nat[⟨k⟩]`), and array reads with symbolic index
-//! (`servers[st:rr_idx]` — the `server[idx]` of Figure 6). Constructors
-//! constant-fold so concrete programs stay concrete.
+//! A [`SymVal`] is either concrete or a term over free variables. The
+//! variables are typed by Algorithm 1's classes: packet fields
+//! ([`SymVal::Pkt`], rendered `pkt.tcp.dport`), scalar configs
+//! ([`SymVal::Cfg`], `cfg:mode`) and scalar states ([`SymVal::St`],
+//! `st:rr_idx`); [`SymVal::Var`] names the rest (`pkt.len`, `len:<map>`,
+//! `checksum(pkt)`, solver and test variables). Terms also hold
+//! uninterpreted `hash(…)`, map reads (`nat[⟨k⟩]`), and array reads with
+//! symbolic index (`servers[st:rr_idx]` — the `server[idx]` of Figure 6).
+//! Constructors constant-fold so concrete programs stay concrete.
+//!
+//! This module is the only one that knows the rendered prefixes: `Display`
+//! writes them and [`SymVal::var`] reads them back.
 
+use nf_packet::Field;
 use nfl_lang::BinOp;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -20,7 +27,15 @@ pub enum SymVal {
     Bool(bool),
     /// Concrete string.
     Str(String),
-    /// A free integer variable (packet field, config, or state scalar).
+    /// A header field of the input packet (`pkt.<path>`).
+    Pkt(Field),
+    /// A scalar configuration variable (`cfg:<name>`).
+    Cfg(String),
+    /// A scalar state variable (`st:<name>`).
+    St(String),
+    /// A free variable of no class, rendered as its name: `pkt.len`
+    /// ([`SymVal::pkt_len`]), `len:<map>` ([`SymVal::map_len`]),
+    /// `checksum(pkt)` ([`SymVal::checksum`]), solver and test variables.
     Var(String),
     /// Tuple of terms.
     Tuple(Vec<SymVal>),
@@ -70,6 +85,75 @@ impl SymVal {
     pub fn as_int(&self) -> Option<i64> {
         match self {
             SymVal::Int(v) => Some(*v),
+            _ => None,
+        }
+    }
+
+    /// The variable a rendered name denotes — the inverse of `Display` on
+    /// variables: `pkt.<path>` of a known field is [`SymVal::Pkt`],
+    /// `cfg:<name>` is [`SymVal::Cfg`], `st:<name>` is [`SymVal::St`], and
+    /// every other name (`pkt.len`, `len:nat`, `x`) is a [`SymVal::Var`].
+    pub fn var(name: &str) -> SymVal {
+        if let Some(f) = name.strip_prefix("pkt.").and_then(Field::from_path) {
+            SymVal::Pkt(f)
+        } else if let Some(c) = name.strip_prefix("cfg:") {
+            SymVal::Cfg(c.to_string())
+        } else if let Some(s) = name.strip_prefix("st:") {
+            SymVal::St(s.to_string())
+        } else {
+            SymVal::Var(name.to_string())
+        }
+    }
+
+    /// `len(pkt)`: the packet's length, which no [`Field`] names. It still
+    /// counts as a packet mention ([`Mentions::pkt`]).
+    pub fn pkt_len() -> SymVal {
+        SymVal::Var("pkt.len".into())
+    }
+
+    /// `len(map)`: the number of entries in state map `map`.
+    pub fn map_len(map: &str) -> SymVal {
+        SymVal::Var(format!("len:{map}"))
+    }
+
+    /// `checksum(pkt)`: the packet's checksum, an opaque value.
+    pub fn checksum() -> SymVal {
+        SymVal::Var("checksum(pkt)".into())
+    }
+
+    /// A variable's rendered name split at its class prefix; `None` for
+    /// any term that is not a variable.
+    fn var_parts(&self) -> Option<(&'static str, &str)> {
+        match self {
+            SymVal::Pkt(f) => Some(("pkt.", f.path())),
+            SymVal::Cfg(n) => Some(("cfg:", n)),
+            SymVal::St(n) => Some(("st:", n)),
+            SymVal::Var(n) => Some(("", n)),
+            _ => None,
+        }
+    }
+
+    /// The rendered name of a variable (`pkt.ip.src`, `cfg:mode`,
+    /// `st:idx`, `pkt.len`); `None` for any other term. The solver keys
+    /// its facts and witnesses by it, and [`SymVal::var`] reads it back.
+    pub fn var_name(&self) -> Option<String> {
+        self.var_parts()
+            .map(|(prefix, name)| [prefix, name].concat())
+    }
+
+    /// The packet fields a map key is made of: one field, or a tuple of
+    /// fields. `None` for any other key — one holding a state, a config,
+    /// or arithmetic.
+    pub fn key_fields(&self) -> Option<Vec<Field>> {
+        match self {
+            SymVal::Pkt(f) => Some(vec![*f]),
+            SymVal::Tuple(es) => es
+                .iter()
+                .map(|e| match e {
+                    SymVal::Pkt(f) => Some(*f),
+                    _ => None,
+                })
+                .collect(),
             _ => None,
         }
     }
@@ -174,60 +258,64 @@ impl SymVal {
         }
     }
 
-    /// All free variable names in the term.
-    pub fn free_vars(&self) -> Vec<String> {
-        let mut out = Vec::new();
-        self.collect_vars(&mut out);
-        out.sort();
-        out.dedup();
-        out
-    }
-
-    fn collect_vars(&self, out: &mut Vec<String>) {
+    /// Call `f` on every node of the term, each before its children.
+    pub fn walk<'a>(&'a self, f: &mut impl FnMut(&'a SymVal)) {
+        f(self);
         match self {
-            SymVal::Var(v) => out.push(v.clone()),
-            SymVal::Tuple(es) | SymVal::Array(es) => {
-                for e in es {
-                    e.collect_vars(out);
-                }
-            }
+            SymVal::Tuple(es) | SymVal::Array(es) => es.iter().for_each(|e| e.walk(f)),
             SymVal::Bin(_, a, b)
             | SymVal::ArrayGet(a, b)
             | SymVal::Min(a, b)
             | SymVal::Max(a, b) => {
-                a.collect_vars(out);
-                b.collect_vars(out);
+                a.walk(f);
+                b.walk(f);
             }
-            SymVal::Not(a) | SymVal::Neg(a) | SymVal::Hash(a) | SymVal::Proj(a, _) => {
-                a.collect_vars(out)
-            }
-            SymVal::MapGet(_, k) | SymVal::MapContains(_, k) => k.collect_vars(out),
+            SymVal::Not(a)
+            | SymVal::Neg(a)
+            | SymVal::Hash(a)
+            | SymVal::Proj(a, _)
+            | SymVal::MapGet(_, a)
+            | SymVal::MapContains(_, a) => a.walk(f),
             _ => {}
         }
     }
 
-    /// Does the term mention any variable with the given prefix
-    /// (`"pkt."`, `"cfg:"`, `"st:"`) or any map operation?
-    pub fn mentions_prefix(&self, prefix: &str) -> bool {
-        self.free_vars().iter().any(|v| v.starts_with(prefix))
-            || (prefix == "st:" && self.mentions_map())
+    /// The distinct free variables of the term — its `Pkt`, `Cfg`, `St`
+    /// and `Var` leaves — in order of first occurrence.
+    pub fn free_vars(&self) -> Vec<&SymVal> {
+        let mut out: Vec<&SymVal> = Vec::new();
+        self.walk(&mut |v| {
+            if v.var_parts().is_some() && !out.contains(&v) {
+                out.push(v);
+            }
+        });
+        out
     }
 
-    /// Does the term contain a map read/membership (state-dependent)?
-    pub fn mentions_map(&self) -> bool {
-        match self {
-            SymVal::MapGet(..) | SymVal::MapContains(..) => true,
-            SymVal::Tuple(es) | SymVal::Array(es) => es.iter().any(|e| e.mentions_map()),
-            SymVal::Bin(_, a, b)
-            | SymVal::ArrayGet(a, b)
-            | SymVal::Min(a, b)
-            | SymVal::Max(a, b) => a.mentions_map() || b.mentions_map(),
-            SymVal::Not(a) | SymVal::Neg(a) | SymVal::Hash(a) | SymVal::Proj(a, _) => {
-                a.mentions_map()
-            }
-            _ => false,
-        }
+    /// Which variable classes the term mentions (Algorithm 1's pktVars,
+    /// cfgVars and oisVars).
+    pub fn mentions(&self) -> Mentions {
+        let mut m = Mentions::default();
+        self.walk(&mut |v| match v {
+            SymVal::Pkt(_) => m.pkt = true,
+            SymVal::Var(name) if name.starts_with("pkt.") => m.pkt = true,
+            SymVal::Cfg(_) => m.cfg = true,
+            SymVal::St(_) | SymVal::MapGet(..) | SymVal::MapContains(..) => m.state = true,
+            _ => {}
+        });
+        m
     }
+}
+
+/// The variable classes a term mentions — see [`SymVal::mentions`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Mentions {
+    /// A packet field, or a packet property no field names (`pkt.len`).
+    pub pkt: bool,
+    /// A scalar config.
+    pub cfg: bool,
+    /// A scalar state, or any map read or membership test.
+    pub state: bool,
 }
 
 impl fmt::Display for SymVal {
@@ -236,7 +324,10 @@ impl fmt::Display for SymVal {
             SymVal::Int(v) => write!(f, "{v}"),
             SymVal::Bool(b) => write!(f, "{b}"),
             SymVal::Str(s) => write!(f, "{s:?}"),
-            SymVal::Var(v) => write!(f, "{v}"),
+            SymVal::Pkt(_) | SymVal::Cfg(_) | SymVal::St(_) | SymVal::Var(_) => {
+                let (prefix, name) = self.var_parts().unwrap_or_default();
+                write!(f, "{prefix}{name}")
+            }
             SymVal::Tuple(es) => {
                 write!(f, "(")?;
                 for (i, e) in es.iter().enumerate() {
@@ -272,44 +363,38 @@ impl fmt::Display for SymVal {
 }
 
 /// A symbolic packet: every header field is a term. A fresh input packet
-/// has `field → Var("pkt.<path>")`; rewrites replace entries.
+/// has `field → Pkt(field)`; rewrites replace entries.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SymPacket {
     /// Field terms.
-    pub fields: BTreeMap<nf_packet::Field, SymVal>,
+    pub fields: BTreeMap<Field, SymVal>,
 }
 
 impl SymPacket {
     /// A fully symbolic packet whose fields are free variables named
     /// after their paths.
     pub fn fresh() -> SymPacket {
-        let mut fields = BTreeMap::new();
-        for f in nf_packet::Field::ALL {
-            fields.insert(f, SymVal::Var(format!("pkt.{}", f.path())));
+        SymPacket {
+            fields: Field::ALL.iter().map(|&f| (f, SymVal::Pkt(f))).collect(),
         }
-        SymPacket { fields }
     }
 
     /// Read a field term.
-    pub fn get(&self, f: nf_packet::Field) -> SymVal {
-        self.fields
-            .get(&f)
-            .cloned()
-            .unwrap_or_else(|| SymVal::Var(format!("pkt.{}", f.path())))
+    pub fn get(&self, f: Field) -> SymVal {
+        self.fields.get(&f).cloned().unwrap_or(SymVal::Pkt(f))
     }
 
     /// Write a field term.
-    pub fn set(&mut self, f: nf_packet::Field, v: SymVal) {
+    pub fn set(&mut self, f: Field, v: SymVal) {
         self.fields.insert(f, v);
     }
 
     /// The fields whose terms differ from the fresh packet — the header
     /// rewrites this path performs (the model's flow action).
-    pub fn rewrites(&self) -> Vec<(nf_packet::Field, SymVal)> {
-        let fresh = SymPacket::fresh();
+    pub fn rewrites(&self) -> Vec<(Field, SymVal)> {
         self.fields
             .iter()
-            .filter(|(f, v)| fresh.get(**f) != **v)
+            .filter(|(f, v)| **v != SymVal::Pkt(**f))
             .map(|(f, v)| (*f, v.clone()))
             .collect()
     }
@@ -355,7 +440,7 @@ impl fmt::Display for MapOp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nf_packet::Field;
+    use nf_support::check::{check, identifier, Config};
 
     #[test]
     fn constant_folding() {
@@ -431,19 +516,95 @@ mod tests {
 
     #[test]
     fn free_vars_collects() {
+        let rr_idx = SymVal::St("rr_idx".into());
         let v = SymVal::bin(
             BinOp::Add,
-            SymVal::Var("st:rr_idx".into()),
+            rr_idx.clone(),
             SymVal::MapGet(
                 "nat".into(),
-                Box::new(SymVal::Var("pkt.ip.src".into())),
+                Box::new(SymVal::Tuple(vec![
+                    SymVal::Pkt(Field::IpSrc),
+                    rr_idx.clone(),
+                ])),
             ),
         );
-        assert_eq!(v.free_vars(), vec!["pkt.ip.src", "st:rr_idx"]);
-        assert!(v.mentions_map());
-        assert!(v.mentions_prefix("st:"));
-        assert!(v.mentions_prefix("pkt."));
-        assert!(!v.mentions_prefix("cfg:"));
+        assert_eq!(v.free_vars(), vec![&rr_idx, &SymVal::Pkt(Field::IpSrc)]);
+        assert_eq!(
+            v.mentions(),
+            Mentions {
+                pkt: true,
+                cfg: false,
+                state: true
+            }
+        );
+        // A map read alone is a state mention; a config alone is neither
+        // packet nor state.
+        let read = SymVal::MapGet("nat".into(), Box::new(SymVal::Int(1)));
+        assert!(read.free_vars().is_empty());
+        assert!(read.mentions().state);
+        let cfg = SymVal::Cfg("mode".into()).mentions();
+        assert!(cfg.cfg && !cfg.pkt && !cfg.state);
+    }
+
+    #[test]
+    fn pkt_len_is_a_packet_mention_of_no_field() {
+        let lit = SymVal::bin(BinOp::Gt, SymVal::pkt_len(), SymVal::Cfg("MTU".into()));
+        let m = lit.mentions();
+        assert!(m.pkt && m.cfg && !m.state);
+        assert_eq!(SymVal::pkt_len().to_string(), "pkt.len");
+        assert!(!SymVal::map_len("nat").mentions().pkt);
+    }
+
+    #[test]
+    fn var_reads_back_every_rendered_variable() {
+        for f in Field::ALL {
+            let v = SymVal::Pkt(f);
+            assert_eq!(v.to_string(), format!("pkt.{}", f.path()));
+            assert_eq!(SymVal::var(&v.to_string()), v);
+            assert_eq!(v.var_name(), Some(v.to_string()));
+        }
+        check(
+            "cfg_and_st_names_roundtrip",
+            &Config::with_cases(64),
+            &identifier(8),
+            |name| {
+                for v in [SymVal::Cfg(name.clone()), SymVal::St(name.clone())] {
+                    assert_eq!(SymVal::var(&v.to_string()), v);
+                    assert_eq!(v.var_name(), Some(v.to_string()));
+                }
+            },
+        );
+        // Names of no class stay untyped.
+        for name in ["pkt.len", "pkt.nonsense", "len:nat", "checksum(pkt)", "x"] {
+            assert_eq!(SymVal::var(name), SymVal::Var(name.into()), "{name}");
+            assert_eq!(SymVal::var(name).to_string(), name);
+        }
+        assert_eq!(SymVal::var("pkt.len"), SymVal::pkt_len());
+        assert_eq!(SymVal::var("len:nat"), SymVal::map_len("nat"));
+        assert_eq!(SymVal::var("checksum(pkt)"), SymVal::checksum());
+        assert_eq!(SymVal::Int(3).var_name(), None);
+    }
+
+    #[test]
+    fn key_fields_of_packet_keys_only() {
+        let (src, sport) = (SymVal::Pkt(Field::IpSrc), SymVal::Pkt(Field::TcpSport));
+        assert_eq!(
+            SymVal::Tuple(vec![src.clone(), sport.clone()]).key_fields(),
+            Some(vec![Field::IpSrc, Field::TcpSport])
+        );
+        assert_eq!(sport.key_fields(), Some(vec![Field::TcpSport]));
+        let plus_one = SymVal::bin(BinOp::Add, src.clone(), SymVal::Int(1));
+        for key in [
+            SymVal::Tuple(vec![src.clone(), SymVal::St("port".into())]),
+            SymVal::Tuple(vec![SymVal::Cfg("net".into()), sport]),
+            SymVal::St("idx".into()),
+            SymVal::Cfg("ip".into()),
+            SymVal::Tuple(vec![plus_one.clone(), src]),
+            plus_one,
+            SymVal::pkt_len(),
+        ] {
+            assert_eq!(key.key_fields(), None, "{key}");
+        }
     }
 
     #[test]
@@ -465,7 +626,7 @@ mod tests {
                 SymVal::Tuple(vec![SymVal::Int(1), SymVal::Int(80)]),
                 SymVal::Tuple(vec![SymVal::Int(2), SymVal::Int(80)]),
             ])),
-            Box::new(SymVal::Var("st:rr_idx".into())),
+            Box::new(SymVal::St("rr_idx".into())),
         );
         assert!(term.to_string().contains("st:rr_idx"));
     }

@@ -354,6 +354,19 @@ case "$out" in
     *) echo "    unexpected initialize response:"; echo "$out"; exit 1 ;;
 esac
 
+echo "==> variable-prefix gate: only sym.rs parses pkt./cfg:/st: names"
+# Term variables are typed (`SymVal::Pkt`, `Cfg`, `St`); their rendered
+# prefixes are written by `Display` and read back by `SymVal::var`, both
+# in crates/nfl-symex/src/sym.rs. Any other module must match on the
+# variants. nf-compile's printer of compiled programs (`render`,
+# `fmt_expr`) writes its own `pkt.`/`st:` display text, which no pattern
+# here matches.
+if grep -rEn '(strip_prefix|starts_with)\("(pkt\.|cfg:|st:)"\)|mentions_prefix|SymVal::Var\(format!\(' \
+    crates src tests | grep -v '^crates/nfl-symex/src/sym.rs:'; then
+    echo "    variable-prefix parsing outside crates/nfl-symex/src/sym.rs (above)"; exit 1
+fi
+echo "    no prefix parsing outside sym.rs: ok"
+
 echo "==> panic gate"
 ./scripts/panic_gate.sh
 

@@ -6,15 +6,14 @@
 
 use nfactor::core::{Pipeline, Synthesis};
 use nfactor::interp::Interp;
-use nfactor::packet::{Field, Packet, TcpFlags};
+use nfactor::packet::{Packet, TcpFlags};
 use nfactor::symex::{Solver, SymVal};
 use std::collections::HashMap;
 
 fn pin(term: &SymVal, configs: &HashMap<String, i64>) -> SymVal {
     match term {
-        SymVal::Var(v) => v
-            .strip_prefix("cfg:")
-            .and_then(|c| configs.get(c))
+        SymVal::Cfg(c) => configs
+            .get(c)
             .map(|val| SymVal::Int(*val))
             .unwrap_or_else(|| term.clone()),
         SymVal::Tuple(es) => SymVal::Tuple(es.iter().map(|e| pin(e, configs)).collect()),
@@ -32,10 +31,8 @@ fn witness_packet(assignment: &HashMap<String, i64>) -> Packet {
     let mut pkt = Packet::tcp(0x0b000001, 40000, 0x0c000001, 9999, TcpFlags(0));
     pkt.ip_ttl = 64;
     for (var, value) in assignment {
-        if let Some(path) = var.strip_prefix("pkt.") {
-            if let (Some(field), Ok(v)) = (Field::from_path(path), u64::try_from(*value)) {
-                let _ = pkt.set(field, v);
-            }
+        if let (SymVal::Pkt(field), Ok(v)) = (SymVal::var(var), u64::try_from(*value)) {
+            let _ = pkt.set(field, v);
         }
     }
     pkt
@@ -61,20 +58,14 @@ fn check_stateless_paths(syn: &Synthesis) -> (usize, usize) {
     let mut skipped = 0;
     for path in &syn.exploration.paths {
         // Stateless check: skip paths whose condition involves state.
-        if path
-            .constraints
-            .iter()
-            .any(|c| c.mentions_prefix("st:") || c.mentions_map())
-        {
+        if path.constraints.iter().any(|c| c.mentions().state) {
             skipped += 1;
             continue;
         }
         let pinned: Vec<SymVal> = path.constraints.iter().map(|c| pin(c, &configs)).collect();
-        let Some(assignment) = solver.model(&pinned, |v| {
-            v.strip_prefix("pkt.")
-                .and_then(Field::from_path)
-                .map(|f| (0, f.max_value().min(i64::MAX as u64) as i64))
-                .unwrap_or((0, i64::MAX / 4))
+        let Some(assignment) = solver.model(&pinned, |v| match SymVal::var(v) {
+            SymVal::Pkt(f) => (0, f.max_value().min(i64::MAX as u64) as i64),
+            _ => (0, i64::MAX / 4),
         }) else {
             skipped += 1;
             continue;
