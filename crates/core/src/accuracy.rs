@@ -20,7 +20,7 @@ use crate::pipeline::Synthesis;
 use nf_model::ModelState;
 use nf_packet::{Packet, PacketGen};
 use nfl_interp::{Interp, Value};
-use nfl_symex::{ExplorationStats, SymExec};
+use nfl_symex::{ExplorationStats, PathLimits, SymExec};
 use std::collections::BTreeSet;
 
 /// Outcome of the differential test.
@@ -159,10 +159,12 @@ fn forwarding_set(
 
 /// The §5 path-set equality check: explore the original per-packet
 /// function and compare its forwarding path set with the slice's,
-/// modulo splits on non-forwarding branches.
+/// modulo splits on non-forwarding branches. The original is explored
+/// under `PathLimits::default()`, whatever limits the pipeline's slice
+/// exploration used.
 pub fn path_sets_equal(syn: &Synthesis) -> Result<bool, String> {
     let orig = SymExec::new(&syn.nf_loop)
-        .with_limits(syn.exploration_limits())
+        .with_limits(PathLimits::default())
         .explore()
         .map_err(|e| e.to_string())?;
     let ois: BTreeSet<String> = syn.classes.ois_vars.iter().cloned().collect();
@@ -177,14 +179,6 @@ pub fn path_sets_equal(syn: &Synthesis) -> Result<bool, String> {
     let a = forwarding_set(&orig, &ois, Some(&vocabulary));
     let b = forwarding_set(&syn.exploration, &ois, Some(&vocabulary));
     Ok(a == b)
-}
-
-impl Synthesis {
-    /// The limits used for the slice exploration (reused for the
-    /// comparison run).
-    pub fn exploration_limits(&self) -> nfl_symex::PathLimits {
-        nfl_symex::PathLimits::default()
-    }
 }
 
 #[cfg(test)]

@@ -32,23 +32,10 @@ const REWRITES: &[(&str, &[u64])] = &[
 
 const CMPS: &[&str] = &["==", "!=", "<", "<=", ">", ">="];
 
-/// Tuning knobs for the generated program shape.
-#[derive(Debug, Clone, Copy)]
-pub struct GrammarConfig {
-    /// Maximum nesting depth of the decision tree.
-    pub max_depth: usize,
-    /// Maximum state-update / rewrite actions per leaf.
-    pub max_actions: usize,
-}
-
-impl Default for GrammarConfig {
-    fn default() -> Self {
-        GrammarConfig {
-            max_depth: 3,
-            max_actions: 2,
-        }
-    }
-}
+/// Maximum nesting depth of the decision tree.
+const MAX_DEPTH: usize = 3;
+/// Maximum state-update / rewrite actions per leaf.
+const MAX_ACTIONS: usize = 2;
 
 /// A generated NF: its source text plus what the generator used, so the
 /// harness can bias the packet stream toward the interesting region.
@@ -62,7 +49,6 @@ pub struct GenProgram {
 
 struct Gen<'a> {
     rng: &'a mut Rng,
-    cfg: GrammarConfig,
     n_configs: usize,
     n_scalars: usize,
     has_map: bool,
@@ -127,7 +113,7 @@ impl Gen<'_> {
 
     fn leaf(&mut self, indent: usize) {
         let pad = "    ".repeat(indent);
-        for _ in 0..self.rng.gen_index(self.cfg.max_actions + 1) {
+        for _ in 0..self.rng.gen_index(MAX_ACTIONS + 1) {
             self.action(indent);
         }
         // Half the leaves forward, half drop (fall through without send).
@@ -154,7 +140,7 @@ impl Gen<'_> {
 }
 
 /// Generate one NFL program from the seeded stream in `rng`.
-pub fn gen_program(rng: &mut Rng, cfg: GrammarConfig) -> GenProgram {
+pub fn gen_program(rng: &mut Rng) -> GenProgram {
     let n_configs = rng.gen_index(3);
     let n_scalars = rng.gen_index(3);
     let has_map = rng.gen_index(2) == 0;
@@ -165,7 +151,6 @@ pub fn gen_program(rng: &mut Rng, cfg: GrammarConfig) -> GenProgram {
     };
     let mut g = Gen {
         rng,
-        cfg,
         n_configs,
         n_scalars,
         has_map,
@@ -184,7 +169,7 @@ pub fn gen_program(rng: &mut Rng, cfg: GrammarConfig) -> GenProgram {
         let _ = writeln!(g.out, "state m0 = map();");
     }
     let _ = writeln!(g.out, "fn cb(pkt: packet) {{");
-    let depth = 1 + g.rng.gen_index(cfg.max_depth);
+    let depth = 1 + g.rng.gen_index(MAX_DEPTH);
     g.tree(depth, 1);
     let _ = writeln!(g.out, "}}");
     let _ = writeln!(g.out, "fn main() {{ sniff(cb); }}");
@@ -202,7 +187,7 @@ mod tests {
     fn generated_programs_parse_and_check() {
         let mut rng = Rng::new(7);
         for i in 0..200 {
-            let p = gen_program(&mut rng, GrammarConfig::default());
+            let p = gen_program(&mut rng);
             nfl_lang::parse_and_check(&p.source)
                 .unwrap_or_else(|e| panic!("case {i}: {e}\n{}", p.source));
         }
@@ -213,13 +198,13 @@ mod tests {
         let a: Vec<String> = {
             let mut rng = Rng::new(11);
             (0..20)
-                .map(|_| gen_program(&mut rng, GrammarConfig::default()).source)
+                .map(|_| gen_program(&mut rng).source)
                 .collect()
         };
         let b: Vec<String> = {
             let mut rng = Rng::new(11);
             (0..20)
-                .map(|_| gen_program(&mut rng, GrammarConfig::default()).source)
+                .map(|_| gen_program(&mut rng).source)
                 .collect()
         };
         assert_eq!(a, b);
@@ -230,7 +215,7 @@ mod tests {
         // The differential oracle relies on the additive-only fragment.
         let mut rng = Rng::new(3);
         for _ in 0..100 {
-            let p = gen_program(&mut rng, GrammarConfig::default());
+            let p = gen_program(&mut rng);
             assert!(!p.source.contains('/'), "{}", p.source);
             assert!(!p.source.contains('%'), "{}", p.source);
             assert!(!p.source.contains(" - "), "{}", p.source);

@@ -27,7 +27,7 @@ pub mod minimize;
 pub mod mutate;
 pub mod oracle;
 
-pub use grammar::{gen_program, GenProgram, GrammarConfig};
+pub use grammar::{gen_program, GenProgram};
 pub use minimize::{minimize_text, minimize_wire};
 pub use mutate::{mutate_text, mutate_wire, random_bytes};
 pub use oracle::{check_differential, check_source, check_wire, fuzz_pipeline, Stage, Verdict};
@@ -197,7 +197,7 @@ pub fn run_traced(cfg: &FuzzConfig, tracer: &Tracer) -> FuzzReport {
         let mut rng = Rng::new(case_seed);
         match case % 4 {
             0 => {
-                let prog = gen_program(&mut rng, GrammarConfig::default());
+                let prog = gen_program(&mut rng);
                 let name = format!("fuzz-{case}");
                 let mut verdict = check_source(&name, &prog.source);
                 if !verdict.is_failure() {
@@ -218,7 +218,7 @@ pub fn run_traced(cfg: &FuzzConfig, tracer: &Tracer) -> FuzzReport {
                 }
             }
             1 => {
-                let prog = gen_program(&mut rng, GrammarConfig::default());
+                let prog = gen_program(&mut rng);
                 let mutated = mutate_text(&mut rng, &prog.source);
                 let verdict = check_source("fuzz-mut", &mutated);
                 if verdict.is_failure() {
@@ -337,8 +337,8 @@ mod tests {
     fn different_seeds_generate_different_cases() {
         let mut r1 = Rng::new(1);
         let mut r2 = Rng::new(2);
-        let p1 = gen_program(&mut r1, GrammarConfig::default());
-        let p2 = gen_program(&mut r2, GrammarConfig::default());
+        let p1 = gen_program(&mut r1);
+        let p2 = gen_program(&mut r2);
         assert_ne!(p1.source, p2.source);
     }
 }

@@ -42,30 +42,6 @@ impl FlowKey {
             dst_port: self.src_port,
         }
     }
-
-    /// Pack into four integers, the representation NFL tuples use.
-    pub fn to_tuple(&self) -> [i64; 4] {
-        [
-            i64::from(self.src_ip),
-            i64::from(self.src_port),
-            i64::from(self.dst_ip),
-            i64::from(self.dst_port),
-        ]
-    }
-
-    /// Unpack from four integers, validating domains.
-    pub fn from_tuple(t: [i64; 4]) -> Option<FlowKey> {
-        let src_ip = u32::try_from(t[0]).ok()?;
-        let src_port = u16::try_from(t[1]).ok()?;
-        let dst_ip = u32::try_from(t[2]).ok()?;
-        let dst_port = u16::try_from(t[3]).ok()?;
-        Some(FlowKey {
-            src_ip,
-            src_port,
-            dst_ip,
-            dst_port,
-        })
-    }
 }
 
 impl fmt::Display for FlowKey {
@@ -132,19 +108,6 @@ mod tests {
         assert_eq!(k.src_port, 1234);
         assert_eq!(k.reversed().reversed(), k);
         assert_eq!(k.reversed().dst_port, 1234);
-    }
-
-    #[test]
-    fn tuple_roundtrip() {
-        let k = FlowKey {
-            src_ip: 0x0a000001,
-            src_port: 1,
-            dst_ip: 0x0a000002,
-            dst_port: 2,
-        };
-        assert_eq!(FlowKey::from_tuple(k.to_tuple()), Some(k));
-        assert_eq!(FlowKey::from_tuple([-1, 0, 0, 0]), None);
-        assert_eq!(FlowKey::from_tuple([0, 70000, 0, 0]), None);
     }
 
     #[test]

@@ -3,68 +3,44 @@
 //! The paper's §5 accuracy experiment "generate\[s\] random inputs (i.e.,
 //! packets) to both NFactor model and the original program ... repeat\[ed\]
 //! 1000 times". [`PacketGen`] is that workload generator: a seeded,
-//! reproducible stream of packets, with knobs to bias the stream toward a
-//! NF's interesting region (e.g. the LB's listening port) so random testing
-//! exercises both match and miss paths.
+//! reproducible stream of packets drawn from fixed pools. Sources come
+//! from four client addresses and destinations from three server
+//! addresses (the corpus NFs' VIPs and backends); 60% of new flows
+//! target a listening port (80 or 443), so random testing exercises both
+//! match and miss paths; 40% of packets replay a recent 4-tuple, so
+//! "existing connection" paths fire too.
 
 use crate::packet::Packet;
 use crate::wire::TcpFlags;
 use nf_support::rng::Rng;
 
-/// Configuration for the random packet stream.
-#[derive(Debug, Clone)]
-pub struct GenConfig {
-    /// Pool of client addresses to draw sources from.
-    pub client_ips: Vec<u32>,
-    /// Pool of server-side addresses (NF VIPs, backends).
-    pub server_ips: Vec<u32>,
-    /// Ports that NFs in the experiment listen on; drawn with probability
-    /// `bias_listen` for the destination port.
-    pub listen_ports: Vec<u16>,
-    /// Probability that a packet targets one of `listen_ports`.
-    pub bias_listen: f64,
-    /// Probability that a packet is UDP instead of TCP.
-    pub udp_ratio: f64,
-    /// Probability that a generated flow reuses a previously generated
-    /// 4-tuple (to exercise "existing connection" paths).
-    pub reuse_flow: f64,
-    /// Maximum payload length.
-    pub max_payload: usize,
-}
-
-impl Default for GenConfig {
-    fn default() -> Self {
-        GenConfig {
-            client_ips: vec![0x0a000001, 0x0a000002, 0x0a000003, 0x0a000004],
-            server_ips: vec![0x03030303, 0x01010101, 0x02020202],
-            listen_ports: vec![80, 443],
-            bias_listen: 0.6,
-            udp_ratio: 0.1,
-            reuse_flow: 0.4,
-            max_payload: 64,
-        }
-    }
-}
+/// Client addresses sources are drawn from.
+const CLIENT_IPS: [u32; 4] = [0x0a000001, 0x0a000002, 0x0a000003, 0x0a000004];
+/// Server-side addresses (NF VIPs, backends) destinations are drawn from.
+const SERVER_IPS: [u32; 3] = [0x03030303, 0x01010101, 0x02020202];
+/// Ports the corpus NFs listen on.
+const LISTEN_PORTS: [u16; 2] = [80, 443];
+/// Probability that a new flow targets one of [`LISTEN_PORTS`].
+const BIAS_LISTEN: f64 = 0.6;
+/// Probability that a new flow is UDP instead of TCP.
+const UDP_RATIO: f64 = 0.1;
+/// Probability that a packet reuses a recently generated 4-tuple.
+const REUSE_FLOW: f64 = 0.4;
+/// Maximum payload length.
+const MAX_PAYLOAD: u64 = 64;
 
 /// A seeded random packet generator.
 #[derive(Debug)]
 pub struct PacketGen {
     rng: Rng,
-    cfg: GenConfig,
     history: Vec<(u32, u16, u32, u16)>,
 }
 
 impl PacketGen {
-    /// Create a generator with the default config.
+    /// Create a generator seeded with `seed`.
     pub fn new(seed: u64) -> Self {
-        Self::with_config(seed, GenConfig::default())
-    }
-
-    /// Create a generator with an explicit config.
-    pub fn with_config(seed: u64, cfg: GenConfig) -> Self {
         PacketGen {
             rng: Rng::new(seed),
-            cfg,
             history: Vec::new(),
         }
     }
@@ -76,18 +52,18 @@ impl PacketGen {
     /// Generate the next packet in the stream.
     pub fn next_packet(&mut self) -> Packet {
         // Possibly replay a known flow to hit "existing connection" logic.
-        if !self.history.is_empty() && self.rng.gen_bool(self.cfg.reuse_flow) {
+        if !self.history.is_empty() && self.rng.gen_bool(REUSE_FLOW) {
             let idx = self.rng.gen_index(self.history.len());
             let (si, sp, di, dp) = self.history[idx];
             let mut p = Packet::tcp(si, sp, di, dp, TcpFlags::ack());
             p.payload = self.payload();
             return p;
         }
-        let si = self.pick(&self.cfg.client_ips.clone());
+        let si = self.pick(&CLIENT_IPS);
         let sp = self.rng.gen_range_u64(1024, u64::from(u16::MAX)) as u16;
-        let di = self.pick(&self.cfg.server_ips.clone());
-        let dp = if self.rng.gen_bool(self.cfg.bias_listen) {
-            self.pick(&self.cfg.listen_ports.clone())
+        let di = self.pick(&SERVER_IPS);
+        let dp = if self.rng.gen_bool(BIAS_LISTEN) {
+            self.pick(&LISTEN_PORTS)
         } else {
             self.rng.gen_range_u64(1, u64::from(u16::MAX)) as u16
         };
@@ -95,7 +71,7 @@ impl PacketGen {
         if self.history.len() > 256 {
             self.history.remove(0);
         }
-        let mut p = if self.rng.gen_bool(self.cfg.udp_ratio) {
+        let mut p = if self.rng.gen_bool(UDP_RATIO) {
             Packet::udp(si, sp, di, dp)
         } else {
             let flags = match self.rng.gen_index(4) {
@@ -112,7 +88,7 @@ impl PacketGen {
     }
 
     fn payload(&mut self) -> Vec<u8> {
-        let n = self.rng.gen_range_u64(0, self.cfg.max_payload as u64) as usize;
+        let n = self.rng.gen_range_u64(0, MAX_PAYLOAD) as usize;
         let mut out = vec![0u8; n];
         self.rng.fill(&mut out);
         out
@@ -144,38 +120,31 @@ mod tests {
 
     #[test]
     fn respects_pools() {
-        let cfg = GenConfig {
-            client_ips: vec![7],
-            server_ips: vec![9],
-            listen_ports: vec![80],
-            bias_listen: 1.0,
-            udp_ratio: 0.0,
-            reuse_flow: 0.0,
-            max_payload: 0,
-        };
-        let mut g = PacketGen::with_config(0, cfg);
-        for p in g.batch(20) {
-            assert_eq!(p.ip_src, 7);
-            assert_eq!(p.ip_dst, 9);
-            assert_eq!(p.get(crate::Field::TcpDport).unwrap(), 80);
+        let pkts = PacketGen::new(0).batch(500);
+        for p in &pkts {
+            assert!(CLIENT_IPS.contains(&p.ip_src), "{:#x}", p.ip_src);
+            assert!(SERVER_IPS.contains(&p.ip_dst), "{:#x}", p.ip_dst);
+            assert!(p.payload.len() <= MAX_PAYLOAD as usize);
         }
+        // BIAS_LISTEN = 0.6 of flows target a listening port.
+        let listening = pkts
+            .iter()
+            .filter(|p| LISTEN_PORTS.contains(&(p.get(crate::Field::TcpDport).unwrap() as u16)))
+            .count();
+        assert!((225..=375).contains(&listening), "{listening} of 500");
     }
 
     #[test]
     fn reuse_produces_duplicate_tuples() {
-        let cfg = GenConfig {
-            reuse_flow: 0.9,
-            udp_ratio: 0.0,
-            ..GenConfig::default()
-        };
-        let mut g = PacketGen::with_config(3, cfg);
-        let pkts = g.batch(200);
+        let pkts = PacketGen::new(3).batch(200);
         let tuples: Vec<_> = pkts
             .iter()
             .map(|p| crate::FlowKey::of(p).unwrap())
             .collect();
         let unique: std::collections::HashSet<_> = tuples.iter().collect();
-        assert!(unique.len() < tuples.len(), "expected reused flows");
+        // With REUSE_FLOW = 0.4, about 80 of 200 packets replay a flow.
+        let reused = tuples.len() - unique.len();
+        assert!((40..=120).contains(&reused), "{reused} reused of {}", tuples.len());
     }
 
     #[test]

@@ -75,13 +75,13 @@ fn parse_frames(out: &[u8]) -> Vec<Value> {
     frames
 }
 
-fn response_for<'a>(frames: &'a [Value], id: i64) -> Option<&'a Value> {
+fn response_for(frames: &[Value], id: i64) -> Option<&Value> {
     frames
         .iter()
         .find(|f| f.get("id").and_then(|i| i.as_int()) == Some(id))
 }
 
-fn diagnostics_published<'a>(frames: &'a [Value]) -> Vec<&'a [Value]> {
+fn diagnostics_published(frames: &[Value]) -> Vec<&[Value]> {
     frames
         .iter()
         .filter(|f| {

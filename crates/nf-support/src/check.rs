@@ -209,9 +209,9 @@ pub fn any_bool() -> Gen<bool> {
 impl Gen<u64> {
     /// Integer-preserving map that keeps the unsigned shrinker working by
     /// shrinking in the source domain and converting candidates.
-    pub fn map_int<U: Clone + 'static>(self, f: impl Fn(u64) -> U + 'static + Copy) -> Gen<U>
+    pub fn map_int<U>(self, f: impl Fn(u64) -> U + 'static + Copy) -> Gen<U>
     where
-        U: Into<u64>,
+        U: Clone + Into<u64> + 'static,
     {
         let g = self.gen.clone();
         let s = self.shrink.clone();
@@ -246,11 +246,9 @@ pub fn vec_of<T: Clone + 'static>(inner: Gen<T>, min_len: usize, max_len: usize)
             }
             // Then drop one element at a time.
             for i in 0..v.len() {
-                if v.len() - 1 >= min_len {
-                    let mut smaller = v.clone();
-                    smaller.remove(i);
-                    out.push(smaller);
-                }
+                let mut smaller = v.clone();
+                smaller.remove(i);
+                out.push(smaller);
             }
         }
         // Then shrink elements in place.

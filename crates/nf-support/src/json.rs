@@ -1,10 +1,12 @@
 //! A small JSON document type with rendering and parsing.
 //!
 //! [`Value`] replaces the `serde` derives the workspace used to carry:
-//! model types implement [`ToJson`] / [`FromJson`] by hand, which keeps
-//! the wire format explicit and reviewable (the `.nfm` text format in
-//! `nf-model::text` remains the human-facing serialization; JSON is the
-//! machine-facing one, used by bench reports and model interchange).
+//! types implement [`ToJson`] by hand, which keeps the wire format
+//! explicit and reviewable. JSON is an output format: the tools write
+//! models, lint reports, metrics, stats and traces with it, and read
+//! none of them back (the one model reader is the `.nfm` text format in
+//! `nf-model::text`). [`Value::parse`] reads the JSON the tools take as
+//! input: workload traces, `json-check` and language-server messages.
 //!
 //! Objects preserve insertion order (they are association lists, not
 //! hash maps) so rendering is deterministic.
@@ -30,13 +32,12 @@ pub enum Value {
     Object(Vec<(String, Value)>),
 }
 
-/// Errors from [`Value::parse`] or [`FromJson`] conversions.
+/// Errors from [`Value::parse`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JsonError {
     /// What went wrong.
     pub msg: String,
-    /// Byte offset in the input where parsing failed (0 for conversion
-    /// errors).
+    /// Byte offset in the input where parsing failed.
     pub offset: usize,
 }
 
@@ -48,27 +49,10 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
-impl JsonError {
-    /// A conversion (non-parse) error.
-    pub fn msg(m: impl Into<String>) -> JsonError {
-        JsonError {
-            msg: m.into(),
-            offset: 0,
-        }
-    }
-}
-
 /// Serialize a type to a [`Value`].
 pub trait ToJson {
     /// The JSON form of `self`.
     fn to_json(&self) -> Value;
-}
-
-/// Deserialize a type from a [`Value`].
-pub trait FromJson: Sized {
-    /// Rebuild from JSON; errors carry a message naming the ill-formed
-    /// part.
-    fn from_json(v: &Value) -> Result<Self, JsonError>;
 }
 
 impl Value {
@@ -78,12 +62,6 @@ impl Value {
             Value::Object(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
         }
-    }
-
-    /// Required-field lookup with a typed error.
-    pub fn field(&self, key: &str) -> Result<&Value, JsonError> {
-        self.get(key)
-            .ok_or_else(|| JsonError::msg(format!("missing field '{key}'")))
     }
 
     /// The integer, if this is one.

@@ -12,8 +12,9 @@
 //! * [`mod@bench`] — a `harness = false` micro-benchmark runner with warmup /
 //!   iteration control and JSON reports (replaces `criterion`).
 //! * [`json`] — a small JSON `Value` with `render` / `parse` and the
-//!   [`json::ToJson`] / [`json::FromJson`] traits model types implement by
-//!   hand (replaces the `serde` derives).
+//!   [`json::ToJson`] trait the written documents implement by hand
+//!   (replaces the `serde` derives; no document is read back into its
+//!   type).
 //! * [`bytes`] — big-endian append helpers for `Vec<u8>` wire buffers
 //!   (replaces the `bytes` crate).
 //! * [`budget`] — wall-clock / path / solver-call budgets threaded
@@ -48,6 +49,6 @@ pub mod workload;
 
 pub use budget::Budget;
 pub use fault::{FaultKind, FaultPlan};
-pub use json::{FromJson, JsonError, ToJson, Value};
+pub use json::{JsonError, ToJson, Value};
 pub use rng::Rng;
 pub use workload::{SliceSource, WorkloadError, WorkloadSource};

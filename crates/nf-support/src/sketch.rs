@@ -134,7 +134,7 @@ impl<K: Eq + Clone> TopK<K> {
     /// Tracked entries, heaviest first (ties keep insertion order).
     pub fn entries(&self) -> Vec<TopEntry<K>> {
         let mut out = self.slots.clone();
-        out.sort_by(|a, b| b.count.cmp(&a.count));
+        out.sort_by_key(|s| std::cmp::Reverse(s.count));
         out
     }
 }

@@ -100,7 +100,7 @@ impl Histogram {
 
     /// Mean observed value, or 0 when empty.
     pub fn mean(&self) -> u64 {
-        if self.count == 0 { 0 } else { self.sum / self.count }
+        self.sum.checked_div(self.count).unwrap_or(0)
     }
 
     /// Bucket-interpolated quantile estimate for `q` in `[0, 1]`

@@ -107,6 +107,6 @@ fn regression_single_observation() {
     assert_eq!(h.max, 5_000);
     for &q in &QS {
         let v = h.quantile(q);
-        assert!(v >= 1_000 && v <= 5_000, "quantile({q}) = {v} outside (1000, 5000]");
+        assert!((1_000..=5_000).contains(&v), "quantile({q}) = {v} outside (1000, 5000]");
     }
 }

@@ -300,11 +300,6 @@ pub fn is_packet_output(name: &str) -> bool {
     lookup(name).map(|b| b.effect == Effect::PacketOutput) == Some(true)
 }
 
-/// Is `name` the packet input function?
-pub fn is_packet_input(name: &str) -> bool {
-    lookup(name).map(|b| b.effect == Effect::PacketInput) == Some(true)
-}
-
 /// Is `name` a socket builtin with hidden OS state?
 pub fn is_socket(name: &str) -> bool {
     lookup(name).map(|b| b.effect == Effect::Socket) == Some(true)
@@ -324,7 +319,6 @@ mod tests {
     fn effect_queries() {
         assert!(is_packet_output("send"));
         assert!(!is_packet_output("recv"));
-        assert!(is_packet_input("recv"));
         assert!(is_socket("accept"));
         assert!(!is_socket("hash"));
     }

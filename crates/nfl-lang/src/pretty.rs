@@ -6,7 +6,6 @@
 
 use crate::ast::*;
 use std::collections::HashSet;
-use std::fmt::Write;
 
 /// Render an expression as source text.
 pub fn expr_to_string(e: &Expr) -> String {
@@ -55,8 +54,6 @@ pub struct RenderOpts {
     /// If set, only statements in this set (plus enclosing control
     /// structure) are printed at all — the sliced-program view.
     pub keep_only: Option<HashSet<StmtId>>,
-    /// Print `s<N>` statement ids in a margin.
-    pub show_ids: bool,
 }
 
 struct Printer<'o> {
@@ -72,14 +69,6 @@ impl<'o> Printer<'o> {
                 self.out.push_str(">> ");
             } else {
                 self.out.push_str("   ");
-            }
-        }
-        if self.opts.show_ids {
-            match id {
-                Some(id) => {
-                    let _ = write!(self.out, "{:>5} | ", id.to_string());
-                }
-                None => self.out.push_str("      | "),
             }
         }
         for _ in 0..self.indent {

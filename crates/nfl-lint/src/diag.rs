@@ -4,7 +4,7 @@
 //! the tool's public contract (scripts grep for them, goldens pin them),
 //! so existing codes must never be renumbered — new lints append.
 
-use nf_support::json::{FromJson, JsonError, ToJson, Value};
+use nf_support::json::{ToJson, Value};
 use nfl_lang::Span;
 use std::fmt;
 
@@ -27,16 +27,6 @@ impl Severity {
             Severity::Note => "note",
             Severity::Warning => "warning",
             Severity::Error => "error",
-        }
-    }
-
-    /// Parse the [`Severity::as_str`] form back.
-    pub fn from_str(s: &str) -> Option<Severity> {
-        match s {
-            "note" => Some(Severity::Note),
-            "warning" => Some(Severity::Warning),
-            "error" => Some(Severity::Error),
-            _ => None,
         }
     }
 }
@@ -126,11 +116,6 @@ impl Code {
             _ => Severity::Warning,
         }
     }
-
-    /// Parse an `NFL0xx` string back into a code.
-    pub fn from_str(s: &str) -> Option<Code> {
-        Code::ALL.into_iter().find(|c| c.as_str() == s)
-    }
 }
 
 impl fmt::Display for Code {
@@ -205,81 +190,62 @@ impl ToJson for Diagnostic {
     }
 }
 
-impl FromJson for Diagnostic {
-    fn from_json(v: &Value) -> Result<Self, JsonError> {
-        let code_str = v
-            .field("code")?
-            .as_str()
-            .ok_or_else(|| JsonError::msg("code must be a string"))?;
-        let code = Code::from_str(code_str)
-            .ok_or_else(|| JsonError::msg(format!("unknown code {code_str}")))?;
-        let severity_str = v
-            .field("severity")?
-            .as_str()
-            .ok_or_else(|| JsonError::msg("severity must be a string"))?;
-        let severity = Severity::from_str(severity_str)
-            .ok_or_else(|| JsonError::msg(format!("unknown severity {severity_str}")))?;
-        let int = |k: &str| -> Result<i64, JsonError> {
-            v.field(k)?
-                .as_int()
-                .ok_or_else(|| JsonError::msg(format!("{k} must be an integer")))
-        };
-        let var = match v.field("var")? {
-            Value::Null => None,
-            Value::Str(s) => Some(s.clone()),
-            _ => return Err(JsonError::msg("var must be a string or null")),
-        };
-        Ok(Diagnostic {
-            code,
-            severity,
-            span: Span::new(int("start")? as usize, int("end")? as usize, int("line")? as u32),
-            var,
-            message: v
-                .field("message")?
-                .as_str()
-                .ok_or_else(|| JsonError::msg("message must be a string"))?
-                .to_string(),
-        })
-    }
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     #[test]
     fn codes_are_stable_and_unique() {
-        let mut seen = std::collections::BTreeSet::new();
+        let mut codes = std::collections::BTreeSet::new();
+        let mut slugs = std::collections::BTreeSet::new();
         for (i, c) in Code::ALL.into_iter().enumerate() {
             assert_eq!(c.as_str(), format!("NFL{:03}", i + 1));
-            assert!(seen.insert(c.slug()), "duplicate slug {}", c.slug());
-            assert_eq!(Code::from_str(c.as_str()), Some(c));
+            assert!(codes.insert(c.as_str()), "duplicate code {}", c.as_str());
+            assert!(slugs.insert(c.slug()), "duplicate slug {}", c.slug());
         }
-        assert_eq!(Code::from_str("NFL999"), None);
     }
 
     #[test]
-    fn severity_roundtrips() {
-        for s in [Severity::Note, Severity::Warning, Severity::Error] {
-            assert_eq!(Severity::from_str(s.as_str()), Some(s));
-        }
+    fn severities_are_ordered() {
+        let all = [Severity::Note, Severity::Warning, Severity::Error];
+        assert_eq!(all.map(Severity::as_str), ["note", "warning", "error"]);
         assert!(Severity::Note < Severity::Warning);
         assert!(Severity::Warning < Severity::Error);
     }
 
+    /// Read every field of `d` back out of its parsed JSON document.
+    /// Shared with the report tests in `lib.rs`.
+    pub(crate) fn assert_written(d: &Diagnostic, doc: &Value) {
+        let str_of = |k: &str| doc.get(k).and_then(Value::as_str);
+        let int_of = |k: &str| doc.get(k).and_then(Value::as_int);
+        assert_eq!(str_of("code"), Some(d.code.as_str()));
+        assert_eq!(str_of("slug"), Some(d.code.slug()));
+        assert_eq!(str_of("severity"), Some(d.severity.as_str()));
+        assert_eq!(int_of("line"), Some(i64::from(d.span.line)));
+        assert_eq!(int_of("start"), Some(d.span.start as i64));
+        assert_eq!(int_of("end"), Some(d.span.end as i64));
+        match &d.var {
+            Some(v) => assert_eq!(str_of("var"), Some(v.as_str())),
+            None => assert_eq!(doc.get("var"), Some(&Value::Null)),
+        }
+        assert_eq!(str_of("message"), Some(d.message.as_str()));
+    }
+
     #[test]
-    fn diagnostic_json_roundtrips() {
+    fn diagnostic_json_carries_every_field() {
         let d = Diagnostic::new(
             Code::SharedState,
             Span::new(10, 20, 3),
             Some("b2f_nat".into()),
             "state `b2f_nat` needs a global shard",
         );
-        let v = d.to_json();
-        let parsed = Value::parse(&v.render()).unwrap();
-        assert_eq!(Diagnostic::from_json(&parsed).unwrap(), d);
+        assert_written(&d, &Value::parse(&d.to_json().render()).unwrap());
+        assert_eq!(
+            d.to_json().render(),
+            r#"{"code":"NFL009","slug":"shared-state","severity":"warning","line":3,"start":10,"end":20,"var":"b2f_nat","message":"state `b2f_nat` needs a global shard"}"#
+        );
         // A var-less diagnostic too.
         let d2 = Diagnostic::new(Code::UnreachableCode, Span::default(), None, "dead");
-        assert_eq!(Diagnostic::from_json(&d2.to_json()).unwrap(), d2);
+        assert_written(&d2, &Value::parse(&d2.to_json().render()).unwrap());
     }
 }

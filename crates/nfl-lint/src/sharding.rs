@@ -30,7 +30,7 @@
 use crate::ctx::AnalysisCtx;
 use crate::diag::{Code, Diagnostic};
 use nf_packet::Field;
-use nf_support::json::{FromJson, JsonError, ToJson, Value};
+use nf_support::json::{ToJson, Value};
 use nfl_analysis::cfg::NodeId;
 use nfl_analysis::defuse::DefKind;
 use nfl_lang::types::Ty;
@@ -109,7 +109,7 @@ pub struct DispatchKey {
 }
 
 impl DispatchKey {
-    /// Assemble a dispatch key (used by [`analyze`] and JSON decoding).
+    /// Assemble a dispatch key (used by [`analyze`] and the shard planner).
     pub fn new(fields: Vec<Field>, symmetric: bool) -> DispatchKey {
         DispatchKey { fields, symmetric }
     }
@@ -243,17 +243,6 @@ impl StateShard {
             StateShard::LogOnly => "log-only",
         }
     }
-
-    /// Parse [`StateShard::as_str`] back.
-    pub fn from_str(s: &str) -> Option<StateShard> {
-        match s {
-            "per-flow" => Some(StateShard::PerFlow),
-            "shared" => Some(StateShard::Shared),
-            "read-only" => Some(StateShard::ReadOnly),
-            "log-only" => Some(StateShard::LogOnly),
-            _ => None,
-        }
-    }
 }
 
 /// Verdict plus evidence for one state variable.
@@ -273,7 +262,7 @@ pub struct StateVerdict {
 }
 
 impl StateVerdict {
-    /// Assemble a verdict (used by [`analyze`] and JSON decoding).
+    /// Assemble a verdict (used by [`analyze`]).
     pub fn new(
         var: impl Into<String>,
         verdict: StateShard,
@@ -357,9 +346,9 @@ impl StateVerdict {
 /// a per-flow map with a resolved [`DispatchKey`]; consumers must
 /// tolerate their absence.
 ///
-/// encoded and parsed by the in-tree `nf_support::json` (serde-free);
-/// new object keys may be added, existing ones are never renamed or
-/// retyped.
+/// The document is written by the in-tree `nf_support::json`
+/// (serde-free) and read by no tool here; new object keys may be added,
+/// existing ones are never renamed or retyped.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ShardingReport {
     states: Vec<StateVerdict>,
@@ -450,70 +439,6 @@ impl ToJson for ShardingReport {
                 ),
             ),
         ])
-    }
-}
-
-impl FromJson for ShardingReport {
-    fn from_json(v: &Value) -> Result<Self, JsonError> {
-        let states = v
-            .field("states")?
-            .as_array()
-            .ok_or_else(|| JsonError::msg("states must be an array"))?
-            .iter()
-            .map(|s| {
-                let str_field = |k: &str| -> Result<String, JsonError> {
-                    Ok(s.field(k)?
-                        .as_str()
-                        .ok_or_else(|| JsonError::msg(format!("{k} must be a string")))?
-                        .to_string())
-                };
-                let int = |k: &str| -> Result<i64, JsonError> {
-                    s.field(k)?
-                        .as_int()
-                        .ok_or_else(|| JsonError::msg(format!("{k} must be an integer")))
-                };
-                let verdict_str = str_field("verdict")?;
-                // Dispatch keys are an additive extension: absent in
-                // older reports, so decode them tolerantly.
-                let dispatch = match s.get("dispatch_fields") {
-                    None => None,
-                    Some(fv) => {
-                        let fields = fv
-                            .as_array()
-                            .ok_or_else(|| JsonError::msg("dispatch_fields must be an array"))?
-                            .iter()
-                            .map(|f| {
-                                let path = f.as_str().ok_or_else(|| {
-                                    JsonError::msg("dispatch field must be a string")
-                                })?;
-                                Field::from_path(path).ok_or_else(|| {
-                                    JsonError::msg(format!("unknown dispatch field {path}"))
-                                })
-                            })
-                            .collect::<Result<Vec<_>, _>>()?;
-                        let symmetric = s
-                            .get("dispatch_symmetric")
-                            .and_then(Value::as_bool)
-                            .unwrap_or(false);
-                        Some(DispatchKey::new(fields, symmetric))
-                    }
-                };
-                Ok(StateVerdict::new(
-                    str_field("var")?,
-                    StateShard::from_str(&verdict_str)
-                        .ok_or_else(|| JsonError::msg(format!("unknown verdict {verdict_str}")))?,
-                    str_field("reason")?,
-                    Span::new(
-                        int("start")? as usize,
-                        int("end")? as usize,
-                        int("line")? as u32,
-                    ),
-                    int("key_sites")? as usize,
-                )
-                .with_dispatch(dispatch))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(ShardingReport::from_states(states))
     }
 }
 
@@ -1178,7 +1103,7 @@ pub fn analyze(ctx: &AnalysisCtx) -> (ShardingReport, Vec<Diagnostic>) {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn run(src: &str) -> ShardingReport {
@@ -1583,8 +1508,45 @@ mod tests {
         assert!(!d.symmetric());
     }
 
+    /// Read every verdict of `r` back out of its parsed JSON document.
+    /// Shared with the report tests in `lib.rs`.
+    pub(crate) fn assert_written(r: &ShardingReport, doc: &Value) {
+        assert_eq!(
+            doc.get("verdict").and_then(Value::as_str),
+            Some(r.nf_verdict().as_str())
+        );
+        let states = doc.get("states").and_then(Value::as_array).unwrap();
+        assert_eq!(states.len(), r.len());
+        for (s, sj) in r.states().iter().zip(states) {
+            let str_of = |k: &str| sj.get(k).and_then(Value::as_str);
+            let int_of = |k: &str| sj.get(k).and_then(Value::as_int);
+            assert_eq!(str_of("var"), Some(s.var()));
+            assert_eq!(str_of("verdict"), Some(s.verdict().as_str()));
+            assert_eq!(str_of("reason"), Some(s.reason()));
+            assert_eq!(int_of("line"), Some(i64::from(s.span().line)));
+            assert_eq!(int_of("start"), Some(s.span().start as i64));
+            assert_eq!(int_of("end"), Some(s.span().end as i64));
+            assert_eq!(int_of("key_sites"), Some(s.key_sites() as i64));
+            let fields = sj.get("dispatch_fields").and_then(Value::as_array).map(|fs| {
+                fs.iter().map(|f| f.as_str().unwrap()).collect::<Vec<_>>()
+            });
+            let symmetric = sj.get("dispatch_symmetric").and_then(Value::as_bool);
+            match s.dispatch() {
+                Some(d) => {
+                    let paths: Vec<_> = d.fields().iter().map(|f| f.path()).collect();
+                    assert_eq!(fields, Some(paths));
+                    assert_eq!(symmetric, Some(d.symmetric()));
+                }
+                None => {
+                    assert_eq!(fields, None);
+                    assert_eq!(symmetric, None);
+                }
+            }
+        }
+    }
+
     #[test]
-    fn dispatch_survives_json_roundtrip() {
+    fn dispatch_is_written_to_json() {
         let r = run(r#"
             state m = map();
             fn cb(pkt: packet) {
@@ -1594,12 +1556,13 @@ mod tests {
             fn main() { sniff(cb); }
         "#);
         assert!(verdict_of(&r, "m").dispatch().is_some());
-        let v = nf_support::json::Value::parse(&r.to_json().render()).unwrap();
-        assert_eq!(ShardingReport::from_json(&v).unwrap(), r);
+        let rendered = r.to_json().render();
+        assert!(rendered.contains(r#""dispatch_fields":["ip.src","tcp.sport"]"#), "{rendered}");
+        assert_written(&r, &Value::parse(&rendered).unwrap());
     }
 
     #[test]
-    fn report_json_roundtrips() {
+    fn report_json_carries_every_verdict() {
         let r = run(r#"
             state next = 0;
             state m = map();
@@ -1609,8 +1572,7 @@ mod tests {
             }
             fn main() { sniff(cb); }
         "#);
-        let v = nf_support::json::Value::parse(&r.to_json().render()).unwrap();
-        assert_eq!(ShardingReport::from_json(&v).unwrap(), r);
+        assert_written(&r, &Value::parse(&r.to_json().render()).unwrap());
         assert_eq!(r.nf_verdict(), StateShard::Shared);
     }
 }

@@ -310,9 +310,6 @@ pub struct SymExec {
     /// Wall-clock / solver-call budget; tightens `limits` and adds the
     /// hard stops `PathLimits` can't express.
     pub budget: Budget,
-    /// Configs pinned to concrete values (empty = fully symbolic configs,
-    /// the model-extraction mode).
-    pub pinned_configs: BTreeMap<String, SymVal>,
     /// Observability handle; deadline checks and the `symex.explore`
     /// span both run off its clock. Disabled by default.
     pub tracer: Tracer,
@@ -328,16 +325,9 @@ impl SymExec {
             pkt_param: pl.pkt_param.clone(),
             limits: PathLimits::default(),
             budget: Budget::unlimited(),
-            pinned_configs: BTreeMap::new(),
             tracer: Tracer::disabled(),
             solver: Solver,
         }
-    }
-
-    /// Pin a config to a concrete value (accuracy-experiment mode).
-    pub fn pin_config(mut self, name: &str, v: SymVal) -> SymExec {
-        self.pinned_configs.insert(name.to_string(), v);
-        self
     }
 
     /// Override limits.
@@ -406,20 +396,15 @@ impl SymExec {
             let v = self.init_value(&item.init, &env)?;
             env.insert(item.name.clone(), v);
         }
-        // Configs: symbolic scalars (unless pinned); compound stay
-        // concrete — a deployment's backend list is data, not a knob the
-        // table enumerates.
+        // Configs: symbolic scalars; compound stay concrete — a
+        // deployment's backend list is data, not a knob the table
+        // enumerates.
         for item in &self.program.configs {
-            let concrete = self.init_value(&item.init, &env)?;
-            let v = if let Some(pin) = self.pinned_configs.get(&item.name) {
-                SV::Val(pin.clone())
-            } else {
-                match &concrete {
-                    SV::Val(SymVal::Int(_)) | SV::Val(SymVal::Bool(_)) => {
-                        SV::Val(SymVal::Cfg(item.name.clone()))
-                    }
-                    _ => concrete,
+            let v = match self.init_value(&item.init, &env)? {
+                SV::Val(SymVal::Int(_)) | SV::Val(SymVal::Bool(_)) => {
+                    SV::Val(SymVal::Cfg(item.name.clone()))
                 }
+                concrete => concrete,
             };
             env.insert(item.name.clone(), v);
         }
@@ -1409,31 +1394,6 @@ mod tests {
         assert!(hash_path.state_updates.is_empty(), "hash mode is stateless");
         let rw = hash_path.outputs[0].rewrites();
         assert!(rw.iter().any(|(_, v)| v.to_string().contains("hash(")));
-    }
-
-    #[test]
-    fn pinned_config_collapses_table() {
-        let src = r#"
-            const RR = 1;
-            config mode = 1;
-            state idx = 0;
-            config servers = [(1.1.1.1, 80)];
-            fn cb(pkt: packet) {
-                if mode == RR {
-                    idx = (idx + 1) % len(servers);
-                }
-                send(pkt);
-            }
-            fn main() { sniff(cb); }
-        "#;
-        let p = parse_and_check(src).unwrap();
-        let pl = normalize(&p).unwrap();
-        let stats = SymExec::new(&pl)
-            .pin_config("mode", SymVal::Int(2))
-            .explore()
-            .unwrap();
-        assert_eq!(stats.paths.len(), 1, "mode pinned away the branch");
-        assert!(stats.paths[0].state_updates.is_empty());
     }
 
     #[test]

@@ -375,6 +375,11 @@ echo "==> docs: rustdoc builds without a warning"
 # public doc must not link to a private item.
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 
+echo "==> clippy: no lint warning in any workspace target"
+# Libraries, binaries, tests, benches and examples of the workspace.
+# nfbench is a workspace of its own and is not linted here.
+cargo clippy --workspace --all-targets --offline -- -D warnings
+
 echo "==> metrics gate: README observability table vs code"
 ./scripts/metrics_gate.sh
 

@@ -316,7 +316,7 @@ fn run_shards(
     let pipeline = Pipeline::builder()
         .name(&name)
         .shards(base.shards())
-        .budget(base.budget().clone())
+        .budget(*base.budget())
         .tracer(base.tracer().clone())
         .build()
         .map_err(|e| e.to_string())?;
@@ -455,7 +455,7 @@ fn run_top(
     let pipeline = Pipeline::builder()
         .name(&name)
         .shards(base.shards())
-        .budget(base.budget().clone())
+        .budget(*base.budget())
         .tracer(base.tracer().clone())
         .build()
         .map_err(|e| e.to_string())?;

@@ -18,7 +18,7 @@ use nfactor::analysis::defuse::{def_use, DefUse};
 use nfactor::analysis::liveness;
 use nfactor::analysis::pdg::{default_boundary, DepKind, Pdg};
 use nfactor::corpus::{default_corpus, snort};
-use nfactor::fuzz::{gen_program, GrammarConfig};
+use nfactor::fuzz::gen_program;
 use nfactor::lang::{Stmt, StmtId};
 use nfactor::lint::AnalysisCtx;
 use nfactor::support::check::{check, uint_range, Config, Gen};
@@ -183,7 +183,7 @@ fn subject_source(pick: u64) -> (String, String) {
     } else if pick == n {
         ("snort25".to_string(), snort::source(25))
     } else {
-        let prog = gen_program(&mut Rng::new(pick), GrammarConfig::default());
+        let prog = gen_program(&mut Rng::new(pick));
         (format!("gen-{pick}"), prog.source)
     }
 }

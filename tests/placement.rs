@@ -8,7 +8,7 @@
 
 use nfactor::core::Pipeline;
 use nfactor::corpus::{default_corpus, snort};
-use nfactor::fuzz::{gen_program, GrammarConfig};
+use nfactor::fuzz::gen_program;
 use nfactor::shard::{Backend, ShardEngine, ShardPlan};
 use nfactor::support::rng::Rng;
 use nfactor::trace::Tracer;
@@ -73,7 +73,7 @@ fn corpus_placement_equals_lint() {
 fn generated_placement_equals_lint() {
     let mut checked = 0;
     for seed in 1..=4 * GENERATED as u64 {
-        let prog = gen_program(&mut Rng::new(seed), GrammarConfig::default());
+        let prog = gen_program(&mut Rng::new(seed));
         if placement_matches_lint(&format!("gen-{seed}"), &prog.source) {
             checked += 1;
             if checked == GENERATED {

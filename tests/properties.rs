@@ -12,7 +12,7 @@ use nf_support::check::{
 use nfactor::compile::{compile, CompiledProgram, CompiledState};
 use nfactor::core::accuracy::{differential_test, initial_model_state};
 use nfactor::core::{Pipeline, Synthesis};
-use nfactor::fuzz::{gen_program, GrammarConfig};
+use nfactor::fuzz::gen_program;
 use nfactor::interp::Interp;
 use nfactor::model::ModelState;
 use nfactor::packet::{Field, Packet, PacketGen, TcpFlags};
@@ -235,7 +235,7 @@ fn step_then_revert_restores_state() {
     nfs.extend(
         (1..=4 * GENERATED as u64)
             .filter_map(|seed| {
-                let prog = gen_program(&mut Rng::new(seed), GrammarConfig::default());
+                let prog = gen_program(&mut Rng::new(seed));
                 build_nf(&format!("gen-{seed}"), &prog.source)
             })
             .take(GENERATED),
