@@ -107,16 +107,7 @@ fn enforce_recompute_profile() {
     let counter = |e: &Engine, n: &str| e.tracer().metrics().counter(n).unwrap_or(0);
     let downstream = [
         "query.normalize.recompute",
-        "query.types.recompute",
-        "query.boundary.recompute",
-        "query.cfg.recompute",
-        "query.pdg.recompute",
-        "query.dom.recompute",
-        "query.postdom.recompute",
-        "query.slice.recompute",
-        "query.statealyzer.recompute",
         "query.ctx.recompute",
-        "query.pass.sharding.recompute",
         "query.report.recompute",
     ];
     let parse_before = counter(&engine, "query.parse.recompute");

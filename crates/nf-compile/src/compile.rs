@@ -527,7 +527,7 @@ pub fn render(p: &CompiledProgram) -> String {
             CFlowAction::Forward { rewrites } => {
                 let rw: Vec<String> = rewrites
                     .iter()
-                    .map(|(f, t)| format!("pkt.{} := {}", f.path(), fmt_expr(p, t)))
+                    .map(|(f, t)| format!("{} := {}", SymVal::Pkt(*f), fmt_expr(p, t)))
                     .collect();
                 s.push_str(&format!("    action: forward [{}]\n", rw.join(", ")));
             }
@@ -536,7 +536,9 @@ pub fn render(p: &CompiledProgram) -> String {
             let ups: Vec<String> = e
                 .updates
                 .iter()
-                .map(|(slot, t)| format!("st:{} := {}", slot_names[*slot], fmt_expr(p, t)))
+                .map(|(slot, t)| {
+                    format!("{} := {}", SymVal::St(slot_names[*slot].clone()), fmt_expr(p, t))
+                })
                 .collect();
             s.push_str(&format!("    updates: [{}]\n", ups.join(", ")));
         }
@@ -576,9 +578,9 @@ pub fn render(p: &CompiledProgram) -> String {
                 missing,
             } => {
                 let lhs = if *mask == -1 {
-                    format!("pkt.{}", field.path())
+                    SymVal::Pkt(*field).to_string()
                 } else {
-                    format!("(pkt.{} & {:#x})", field.path(), mask)
+                    format!("({} & {:#x})", SymVal::Pkt(*field), mask)
                 };
                 let aa: Vec<String> = arms.iter().map(|(v, c)| format!("{v} -> n{c}")).collect();
                 let miss = match missing {
@@ -603,8 +605,8 @@ pub fn render(p: &CompiledProgram) -> String {
                     None => String::new(),
                 };
                 s.push_str(&format!(
-                    "  n{i}: range pkt.{} cuts [{}] -> [{}]{miss}\n",
-                    field.path(),
+                    "  n{i}: range {} cuts [{}] -> [{}]{miss}\n",
+                    SymVal::Pkt(*field),
                     cc.join(", "),
                     ch.join(", ")
                 ));
@@ -630,8 +632,8 @@ pub fn fmt_expr(p: &CompiledProgram, e: &CExpr) -> String {
     let layout = p.init.layout();
     match e {
         CExpr::Const(v) => format!("{v}"),
-        CExpr::Pkt(f) => format!("pkt.{}", f.path()),
-        CExpr::Slot(i) => format!("st:{}", layout.slot_names()[*i]),
+        CExpr::Pkt(f) => SymVal::Pkt(*f).to_string(),
+        CExpr::Slot(i) => SymVal::St(layout.slot_names()[*i].clone()).to_string(),
         CExpr::Stuck(m) => format!("stuck<{m}>"),
         CExpr::Tuple(es) => {
             let parts: Vec<String> = es.iter().map(|x| fmt_expr(p, x)).collect();

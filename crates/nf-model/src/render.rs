@@ -23,18 +23,10 @@ fn join_lits(lits: &[SymVal], star: &str) -> String {
         star.to_string()
     } else {
         lits.iter()
-            .map(|l| shorten(&l.to_string()))
+            .map(|l| l.short().to_string())
             .collect::<Vec<_>>()
             .join(" && ")
     }
-}
-
-/// Strip the variable-namespace prefixes for readability — the paper's
-/// table writes `idx`, not `st:idx`.
-fn shorten(s: &str) -> String {
-    s.replace("pkt.", "f.")
-        .replace("cfg:", "")
-        .replace("st:", "")
 }
 
 fn flow_action_str(a: &FlowAction) -> String {
@@ -44,7 +36,7 @@ fn flow_action_str(a: &FlowAction) -> String {
         FlowAction::Forward { rewrites } => {
             let parts: Vec<String> = rewrites
                 .iter()
-                .map(|(f, v)| format!("{} := {}", f.path(), shorten(&v.to_string())))
+                .map(|(f, v)| format!("{} := {}", f.path(), v.short()))
                 .collect();
             format!("send(f; {})", parts.join(", "))
         }
@@ -59,13 +51,13 @@ fn state_action_str(e: &Entry) -> String {
         .state_action
         .updates
         .iter()
-        .map(|(n, v)| format!("{n} := {}", shorten(&v.to_string())))
+        .map(|(n, v)| format!("{n} := {}", v.short()))
         .collect();
     parts.extend(
         e.state_action
             .map_ops
             .iter()
-            .map(|op| shorten(&op.to_string())),
+            .map(|op| op.short().to_string()),
     );
     parts.join("; ")
 }
@@ -77,7 +69,7 @@ pub fn render_figure6(model: &Model) -> String {
         let cfg = if table.config.is_empty() {
             "any configuration".to_string()
         } else {
-            shorten(&join_lits(&table.config, "*"))
+            join_lits(&table.config, "*")
         };
         rows.push((Some(cfg), Default::default()));
         for e in &table.entries {

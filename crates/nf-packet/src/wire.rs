@@ -39,16 +39,6 @@ impl MacAddr {
     /// The broadcast address `ff:ff:ff:ff:ff:ff`.
     pub const BROADCAST: MacAddr = MacAddr([0xff; 6]);
 
-    /// True if this is the broadcast address.
-    pub fn is_broadcast(&self) -> bool {
-        *self == Self::BROADCAST
-    }
-
-    /// True if the group bit (LSB of the first octet) is set.
-    pub fn is_multicast(&self) -> bool {
-        self.0[0] & 0x01 != 0
-    }
-
     /// Pack into a `u64` (lower 48 bits) for storage in NFL integers.
     pub fn to_u64(&self) -> u64 {
         self.0.iter().fold(0u64, |acc, b| (acc << 8) | u64::from(*b))
@@ -631,11 +621,8 @@ mod tests {
     }
 
     #[test]
-    fn mac_display_and_flags() {
+    fn mac_display() {
         let m = MacAddr([0x01, 0, 0, 0, 0, 1]);
-        assert!(m.is_multicast());
-        assert!(!m.is_broadcast());
-        assert!(MacAddr::BROADCAST.is_broadcast());
         assert_eq!(m.to_string(), "01:00:00:00:00:01");
     }
 

@@ -300,9 +300,9 @@ fn hover(engine: &mut Engine, params: &Value) -> Value {
             sections.push(format!("`{word}` — StateAlyzer class **{class}**"));
         }
     }
-    let sharding = engine.sharding_report(&uri);
-    if let Ok(report) = sharding.as_ref() {
-        if let Some(v) = report.get(&word) {
+    let report = engine.lint_report(&uri);
+    if let Ok(report) = report.as_ref() {
+        if let Some(v) = report.sharding.get(&word) {
             let mut s = format!(
                 "sharding verdict: **{}** — {}",
                 v.verdict().as_str(),

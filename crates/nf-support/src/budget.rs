@@ -1,5 +1,6 @@
-//! Work budgets for pipeline stages — wall-clock deadline plus
-//! path and solver-call caps.
+//! Work budgets for pipeline stages — wall-clock deadline plus a
+//! solver-call cap. (The path cap is the symbolic executor's
+//! `PathLimits::max_paths`.)
 //!
 //! The paper's vendor workflow (§4) runs NFactor unattended over
 //! arbitrary NF sources, so every stage must terminate inside a bound
@@ -24,8 +25,6 @@ use std::time::{Duration, Instant};
 pub struct Budget {
     /// Absolute wall-clock deadline (set via [`Budget::with_timeout`]).
     pub deadline: Option<Instant>,
-    /// Cap on symbolic execution paths (tightens `PathLimits::max_paths`).
-    pub max_paths: Option<usize>,
     /// Cap on SMT-lite solver invocations across the whole exploration.
     pub max_solver_calls: Option<usize>,
 }
@@ -34,11 +33,6 @@ impl Budget {
     /// A budget that never exhausts.
     pub fn unlimited() -> Budget {
         Budget::default()
-    }
-
-    /// True when no cap of any kind is set.
-    pub fn is_unlimited(&self) -> bool {
-        *self == Budget::default()
     }
 
     /// Set a wall-clock deadline `timeout` from *now*.
@@ -50,12 +44,6 @@ impl Budget {
     /// [`Budget::with_timeout`] in milliseconds (the CLI's `--timeout-ms`).
     pub fn with_timeout_ms(self, ms: u64) -> Budget {
         self.with_timeout(Duration::from_millis(ms))
-    }
-
-    /// Cap the number of explored paths.
-    pub fn with_max_paths(mut self, n: usize) -> Budget {
-        self.max_paths = Some(n);
-        self
     }
 
     /// Cap the number of solver calls.
@@ -82,7 +70,6 @@ mod tests {
     #[test]
     fn unlimited_never_expires() {
         let b = Budget::unlimited();
-        assert!(b.is_unlimited());
         assert!(!b.expired());
         assert_eq!(b.remaining(), None);
     }
@@ -92,7 +79,6 @@ mod tests {
         let b = Budget::unlimited().with_timeout(Duration::from_millis(0));
         assert!(b.expired());
         assert_eq!(b.remaining(), Some(Duration::from_millis(0)));
-        assert!(!b.is_unlimited());
     }
 
     #[test]
@@ -105,9 +91,8 @@ mod tests {
     #[test]
     fn caps_compose() {
         let b = Budget::unlimited()
-            .with_max_paths(10)
+            .with_timeout(Duration::from_secs(3600))
             .with_max_solver_calls(5);
-        assert_eq!(b.max_paths, Some(10));
         assert_eq!(b.max_solver_calls, Some(5));
         assert!(!b.expired());
     }

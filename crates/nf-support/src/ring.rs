@@ -66,11 +66,6 @@ impl<T> RingLog<T> {
     pub fn iter(&self) -> impl Iterator<Item = &T> {
         self.buf.iter()
     }
-
-    /// Consume the log, yielding retained entries oldest-first.
-    pub fn into_vec(self) -> Vec<T> {
-        self.buf.into_iter().collect()
-    }
 }
 
 #[cfg(test)]
@@ -86,7 +81,6 @@ mod tests {
         assert_eq!(r.len(), 3);
         assert_eq!(r.pushed(), 10);
         assert_eq!(r.iter().copied().collect::<Vec<_>>(), vec![7, 8, 9]);
-        assert_eq!(r.into_vec(), vec![7, 8, 9]);
     }
 
     #[test]
@@ -101,7 +95,7 @@ mod tests {
         }
         assert_eq!(evicted, vec![None, None, Some(0), Some(1)]);
         assert_eq!(r.pushed(), 4);
-        assert_eq!(r.into_vec(), vec![2, 3]);
+        assert_eq!(r.iter().copied().collect::<Vec<_>>(), vec![2, 3]);
     }
 
     #[test]
@@ -110,7 +104,7 @@ mod tests {
         r.push('a');
         r.push('b');
         assert_eq!(r.capacity(), 1);
-        assert_eq!(r.into_vec(), vec!['b']);
+        assert_eq!(r.iter().copied().collect::<Vec<_>>(), vec!['b']);
     }
 
     #[test]

@@ -57,11 +57,6 @@ impl MockClock {
         let ns = u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
         self.offset_ns.fetch_add(ns, Ordering::Relaxed);
     }
-
-    /// Total simulated nanoseconds elapsed since construction.
-    pub fn elapsed_ns(&self) -> u64 {
-        self.offset_ns.load(Ordering::Relaxed)
-    }
 }
 
 impl Clock for MockClock {
@@ -82,7 +77,6 @@ mod tests {
         let b = c.now();
         assert!(b > a);
         assert_eq!(b.duration_since(a), Duration::from_nanos(100));
-        assert_eq!(c.elapsed_ns(), 200);
     }
 
     #[test]

@@ -32,20 +32,6 @@ impl DomTree {
         }
         false
     }
-
-    /// Walk from `n` to the root, yielding strict dominators.
-    pub fn strict_ancestors(&self, n: NodeId) -> Vec<NodeId> {
-        let mut out = Vec::new();
-        let mut cur = self.idom[n];
-        while let Some(a) = cur {
-            out.push(a);
-            if a == self.root {
-                break;
-            }
-            cur = self.idom[a];
-        }
-        out
-    }
 }
 
 fn compute(order: &[NodeId], preds: impl Fn(NodeId) -> Vec<NodeId>, root: NodeId, n: usize) -> DomTree {
@@ -217,16 +203,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn strict_ancestors_reach_root() {
-        let (cfg, d, _) = analyze("fn main() { let a = 1; let b = 2; let c = 3; }");
-        // Node for `c`:
-        let c = (0..cfg.len()).rfind(|&n| cfg.nodes[n].stmt.is_some())
-            .unwrap();
-        let anc = d.strict_ancestors(c);
-        assert_eq!(*anc.last().unwrap(), cfg.entry);
     }
 
     #[test]

@@ -24,7 +24,7 @@ use std::fmt;
 /// The canonical normalised form: `program.function(func)` is the
 /// per-packet processing body, `pkt_param` its packet parameter — the
 /// `pktVar` of Algorithm 1.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 pub struct PacketLoop {
     /// The transformed program (entry calls inlined, ids renumbered).
     pub program: Program,

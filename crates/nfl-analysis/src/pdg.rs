@@ -55,13 +55,7 @@ impl Pdg {
         let f = program
             .function(func)
             .unwrap_or_else(|| panic!("no function `{func}`"));
-        Pdg::build_with_cfg(program, boundary_vars, build_cfg(f))
-    }
-
-    /// Like [`Pdg::build`], but over an already-constructed CFG, so a
-    /// caller that derives the CFG independently (the incremental query
-    /// engine memoizes it as its own fact) doesn't rebuild it here.
-    pub fn build_with_cfg(program: &Program, boundary_vars: &BTreeSet<String>, cfg: Cfg) -> Pdg {
+        let cfg = build_cfg(f);
         let reaching = reaching_definitions(program, &cfg, boundary_vars);
         // Persistent state flows across packets through the implicit
         // packet loop (Figure 1: the NAT entry installed for a flow's

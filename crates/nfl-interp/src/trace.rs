@@ -49,14 +49,6 @@ impl Trace {
             .map(|(i, _)| i)
             .collect()
     }
-
-    /// The distinct statements executed.
-    pub fn executed_stmts(&self) -> Vec<StmtId> {
-        let mut v: Vec<StmtId> = self.events.iter().map(|e| e.stmt).collect();
-        v.sort_unstable();
-        v.dedup();
-        v
-    }
 }
 
 #[cfg(test)]
@@ -80,14 +72,5 @@ mod tests {
         t.push(ev(2, false));
         t.push(ev(1, true));
         assert_eq!(t.emit_indices(), vec![1, 3]);
-    }
-
-    #[test]
-    fn executed_stmts_dedups() {
-        let mut t = Trace::default();
-        t.push(ev(5, false));
-        t.push(ev(5, false));
-        t.push(ev(2, false));
-        assert_eq!(t.executed_stmts(), vec![StmtId(2), StmtId(5)]);
     }
 }

@@ -9,6 +9,7 @@
 use crate::span::Span;
 use nf_packet::Field;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// Unique identifier of a statement within one [`Program`].
 ///
@@ -99,7 +100,7 @@ pub enum UnOp {
 }
 
 /// An expression.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Expr {
     /// What the expression is.
     pub kind: ExprKind,
@@ -108,7 +109,7 @@ pub struct Expr {
 }
 
 /// Expression kinds.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum ExprKind {
     /// Integer literal (plain, hex, or dotted-quad IPv4).
     Int(i64),
@@ -207,7 +208,7 @@ impl Expr {
 }
 
 /// The target of an assignment.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum LValue {
     /// `x = …`
     Var(String),
@@ -242,7 +243,7 @@ impl LValue {
 }
 
 /// What a `for` loop iterates over.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum ForIter {
     /// `for i in lo..hi` — an integer range.
     Range(Expr, Expr),
@@ -251,7 +252,7 @@ pub enum ForIter {
 }
 
 /// A statement.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Stmt {
     /// Unique id, dense within the program.
     pub id: StmtId,
@@ -262,7 +263,7 @@ pub struct Stmt {
 }
 
 /// Statement kinds.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum StmtKind {
     /// `let x = e;` — introduces a local.
     Let {
@@ -316,7 +317,7 @@ pub enum StmtKind {
 }
 
 /// A function definition.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Function {
     /// Function name.
     pub name: String,
@@ -330,7 +331,7 @@ pub struct Function {
 }
 
 /// A top-level declaration other than a function.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Item {
     /// Declared name.
     pub name: String,
@@ -341,6 +342,11 @@ pub struct Item {
 }
 
 /// A whole NFL program.
+///
+/// Its [`Hash`] covers every declaration and function, spans, ids and
+/// literals included, but not `source`: a trivia-only edit (a comment,
+/// whitespace past the last span) hashes the same, while any edit that
+/// moves a span, and so a diagnostic, does not.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Program {
     /// `const` declarations — compile-time constants, folded freely.
@@ -355,6 +361,15 @@ pub struct Program {
     pub functions: Vec<Function>,
     /// The original source text, kept for LoC accounting and diagnostics.
     pub source: String,
+}
+
+impl Hash for Program {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.consts.hash(state);
+        self.configs.hash(state);
+        self.states.hash(state);
+        self.functions.hash(state);
+    }
 }
 
 impl Program {
@@ -527,6 +542,27 @@ mod tests {
             ..Program::default()
         };
         assert_eq!(p.loc(), 2);
+    }
+
+    fn hash_of(src: &str) -> u64 {
+        let p = crate::parse_and_check(src).unwrap();
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        p.hash(&mut h);
+        h.finish()
+    }
+
+    const BASE: &str = "\
+state hits = 0;
+fn cb(pkt: packet) { hits = hits + 1; send(pkt); }
+fn main() { sniff(cb); }
+";
+
+    #[test]
+    fn program_hash_skips_trivia_but_not_spans_or_literals() {
+        assert_eq!(hash_of(BASE), hash_of(BASE));
+        assert_eq!(hash_of(BASE), hash_of(&format!("{BASE}// a trailing comment\n")));
+        assert_ne!(hash_of(BASE), hash_of(&format!("// leading\n{BASE}")));
+        assert_ne!(hash_of(BASE), hash_of(&BASE.replace("hits + 1", "hits + 2")));
     }
 
     #[test]

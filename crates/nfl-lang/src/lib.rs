@@ -45,7 +45,6 @@
 
 pub mod ast;
 pub mod builtins;
-pub mod fingerprint;
 pub mod lexer;
 pub mod parser;
 pub mod pretty;

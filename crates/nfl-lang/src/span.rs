@@ -62,11 +62,6 @@ impl LineIndex {
         }
     }
 
-    /// Number of lines (at least 1, even for empty input).
-    pub fn line_count(&self) -> usize {
-        self.starts.len()
-    }
-
     /// 1-based `(line, column)` of a byte offset. Offsets past the end
     /// clamp to the last position.
     pub fn line_col(&self, offset: usize) -> (u32, u32) {
@@ -149,7 +144,6 @@ mod tests {
     fn line_index_maps_offsets() {
         let src = "ab\ncde\n\nf";
         let ix = LineIndex::new(src);
-        assert_eq!(ix.line_count(), 4);
         assert_eq!(ix.line_col(0), (1, 1));
         assert_eq!(ix.line_col(1), (1, 2));
         assert_eq!(ix.line_col(3), (2, 1));

@@ -51,7 +51,7 @@ pub mod sharding;
 
 pub use ctx::{AnalysisCtx, LoopError};
 pub use diag::{Code, Diagnostic, Severity};
-pub use passes::{default_passes, finish_sink, LintPass, LintSink, PassManager};
+pub use passes::{LintPass, LintSink, PassManager};
 pub use sharding::{mirror_field, DispatchKey, ShardingReport, StateShard, StateVerdict};
 
 use nf_support::json::{ToJson, Value};
@@ -79,6 +79,19 @@ impl LintReport {
         self.diagnostics
             .iter()
             .any(|d| d.severity == Severity::Error)
+    }
+
+    /// Run the default passes over `ctx` and assemble their report,
+    /// timing each pass into `tracer` as [`PassManager::run_traced`]
+    /// does.
+    pub fn from_ctx(name: &str, ctx: &AnalysisCtx, tracer: &nf_trace::Tracer) -> LintReport {
+        let sink = PassManager::with_default_passes().run_traced(ctx, tracer);
+        LintReport {
+            name: name.to_string(),
+            diagnostics: sink.diagnostics,
+            sharding: sink.sharding.unwrap_or_default(),
+            source: ctx.program().source.clone(),
+        }
     }
 
     /// Render the human-readable text form.
@@ -117,13 +130,7 @@ pub fn lint_program_traced(
     let span = tracer.span("lint.ctx.build");
     let ctx = AnalysisCtx::build(program)?;
     span.end();
-    let sink = PassManager::with_default_passes().run_traced(&ctx, tracer);
-    Ok(LintReport {
-        name: name.to_string(),
-        diagnostics: sink.diagnostics,
-        sharding: sink.sharding.unwrap_or_default(),
-        source: ctx.program().source.clone(),
-    })
+    Ok(LintReport::from_ctx(name, &ctx, tracer))
 }
 
 /// Parse, check and lint NFL source with the default passes.

@@ -50,12 +50,17 @@ pub struct PassManager {
 impl PassManager {
     /// The default registry: every built-in pass, in code order.
     pub fn with_default_passes() -> PassManager {
-        PassManager { passes: default_passes() }
-    }
-
-    /// The registered passes, in run order.
-    pub fn passes(&self) -> &[Box<dyn LintPass>] {
-        &self.passes
+        PassManager {
+            passes: vec![
+                Box::new(DeadStorePass),
+                Box::new(UnreachableCodePass),
+                Box::new(UnusedConfigPass),
+                Box::new(UseBeforeInitPass),
+                Box::new(UnguardedMapReadPass),
+                Box::new(ClassMismatchPass),
+                Box::new(ShardingPass),
+            ],
+        }
     }
 
     /// Run every pass and return the sorted findings.
@@ -73,37 +78,16 @@ impl PassManager {
             pass.run(ctx, &mut sink);
             span.end();
         }
-        finish_sink(&mut sink);
+        // Sort into `Diagnostic::sort_key` order and drop exact
+        // duplicates, so two runs over one program give byte-identical
+        // reports.
+        sink.diagnostics.sort_by(|a, b| a.sort_key().cmp(&b.sort_key()));
+        sink.diagnostics.dedup();
         if tracer.is_enabled() {
             tracer.count("lint.diagnostics", sink.diagnostics.len() as u64);
         }
         sink
     }
-}
-
-/// The built-in passes in registration order. Exposed so callers that
-/// memoize each pass individually (`nf-query`) run the *same* list in
-/// the *same* order as [`PassManager::with_default_passes`].
-pub fn default_passes() -> Vec<Box<dyn LintPass>> {
-    vec![
-        Box::new(DeadStorePass),
-        Box::new(UnreachableCodePass),
-        Box::new(UnusedConfigPass),
-        Box::new(UseBeforeInitPass),
-        Box::new(UnguardedMapReadPass),
-        Box::new(ClassMismatchPass),
-        Box::new(ShardingPass),
-    ]
-}
-
-/// The canonical post-processing every lint run applies: sort combined
-/// findings into [`Diagnostic::sort_key`] order and drop exact
-/// duplicates. Shared between [`PassManager::run_traced`] and the
-/// incremental engine's merge step so both produce byte-identical
-/// reports.
-pub fn finish_sink(sink: &mut LintSink) {
-    sink.diagnostics.sort_by(|a, b| a.sort_key().cmp(&b.sort_key()));
-    sink.diagnostics.dedup();
 }
 
 impl Default for PassManager {

@@ -125,11 +125,6 @@ impl DispatchKey {
         self.symmetric
     }
 
-    /// The mirrored field list the symmetric hash compares against.
-    pub fn mirror_fields(&self) -> Vec<Field> {
-        self.fields.iter().map(|f| mirror_field(*f)).collect()
-    }
-
     /// Compact rendering, e.g. `ip.src` or
     /// `sym(ip.src, tcp.sport, ip.dst, tcp.dport)`.
     pub fn render(&self) -> String {
@@ -1366,10 +1361,6 @@ pub(crate) mod tests {
         assert_eq!(
             d.fields(),
             &[Field::IpSrc, Field::TcpSport, Field::IpDst, Field::TcpDport]
-        );
-        assert_eq!(
-            d.mirror_fields(),
-            vec![Field::IpDst, Field::TcpDport, Field::IpSrc, Field::TcpSport]
         );
     }
 

@@ -45,17 +45,6 @@ impl SliceResult {
             },
         )
     }
-
-    /// Render only the sliced program.
-    pub fn render_slice(&self, program: &Program) -> String {
-        pretty::program_to_string_opts(
-            program,
-            &pretty::RenderOpts {
-                keep_only: Some(self.stmts.clone()),
-                ..Default::default()
-            },
-        )
-    }
 }
 
 /// Union of two slices (`pktSlice ∪ stateSlice`, Algorithm 1 line 10).
@@ -326,6 +315,17 @@ mod tests {
         (pl.program, pl.func, pdg)
     }
 
+    /// The program cut down to the slice's statements.
+    fn sliced_text(slice: &SliceResult, p: &Program) -> String {
+        pretty::program_to_string_opts(
+            p,
+            &pretty::RenderOpts {
+                keep_only: Some(slice.stmts.clone()),
+                ..Default::default()
+            },
+        )
+    }
+
     const NF: &str = r#"
         config PORT = 80;
         state hits = 0;
@@ -346,7 +346,7 @@ mod tests {
     fn packet_slice_keeps_forwarding_drops_logging() {
         let (p, func, pdg) = setup(NF);
         let ps = packet_slice(&pdg, &p, &func);
-        let text = ps.render_slice(&p);
+        let text = sliced_text(&ps, &p);
         assert!(text.contains("send(pkt)"), "{text}");
         assert!(text.contains("ttl"), "header rewrite kept:\n{text}");
         assert!(text.contains("if"), "guard kept:\n{text}");
@@ -375,7 +375,7 @@ mod tests {
         let (p, func, pdg) = setup(NF);
         let ois: BTreeSet<String> = ["hits".to_string()].into();
         let ss = state_slice(&pdg, &p, &func, &ois);
-        let text = ss.render_slice(&p);
+        let text = sliced_text(&ss, &p);
         assert!(text.contains("hits = (hits + 1)"), "{text}");
         assert!(text.contains("if"), "guard of the update kept:\n{text}");
         assert!(!text.contains("send"), "send not a state criterion:\n{text}");

@@ -170,10 +170,6 @@ struct ExploreCtx {
 
 impl ExploreCtx {
     fn new(limits: PathLimits, budget: &Budget, tracer: Tracer) -> ExploreCtx {
-        let mut limits = limits;
-        if let Some(n) = budget.max_paths {
-            limits.max_paths = limits.max_paths.min(n);
-        }
         ExploreCtx {
             limits,
             solver_calls: 0,
@@ -1803,10 +1799,13 @@ mod budget_tests {
     }
 
     #[test]
-    fn budget_max_paths_tightens_limits() {
+    fn max_paths_limit_stops_with_path_budget_reason() {
         let pl = branchy_nf();
         let stats = SymExec::new(&pl)
-            .with_budget(Budget::unlimited().with_max_paths(8))
+            .with_limits(PathLimits {
+                max_paths: 8,
+                ..PathLimits::default()
+            })
             .explore()
             .unwrap();
         assert!(!stats.exhausted);
@@ -1819,14 +1818,17 @@ mod budget_tests {
     }
 
     #[test]
-    fn path_budget_monotone_and_lossless() {
-        // A larger path budget never loses paths: every path set is a
-        // superset (by canonical form) of the smaller budget's set.
+    fn path_cap_monotone_and_lossless() {
+        // A larger path cap never loses paths: every path set is a
+        // superset (by canonical form) of the smaller cap's set.
         let pl = branchy_nf();
         let mut prev: Option<Vec<String>> = None;
         for cap in [1usize, 2, 8, 32, 128] {
             let stats = SymExec::new(&pl)
-                .with_budget(Budget::unlimited().with_max_paths(cap))
+                .with_limits(PathLimits {
+                    max_paths: cap,
+                    ..PathLimits::default()
+                })
                 .explore()
                 .unwrap();
             let mut canon: Vec<String> =

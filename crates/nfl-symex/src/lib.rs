@@ -32,4 +32,4 @@ pub mod sym;
 
 pub use engine::{ExplorationStats, Path, PathLimits, SymExec};
 pub use solver::{Solver, Verdict};
-pub use sym::{MapOp, SymPacket, SymVal};
+pub use sym::{MapOp, Short, SymPacket, SymVal};

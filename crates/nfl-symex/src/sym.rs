@@ -11,7 +11,8 @@
 //! Constructors constant-fold so concrete programs stay concrete.
 //!
 //! This module is the only one that knows the rendered prefixes: `Display`
-//! writes them and [`SymVal::var`] reads them back.
+//! writes them and [`SymVal::var`] reads them back. [`SymVal::short`] and
+//! [`MapOp::short`] write the Figure 6 table's style without them.
 
 use nf_packet::Field;
 use nfl_lang::BinOp;
@@ -121,14 +122,20 @@ impl SymVal {
         SymVal::Var("checksum(pkt)".into())
     }
 
-    /// A variable's rendered name split at its class prefix; `None` for
-    /// any term that is not a variable.
-    fn var_parts(&self) -> Option<(&'static str, &str)> {
-        match self {
-            SymVal::Pkt(f) => Some(("pkt.", f.path())),
-            SymVal::Cfg(n) => Some(("cfg:", n)),
-            SymVal::St(n) => Some(("st:", n)),
-            SymVal::Var(n) => Some(("", n)),
+    /// A variable's name in `style`, split at its prefix; `None` for any
+    /// term that is not a variable.
+    fn var_parts(&self, style: Style) -> Option<(&'static str, &str)> {
+        match (self, style) {
+            (SymVal::Pkt(f), Style::Full) => Some(("pkt.", f.path())),
+            (SymVal::Cfg(n), Style::Full) => Some(("cfg:", n)),
+            (SymVal::St(n), Style::Full) => Some(("st:", n)),
+            (SymVal::Var(n), Style::Full) => Some(("", n)),
+            (SymVal::Pkt(f), Style::Short) => Some(("f.", f.path())),
+            (SymVal::Cfg(n) | SymVal::St(n), Style::Short) => Some(("", n)),
+            (SymVal::Var(n), Style::Short) => Some(match n.strip_prefix("pkt.") {
+                Some(property) => ("f.", property),
+                None => ("", n),
+            }),
             _ => None,
         }
     }
@@ -137,8 +144,15 @@ impl SymVal {
     /// `st:idx`, `pkt.len`); `None` for any other term. The solver keys
     /// its facts and witnesses by it, and [`SymVal::var`] reads it back.
     pub fn var_name(&self) -> Option<String> {
-        self.var_parts()
+        self.var_parts(Style::Full)
             .map(|(prefix, name)| [prefix, name].concat())
+    }
+
+    /// The term in the Figure 6 table's style: packet fields and
+    /// properties as `f.<path>`, configs and states by their bare names
+    /// (`idx`, not `st:idx`). Unlike `Display`, not read back.
+    pub fn short(&self) -> Short<'_, SymVal> {
+        Short(self)
     }
 
     /// The packet fields a map key is made of: one field, or a tuple of
@@ -285,7 +299,7 @@ impl SymVal {
     pub fn free_vars(&self) -> Vec<&SymVal> {
         let mut out: Vec<&SymVal> = Vec::new();
         self.walk(&mut |v| {
-            if v.var_parts().is_some() && !out.contains(&v) {
+            if v.var_parts(Style::Full).is_some() && !out.contains(&v) {
                 out.push(v);
             }
         });
@@ -318,47 +332,95 @@ pub struct Mentions {
     pub state: bool,
 }
 
-impl fmt::Display for SymVal {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+/// How a term writes its variables.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Style {
+    /// `Display`'s: every variable carries its class prefix.
+    Full,
+    /// The Figure 6 table's (see [`SymVal::short`]).
+    Short,
+}
+
+/// A term or map op written in the Figure 6 table's style; see
+/// [`SymVal::short`] and [`MapOp::short`].
+#[derive(Debug, Clone, Copy)]
+pub struct Short<'a, T>(&'a T);
+
+impl SymVal {
+    fn write(&self, f: &mut fmt::Formatter<'_>, style: Style) -> fmt::Result {
         match self {
             SymVal::Int(v) => write!(f, "{v}"),
             SymVal::Bool(b) => write!(f, "{b}"),
             SymVal::Str(s) => write!(f, "{s:?}"),
             SymVal::Pkt(_) | SymVal::Cfg(_) | SymVal::St(_) | SymVal::Var(_) => {
-                let (prefix, name) = self.var_parts().unwrap_or_default();
+                let (prefix, name) = self.var_parts(style).unwrap_or_default();
                 write!(f, "{prefix}{name}")
             }
-            SymVal::Tuple(es) => {
-                write!(f, "(")?;
-                for (i, e) in es.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ", ")?;
-                    }
-                    write!(f, "{e}")?;
-                }
-                write!(f, ")")
+            SymVal::Tuple(es) => write_list(f, style, "(", es, ")"),
+            SymVal::Array(es) => write_list(f, style, "[", es, "]"),
+            SymVal::Bin(op, a, b) => {
+                f.write_str("(")?;
+                a.write(f, style)?;
+                write!(f, " {} ", op.symbol())?;
+                b.write(f, style)?;
+                f.write_str(")")
             }
-            SymVal::Array(es) => {
-                write!(f, "[")?;
-                for (i, e) in es.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ", ")?;
-                    }
-                    write!(f, "{e}")?;
-                }
-                write!(f, "]")
+            SymVal::Not(a) => write_list(f, style, "!(", [&**a], ")"),
+            SymVal::Neg(a) => write_list(f, style, "-(", [&**a], ")"),
+            SymVal::Hash(a) => write_list(f, style, "hash(", [&**a], ")"),
+            SymVal::Min(a, b) => write_list(f, style, "min(", [&**a, &**b], ")"),
+            SymVal::Max(a, b) => write_list(f, style, "max(", [&**a, &**b], ")"),
+            SymVal::MapGet(m, k) => {
+                write!(f, "{m}[")?;
+                k.write(f, style)?;
+                f.write_str("]")
             }
-            SymVal::Bin(op, a, b) => write!(f, "({a} {} {b})", op.symbol()),
-            SymVal::Not(a) => write!(f, "!({a})"),
-            SymVal::Neg(a) => write!(f, "-({a})"),
-            SymVal::Hash(a) => write!(f, "hash({a})"),
-            SymVal::Min(a, b) => write!(f, "min({a}, {b})"),
-            SymVal::Max(a, b) => write!(f, "max({a}, {b})"),
-            SymVal::MapGet(m, k) => write!(f, "{m}[{k}]"),
-            SymVal::MapContains(m, k) => write!(f, "({k} in {m})"),
-            SymVal::ArrayGet(a, i) => write!(f, "{a}[{i}]"),
-            SymVal::Proj(a, i) => write!(f, "{a}.{i}"),
+            SymVal::MapContains(m, k) => {
+                f.write_str("(")?;
+                k.write(f, style)?;
+                write!(f, " in {m})")
+            }
+            SymVal::ArrayGet(a, i) => {
+                a.write(f, style)?;
+                f.write_str("[")?;
+                i.write(f, style)?;
+                f.write_str("]")
+            }
+            SymVal::Proj(a, i) => {
+                a.write(f, style)?;
+                write!(f, ".{i}")
+            }
         }
+    }
+}
+
+/// `open`, the terms `es` separated by `, `, then `close`.
+fn write_list<'t>(
+    f: &mut fmt::Formatter<'_>,
+    style: Style,
+    open: &str,
+    es: impl IntoIterator<Item = &'t SymVal>,
+    close: &str,
+) -> fmt::Result {
+    f.write_str(open)?;
+    for (i, e) in es.into_iter().enumerate() {
+        if i > 0 {
+            f.write_str(", ")?;
+        }
+        e.write(f, style)?;
+    }
+    f.write_str(close)
+}
+
+impl fmt::Display for SymVal {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.write(f, Style::Full)
+    }
+}
+
+impl fmt::Display for Short<'_, SymVal> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.0.write(f, Style::Short)
     }
 }
 
@@ -428,12 +490,38 @@ pub enum MapOp {
     },
 }
 
+impl MapOp {
+    /// The op in the Figure 6 table's style (see [`SymVal::short`]).
+    pub fn short(&self) -> Short<'_, MapOp> {
+        Short(self)
+    }
+
+    fn write(&self, f: &mut fmt::Formatter<'_>, style: Style) -> fmt::Result {
+        match self {
+            MapOp::Insert { map, key, value } => {
+                write!(f, "{map}[")?;
+                key.write(f, style)?;
+                f.write_str("] := ")?;
+                value.write(f, style)
+            }
+            MapOp::Remove { map, key } => {
+                write!(f, "del {map}[")?;
+                key.write(f, style)?;
+                f.write_str("]")
+            }
+        }
+    }
+}
+
 impl fmt::Display for MapOp {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            MapOp::Insert { map, key, value } => write!(f, "{map}[{key}] := {value}"),
-            MapOp::Remove { map, key } => write!(f, "del {map}[{key}]"),
-        }
+        self.write(f, Style::Full)
+    }
+}
+
+impl fmt::Display for Short<'_, MapOp> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.0.write(f, Style::Short)
     }
 }
 
@@ -457,6 +545,23 @@ mod tests {
             SymVal::Int(4),
             "euclidean mod like the interpreter"
         );
+    }
+
+    #[test]
+    fn short_style_drops_prefixes_but_not_literal_text() {
+        let t = SymVal::bin(BinOp::Eq, SymVal::Pkt(Field::IpSrc), SymVal::St("idx".into()));
+        assert_eq!(t.to_string(), "(pkt.ip.src == st:idx)");
+        assert_eq!(t.short().to_string(), "(f.ip.src == idx)");
+        assert_eq!(SymVal::pkt_len().short().to_string(), "f.len");
+        let lit = SymVal::Str("pkt.x cfg:y st:z".into());
+        assert_eq!(lit.short().to_string(), lit.to_string());
+        let op = MapOp::Insert {
+            map: "m".into(),
+            key: SymVal::Cfg("k".into()),
+            value: SymVal::Int(1),
+        };
+        assert_eq!(op.to_string(), "m[cfg:k] := 1");
+        assert_eq!(op.short().to_string(), "m[k] := 1");
     }
 
     #[test]
