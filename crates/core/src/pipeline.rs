@@ -67,7 +67,8 @@ pub struct PipelineConfig {
     /// paper reports as ">1 hr" for snort.
     pub measure_original: bool,
     /// Resource budget for the whole pipeline (wall-clock deadline plus
-    /// path/step/solver caps). On exhaustion the pipeline degrades
+    /// solver-call cap; the path cap is [`PathLimits::max_paths`] in
+    /// [`limits`](Self::limits)). On exhaustion the pipeline degrades
     /// gracefully: it returns a *partial* model stamped
     /// [`Completeness::Truncated`](nf_model::Completeness) instead of
     /// hanging or erroring — Table 2's ">1000 paths" made first-class.
@@ -163,7 +164,8 @@ impl PipelineBuilder {
         self
     }
 
-    /// Resource budget (deadline + path/step/solver caps) for the run.
+    /// Resource budget (deadline plus solver-call cap) for the run; the
+    /// path cap is set through [`limits`](Self::limits).
     pub fn budget(mut self, budget: Budget) -> Self {
         self.config.budget = budget;
         self

@@ -17,8 +17,9 @@
 //!   type).
 //! * [`bytes`] — big-endian append helpers for `Vec<u8>` wire buffers
 //!   (replaces the `bytes` crate).
-//! * [`budget`] — wall-clock / path / solver-call budgets threaded
-//!   through the pipeline for graceful degradation under a deadline.
+//! * [`budget`] — a wall-clock deadline plus a solver-call cap threaded
+//!   through the pipeline for graceful degradation under a deadline
+//!   (the path cap is the symbolic executor's `PathLimits::max_paths`).
 //! * [`spsc`] — a bounded single-producer/single-consumer ring buffer
 //!   (the `nf-shard` dispatcher→worker queues).
 //! * [`fault`] — a seeded, deterministic fault-injection plan
