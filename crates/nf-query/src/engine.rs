@@ -33,7 +33,7 @@
 //! [`nfl_lint::lint_source`] call would.
 
 use nf_trace::Tracer;
-use nfl_analysis::normalize::PacketLoop;
+use nfl_analysis::normalize::{detect_structure, PacketLoop, Structure};
 use nfl_lang::Program;
 use nfl_lint::{AnalysisCtx, LintReport};
 use std::collections::{BTreeMap, HashMap};
@@ -88,7 +88,12 @@ enum QueryValue {
     /// document is not loaded.
     Text(Option<Arc<String>>),
     Parse(Arc<Result<Program, String>>),
+    /// The normalised loop, until [`QueryKind::Ctx`] takes it.
     Loop(Arc<Result<PacketLoop, String>>),
+    /// A loop Ctx took by move. Ctx reads the loop only right after
+    /// Normalize recomputed it, and Normalize's cutoff compares
+    /// fingerprints only, so the memo keeps just its fingerprint.
+    Taken,
     Ctx(Arc<Result<AnalysisCtx, String>>),
     Report(Arc<Result<LintReport, String>>),
 }
@@ -111,9 +116,16 @@ macro_rules! accessor {
 
 impl QueryValue {
     accessor!(as_parse, Parse, Program);
-    accessor!(as_loop, Loop, PacketLoop);
     accessor!(as_ctx, Ctx, AnalysisCtx);
     accessor!(as_report, Report, LintReport);
+
+    /// The loop by value, copied only if something else shares it.
+    fn into_loop(self) -> Result<PacketLoop, String> {
+        match self {
+            QueryValue::Loop(pl) => Arc::try_unwrap(pl).unwrap_or_else(|shared| (*shared).clone()),
+            _ => Err(WRONG_KIND.to_string()),
+        }
+    }
 }
 
 /// 64-bit FNV-1a: a [`Hasher`] with no per-process keys, so a
@@ -248,11 +260,39 @@ impl Engine {
         }
     }
 
-    /// The merged lint report for `doc` — byte-identical (JSON and
-    /// diagnostics) to a from-scratch [`nfl_lint::lint_source`] with
-    /// the same name and text.
+    /// The merged lint report for `doc` — byte-identical (JSON,
+    /// diagnostics and carried source) to a from-scratch
+    /// [`nfl_lint::lint_source`] with the same name and text.
     pub fn lint_report(&mut self, doc: &str) -> Arc<Result<LintReport, String>> {
-        self.fetch(doc, QueryKind::Report).value.as_report()
+        let report = self.fetch(doc, QueryKind::Report).value.as_report();
+        // A Parse cutoff keeps the program parsed from the older text,
+        // and with it everything derived, source included. Its spans
+        // index the new text just as well, so the report carries that,
+        // unless what was analysed is the socket unfolding's own text.
+        let (Ok(r), Some(d)) = (report.as_ref(), self.docs.get(doc)) else {
+            return report;
+        };
+        if r.source == *d.text || self.unfolded(doc) {
+            return report;
+        }
+        let current = Arc::new(Ok(LintReport {
+            source: d.text.to_string(),
+            ..r.clone()
+        }));
+        if let Some(m) = self.memo.get_mut(&(doc.to_string(), QueryKind::Report)) {
+            m.value = QueryValue::Report(current.clone());
+        }
+        current
+    }
+
+    /// Whether `doc`'s analysed program is its socket unfolding (the
+    /// Figure 4d shape) rather than the document itself.
+    fn unfolded(&self, doc: &str) -> bool {
+        let parsed = self.memo.get(&(doc.to_string(), QueryKind::Parse));
+        parsed.is_some_and(|m| match m.value.as_parse().as_ref() {
+            Ok(p) => detect_structure(p) == Structure::NestedLoop,
+            Err(_) => false,
+        })
     }
 
     /// The analysis context for `doc` (hover reads StateAlyzer classes
@@ -292,9 +332,15 @@ impl Engine {
                 return self.hit(kind, m);
             }
         }
-        // Red path: recompute.
+        // Red path: recompute. Ctx takes the loop out of Normalize's
+        // memo, so one copy of it lives on, inside the context.
+        if kind == QueryKind::Ctx {
+            if let Some(m) = self.memo.get_mut(&(doc.to_string(), QueryKind::Normalize)) {
+                m.value = QueryValue::Taken;
+            }
+        }
         let start = Instant::now();
-        let (value, fp) = compute(doc, kind, &input);
+        let (value, fp) = compute(doc, kind, input);
         if self.tracer.is_enabled() {
             let label = kind.label();
             self.tracer.count(&format!("query.{label}.recompute"), 1);
@@ -342,7 +388,7 @@ impl Engine {
 /// Run one query function on its up-to-date `input`. Parse and
 /// Normalize fingerprint their value; Ctx and Report are pure functions
 /// of their input and take its fingerprint.
-fn compute(doc: &str, kind: QueryKind, input: &Memo) -> (QueryValue, u64) {
+fn compute(doc: &str, kind: QueryKind, input: Memo) -> (QueryValue, u64) {
     match kind {
         QueryKind::Parse => {
             let res = match &input.value {
@@ -360,7 +406,7 @@ fn compute(doc: &str, kind: QueryKind, input: &Memo) -> (QueryValue, u64) {
             (QueryValue::Loop(Arc::new(res)), fp)
         }
         QueryKind::Ctx => {
-            let res = then(&input.value.as_loop(), |pl| AnalysisCtx::from_loop(pl.clone()));
+            let res = input.value.into_loop().and_then(AnalysisCtx::from_loop);
             (QueryValue::Ctx(Arc::new(res)), input.fingerprint)
         }
         QueryKind::Report => {

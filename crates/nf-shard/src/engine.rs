@@ -366,7 +366,7 @@ impl BackendState {
     /// store's map entries move into key order.
     fn into_snapshot(self) -> BTreeMap<String, Value> {
         match self {
-            BackendState::Interp(i) => i.globals.into_iter().collect(),
+            BackendState::Interp(i) => i.into_snapshot(),
             BackendState::Model(ms) => ms.into_snapshot(),
             BackendState::Compiled { state, .. } => state.store.into_snapshot(),
         }

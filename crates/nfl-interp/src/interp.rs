@@ -8,16 +8,26 @@
 //! first packet ([`Interp::set_config`]) — that is the `mode = RR | HASH`
 //! knob of Figure 6.
 //!
-//! Every write to a global banks the value it replaces in an undo log,
-//! so [`Interp::revert`] can undo a failed packet in O(writes it made)
-//! rather than the caller copying all state before every packet.
+//! [`Interp::new`] resolves every name once, lowering the program into
+//! a tree whose variables are slots: the globals live in a vector
+//! indexed by slot ([`Interp::globals`]), each call runs in a frame of
+//! slots, and a packet looks up no name. Ints and bools evaluate
+//! unboxed: operators, conditions and integer operands compute on
+//! `i64` and `bool`, and only a value that is stored or passed on
+//! becomes a [`Value`].
+//!
+//! Every write to a global banks the value it replaces, under the
+//! global's slot, in an undo log, so [`Interp::revert`] can undo a
+//! failed packet in O(writes it made) rather than the caller copying all
+//! state before every packet.
 
+use crate::lower::{self, Builtin, Callee, Code, Ex, Func, Iter, Place, St, StKind, Var};
 use crate::trace::{Trace, TraceEvent};
 use crate::value::{stable_hash, Value, ValueKey};
-use nf_packet::{frag, Packet};
+use nf_packet::{frag, Field, Packet};
 use nfl_analysis::normalize::PacketLoop;
-use nfl_lang::{BinOp, Expr, ExprKind, ForIter, LValue, Program, Stmt, StmtKind, UnOp};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use nfl_lang::{BinOp, StmtId, UnOp};
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::sync::Arc;
 
@@ -89,18 +99,16 @@ enum Flow {
     Continue,
 }
 
-/// The interpreter: program + persistent globals.
+/// The interpreter: the lowered program and its persistent globals.
 #[derive(Debug, Clone)]
 pub struct Interp {
-    /// Shared, immutable: a packet borrows function bodies from it and
-    /// a clone of the interpreter copies a pointer, not the AST.
-    program: Arc<Program>,
-    func: String,
-    pkt_param: String,
-    /// Globals: consts, configs and states, by name.
-    pub globals: HashMap<String, Value>,
-    /// Names that are `config`s (settable before the first packet).
-    config_names: Vec<String>,
+    /// Shared, immutable: a clone of the interpreter copies a pointer,
+    /// not the tree.
+    code: Arc<Code>,
+    /// Globals — consts, configs and states — by slot, in declaration
+    /// order; [`global`](Self::global) and
+    /// [`into_snapshot`](Self::into_snapshot) read them by name.
+    pub globals: Vec<Value>,
     packets_seen: u64,
     /// Pre-images of every write the most recent
     /// [`process`](Self::process) made, in write order;
@@ -113,8 +121,8 @@ pub struct Interp {
 enum Undo {
     /// `packets_seen` before the step's bump.
     Counter(u64),
-    /// A write to the named global.
-    Global(String, SlotUndo),
+    /// A write to the global in this slot.
+    Global(usize, SlotUndo),
 }
 
 /// What one write replaced inside a variable's value.
@@ -131,41 +139,6 @@ enum SlotUndo {
     Pushed,
     /// A `q_pop` removed this packet from the front.
     Popped(Packet),
-}
-
-/// Resolve a variable to its storage — a local shadows a global — and
-/// whether it is a global, whose writes must be undo-logged.
-fn resolve<'a>(
-    locals: &'a mut HashMap<String, Value>,
-    globals: &'a mut HashMap<String, Value>,
-    name: &str,
-) -> Result<(&'a mut Value, bool), RuntimeError> {
-    if let Some(v) = locals.get_mut(name) {
-        return Ok((v, false));
-    }
-    globals
-        .get_mut(name)
-        .map(|v| (v, true))
-        .ok_or_else(|| RuntimeError::Unbound(name.to_string()))
-}
-
-/// Whether evaluating `e` can write a variable: a mutating builtin or a
-/// user function call anywhere inside it.
-fn may_write(e: &Expr) -> bool {
-    match &e.kind {
-        ExprKind::Int(_) | ExprKind::Bool(_) | ExprKind::Str(_) => false,
-        ExprKind::Var(_) | ExprKind::Field(..) => false,
-        ExprKind::Tuple(es) | ExprKind::Array(es) => es.iter().any(may_write),
-        ExprKind::Index(a, b) | ExprKind::Binary(_, a, b) => may_write(a) || may_write(b),
-        ExprKind::Unary(_, a) => may_write(a),
-        ExprKind::Call(name, args) => {
-            !matches!(
-                name.as_str(),
-                "send" | "drop" | "log" | "hash" | "len" | "min" | "max" | "checksum"
-                    | "fragment" | "map" | "queue"
-            ) || args.iter().any(may_write)
-        }
-    }
 }
 
 /// `base[i]` over a map, array or tuple.
@@ -206,28 +179,21 @@ fn index_value(b: &Value, i: &Value) -> Result<Value, RuntimeError> {
     }
 }
 
-/// `a in b` (or `not in`) over a map or array.
-fn contains(op: BinOp, a: &Value, b: &Value) -> Result<Value, RuntimeError> {
-    let contained = match b {
+/// `a in b` over a map or array.
+fn contains(a: &Value, b: &Value) -> Result<bool, RuntimeError> {
+    match b {
         Value::Map(m) => {
             let k = a
                 .as_key()
                 .ok_or_else(|| RuntimeError::Type(format!("{} not keyable", a.type_name())))?;
-            m.contains_key(&k)
+            Ok(m.contains_key(&k))
         }
-        Value::Array(items) => items.contains(a),
-        other => {
-            return Err(RuntimeError::Type(format!(
-                "`in` over {}",
-                other.type_name()
-            )))
-        }
-    };
-    Ok(Value::Bool(if op == BinOp::In {
-        contained
-    } else {
-        !contained
-    }))
+        Value::Array(items) => Ok(items.contains(a)),
+        other => Err(RuntimeError::Type(format!(
+            "`in` over {}",
+            other.type_name()
+        ))),
+    }
 }
 
 /// The `len` builtin.
@@ -243,7 +209,93 @@ fn len_of(v: &Value) -> Result<Value, RuntimeError> {
     }
 }
 
-struct Ctx {
+/// A value as an operator sees it: an int or a bool unboxed, anything
+/// else as a [`Value`]. Two operands are equal exactly when their
+/// values are. Only equality and type errors see a boxed operand, so
+/// it lives on the heap: every evaluation step returns an operand, and
+/// a small one is much cheaper to pass back.
+#[derive(PartialEq)]
+enum Operand {
+    Int(i64),
+    Bool(bool),
+    /// Never a `Value::Int` or `Value::Bool`.
+    Boxed(Box<Value>),
+}
+
+impl Operand {
+    fn of(v: Value) -> Operand {
+        match v {
+            Value::Int(i) => Operand::Int(i),
+            Value::Bool(b) => Operand::Bool(b),
+            other => Operand::Boxed(Box::new(other)),
+        }
+    }
+
+    fn int(self) -> Option<i64> {
+        match self {
+            Operand::Int(i) => Some(i),
+            _ => None,
+        }
+    }
+
+    fn bool(self) -> Option<bool> {
+        match self {
+            Operand::Bool(b) => Some(b),
+            _ => None,
+        }
+    }
+
+    fn value(self) -> Value {
+        match self {
+            Operand::Int(i) => Value::Int(i),
+            Operand::Bool(b) => Value::Bool(b),
+            Operand::Boxed(v) => *v,
+        }
+    }
+}
+
+/// One call's locals, by slot; `None` until a binding has run.
+struct Frame<'c> {
+    slots: Vec<Option<Value>>,
+    /// The slots' names, for errors.
+    names: &'c [String],
+}
+
+impl<'c> Frame<'c> {
+    fn of(func: &'c Func) -> Frame<'c> {
+        Frame {
+            slots: vec![None; func.locals.len()],
+            names: &func.locals,
+        }
+    }
+}
+
+/// The storage `v` names — a set local first — and the global slot a
+/// write to it must bank, if it is a global.
+fn place<'v>(
+    code: &Code,
+    globals: &'v mut [Value],
+    fr: &'v mut Frame,
+    v: Var,
+) -> Result<(&'v mut Value, Option<usize>), RuntimeError> {
+    let names = fr.names;
+    let found = match v {
+        Var::Local(l) => fr.slots[l].as_mut().map(|x| (x, None)),
+        Var::Global(g) => globals.get_mut(g).map(|x| (x, Some(g))),
+        Var::Shadowed(l, g) => match fr.slots[l].as_mut() {
+            Some(x) => Some((x, None)),
+            None => globals.get_mut(g).map(|x| (x, Some(g))),
+        },
+    };
+    found.ok_or_else(|| RuntimeError::Unbound(v.name(&code.globals, names).to_string()))
+}
+
+/// One run of the lowered code over the globals: a packet, or the
+/// global initialisers.
+struct Machine<'a> {
+    code: &'a Code,
+    globals: &'a mut Vec<Value>,
+    undo: &'a mut Vec<Undo>,
     outputs: Vec<Packet>,
     logs: Vec<String>,
     trace: Trace,
@@ -252,37 +304,36 @@ struct Ctx {
 }
 
 impl Interp {
-    /// Build an interpreter from a normalised packet loop, evaluating all
-    /// global initialisers.
+    /// Build an interpreter from a normalised packet loop: lower it, and
+    /// evaluate all global initialisers in declaration order. An
+    /// initialiser sees only the globals declared before it.
     pub fn new(pl: &PacketLoop) -> Result<Interp, RuntimeError> {
+        let (code, inits) = lower::lower(pl);
         let mut interp = Interp {
-            program: Arc::new(pl.program.clone()),
-            func: pl.func.clone(),
-            pkt_param: pl.pkt_param.clone(),
-            globals: HashMap::new(),
-            config_names: pl.program.configs.iter().map(|i| i.name.clone()).collect(),
+            globals: Vec::with_capacity(code.globals.len()),
+            code: Arc::new(code),
             packets_seen: 0,
             undo: Vec::new(),
         };
-        let mut ctx = Ctx {
-            outputs: Vec::new(),
-            logs: Vec::new(),
-            trace: Trace::default(),
-            steps: 0,
-            ctrl: Vec::new(),
+        let Interp {
+            code,
+            globals,
+            undo,
+            ..
+        } = &mut interp;
+        let mut m = Machine::new(code, globals, undo);
+        let mut frame = Frame {
+            slots: vec![None; inits.locals.len()],
+            names: &inits.locals,
         };
-        let items: Vec<_> = pl
-            .program
-            .consts
-            .iter()
-            .chain(&pl.program.configs)
-            .chain(&pl.program.states)
-            .cloned()
-            .collect();
-        for item in items {
-            let mut locals = HashMap::new();
-            let v = interp.eval(&item.init, &mut locals, &mut ctx)?;
-            interp.globals.insert(item.name.clone(), v);
+        for (slot, init) in &inits.items {
+            let v = m.eval(init, &mut frame)?;
+            // A global's slot is pushed when its first declaration is
+            // evaluated, so a later global's is not there yet.
+            match m.globals.get_mut(*slot) {
+                Some(redeclared) => *redeclared = v,
+                None => m.globals.push(v),
+            }
         }
         Ok(interp)
     }
@@ -295,10 +346,13 @@ impl Interp {
                 "configs are fixed once traffic starts".into(),
             ));
         }
-        if !self.config_names.iter().any(|c| c == name) {
-            return Err(RuntimeError::Unbound(format!("config `{name}`")));
-        }
-        self.globals.insert(name.to_string(), v);
+        let slot = self
+            .code
+            .index
+            .get(name)
+            .filter(|s| self.code.configs.contains(s))
+            .ok_or_else(|| RuntimeError::Unbound(format!("config `{name}`")))?;
+        self.globals[*slot] = v;
         Ok(())
     }
 
@@ -318,14 +372,14 @@ impl Interp {
     /// drains as it replays.
     pub fn revert(&mut self) {
         while let Some(u) = self.undo.pop() {
-            let (name, u) = match u {
+            let (slot, u) = match u {
                 Undo::Counter(n) => {
                     self.packets_seen = n;
                     continue;
                 }
-                Undo::Global(name, u) => (name, u),
+                Undo::Global(slot, u) => (slot, u),
             };
-            let Some(slot) = self.globals.get_mut(&name) else {
+            let Some(slot) = self.globals.get_mut(slot) else {
                 continue;
             };
             // Entries replay in reverse onto the value each was taken
@@ -352,16 +406,21 @@ impl Interp {
         }
     }
 
-    /// Bank a write's pre-image when it hit a global.
-    fn log(&mut self, global: bool, name: &str, u: SlotUndo) {
-        if global {
-            self.undo.push(Undo::Global(name.to_string(), u));
-        }
+    /// Read a global by name (state inspection for tests and the
+    /// verifier).
+    pub fn global(&self, name: &str) -> Option<&Value> {
+        self.globals.get(*self.code.index.get(name)?)
     }
 
-    /// Read a global (state inspection for tests and the verifier).
-    pub fn global(&self, name: &str) -> Option<&Value> {
-        self.globals.get(name)
+    /// Consume the interpreter into a by-name view of its globals:
+    /// every value moves into the view.
+    pub fn into_snapshot(self) -> BTreeMap<String, Value> {
+        self.code
+            .globals
+            .iter()
+            .cloned()
+            .zip(self.globals)
+            .collect()
     }
 
     /// Process one packet through the per-packet function.
@@ -369,36 +428,59 @@ impl Interp {
         self.undo.clear();
         self.undo.push(Undo::Counter(self.packets_seen));
         self.packets_seen += 1;
-        let program = Arc::clone(&self.program);
-        let f = program
-            .function(&self.func)
-            .ok_or_else(|| RuntimeError::Unbound(self.func.clone()))?;
-        let mut locals: HashMap<String, Value> = HashMap::new();
-        locals.insert(self.pkt_param.clone(), Value::Packet(pkt.clone()));
-        let mut ctx = Ctx {
+        let Interp {
+            code,
+            globals,
+            undo,
+            ..
+        } = self;
+        let func = &code.funcs[*code.entry.as_ref().map_err(Clone::clone)?];
+        let mut frame = Frame::of(func);
+        frame.slots[0] = Some(Value::Packet(pkt.clone()));
+        let mut m = Machine::new(code, globals, undo);
+        m.block(&func.body, &mut frame)?;
+        Ok(StepResult {
+            dropped: m.outputs.is_empty(),
+            outputs: m.outputs,
+            logs: m.logs,
+            trace: m.trace,
+        })
+    }
+}
+
+impl<'a> Machine<'a> {
+    fn new(code: &'a Code, globals: &'a mut Vec<Value>, undo: &'a mut Vec<Undo>) -> Machine<'a> {
+        Machine {
+            code,
+            globals,
+            undo,
             outputs: Vec::new(),
             logs: Vec::new(),
             trace: Trace::default(),
             steps: 0,
             ctrl: Vec::new(),
-        };
-        self.exec_block(&f.body, &mut locals, &mut ctx)?;
-        Ok(StepResult {
-            dropped: ctx.outputs.is_empty(),
-            outputs: ctx.outputs,
-            logs: ctx.logs,
-            trace: ctx.trace,
-        })
+        }
     }
 
-    fn exec_block(
-        &mut self,
-        stmts: &[Stmt],
-        locals: &mut HashMap<String, Value>,
-        ctx: &mut Ctx,
-    ) -> Result<Flow, RuntimeError> {
+    /// Bank a write's pre-image when it hit a global.
+    fn bank(&mut self, global: Option<usize>, u: SlotUndo) {
+        if let Some(g) = global {
+            self.undo.push(Undo::Global(g, u));
+        }
+    }
+
+    /// Count one step against the per-packet limit.
+    fn tick(&mut self) -> Result<(), RuntimeError> {
+        self.steps += 1;
+        if self.steps > STEP_LIMIT {
+            return Err(RuntimeError::StepLimit);
+        }
+        Ok(())
+    }
+
+    fn block(&mut self, stmts: &[St], fr: &mut Frame) -> Result<Flow, RuntimeError> {
         for s in stmts {
-            match self.exec_stmt(s, locals, ctx)? {
+            match self.stmt(s, fr)? {
                 Flow::Normal => {}
                 other => return Ok(other),
             }
@@ -406,73 +488,54 @@ impl Interp {
         Ok(Flow::Normal)
     }
 
-    /// Trace one executed instance of `s`, under the innermost branch
-    /// instance still open.
-    fn record(&mut self, s: &Stmt, branch: Option<bool>, emitted: bool, ctx: &mut Ctx) -> usize {
-        let ctrl = ctx.ctrl.last().copied();
-        ctx.trace.push(TraceEvent {
-            stmt: s.id,
+    /// Trace one executed instance of statement `id`, under the
+    /// innermost branch instance still open.
+    fn record(&mut self, id: StmtId, branch: Option<bool>, emitted: bool) -> usize {
+        let ctrl = self.ctrl.last().copied();
+        self.trace.push(TraceEvent {
+            stmt: id,
             branch,
             ctrl,
             emitted,
         })
     }
 
-    fn exec_stmt(
-        &mut self,
-        s: &Stmt,
-        locals: &mut HashMap<String, Value>,
-        ctx: &mut Ctx,
-    ) -> Result<Flow, RuntimeError> {
-        ctx.steps += 1;
-        if ctx.steps > STEP_LIMIT {
-            return Err(RuntimeError::StepLimit);
-        }
+    fn stmt(&mut self, s: &St, fr: &mut Frame) -> Result<Flow, RuntimeError> {
+        self.tick()?;
         match &s.kind {
-            StmtKind::Let { name, value } => {
-                let emitted_before = ctx.outputs.len();
-                let v = self.eval(value, locals, ctx)?;
-                locals.insert(name.clone(), v);
-                self.record(s, None, ctx.outputs.len() > emitted_before, ctx);
+            StKind::Let(slot, value) => {
+                let emitted_before = self.outputs.len();
+                let v = self.eval(value, fr)?;
+                fr.slots[*slot] = Some(v);
+                self.record(s.id, None, self.outputs.len() > emitted_before);
                 Ok(Flow::Normal)
             }
-            StmtKind::Assign { target, value } => {
-                let emitted_before = ctx.outputs.len();
-                let v = self.eval(value, locals, ctx)?;
-                self.assign(target, v, locals, ctx)?;
-                self.record(s, None, ctx.outputs.len() > emitted_before, ctx);
+            StKind::Assign(target, value) => {
+                let emitted_before = self.outputs.len();
+                let v = self.eval(value, fr)?;
+                self.assign(target, v, fr)?;
+                self.record(s.id, None, self.outputs.len() > emitted_before);
                 Ok(Flow::Normal)
             }
-            StmtKind::If {
-                cond,
-                then_branch,
-                else_branch,
-            } => {
-                let c = self.eval_bool(cond, locals, ctx, "if condition not bool")?;
-                let ev = self.record(s, Some(c), false, ctx);
-                ctx.ctrl.push(ev);
-                let r = if c {
-                    self.exec_block(then_branch, locals, ctx)
-                } else {
-                    self.exec_block(else_branch, locals, ctx)
-                };
-                ctx.ctrl.pop();
+            StKind::If(cond, then_branch, else_branch) => {
+                let c = self.cond(cond, fr, "if condition not bool")?;
+                let ev = self.record(s.id, Some(c), false);
+                self.ctrl.push(ev);
+                let r = self.block(if c { then_branch } else { else_branch }, fr);
+                self.ctrl.pop();
                 r
             }
-            StmtKind::While { cond, body } => {
+            StKind::While(cond, body) => {
                 loop {
-                    ctx.steps += 1;
-                    if ctx.steps > STEP_LIMIT {
-                        return Err(RuntimeError::StepLimit);
-                    }
-                    let c = self.eval_bool(cond, locals, ctx, "while condition not bool")?;
-                    let ev = self.record(s, Some(c), false, ctx);
+                    self.tick()?;
+                    let c = self.cond(cond, fr, "while condition not bool")?;
+                    let ev = self.record(s.id, Some(c), false);
                     if !c {
                         break;
                     }
-                    ctx.ctrl.push(ev);
-                    let flow = self.exec_block(body, locals, ctx)?;
-                    ctx.ctrl.pop();
+                    self.ctrl.push(ev);
+                    let flow = self.block(body, fr)?;
+                    self.ctrl.pop();
                     match flow {
                         Flow::Break => break,
                         Flow::Return => return Ok(Flow::Return),
@@ -481,23 +544,18 @@ impl Interp {
                 }
                 Ok(Flow::Normal)
             }
-            StmtKind::For { var, iter, body } => {
+            StKind::For(slot, iter, body) => {
                 // A range is iterated lazily, never collected: its bound
                 // may come from the packet, and the step limit below must
                 // stop a huge one before it costs memory.
                 let (range, array) = match iter {
-                    ForIter::Range(lo, hi) => {
-                        let lo = self
-                            .eval(lo, locals, ctx)?
-                            .as_int()
-                            .ok_or_else(|| RuntimeError::Type("range bound not int".into()))?;
-                        let hi = self
-                            .eval(hi, locals, ctx)?
-                            .as_int()
-                            .ok_or_else(|| RuntimeError::Type("range bound not int".into()))?;
+                    Iter::Range(lo, hi) => {
+                        const BOUND: &str = "range bound not int";
+                        let lo = self.int(lo, fr, BOUND)?;
+                        let hi = self.int(hi, fr, BOUND)?;
                         (lo..hi, Vec::new())
                     }
-                    ForIter::Array(a) => match self.eval(a, locals, ctx)? {
+                    Iter::Array(a) => match self.eval(a, fr)? {
                         Value::Array(items) => (0..0, items),
                         other => {
                             return Err(RuntimeError::Type(format!(
@@ -508,66 +566,57 @@ impl Interp {
                     },
                 };
                 for item in range.map(Value::Int).chain(array) {
-                    ctx.steps += 1;
-                    if ctx.steps > STEP_LIMIT {
-                        return Err(RuntimeError::StepLimit);
-                    }
-                    let ev = self.record(s, Some(true), false, ctx);
-                    locals.insert(var.clone(), item);
-                    ctx.ctrl.push(ev);
-                    let flow = self.exec_block(body, locals, ctx)?;
-                    ctx.ctrl.pop();
+                    self.tick()?;
+                    let ev = self.record(s.id, Some(true), false);
+                    fr.slots[*slot] = Some(item);
+                    self.ctrl.push(ev);
+                    let flow = self.block(body, fr)?;
+                    self.ctrl.pop();
                     match flow {
                         Flow::Break => break,
                         Flow::Return => return Ok(Flow::Return),
                         Flow::Continue | Flow::Normal => {}
                     }
                 }
-                self.record(s, Some(false), false, ctx);
+                self.record(s.id, Some(false), false);
                 Ok(Flow::Normal)
             }
-            StmtKind::Return(v) => {
-                if let Some(e) = v {
-                    let val = self.eval(e, locals, ctx)?;
-                    locals.insert("__return".into(), val);
+            StKind::Return(v) => {
+                if let Some((slot, e)) = v {
+                    let val = self.eval(e, fr)?;
+                    fr.slots[*slot] = Some(val);
                 }
-                self.record(s, None, false, ctx);
+                self.record(s.id, None, false);
                 Ok(Flow::Return)
             }
-            StmtKind::Break => {
-                self.record(s, None, false, ctx);
+            StKind::Break => {
+                self.record(s.id, None, false);
                 Ok(Flow::Break)
             }
-            StmtKind::Continue => {
-                self.record(s, None, false, ctx);
+            StKind::Continue => {
+                self.record(s.id, None, false);
                 Ok(Flow::Continue)
             }
-            StmtKind::Expr(e) => {
-                let emitted_before = ctx.outputs.len();
-                self.eval(e, locals, ctx)?;
-                self.record(s, None, ctx.outputs.len() > emitted_before, ctx);
+            StKind::Expr(e) => {
+                let emitted_before = self.outputs.len();
+                self.eval(e, fr)?;
+                self.record(s.id, None, self.outputs.len() > emitted_before);
                 Ok(Flow::Normal)
             }
         }
     }
 
-    fn assign(
-        &mut self,
-        target: &LValue,
-        v: Value,
-        locals: &mut HashMap<String, Value>,
-        ctx: &mut Ctx,
-    ) -> Result<(), RuntimeError> {
+    fn assign(&mut self, target: &Place, v: Value, fr: &mut Frame) -> Result<(), RuntimeError> {
         match target {
-            LValue::Var(name) => {
-                let (slot, global) = resolve(locals, &mut self.globals, name)?;
+            Place::Var(var) => {
+                let (slot, global) = place(self.code, self.globals, fr, *var)?;
                 let prev = std::mem::replace(slot, v);
-                self.log(global, name, SlotUndo::Whole(prev));
+                self.bank(global, SlotUndo::Whole(prev));
                 Ok(())
             }
-            LValue::Index(base, key) => {
-                let k = self.eval(key, locals, ctx)?;
-                let (slot, global) = resolve(locals, &mut self.globals, base)?;
+            Place::Index(base, key) => {
+                let k = self.eval(key, fr)?;
+                let (slot, global) = place(self.code, self.globals, fr, *base)?;
                 let undo = match slot {
                     Value::Map(m) => {
                         let key = k.as_key().ok_or_else(|| {
@@ -597,14 +646,14 @@ impl Interp {
                         )))
                     }
                 };
-                self.log(global, base, undo);
+                self.bank(global, undo);
                 Ok(())
             }
-            LValue::Field(base, field) => {
+            Place::Field(base, field) => {
                 let iv = v
                     .as_int()
                     .ok_or_else(|| RuntimeError::Type("packet fields take ints".into()))?;
-                let (slot, global) = resolve(locals, &mut self.globals, base)?;
+                let (slot, global) = place(self.code, self.globals, fr, *base)?;
                 let Value::Packet(p) = slot else {
                     return Err(RuntimeError::Type(format!(
                         "field store on {}",
@@ -613,302 +662,313 @@ impl Interp {
                 };
                 let uv = u64::try_from(iv)
                     .map_err(|_| RuntimeError::Packet(format!("negative field value {iv}")))?;
-                let prev = global.then(|| p.clone());
+                let prev = global.map(|_| p.clone());
                 p.set(*field, uv)
                     .map_err(|e| RuntimeError::Packet(e.to_string()))?;
                 if let Some(prev) = prev {
-                    self.log(global, base, SlotUndo::Whole(Value::Packet(prev)));
+                    self.bank(global, SlotUndo::Whole(Value::Packet(prev)));
                 }
                 Ok(())
             }
         }
     }
 
-    /// Borrow a variable — a local shadows a global. Reads borrow; only
-    /// a value that escapes into a new binding is cloned.
-    fn lookup<'a>(
-        &'a self,
-        name: &str,
-        locals: &'a HashMap<String, Value>,
-    ) -> Result<&'a Value, RuntimeError> {
-        locals
-            .get(name)
-            .or_else(|| self.globals.get(name))
-            .ok_or_else(|| RuntimeError::Unbound(name.to_string()))
+    /// Borrow a variable — a set local first. Reads borrow; only a value
+    /// that escapes into a new binding is cloned.
+    fn read<'v>(&'v self, fr: &'v Frame, v: Var) -> Result<&'v Value, RuntimeError> {
+        match v {
+            Var::Local(l) => fr.slots[l].as_ref(),
+            Var::Global(g) => self.globals.get(g),
+            Var::Shadowed(l, g) => fr.slots[l].as_ref().or_else(|| self.globals.get(g)),
+        }
+        .ok_or_else(|| RuntimeError::Unbound(v.name(&self.code.globals, fr.names).to_string()))
     }
 
-    fn eval(
-        &mut self,
-        e: &Expr,
-        locals: &mut HashMap<String, Value>,
-        ctx: &mut Ctx,
-    ) -> Result<Value, RuntimeError> {
-        match &e.kind {
-            ExprKind::Int(v) => Ok(Value::Int(*v)),
-            ExprKind::Bool(b) => Ok(Value::Bool(*b)),
-            ExprKind::Str(s) => Ok(Value::Str(s.clone())),
-            ExprKind::Var(name) => self.lookup(name, locals).cloned(),
-            ExprKind::Field(base, field) => {
-                let p = self
-                    .lookup(base, locals)?
-                    .as_packet()
-                    .ok_or_else(|| RuntimeError::Type(format!("{base} is not a packet")))?;
-                let raw = p
-                    .get(*field)
-                    .map_err(|e| RuntimeError::Packet(e.to_string()))?;
-                Ok(Value::Int(raw as i64))
-            }
-            ExprKind::Tuple(es) => {
+    /// The packet field `v.field`.
+    fn field(&self, fr: &Frame, v: Var, field: Field) -> Result<i64, RuntimeError> {
+        let p = self.read(fr, v)?.as_packet().ok_or_else(|| {
+            RuntimeError::Type(format!(
+                "{} is not a packet",
+                v.name(&self.code.globals, fr.names)
+            ))
+        })?;
+        let raw = p
+            .get(field)
+            .map_err(|e| RuntimeError::Packet(e.to_string()))?;
+        Ok(raw as i64)
+    }
+
+    fn eval(&mut self, e: &Ex, fr: &mut Frame) -> Result<Value, RuntimeError> {
+        match e {
+            Ex::Str(s) => Ok(Value::Str(s.clone())),
+            Ex::Var(v) => self.read(fr, *v).cloned(),
+            Ex::Tuple(es) => {
                 let mut items = Vec::with_capacity(es.len());
                 for x in es {
-                    let v = self.eval(x, locals, ctx)?;
-                    items.push(
-                        v.as_int()
-                            .ok_or_else(|| RuntimeError::Type("tuple element not int".into()))?,
-                    );
+                    items.push(self.int(x, fr, "tuple element not int")?);
                 }
                 Ok(Value::Tuple(items))
             }
-            ExprKind::Array(es) => {
+            Ex::Array(es) => {
                 let mut items = Vec::with_capacity(es.len());
                 for x in es {
-                    items.push(self.eval(x, locals, ctx)?);
+                    items.push(self.eval(x, fr)?);
                 }
                 Ok(Value::Array(items))
             }
-            ExprKind::Index(base, idx) => {
-                // `m[k]` on a variable borrows the container instead of
-                // cloning it — unless evaluating the index could write
-                // the container, which must then see the pre-image.
-                if let ExprKind::Var(name) = &base.kind {
-                    if !may_write(idx) {
-                        self.lookup(name, locals)?;
-                        let i = self.eval(idx, locals, ctx)?;
-                        return index_value(self.lookup(name, locals)?, &i);
-                    }
-                }
-                let b = self.eval(base, locals, ctx)?;
-                let i = self.eval(idx, locals, ctx)?;
+            Ex::IndexVar(base, idx) => {
+                self.read(fr, *base)?;
+                let i = self.eval(idx, fr)?;
+                index_value(self.read(fr, *base)?, &i)
+            }
+            Ex::Index(base, idx) => {
+                let b = self.eval(base, fr)?;
+                let i = self.eval(idx, fr)?;
                 index_value(&b, &i)
             }
-            ExprKind::Binary(op, a, b) => self.eval_binary(*op, a, b, locals, ctx),
-            ExprKind::Unary(op, inner) => {
-                let v = self.eval(inner, locals, ctx)?;
+            Ex::Call(callee, args) => self.call(callee, args, fr),
+            Ex::MapRemove(base, key) => {
+                let k = self.eval(key, fr)?;
+                let key = k
+                    .as_key()
+                    .ok_or_else(|| RuntimeError::Type("unkeyable".into()))?;
+                let (slot, global) = place(self.code, self.globals, fr, *base)?;
+                let Value::Map(m) = slot else {
+                    return Err(RuntimeError::Type("map_remove on non-map".into()));
+                };
+                if let Some(prev) = m.remove(&key) {
+                    self.bank(global, SlotUndo::Key(key, Some(prev)));
+                }
+                Ok(Value::Unit)
+            }
+            Ex::QPush(base, pkt) => {
+                let Value::Packet(p) = self.eval(pkt, fr)? else {
+                    return Err(RuntimeError::Type("q_push takes a packet".into()));
+                };
+                let (slot, global) = place(self.code, self.globals, fr, *base)?;
+                let Value::Queue(q) = slot else {
+                    return Err(RuntimeError::Type("q_push on non-queue".into()));
+                };
+                q.push_back(p);
+                self.bank(global, SlotUndo::Pushed);
+                Ok(Value::Unit)
+            }
+            Ex::QPop(base) => {
+                let (slot, global) = place(self.code, self.globals, fr, *base)?;
+                let Value::Queue(q) = slot else {
+                    return Err(RuntimeError::Type("q_pop on non-queue".into()));
+                };
+                let p = q
+                    .pop_front()
+                    .ok_or_else(|| RuntimeError::Index("pop from empty queue".into()))?;
+                if global.is_some() {
+                    self.bank(global, SlotUndo::Popped(p.clone()));
+                }
+                Ok(Value::Packet(p))
+            }
+            Ex::Int(_) | Ex::Bool(_) | Ex::Field(..) | Ex::Binary(..) | Ex::Unary(..) => {
+                self.operand(e, fr).map(Operand::value)
+            }
+        }
+    }
+
+    /// Evaluate `e` with an int or bool result left unboxed.
+    fn operand(&mut self, e: &Ex, fr: &mut Frame) -> Result<Operand, RuntimeError> {
+        match e {
+            Ex::Int(v) => Ok(Operand::Int(*v)),
+            Ex::Bool(b) => Ok(Operand::Bool(*b)),
+            Ex::Var(v) => Ok(match self.read(fr, *v)? {
+                Value::Int(i) => Operand::Int(*i),
+                Value::Bool(b) => Operand::Bool(*b),
+                other => Operand::Boxed(Box::new(other.clone())),
+            }),
+            Ex::Field(v, field) => self.field(fr, *v, *field).map(Operand::Int),
+            Ex::Binary(op, a, b) => self.binary(*op, a, b, fr),
+            Ex::Unary(op, a) => {
+                let v = self.operand(a, fr)?;
                 match op {
                     UnOp::Neg => v
-                        .as_int()
-                        .map(|i| Value::Int(-i))
+                        .int()
+                        .map(|i| Operand::Int(-i))
                         .ok_or_else(|| RuntimeError::Type("negating non-int".into())),
                     UnOp::Not => v
-                        .as_bool()
-                        .map(|b| Value::Bool(!b))
+                        .bool()
+                        .map(|b| Operand::Bool(!b))
                         .ok_or_else(|| RuntimeError::Type("not of non-bool".into())),
                 }
             }
-            ExprKind::Call(name, args) => self.eval_call(name, args, locals, ctx),
+            _ => self.eval(e, fr).map(Operand::of),
         }
+    }
+
+    /// Evaluate `e` as a condition; `what` names a non-bool result.
+    fn cond(&mut self, e: &Ex, fr: &mut Frame, what: &str) -> Result<bool, RuntimeError> {
+        self.operand(e, fr)?
+            .bool()
+            .ok_or_else(|| RuntimeError::Type(what.into()))
+    }
+
+    /// Evaluate `e` as an int; `what` names a non-int result.
+    fn int(&mut self, e: &Ex, fr: &mut Frame, what: &str) -> Result<i64, RuntimeError> {
+        self.operand(e, fr)?
+            .int()
+            .ok_or_else(|| RuntimeError::Type(what.into()))
     }
 
     /// A binary operator. Every operator is dispatched exactly once, so
     /// the match is exhaustive.
-    fn eval_binary(
+    fn binary(
         &mut self,
         op: BinOp,
-        a: &Expr,
-        b: &Expr,
-        locals: &mut HashMap<String, Value>,
-        ctx: &mut Ctx,
-    ) -> Result<Value, RuntimeError> {
+        a: &Ex,
+        b: &Ex,
+        fr: &mut Frame,
+    ) -> Result<Operand, RuntimeError> {
         const ARITH: &str = "arith operand not int";
         const ORDER: &str = "ordering non-ints";
         let checked = |r: Option<i64>| {
-            r.map(Value::Int)
+            r.map(Operand::Int)
                 .ok_or_else(|| RuntimeError::Arith("overflow".into()))
         };
         match op {
             // Short-circuit: a false `a` decides `&&`, a true one `||`.
             BinOp::And | BinOp::Or => {
                 const LOGIC: &str = "logical operand not bool";
-                let va = self.eval_bool(a, locals, ctx, LOGIC)?;
+                let va = self.cond(a, fr, LOGIC)?;
                 if va == (op == BinOp::Or) {
-                    return Ok(Value::Bool(va));
+                    return Ok(Operand::Bool(va));
                 }
-                self.eval_bool(b, locals, ctx, LOGIC).map(Value::Bool)
+                self.cond(b, fr, LOGIC).map(Operand::Bool)
             }
             BinOp::In | BinOp::NotIn => {
-                let va = self.eval(a, locals, ctx)?;
-                if let ExprKind::Var(name) = &b.kind {
+                let va = self.eval(a, fr)?;
+                let contained = match b {
                     // `k in m` borrows the container instead of cloning it.
-                    return contains(op, &va, self.lookup(name, locals)?);
-                }
-                let vb = self.eval(b, locals, ctx)?;
-                contains(op, &va, &vb)
+                    Ex::Var(v) => contains(&va, self.read(fr, *v)?)?,
+                    _ => {
+                        let vb = self.eval(b, fr)?;
+                        contains(&va, &vb)?
+                    }
+                };
+                Ok(Operand::Bool(contained == (op == BinOp::In)))
             }
             BinOp::Eq | BinOp::Ne => {
-                let va = self.eval(a, locals, ctx)?;
-                let vb = self.eval(b, locals, ctx)?;
-                Ok(Value::Bool((va == vb) == (op == BinOp::Eq)))
+                let va = self.operand(a, fr)?;
+                let vb = self.operand(b, fr)?;
+                Ok(Operand::Bool((va == vb) == (op == BinOp::Eq)))
             }
-            BinOp::Lt => self.int_op(a, b, locals, ctx, ORDER, |x, y| Ok(Value::Bool(x < y))),
-            BinOp::Le => self.int_op(a, b, locals, ctx, ORDER, |x, y| Ok(Value::Bool(x <= y))),
-            BinOp::Gt => self.int_op(a, b, locals, ctx, ORDER, |x, y| Ok(Value::Bool(x > y))),
-            BinOp::Ge => self.int_op(a, b, locals, ctx, ORDER, |x, y| Ok(Value::Bool(x >= y))),
-            BinOp::Add => self.int_op(a, b, locals, ctx, ARITH, |x, y| checked(x.checked_add(y))),
-            BinOp::Sub => self.int_op(a, b, locals, ctx, ARITH, |x, y| checked(x.checked_sub(y))),
-            BinOp::Mul => self.int_op(a, b, locals, ctx, ARITH, |x, y| checked(x.checked_mul(y))),
-            BinOp::Div => self.int_op(a, b, locals, ctx, ARITH, |x, y| match y {
+            BinOp::Lt => self.int_op(a, b, fr, ORDER, |x, y| Ok(Operand::Bool(x < y))),
+            BinOp::Le => self.int_op(a, b, fr, ORDER, |x, y| Ok(Operand::Bool(x <= y))),
+            BinOp::Gt => self.int_op(a, b, fr, ORDER, |x, y| Ok(Operand::Bool(x > y))),
+            BinOp::Ge => self.int_op(a, b, fr, ORDER, |x, y| Ok(Operand::Bool(x >= y))),
+            BinOp::Add => self.int_op(a, b, fr, ARITH, |x, y| checked(x.checked_add(y))),
+            BinOp::Sub => self.int_op(a, b, fr, ARITH, |x, y| checked(x.checked_sub(y))),
+            BinOp::Mul => self.int_op(a, b, fr, ARITH, |x, y| checked(x.checked_mul(y))),
+            BinOp::Div => self.int_op(a, b, fr, ARITH, |x, y| match y {
                 0 => Err(RuntimeError::Arith("division by zero".into())),
                 _ => checked(x.checked_div(y)),
             }),
-            BinOp::Mod => self.int_op(a, b, locals, ctx, ARITH, |x, y| match y {
+            BinOp::Mod => self.int_op(a, b, fr, ARITH, |x, y| match y {
                 0 => Err(RuntimeError::Arith("mod by zero".into())),
                 _ => checked(x.checked_rem_euclid(y)),
             }),
-            BinOp::BitAnd => self.int_op(a, b, locals, ctx, ARITH, |x, y| Ok(Value::Int(x & y))),
-            BinOp::BitOr => self.int_op(a, b, locals, ctx, ARITH, |x, y| Ok(Value::Int(x | y))),
+            BinOp::BitAnd => self.int_op(a, b, fr, ARITH, |x, y| Ok(Operand::Int(x & y))),
+            BinOp::BitOr => self.int_op(a, b, fr, ARITH, |x, y| Ok(Operand::Int(x | y))),
         }
-    }
-
-    /// Evaluate `e` as a condition; `what` names a non-bool result.
-    fn eval_bool(
-        &mut self,
-        e: &Expr,
-        locals: &mut HashMap<String, Value>,
-        ctx: &mut Ctx,
-        what: &str,
-    ) -> Result<bool, RuntimeError> {
-        self.eval(e, locals, ctx)?
-            .as_bool()
-            .ok_or_else(|| RuntimeError::Type(what.into()))
     }
 
     /// Evaluate both operands of an integer operator, `a` then `b`, and
-    /// apply `f`; `what` names a non-int operand.
+    /// only then check that both are ints and apply `f`; `what` names a
+    /// non-int operand.
     fn int_op(
         &mut self,
-        a: &Expr,
-        b: &Expr,
-        locals: &mut HashMap<String, Value>,
-        ctx: &mut Ctx,
+        a: &Ex,
+        b: &Ex,
+        fr: &mut Frame,
         what: &str,
-        f: impl FnOnce(i64, i64) -> Result<Value, RuntimeError>,
-    ) -> Result<Value, RuntimeError> {
-        let va = self.eval(a, locals, ctx)?;
-        let vb = self.eval(b, locals, ctx)?;
-        let int = |v: &Value| v.as_int().ok_or_else(|| RuntimeError::Type(what.into()));
-        f(int(&va)?, int(&vb)?)
+        f: impl FnOnce(i64, i64) -> Result<Operand, RuntimeError>,
+    ) -> Result<Operand, RuntimeError> {
+        let va = self.operand(a, fr)?.int();
+        let vb = self.operand(b, fr)?.int();
+        match (va, vb) {
+            (Some(x), Some(y)) => f(x, y),
+            _ => Err(RuntimeError::Type(what.into())),
+        }
     }
 
-    fn eval_call(
+    fn call(
         &mut self,
-        name: &str,
-        args: &[Expr],
-        locals: &mut HashMap<String, Value>,
-        ctx: &mut Ctx,
+        callee: &Callee,
+        args: &[Ex],
+        fr: &mut Frame,
     ) -> Result<Value, RuntimeError> {
-        // Mutating builtins need l-value access; handle before generic
-        // argument evaluation.
-        match name {
-            "map_remove" => {
-                let ExprKind::Var(base) = &args[0].kind else {
-                    return Err(RuntimeError::Type("map_remove needs a variable".into()));
-                };
-                let k = self.eval(&args[1], locals, ctx)?;
-                let key = k
-                    .as_key()
-                    .ok_or_else(|| RuntimeError::Type("unkeyable".into()))?;
-                let (slot, global) = resolve(locals, &mut self.globals, base)?;
-                if let Value::Map(m) = slot {
-                    if let Some(prev) = m.remove(&key) {
-                        self.log(global, base, SlotUndo::Key(key, Some(prev)));
-                    }
-                    return Ok(Value::Unit);
-                }
-                return Err(RuntimeError::Type("map_remove on non-map".into()));
-            }
-            "q_push" => {
-                let ExprKind::Var(base) = &args[0].kind else {
-                    return Err(RuntimeError::Type("q_push needs a variable".into()));
-                };
-                let v = self.eval(&args[1], locals, ctx)?;
-                let Value::Packet(p) = v else {
-                    return Err(RuntimeError::Type("q_push takes a packet".into()));
-                };
-                let (slot, global) = resolve(locals, &mut self.globals, base)?;
-                if let Value::Queue(q) = slot {
-                    q.push_back(p);
-                    self.log(global, base, SlotUndo::Pushed);
-                    return Ok(Value::Unit);
-                }
-                return Err(RuntimeError::Type("q_push on non-queue".into()));
-            }
-            "q_pop" => {
-                let ExprKind::Var(base) = &args[0].kind else {
-                    return Err(RuntimeError::Type("q_pop needs a variable".into()));
-                };
-                let (slot, global) = resolve(locals, &mut self.globals, base)?;
-                if let Value::Queue(q) = slot {
-                    let p = q
-                        .pop_front()
-                        .ok_or_else(|| RuntimeError::Index("pop from empty queue".into()))?;
-                    if global {
-                        self.log(global, base, SlotUndo::Popped(p.clone()));
-                    }
-                    return Ok(Value::Packet(p));
-                }
-                return Err(RuntimeError::Type("q_pop on non-queue".into()));
-            }
-            "len" => {
-                if let [Expr {
-                    kind: ExprKind::Var(v),
-                    ..
-                }] = args
-                {
-                    // `len(m)` borrows the container instead of cloning it.
-                    return len_of(self.lookup(v, locals)?);
-                }
-            }
-            _ => {}
+        if let (Callee::Builtin(Builtin::Len), [Ex::Var(v)]) = (callee, args) {
+            // `len(m)` borrows the container instead of cloning it.
+            return len_of(self.read(fr, *v)?);
         }
         let mut vals = Vec::with_capacity(args.len());
         for a in args {
-            vals.push(self.eval(a, locals, ctx)?);
+            vals.push(self.eval(a, fr)?);
         }
-        match name {
-            "send" => {
-                let p = vals
-                    .first()
-                    .and_then(|v| v.as_packet())
-                    .ok_or_else(|| RuntimeError::Type("send takes a packet".into()))?;
-                ctx.outputs.push(p.clone());
+        match callee {
+            Callee::Builtin(b) => self.builtin(*b, vals),
+            Callee::Func(f) => self.invoke(*f, vals),
+            Callee::Fail(e) => Err(e.clone()),
+        }
+    }
+
+    /// Run user function `f` (a program that was not inlined) in a frame
+    /// of its own; its value is what its `return` left in `__return`.
+    fn invoke(&mut self, f: usize, vals: Vec<Value>) -> Result<Value, RuntimeError> {
+        let code = self.code;
+        let func = &code.funcs[f];
+        let mut frame = Frame::of(func);
+        for (&slot, v) in func.params.iter().zip(vals) {
+            frame.slots[slot] = Some(v);
+        }
+        self.block(&func.body, &mut frame)?;
+        Ok(func
+            .ret
+            .and_then(|r| frame.slots[r].take())
+            .unwrap_or(Value::Unit))
+    }
+
+    /// A builtin over its evaluated arguments (as many as its arity, at
+    /// least; lowering saw to that).
+    fn builtin(&mut self, b: Builtin, vals: Vec<Value>) -> Result<Value, RuntimeError> {
+        match b {
+            Builtin::Send => {
+                let Some(Value::Packet(p)) = vals.into_iter().next() else {
+                    return Err(RuntimeError::Type("send takes a packet".into()));
+                };
+                self.outputs.push(p);
                 Ok(Value::Unit)
             }
-            "drop" => Ok(Value::Unit),
-            "log" => {
+            Builtin::Drop => Ok(Value::Unit),
+            Builtin::Log => {
                 let line = vals
                     .iter()
                     .map(|v| v.to_string())
                     .collect::<Vec<_>>()
                     .join(" ");
-                ctx.logs.push(line);
+                self.logs.push(line);
                 Ok(Value::Unit)
             }
-            "hash" => Ok(Value::Int(stable_hash(&vals[0]))),
-            "len" => len_of(&vals[0]),
-            "min" | "max" => {
-                let x = vals[0]
-                    .as_int()
-                    .ok_or_else(|| RuntimeError::Type("min/max of non-int".into()))?;
-                let y = vals[1]
-                    .as_int()
-                    .ok_or_else(|| RuntimeError::Type("min/max of non-int".into()))?;
-                Ok(Value::Int(if name == "min" {
+            Builtin::Hash => Ok(Value::Int(stable_hash(&vals[0]))),
+            Builtin::Len => len_of(&vals[0]),
+            Builtin::Min | Builtin::Max => {
+                let int = |v: &Value| {
+                    v.as_int()
+                        .ok_or_else(|| RuntimeError::Type("min/max of non-int".into()))
+                };
+                let (x, y) = (int(&vals[0])?, int(&vals[1])?);
+                Ok(Value::Int(if matches!(b, Builtin::Min) {
                     x.min(y)
                 } else {
                     x.max(y)
                 }))
             }
-            "checksum" => {
+            Builtin::Checksum => {
                 let p = vals[0]
                     .as_packet()
                     .ok_or_else(|| RuntimeError::Type("checksum of non-packet".into()))?;
@@ -916,7 +976,7 @@ impl Interp {
                     &p.to_wire(),
                 ))))
             }
-            "fragment" => {
+            Builtin::Fragment => {
                 let p = vals[0]
                     .as_packet()
                     .ok_or_else(|| RuntimeError::Type("fragment of non-packet".into()))?;
@@ -932,26 +992,8 @@ impl Interp {
                         .collect(),
                 ))
             }
-            "map" => Ok(Value::Map(BTreeMap::new())),
-            "queue" => Ok(Value::Queue(VecDeque::new())),
-            "recv" | "sniff" | "spawn" => Err(RuntimeError::Type(format!(
-                "`{name}` must not appear in a per-packet function (normalise first)"
-            ))),
-            "listen" | "accept" | "connect" | "sock_read" | "sock_write" | "sock_close"
-            | "fork" | "select2" => Err(RuntimeError::SocketNotUnfolded(name.to_string())),
-            _ => {
-                // User function (when interpreting non-inlined programs).
-                let program = Arc::clone(&self.program);
-                let f = program
-                    .function(name)
-                    .ok_or_else(|| RuntimeError::Unbound(format!("function `{name}`")))?;
-                let mut frame: HashMap<String, Value> = HashMap::new();
-                for ((pname, _), v) in f.params.iter().zip(vals) {
-                    frame.insert(pname.clone(), v);
-                }
-                self.exec_block(&f.body, &mut frame, ctx)?;
-                Ok(frame.remove("__return").unwrap_or(Value::Unit))
-            }
+            Builtin::Map => Ok(Value::Map(BTreeMap::new())),
+            Builtin::Queue => Ok(Value::Queue(VecDeque::new())),
         }
     }
 }
@@ -1389,7 +1431,7 @@ mod more_tests {
     }
 
     fn sorted_globals(i: &Interp) -> BTreeMap<String, Value> {
-        i.globals.iter().map(|(k, v)| (k.clone(), v.clone())).collect()
+        i.clone().into_snapshot()
     }
 
     #[test]
@@ -1424,6 +1466,7 @@ mod more_tests {
     fn revert_undoes_every_kind_of_global_write() {
         let mut i = interp_of(
             r#"
+            config FROM = 1;
             state m = map();
             state arr = [1, 2, 3];
             state q = queue();
@@ -1433,7 +1476,7 @@ mod more_tests {
                 arr2[0] = 5;
                 m[1] = 10;
                 m[2] = 20;
-                if n > 0 {
+                if n >= FROM {
                     map_remove(m, 1);
                     m[2] = 21;
                     arr[1] = 99;
@@ -1447,13 +1490,32 @@ mod more_tests {
             fn main() { sniff(cb); }
         "#,
         );
+        // Configs are set, and globals read, by name.
+        assert_eq!(
+            i.set_config("n", Value::Int(0)),
+            Err(RuntimeError::Unbound("config `n`".into()))
+        );
+        assert_eq!(i.global("nope"), None);
+        i.set_config("FROM", Value::Int(2)).unwrap();
+        assert_eq!(i.global("FROM"), Some(&Value::Int(2)));
         i.process(&pkt()).unwrap();
+        i.process(&pkt()).unwrap();
+        assert!(i.set_config("FROM", Value::Int(1)).is_err());
+        assert_eq!(
+            i.global("arr"),
+            Some(&Value::Array(
+                vec![1, 2, 3].into_iter().map(Value::Int).collect()
+            ))
+        );
         let before = sorted_globals(&i);
         i.process(&pkt()).unwrap();
         assert_ne!(sorted_globals(&i), before);
+        assert_eq!(i.global("n"), Some(&Value::Int(3)));
         i.revert();
         assert_eq!(sorted_globals(&i), before);
-        assert_eq!(i.packets_seen(), 1);
+        assert_eq!(i.global("n"), Some(&Value::Int(2)));
+        assert_eq!(i.global("FROM"), Some(&Value::Int(2)));
+        assert_eq!(i.packets_seen(), 2);
     }
 
     #[test]

@@ -7,6 +7,18 @@
 //! model and the original program, and test whether they output the same
 //! result").
 //!
+//! [`Interp::new`] resolves every name once. It lowers the normalised
+//! program into a tree in which each variable is a frame slot, a global
+//! slot, or a global that the function also binds (read through the
+//! local once its `let` has run on the current path, as NFL's flat
+//! per-function scope has it), and each call is a builtin or a function
+//! index. The globals are a vector indexed by slot
+//! ([`Interp::globals`]); each call of a function runs in a frame of
+//! slots; the undo log banks each global write's pre-image under the
+//! global's slot. Conditions and integer operators compute on unboxed
+//! `bool` and `i64`, and only a value that is stored or passed on
+//! becomes a [`Value`]. A packet looks up no name and hashes no string.
+//!
 //! Every execution also produces a [`trace::Trace`]: the ids of the
 //! executed statements in order, each branch's outcome and each
 //! statement's dynamic control link (the branch instance it ran under).
@@ -19,6 +31,7 @@
 #![warn(missing_docs)]
 
 pub mod interp;
+mod lower;
 pub mod trace;
 pub mod value;
 

@@ -73,8 +73,20 @@ done
 echo "==> fuzz smoke: 500 seeded cases, crash + differential oracles"
 # Deterministic (caps-only budgets): same seed, same verdicts. Exits
 # non-zero on any pipeline panic, interpreter/model mismatch, or
-# compiled/model mismatch.
-./target/release/nfactor fuzz --seed 0 --cases 500
+# compiled/model mismatch. The oracle skips a case whose interpreter
+# errs as incomparable, so an interpreter that started failing on
+# generated NFs would still exit zero: require 0 skipped cases and at
+# least 125 compared ones in the summary line.
+fuzz=$(./target/release/nfactor fuzz --seed 0 --cases 500)
+printf '%s\n' "$fuzz"
+summary='.*(\([0-9]*\) compared, \([0-9]*\) skipped)$'
+compared=$(printf '%s\n' "$fuzz" | sed -n "s/$summary/\\1/p")
+skipped=$(printf '%s\n' "$fuzz" | sed -n "s/$summary/\\2/p")
+if [ -z "$compared" ] || [ "$skipped" != 0 ] || [ "$compared" -lt 125 ]; then
+    echo "    expected 0 skipped and >= 125 compared cases, got compared=${compared:-?} skipped=${skipped:-?}"
+    exit 1
+fi
+echo "    $compared compared, 0 skipped: ok"
 
 echo "==> shard smoke: fig1-lb across 4 shards, merged log aggregation"
 # fig1-lb shares b2f_nat across flows, so the runtime must fall back to

@@ -102,6 +102,54 @@ fn comment_only_edit_reparses_but_derives_nothing() {
     );
 }
 
+/// An edit of comment text alone keeps every span, so the re-parse
+/// cuts off on an identical program. The report must still carry the
+/// new text: its snippets, and the language server's line index, read
+/// it.
+#[test]
+fn comment_text_edit_reports_the_new_text() {
+    let nf = |note: &str| {
+        format!(
+            "state hits = 0;\nfn cb(pkt: packet) {{\n    let unused = pkt.ip.ttl; // note {note}\n    hits = hits + 1;\n    send(pkt);\n}}\nfn main() {{ sniff(cb); }}\n"
+        )
+    };
+    let mut engine = Engine::with_tracer(Tracer::enabled());
+    engine.set_source("nf", &nf("AAAA"));
+    let first = engine.lint_report("nf");
+    assert!(render_text(first.as_ref()).contains("// note AAAA"));
+
+    let counter = |e: &Engine, name: &str| e.tracer().metrics().counter(name).unwrap_or(0);
+    let names = [
+        "query.parse.recompute",
+        "query.parse.cutoff",
+        "query.normalize.recompute",
+        "query.ctx.recompute",
+        "query.report.recompute",
+    ];
+    let before: Vec<u64> = names.iter().map(|n| counter(&engine, n)).collect();
+    let edited = nf("BBBB");
+    engine.set_source("nf", &edited);
+    let report = engine.lint_report("nf");
+    let delta: Vec<u64> = names
+        .iter()
+        .zip(&before)
+        .map(|(n, b)| counter(&engine, n) - b)
+        .collect();
+    assert_eq!(delta, [1, 1, 0, 0, 0], "{names:?}");
+
+    let text = render_text(report.as_ref());
+    assert!(text.contains("// note BBBB"), "{text}");
+    let fresh = nfactor::lint::lint_source("nf", &edited).unwrap();
+    assert_eq!(text, fresh.render_text());
+    assert_eq!(report.as_ref().as_ref().unwrap().source, edited);
+    // The carried text is kept: a second read serves it from the memo.
+    assert_eq!(render_text(engine.lint_report("nf").as_ref()), text);
+}
+
+fn render_text(r: &Result<nfactor::lint::LintReport, String>) -> String {
+    r.as_ref().expect("lints").render_text()
+}
+
 /// Socket unfolding re-parses generated text, so balance's normalised
 /// loop carries no span of the document: an edit that only shifts spans
 /// re-normalises, cuts off there, and re-runs no ctx or report.

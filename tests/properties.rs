@@ -18,7 +18,6 @@ use nfactor::model::ModelState;
 use nfactor::packet::{Field, Packet, PacketGen, TcpFlags};
 use nfactor::support::rng::Rng;
 use nfactor::symex::{Solver, SymVal};
-use std::collections::BTreeMap;
 
 /// Wire-format round trip for arbitrary header values.
 #[test]
@@ -242,8 +241,7 @@ fn step_then_revert_restores_state() {
     );
     assert_eq!(nfs.len(), 8 + GENERATED, "too few generated NFs build");
     let interp_state = |i: &Interp| {
-        let sorted: BTreeMap<_, _> = i.globals.iter().collect();
-        format!("{sorted:?} packets_seen={}", i.packets_seen())
+        format!("{:?} packets_seen={}", i.clone().into_snapshot(), i.packets_seen())
     };
     let cfg = Config::with_cases(128);
     let last = nfs.len() as u64 - 1;
