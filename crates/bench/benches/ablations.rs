@@ -10,9 +10,9 @@
 //! * `solver` — the SMT-lite fragment's check cost on NF-shaped
 //!   conjunctions.
 
-use nf_support::bench::Harness;
 use nf_packet::wire::{parse_ipv4, TcpFlags};
 use nf_packet::Packet;
+use nf_support::bench::Harness;
 use nfactor_core::Pipeline;
 use nfl_lang::BinOp;
 use nfl_slicer::statealyzer::{statealyzer, StateAlyzerInput};
@@ -25,7 +25,8 @@ fn bench_statealyzer_input(h: &mut Harness) {
         .name("snort")
         .build()
         .unwrap()
-        .synthesize(&src).unwrap();
+        .synthesize(&src)
+        .unwrap();
     let info = nfl_lang::types::check(&syn.nf_loop.program).unwrap();
     for (label, input) in [
         ("whole_program", StateAlyzerInput::WholeProgram),
@@ -96,7 +97,8 @@ fn bench_slice_kind(h: &mut Harness) {
         .name("lb")
         .build()
         .unwrap()
-        .synthesize(&src).unwrap();
+        .synthesize(&src)
+        .unwrap();
     // Static: PDG + backward reachability.
     g.bench_function("static", |b| {
         b.iter(|| {

@@ -135,7 +135,10 @@ fn main() {
         ("repeats_median".into(), Value::Int(REPEATS as i64)),
         ("compile_ns".into(), Value::Int(compile_ns as i64)),
         ("tree_nodes".into(), Value::Int(prog.node_count() as i64)),
-        ("table_entries".into(), Value::Int(prog.entry_count() as i64)),
+        (
+            "table_entries".into(),
+            Value::Int(prog.entry_count() as i64),
+        ),
         ("compiled_speedup_vs_interp".into(), Value::Float(speedup)),
         ("results".into(), Value::Array(results)),
     ]);

@@ -126,8 +126,7 @@ fn enforce_recompute_profile() {
     );
     let down_after: Vec<u64> = downstream.iter().map(|n| counter(&engine, n)).collect();
     assert_eq!(
-        down_after,
-        down_before,
+        down_after, down_before,
         "warm edit recomputed downstream queries — early cutoff broken"
     );
     eprintln!("incr: recompute profile OK (1 parse, 0 derived queries)");

@@ -48,9 +48,7 @@ fn bench_lint_phases(h: &mut Harness) {
         });
         let ctx = AnalysisCtx::build(&program).unwrap();
         let pm = PassManager::with_default_passes();
-        g.bench_function(format!("passes/snort{rules}"), |b| {
-            b.iter(|| pm.run(&ctx))
-        });
+        g.bench_function(format!("passes/snort{rules}"), |b| b.iter(|| pm.run(&ctx)));
     }
     g.finish();
 }

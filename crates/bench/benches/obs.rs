@@ -37,8 +37,7 @@ fn build(src: &str, tracer: Tracer, telemetry: TelemetryConfig) -> ShardEngine {
         .tracer(tracer)
         .build()
         .expect("pipeline");
-    let mut engine =
-        ShardEngine::from_source(&pipeline, src, Backend::Interp).expect("engine");
+    let mut engine = ShardEngine::from_source(&pipeline, src, Backend::Interp).expect("engine");
     engine.set_telemetry(telemetry);
     engine
 }

@@ -38,8 +38,7 @@ fn main() {
             .shards(shards)
             .build()
             .expect("pipeline");
-        let engine =
-            ShardEngine::from_source(&pipeline, &src, Backend::Interp).expect("engine");
+        let engine = ShardEngine::from_source(&pipeline, &src, Backend::Interp).expect("engine");
         let _ = engine
             .run_with(SliceSource::new(&packets), &RunConfig::sequential())
             .expect("warmup");

@@ -68,8 +68,7 @@ fn main() {
         .shards(SHARDS)
         .build()
         .expect("pipeline");
-    let engine =
-        ShardEngine::from_source(&pipeline, &src, Backend::Compiled).expect("engine");
+    let engine = ShardEngine::from_source(&pipeline, &src, Backend::Compiled).expect("engine");
 
     let mut results = Vec::new();
     let mut active_ns_by_batch = Vec::new();
@@ -141,7 +140,10 @@ fn main() {
         ("shards".into(), Value::Int(SHARDS as i64)),
         ("packets".into(), Value::Int(PACKETS as i64)),
         ("repeats_median".into(), Value::Int(REPEATS as i64)),
-        ("speedup_batched_vs_per_packet".into(), Value::Float(speedup)),
+        (
+            "speedup_batched_vs_per_packet".into(),
+            Value::Float(speedup),
+        ),
         ("results".into(), Value::Array(results)),
     ]);
     let dir = std::env::var("NF_BENCH_DIR").unwrap_or_else(|_| ".".to_string());

@@ -2,9 +2,9 @@
 //! packet wire codec, the TCP state machine, the concrete interpreter,
 //! and the model evaluator (the §5 experiment's two inner loops).
 
-use nf_support::bench::Harness;
 use nf_packet::wire::{parse_ipv4, TcpFlags};
 use nf_packet::{Packet, PacketGen};
+use nf_support::bench::Harness;
 use nf_tcp::{ConnTable, TcpState};
 use nfactor_core::accuracy::initial_model_state;
 use nfactor_core::Pipeline;
@@ -46,7 +46,10 @@ fn bench_tcp_fsm(h: &mut Harness) {
                 t.on_packet(&data);
             }
             t.on_packet(&fin);
-            assert_ne!(t.state(&nf_packet::FlowKey::of(&syn).unwrap()), TcpState::Established);
+            assert_ne!(
+                t.state(&nf_packet::FlowKey::of(&syn).unwrap()),
+                TcpState::Established
+            );
         })
     });
     g.finish();
@@ -58,7 +61,8 @@ fn bench_interp_vs_model(h: &mut Harness) {
         .name("nat")
         .build()
         .unwrap()
-        .synthesize(&nf_corpus::nat::source()).unwrap();
+        .synthesize(&nf_corpus::nat::source())
+        .unwrap();
     let pkts = PacketGen::new(11).batch(256);
     g.bench_function("interpreter", |b| {
         b.iter(|| {

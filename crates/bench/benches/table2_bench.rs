@@ -51,7 +51,8 @@ fn bench_symex(h: &mut Harness) {
         .name("snort")
         .build()
         .unwrap()
-        .synthesize(&src).unwrap();
+        .synthesize(&src)
+        .unwrap();
     g.bench_function("snort25/slice", |b| {
         b.iter(|| SymExec::new(&syn.sliced_loop).explore().unwrap())
     });
@@ -72,7 +73,8 @@ fn bench_symex(h: &mut Harness) {
         .name("balance")
         .build()
         .unwrap()
-        .synthesize(&bsrc).unwrap();
+        .synthesize(&bsrc)
+        .unwrap();
     g.bench_function("balance10/slice", |b| {
         b.iter(|| SymExec::new(&bsyn.sliced_loop).explore().unwrap())
     });
@@ -102,11 +104,14 @@ fn bench_pipeline(h: &mut Harness) {
         ("balance10", nf_corpus::balance::source(10)),
     ] {
         g.bench_function(name, |b| {
-            b.iter(|| Pipeline::builder()
-                .name(name)
-                .build()
-                .unwrap()
-                .synthesize(&src).unwrap())
+            b.iter(|| {
+                Pipeline::builder()
+                    .name(name)
+                    .build()
+                    .unwrap()
+                    .synthesize(&src)
+                    .unwrap()
+            })
         });
     }
     g.finish();

@@ -24,7 +24,9 @@ fn main() {
     println!("§5 accuracy: model vs. original program\n");
     println!(
         "{:<10} {:>12} {:>22}",
-        "NF", "paths equal", format!("agree ({trials} trials)")
+        "NF",
+        "paths equal",
+        format!("agree ({trials} trials)")
     );
     println!("{}", "-".repeat(48));
     let mut all_ok = true;

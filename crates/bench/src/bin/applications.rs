@@ -27,7 +27,8 @@ fn main() {
         .name("snort")
         .build()
         .unwrap()
-        .synthesize(&src).expect("snort");
+        .synthesize(&src)
+        .expect("snort");
     let t_orig = Instant::now();
     let orig = SymExec::new(&syn.nf_loop)
         .with_limits(PathLimits {
@@ -120,11 +121,8 @@ fn main() {
         .unwrap()
         .synthesize(&nf_corpus::fig1_lb::source())
         .expect("lb");
-    let report = nf_verify::recommend_order(&[
-        ("FW", &fw.model),
-        ("IDS", &ids.model),
-        ("LB", &lb.model),
-    ]);
+    let report =
+        nf_verify::recommend_order(&[("FW", &fw.model), ("IDS", &ids.model), ("LB", &lb.model)]);
     println!("{report}");
 
     // ---------- Testing ----------

@@ -27,7 +27,8 @@ fn main() {
         .name("fig1-lb")
         .build()
         .unwrap()
-        .synthesize(&lb_src).expect("lb");
+        .synthesize(&lb_src)
+        .expect("lb");
     println!("{}", syn.render_highlighted_slice());
 
     println!("--- dynamic slice: relaying the FIRST packet of a flow ---");
@@ -60,7 +61,10 @@ fn main() {
     for (label, src) in [
         ("4a one-loop", nf_corpus::structures::one_loop()),
         ("4b callback", nf_corpus::structures::callback()),
-        ("4c consumer-producer", nf_corpus::structures::consumer_producer()),
+        (
+            "4c consumer-producer",
+            nf_corpus::structures::consumer_producer(),
+        ),
         ("4d nested-loop", nf_corpus::structures::nested_loop()),
     ] {
         let p = nfl_lang::parse_and_check(&src).expect(label);

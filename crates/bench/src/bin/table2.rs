@@ -103,7 +103,10 @@ fn main() {
             "snort: EP orig explodes past the cap (paper: >1000)",
             matches!(snort.metrics.ep_orig, Some((_, false))),
         ),
-        ("snort: EP slice = 3 (paper: 3)", snort.metrics.ep_slice == 3),
+        (
+            "snort: EP slice = 3 (paper: 3)",
+            snort.metrics.ep_slice == 3,
+        ),
         (
             "snort: SE slice ≫ faster than orig (paper: >1hr → 484ms)",
             snort.metrics.se_time_orig.unwrap() > snort.metrics.se_time_slice * 100,

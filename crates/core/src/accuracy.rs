@@ -78,7 +78,9 @@ pub fn differential_test(
     let mut mismatches = Vec::new();
     for trial in 0..trials {
         let pkt = gen.next_packet();
-        let prog = interp.process(&pkt).map_err(|e| format!("trial {trial}: {e}"))?;
+        let prog = interp
+            .process(&pkt)
+            .map_err(|e| format!("trial {trial}: {e}"))?;
         let model = model_state
             .step(&syn.model, &pkt)
             .map_err(|e| format!("trial {trial}: {e}"))?;
@@ -187,7 +189,12 @@ mod tests {
     use crate::pipeline::Pipeline;
 
     fn synth(name: &str, src: &str) -> crate::pipeline::Synthesis {
-        Pipeline::builder().name(name).build().unwrap().synthesize(src).unwrap()
+        Pipeline::builder()
+            .name(name)
+            .build()
+            .unwrap()
+            .synthesize(src)
+            .unwrap()
     }
 
     const NAT_SRC: &str = r#"
@@ -214,11 +221,7 @@ mod tests {
     fn thousand_packet_differential_nat() {
         let syn = synth("nat", NAT_SRC);
         let report = differential_test(&syn, 2016, 1000).unwrap();
-        assert!(
-            report.perfect(),
-            "mismatches: {:?}",
-            report.mismatches
-        );
+        assert!(report.perfect(), "mismatches: {:?}", report.mismatches);
         assert_eq!(report.trials, 1000);
     }
 

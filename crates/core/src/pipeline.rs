@@ -505,10 +505,7 @@ fn finish(analysis: Analysis, opts: &PipelineConfig) -> Result<Synthesis, Error>
         .paths
         .iter()
         .map(|p| {
-            nfl_lang::pretty::slice_loc(
-                &sliced_loop.program,
-                &p.executed.iter().copied().collect(),
-            )
+            nfl_lang::pretty::slice_loc(&sliced_loop.program, &p.executed.iter().copied().collect())
         })
         .max()
         .unwrap_or(0);
@@ -718,7 +715,10 @@ mod tests {
         use nf_support::json::{ToJson, Value};
         let doc = Value::parse(&syn.model.to_json().render()).unwrap();
         let stamp = doc.get("completeness").unwrap();
-        assert_eq!(stamp.get("state").and_then(Value::as_str), Some("truncated"));
+        assert_eq!(
+            stamp.get("state").and_then(Value::as_str),
+            Some("truncated")
+        );
         assert_eq!(stamp.get("reason").and_then(Value::as_str), Some(reason));
     }
 
@@ -821,7 +821,11 @@ mod tests {
             Err(Error::Config(_))
         ));
         assert_eq!(
-            Pipeline::builder().shards(MAX_SHARDS).build().unwrap().shards(),
+            Pipeline::builder()
+                .shards(MAX_SHARDS)
+                .build()
+                .unwrap()
+                .shards(),
             MAX_SHARDS
         );
     }

@@ -368,7 +368,11 @@ fn split_range(arena: &mut Vec<Node>, cands: Vec<Cand>, field: Field) -> usize {
     let mut children = Vec::with_capacity(cuts.len() + 1);
     for seg in 0..=cuts.len() {
         let seg_lo = if seg == 0 { 0 } else { cuts[seg - 1] };
-        let seg_hi = if seg == cuts.len() { fmax } else { cuts[seg] - 1 };
+        let seg_hi = if seg == cuts.len() {
+            fmax
+        } else {
+            cuts[seg] - 1
+        };
         let sub: Vec<Cand> = cands
             .iter()
             .filter_map(|c| match first_range(c, field) {
@@ -414,7 +418,10 @@ mod tests {
             classify(&eq(Field::TcpDport, 80)),
             Some(FieldTest {
                 field: Field::TcpDport,
-                kind: TestKind::Exact { mask: -1, value: 80 }
+                kind: TestKind::Exact {
+                    mask: -1,
+                    value: 80
+                }
             })
         );
     }

@@ -40,8 +40,7 @@ fn compile_corpus(name: &str, src: &str) -> (Model, ModelState, CompiledProgram)
         .unwrap_or_else(|e| panic!("{name}: synthesize: {e}"));
     let interp = Interp::new(&syn.nf_loop).unwrap();
     let init = nfactor_core::accuracy::initial_model_state(&syn, &interp);
-    let prog = compile(&syn.model, &init)
-        .unwrap_or_else(|e| panic!("{name}: compile: {e}"));
+    let prog = compile(&syn.model, &init).unwrap_or_else(|e| panic!("{name}: compile: {e}"));
     (syn.model.clone(), init, prog)
 }
 

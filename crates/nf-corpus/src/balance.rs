@@ -60,10 +60,7 @@ fn main() {
         // Straight-line bookkeeping: rolling statistics per backend,
         // timing windows, byte estimates — the kind of non-forwarding
         // code that dominates the real balance's line count.
-        let _ = writeln!(
-            src,
-            "        bk{i} = (bk{i} + conn_total + {i}) % 65536;"
-        );
+        let _ = writeln!(src, "        bk{i} = (bk{i} + conn_total + {i}) % 65536;");
         let _ = writeln!(src, "        bk{i} = bk{i} + health_window;");
         let _ = writeln!(src, "        log(\"bk\", {i}, bk{i});");
     }
@@ -115,15 +112,12 @@ mod tests {
             .build()
             .unwrap()
             .synthesize(&source(5))
-        .unwrap();
+            .unwrap();
         // The hidden TCP state shows up as model state.
         assert!(syn.model.state_maps().iter().any(|m| m == "__tcp"));
         // The RR index transitions exactly as Figure 6's first row.
         let rendered = syn.render_model();
-        assert!(
-            rendered.contains("idx := ((idx + 1) % 2)"),
-            "{rendered}"
-        );
+        assert!(rendered.contains("idx := ((idx + 1) % 2)"), "{rendered}");
         // Bookkeeping pruned.
         assert!(!rendered.contains("bk0"), "{rendered}");
         assert!(!rendered.contains("conn_total"), "{rendered}");

@@ -75,29 +75,33 @@ mod tests {
     #[test]
     fn outbound_allowed_and_pinholed() {
         let mut fw = fw();
-        assert!(!fw
-            .process(&pkt("10.0.0.5", 5000, "8.8.8.8", 443))
-            .unwrap()
-            .dropped);
+        assert!(
+            !fw.process(&pkt("10.0.0.5", 5000, "8.8.8.8", 443))
+                .unwrap()
+                .dropped
+        );
         // The reverse flow comes back in.
-        assert!(!fw
-            .process(&pkt("8.8.8.8", 443, "10.0.0.5", 5000))
-            .unwrap()
-            .dropped);
+        assert!(
+            !fw.process(&pkt("8.8.8.8", 443, "10.0.0.5", 5000))
+                .unwrap()
+                .dropped
+        );
     }
 
     #[test]
     fn unsolicited_inbound_blocked_unless_allowlisted() {
         let mut fw = fw();
-        assert!(fw
-            .process(&pkt("8.8.8.8", 443, "10.0.0.5", 5000))
-            .unwrap()
-            .dropped);
+        assert!(
+            fw.process(&pkt("8.8.8.8", 443, "10.0.0.5", 5000))
+                .unwrap()
+                .dropped
+        );
         // The allow-listed web port is reachable.
-        assert!(!fw
-            .process(&pkt("8.8.8.8", 4000, "10.0.0.5", 80))
-            .unwrap()
-            .dropped);
+        assert!(
+            !fw.process(&pkt("8.8.8.8", 4000, "10.0.0.5", 80))
+                .unwrap()
+                .dropped
+        );
     }
 
     #[test]
@@ -105,10 +109,11 @@ mod tests {
         let mut fw = fw();
         fw.process(&pkt("10.0.0.5", 5000, "8.8.8.8", 443)).unwrap();
         // A different remote port does not fit the pinhole.
-        assert!(fw
-            .process(&pkt("8.8.8.8", 444, "10.0.0.5", 5000))
-            .unwrap()
-            .dropped);
+        assert!(
+            fw.process(&pkt("8.8.8.8", 444, "10.0.0.5", 5000))
+                .unwrap()
+                .dropped
+        );
     }
 
     #[test]
@@ -118,7 +123,7 @@ mod tests {
             .build()
             .unwrap()
             .synthesize(&source())
-        .unwrap();
+            .unwrap();
         let report = nfactor_core::accuracy::differential_test(&syn, 7, 300).unwrap();
         assert!(report.perfect(), "{:?}", report.mismatches);
         // Forwarding never rewrites headers in a firewall.

@@ -87,8 +87,7 @@ mod tests {
     #[test]
     fn whole_corpus_parses_and_checks() {
         for nf in default_corpus() {
-            nfl_lang::parse_and_check(&nf.source)
-                .unwrap_or_else(|e| panic!("{}: {e}", nf.name));
+            nfl_lang::parse_and_check(&nf.source).unwrap_or_else(|e| panic!("{}: {e}", nf.name));
         }
     }
 
@@ -102,10 +101,7 @@ mod tests {
         let snort_loc = loc("snort");
         let balance_loc = loc("balance");
         // Table 2: snort 2678, balance 1559. Stay within ±25%.
-        assert!(
-            (2000..=3400).contains(&snort_loc),
-            "snort LoC {snort_loc}"
-        );
+        assert!((2000..=3400).contains(&snort_loc), "snort LoC {snort_loc}");
         assert!(
             (1150..=2000).contains(&balance_loc),
             "balance LoC {balance_loc}"

@@ -152,7 +152,7 @@ mod tests {
             .build()
             .unwrap()
             .synthesize(&source())
-        .unwrap();
+            .unwrap();
         let report = nfactor_core::accuracy::differential_test(&syn, 42, 300).unwrap();
         assert!(report.perfect(), "{:?}", report.mismatches);
     }

@@ -115,7 +115,7 @@ mod tests {
             .build()
             .unwrap()
             .synthesize(&source())
-        .unwrap();
+            .unwrap();
         let fsm = nfactor_core::Synthesis::render_model(&syn);
         // The stage predicates appear as state matches.
         assert!(fsm.contains("== 1)") || fsm.contains("== 2)"), "{fsm}");
@@ -134,7 +134,7 @@ mod tests {
             .build()
             .unwrap()
             .synthesize(&source())
-        .unwrap();
+            .unwrap();
         let report = nfactor_core::accuracy::differential_test(&syn, 11, 600).unwrap();
         assert!(report.perfect(), "{:?}", report.mismatches);
     }
@@ -148,10 +148,9 @@ mod tests {
             .build()
             .unwrap()
             .synthesize(&source())
-        .unwrap();
+            .unwrap();
         let mut interp = Interp::new(&syn.nf_loop).unwrap();
-        let mut model =
-            nfactor_core::accuracy::initial_model_state(&syn, &interp);
+        let mut model = nfactor_core::accuracy::initial_model_state(&syn, &interp);
         for dport in [22u16, 7001, 7002, 22, 443, 22] {
             let p = pkt(dport);
             let prog = interp.process(&p).unwrap();

@@ -86,7 +86,10 @@ mod tests {
             rl.process(&pkt("10.0.0.1")).unwrap();
         }
         assert!(rl.process(&pkt("10.0.0.1")).unwrap().dropped);
-        assert!(!rl.process(&pkt("10.0.0.2")).unwrap().dropped, "fresh source unaffected");
+        assert!(
+            !rl.process(&pkt("10.0.0.2")).unwrap().dropped,
+            "fresh source unaffected"
+        );
     }
 
     #[test]
@@ -96,15 +99,18 @@ mod tests {
             .build()
             .unwrap()
             .synthesize(&source())
-        .unwrap();
+            .unwrap();
         // The forwarding entry is guarded by `buckets[src] > 0` — a value
         // predicate over state, not mere membership.
         let fwd: Vec<_> = syn.model.forward_entries().collect();
-        assert!(fwd.iter().any(|e| e
-            .state_match
-            .iter()
-            .any(|l| l.to_string().contains("buckets[") && l.to_string().contains("> 0"))),
-            "{}", syn.render_model());
+        assert!(
+            fwd.iter().any(|e| e
+                .state_match
+                .iter()
+                .any(|l| l.to_string().contains("buckets[") && l.to_string().contains("> 0"))),
+            "{}",
+            syn.render_model()
+        );
     }
 
     #[test]
@@ -114,7 +120,7 @@ mod tests {
             .build()
             .unwrap()
             .synthesize(&source())
-        .unwrap();
+            .unwrap();
         let report = nfactor_core::accuracy::differential_test(&syn, 3, 600).unwrap();
         assert!(report.perfect(), "{:?}", report.mismatches);
     }

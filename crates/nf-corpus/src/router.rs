@@ -90,8 +90,14 @@ mod tests {
     fn ttl_expiry_and_acl_drop() {
         let mut r = router();
         assert!(r.process(&to("10.1.2.3", 1, 80)).unwrap().dropped);
-        assert!(r.process(&to("10.1.2.3", 64, 23)).unwrap().dropped, "telnet denied");
-        assert!(r.process(&to("55.0.0.1", 64, 80)).unwrap().dropped, "no route");
+        assert!(
+            r.process(&to("10.1.2.3", 64, 23)).unwrap().dropped,
+            "telnet denied"
+        );
+        assert!(
+            r.process(&to("55.0.0.1", 64, 80)).unwrap().dropped,
+            "no route"
+        );
     }
 
     #[test]
@@ -101,7 +107,7 @@ mod tests {
             .build()
             .unwrap()
             .synthesize(&source())
-        .unwrap();
+            .unwrap();
         assert!(syn.classes.ois_vars.is_empty(), "{:?}", syn.classes);
         assert!(syn.model.state_maps().is_empty());
         assert!(syn.model.state_scalars().is_empty());
@@ -118,7 +124,7 @@ mod tests {
             .build()
             .unwrap()
             .synthesize(&source())
-        .unwrap();
+            .unwrap();
         let report = nfactor_core::accuracy::differential_test(&syn, 21, 600).unwrap();
         assert!(report.perfect(), "{:?}", report.mismatches);
     }
@@ -131,7 +137,7 @@ mod tests {
             .build()
             .unwrap()
             .synthesize(&source())
-        .unwrap();
+            .unwrap();
         let interp = Interp::new(&syn.nf_loop).unwrap();
         let state = nfactor_core::accuracy::initial_model_state(&syn, &interp);
         let nf = StatefulNf {

@@ -203,7 +203,7 @@ mod tests {
             .build()
             .unwrap()
             .synthesize(&source(25))
-        .unwrap();
+            .unwrap();
         assert_eq!(syn.metrics.ep_slice, 3, "block1 / block2 / forward");
         // And the slice prunes every alert counter.
         let rendered = syn.render_model();

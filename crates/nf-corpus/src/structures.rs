@@ -165,13 +165,12 @@ mod tests {
             ("4c", consumer_producer()),
             ("4d", nested_loop()),
         ] {
-            let syn =
-                nfactor_core::Pipeline::builder()
-                    .name(name)
-                    .build()
-                    .unwrap()
-                    .synthesize(&src)
-                    .unwrap_or_else(|e| panic!("{name}: {e}"));
+            let syn = nfactor_core::Pipeline::builder()
+                .name(name)
+                .build()
+                .unwrap()
+                .synthesize(&src)
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
             assert!(syn.model.entry_count() > 0, "{name} produced no entries");
         }
     }

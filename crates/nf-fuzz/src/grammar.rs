@@ -197,15 +197,11 @@ mod tests {
     fn generation_is_seed_deterministic() {
         let a: Vec<String> = {
             let mut rng = Rng::new(11);
-            (0..20)
-                .map(|_| gen_program(&mut rng).source)
-                .collect()
+            (0..20).map(|_| gen_program(&mut rng).source).collect()
         };
         let b: Vec<String> = {
             let mut rng = Rng::new(11);
-            (0..20)
-                .map(|_| gen_program(&mut rng).source)
-                .collect()
+            (0..20).map(|_| gen_program(&mut rng).source).collect()
         };
         assert_eq!(a, b);
     }

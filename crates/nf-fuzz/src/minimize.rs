@@ -49,9 +49,7 @@ pub fn minimize_text(src: &str, mut still_fails: impl FnMut(&str) -> bool) -> St
     if lines.is_empty() {
         return src.to_string();
     }
-    let kept = ddmin(lines, &mut |cand: &[String]| {
-        still_fails(&cand.join("\n"))
-    });
+    let kept = ddmin(lines, &mut |cand: &[String]| still_fails(&cand.join("\n")));
     kept.join("\n")
 }
 

@@ -174,8 +174,8 @@ mod tests {
         let p = parse_and_check(NAT).unwrap();
         let pl = normalize(&p).unwrap();
         let stats = SymExec::new(&pl).explore().unwrap();
-        let model = Model::from_paths("t", &stats.paths)
-            .with_truncation("path budget exhausted (4 paths)");
+        let model =
+            Model::from_paths("t", &stats.paths).with_truncation("path budget exhausted (4 paths)");
         let fsm = ModelFsm::from_model(&model);
         assert_eq!(
             fsm.truncated.as_deref(),

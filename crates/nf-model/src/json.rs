@@ -18,10 +18,9 @@ fn terms_to_json(terms: &[SymVal]) -> Value {
 impl ToJson for FlowAction {
     fn to_json(&self) -> Value {
         match self {
-            FlowAction::Drop => Value::Object(vec![(
-                "action".to_string(),
-                Value::Str("drop".to_string()),
-            )]),
+            FlowAction::Drop => {
+                Value::Object(vec![("action".to_string(), Value::Str("drop".to_string()))])
+            }
             FlowAction::Forward { rewrites } => Value::Object(vec![
                 ("action".to_string(), Value::Str("forward".to_string())),
                 (
@@ -178,7 +177,10 @@ mod tests {
     /// every part of the model back out of the document.
     fn assert_written(m: &Model) {
         let doc = Value::parse(&m.to_json().render_pretty()).unwrap();
-        assert_eq!(doc.get("nf_name").and_then(Value::as_str), Some(m.nf_name.as_str()));
+        assert_eq!(
+            doc.get("nf_name").and_then(Value::as_str),
+            Some(m.nf_name.as_str())
+        );
         let tables = doc.get("tables").and_then(Value::as_array).unwrap();
         assert_eq!(tables.len(), m.tables.len());
         for (t, tj) in m.tables.iter().zip(tables) {
@@ -190,7 +192,10 @@ mod tests {
                 assert_terms(&e.state_match, ej.get("state_match"));
                 assert_flow_action(&e.flow_action, ej.get("flow_action").unwrap());
                 assert_state_action(&e.state_action, ej.get("state_action").unwrap());
-                assert_eq!(ej.get("truncated").and_then(Value::as_bool), Some(e.truncated));
+                assert_eq!(
+                    ej.get("truncated").and_then(Value::as_bool),
+                    Some(e.truncated)
+                );
             }
         }
         let completeness = doc.get("completeness");
@@ -199,7 +204,10 @@ mod tests {
             Completeness::Truncated { reason } => {
                 let c = completeness.expect("a completeness stamp");
                 assert_eq!(c.get("state").and_then(Value::as_str), Some("truncated"));
-                assert_eq!(c.get("reason").and_then(Value::as_str), Some(reason.as_str()));
+                assert_eq!(
+                    c.get("reason").and_then(Value::as_str),
+                    Some(reason.as_str())
+                );
             }
         }
     }
@@ -262,7 +270,10 @@ mod tests {
         assert!(json.contains("truncated"), "{json}");
         assert!(json.contains("path budget exhausted"), "{json}");
         assert_written(&m);
-        assert_eq!(m.completeness.reason(), Some("path budget exhausted (8 paths)"));
+        assert_eq!(
+            m.completeness.reason(),
+            Some("path budget exhausted (8 paths)")
+        );
     }
 
     #[test]

@@ -338,7 +338,10 @@ mod tests {
             .iter()
             .find(|t| t.config.iter().any(|c| c.to_string() == "(cfg:mode != 1)"))
             .expect("hash table");
-        assert!(hash.entries[0].state_action.is_identity(), "'*' in Figure 6");
+        assert!(
+            hash.entries[0].state_action.is_identity(),
+            "'*' in Figure 6"
+        );
     }
 
     #[test]
@@ -374,7 +377,11 @@ mod tests {
         let lits = [
             SymVal::bin(BinOp::Gt, SymVal::pkt_len(), SymVal::Cfg("MTU".into())),
             SymVal::bin(BinOp::Eq, SymVal::Cfg("mode".into()), SymVal::Int(1)),
-            SymVal::bin(BinOp::Lt, SymVal::St("idx".into()), SymVal::Pkt(Field::IpTtl)),
+            SymVal::bin(
+                BinOp::Lt,
+                SymVal::St("idx".into()),
+                SymVal::Pkt(Field::IpTtl),
+            ),
             SymVal::bin(BinOp::Ne, SymVal::map_len("nat"), SymVal::Int(0)),
         ];
         let path = Path {

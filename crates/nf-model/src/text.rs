@@ -71,9 +71,7 @@ impl<'a> TermParser<'a> {
                 "{} (at term offset {}: …{})",
                 msg.into(),
                 self.pos,
-                String::from_utf8_lossy(
-                    &self.src[self.pos..(self.pos + 16).min(self.src.len())]
-                )
+                String::from_utf8_lossy(&self.src[self.pos..(self.pos + 16).min(self.src.len())])
             ),
         }
     }
@@ -184,9 +182,7 @@ impl<'a> TermParser<'a> {
                     let idx = self.term()?;
                     self.expect("]")?;
                     e = match e {
-                        SymVal::Var(name)
-                            if !name.contains('.') && !name.contains(':') =>
-                        {
+                        SymVal::Var(name) if !name.contains('.') && !name.contains(':') => {
                             SymVal::MapGet(name, Box::new(idx))
                         }
                         other => SymVal::ArrayGet(Box::new(other), Box::new(idx)),
@@ -528,8 +524,7 @@ pub fn from_text(src: &str) -> Result<Model, ParseError> {
                     .push(MapOp::Insert {
                         map,
                         key: parse_term(key_src).map_err(|e| term_err(line_no, e))?,
-                        value: parse_term(value.trim())
-                            .map_err(|e| term_err(line_no, e))?,
+                        value: parse_term(value.trim()).map_err(|e| term_err(line_no, e))?,
                     });
             }
             "remove" => {
@@ -568,8 +563,7 @@ pub fn from_text(src: &str) -> Result<Model, ParseError> {
                         if let FlowAction::Forward { rewrites } = &mut entry.flow_action {
                             rewrites.push((
                                 field,
-                                parse_term(term.trim())
-                                    .map_err(|e| term_err(line_no, e))?,
+                                parse_term(term.trim()).map_err(|e| term_err(line_no, e))?,
                             ));
                             continue;
                         }
@@ -613,10 +607,7 @@ mod tests {
         )
         .with_truncation("wall-clock deadline exceeded during symbolic execution");
         let text = to_text(&m);
-        assert!(
-            text.contains("truncated wall-clock deadline"),
-            "{text}"
-        );
+        assert!(text.contains("truncated wall-clock deadline"), "{text}");
         let m2 = from_text(&text).unwrap();
         assert_eq!(m2, m);
         // And a full model emits no directive.
@@ -715,8 +706,7 @@ mod tests {
         for nf in nf_corpus_sources() {
             let m = model_of(&nf.1);
             let text = to_text(&m);
-            let m2 = from_text(&text)
-                .unwrap_or_else(|e| panic!("{}: {e}\n{text}", nf.0));
+            let m2 = from_text(&text).unwrap_or_else(|e| panic!("{}: {e}\n{text}", nf.0));
             assert_eq!(m, m2, "{} round trip failed", nf.0);
         }
     }
@@ -797,14 +787,9 @@ mod fuzz_tests {
     #[test]
     fn parse_term_total() {
         let cfg = Config::with_cases(256);
-        check(
-            "parse_term_total",
-            &cfg,
-            &check::ascii_printable(80),
-            |s| {
-                let _ = parse_term(s);
-            },
-        );
+        check("parse_term_total", &cfg, &check::ascii_printable(80), |s| {
+            let _ = parse_term(s);
+        });
     }
 
     /// The model parser is total on arbitrary line soup.
@@ -876,8 +861,7 @@ mod fuzz_tests {
                 vec_of(inner.clone(), 0, 2).map(SymVal::Array),
                 tuple2(map_name.clone(), inner.clone())
                     .map(|(m, k)| SymVal::MapGet(m, Box::new(k))),
-                tuple2(map_name, inner.clone())
-                    .map(|(m, k)| SymVal::MapContains(m, Box::new(k))),
+                tuple2(map_name, inner.clone()).map(|(m, k)| SymVal::MapContains(m, Box::new(k))),
                 tuple2(inner.clone(), int_range(0, 3))
                     .map(|(a, i)| SymVal::Proj(Box::new(a), i as usize)),
             ])

@@ -144,7 +144,11 @@ mod tests {
         let unique: std::collections::HashSet<_> = tuples.iter().collect();
         // With REUSE_FLOW = 0.4, about 80 of 200 packets replay a flow.
         let reused = tuples.len() - unique.len();
-        assert!((40..=120).contains(&reused), "{reused} reused of {}", tuples.len());
+        assert!(
+            (40..=120).contains(&reused),
+            "{reused} reused of {}",
+            tuples.len()
+        );
     }
 
     #[test]

@@ -41,7 +41,9 @@ impl MacAddr {
 
     /// Pack into a `u64` (lower 48 bits) for storage in NFL integers.
     pub fn to_u64(&self) -> u64 {
-        self.0.iter().fold(0u64, |acc, b| (acc << 8) | u64::from(*b))
+        self.0
+            .iter()
+            .fold(0u64, |acc, b| (acc << 8) | u64::from(*b))
     }
 
     /// Unpack from the lower 48 bits of a `u64`.

@@ -51,7 +51,13 @@ pub fn encode_packet(pkt: &Packet, buf: &mut Vec<u8>) {
     buf.put_u8(pkt.ip_ttl);
     buf.put_u16(pkt.ip_id);
     match &pkt.transport {
-        Transport::Tcp { sport, dport, seq, ack, flags } => {
+        Transport::Tcp {
+            sport,
+            dport,
+            seq,
+            ack,
+            flags,
+        } => {
             buf.put_u8(TAG_TCP);
             buf.put_u16(*sport);
             buf.put_u16(*dport);
@@ -75,7 +81,10 @@ pub fn encode_packet(pkt: &Packet, buf: &mut Vec<u8>) {
 pub fn decode_packet(mut b: &[u8]) -> Result<Packet, String> {
     fn take<'a>(b: &mut &'a [u8], n: usize) -> Result<&'a [u8], String> {
         if b.len() < n {
-            return Err(format!("record short: wanted {n} more bytes, have {}", b.len()));
+            return Err(format!(
+                "record short: wanted {n} more bytes, have {}",
+                b.len()
+            ));
         }
         let (head, tail) = b.split_at(n);
         *b = tail;
@@ -89,15 +98,21 @@ pub fn decode_packet(mut b: &[u8]) -> Result<Packet, String> {
     // error rather than panicking.
     fn u16_(b: &mut &[u8]) -> Result<u16, String> {
         let s = take(b, 2)?;
-        Ok(u16::from_be_bytes(s.try_into().map_err(|_| "bad u16 slice")?))
+        Ok(u16::from_be_bytes(
+            s.try_into().map_err(|_| "bad u16 slice")?,
+        ))
     }
     fn u32_(b: &mut &[u8]) -> Result<u32, String> {
         let s = take(b, 4)?;
-        Ok(u32::from_be_bytes(s.try_into().map_err(|_| "bad u32 slice")?))
+        Ok(u32::from_be_bytes(
+            s.try_into().map_err(|_| "bad u32 slice")?,
+        ))
     }
     fn u64_(b: &mut &[u8]) -> Result<u64, String> {
         let s = take(b, 8)?;
-        Ok(u64::from_be_bytes(s.try_into().map_err(|_| "bad u64 slice")?))
+        Ok(u64::from_be_bytes(
+            s.try_into().map_err(|_| "bad u64 slice")?,
+        ))
     }
     let mut pkt = Packet {
         eth_src: u64_(&mut b)?,
@@ -119,7 +134,10 @@ pub fn decode_packet(mut b: &[u8]) -> Result<Packet, String> {
             ack: u32_(&mut b)?,
             flags: u8_(&mut b)?,
         },
-        TAG_UDP => Transport::Udp { sport: u16_(&mut b)?, dport: u16_(&mut b)? },
+        TAG_UDP => Transport::Udp {
+            sport: u16_(&mut b)?,
+            dport: u16_(&mut b)?,
+        },
         TAG_OTHER => Transport::Other,
         t => return Err(format!("unknown transport tag {t}")),
     };
@@ -153,7 +171,11 @@ impl NfwWriter {
         w.write_all(NFW_MAGIC)?;
         w.write_all(&seed.to_be_bytes())?;
         w.write_all(&0u64.to_be_bytes())?;
-        Ok(NfwWriter { w, count: 0, buf: Vec::with_capacity(64) })
+        Ok(NfwWriter {
+            w,
+            count: 0,
+            buf: Vec::with_capacity(64),
+        })
     }
 
     /// Append one packet record.
@@ -192,14 +214,16 @@ pub struct NfwReader {
 impl NfwReader {
     /// Open `path` and validate its header.
     pub fn open(path: &str) -> Result<NfwReader, WorkloadError> {
-        let f = File::open(path)
-            .map_err(|e| WorkloadError::msg(format!("{path}: {e}")))?;
+        let f = File::open(path).map_err(|e| WorkloadError::msg(format!("{path}: {e}")))?;
         let mut r = BufReader::new(f);
         let mut header = [0u8; NFW_HEADER_LEN as usize];
         r.read_exact(&mut header)
             .map_err(|e| WorkloadError::at(0, format!("short .nfw header: {e}")))?;
         if &header[..4] != NFW_MAGIC {
-            return Err(WorkloadError::at(0, "not an .nfw file (bad magic)".to_string()));
+            return Err(WorkloadError::at(
+                0,
+                "not an .nfw file (bad magic)".to_string(),
+            ));
         }
         // The header array is fixed-size, so the range conversions
         // cannot fail; report rather than panic if they ever do.
@@ -280,7 +304,11 @@ pub struct GenSource {
 impl GenSource {
     /// A source yielding `total` packets from `PacketGen::new(seed)`.
     pub fn new(seed: u64, total: u64) -> GenSource {
-        GenSource { gen: PacketGen::new(seed), remaining: total, total }
+        GenSource {
+            gen: PacketGen::new(seed),
+            remaining: total,
+            total,
+        }
     }
 }
 
@@ -323,8 +351,7 @@ impl JsonTraceSource {
     /// array. Returns `Ok(None)` when the document has no such key (the
     /// caller falls back to the small seed/packets form).
     pub fn open(path: &str) -> Result<Option<JsonTraceSource>, WorkloadError> {
-        let f = File::open(path)
-            .map_err(|e| WorkloadError::msg(format!("{path}: {e}")))?;
+        let f = File::open(path).map_err(|e| WorkloadError::msg(format!("{path}: {e}")))?;
         let mut src = JsonTraceSource {
             r: BufReader::new(f),
             offset: 0,
@@ -388,7 +415,9 @@ impl JsonTraceSource {
         let mut depth: u32 = 0;
         loop {
             self.skip_ws()?;
-            let Some(b) = self.next_byte()? else { return Ok(false) };
+            let Some(b) = self.next_byte()? else {
+                return Ok(false);
+            };
             match b {
                 b'{' | b'[' => depth += 1,
                 b'}' | b']' => depth = depth.saturating_sub(1),
@@ -438,8 +467,7 @@ impl JsonTraceSource {
                 _ => out.push(b),
             }
         }
-        String::from_utf8(out)
-            .map_err(|_| WorkloadError::at(start, "non-UTF-8 string".to_string()))
+        String::from_utf8(out).map_err(|_| WorkloadError::at(start, "non-UTF-8 string".to_string()))
     }
 
     /// Extract the next balanced `{...}` element of the trace array as
@@ -461,7 +489,10 @@ impl JsonTraceSource {
             Some(b) => {
                 return Err(WorkloadError::at(
                     at,
-                    format!("trace[{}] must be an object, found `{}`", self.index, b as char),
+                    format!(
+                        "trace[{}] must be an object, found `{}`",
+                        self.index, b as char
+                    ),
                 ));
             }
             None => {
@@ -541,12 +572,13 @@ impl WorkloadSource for JsonTraceSource {
         }
         let mut n = 0;
         while n < max {
-            let Some((at, text)) = self.next_object_text()? else { break };
-            let v = Value::parse(&text).map_err(|e| {
-                WorkloadError::at(at, format!("trace[{}]: {e}", self.index))
-            })?;
-            let pkt = trace_object_to_packet(self.index, &v)
-                .map_err(|e| WorkloadError::at(at, e))?;
+            let Some((at, text)) = self.next_object_text()? else {
+                break;
+            };
+            let v = Value::parse(&text)
+                .map_err(|e| WorkloadError::at(at, format!("trace[{}]: {e}", self.index)))?;
+            let pkt =
+                trace_object_to_packet(self.index, &v).map_err(|e| WorkloadError::at(at, e))?;
             out.push(pkt);
             self.index += 1;
             n += 1;
@@ -582,7 +614,9 @@ mod tests {
                 ip_ttl: rng.next_u64() as u8,
                 ip_id: rng.next_u64() as u16,
                 transport: Transport::Other,
-                payload: (0..rng.gen_below(32)).map(|_| rng.next_u64() as u8).collect(),
+                payload: (0..rng.gen_below(32))
+                    .map(|_| rng.next_u64() as u8)
+                    .collect(),
             };
             pkt.transport = match rng.gen_below(3) {
                 0 => Transport::Tcp {
@@ -762,7 +796,10 @@ mod tests {
                 Err(e) => break e,
             }
         };
-        assert!(err.offset.is_some() && err.msg.contains("truncated"), "{err}");
+        assert!(
+            err.offset.is_some() && err.msg.contains("truncated"),
+            "{err}"
+        );
         std::fs::remove_file(&path).ok();
     }
 }

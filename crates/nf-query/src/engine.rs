@@ -354,7 +354,8 @@ impl Engine {
         let (value, changed_at) = match self.memo.get(&key) {
             Some(old) if old.fingerprint == fp => {
                 if self.tracer.is_enabled() {
-                    self.tracer.count(&format!("query.{}.cutoff", kind.label()), 1);
+                    self.tracer
+                        .count(&format!("query.{}.cutoff", kind.label()), 1);
                 }
                 (old.value.clone(), old.changed_at)
             }

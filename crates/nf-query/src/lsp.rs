@@ -189,11 +189,7 @@ fn respond(writer: &mut impl Write, id: Value, result: Value) -> io::Result<()> 
 fn publish(engine: &mut Engine, writer: &mut impl Write, uri: &str) -> io::Result<()> {
     let report = engine.lint_report(uri);
     let diags = match report.as_ref() {
-        Err(e) => vec![lsp_diag(
-            zero_range(),
-            1,
-            &format!("nfl: {e}"),
-        )],
+        Err(e) => vec![lsp_diag(zero_range(), 1, &format!("nfl: {e}"))],
         Ok(r) => {
             let index = LineIndex::new(&r.source);
             r.diagnostics
@@ -219,7 +215,10 @@ fn publish(engine: &mut Engine, writer: &mut impl Write, uri: &str) -> io::Resul
 fn publish_diags(writer: &mut impl Write, uri: &str, diags: Vec<Value>) -> io::Result<()> {
     let note = obj(vec![
         ("jsonrpc", Value::Str("2.0".into())),
-        ("method", Value::Str("textDocument/publishDiagnostics".into())),
+        (
+            "method",
+            Value::Str("textDocument/publishDiagnostics".into()),
+        ),
         (
             "params",
             obj(vec![
@@ -377,7 +376,10 @@ mod tests {
 
     #[test]
     fn header_matching_is_case_insensitive() {
-        assert_eq!(header_value("content-length: 12", "Content-Length"), Some(" 12"));
+        assert_eq!(
+            header_value("content-length: 12", "Content-Length"),
+            Some(" 12")
+        );
         assert_eq!(header_value("Content-Type: x", "Content-Length"), None);
     }
 }

@@ -97,14 +97,12 @@ fn multiset_sub(a: &[String], b: &[String]) -> Vec<String> {
         *budget.entry(line.as_str()).or_insert(0) += 1;
     }
     a.iter()
-        .filter(|line| {
-            match budget.get_mut(line.as_str()) {
-                Some(n) if *n > 0 => {
-                    *n -= 1;
-                    false
-                }
-                _ => true,
+        .filter(|line| match budget.get_mut(line.as_str()) {
+            Some(n) if *n > 0 => {
+                *n -= 1;
+                false
             }
+            _ => true,
         })
         .cloned()
         .collect()

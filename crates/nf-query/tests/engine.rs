@@ -41,8 +41,17 @@ fn cold_engine_matches_lint_source_over_corpus() {
                     "JSON mismatch for {}",
                     nf.name
                 );
-                assert_eq!(f.render_text(), i.render_text(), "text mismatch for {}", nf.name);
-                assert_eq!(f.source, i.source, "carried source mismatch for {}", nf.name);
+                assert_eq!(
+                    f.render_text(),
+                    i.render_text(),
+                    "text mismatch for {}",
+                    nf.name
+                );
+                assert_eq!(
+                    f.source, i.source,
+                    "carried source mismatch for {}",
+                    nf.name
+                );
             }
             (Err(f), Err(i)) => assert_eq!(f, i, "error mismatch for {}", nf.name),
             (f, i) => panic!(
@@ -101,7 +110,10 @@ fn trailing_comment_edit_recomputes_only_parse() {
     let cutoffs_before = counter(&engine, "query.parse.cutoff");
 
     let edited = format!("{}\n// a trailing comment, analysis-invisible\n", nf.source);
-    assert!(engine.set_source(nf.name, &edited), "edit must dirty the doc");
+    assert!(
+        engine.set_source(nf.name, &edited),
+        "edit must dirty the doc"
+    );
     let after_report = engine.lint_report(nf.name);
 
     let after = recompute_counts(&engine);
@@ -119,7 +131,10 @@ fn trailing_comment_edit_recomputes_only_parse() {
     );
     use nf_support::json::ToJson;
     assert_eq!(
-        before_report.as_ref().as_ref().map(|r| r.to_json().render()),
+        before_report
+            .as_ref()
+            .as_ref()
+            .map(|r| r.to_json().render()),
         after_report.as_ref().as_ref().map(|r| r.to_json().render()),
         "trivia edit changed the report"
     );
@@ -151,7 +166,10 @@ fn semantic_edit_reanalyzes_and_matches_fresh() {
     "#;
     engine.set_source("nf", base);
     let clean = engine.lint_report("nf");
-    assert!(clean.as_ref().as_ref().is_ok_and(|r| r.diagnostics.is_empty()));
+    assert!(clean
+        .as_ref()
+        .as_ref()
+        .is_ok_and(|r| r.diagnostics.is_empty()));
 
     engine.set_source("nf", edited);
     let dirty = engine.lint_report("nf");
@@ -175,7 +193,11 @@ fn error_documents_memoize_and_recover() {
     engine.set_source("nf", broken);
     let fresh_err = nfl_lint::lint_source("nf", broken).err();
     let incr = engine.lint_report("nf");
-    assert_eq!(incr.as_ref().as_ref().err(), fresh_err.as_ref(), "error strings must match");
+    assert_eq!(
+        incr.as_ref().as_ref().err(),
+        fresh_err.as_ref(),
+        "error strings must match"
+    );
     // Cached error: asking again returns the same Arc'd error.
     let again = engine.lint_report("nf");
     assert_eq!(again.as_ref().as_ref().err(), fresh_err.as_ref());
@@ -192,7 +214,10 @@ fn error_documents_memoize_and_recover() {
     "#;
     engine.set_source("nf", fixed);
     let ok = engine.lint_report("nf");
-    assert!(ok.as_ref().as_ref().is_ok(), "engine did not recover from a parse error");
+    assert!(
+        ok.as_ref().as_ref().is_ok(),
+        "engine did not recover from a parse error"
+    );
 }
 
 #[test]
@@ -237,5 +262,9 @@ fn identical_set_source_is_a_noop() {
     assert!(engine.set_source(nf.name, &nf.source));
     let rev = engine.revision();
     assert!(!engine.set_source(nf.name, &nf.source));
-    assert_eq!(engine.revision(), rev, "identical bytes must not bump the revision");
+    assert_eq!(
+        engine.revision(),
+        rev,
+        "identical bytes must not bump the revision"
+    );
 }

@@ -145,12 +145,18 @@ fn full_session() {
 
     // 1. initialize response advertises full sync + hover.
     let init = response_for(&frames, 1).expect("no initialize response");
-    let caps = init.get("result").and_then(|r| r.get("capabilities")).expect("no capabilities");
+    let caps = init
+        .get("result")
+        .and_then(|r| r.get("capabilities"))
+        .expect("no capabilities");
     assert_eq!(
         caps.get("textDocumentSync").and_then(|v| v.as_int()),
         Some(1)
     );
-    assert_eq!(caps.get("hoverProvider").and_then(|v| v.as_bool()), Some(true));
+    assert_eq!(
+        caps.get("hoverProvider").and_then(|v| v.as_bool()),
+        Some(true)
+    );
     assert_eq!(
         init.get("result")
             .and_then(|r| r.get("serverInfo"))
@@ -161,7 +167,10 @@ fn full_session() {
 
     // 2. didOpen published the dead-store warning.
     let published = diagnostics_published(&frames);
-    assert!(published.len() >= 2, "expected publishes for open and change");
+    assert!(
+        published.len() >= 2,
+        "expected publishes for open and change"
+    );
     let first = published[0];
     assert!(
         first.iter().any(|d| d
@@ -204,7 +213,10 @@ fn full_session() {
 
     // 5. The fix cleared the diagnostics.
     let last = published.last().expect("no final publish");
-    assert!(last.is_empty(), "expected empty diagnostics after fix: {last:?}");
+    assert!(
+        last.is_empty(),
+        "expected empty diagnostics after fix: {last:?}"
+    );
 
     // 6. shutdown answered with null.
     let shutdown = response_for(&frames, 4).expect("no shutdown response");
@@ -236,7 +248,11 @@ fn parse_error_becomes_a_diagnostic() {
     let frames = parse_frames(&out);
     let published = diagnostics_published(&frames);
     assert_eq!(published.len(), 1);
-    assert_eq!(published[0].len(), 1, "parse error should publish one diagnostic");
+    assert_eq!(
+        published[0].len(),
+        1,
+        "parse error should publish one diagnostic"
+    );
     assert_eq!(
         published[0][0].get("severity").and_then(|s| s.as_int()),
         Some(1),

@@ -169,7 +169,10 @@ mod tests {
         for _ in 0..100 {
             let pkt = gen.next_packet();
             let mut rev = pkt.clone();
-            let (src, dst) = (field_value(&pkt, Field::IpSrc), field_value(&pkt, Field::IpDst));
+            let (src, dst) = (
+                field_value(&pkt, Field::IpSrc),
+                field_value(&pkt, Field::IpDst),
+            );
             rev.set(Field::IpSrc, dst).unwrap();
             rev.set(Field::IpDst, src).unwrap();
             let (sp, dp) = (

@@ -81,9 +81,9 @@ pub use engine::{
     Backend, BatchConfig, FaultSummary, RunConfig, RunMode, SeqOutput, ShardEngine, ShardError,
     ShardRun,
 };
+pub use nf_support::workload::{SliceSource, WorkloadError, WorkloadSource};
 pub use plan::{Placement, PlanMode, ShardPlan};
 pub use supervise::{panic_message, quarantine_to_json, QuarantineRecord};
 pub use telemetry::{
     render_top, FlightEvent, FlightOutcome, RunStats, ShardStats, TelemetryConfig, FLIGHT_CAP,
 };
-pub use nf_support::workload::{SliceSource, WorkloadError, WorkloadSource};

@@ -185,7 +185,12 @@ impl ShardPlan {
             let _ = writeln!(out, "  (no state)");
             return out;
         }
-        let width = self.states.iter().map(|(v, _, _)| v.len()).max().unwrap_or(0);
+        let width = self
+            .states
+            .iter()
+            .map(|(v, _, _)| v.len())
+            .max()
+            .unwrap_or(0);
         for (var, verdict, placement) in &self.states {
             let _ = writeln!(
                 out,
@@ -300,7 +305,11 @@ mod tests {
         "#,
         );
         assert!(!p.partitioned());
-        assert!(p.fallback_reason().contains("shared"), "{}", p.fallback_reason());
+        assert!(
+            p.fallback_reason().contains("shared"),
+            "{}",
+            p.fallback_reason()
+        );
         assert!(p.render_table().contains("global-lock"));
     }
 

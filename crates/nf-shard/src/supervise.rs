@@ -193,8 +193,7 @@ mod tests {
     fn panic_messages_survive_both_payload_shapes() {
         let e = quiet_catch_unwind(|| -> () { panic!("static str") }).unwrap_err();
         assert_eq!(e, "static str");
-        let e =
-            quiet_catch_unwind(|| -> () { panic!("formatted {}", 7) }).unwrap_err();
+        let e = quiet_catch_unwind(|| -> () { panic!("formatted {}", 7) }).unwrap_err();
         assert_eq!(e, "formatted 7");
         assert_eq!(quiet_catch_unwind(|| 41 + 1), Ok(42));
     }
@@ -241,7 +240,9 @@ mod tests {
         let mut rebuilt = PacketGen::new(99).batch(1).pop().unwrap();
         for (path, v) in fields {
             let f = Field::from_path(path).expect("known field path");
-            let Json::Int(n) = v else { panic!("non-int field") };
+            let Json::Int(n) = v else {
+                panic!("non-int field")
+            };
             rebuilt.set(f, *n as u64).expect("settable value");
         }
         for f in Field::ALL {

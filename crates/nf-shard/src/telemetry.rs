@@ -285,7 +285,10 @@ impl ShardStats {
         ]);
         Value::Object(vec![
             ("shard".into(), Value::Int(self.shard as i64)),
-            ("pkts".into(), Value::Int(i64::try_from(pkts).unwrap_or(i64::MAX))),
+            (
+                "pkts".into(),
+                Value::Int(i64::try_from(pkts).unwrap_or(i64::MAX)),
+            ),
             (
                 "busy_ns".into(),
                 Value::Int(i64::try_from(busy_ns).unwrap_or(i64::MAX)),
@@ -578,6 +581,9 @@ mod tests {
         let rows: Vec<&str> = table.lines().collect();
         assert!(rows.len() >= 3, "{table}");
         assert!(rows[2].trim_start().starts_with('1'), "{table}");
-        assert!(rows[2].trim_end().ends_with('2'), "quarantine column: {table}");
+        assert!(
+            rows[2].trim_end().ends_with('2'),
+            "quarantine column: {table}"
+        );
     }
 }

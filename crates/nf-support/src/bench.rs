@@ -257,7 +257,11 @@ impl Harness {
                 self.results.len(),
                 path.display()
             ),
-            Err(e) => eprintln!("bench {}: could not write {}: {e}", self.name, path.display()),
+            Err(e) => eprintln!(
+                "bench {}: could not write {}: {e}",
+                self.name,
+                path.display()
+            ),
         }
     }
 }
@@ -270,7 +274,12 @@ fn run_meta() -> Value {
         (
             "profile".into(),
             Value::Str(
-                if cfg!(debug_assertions) { "debug" } else { "release" }.to_string(),
+                if cfg!(debug_assertions) {
+                    "debug"
+                } else {
+                    "release"
+                }
+                .to_string(),
             ),
         ),
     ])
@@ -369,9 +378,7 @@ mod tests {
         h.warmup(Duration::from_millis(5));
         let mut g = h.benchmark_group("grp");
         g.sample_size(3);
-        g.bench_function("sum", |b| {
-            b.iter(|| (0..100u64).sum::<u64>())
-        });
+        g.bench_function("sum", |b| b.iter(|| (0..100u64).sum::<u64>()));
         g.finish();
         assert_eq!(h.results.len(), 1);
         let m = &h.results[0];

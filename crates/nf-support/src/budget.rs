@@ -59,7 +59,8 @@ impl Budget {
 
     /// Time left before the deadline (`None` when no deadline is set).
     pub fn remaining(&self) -> Option<Duration> {
-        self.deadline.map(|d| d.saturating_duration_since(Instant::now()))
+        self.deadline
+            .map(|d| d.saturating_duration_since(Instant::now()))
     }
 }
 

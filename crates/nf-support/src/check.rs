@@ -202,8 +202,7 @@ pub fn any_i64() -> Gen<i64> {
 
 /// Either boolean, shrinking `true` to `false`.
 pub fn any_bool() -> Gen<bool> {
-    Gen::new(|rng| rng.gen_bool(0.5))
-        .with_shrink(|&v| if v { vec![false] } else { Vec::new() })
+    Gen::new(|rng| rng.gen_bool(0.5)).with_shrink(|&v| if v { vec![false] } else { Vec::new() })
 }
 
 impl Gen<u64> {
@@ -386,7 +385,12 @@ fn run_once<T>(prop: &impl Fn(&T), input: &T) -> Result<(), String> {
 /// shrink and panic with the minimal counterexample.
 ///
 /// `name` seeds the RNG (mixed with `cfg.seed`) and labels the report.
-pub fn check<T: Clone + Debug + 'static>(name: &str, cfg: &Config, gen: &Gen<T>, prop: impl Fn(&T)) {
+pub fn check<T: Clone + Debug + 'static>(
+    name: &str,
+    cfg: &Config,
+    gen: &Gen<T>,
+    prop: impl Fn(&T),
+) {
     let mut seed = cfg.seed;
     for b in name.bytes() {
         seed = seed.wrapping_mul(0x100000001b3).wrapping_add(u64::from(b));

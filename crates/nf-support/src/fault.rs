@@ -211,17 +211,20 @@ impl FaultPlan {
             let shard = if shard_raw == "*" {
                 ShardSel::Any
             } else {
-                ShardSel::One(shard_raw.parse::<usize>().map_err(|_| {
-                    format!("fault point `{point}`: bad shard `{shard_raw}`")
-                })?)
+                ShardSel::One(
+                    shard_raw
+                        .parse::<usize>()
+                        .map_err(|_| format!("fault point `{point}`: bad shard `{shard_raw}`"))?,
+                )
             };
             let nth = nth_raw
                 .parse::<u64>()
                 .map_err(|_| format!("fault point `{point}`: bad ordinal `{nth_raw}`"))?;
             let arg = match arg_raw {
-                Some(a) => Some(a.parse::<u64>().map_err(|_| {
-                    format!("fault point `{point}`: bad argument `{a}`")
-                })?),
+                Some(a) => Some(
+                    a.parse::<u64>()
+                        .map_err(|_| format!("fault point `{point}`: bad argument `{a}`"))?,
+                ),
                 None => None,
             };
             let kind = match kind_kw.trim() {
@@ -239,9 +242,7 @@ impl FaultPlan {
                     ))
                 }
             };
-            if !matches!(kind, FaultKind::Delay(_) | FaultKind::RingOverflow(_))
-                && arg.is_some()
-            {
+            if !matches!(kind, FaultKind::Delay(_) | FaultKind::RingOverflow(_)) && arg.is_some() {
                 return Err(format!(
                     "fault point `{point}`: `{kind_kw}` takes no argument"
                 ));
@@ -314,10 +315,7 @@ mod tests {
     #[test]
     fn defaults_applied_when_argument_omitted() {
         let plan = FaultPlan::parse("delay@0:1,ring-overflow@0:2").unwrap();
-        assert_eq!(
-            plan.points()[0].kind,
-            FaultKind::Delay(DEFAULT_DELAY_US)
-        );
+        assert_eq!(plan.points()[0].kind, FaultKind::Delay(DEFAULT_DELAY_US));
         assert_eq!(
             plan.points()[1].kind,
             FaultKind::RingOverflow(DEFAULT_OVERFLOW_ATTEMPTS)

@@ -113,11 +113,7 @@ impl Value {
 
     fn write(&self, out: &mut String, indent: Option<usize>, depth: usize) {
         let (nl, pad, pad_in) = match indent {
-            Some(w) => (
-                "\n",
-                " ".repeat(w * depth),
-                " ".repeat(w * (depth + 1)),
-            ),
+            Some(w) => ("\n", " ".repeat(w * depth), " ".repeat(w * (depth + 1))),
             None => ("", String::new(), String::new()),
         };
         match self {
@@ -330,10 +326,10 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, JsonError> {
                         let hex = b
                             .get(*pos + 1..*pos + 5)
                             .ok_or_else(|| err("truncated \\u escape", *pos))?;
-                        let s = std::str::from_utf8(hex)
-                            .map_err(|_| err("bad \\u escape", *pos))?;
-                        let cp = u32::from_str_radix(s, 16)
-                            .map_err(|_| err("bad \\u escape", *pos))?;
+                        let s =
+                            std::str::from_utf8(hex).map_err(|_| err("bad \\u escape", *pos))?;
+                        let cp =
+                            u32::from_str_radix(s, 16).map_err(|_| err("bad \\u escape", *pos))?;
                         // Surrogates are replaced; the workspace never
                         // emits them.
                         out.push(char::from_u32(cp).unwrap_or('\u{fffd}'));
@@ -345,8 +341,8 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, JsonError> {
             }
             Some(_) => {
                 // Consume one UTF-8 character.
-                let rest = std::str::from_utf8(&b[*pos..])
-                    .map_err(|_| err("invalid utf-8", *pos))?;
+                let rest =
+                    std::str::from_utf8(&b[*pos..]).map_err(|_| err("invalid utf-8", *pos))?;
                 let c = rest.chars().next().unwrap();
                 out.push(c);
                 *pos += c.len_utf8();

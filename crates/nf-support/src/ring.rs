@@ -21,7 +21,11 @@ impl<T> RingLog<T> {
     /// to 1).
     pub fn new(capacity: usize) -> RingLog<T> {
         let cap = capacity.max(1);
-        RingLog { cap, buf: VecDeque::with_capacity(cap), pushed: 0 }
+        RingLog {
+            cap,
+            buf: VecDeque::with_capacity(cap),
+            pushed: 0,
+        }
     }
 
     /// Append `value`, evicting the oldest retained entry when full.

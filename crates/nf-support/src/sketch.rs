@@ -47,7 +47,11 @@ impl<K: Eq + Clone> TopK<K> {
     /// A sketch tracking at most `cap` keys (`cap` is clamped up to 1).
     pub fn new(cap: usize) -> TopK<K> {
         let cap = cap.max(1);
-        TopK { cap, slots: Vec::with_capacity(cap), total: 0 }
+        TopK {
+            cap,
+            slots: Vec::with_capacity(cap),
+            total: 0,
+        }
     }
 
     /// Count one occurrence of `key`.
@@ -86,7 +90,11 @@ impl<K: Eq + Clone> TopK<K> {
             return;
         }
         if self.slots.len() < self.cap {
-            self.slots.push(TopEntry { key: key.to_owned(), count: n, err: 0 });
+            self.slots.push(TopEntry {
+                key: key.to_owned(),
+                count: n,
+                err: 0,
+            });
             return;
         }
         // Evict the current minimum; the newcomer inherits its count as

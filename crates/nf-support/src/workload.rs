@@ -36,12 +36,18 @@ pub struct WorkloadError {
 impl WorkloadError {
     /// An error with no meaningful byte offset.
     pub fn msg(msg: impl Into<String>) -> WorkloadError {
-        WorkloadError { offset: None, msg: msg.into() }
+        WorkloadError {
+            offset: None,
+            msg: msg.into(),
+        }
     }
 
     /// An error anchored at a byte offset.
     pub fn at(offset: u64, msg: impl Into<String>) -> WorkloadError {
-        WorkloadError { offset: Some(offset), msg: msg.into() }
+        WorkloadError {
+            offset: Some(offset),
+            msg: msg.into(),
+        }
     }
 }
 
@@ -69,11 +75,8 @@ pub trait WorkloadSource {
     /// Append up to `max` items to `out`, returning the number
     /// appended; `Ok(0)` signals end of stream. `out` is not cleared —
     /// the caller owns the buffer and its reuse policy.
-    fn next_batch(
-        &mut self,
-        out: &mut Vec<Self::Item>,
-        max: usize,
-    ) -> Result<usize, WorkloadError>;
+    fn next_batch(&mut self, out: &mut Vec<Self::Item>, max: usize)
+        -> Result<usize, WorkloadError>;
 
     /// Total items this source expects to yield, when known up front
     /// (a counted trace file, a sized generator). Purely advisory.
@@ -147,9 +150,8 @@ impl<T: Clone> WorkloadSource for SliceSource<'_, T> {
 /// Append one length-prefixed record (`u32` big-endian length, then the
 /// payload bytes) to `w`.
 pub fn write_record(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
-    let len = u32::try_from(payload.len()).map_err(|_| {
-        std::io::Error::new(std::io::ErrorKind::InvalidInput, "record too long")
-    })?;
+    let len = u32::try_from(payload.len())
+        .map_err(|_| std::io::Error::new(std::io::ErrorKind::InvalidInput, "record too long"))?;
     w.write_all(&len.to_be_bytes())?;
     w.write_all(payload)
 }

@@ -62,12 +62,17 @@ fn prop_sketch_never_undercounts_heavy_hitters() {
     // Keys drawn from a small range so eviction churn is constant; the
     // quadratic key map skews mass toward low values.
     let streams = vec_of(uint_range(0, 900), 0, 400);
-    check("sketch_invariants", &Config::with_cases(150), &streams, |raw| {
-        let stream: Vec<u64> = raw.iter().map(|&v| (v * v) / 300).collect();
-        for cap in [1, 2, 8] {
-            assert_invariants(&stream, cap);
-        }
-    });
+    check(
+        "sketch_invariants",
+        &Config::with_cases(150),
+        &streams,
+        |raw| {
+            let stream: Vec<u64> = raw.iter().map(|&v| (v * v) / 300).collect();
+            for cap in [1, 2, 8] {
+                assert_invariants(&stream, cap);
+            }
+        },
+    );
 }
 
 #[test]
@@ -75,20 +80,25 @@ fn prop_sketch_is_exact_below_capacity() {
     // At most 8 distinct keys into a cap-16 sketch: no eviction ever
     // happens, so every estimate is exact with zero error.
     let streams = vec_of(uint_range(0, 7), 0, 200);
-    check("sketch_exact", &Config::with_cases(100), &streams, |stream| {
-        let mut sketch = TopK::new(16);
-        for &k in stream {
-            sketch.offer(k);
-        }
-        let truth = exact_counts(stream);
-        assert_eq!(sketch.len(), truth.len());
-        for (&k, &c) in &truth {
-            assert_eq!(sketch.estimate(&k), Some(c));
-        }
-        for e in sketch.entries() {
-            assert_eq!(e.err, 0);
-        }
-    });
+    check(
+        "sketch_exact",
+        &Config::with_cases(100),
+        &streams,
+        |stream| {
+            let mut sketch = TopK::new(16);
+            for &k in stream {
+                sketch.offer(k);
+            }
+            let truth = exact_counts(stream);
+            assert_eq!(sketch.len(), truth.len());
+            for (&k, &c) in &truth {
+                assert_eq!(sketch.estimate(&k), Some(c));
+            }
+            for e in sketch.entries() {
+                assert_eq!(e.err, 0);
+            }
+        },
+    );
 }
 
 /// Pinned eviction-churn case: a full rotation of distinct keys ending

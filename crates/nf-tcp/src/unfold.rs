@@ -85,9 +85,7 @@ struct Extracted {
 }
 
 fn extract(program: &Program) -> Result<Extracted, UnfoldError> {
-    let main = program
-        .function("main")
-        .ok_or(UnfoldError::NotNestedLoop)?;
+    let main = program.function("main").ok_or(UnfoldError::NotNestedLoop)?;
     // let lfd = listen(PORT);
     let mut listen_port = None;
     for s in &main.body {
@@ -104,9 +102,7 @@ fn extract(program: &Program) -> Result<Extracted, UnfoldError> {
         .body
         .iter()
         .find_map(|s| match &s.kind {
-            StmtKind::While { cond, body }
-                if matches!(cond.kind, ExprKind::Bool(true)) =>
-            {
+            StmtKind::While { cond, body } if matches!(cond.kind, ExprKind::Bool(true)) => {
                 Some(body)
             }
             _ => None,
@@ -119,7 +115,9 @@ fn extract(program: &Program) -> Result<Extracted, UnfoldError> {
     for s in accept_loop {
         match &s.kind {
             StmtKind::Let { value, .. } if call_of(value, "accept").is_some() => {}
-            StmtKind::If { cond, then_branch, .. } => {
+            StmtKind::If {
+                cond, then_branch, ..
+            } => {
                 let is_fork = matches!(
                     &cond.kind,
                     ExprKind::Binary(nfl_lang::BinOp::Eq, a, _)
@@ -362,17 +360,21 @@ mod tests {
         assert!(q.states.iter().any(|s| s.name == "idx"));
         // No socket builtins remain.
         let text = nfl_lang::pretty::program_to_string(&q);
-        for sock in ["listen(", "accept(", "connect(", "sock_read", "select2", "fork("] {
+        for sock in [
+            "listen(",
+            "accept(",
+            "connect(",
+            "sock_read",
+            "select2",
+            "fork(",
+        ] {
             assert!(!text.contains(sock), "{sock} survived:\n{text}");
         }
     }
 
     #[test]
     fn non_nested_program_rejected() {
-        let p = parse(
-            "fn cb(pkt: packet) { send(pkt); } fn main() { sniff(cb); }",
-        )
-        .unwrap();
+        let p = parse("fn cb(pkt: packet) { send(pkt); } fn main() { sniff(cb); }").unwrap();
         assert_eq!(unfold_sockets(&p), Err(UnfoldError::NotNestedLoop));
     }
 
@@ -466,12 +468,12 @@ mod tests {
         let mut i = Interp::new(&pl).unwrap();
         let mut t = ConnTable::default();
         let seq = [
-            (TcpFlags::ack(), 20),  // out-of-state data
-            (TcpFlags::syn(), 0),   // open
-            (TcpFlags::ack(), 0),   // complete
-            (TcpFlags::ack(), 30),  // data
+            (TcpFlags::ack(), 20), // out-of-state data
+            (TcpFlags::syn(), 0),  // open
+            (TcpFlags::ack(), 0),  // complete
+            (TcpFlags::ack(), 30), // data
             (TcpFlags::fin_ack(), 0),
-            (TcpFlags::ack(), 10),  // data after FIN
+            (TcpFlags::ack(), 10), // data after FIN
         ];
         for (flags, payload) in seq {
             let pkt = client_pkt(flags, payload);

@@ -79,7 +79,14 @@ mod tests {
     use super::*;
 
     fn span(name: &str, ts_ns: u64, dur_ns: u64, depth: usize, tid: usize) -> TraceEvent {
-        TraceEvent { name: name.into(), ts_ns, dur_ns: Some(dur_ns), depth, tid, args: Vec::new() }
+        TraceEvent {
+            name: name.into(),
+            ts_ns,
+            dur_ns: Some(dur_ns),
+            depth,
+            tid,
+            args: Vec::new(),
+        }
     }
 
     #[test]
@@ -87,11 +94,17 @@ mod tests {
         let json = trace_json(&[span("stage", 2_000, 1_500, 0, 0)], &[]);
         let text = json.render();
         let parsed = Value::parse(&text).expect("valid JSON");
-        let Value::Object(top) = parsed else { panic!("expected object") };
+        let Value::Object(top) = parsed else {
+            panic!("expected object")
+        };
         assert_eq!(top[0].0, "traceEvents");
-        let Value::Array(events) = &top[0].1 else { panic!("expected array") };
+        let Value::Array(events) = &top[0].1 else {
+            panic!("expected array")
+        };
         assert_eq!(events.len(), 1);
-        let Value::Object(ev) = &events[0] else { panic!("expected object") };
+        let Value::Object(ev) = &events[0] else {
+            panic!("expected object")
+        };
         let get = |k: &str| ev.iter().find(|(n, _)| n == k).map(|(_, v)| v.clone());
         assert_eq!(get("name"), Some(Value::Str("stage".into())));
         assert_eq!(get("ph"), Some(Value::Str("X".into())));
@@ -119,7 +132,10 @@ mod tests {
 
     #[test]
     fn threads_emit_metadata_and_per_event_tids() {
-        let events = [span("dispatch", 0, 10, 0, 0), span("worker.step", 2, 5, 0, 1)];
+        let events = [
+            span("dispatch", 0, 10, 0, 0),
+            span("worker.step", 2, 5, 0, 1),
+        ];
         let names = ["main".to_string(), "shard-1".to_string()];
         let text = trace_json(&events, &names).render_pretty();
         assert!(text.contains("\"ph\": \"M\""));
@@ -128,10 +144,16 @@ mod tests {
         assert!(text.contains("\"tid\": 1"));
         // Metadata events come first so viewers name rows before use.
         let parsed = Value::parse(&text).expect("valid JSON");
-        let Value::Object(top) = parsed else { panic!("expected object") };
-        let Value::Array(all) = &top[0].1 else { panic!("expected array") };
+        let Value::Object(top) = parsed else {
+            panic!("expected object")
+        };
+        let Value::Array(all) = &top[0].1 else {
+            panic!("expected array")
+        };
         assert_eq!(all.len(), 4);
-        let Value::Object(first) = &all[0] else { panic!("expected object") };
+        let Value::Object(first) = &all[0] else {
+            panic!("expected object")
+        };
         assert_eq!(first[0].1, Value::Str("thread_name".into()));
     }
 
@@ -139,7 +161,9 @@ mod tests {
     fn empty_trace_is_still_valid() {
         let text = trace_json(&[], &[]).render();
         let parsed = Value::parse(&text).expect("valid JSON");
-        let Value::Object(top) = parsed else { panic!("expected object") };
+        let Value::Object(top) = parsed else {
+            panic!("expected object")
+        };
         assert_eq!(top.len(), 2);
     }
 }

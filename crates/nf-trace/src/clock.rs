@@ -49,7 +49,11 @@ pub struct MockClock {
 impl MockClock {
     /// A mock clock that advances `tick_ns` nanoseconds per `now()` call.
     pub fn new(tick_ns: u64) -> MockClock {
-        MockClock { base: Instant::now(), offset_ns: AtomicU64::new(0), tick_ns }
+        MockClock {
+            base: Instant::now(),
+            offset_ns: AtomicU64::new(0),
+            tick_ns,
+        }
     }
 
     /// Advance the clock by `d` without consuming a tick.

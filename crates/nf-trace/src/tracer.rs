@@ -94,7 +94,11 @@ impl Tracer {
     /// A tracer with no sink: records nothing, but still tells time via
     /// the system clock so instrumented code has one timing source.
     pub fn disabled() -> Tracer {
-        Tracer { clock: Arc::new(SystemClock), origin: Instant::now(), sink: None }
+        Tracer {
+            clock: Arc::new(SystemClock),
+            origin: Instant::now(),
+            sink: None,
+        }
     }
 
     /// A recording tracer on the system clock.
@@ -106,7 +110,11 @@ impl Tracer {
     /// [`crate::MockClock`] here for deterministic output).
     pub fn with_clock(clock: Arc<dyn Clock>) -> Tracer {
         let origin = clock.now();
-        Tracer { clock, origin, sink: Some(Arc::new(Mutex::new(Sink::default()))) }
+        Tracer {
+            clock,
+            origin,
+            sink: Some(Arc::new(Mutex::new(Sink::default()))),
+        }
     }
 
     /// True when this tracer records events and metrics.
@@ -152,7 +160,11 @@ impl Tracer {
         } else {
             None
         };
-        Span { tracer: self.clone(), start, name }
+        Span {
+            tracer: self.clone(),
+            start,
+            name,
+        }
     }
 
     /// Record an instant (zero-duration) event.
@@ -170,7 +182,14 @@ impl Tracer {
         self.with_sink(|s| {
             let depth = s.open.len();
             let tid = s.tid_for_current();
-            s.events.push(TraceEvent { name: name.to_string(), ts_ns: ts, dur_ns: None, depth, tid, args });
+            s.events.push(TraceEvent {
+                name: name.to_string(),
+                ts_ns: ts,
+                dur_ns: None,
+                depth,
+                tid,
+                args,
+            });
         });
     }
 

@@ -48,7 +48,10 @@ fn prop_spans_always_balance() {
     let ops = vec_of(uint_range(0, 15), 0, 40);
     check("spans_balance", &Config::with_cases(200), &ops, |ops| {
         let (tracer, opens, instants) = interpret(ops);
-        assert!(tracer.balanced(), "open spans left after closing all guards");
+        assert!(
+            tracer.balanced(),
+            "open spans left after closing all guards"
+        );
         let events = tracer.events();
         assert_eq!(events.len(), opens + instants);
         // Every opened span produced exactly one complete event, and
@@ -66,19 +69,24 @@ fn prop_spans_always_balance() {
 #[test]
 fn prop_metrics_and_trace_deterministic_under_mock_clock() {
     let ops = vec_of(uint_range(0, 15), 0, 40);
-    check("metrics_deterministic", &Config::with_cases(100), &ops, |ops| {
-        let (t1, _, _) = interpret(ops);
-        let (t2, _, _) = interpret(ops);
-        assert_eq!(t1.metrics().render_table(), t2.metrics().render_table());
-        assert_eq!(
-            t1.metrics().to_json().render_pretty(),
-            t2.metrics().to_json().render_pretty()
-        );
-        assert_eq!(
-            t1.trace_json().render_pretty(),
-            t2.trace_json().render_pretty()
-        );
-    });
+    check(
+        "metrics_deterministic",
+        &Config::with_cases(100),
+        &ops,
+        |ops| {
+            let (t1, _, _) = interpret(ops);
+            let (t2, _, _) = interpret(ops);
+            assert_eq!(t1.metrics().render_table(), t2.metrics().render_table());
+            assert_eq!(
+                t1.metrics().to_json().render_pretty(),
+                t2.metrics().to_json().render_pretty()
+            );
+            assert_eq!(
+                t1.trace_json().render_pretty(),
+                t2.trace_json().render_pretty()
+            );
+        },
+    );
 }
 
 #[test]
@@ -98,7 +106,11 @@ fn prop_chrome_json_round_trips_with_expected_shape() {
             .partition(|ev| ev.get("ph") == Some(&Value::Str("M".into())));
         assert_eq!(events.len(), opens + instants);
         if opens + instants > 0 {
-            assert_eq!(meta.len(), 1, "single-threaded run names exactly one thread");
+            assert_eq!(
+                meta.len(),
+                1,
+                "single-threaded run names exactly one thread"
+            );
             assert_eq!(events[0].get("tid"), Some(&Value::Int(0)));
         }
         for ev in &events {

@@ -59,7 +59,10 @@ fn prop_quantiles_bounded_by_bucket_edges() {
                 v >= lo && v <= hi,
                 "quantile({q}) = {v} escapes its bucket [{lo}, {hi}]"
             );
-            assert!(v <= true_max, "quantile({q}) = {v} above observed max {true_max}");
+            assert!(
+                v <= true_max,
+                "quantile({q}) = {v} above observed max {true_max}"
+            );
         }
     });
 }
@@ -107,6 +110,9 @@ fn regression_single_observation() {
     assert_eq!(h.max, 5_000);
     for &q in &QS {
         let v = h.quantile(q);
-        assert!((1_000..=5_000).contains(&v), "quantile({q}) = {v} outside (1000, 5000]");
+        assert!(
+            (1_000..=5_000).contains(&v),
+            "quantile({q}) = {v} outside (1000, 5000]"
+        );
     }
 }

@@ -96,11 +96,7 @@ pub fn recommend_order(nfs: &[(&str, &Model)]) -> ChainReport {
             if a == b {
                 continue;
             }
-            let clash: Vec<Field> = fb
-                .rewritten
-                .intersection(&fa.matched)
-                .copied()
-                .collect();
+            let clash: Vec<Field> = fb.rewritten.intersection(&fa.matched).copied().collect();
             // b rewrites fields a matches ⇒ a before b (but only if a
             // does not itself rewrite fields b matches — that would be a
             // cycle reported below).
@@ -173,7 +169,9 @@ mod tests {
             .name(name)
             .build()
             .unwrap()
-            .synthesize(src).unwrap().model
+            .synthesize(src)
+            .unwrap()
+            .model
     }
 
     #[test]

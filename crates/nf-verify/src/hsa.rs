@@ -143,9 +143,9 @@ impl HeaderSpace {
 
     /// Does a concrete packet lie in the space?
     pub fn contains_packet(&self, pkt: &nf_packet::Packet) -> bool {
-        self.fields.iter().all(|(f, set)| {
-            pkt.get(*f).map(|v| set.contains(v)).unwrap_or(false)
-        })
+        self.fields
+            .iter()
+            .all(|(f, set)| pkt.get(*f).map(|v| set.contains(v)).unwrap_or(false))
     }
 }
 
@@ -260,10 +260,7 @@ impl StatefulNf {
 
     fn config_holds(&self, config: &[SymVal]) -> bool {
         config.iter().all(|lit| {
-            match self
-                .state
-                .eval(lit, &nf_packet::Packet::default())
-            {
+            match self.state.eval(lit, &nf_packet::Packet::default()) {
                 Ok(Value::Bool(b)) => b,
                 _ => true, // unknown config literal: keep the table
             }
@@ -487,9 +484,7 @@ impl StatefulNf {
         let mut points = Vec::new();
         for &k in &keys {
             let vals: Vec<u64> = match k {
-                nfl_interp::ValueKey::Tuple(t) => {
-                    t.iter().map(|v| *v as u64).collect()
-                }
+                nfl_interp::ValueKey::Tuple(t) => t.iter().map(|v| *v as u64).collect(),
                 nfl_interp::ValueKey::Int(v) => vec![*v as u64],
                 _ => continue,
             };
@@ -518,13 +513,15 @@ impl StatefulNf {
             for k in keys {
                 if let nfl_interp::ValueKey::Tuple(t) = k {
                     if let (Some(f), Some(v)) = (fields.first(), t.first()) {
-                        miss_space =
-                            miss_space.clone().with(*f, miss_space.get(*f).remove_point(*v as u64));
+                        miss_space = miss_space
+                            .clone()
+                            .with(*f, miss_space.get(*f).remove_point(*v as u64));
                     }
                 } else if let nfl_interp::ValueKey::Int(v) = k {
                     if let Some(f) = fields.first() {
-                        miss_space =
-                            miss_space.clone().with(*f, miss_space.get(*f).remove_point(*v as u64));
+                        miss_space = miss_space
+                            .clone()
+                            .with(*f, miss_space.get(*f).remove_point(*v as u64));
                     }
                 }
             }

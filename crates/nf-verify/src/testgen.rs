@@ -99,11 +99,7 @@ fn pin_configs(term: &SymVal, configs: &HashMap<String, i64>) -> SymVal {
         },
         SymVal::Tuple(es) => SymVal::Tuple(es.iter().map(|e| pin_configs(e, configs)).collect()),
         SymVal::Array(es) => SymVal::Array(es.iter().map(|e| pin_configs(e, configs)).collect()),
-        SymVal::Bin(op, a, b) => SymVal::bin(
-            *op,
-            pin_configs(a, configs),
-            pin_configs(b, configs),
-        ),
+        SymVal::Bin(op, a, b) => SymVal::bin(*op, pin_configs(a, configs), pin_configs(b, configs)),
         SymVal::Not(a) => SymVal::negate(pin_configs(a, configs)),
         SymVal::Neg(a) => SymVal::Neg(Box::new(pin_configs(a, configs))),
         SymVal::Hash(a) => SymVal::Hash(Box::new(pin_configs(a, configs))),
@@ -115,9 +111,7 @@ fn pin_configs(term: &SymVal, configs: &HashMap<String, i64>) -> SymVal {
             Box::new(pin_configs(a, configs)),
             Box::new(pin_configs(b, configs)),
         ),
-        SymVal::MapGet(m, k) => {
-            SymVal::MapGet(m.clone(), Box::new(pin_configs(k, configs)))
-        }
+        SymVal::MapGet(m, k) => SymVal::MapGet(m.clone(), Box::new(pin_configs(k, configs))),
         SymVal::MapContains(m, k) => {
             SymVal::MapContains(m.clone(), Box::new(pin_configs(k, configs)))
         }
@@ -214,19 +208,14 @@ pub fn generate_tests(
         for (ei, entry) in table.entries.iter().enumerate() {
             let requirements = membership_requirements(entry);
             let positives: Vec<_> = requirements.iter().filter(|(_, _, p)| *p).collect();
-            let (setup, extra_constraints): (Vec<Packet>, Vec<SymVal>) = if positives
-                .is_empty()
-            {
+            let (setup, extra_constraints): (Vec<Packet>, Vec<SymVal>) = if positives.is_empty() {
                 (Vec::new(), Vec::new())
             } else {
                 // One positive requirement supported per entry (NF
                 // entries in the corpus never need two distinct maps
                 // pre-populated by different flows).
                 let (map, key_fields, _) = positives[0];
-                let Some((donor_pkt, _)) = donors
-                    .iter()
-                    .find(|(_, d)| inserts_into(d, map))
-                else {
+                let Some((donor_pkt, _)) = donors.iter().find(|(_, d)| inserts_into(d, map)) else {
                     ungenerated += 1;
                     continue;
                 };
@@ -269,8 +258,7 @@ pub fn generate_tests(
                     .collect();
                 (vec![donor_pkt.clone()], pins)
             };
-            let Some(probe) = generate_probe(entry, configs, &extra_constraints, &solver)
-            else {
+            let Some(probe) = generate_probe(entry, configs, &extra_constraints, &solver) else {
                 ungenerated += 1;
                 continue;
             };
@@ -333,7 +321,7 @@ mod tests {
             .build()
             .unwrap()
             .synthesize(&nf_corpus::firewall::source())
-        .unwrap();
+            .unwrap();
         let report = compliance_test(&syn).unwrap();
         assert!(!report.tests.is_empty());
         assert!(report.compliant(), "{report}: {:?}", report.violations);
@@ -363,7 +351,7 @@ mod tests {
             .build()
             .unwrap()
             .synthesize(&nf_corpus::snort::source(8))
-        .unwrap();
+            .unwrap();
         let report = compliance_test(&syn).unwrap();
         assert!(report.compliant(), "{report}: {:?}", report.violations);
         let fwd = report.tests.iter().filter(|t| t.expect_forward).count();
@@ -378,7 +366,7 @@ mod tests {
             .build()
             .unwrap()
             .synthesize(&nf_corpus::firewall::source())
-        .unwrap();
+            .unwrap();
         let report = compliance_test(&syn).unwrap();
         // Spot-check: every probe targeting a forward entry is actually
         // forwarded by a fresh NF when its setup ran (already asserted
@@ -398,14 +386,17 @@ mod tests {
             .build()
             .unwrap()
             .synthesize(&nf_corpus::firewall::source())
-        .unwrap();
-        let broken_src = nf_corpus::firewall::source()
-            .replace("if pkt.tcp.dport == ALLOW_PORT {", "if pkt.tcp.dport == 81 {");
+            .unwrap();
+        let broken_src = nf_corpus::firewall::source().replace(
+            "if pkt.tcp.dport == ALLOW_PORT {",
+            "if pkt.tcp.dport == 81 {",
+        );
         let broken = Pipeline::builder()
             .name("fw-broken")
             .build()
             .unwrap()
-            .synthesize(&broken_src).unwrap();
+            .synthesize(&broken_src)
+            .unwrap();
         // Replay good-model tests on the broken implementation.
         let interp_ok = Interp::new(&broken.nf_loop).unwrap();
         let model_state = initial_model_state(&good, &interp_ok);

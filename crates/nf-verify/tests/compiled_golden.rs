@@ -33,8 +33,8 @@ fn rendered_tree(name: &str, src: &str) -> String {
         .unwrap_or_else(|e| panic!("{name}: synthesize: {e}"));
     let interp = Interp::new(&syn.nf_loop).unwrap();
     let init = initial_model_state(&syn, &interp);
-    let prog = nf_compile::compile(&syn.model, &init)
-        .unwrap_or_else(|e| panic!("{name}: compile: {e}"));
+    let prog =
+        nf_compile::compile(&syn.model, &init).unwrap_or_else(|e| panic!("{name}: compile: {e}"));
     format!(
         "# golden: {name}\n# regenerate with UPDATE_GOLDEN=1 cargo test -p nf-verify --test compiled_golden\n{}",
         nf_compile::render(&prog)

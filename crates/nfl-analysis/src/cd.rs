@@ -69,9 +69,7 @@ mod tests {
 
     #[test]
     fn then_branch_depends_on_cond() {
-        let (p, cfg, cd) = analyze(
-            "fn main() { let x = 1; if x == 1 { let a = 2; } let c = 3; }",
-        );
+        let (p, cfg, cd) = analyze("fn main() { let x = 1; if x == 1 { let a = 2; } let c = 3; }");
         let mut cond = None;
         let mut a_node = None;
         let mut c_node = None;
@@ -91,9 +89,8 @@ mod tests {
 
     #[test]
     fn both_sides_of_else_depend() {
-        let (p, cfg, cd) = analyze(
-            "fn main() { let x = 1; if x == 1 { let a = 2; } else { let b = 3; } }",
-        );
+        let (p, cfg, cd) =
+            analyze("fn main() { let x = 1; if x == 1 { let a = 2; } else { let b = 3; } }");
         let mut cond = None;
         let mut a_node = None;
         let mut b_node = None;
@@ -109,9 +106,7 @@ mod tests {
 
     #[test]
     fn loop_body_depends_on_header_and_header_on_itself() {
-        let (p, cfg, cd) = analyze(
-            "fn main() { let i = 0; while i < 3 { i = i + 1; } }",
-        );
+        let (p, cfg, cd) = analyze("fn main() { let i = 0; while i < 3 { i = i + 1; } }");
         let mut hdr = None;
         let mut body = None;
         p.for_each_stmt(|s| match &s.kind {

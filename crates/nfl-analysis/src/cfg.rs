@@ -147,11 +147,16 @@ impl fmt::Display for Cfg {
             let succs: Vec<String> = n
                 .succs
                 .iter()
-                .map(|(t, k)| format!("{t}{}", match k {
-                    EdgeKind::Seq => "",
-                    EdgeKind::True => "T",
-                    EdgeKind::False => "F",
-                }))
+                .map(|(t, k)| {
+                    format!(
+                        "{t}{}",
+                        match k {
+                            EdgeKind::Seq => "",
+                            EdgeKind::True => "T",
+                            EdgeKind::False => "F",
+                        }
+                    )
+                })
                 .collect();
             writeln!(f, "n{i} [{:?} {stmt}] -> {}", n.kind, succs.join(", "))?;
         }
@@ -394,9 +399,8 @@ mod tests {
 
     #[test]
     fn rpo_starts_at_entry_and_covers_all() {
-        let (cfg, _) = cfg_of(
-            "fn main() { let x = 0; while x < 2 { x = x + 1; } if x == 2 { return; } }",
-        );
+        let (cfg, _) =
+            cfg_of("fn main() { let x = 0; while x < 2 { x = x + 1; } if x == 2 { return; } }");
         let order = cfg.rpo();
         assert_eq!(order[0], cfg.entry);
         let mut sorted = order.clone();
@@ -407,9 +411,7 @@ mod tests {
 
     #[test]
     fn both_branches_return_join_unreachable() {
-        let (cfg, _) = cfg_of(
-            "fn main() { let x = 1; if x == 1 { return; } else { return; } }",
-        );
+        let (cfg, _) = cfg_of("fn main() { let x = 1; if x == 1 { return; } else { return; } }");
         // Graph still well-formed; rpo enumerates everything.
         assert_eq!(cfg.rpo().len(), cfg.len());
     }

@@ -34,7 +34,12 @@ impl DomTree {
     }
 }
 
-fn compute(order: &[NodeId], preds: impl Fn(NodeId) -> Vec<NodeId>, root: NodeId, n: usize) -> DomTree {
+fn compute(
+    order: &[NodeId],
+    preds: impl Fn(NodeId) -> Vec<NodeId>,
+    root: NodeId,
+    n: usize,
+) -> DomTree {
     // rpo position of each node; unreachable nodes get usize::MAX.
     let mut pos = vec![usize::MAX; n];
     for (i, &node) in order.iter().enumerate() {
@@ -88,12 +93,7 @@ pub fn dominators(cfg: &Cfg) -> DomTree {
     // Filter to reachable-from-entry prefix: rpo() appends unreachable
     // nodes at the end, but `compute` skips nodes with no processed preds,
     // so passing all is safe.
-    compute(
-        &order,
-        |n| cfg.preds(n).collect(),
-        cfg.entry,
-        cfg.len(),
-    )
+    compute(&order, |n| cfg.preds(n).collect(), cfg.entry, cfg.len())
 }
 
 /// Compute the post-dominator tree rooted at exit (dominators of the
@@ -155,9 +155,8 @@ mod tests {
 
     #[test]
     fn exit_postdominates_everything() {
-        let (cfg, _, pd) = analyze(
-            "fn main() { let x = 1; while x < 3 { x = x + 1; } let y = 2; }",
-        );
+        let (cfg, _, pd) =
+            analyze("fn main() { let x = 1; while x < 3 { x = x + 1; } let y = 2; }");
         for n in 0..cfg.len() {
             if n != cfg.exit && pd.idom[n].is_some() {
                 assert!(pd.dominates(cfg.exit, n), "exit must post-dominate n{n}");
@@ -190,9 +189,8 @@ mod tests {
 
     #[test]
     fn dominance_is_antisymmetric_on_diamond() {
-        let (cfg, d, _) = analyze(
-            "fn main() { let x = 1; if x == 1 { let a = 2; } else { let b = 3; } }",
-        );
+        let (cfg, d, _) =
+            analyze("fn main() { let x = 1; if x == 1 { let a = 2; } else { let b = 3; } }");
         for a in 0..cfg.len() {
             for b in 0..cfg.len() {
                 if a != b && d.idom[a].is_some() && d.idom[b].is_some() {

@@ -85,15 +85,10 @@ impl<'p> Inliner<'p> {
                 Box::new(self.rewrite_expr(a, pre)?),
                 Box::new(self.rewrite_expr(b, pre)?),
             ),
-            ExprKind::Unary(op, a) => {
-                ExprKind::Unary(*op, Box::new(self.rewrite_expr(a, pre)?))
-            }
+            ExprKind::Unary(op, a) => ExprKind::Unary(*op, Box::new(self.rewrite_expr(a, pre)?)),
             other => other.clone(),
         };
-        Ok(Expr {
-            kind,
-            span: e.span,
-        })
+        Ok(Expr { kind, span: e.span })
     }
 
     /// Inline a call to `name` with already-rewritten `args`. Emits the
@@ -140,8 +135,7 @@ impl<'p> Inliner<'p> {
         }));
 
         // Rename locals and compile returns.
-        let renames: HashSet<String> =
-            callee.params.iter().map(|(p, _)| p.clone()).collect();
+        let renames: HashSet<String> = callee.params.iter().map(|(p, _)| p.clone()).collect();
         let mut body = self.rewrite_body(&callee.body, &tag, &renames, &ret_var, &done_var)?;
         pre.append(&mut body);
 
@@ -178,8 +172,7 @@ impl<'p> Inliner<'p> {
     ) -> Result<Vec<Stmt>, InlineError> {
         let mut out: Vec<Stmt> = Vec::new();
         for (i, s) in stmts.iter().enumerate() {
-            let (new_stmts, may_return) =
-                self.rewrite_stmt(s, tag, renamed, ret_var, done_var)?;
+            let (new_stmts, may_return) = self.rewrite_stmt(s, tag, renamed, ret_var, done_var)?;
             out.extend(new_stmts);
             if may_return && i + 1 < stmts.len() {
                 let rest =
@@ -302,9 +295,9 @@ impl<'p> Inliner<'p> {
                         self.rewrite_expr(&rename_expr(lo, tag, renamed), &mut pre)?,
                         self.rewrite_expr(&rename_expr(hi, tag, renamed), &mut pre)?,
                     ),
-                    ForIter::Array(a) => ForIter::Array(
-                        self.rewrite_expr(&rename_expr(a, tag, renamed), &mut pre)?,
-                    ),
+                    ForIter::Array(a) => {
+                        ForIter::Array(self.rewrite_expr(&rename_expr(a, tag, renamed), &mut pre)?)
+                    }
                 };
                 renamed.insert(var.clone());
                 let b = self.rewrite_body(body, tag, renamed, ret_var, done_var)?;
@@ -366,9 +359,7 @@ fn contains_return(stmts: &[Stmt]) -> bool {
 fn rename_expr(e: &Expr, tag: &str, renamed: &HashSet<String>) -> Expr {
     let kind = match &e.kind {
         ExprKind::Var(v) if renamed.contains(v) => ExprKind::Var(format!("{tag}_{v}")),
-        ExprKind::Field(b, f) if renamed.contains(b) => {
-            ExprKind::Field(format!("{tag}_{b}"), *f)
-        }
+        ExprKind::Field(b, f) if renamed.contains(b) => ExprKind::Field(format!("{tag}_{b}"), *f),
         ExprKind::Tuple(es) => {
             ExprKind::Tuple(es.iter().map(|x| rename_expr(x, tag, renamed)).collect())
         }
@@ -391,10 +382,7 @@ fn rename_expr(e: &Expr, tag: &str, renamed: &HashSet<String>) -> Expr {
         ),
         other => other.clone(),
     };
-    Expr {
-        kind,
-        span: e.span,
-    }
+    Expr { kind, span: e.span }
 }
 
 fn synth_stmt(kind: StmtKind) -> Stmt {

@@ -30,7 +30,7 @@ pub mod reach;
 
 pub use cfg::{Cfg, EdgeKind, NodeId, NodeKind};
 pub use defuse::{DefKind, DefUse};
-pub use live::{liveness, Liveness};
 pub use inline::inline_program;
+pub use live::{liveness, Liveness};
 pub use normalize::{normalize, PacketLoop, StructureError};
 pub use pdg::{DepEdge, DepKind, Pdg};

@@ -108,17 +108,16 @@ fn uses_sockets(stmts: &[Stmt]) -> bool {
         for s in stmts {
             match &s.kind {
                 StmtKind::Let { value, .. } | StmtKind::Return(Some(value))
-                    if expr_has_socket(value) => {
-                        *found = true;
-                    }
-                StmtKind::Assign { value, .. }
-                    if expr_has_socket(value) => {
-                        *found = true;
-                    }
-                StmtKind::Expr(e)
-                    if expr_has_socket(e) => {
-                        *found = true;
-                    }
+                    if expr_has_socket(value) =>
+                {
+                    *found = true;
+                }
+                StmtKind::Assign { value, .. } if expr_has_socket(value) => {
+                    *found = true;
+                }
+                StmtKind::Expr(e) if expr_has_socket(e) => {
+                    *found = true;
+                }
                 StmtKind::If {
                     cond,
                     then_branch,
@@ -271,13 +270,9 @@ fn normalize_callback(program: &Program) -> Result<(Program, String, String), St
                 let f = program.function(cb).ok_or_else(|| {
                     StructureError::Unrecognised(format!("unknown callback `{cb}`"))
                 })?;
-                let pkt_param = f
-                    .params
-                    .first()
-                    .map(|(n, _)| n.clone())
-                    .ok_or_else(|| {
-                        StructureError::Unrecognised("callback takes no packet".into())
-                    })?;
+                let pkt_param = f.params.first().map(|(n, _)| n.clone()).ok_or_else(|| {
+                    StructureError::Unrecognised("callback takes no packet".into())
+                })?;
                 return Ok((program.clone(), cb.clone(), pkt_param));
             }
         }

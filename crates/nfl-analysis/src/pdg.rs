@@ -222,9 +222,7 @@ mod tests {
 
     #[test]
     fn transitive_closure() {
-        let (p, pdg) = pdg_of(
-            "fn main() { let a = 1; let b = a; let c = b; let d = c; }",
-        );
+        let (p, pdg) = pdg_of("fn main() { let a = 1; let b = a; let c = b; let d = c; }");
         let d = node_named(&p, &pdg, "d");
         let slice = pdg.backward_reachable([d]);
         for v in ["a", "b", "c"] {
@@ -250,9 +248,7 @@ mod tests {
 
     #[test]
     fn loop_slice_includes_header() {
-        let (p, pdg) = pdg_of(
-            "fn main() { let i = 0; while i < 3 { i = i + 1; } let z = i; }",
-        );
+        let (p, pdg) = pdg_of("fn main() { let i = 0; while i < 3 { i = i + 1; } let z = i; }");
         let z = node_named(&p, &pdg, "z");
         let slice = pdg.backward_reachable([z]);
         let mut hdr = None;

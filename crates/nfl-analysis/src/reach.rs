@@ -207,7 +207,9 @@ pub fn data_deps(cfg: &Cfg, reaching: &Reaching) -> Vec<(NodeId, NodeId, VarId)>
     let mut edges = Vec::new();
     for node in 0..cfg.len() {
         for used in &reaching.node_du[node].uses {
-            let Some(var) = reaching.var_id(used) else { continue };
+            let Some(var) = reaching.var_id(used) else {
+                continue;
+            };
             for &i in &reaching.def_ids_by_var[var] {
                 if reaching.reach_in[node].get(i) {
                     edges.push((reaching.defs[i].1, node, var));
@@ -247,7 +249,9 @@ pub fn cross_iteration_deps(
     let mut edges = Vec::new();
     for node in 0..cfg.len() {
         for used in &reaching.node_du[node].uses {
-            let Some(var) = reaching.var_id(used) else { continue };
+            let Some(var) = reaching.var_id(used) else {
+                continue;
+            };
             if !persistent.contains(used) {
                 continue;
             }
@@ -294,28 +298,36 @@ mod tests {
     fn straight_line_dep() {
         let (p, cfg, r) = analyze("fn main() { let a = 1; let b = a + 1; }");
         let deps = data_deps(&cfg, &r);
-        let a_node = node_of(&p, &cfg, |s| {
-            matches!(&s.kind, nfl_lang::StmtKind::Let { name, .. } if name == "a")
-        });
-        let b_node = node_of(&p, &cfg, |s| {
-            matches!(&s.kind, nfl_lang::StmtKind::Let { name, .. } if name == "b")
-        });
-        assert!(deps.iter().any(|&(f, t, v)| f == a_node && t == b_node && r.var_name(v) == "a"));
+        let a_node = node_of(
+            &p,
+            &cfg,
+            |s| matches!(&s.kind, nfl_lang::StmtKind::Let { name, .. } if name == "a"),
+        );
+        let b_node = node_of(
+            &p,
+            &cfg,
+            |s| matches!(&s.kind, nfl_lang::StmtKind::Let { name, .. } if name == "b"),
+        );
+        assert!(deps
+            .iter()
+            .any(|&(f, t, v)| f == a_node && t == b_node && r.var_name(v) == "a"));
         assert!(r.reaches("a", a_node, b_node));
     }
 
     #[test]
     fn strong_redefinition_kills() {
-        let (p, cfg, r) = analyze(
-            "fn main() { let a = 1; a = 2; let b = a; }",
-        );
+        let (p, cfg, r) = analyze("fn main() { let a = 1; a = 2; let b = a; }");
         let deps = data_deps(&cfg, &r);
-        let let_a = node_of(&p, &cfg, |s| {
-            matches!(&s.kind, nfl_lang::StmtKind::Let { name, .. } if name == "a")
-        });
-        let b_node = node_of(&p, &cfg, |s| {
-            matches!(&s.kind, nfl_lang::StmtKind::Let { name, .. } if name == "b")
-        });
+        let let_a = node_of(
+            &p,
+            &cfg,
+            |s| matches!(&s.kind, nfl_lang::StmtKind::Let { name, .. } if name == "a"),
+        );
+        let b_node = node_of(
+            &p,
+            &cfg,
+            |s| matches!(&s.kind, nfl_lang::StmtKind::Let { name, .. } if name == "b"),
+        );
         assert!(
             !deps.iter().any(|(f, t, _)| *f == let_a && *t == b_node),
             "killed def must not reach"
@@ -325,19 +337,21 @@ mod tests {
 
     #[test]
     fn weak_update_does_not_kill() {
-        let (p, cfg, r) = analyze(
-            "state m = map(); fn main() { m[1] = 2; m[3] = 4; let x = m[1]; }",
-        );
+        let (p, cfg, r) =
+            analyze("state m = map(); fn main() { m[1] = 2; m[3] = 4; let x = m[1]; }");
         let deps = data_deps(&cfg, &r);
         let first = node_of(&p, &cfg, |s| {
             matches!(&s.kind, nfl_lang::StmtKind::Assign { value, .. }
                 if matches!(value.kind, nfl_lang::ExprKind::Int(2)))
         });
-        let x_node = node_of(&p, &cfg, |s| {
-            matches!(&s.kind, nfl_lang::StmtKind::Let { name, .. } if name == "x")
-        });
+        let x_node = node_of(
+            &p,
+            &cfg,
+            |s| matches!(&s.kind, nfl_lang::StmtKind::Let { name, .. } if name == "x"),
+        );
         assert!(
-            deps.iter().any(|&(f, t, v)| f == first && t == x_node && r.var_name(v) == "m"),
+            deps.iter()
+                .any(|&(f, t, v)| f == first && t == x_node && r.var_name(v) == "m"),
             "both weak defs of m must reach the read"
         );
     }
@@ -353,9 +367,11 @@ mod tests {
             }"#,
         );
         let deps = data_deps(&cfg, &r);
-        let y_node = node_of(&p, &cfg, |s| {
-            matches!(&s.kind, nfl_lang::StmtKind::Let { name, .. } if name == "y")
-        });
+        let y_node = node_of(
+            &p,
+            &cfg,
+            |s| matches!(&s.kind, nfl_lang::StmtKind::Let { name, .. } if name == "y"),
+        );
         let defs_reaching_y: Vec<_> = deps
             .iter()
             .filter(|&&(_, t, v)| t == y_node && r.var_name(v) == "x")
@@ -365,29 +381,28 @@ mod tests {
 
     #[test]
     fn loop_carried_dependence() {
-        let (p, cfg, r) = analyze(
-            "fn main() { let i = 0; while i < 3 { i = i + 1; } }",
-        );
+        let (p, cfg, r) = analyze("fn main() { let i = 0; while i < 3 { i = i + 1; } }");
         let deps = data_deps(&cfg, &r);
         let assign = node_of(&p, &cfg, |s| {
             matches!(&s.kind, nfl_lang::StmtKind::Assign { .. })
         });
         // i = i + 1 depends on itself around the back edge.
         assert!(
-            deps.iter().any(|&(f, t, v)| f == assign && t == assign && r.var_name(v) == "i"),
+            deps.iter()
+                .any(|&(f, t, v)| f == assign && t == assign && r.var_name(v) == "i"),
             "loop-carried self dependence missing"
         );
     }
 
     #[test]
     fn boundary_state_reaches_use() {
-        let (p, cfg, r) = analyze(
-            "state rr = 0; fn main() { let x = rr; }",
-        );
+        let (p, cfg, r) = analyze("state rr = 0; fn main() { let x = rr; }");
         let deps = data_deps(&cfg, &r);
-        let x_node = node_of(&p, &cfg, |s| {
-            matches!(&s.kind, nfl_lang::StmtKind::Let { name, .. } if name == "x")
-        });
+        let x_node = node_of(
+            &p,
+            &cfg,
+            |s| matches!(&s.kind, nfl_lang::StmtKind::Let { name, .. } if name == "x"),
+        );
         assert!(
             deps.iter()
                 .any(|&(f, t, v)| f == cfg.entry && t == x_node && r.var_name(v) == "rr"),

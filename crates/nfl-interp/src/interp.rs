@@ -1090,15 +1090,24 @@ mod tests {
         "#;
         let mut i = interp_of(src);
         let r1 = i.process(&tcp_to(80)).unwrap();
-        assert_eq!(r1.outputs[0].get(nf_packet::Field::TcpSport).unwrap(), 10000);
+        assert_eq!(
+            r1.outputs[0].get(nf_packet::Field::TcpSport).unwrap(),
+            10000
+        );
         // Same flow, same mapping.
         let r2 = i.process(&tcp_to(80)).unwrap();
-        assert_eq!(r2.outputs[0].get(nf_packet::Field::TcpSport).unwrap(), 10000);
+        assert_eq!(
+            r2.outputs[0].get(nf_packet::Field::TcpSport).unwrap(),
+            10000
+        );
         // Different source port → new mapping.
         let mut other = tcp_to(80);
         other.set(nf_packet::Field::TcpSport, 9999).unwrap();
         let r3 = i.process(&other).unwrap();
-        assert_eq!(r3.outputs[0].get(nf_packet::Field::TcpSport).unwrap(), 10001);
+        assert_eq!(
+            r3.outputs[0].get(nf_packet::Field::TcpSport).unwrap(),
+            10001
+        );
     }
 
     #[test]
@@ -1146,7 +1155,10 @@ mod tests {
             fn main() { sniff(cb); }
         "#;
         let mut i = interp_of(src);
-        assert!(matches!(i.process(&tcp_to(80)), Err(RuntimeError::StepLimit)));
+        assert!(matches!(
+            i.process(&tcp_to(80)),
+            Err(RuntimeError::StepLimit)
+        ));
     }
 
     #[test]

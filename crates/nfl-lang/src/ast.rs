@@ -15,9 +15,7 @@ use std::hash::{Hash, Hasher};
 ///
 /// Ids are dense, assigned in parse order, and re-assigned by
 /// [`Program::renumber`] after transformations.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct StmtId(pub u32);
 
 impl fmt::Display for StmtId {
@@ -560,9 +558,15 @@ fn main() { sniff(cb); }
     #[test]
     fn program_hash_skips_trivia_but_not_spans_or_literals() {
         assert_eq!(hash_of(BASE), hash_of(BASE));
-        assert_eq!(hash_of(BASE), hash_of(&format!("{BASE}// a trailing comment\n")));
+        assert_eq!(
+            hash_of(BASE),
+            hash_of(&format!("{BASE}// a trailing comment\n"))
+        );
         assert_ne!(hash_of(BASE), hash_of(&format!("// leading\n{BASE}")));
-        assert_ne!(hash_of(BASE), hash_of(&BASE.replace("hits + 1", "hits + 2")));
+        assert_ne!(
+            hash_of(BASE),
+            hash_of(&BASE.replace("hits + 1", "hits + 2"))
+        );
     }
 
     #[test]

@@ -101,11 +101,7 @@ impl<'a> Lexer<'a> {
             self.bump();
             self.bump();
             let digits_start = self.pos;
-            while self
-                .peek()
-                .map(|c| c.is_ascii_hexdigit())
-                .unwrap_or(false)
-            {
+            while self.peek().map(|c| c.is_ascii_hexdigit()).unwrap_or(false) {
                 self.bump();
             }
             if self.pos == digits_start {
@@ -311,11 +307,7 @@ mod tests {
     use super::*;
 
     fn kinds(src: &str) -> Vec<TokenKind> {
-        tokenize(src)
-            .unwrap()
-            .into_iter()
-            .map(|t| t.kind)
-            .collect()
+        tokenize(src).unwrap().into_iter().map(|t| t.kind).collect()
     }
 
     #[test]

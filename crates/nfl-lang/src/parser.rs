@@ -558,9 +558,9 @@ impl Parser {
                     let base = match &e.kind {
                         ExprKind::Var(name) => name.clone(),
                         _ => {
-                            return Err(self.err(
-                                "field access requires a packet variable on the left",
-                            ))
+                            return Err(
+                                self.err("field access requires a packet variable on the left")
+                            )
                         }
                     };
                     let mut segments = Vec::new();
@@ -976,9 +976,18 @@ mod tests {
         let errs = parse_all(src).unwrap_err();
         let msgs: Vec<String> = errs.iter().map(|e| e.to_string()).collect();
         assert_eq!(errs.len(), 3, "{msgs:?}");
-        assert!(msgs[0].contains("expected expression, found `;`"), "{msgs:?}");
-        assert!(msgs[1].contains("expected expression, found `=`"), "{msgs:?}");
-        assert!(msgs[2].contains("expected expression, found `{`"), "{msgs:?}");
+        assert!(
+            msgs[0].contains("expected expression, found `;`"),
+            "{msgs:?}"
+        );
+        assert!(
+            msgs[1].contains("expected expression, found `=`"),
+            "{msgs:?}"
+        );
+        assert!(
+            msgs[2].contains("expected expression, found `{`"),
+            "{msgs:?}"
+        );
         // Errors come out in source order with correct lines.
         assert_eq!(errs[0].span.line, 4);
         assert_eq!(errs[1].span.line, 6);

@@ -25,7 +25,12 @@ pub fn expr_to_string(e: &Expr) -> String {
         }
         ExprKind::Index(b, i) => format!("{}[{}]", expr_to_string(b), expr_to_string(i)),
         ExprKind::Binary(op, a, b) => {
-            format!("({} {} {})", expr_to_string(a), op.symbol(), expr_to_string(b))
+            format!(
+                "({} {} {})",
+                expr_to_string(a),
+                op.symbol(),
+                expr_to_string(b)
+            )
         }
         ExprKind::Unary(UnOp::Neg, a) => format!("(-{})", expr_to_string(a)),
         ExprKind::Unary(UnOp::Not, a) => format!("(!{})", expr_to_string(a)),
@@ -109,7 +114,10 @@ impl<'o> Printer<'o> {
     fn stmt(&mut self, s: &Stmt) {
         match &s.kind {
             StmtKind::Let { name, value } => {
-                self.line(Some(s.id), &format!("let {name} = {};", expr_to_string(value)));
+                self.line(
+                    Some(s.id),
+                    &format!("let {name} = {};", expr_to_string(value)),
+                );
             }
             StmtKind::Assign { target, value } => {
                 self.line(
@@ -213,11 +221,7 @@ pub fn program_to_string_opts(p: &Program, opts: &RenderOpts) -> String {
         }
     }
     for f in &p.functions {
-        let params: Vec<_> = f
-            .params
-            .iter()
-            .map(|(n, t)| format!("{n}: {t}"))
-            .collect();
+        let params: Vec<_> = f.params.iter().map(|(n, t)| format!("{n}: {t}")).collect();
         pr.line(None, &format!("fn {}({}) {{", f.name, params.join(", ")));
         pr.indent += 1;
         pr.stmts(&f.body);

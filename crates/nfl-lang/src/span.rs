@@ -110,15 +110,8 @@ impl Span {
     /// Resolve this span's start position and underline width.
     pub fn resolve(&self, index: &LineIndex) -> ResolvedSpan {
         let (line, col) = index.line_col(self.start);
-        let line_end = index
-            .line_range(line)
-            .map(|(_, e)| e)
-            .unwrap_or(self.start);
-        let width = self
-            .end
-            .min(line_end)
-            .saturating_sub(self.start)
-            .max(1);
+        let line_end = index.line_range(line).map(|(_, e)| e).unwrap_or(self.start);
+        let width = self.end.min(line_end).saturating_sub(self.start).max(1);
         ResolvedSpan { line, col, width }
     }
 }

@@ -204,10 +204,7 @@ mod tests {
     fn keywords_resolve() {
         assert_eq!(keyword_or_ident("if"), TokenKind::If);
         assert_eq!(keyword_or_ident("true"), TokenKind::Bool(true));
-        assert_eq!(
-            keyword_or_ident("pkt"),
-            TokenKind::Ident("pkt".to_string())
-        );
+        assert_eq!(keyword_or_ident("pkt"), TokenKind::Ident("pkt".to_string()));
     }
 
     #[test]

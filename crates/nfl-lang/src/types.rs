@@ -113,10 +113,9 @@ impl fmt::Display for Ty {
 pub fn unify(a: Ty, b: Ty) -> Option<Ty> {
     match (a, b) {
         (Ty::Unknown, t) | (t, Ty::Unknown) => Some(t),
-        (Ty::Map(k1, v1), Ty::Map(k2, v2)) => Some(Ty::Map(
-            unify_elem(k1, k2)?,
-            unify_elem(v1, v2)?,
-        )),
+        (Ty::Map(k1, v1), Ty::Map(k2, v2)) => {
+            Some(Ty::Map(unify_elem(k1, k2)?, unify_elem(v1, v2)?))
+        }
         (Ty::Array(e1), Ty::Array(e2)) => Some(Ty::Array(unify_elem(e1, e2)?)),
         _ if a == b => Some(a),
         _ => None,
@@ -275,10 +274,7 @@ impl<'p> Checker<'p> {
         for (name, ty) in locals {
             self.info.locals.insert(format!("{}::{name}", f.name), ty);
         }
-        self.info
-            .returns
-            .entry(f.name.clone())
-            .or_insert(Ty::Unit);
+        self.info.returns.entry(f.name.clone()).or_insert(Ty::Unit);
     }
 
     fn check_block(&mut self, stmts: &[Stmt], func: &str, locals: &mut HashMap<String, Ty>) {
@@ -299,13 +295,7 @@ impl<'p> Checker<'p> {
             .or_else(|| self.info.var_ty(func, name))
     }
 
-    fn refine_var(
-        &mut self,
-        func: &str,
-        name: &str,
-        ty: Ty,
-        locals: &mut HashMap<String, Ty>,
-    ) {
+    fn refine_var(&mut self, func: &str, name: &str, ty: Ty, locals: &mut HashMap<String, Ty>) {
         if let Some(slot) = locals.get_mut(name) {
             if let Some(u) = unify(*slot, ty) {
                 *slot = u;
@@ -443,10 +433,9 @@ impl<'p> Checker<'p> {
                 match cur {
                     Some(cur) => match unify(cur, vty) {
                         Some(u) => self.refine_var(func, name, u, locals),
-                        None => self.error(
-                            span,
-                            format!("assigning {vty} to `{name}` of type {cur}"),
-                        ),
+                        None => {
+                            self.error(span, format!("assigning {vty} to `{name}` of type {cur}"))
+                        }
                     },
                     None => self.error(
                         span,
@@ -590,7 +579,10 @@ impl<'p> Checker<'p> {
                         }
                         if let ExprKind::Int(i) = idx.kind {
                             if i < 0 || i as usize >= n {
-                                self.error(idx.span, format!("tuple index {i} out of range 0..{n}"));
+                                self.error(
+                                    idx.span,
+                                    format!("tuple index {i} out of range 0..{n}"),
+                                );
                             }
                         }
                         Ty::Int
@@ -625,10 +617,7 @@ impl<'p> Checker<'p> {
                     }
                     BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
                         if unify(ta, tb).is_none() {
-                            self.error(
-                                e.span,
-                                format!("comparison between {ta} and {tb}"),
-                            );
+                            self.error(e.span, format!("comparison between {ta} and {tb}"));
                         }
                         Ty::Bool
                     }
@@ -649,10 +638,7 @@ impl<'p> Checker<'p> {
                                 if ta.as_elem().and_then(|ae| unify_elem(k, ae)).is_none() {
                                     self.error(
                                         e.span,
-                                        format!(
-                                            "membership key {ta} vs map key {}",
-                                            Ty::from(k)
-                                        ),
+                                        format!("membership key {ta} vs map key {}", Ty::from(k)),
                                     );
                                 } else if let (ExprKind::Var(base), Some(ke)) =
                                     (&b.kind, ta.as_elem())
@@ -770,11 +756,8 @@ impl<'p> Checker<'p> {
                         ),
                     );
                 }
-                let ptys: Vec<(Span, String)> = f
-                    .params
-                    .iter()
-                    .map(|(_, t)| (f.span, t.clone()))
-                    .collect();
+                let ptys: Vec<(Span, String)> =
+                    f.params.iter().map(|(_, t)| (f.span, t.clone())).collect();
                 for (a, (pspan, pty_name)) in args.iter().zip(ptys) {
                     let at = self.infer_expr(a, func, locals);
                     let pt = self.param_ty(&pty_name, pspan);
@@ -785,11 +768,7 @@ impl<'p> Checker<'p> {
                         );
                     }
                 }
-                self.info
-                    .returns
-                    .get(name)
-                    .copied()
-                    .unwrap_or(Ty::Unknown)
+                self.info.returns.get(name).copied().unwrap_or(Ty::Unknown)
             }
             None => {
                 self.error(e.span, format!("unknown function `{name}`"));
@@ -840,10 +819,7 @@ mod tests {
 
     #[test]
     fn config_assignment_rejected() {
-        let err = check_src(
-            "config m = 1; fn main() { m = 2; }",
-        )
-        .unwrap_err();
+        let err = check_src("config m = 1; fn main() { m = 2; }").unwrap_err();
         assert!(err.message.contains("config"), "{err}");
     }
 
@@ -867,8 +843,7 @@ mod tests {
 
     #[test]
     fn arithmetic_on_tuple_rejected() {
-        let err =
-            check_src("fn main() { let t = (1, 2); let x = t + 1; }").unwrap_err();
+        let err = check_src("fn main() { let t = (1, 2); let x = t + 1; }").unwrap_err();
         assert!(err.message.contains("not int"), "{err}");
     }
 
@@ -889,8 +864,7 @@ mod tests {
 
     #[test]
     fn tuple_index_bounds_checked() {
-        let err =
-            check_src("fn main() { let t = (1, 2); let x = t[5]; }").unwrap_err();
+        let err = check_src("fn main() { let t = (1, 2); let x = t[5]; }").unwrap_err();
         assert!(err.message.contains("out of range"), "{err}");
     }
 
@@ -914,10 +888,8 @@ mod tests {
 
     #[test]
     fn sniff_callback_validated() {
-        let err = check_src(
-            "fn cb(a: packet, b: packet) { } fn main() { sniff(cb); }",
-        )
-        .unwrap_err();
+        let err =
+            check_src("fn cb(a: packet, b: packet) { } fn main() { sniff(cb); }").unwrap_err();
         assert!(err.message.contains("callback"), "{err}");
     }
 

@@ -25,7 +25,11 @@ fn lexer_total_on_arbitrary_input() {
 #[test]
 fn parser_total_on_nflish_input() {
     let cfg = Config::with_cases(256);
-    let soup = string_of("abcdefghijklmnopqrstuvwxyz0123456789(){}[];=<>!&|.,+*/% \n\"_-", 0, 200);
+    let soup = string_of(
+        "abcdefghijklmnopqrstuvwxyz0123456789(){}[];=<>!&|.,+*/% \n\"_-",
+        0,
+        200,
+    );
     check("parser_total_on_nflish_input", &cfg, &soup, |s| {
         let _ = parse(s);
     });

@@ -92,7 +92,9 @@ impl AnalysisCtx {
         let boundary = default_boundary(&nf_loop.program, &nf_loop.func);
         let pdg = Pdg::build(&nf_loop.program, &nf_loop.func, &boundary);
         let pkt_slice = packet_slice(&pdg, &nf_loop.program, &nf_loop.func).stmts;
-        Ok(AnalysisCtx::from_pdg(nf_loop, info, boundary, pdg, pkt_slice))
+        Ok(AnalysisCtx::from_pdg(
+            nf_loop, info, boundary, pdg, pkt_slice,
+        ))
     }
 
     /// Finish the context around a PDG the caller already built over
@@ -142,7 +144,11 @@ impl AnalysisCtx {
 
     /// Names of `state` declarations.
     pub fn state_names(&self) -> BTreeSet<String> {
-        self.program().states.iter().map(|i| i.name.clone()).collect()
+        self.program()
+            .states
+            .iter()
+            .map(|i| i.name.clone())
+            .collect()
     }
 
     /// Names of `config` and `const` declarations.
@@ -218,7 +224,11 @@ mod tests {
         )
         .unwrap();
         let ctx = AnalysisCtx::build(&p).unwrap();
-        assert!(ctx.state_names().contains("__tcp"), "{:?}", ctx.state_names());
+        assert!(
+            ctx.state_names().contains("__tcp"),
+            "{:?}",
+            ctx.state_names()
+        );
     }
 
     #[test]

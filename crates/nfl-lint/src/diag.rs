@@ -171,10 +171,7 @@ impl ToJson for Diagnostic {
         Value::Object(vec![
             ("code".into(), Value::Str(self.code.as_str().into())),
             ("slug".into(), Value::Str(self.code.slug().into())),
-            (
-                "severity".into(),
-                Value::Str(self.severity.as_str().into()),
-            ),
+            ("severity".into(), Value::Str(self.severity.as_str().into())),
             ("line".into(), Value::Int(i64::from(self.span.line))),
             ("start".into(), Value::Int(self.span.start as i64)),
             ("end".into(), Value::Int(self.span.end as i64)),

@@ -172,7 +172,10 @@ mod tests {
         let rendered = report.to_json().render();
         assert!(!rendered.contains("fn cb"), "source leaked into JSON");
         let doc = Value::parse(&rendered).unwrap();
-        assert_eq!(doc.get("name").and_then(Value::as_str), Some(report.name.as_str()));
+        assert_eq!(
+            doc.get("name").and_then(Value::as_str),
+            Some(report.name.as_str())
+        );
         let diagnostics = doc.get("diagnostics").and_then(Value::as_array).unwrap();
         assert_eq!(diagnostics.len(), report.diagnostics.len());
         for (d, dj) in report.diagnostics.iter().zip(diagnostics) {
@@ -193,6 +196,8 @@ mod tests {
         let report = lint_source("balance", &src).unwrap();
         assert!(report.source.contains("__tcp"), "expected unfolded source");
         // Rendering must not panic and must mention the verdict.
-        assert!(report.render_text().contains("sharding verdict for balance"));
+        assert!(report
+            .render_text()
+            .contains("sharding verdict for balance"));
     }
 }

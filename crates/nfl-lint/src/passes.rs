@@ -81,7 +81,8 @@ impl PassManager {
         // Sort into `Diagnostic::sort_key` order and drop exact
         // duplicates, so two runs over one program give byte-identical
         // reports.
-        sink.diagnostics.sort_by(|a, b| a.sort_key().cmp(&b.sort_key()));
+        sink.diagnostics
+            .sort_by(|a, b| a.sort_key().cmp(&b.sort_key()));
         sink.diagnostics.dedup();
         if tracer.is_enabled() {
             tracer.count("lint.diagnostics", sink.diagnostics.len() as u64);
@@ -120,7 +121,9 @@ impl LintPass for DeadStorePass {
         // Dead locals: a `let` whose variable is not live out of the
         // defining node.
         for node in 0..cfg.len() {
-            let Some(sid) = cfg.nodes[node].stmt else { continue };
+            let Some(sid) = cfg.nodes[node].stmt else {
+                continue;
+            };
             let Some(s) = stmts.get(&sid) else { continue };
             if let StmtKind::Let { name, .. } = &s.kind {
                 if !persistent.contains(name) && !live.live_out(node, name) {
@@ -198,7 +201,9 @@ impl LintPass for UnreachableCodePass {
         &[Code::UnreachableCode]
     }
     fn run(&self, ctx: &AnalysisCtx, sink: &mut LintSink) {
-        let Some(f) = ctx.program().function(ctx.func()) else { return };
+        let Some(f) = ctx.program().function(ctx.func()) else {
+            return;
+        };
 
         fn is_unreachable(ctx: &AnalysisCtx, s: &Stmt) -> bool {
             match ctx.pdg.cfg.stmt_node.get(&s.id) {
@@ -224,7 +229,11 @@ impl LintPass for UnreachableCodePass {
                 }
                 in_dead_run = false;
                 match &s.kind {
-                    StmtKind::If { then_branch, else_branch, .. } => {
+                    StmtKind::If {
+                        then_branch,
+                        else_branch,
+                        ..
+                    } => {
                         walk(ctx, then_branch, sink);
                         walk(ctx, else_branch, sink);
                     }
@@ -334,15 +343,13 @@ impl LintPass for UseBeforeInitPass {
                 if ctx.boundary.contains(u) {
                     continue;
                 }
-                let reached = ctx
-                    .pdg
-                    .reaching
-                    .reaching_in(node)
-                    .any(|(v, _)| v == u);
+                let reached = ctx.pdg.reaching.reaching_in(node).any(|(v, _)| v == u);
                 if reached {
                     continue;
                 }
-                let Some(sid) = cfg.nodes[node].stmt else { continue };
+                let Some(sid) = cfg.nodes[node].stmt else {
+                    continue;
+                };
                 let Some(s) = stmts.get(&sid) else { continue };
                 if seen.insert((u.clone(), node)) {
                     sink.report(Diagnostic::new(
@@ -375,7 +382,9 @@ impl LintPass for UnguardedMapReadPass {
     }
     fn run(&self, ctx: &AnalysisCtx, sink: &mut LintSink) {
         let states = ctx.state_names();
-        let Some(f) = ctx.program().function(ctx.func()) else { return };
+        let Some(f) = ctx.program().function(ctx.func()) else {
+            return;
+        };
 
         // Per-map guard nodes (membership tests + writes) and read sites.
         let mut guards: Vec<(String, usize)> = Vec::new();
@@ -432,7 +441,9 @@ impl LintPass for UnguardedMapReadPass {
             reads: &mut Vec<(String, usize, nfl_lang::Span)>,
         ) {
             for s in stmts {
-                let Some(&node) = ctx.pdg.cfg.stmt_node.get(&s.id) else { continue };
+                let Some(&node) = ctx.pdg.cfg.stmt_node.get(&s.id) else {
+                    continue;
+                };
                 match &s.kind {
                     StmtKind::Let { value, .. } | StmtKind::Expr(value) => {
                         scan_expr(states, node, value, guards, reads)
@@ -446,7 +457,11 @@ impl LintPass for UnguardedMapReadPass {
                         }
                         scan_expr(states, node, value, guards, reads);
                     }
-                    StmtKind::If { cond, then_branch, else_branch } => {
+                    StmtKind::If {
+                        cond,
+                        then_branch,
+                        else_branch,
+                    } => {
                         scan_expr(states, node, cond, guards, reads);
                         scan_stmts(ctx, states, then_branch, guards, reads);
                         scan_stmts(ctx, states, else_branch, guards, reads);
@@ -730,7 +745,9 @@ mod tests {
             let ctx = AnalysisCtx::build(&p).unwrap();
             let sink = PassManager::with_default_passes().run(&ctx);
             assert!(
-                sink.diagnostics.iter().all(|d| d.severity != Severity::Error),
+                sink.diagnostics
+                    .iter()
+                    .all(|d| d.severity != Severity::Error),
                 "{name}: {:?}",
                 sink.diagnostics
             );

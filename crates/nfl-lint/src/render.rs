@@ -136,7 +136,10 @@ mod tests {
         assert!(text.contains("warning[NFL009]"), "{text}");
         assert!(text.contains("--> demo:1:7"), "{text}");
         assert!(text.contains("state m = map();"), "{text}");
-        assert!(text.lines().last().unwrap().trim_end().ends_with('^'), "{text}");
+        assert!(
+            text.lines().last().unwrap().trim_end().ends_with('^'),
+            "{text}"
+        );
     }
 
     #[test]

@@ -423,10 +423,7 @@ impl ToJson for ShardingReport {
                                             .collect(),
                                     ),
                                 ));
-                                obj.push((
-                                    "dispatch_symmetric".into(),
-                                    Value::Bool(d.symmetric()),
-                                ));
+                                obj.push(("dispatch_symmetric".into(), Value::Bool(d.symmetric())));
                             }
                             Value::Object(obj)
                         })
@@ -473,11 +470,9 @@ impl<'a> Tracer<'a> {
                 }
             }
             ExprKind::Var(v) => self.classify_var(node, v, visiting),
-            ExprKind::Tuple(es) | ExprKind::Array(es) => es
-                .iter()
-                .fold(Origin::Const, |acc, e| {
-                    acc.join(self.classify_expr(node, e, visiting))
-                }),
+            ExprKind::Tuple(es) | ExprKind::Array(es) => es.iter().fold(Origin::Const, |acc, e| {
+                acc.join(self.classify_expr(node, e, visiting))
+            }),
             ExprKind::Index(base, key) => {
                 // Reading a container: a state map's *value* is non-flow
                 // data even under a flow key (it was written by some other
@@ -574,10 +569,7 @@ impl<'a> Tracer<'a> {
         // the variable holds partially-updated contents the tracer does
         // not model element-wise.
         let du = nfl_analysis::defuse::def_use(stmt);
-        let strong = du
-            .defs
-            .iter()
-            .any(|(d, k)| d == v && *k == DefKind::Strong);
+        let strong = du.defs.iter().any(|(d, k)| d == v && *k == DefKind::Strong);
         if !strong {
             return Origin::NonFlow(format!("partial update of `{v}`"));
         }
@@ -614,9 +606,7 @@ impl<'a> Tracer<'a> {
         visiting: &mut HashSet<(String, NodeId)>,
     ) -> Option<Vec<ShapeElem>> {
         match &expr.kind {
-            ExprKind::Int(_) | ExprKind::Bool(_) | ExprKind::Str(_) => {
-                Some(vec![ShapeElem::Const])
-            }
+            ExprKind::Int(_) | ExprKind::Bool(_) | ExprKind::Str(_) => Some(vec![ShapeElem::Const]),
             ExprKind::Field(_, f) if is_flow_field(*f) => Some(vec![ShapeElem::Flow(*f)]),
             ExprKind::Var(v) => self.shape_of_var(node, v, visiting),
             ExprKind::Tuple(es) => {
@@ -641,8 +631,7 @@ impl<'a> Tracer<'a> {
         if self.configs.contains(v) {
             return Some(vec![ShapeElem::Const]);
         }
-        if self.states.contains(v) || self.ctx.info.var_ty(self.ctx.func(), v) == Some(Ty::Packet)
-        {
+        if self.states.contains(v) || self.ctx.info.var_ty(self.ctx.func(), v) == Some(Ty::Packet) {
             return None;
         }
         if !visiting.insert((v.to_string(), node)) {
@@ -693,10 +682,7 @@ impl<'a> Tracer<'a> {
         let sid = self.ctx.pdg.cfg.nodes[def_node].stmt?;
         let stmt = self.stmts.get(&sid)?;
         let du = nfl_analysis::defuse::def_use(stmt);
-        let strong = du
-            .defs
-            .iter()
-            .any(|(d, k)| d == v && *k == DefKind::Strong);
+        let strong = du.defs.iter().any(|(d, k)| d == v && *k == DefKind::Strong);
         if !strong {
             return None;
         }
@@ -861,8 +847,13 @@ fn collect_key_sites<'a>(
             }
             ExprKind::Call(name, args) => {
                 if name == "map_remove" {
-                    if let (Some(Expr { kind: ExprKind::Var(m), .. }), Some(key)) =
-                        (args.first(), args.get(1))
+                    if let (
+                        Some(Expr {
+                            kind: ExprKind::Var(m),
+                            ..
+                        }),
+                        Some(key),
+                    ) = (args.first(), args.get(1))
                     {
                         if states.contains(m) {
                             let mut visiting = HashSet::new();
@@ -983,97 +974,93 @@ pub fn analyze(ctx: &AnalysisCtx) -> (ShardingReport, Vec<Diagnostic>) {
     for item in &ctx.program().states {
         let name = &item.name;
         let my_sites: Vec<&KeySite> = sites.iter().filter(|s| &s.var == name).collect();
-        let is_map = matches!(
-            ctx.info.var_ty(ctx.func(), name),
-            Some(Ty::Map(_, _))
-        ) || !my_sites.is_empty();
+        let is_map = matches!(ctx.info.var_ty(ctx.func(), name), Some(Ty::Map(_, _)))
+            || !my_sites.is_empty();
         let is_written = written.contains(name);
         let is_log = ctx.classes.log_vars.contains(name);
 
-        let (verdict, reason, bad_site): (StateShard, String, Option<&KeySite>) =
-            if !is_written && !read.contains(name) {
-                (
-                    StateShard::ReadOnly,
-                    "never touched by the packet loop".into(),
-                    None,
-                )
-            } else if !is_written {
-                (
-                    StateShard::ReadOnly,
-                    "never written during packet processing; replicate to every shard".into(),
-                    None,
-                )
-            } else if is_map {
-                match my_sites
-                    .iter()
-                    .find(|s| !matches!(s.origin, Origin::Flow))
-                {
-                    None => {
-                        if let Some((fwd, rev)) = open_mirror_pair(&my_sites) {
-                            // Every key is flow-pure, but the sites form a
-                            // mirror pair that is not closed under direction
-                            // reversal (e.g. written under `ip.src`, probed
-                            // under `ip.dst`): no packet-field hash keeps the
-                            // write and the probe for one endpoint on one
-                            // shard, so the map couples flows after all.
-                            let render = |fs: &[Field]| {
-                                fs.iter().map(|f| f.path()).collect::<Vec<_>>().join(", ")
-                            };
-                            let reason = format!(
-                                "keys form an open mirror pair ({} vs {}): the write and \
-                                 the probe for one endpoint mix in the packet's other \
-                                 endpoint, so they can land on different shards",
-                                render(&fwd),
-                                render(&rev)
-                            );
-                            (StateShard::Shared, reason, my_sites.first().copied())
-                        } else {
-                            (
-                                StateShard::PerFlow,
-                                format!(
-                                    "all {} keys derive from the packet flow tuple",
-                                    my_sites.len()
-                                ),
-                                None,
-                            )
-                        }
-                    }
-                    Some(bad) => {
-                        let culprit = match &bad.origin {
-                            Origin::Const => "constant key shared by every flow".to_string(),
-                            Origin::NonFlow(why) => why.clone(),
-                            Origin::Flow => unreachable!(),
+        let (verdict, reason, bad_site): (StateShard, String, Option<&KeySite>) = if !is_written
+            && !read.contains(name)
+        {
+            (
+                StateShard::ReadOnly,
+                "never touched by the packet loop".into(),
+                None,
+            )
+        } else if !is_written {
+            (
+                StateShard::ReadOnly,
+                "never written during packet processing; replicate to every shard".into(),
+                None,
+            )
+        } else if is_map {
+            match my_sites.iter().find(|s| !matches!(s.origin, Origin::Flow)) {
+                None => {
+                    if let Some((fwd, rev)) = open_mirror_pair(&my_sites) {
+                        // Every key is flow-pure, but the sites form a
+                        // mirror pair that is not closed under direction
+                        // reversal (e.g. written under `ip.src`, probed
+                        // under `ip.dst`): no packet-field hash keeps the
+                        // write and the probe for one endpoint on one
+                        // shard, so the map couples flows after all.
+                        let render = |fs: &[Field]| {
+                            fs.iter().map(|f| f.path()).collect::<Vec<_>>().join(", ")
                         };
                         let reason = format!(
-                            "{} key at line {} is not flow-derived: {}",
-                            bad.kind.as_str(),
-                            bad.span.line,
-                            culprit
+                            "keys form an open mirror pair ({} vs {}): the write and \
+                                 the probe for one endpoint mix in the packet's other \
+                                 endpoint, so they can land on different shards",
+                            render(&fwd),
+                            render(&rev)
                         );
-                        if is_log {
-                            (
+                        (StateShard::Shared, reason, my_sites.first().copied())
+                    } else {
+                        (
+                            StateShard::PerFlow,
+                            format!(
+                                "all {} keys derive from the packet flow tuple",
+                                my_sites.len()
+                            ),
+                            None,
+                        )
+                    }
+                }
+                Some(bad) => {
+                    let culprit = match &bad.origin {
+                        Origin::Const => "constant key shared by every flow".to_string(),
+                        Origin::NonFlow(why) => why.clone(),
+                        Origin::Flow => unreachable!(),
+                    };
+                    let reason = format!(
+                        "{} key at line {} is not flow-derived: {}",
+                        bad.kind.as_str(),
+                        bad.span.line,
+                        culprit
+                    );
+                    if is_log {
+                        (
                                 StateShard::LogOnly,
                                 format!("{reason}; never output-impacting, so per-shard copies can be aggregated"),
                                 None,
                             )
-                        } else {
-                            (StateShard::Shared, reason, Some(bad))
-                        }
+                    } else {
+                        (StateShard::Shared, reason, Some(bad))
                     }
                 }
-            } else if is_log {
-                (
-                    StateShard::LogOnly,
-                    "counter never impacts output; keep per-shard copies and aggregate".into(),
-                    None,
-                )
-            } else {
-                (
-                    StateShard::Shared,
-                    "single cell updated on the packet path couples all flows".into(),
-                    None,
-                )
-            };
+            }
+        } else if is_log {
+            (
+                StateShard::LogOnly,
+                "counter never impacts output; keep per-shard copies and aggregate".into(),
+                None,
+            )
+        } else {
+            (
+                StateShard::Shared,
+                "single cell updated on the packet path couples all flows".into(),
+                None,
+            )
+        };
 
         if verdict == StateShard::Shared {
             let span = bad_site.map(|s| s.span).unwrap_or(item.span);
@@ -1381,7 +1368,11 @@ pub(crate) mod tests {
         let v = verdict_of(&r, "m");
         assert_eq!(v.verdict, StateShard::Shared, "{v:?}");
         assert!(v.reason.contains("open mirror pair"), "{}", v.reason);
-        assert!(v.reason.contains("ip.src") && v.reason.contains("ip.dst"), "{}", v.reason);
+        assert!(
+            v.reason.contains("ip.src") && v.reason.contains("ip.dst"),
+            "{}",
+            v.reason
+        );
         assert!(v.dispatch().is_none());
         assert!(!r.shardable());
     }
@@ -1405,14 +1396,17 @@ pub(crate) mod tests {
 
     #[test]
     fn open_mirror_pair_emits_nfl009() {
-        let p = nfl_lang::parse_and_check(r#"
+        let p = nfl_lang::parse_and_check(
+            r#"
             state m = map();
             fn cb(pkt: packet) {
                 if pkt.ip.dst in m { send(pkt); } else { drop(pkt); }
                 m[pkt.ip.src] = 1;
             }
             fn main() { sniff(cb); }
-        "#).unwrap();
+        "#,
+        )
+        .unwrap();
         let ctx = AnalysisCtx::build(&p).unwrap();
         let (_, diags) = analyze(&ctx);
         assert!(
@@ -1518,9 +1512,10 @@ pub(crate) mod tests {
             assert_eq!(int_of("start"), Some(s.span().start as i64));
             assert_eq!(int_of("end"), Some(s.span().end as i64));
             assert_eq!(int_of("key_sites"), Some(s.key_sites() as i64));
-            let fields = sj.get("dispatch_fields").and_then(Value::as_array).map(|fs| {
-                fs.iter().map(|f| f.as_str().unwrap()).collect::<Vec<_>>()
-            });
+            let fields = sj
+                .get("dispatch_fields")
+                .and_then(Value::as_array)
+                .map(|fs| fs.iter().map(|f| f.as_str().unwrap()).collect::<Vec<_>>());
             let symmetric = sj.get("dispatch_symmetric").and_then(Value::as_bool);
             match s.dispatch() {
                 Some(d) => {
@@ -1548,7 +1543,10 @@ pub(crate) mod tests {
         "#);
         assert!(verdict_of(&r, "m").dispatch().is_some());
         let rendered = r.to_json().render();
-        assert!(rendered.contains(r#""dispatch_fields":["ip.src","tcp.sport"]"#), "{rendered}");
+        assert!(
+            rendered.contains(r#""dispatch_fields":["ip.src","tcp.sport"]"#),
+            "{rendered}"
+        );
         assert_written(&r, &Value::parse(&rendered).unwrap());
     }
 

@@ -51,12 +51,7 @@ impl SliceResult {
 pub fn slice_union(a: &SliceResult, b: &SliceResult) -> SliceResult {
     SliceResult {
         stmts: a.stmts.union(&b.stmts).copied().collect(),
-        criteria: a
-            .criteria
-            .iter()
-            .chain(&b.criteria)
-            .copied()
-            .collect(),
+        criteria: a.criteria.iter().chain(&b.criteria).copied().collect(),
     }
 }
 
@@ -378,7 +373,10 @@ mod tests {
         let text = sliced_text(&ss, &p);
         assert!(text.contains("hits = (hits + 1)"), "{text}");
         assert!(text.contains("if"), "guard of the update kept:\n{text}");
-        assert!(!text.contains("send"), "send not a state criterion:\n{text}");
+        assert!(
+            !text.contains("send"),
+            "send not a state criterion:\n{text}"
+        );
     }
 
     #[test]
@@ -452,8 +450,14 @@ mod tests {
         let metrics = tracer.metrics();
         assert!(metrics.counters.contains_key("slice.packet.ns"));
         assert!(metrics.counters.contains_key("slice.state.ns"));
-        assert_eq!(metrics.counter("slice.packet.stmts"), Some(ps.stmts.len() as u64));
-        assert_eq!(metrics.counter("slice.state.stmts"), Some(ss.stmts.len() as u64));
+        assert_eq!(
+            metrics.counter("slice.packet.stmts"),
+            Some(ps.stmts.len() as u64)
+        );
+        assert_eq!(
+            metrics.counter("slice.state.stmts"),
+            Some(ss.stmts.len() as u64)
+        );
         assert!(tracer.balanced());
     }
 

@@ -472,8 +472,10 @@ impl SymExec {
             .collect::<Vec<Path>>();
         span.end();
         if self.tracer.is_enabled() {
-            self.tracer.count("symex.paths.explored", paths.len() as u64);
-            self.tracer.count("symex.solver.calls", cx.solver_calls as u64);
+            self.tracer
+                .count("symex.paths.explored", paths.len() as u64);
+            self.tracer
+                .count("symex.solver.calls", cx.solver_calls as u64);
             self.tracer.count("symex.forks", cx.forks as u64);
             self.tracer.count("symex.paths.pruned", cx.pruned as u64);
             let truncated = paths.iter().filter(|p| p.truncated).count();
@@ -589,25 +591,15 @@ impl SymExec {
                 match c.as_bool() {
                     Some(true) => {
                         st.decisions.push((s.id, true));
-                        out.extend(self.run_block(
-                            vec![st],
-                            then_branch,
-                            cx,
-                        )?);
+                        out.extend(self.run_block(vec![st], then_branch, cx)?);
                     }
                     Some(false) => {
                         st.decisions.push((s.id, false));
-                        out.extend(self.run_block(
-                            vec![st],
-                            else_branch,
-                            cx,
-                        )?);
+                        out.extend(self.run_block(vec![st], else_branch, cx)?);
                     }
                     None => {
                         cx.forks += 1;
-                        for (taken, branch) in
-                            [(true, then_branch), (false, else_branch)]
-                        {
+                        for (taken, branch) in [(true, then_branch), (false, else_branch)] {
                             let mut forked = st.clone();
                             let lit = if taken {
                                 c.clone()
@@ -618,19 +610,13 @@ impl SymExec {
                             if !self.push_and_check(&mut forked, lit, cx) {
                                 continue;
                             }
-                            out.extend(self.run_block(
-                                vec![forked],
-                                branch,
-                                cx,
-                            )?);
+                            out.extend(self.run_block(vec![forked], branch, cx)?);
                         }
                     }
                 }
                 Ok(out)
             }
-            StmtKind::While { cond, body } => {
-                self.run_loop(st, s, cond, body, cx)
-            }
+            StmtKind::While { cond, body } => self.run_loop(st, s, cond, body, cx),
             StmtKind::For { var, iter, body } => {
                 match iter {
                     ForIter::Range(lo, hi) => {
@@ -649,15 +635,8 @@ impl SymExec {
                                             next.push(stt);
                                             continue;
                                         }
-                                        stt.env.insert(
-                                            var.clone(),
-                                            SV::Val(SymVal::Int(i)),
-                                        );
-                                        next.extend(self.run_block(
-                                            vec![stt],
-                                            body,
-                                            cx,
-                                        )?);
+                                        stt.env.insert(var.clone(), SV::Val(SymVal::Int(i)));
+                                        next.extend(self.run_block(vec![stt], body, cx)?);
                                     }
                                     // Convert Broke/Continued flows.
                                     states = next
@@ -702,15 +681,9 @@ impl SymExec {
                             SV::Val(SymVal::Array(items)) => {
                                 items.into_iter().map(SV::Val).collect()
                             }
-                            SV::PacketArray(pkts) => {
-                                pkts.into_iter().map(SV::Packet).collect()
-                            }
+                            SV::PacketArray(pkts) => pkts.into_iter().map(SV::Packet).collect(),
                             SV::Val(other) => vec![SV::Val(other)],
-                            _ => {
-                                return Err(SymexError::Malformed(
-                                    "for-in over non-array".into(),
-                                ))
-                            }
+                            _ => return Err(SymexError::Malformed("for-in over non-array".into())),
                         };
                         let mut states = vec![st];
                         for item in items.into_iter().take(cx.limits.loop_bound) {
@@ -721,11 +694,7 @@ impl SymExec {
                                     continue;
                                 }
                                 stt.env.insert(var.clone(), item.clone());
-                                next.extend(self.run_block(
-                                    vec![stt],
-                                    body,
-                                    cx,
-                                )?);
+                                next.extend(self.run_block(vec![stt], body, cx)?);
                             }
                             states = next
                                 .into_iter()
@@ -780,8 +749,7 @@ impl SymExec {
                     }
                     Some(true) => {
                         stt.decisions.push((s.id, true));
-                        let after =
-                            self.run_block(vec![stt], body, cx)?;
+                        let after = self.run_block(vec![stt], body, cx)?;
                         for mut a in after {
                             match a.flow {
                                 Flow::Broke => {
@@ -801,21 +769,13 @@ impl SymExec {
                         cx.forks += 1;
                         let mut exit = stt.clone();
                         exit.decisions.push((s.id, false));
-                        if self.push_and_check(
-                            &mut exit,
-                            SymVal::negate(c.clone()),
-                            cx,
-                        ) {
+                        if self.push_and_check(&mut exit, SymVal::negate(c.clone()), cx) {
                             done.push(exit);
                         }
                         let mut enter = stt;
                         enter.decisions.push((s.id, true));
                         if self.push_and_check(&mut enter, c.clone(), cx) {
-                            let after = self.run_block(
-                                vec![enter],
-                                body,
-                                cx,
-                            )?;
+                            let after = self.run_block(vec![enter], body, cx)?;
                             for mut a in after {
                                 match a.flow {
                                     Flow::Broke => {
@@ -862,7 +822,8 @@ impl SymExec {
         st.constraints.push(lit);
         cx.solver_calls += 1;
         let feasible = if disjoint {
-            self.solver.check(std::slice::from_ref(st.constraints.last().unwrap()))
+            self.solver
+                .check(std::slice::from_ref(st.constraints.last().unwrap()))
                 != Verdict::Unsat
         } else {
             self.solver.check(&st.constraints) != Verdict::Unsat
@@ -893,12 +854,7 @@ impl SymExec {
         }
     }
 
-    fn assign(
-        &self,
-        st: &mut ExecState,
-        target: &LValue,
-        v: SV,
-    ) -> Result<(), SymexError> {
+    fn assign(&self, st: &mut ExecState, target: &LValue, v: SV) -> Result<(), SymexError> {
         match target {
             LValue::Var(name) => {
                 st.env.insert(name.clone(), v);
@@ -927,20 +883,16 @@ impl SymExec {
                         let idx = k.as_int().ok_or_else(|| {
                             SymexError::Malformed("symbolic array store index".into())
                         })?;
-                        let i = usize::try_from(idx).map_err(|_| {
-                            SymexError::Malformed("negative array index".into())
-                        })?;
+                        let i = usize::try_from(idx)
+                            .map_err(|_| SymexError::Malformed("negative array index".into()))?;
                         if i >= items.len() {
                             return Err(SymexError::Malformed("array store OOB".into()));
                         }
                         items[i] = v.val()?;
-                        st.env
-                            .insert(base.clone(), SV::Val(SymVal::Array(items)));
+                        st.env.insert(base.clone(), SV::Val(SymVal::Array(items)));
                         Ok(())
                     }
-                    _ => Err(SymexError::Malformed(format!(
-                        "index-assign into `{base}`"
-                    ))),
+                    _ => Err(SymexError::Malformed(format!("index-assign into `{base}`"))),
                 }
             }
             LValue::Field(base, field) => {
@@ -1001,12 +953,13 @@ impl SymExec {
                     }
                     SV::Val(SymVal::Array(items)) => match i.as_int() {
                         Some(n) => {
-                            let ix = usize::try_from(n).map_err(|_| {
-                                SymexError::Malformed("negative index".into())
-                            })?;
-                            items.get(ix).cloned().map(SV::Val).ok_or_else(|| {
-                                SymexError::Malformed("array index OOB".into())
-                            })
+                            let ix = usize::try_from(n)
+                                .map_err(|_| SymexError::Malformed("negative index".into()))?;
+                            items
+                                .get(ix)
+                                .cloned()
+                                .map(SV::Val)
+                                .ok_or_else(|| SymexError::Malformed("array index OOB".into()))
                         }
                         None => Ok(SV::Val(SymVal::ArrayGet(
                             Box::new(SymVal::Array(items)),
@@ -1015,30 +968,25 @@ impl SymExec {
                     },
                     SV::Val(SymVal::Tuple(items)) => match i.as_int() {
                         Some(n) => {
-                            let ix = usize::try_from(n).map_err(|_| {
-                                SymexError::Malformed("negative index".into())
-                            })?;
-                            items.get(ix).cloned().map(SV::Val).ok_or_else(|| {
-                                SymexError::Malformed("tuple index OOB".into())
-                            })
+                            let ix = usize::try_from(n)
+                                .map_err(|_| SymexError::Malformed("negative index".into()))?;
+                            items
+                                .get(ix)
+                                .cloned()
+                                .map(SV::Val)
+                                .ok_or_else(|| SymexError::Malformed("tuple index OOB".into()))
                         }
-                        None => Err(SymexError::Malformed(
-                            "symbolic tuple index".into(),
-                        )),
+                        None => Err(SymexError::Malformed("symbolic tuple index".into())),
                     },
                     SV::Val(other) => {
                         // Projection from a symbolic tuple-valued term.
                         match i.as_int() {
                             Some(n) => Ok(SV::Val(SymVal::proj(
                                 other,
-                                usize::try_from(n).map_err(|_| {
-                                    SymexError::Malformed("negative index".into())
-                                })?,
+                                usize::try_from(n)
+                                    .map_err(|_| SymexError::Malformed("negative index".into()))?,
                             ))),
-                            None => Ok(SV::Val(SymVal::ArrayGet(
-                                Box::new(other),
-                                Box::new(i),
-                            ))),
+                            None => Ok(SV::Val(SymVal::ArrayGet(Box::new(other), Box::new(i)))),
                         }
                     }
                     _ => Err(SymexError::Malformed("indexing non-container".into())),
@@ -1102,12 +1050,7 @@ impl SymExec {
         }
     }
 
-    fn eval_call(
-        &self,
-        st: &mut ExecState,
-        name: &str,
-        args: &[Expr],
-    ) -> Result<SV, SymexError> {
+    fn eval_call(&self, st: &mut ExecState, name: &str, args: &[Expr]) -> Result<SV, SymexError> {
         match name {
             "send" => {
                 let p = self.eval(st, &args[0])?;
@@ -1132,12 +1075,8 @@ impl SymExec {
             "len" => {
                 let v = self.eval(st, &args[0])?;
                 match v {
-                    SV::Val(SymVal::Array(items)) => {
-                        Ok(SV::Val(SymVal::Int(items.len() as i64)))
-                    }
-                    SV::Val(SymVal::Tuple(items)) => {
-                        Ok(SV::Val(SymVal::Int(items.len() as i64)))
-                    }
+                    SV::Val(SymVal::Array(items)) => Ok(SV::Val(SymVal::Int(items.len() as i64))),
+                    SV::Val(SymVal::Tuple(items)) => Ok(SV::Val(SymVal::Int(items.len() as i64))),
                     SV::Val(SymVal::Str(s)) => Ok(SV::Val(SymVal::Int(s.len() as i64))),
                     SV::Packet(_) => Ok(SV::Val(SymVal::pkt_len())),
                     SV::MapRef(m) => Ok(SV::Val(SymVal::map_len(&m))),
@@ -1192,10 +1131,8 @@ impl SymExec {
             "recv" | "sniff" | "spawn" | "q_push" | "q_pop" => {
                 Err(SymexError::BadBuiltin(name.to_string()))
             }
-            "listen" | "accept" | "connect" | "sock_read" | "sock_write"
-            | "sock_close" | "fork" | "select2" => {
-                Err(SymexError::BadBuiltin(name.to_string()))
-            }
+            "listen" | "accept" | "connect" | "sock_read" | "sock_write" | "sock_close"
+            | "fork" | "select2" => Err(SymexError::BadBuiltin(name.to_string())),
             other => {
                 if nfl_lang::builtins::lookup(other).is_some() {
                     Err(SymexError::BadBuiltin(other.to_string()))
@@ -1292,7 +1229,11 @@ mod tests {
             fn main() { sniff(cb); }
         "#,
         );
-        assert_eq!(stats.paths.len(), 2, "new-connection and existing-connection");
+        assert_eq!(
+            stats.paths.len(),
+            2,
+            "new-connection and existing-connection"
+        );
         // New-connection path: has the insert, rewrites sport to st:next.
         let new_path = stats
             .paths
@@ -1369,7 +1310,11 @@ mod tests {
         let rr = stats
             .paths
             .iter()
-            .find(|p| p.constraints.iter().any(|c| c.to_string() == "(cfg:mode == 1)"))
+            .find(|p| {
+                p.constraints
+                    .iter()
+                    .any(|c| c.to_string() == "(cfg:mode == 1)")
+            })
             .expect("RR path");
         // Figure 6: state update (idx+1)%N with N=2.
         assert_eq!(
@@ -1385,7 +1330,11 @@ mod tests {
         let hash_path = stats
             .paths
             .iter()
-            .find(|p| p.constraints.iter().any(|c| c.to_string() == "(cfg:mode != 1)"))
+            .find(|p| {
+                p.constraints
+                    .iter()
+                    .any(|c| c.to_string() == "(cfg:mode != 1)")
+            })
             .expect("hash path");
         assert!(hash_path.state_updates.is_empty(), "hash mode is stateless");
         let rw = hash_path.outputs[0].rewrites();
@@ -1467,10 +1416,7 @@ mod tests {
         );
         assert_eq!(stats.paths.len(), 2);
         let dropped = stats.paths.iter().find(|p| p.is_drop()).unwrap();
-        assert_eq!(
-            dropped.constraints[0].to_string(),
-            "(pkt.ip.ttl == 0)"
-        );
+        assert_eq!(dropped.constraints[0].to_string(), "(pkt.ip.ttl == 0)");
         assert!(dropped.state_updates.contains_key("drops"));
     }
 
@@ -1791,7 +1737,11 @@ mod budget_tests {
             .unwrap();
         assert!(!capped.exhausted);
         assert!(
-            capped.stop_reason.as_deref().unwrap().contains("solver-call"),
+            capped
+                .stop_reason
+                .as_deref()
+                .unwrap()
+                .contains("solver-call"),
             "{:?}",
             capped.stop_reason
         );
@@ -1811,7 +1761,11 @@ mod budget_tests {
         assert!(!stats.exhausted);
         assert!(stats.paths.len() <= 8);
         assert!(
-            stats.stop_reason.as_deref().unwrap().contains("path budget"),
+            stats
+                .stop_reason
+                .as_deref()
+                .unwrap()
+                .contains("path budget"),
             "{:?}",
             stats.stop_reason
         );
@@ -1831,8 +1785,7 @@ mod budget_tests {
                 })
                 .explore()
                 .unwrap();
-            let mut canon: Vec<String> =
-                stats.paths.iter().map(|p| p.canonical()).collect();
+            let mut canon: Vec<String> = stats.paths.iter().map(|p| p.canonical()).collect();
             canon.sort();
             if let Some(p) = &prev {
                 assert!(

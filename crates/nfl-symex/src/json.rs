@@ -129,19 +129,43 @@ mod tests {
         for (v, expected) in [
             (SymVal::Int(-5), r#"{"t":"int","v":-5}"#.to_string()),
             (SymVal::Bool(true), r#"{"t":"bool","v":true}"#.to_string()),
-            (SymVal::Str("GET /".into()), r#"{"t":"str","v":"GET /"}"#.to_string()),
+            (
+                SymVal::Str("GET /".into()),
+                r#"{"t":"str","v":"GET /"}"#.to_string(),
+            ),
             (x.clone(), xj.to_string()),
-            (SymVal::Cfg("mode".into()), r#"{"t":"var","name":"cfg:mode"}"#.to_string()),
-            (SymVal::St("idx".into()), r#"{"t":"var","name":"st:idx"}"#.to_string()),
-            (SymVal::pkt_len(), r#"{"t":"var","name":"pkt.len"}"#.to_string()),
-            (SymVal::map_len("nat"), r#"{"t":"var","name":"len:nat"}"#.to_string()),
-            (SymVal::checksum(), r#"{"t":"var","name":"checksum(pkt)"}"#.to_string()),
-            (SymVal::Var("x".into()), r#"{"t":"var","name":"x"}"#.to_string()),
+            (
+                SymVal::Cfg("mode".into()),
+                r#"{"t":"var","name":"cfg:mode"}"#.to_string(),
+            ),
+            (
+                SymVal::St("idx".into()),
+                r#"{"t":"var","name":"st:idx"}"#.to_string(),
+            ),
+            (
+                SymVal::pkt_len(),
+                r#"{"t":"var","name":"pkt.len"}"#.to_string(),
+            ),
+            (
+                SymVal::map_len("nat"),
+                r#"{"t":"var","name":"len:nat"}"#.to_string(),
+            ),
+            (
+                SymVal::checksum(),
+                r#"{"t":"var","name":"checksum(pkt)"}"#.to_string(),
+            ),
+            (
+                SymVal::Var("x".into()),
+                r#"{"t":"var","name":"x"}"#.to_string(),
+            ),
             (
                 SymVal::Tuple(vec![SymVal::Int(1), x.clone()]),
                 format!(r#"{{"t":"tuple","items":[{{"t":"int","v":1}},{xj}]}}"#),
             ),
-            (SymVal::Array(vec![]), r#"{"t":"array","items":[]}"#.to_string()),
+            (
+                SymVal::Array(vec![]),
+                r#"{"t":"array","items":[]}"#.to_string(),
+            ),
             (
                 SymVal::Bin(BinOp::NotIn, Box::new(x.clone()), Box::new(SymVal::Int(1))),
                 format!(r#"{{"t":"bin","op":"not in","a":{xj},"b":{{"t":"int","v":1}}}}"#),
@@ -150,8 +174,14 @@ mod tests {
                 SymVal::Not(Box::new(SymVal::Bool(false))),
                 r#"{"t":"not","a":{"t":"bool","v":false}}"#.to_string(),
             ),
-            (SymVal::Neg(Box::new(x.clone())), format!(r#"{{"t":"neg","a":{xj}}}"#)),
-            (SymVal::Hash(Box::new(x.clone())), format!(r#"{{"t":"hash","a":{xj}}}"#)),
+            (
+                SymVal::Neg(Box::new(x.clone())),
+                format!(r#"{{"t":"neg","a":{xj}}}"#),
+            ),
+            (
+                SymVal::Hash(Box::new(x.clone())),
+                format!(r#"{{"t":"hash","a":{xj}}}"#),
+            ),
             (
                 SymVal::Min(Box::new(x.clone()), Box::new(SymVal::Int(2))),
                 format!(r#"{{"t":"min","a":{xj},"b":{{"t":"int","v":2}}}}"#),
@@ -169,7 +199,10 @@ mod tests {
                 format!(r#"{{"t":"map_contains","map":"nat","key":{xj}}}"#),
             ),
             (
-                SymVal::ArrayGet(Box::new(SymVal::Array(vec![x.clone()])), Box::new(x.clone())),
+                SymVal::ArrayGet(
+                    Box::new(SymVal::Array(vec![x.clone()])),
+                    Box::new(x.clone()),
+                ),
                 format!(
                     r#"{{"t":"array_get","base":{{"t":"array","items":[{xj}]}},"index":{xj}}}"#
                 ),

@@ -642,22 +642,13 @@ mod tests {
     #[test]
     fn simple_sat_unsat() {
         let s = Solver;
+        assert_eq!(s.check(&[eq(var("x"), SymVal::Int(5))]), Verdict::Sat);
         assert_eq!(
-            s.check(&[eq(var("x"), SymVal::Int(5))]),
-            Verdict::Sat
-        );
-        assert_eq!(
-            s.check(&[
-                eq(var("x"), SymVal::Int(5)),
-                eq(var("x"), SymVal::Int(6))
-            ]),
+            s.check(&[eq(var("x"), SymVal::Int(5)), eq(var("x"), SymVal::Int(6))]),
             Verdict::Unsat
         );
         assert_eq!(
-            s.check(&[
-                eq(var("x"), SymVal::Int(5)),
-                ne(var("x"), SymVal::Int(5))
-            ]),
+            s.check(&[eq(var("x"), SymVal::Int(5)), ne(var("x"), SymVal::Int(5))]),
             Verdict::Unsat
         );
     }
@@ -666,17 +657,11 @@ mod tests {
     fn interval_narrowing() {
         let s = Solver;
         assert_eq!(
-            s.check(&[
-                gt(var("x"), SymVal::Int(10)),
-                lt(var("x"), SymVal::Int(12))
-            ]),
+            s.check(&[gt(var("x"), SymVal::Int(10)), lt(var("x"), SymVal::Int(12))]),
             Verdict::Sat // x = 11
         );
         assert_eq!(
-            s.check(&[
-                gt(var("x"), SymVal::Int(10)),
-                lt(var("x"), SymVal::Int(11))
-            ]),
+            s.check(&[gt(var("x"), SymVal::Int(10)), lt(var("x"), SymVal::Int(11))]),
             Verdict::Unsat
         );
     }
@@ -685,11 +670,7 @@ mod tests {
     fn affine_offsets() {
         let s = Solver;
         // x + 1 == 5  ∧  x == 4 : sat
-        let x_plus = SymVal::Bin(
-            BinOp::Add,
-            Box::new(var("x")),
-            Box::new(SymVal::Int(1)),
-        );
+        let x_plus = SymVal::Bin(BinOp::Add, Box::new(var("x")), Box::new(SymVal::Int(1)));
         assert_eq!(
             s.check(&[
                 eq(x_plus.clone(), SymVal::Int(5)),
@@ -737,10 +718,7 @@ mod tests {
         assert_eq!(s.check(&[eq(h.clone(), SymVal::Int(5))]), Verdict::Unsat);
         // Conflicting residues for the same opaque base.
         assert_eq!(
-            s.check(&[
-                eq(h.clone(), SymVal::Int(0)),
-                eq(h.clone(), SymVal::Int(1))
-            ]),
+            s.check(&[eq(h.clone(), SymVal::Int(0)), eq(h.clone(), SymVal::Int(1))]),
             Verdict::Unsat
         );
         // Residue eq + matching ne conflicts.
@@ -760,10 +738,7 @@ mod tests {
         );
         assert_eq!(s.check(&[ne(syn.clone(), SymVal::Int(0))]), Verdict::Sat);
         assert_eq!(
-            s.check(&[
-                ne(syn.clone(), SymVal::Int(0)),
-                eq(syn, SymVal::Int(0))
-            ]),
+            s.check(&[ne(syn.clone(), SymVal::Int(0)), eq(syn, SymVal::Int(0))]),
             Verdict::Unsat
         );
     }
@@ -809,10 +784,9 @@ mod tests {
     #[test]
     fn model_respects_domain() {
         let s = Solver;
-        let m = s
-            .model(&[gt(var("pkt.tcp.dport"), SymVal::Int(70000))], |_| {
-                (0, 65535)
-            });
+        let m = s.model(&[gt(var("pkt.tcp.dport"), SymVal::Int(70000))], |_| {
+            (0, 65535)
+        });
         assert!(m.is_none(), "port cannot exceed its domain");
     }
 

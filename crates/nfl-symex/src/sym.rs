@@ -229,9 +229,7 @@ impl SymVal {
             }
             (Or, SymVal::Bool(false), _) => return b,
             (Or, _, SymVal::Bool(false)) => return a,
-            (Or, SymVal::Bool(true), _) | (Or, _, SymVal::Bool(true)) => {
-                return SymVal::Bool(true)
-            }
+            (Or, SymVal::Bool(true), _) | (Or, _, SymVal::Bool(true)) => return SymVal::Bool(true),
             (Add, SymVal::Int(0), _) => return b,
             (Add, _, SymVal::Int(0)) => return a,
             (Mul, SymVal::Int(1), _) => return b,
@@ -549,7 +547,11 @@ mod tests {
 
     #[test]
     fn short_style_drops_prefixes_but_not_literal_text() {
-        let t = SymVal::bin(BinOp::Eq, SymVal::Pkt(Field::IpSrc), SymVal::St("idx".into()));
+        let t = SymVal::bin(
+            BinOp::Eq,
+            SymVal::Pkt(Field::IpSrc),
+            SymVal::St("idx".into()),
+        );
         assert_eq!(t.to_string(), "(pkt.ip.src == st:idx)");
         assert_eq!(t.short().to_string(), "(f.ip.src == idx)");
         assert_eq!(SymVal::pkt_len().short().to_string(), "f.len");

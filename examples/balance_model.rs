@@ -61,7 +61,12 @@ fn main() {
         fsm.mutating_transitions().count()
     );
     for t in fsm.mutating_transitions() {
-        println!("  [{}] --{}--> {}", t.from_state, if t.forwards { "fwd" } else { "drop" }, t.effect);
+        println!(
+            "  [{}] --{}--> {}",
+            t.from_state,
+            if t.forwards { "fwd" } else { "drop" },
+            t.effect
+        );
     }
 
     println!("\n--- Table 2 row for this balance ---");

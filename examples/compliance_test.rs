@@ -49,8 +49,10 @@ fn main() {
     // from 80 to 81. Tests generated from the *intended* model catch it.
     println!("\n--- negative control: broken firewall vs. intended model ---");
     let intended = synth("fw", &nfactor::corpus::firewall::source());
-    let broken_src = nfactor::corpus::firewall::source()
-        .replace("if pkt.tcp.dport == ALLOW_PORT {", "if pkt.tcp.dport == 81 {");
+    let broken_src = nfactor::corpus::firewall::source().replace(
+        "if pkt.tcp.dport == ALLOW_PORT {",
+        "if pkt.tcp.dport == 81 {",
+    );
     let broken = synth("fw-broken", &broken_src);
 
     // Replay the intended model's tests on the broken implementation.

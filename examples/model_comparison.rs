@@ -40,16 +40,15 @@ fn main() {
     );
 
     // Under the configuration the manual author assumed: equivalent.
-    let rr = behavioural_diff(&syn.model, &base_state, &manual, &base_state, 5, 500)
-        .expect("diff");
+    let rr = behavioural_diff(&syn.model, &base_state, &manual, &base_state, 5, 500).expect("diff");
     println!("mode = ROUND_ROBIN: {rr}");
     assert!(rr.equivalent());
 
     // Flip the knob the manual model doesn't know exists.
     let mut hash_state = base_state.clone();
     hash_state.configs.insert("mode".into(), Value::Int(0));
-    let hash = behavioural_diff(&syn.model, &hash_state, &manual, &hash_state, 5, 500)
-        .expect("diff");
+    let hash =
+        behavioural_diff(&syn.model, &hash_state, &manual, &hash_state, 5, 500).expect("diff");
     println!("mode = HASH:        {hash}");
     assert!(
         !hash.equivalent(),

@@ -16,7 +16,10 @@ fn main() {
     let src = fig1_lb::source();
     println!("=== NFactor quickstart: the Figure 1 load balancer ===\n");
 
-    let pipeline = Pipeline::builder().name("fig1-lb").build().expect("pipeline");
+    let pipeline = Pipeline::builder()
+        .name("fig1-lb")
+        .build()
+        .expect("pipeline");
     let syn = pipeline.synthesize(&src).expect("synthesis");
 
     // Table 1: variable classification.
@@ -24,7 +27,10 @@ fn main() {
     println!("pktVar : {:?}", syn.classes.pkt_vars);
     println!("cfgVar : {:?}", syn.classes.cfg_vars);
     println!("oisVar : {:?}", syn.classes.ois_vars);
-    println!("logVar : {:?} (outside the packet slice)", syn.classes.log_vars);
+    println!(
+        "logVar : {:?} (outside the packet slice)",
+        syn.classes.log_vars
+    );
 
     // Figure 1: the slice, highlighted in the source.
     println!("\n--- Packet ∪ state slice (Figure 1 highlighting) ---");
@@ -52,8 +58,8 @@ fn main() {
     println!("{}", syn.render_model());
 
     // And the §5 differential check, 1000 random packets.
-    let report = nfactor::core::accuracy::differential_test(&syn, 2016, 1000)
-        .expect("differential test");
+    let report =
+        nfactor::core::accuracy::differential_test(&syn, 2016, 1000).expect("differential test");
     println!(
         "accuracy: {}/{} random packets agree between model and program",
         report.agreements, report.trials

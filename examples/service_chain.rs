@@ -31,17 +31,11 @@ fn main() {
         let fp = footprint(&syn.model);
         println!(
             "{name}: matches on {:?}",
-            fp.matched
-                .iter()
-                .map(|f| f.path())
-                .collect::<Vec<_>>()
+            fp.matched.iter().map(|f| f.path()).collect::<Vec<_>>()
         );
         println!(
             "    rewrites    {:?}",
-            fp.rewritten
-                .iter()
-                .map(|f| f.path())
-                .collect::<Vec<_>>()
+            fp.rewritten.iter().map(|f| f.path()).collect::<Vec<_>>()
         );
     }
 

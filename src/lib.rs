@@ -73,13 +73,13 @@ pub use nf_model as model;
 pub use nf_packet as packet;
 pub use nf_query as query;
 pub use nf_shard as shard;
+pub use nf_support as support;
 pub use nf_tcp as tcp;
+pub use nf_trace as trace;
 pub use nf_verify as verify;
 pub use nfactor_core as core;
 pub use nfl_analysis as analysis;
 pub use nfl_interp as interp;
-pub use nf_support as support;
-pub use nf_trace as trace;
 pub use nfl_lang as lang;
 pub use nfl_lint as lint;
 pub use nfl_slicer as slicer;

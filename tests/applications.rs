@@ -14,19 +14,19 @@ fn composition_answers_the_papers_question() {
         .build()
         .unwrap()
         .synthesize(&nfactor::corpus::firewall::source())
-    .unwrap();
+        .unwrap();
     let ids = Pipeline::builder()
         .name("IDS")
         .build()
         .unwrap()
         .synthesize(&nfactor::corpus::snort::source(6))
-    .unwrap();
+        .unwrap();
     let lb = Pipeline::builder()
         .name("LB")
         .build()
         .unwrap()
         .synthesize(&nfactor::corpus::fig1_lb::source())
-    .unwrap();
+        .unwrap();
     let report = recommend_order(&[("FW", &fw.model), ("IDS", &ids.model), ("LB", &lb.model)]);
     assert_eq!(report.order, vec!["FW", "IDS", "LB"], "{report}");
     assert!(!report.has_conflict);
@@ -39,7 +39,7 @@ fn stateful_reachability_distinguishes_states() {
         .build()
         .unwrap()
         .synthesize(&nfactor::corpus::firewall::source())
-    .unwrap();
+        .unwrap();
     let base_state = ModelState::default()
         .with_config("PROTECTED_NET", Value::Int(0x0a000000))
         .with_config("PROTECTED_MASK", Value::Int(0xff000000))
@@ -70,10 +70,8 @@ fn stateful_reachability_distinguishes_states() {
     assert!(fresh.reachable_through(&reply).is_empty());
     assert!(!opened.reachable_through(&reply).is_empty());
     // Stateless fraction: outside → inside only via the allow port.
-    let outside = HeaderSpace::all().with(
-        Field::IpSrc,
-        IntervalSet::range(0x0b00_0000, 0xffff_ffff),
-    );
+    let outside =
+        HeaderSpace::all().with(Field::IpSrc, IntervalSet::range(0x0b00_0000, 0xffff_ffff));
     for space in fresh.reachable_through(&outside) {
         assert!(space.get(Field::TcpDport).contains(80));
         assert_eq!(space.get(Field::TcpDport).size(), 1);
@@ -92,7 +90,8 @@ fn compliance_holds_for_the_corpus() {
             .name(name)
             .build()
             .unwrap()
-            .synthesize(&src).unwrap();
+            .synthesize(&src)
+            .unwrap();
         let report = compliance_test(&syn).unwrap_or_else(|e| panic!("{name}: {e}"));
         assert!(
             report.compliant(),

@@ -97,7 +97,8 @@ fn run_and_top_keep_the_path_cap() {
         let text = std::fs::read_to_string(&metrics).unwrap_or_else(|e| panic!("{metrics}: {e}"));
         let doc = Value::parse(&text).unwrap_or_else(|e| panic!("{metrics}: {e}"));
         assert_eq!(
-            doc.get("counters").and_then(|c| c.get("pipeline.truncated")),
+            doc.get("counters")
+                .and_then(|c| c.get("pipeline.truncated")),
             Some(&Value::Int(1)),
             "{cmd:?} explored past --max-paths 1: {text}"
         );

@@ -31,8 +31,12 @@ const PLANS: &[&str] = &[
     "panic@0:2,err@1:3,garbage@2:1,ring-overflow@0:5",
 ];
 
-fn run_under_faults(de: &DiffEngine, mode: Mode, packets: &[Packet], faults: &FaultPlan)
-    -> Result<nfactor::shard::ShardRun, nfactor::shard::ShardError> {
+fn run_under_faults(
+    de: &DiffEngine,
+    mode: Mode,
+    packets: &[Packet],
+    faults: &FaultPlan,
+) -> Result<nfactor::shard::ShardRun, nfactor::shard::ShardError> {
     let cfg = mode_config(mode).with_faults(faults.clone());
     de.engine.run_with(SliceSource::new(packets), &cfg)
 }
@@ -46,8 +50,8 @@ fn chaos(name: &str, src: &str) {
     );
     let packets = PacketGen::new(SEED).batch(PACKETS);
     for spec in PLANS {
-        let faults = FaultPlan::parse(spec)
-            .unwrap_or_else(|e| panic!("{name}: plan `{spec}`: {e}"));
+        let faults =
+            FaultPlan::parse(spec).unwrap_or_else(|e| panic!("{name}: plan `{spec}`: {e}"));
         for de in &engines {
             for mode in [Mode::Threaded, Mode::Sequential] {
                 let run = run_under_faults(de, mode, &packets, &faults).unwrap_or_else(|e| {
@@ -73,18 +77,14 @@ fn chaos(name: &str, src: &str) {
                 let reference = de
                     .engine
                     .run_with(SliceSource::new(&kept), &RunConfig::single())
-                    .unwrap_or_else(|e| {
-                    panic!("{name}: {} fault-free reference: {e}", de.label)
-                });
+                    .unwrap_or_else(|e| panic!("{name}: {} fault-free reference: {e}", de.label));
                 assert_eq!(
                     run.outputs.len(),
                     reference.outputs.len(),
                     "{name}: {}/{mode:?} under `{spec}`: surviving output count",
                     de.label
                 );
-                for (j, (got, want)) in
-                    run.outputs.iter().zip(&reference.outputs).enumerate()
-                {
+                for (j, (got, want)) in run.outputs.iter().zip(&reference.outputs).enumerate() {
                     assert_eq!(
                         (&got.outputs, got.dropped),
                         (&want.outputs, want.dropped),

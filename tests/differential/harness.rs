@@ -106,10 +106,7 @@ pub fn run_mode(name: &str, de: &DiffEngine, mode: Mode, packets: &[Packet]) -> 
     r.unwrap_or_else(|e| panic!("{name}: {}/{mode:?}: {e}", de.label))
 }
 
-fn scoped_state(
-    merged: &BTreeMap<String, Value>,
-    scope: &StateScope,
-) -> BTreeMap<String, Value> {
+fn scoped_state(merged: &BTreeMap<String, Value>, scope: &StateScope) -> BTreeMap<String, Value> {
     match scope {
         StateScope::Full => merged.clone(),
         StateScope::Restrict(names) => merged

@@ -60,18 +60,23 @@ fn dispatch_ignores_non_key_bytes() {
             uint_range(0, 1 << 16),
         ),
     );
-    check("dispatch_ignores_non_key_bytes", &cfg, &gen, |&(seed, which, raw)| {
-        let pkt = PacketGen::new(seed).next_packet();
-        let before = dispatch_values(&five_tuple, &pkt);
-        let field = non_key[which as usize];
-        let mut mutated = pkt.clone();
-        let value = raw % (field.max_value() + 1).max(1);
-        if mutated.set(field, value).is_ok() {
-            assert_eq!(
-                before,
-                dispatch_values(&five_tuple, &mutated),
-                "mutating {field:?} re-steered the packet"
-            );
-        }
-    });
+    check(
+        "dispatch_ignores_non_key_bytes",
+        &cfg,
+        &gen,
+        |&(seed, which, raw)| {
+            let pkt = PacketGen::new(seed).next_packet();
+            let before = dispatch_values(&five_tuple, &pkt);
+            let field = non_key[which as usize];
+            let mut mutated = pkt.clone();
+            let value = raw % (field.max_value() + 1).max(1);
+            if mutated.set(field, value).is_ok() {
+                assert_eq!(
+                    before,
+                    dispatch_values(&five_tuple, &mutated),
+                    "mutating {field:?} re-steered the packet"
+                );
+            }
+        },
+    );
 }

@@ -130,7 +130,11 @@ fn mirror_pair_single_field_key_is_shared_and_consistent() {
         }
         fn main() { sniff(cb); }
     "#;
-    let pipeline = Pipeline::builder().name("mirror").shards(SHARDS).build().unwrap();
+    let pipeline = Pipeline::builder()
+        .name("mirror")
+        .shards(SHARDS)
+        .build()
+        .unwrap();
     let engine = ShardEngine::from_source(&pipeline, src, Backend::Interp).unwrap();
     assert!(
         !engine.plan().partitioned(),

@@ -58,8 +58,8 @@ fn nfw_stream_matches_in_memory_slice() {
             .shards(shards)
             .build()
             .expect("builder");
-        let engine = ShardEngine::from_source(&pipeline, &src, Backend::Interp)
-            .expect("build engine");
+        let engine =
+            ShardEngine::from_source(&pipeline, &src, Backend::Interp).expect("build engine");
         for rebalance in [false, true] {
             for mode in [Mode::Threaded, Mode::Sequential] {
                 let cfg = crate::harness::mode_config(mode).with_rebalance(rebalance);
@@ -110,11 +110,13 @@ fn nfw_stream_matches_single_reference() {
         .shards(4)
         .build()
         .expect("builder");
-    let engine =
-        ShardEngine::from_source(&pipeline, &src, Backend::Interp).expect("build engine");
+    let engine = ShardEngine::from_source(&pipeline, &src, Backend::Interp).expect("build engine");
 
     let single = engine
-        .run_with(NfwReader::open(trace.path()).expect("open"), &RunConfig::single())
+        .run_with(
+            NfwReader::open(trace.path()).expect("open"),
+            &RunConfig::single(),
+        )
         .expect("single run");
     let sequential = engine
         .run_with(

@@ -23,8 +23,7 @@ fn thousand_random_packets_agree_everywhere() {
             .unwrap()
             .synthesize(&src)
             .unwrap_or_else(|e| panic!("{name}: {e}"));
-        let report = differential_test(&syn, 2016, 1000)
-            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        let report = differential_test(&syn, 2016, 1000).unwrap_or_else(|e| panic!("{name}: {e}"));
         assert!(
             report.perfect(),
             "{name}: {}/{} agreed; first mismatches: {:?}",
@@ -59,7 +58,7 @@ fn different_seeds_still_agree() {
         .build()
         .unwrap()
         .synthesize(&nfactor::corpus::nat::source())
-    .unwrap();
+        .unwrap();
     for seed in [1u64, 7, 42, 99, 123456] {
         let report = differential_test(&syn, seed, 200).unwrap();
         assert!(report.perfect(), "seed {seed}: {:?}", report.mismatches);
@@ -75,7 +74,7 @@ fn stateful_agreement_over_long_runs() {
         .build()
         .unwrap()
         .synthesize(&nfactor::corpus::fig1_lb::source())
-    .unwrap();
+        .unwrap();
     let report = differential_test(&syn, 77, 2000).unwrap();
     assert!(report.perfect(), "{:?}", report.mismatches);
 }

@@ -46,8 +46,7 @@ fn check_golden(name: &str, src: &str) {
         )
     });
     assert_eq!(
-        actual,
-        expected,
+        actual, expected,
         "golden mismatch for {name}; if intentional, rerun with UPDATE_GOLDEN=1"
     );
 }

@@ -37,10 +37,7 @@ fn random_edit_sequences_preserve_equivalence() {
         ("firewall", nfactor::corpus::firewall::source()),
         ("ratelimiter", nfactor::corpus::ratelimiter::source()),
     ];
-    let gen = tuple2(
-        uint_range(0, 1),
-        vec_of(uint_range(0, 5), 1, 6),
-    );
+    let gen = tuple2(uint_range(0, 1), vec_of(uint_range(0, 5), 1, 6));
     check(
         "incremental ≡ from-scratch under edit sequences",
         &Config::with_cases(24),

@@ -44,13 +44,19 @@ fn check_model(name: &str, src: &str) {
         .unwrap()
         .synthesize(src)
         .unwrap_or_else(|e| panic!("pipeline failed on {name}: {e}"));
-    check_golden(&format!("{name}.model.json"), &syn.model.to_json().render_pretty());
+    check_golden(
+        &format!("{name}.model.json"),
+        &syn.model.to_json().render_pretty(),
+    );
 }
 
 /// The report document `lint --json` prints.
 fn check_lint(name: &str, src: &str) {
     let report = lint_source(name, src).unwrap_or_else(|e| panic!("lint failed on {name}: {e}"));
-    check_golden(&format!("{name}.lint.json"), &report.to_json().render_pretty());
+    check_golden(
+        &format!("{name}.lint.json"),
+        &report.to_json().render_pretty(),
+    );
 }
 
 #[test]

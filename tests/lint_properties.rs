@@ -9,7 +9,7 @@
 
 use nf_support::check::{check, tuple3, uint_range, Config};
 use nf_support::json::{ToJson, Value};
-use nfactor::lint::{lint_source, Code, Diagnostic, ShardingReport, Severity};
+use nfactor::lint::{lint_source, Code, Diagnostic, Severity, ShardingReport};
 
 /// Key expressions the generator can key the state map with, from
 /// flow-pure to definitely-shared.
@@ -71,15 +71,20 @@ fn cases() -> (Config, nf_support::check::Gen<(u64, u64, u64)>) {
 #[test]
 fn lint_is_deterministic() {
     let (cfg, gen) = cases();
-    check("lint_is_deterministic", &cfg, &gen, |&(key, guarded, extras)| {
-        let src = render_program(key as usize, guarded == 1, extras);
-        let a = lint_source("prop", &src).expect("lint");
-        let b = lint_source("prop", &src).expect("lint");
-        assert_eq!(a.diagnostics, b.diagnostics);
-        assert_eq!(a.sharding, b.sharding);
-        assert_eq!(a.render_text(), b.render_text());
-        assert_eq!(a.to_json().render(), b.to_json().render());
-    });
+    check(
+        "lint_is_deterministic",
+        &cfg,
+        &gen,
+        |&(key, guarded, extras)| {
+            let src = render_program(key as usize, guarded == 1, extras);
+            let a = lint_source("prop", &src).expect("lint");
+            let b = lint_source("prop", &src).expect("lint");
+            assert_eq!(a.diagnostics, b.diagnostics);
+            assert_eq!(a.sharding, b.sharding);
+            assert_eq!(a.render_text(), b.render_text());
+            assert_eq!(a.to_json().render(), b.to_json().render());
+        },
+    );
 }
 
 /// Diagnostics come out span-sorted (then code/var/message), with no
@@ -100,7 +105,12 @@ fn diagnostics_are_span_sorted_and_consistent() {
             sorted.dedup();
             assert_eq!(keys, sorted, "unsorted or duplicated diagnostics");
             for d in &report.diagnostics {
-                assert_eq!(d.severity, d.code.severity(), "severity drift on {}", d.code);
+                assert_eq!(
+                    d.severity,
+                    d.code.severity(),
+                    "severity drift on {}",
+                    d.code
+                );
             }
             assert_eq!(
                 report.has_errors(),
@@ -167,18 +177,29 @@ fn assert_sharding_written(r: &ShardingReport, doc: &Value) {
 #[test]
 fn report_json_roundtrips() {
     let (cfg, gen) = cases();
-    check("report_json_roundtrips", &cfg, &gen, |&(key, guarded, extras)| {
-        let src = render_program(key as usize, guarded == 1, extras);
-        let report = lint_source("prop", &src).expect("lint");
-        let doc = Value::parse(&report.to_json().render()).expect("parse");
-        let diagnostics = doc.get("diagnostics").and_then(Value::as_array).expect("diagnostics");
-        assert_eq!(diagnostics.len(), report.diagnostics.len());
-        for (d, dj) in report.diagnostics.iter().zip(diagnostics) {
-            assert_diagnostic_written(d, dj);
-        }
-        assert_sharding_written(&report.sharding, doc.get("sharding").expect("sharding"));
-        assert_eq!(doc.get("name").and_then(Value::as_str), Some(report.name.as_str()));
-    });
+    check(
+        "report_json_roundtrips",
+        &cfg,
+        &gen,
+        |&(key, guarded, extras)| {
+            let src = render_program(key as usize, guarded == 1, extras);
+            let report = lint_source("prop", &src).expect("lint");
+            let doc = Value::parse(&report.to_json().render()).expect("parse");
+            let diagnostics = doc
+                .get("diagnostics")
+                .and_then(Value::as_array)
+                .expect("diagnostics");
+            assert_eq!(diagnostics.len(), report.diagnostics.len());
+            for (d, dj) in report.diagnostics.iter().zip(diagnostics) {
+                assert_diagnostic_written(d, dj);
+            }
+            assert_sharding_written(&report.sharding, doc.get("sharding").expect("sharding"));
+            assert_eq!(
+                doc.get("name").and_then(Value::as_str),
+                Some(report.name.as_str())
+            );
+        },
+    );
 }
 
 /// The sharding verdict tracks the generator's key choice: flow-derived
@@ -188,25 +209,30 @@ fn report_json_roundtrips() {
 #[test]
 fn verdict_tracks_key_origin() {
     let (cfg, gen) = cases();
-    check("verdict_tracks_key_origin", &cfg, &gen, |&(key, guarded, extras)| {
-        use nfactor::lint::StateShard;
-        let src = render_program(key as usize, guarded == 1, extras);
-        let report = lint_source("prop", &src).expect("lint");
-        let tbl = report.sharding.get("tbl").expect("tbl verdict");
-        let flow_pure = (key as usize % KEYS.len()) < 3;
-        if flow_pure {
-            assert_eq!(tbl.verdict(), StateShard::PerFlow, "{tbl:?}");
-        } else {
-            assert_eq!(tbl.verdict(), StateShard::Shared, "{tbl:?}");
-            assert!(
-                report
-                    .diagnostics
-                    .iter()
-                    .any(|d| d.code == Code::SharedState && d.var.as_deref() == Some("tbl")),
-                "NFL009 missing for shared tbl"
-            );
-        }
-    });
+    check(
+        "verdict_tracks_key_origin",
+        &cfg,
+        &gen,
+        |&(key, guarded, extras)| {
+            use nfactor::lint::StateShard;
+            let src = render_program(key as usize, guarded == 1, extras);
+            let report = lint_source("prop", &src).expect("lint");
+            let tbl = report.sharding.get("tbl").expect("tbl verdict");
+            let flow_pure = (key as usize % KEYS.len()) < 3;
+            if flow_pure {
+                assert_eq!(tbl.verdict(), StateShard::PerFlow, "{tbl:?}");
+            } else {
+                assert_eq!(tbl.verdict(), StateShard::Shared, "{tbl:?}");
+                assert!(
+                    report
+                        .diagnostics
+                        .iter()
+                        .any(|d| d.code == Code::SharedState && d.var.as_deref() == Some("tbl")),
+                    "NFL009 missing for shared tbl"
+                );
+            }
+        },
+    );
 }
 
 /// Random well-formed diagnostics are written whole and read back from
@@ -220,19 +246,28 @@ fn arbitrary_diagnostics_roundtrip() {
         uint_range(0, 5000),
         uint_range(0, 200),
     );
-    check("arbitrary_diagnostics_roundtrip", &cfg, &gen, |&(c, start, width)| {
-        let code = Code::ALL[c as usize];
-        let d = Diagnostic::new(
-            code,
-            nfl_lang::Span::new(start as usize, (start + width) as usize, (start / 40) as u32),
-            if width % 2 == 0 {
-                Some(format!("v{start}"))
-            } else {
-                None
-            },
-            format!("synthetic {code} at {start}"),
-        );
-        let parsed = Value::parse(&d.to_json().render()).expect("parse");
-        assert_diagnostic_written(&d, &parsed);
-    });
+    check(
+        "arbitrary_diagnostics_roundtrip",
+        &cfg,
+        &gen,
+        |&(c, start, width)| {
+            let code = Code::ALL[c as usize];
+            let d = Diagnostic::new(
+                code,
+                nfl_lang::Span::new(
+                    start as usize,
+                    (start + width) as usize,
+                    (start / 40) as u32,
+                ),
+                if width % 2 == 0 {
+                    Some(format!("v{start}"))
+                } else {
+                    None
+                },
+                format!("synthetic {code} at {start}"),
+            );
+            let parsed = Value::parse(&d.to_json().render()).expect("parse");
+            assert_diagnostic_written(&d, &parsed);
+        },
+    );
 }

@@ -91,7 +91,7 @@ fn router_paths_all_witnessed() {
         .build()
         .unwrap()
         .synthesize(&nfactor::corpus::router::source())
-    .unwrap();
+        .unwrap();
     let (witnessed, skipped) = check_stateless_paths(&syn);
     assert_eq!(skipped, 0, "router is stateless");
     assert_eq!(witnessed, syn.exploration.paths.len());
@@ -105,7 +105,7 @@ fn snort_paths_all_witnessed() {
         .build()
         .unwrap()
         .synthesize(&nfactor::corpus::snort::source(12))
-    .unwrap();
+        .unwrap();
     let (witnessed, _) = check_stateless_paths(&syn);
     assert_eq!(witnessed, 3, "block1 / block2 / forward all witnessed");
 }
@@ -117,7 +117,7 @@ fn firewall_stateless_fraction_witnessed() {
         .build()
         .unwrap()
         .synthesize(&nfactor::corpus::firewall::source())
-    .unwrap();
+        .unwrap();
     let (witnessed, skipped) = check_stateless_paths(&syn);
     // Every inbound path consults the pinhole map first (state-dependent,
     // skipped); only the outbound path is purely stateless.

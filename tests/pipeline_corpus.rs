@@ -38,7 +38,7 @@ fn table1_variable_classes() {
         .build()
         .unwrap()
         .synthesize(&nfactor::corpus::fig1_lb::source())
-    .unwrap();
+        .unwrap();
     // The paper's Table 1, column by column.
     assert!(syn.classes.pkt_vars.contains("pkt"));
     for cfg in ["mode", "LB_IP"] {
@@ -63,14 +63,14 @@ fn table1_variable_classes() {
 
 #[test]
 fn table2_relations_hold_at_small_scale() {
-    let pipeline = Pipeline::builder()
-        .measure_original(true)
-        .build()
-        .unwrap();
+    let pipeline = Pipeline::builder().measure_original(true).build().unwrap();
     let snort = pipeline
         .synthesize_named("snort", &nfactor::corpus::snort::source(40))
         .unwrap();
-    assert_eq!(snort.metrics.ep_slice, 3, "snort slice EP = 3, like the paper");
+    assert_eq!(
+        snort.metrics.ep_slice, 3,
+        "snort slice EP = 3, like the paper"
+    );
     let (ep_orig, exhausted) = snort.metrics.ep_orig.unwrap();
     assert!(!exhausted && ep_orig >= 1000, "snort orig EP explodes");
     assert!(snort.metrics.se_time_orig.unwrap() > snort.metrics.se_time_slice);
@@ -80,7 +80,10 @@ fn table2_relations_hold_at_small_scale() {
         .synthesize_named("balance", &nfactor::corpus::balance::source(10))
         .unwrap();
     let (bep_orig, _) = balance.metrics.ep_orig.unwrap();
-    assert!(bep_orig > balance.metrics.ep_slice, "balance orig > slice EP");
+    assert!(
+        bep_orig > balance.metrics.ep_slice,
+        "balance orig > slice EP"
+    );
     assert!((3..=16).contains(&balance.metrics.ep_slice));
 }
 
@@ -91,7 +94,7 @@ fn figure6_balance_model_content() {
         .build()
         .unwrap()
         .synthesize(&nfactor::corpus::balance::source(3))
-    .unwrap();
+        .unwrap();
     let table = syn.render_model();
     // Figure 6's RR row: state idx, action send to server[idx], update
     // (idx+1)%N.
@@ -112,7 +115,7 @@ fn figure6_lb_modes_match_paper_rows() {
         .build()
         .unwrap()
         .synthesize(&nfactor::corpus::fig1_lb::source())
-    .unwrap();
+        .unwrap();
     let rr_tables: Vec<_> = syn
         .model
         .tables
@@ -120,11 +123,11 @@ fn figure6_lb_modes_match_paper_rows() {
         .filter(|t| t.config.iter().any(|c| c.to_string() == "(cfg:mode == 1)"))
         .collect();
     assert_eq!(rr_tables.len(), 1);
-    assert!(rr_tables[0]
-        .entries
+    assert!(rr_tables[0].entries.iter().any(|e| e
+        .state_action
+        .updates
         .iter()
-        .any(|e| e.state_action.updates.iter().any(|(n, v)| n == "rr_idx"
-            && v.to_string() == "((st:rr_idx + 1) % 2)")));
+        .any(|(n, v)| n == "rr_idx" && v.to_string() == "((st:rr_idx + 1) % 2)")));
     let hash_tables: Vec<_> = syn
         .model
         .tables
@@ -148,7 +151,7 @@ fn slice_is_a_valid_program() {
         .build()
         .unwrap()
         .synthesize(&nfactor::corpus::nat::source())
-    .unwrap();
+        .unwrap();
     nfactor::lang::types::check(&syn.sliced_loop.program).expect("slice type-checks");
     let mut interp = nfactor::interp::Interp::new(&syn.sliced_loop).expect("slice runs");
     let pkt = nfactor::packet::Packet::tcp(

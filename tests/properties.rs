@@ -179,7 +179,8 @@ fn hash_is_stable_across_interp_and_model() {
         .name("hash-lb")
         .build()
         .unwrap()
-        .synthesize(src).unwrap();
+        .synthesize(src)
+        .unwrap();
     let report = differential_test(&syn, 5, 500).unwrap();
     assert!(report.perfect(), "{:?}", report.mismatches);
     // And the backend choice actually varies across sources.
@@ -241,7 +242,11 @@ fn step_then_revert_restores_state() {
     );
     assert_eq!(nfs.len(), 8 + GENERATED, "too few generated NFs build");
     let interp_state = |i: &Interp| {
-        format!("{:?} packets_seen={}", i.clone().into_snapshot(), i.packets_seen())
+        format!(
+            "{:?} packets_seen={}",
+            i.clone().into_snapshot(),
+            i.packets_seen()
+        )
     };
     let cfg = Config::with_cases(128);
     let last = nfs.len() as u64 - 1;

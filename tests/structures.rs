@@ -44,7 +44,8 @@ fn first_three_shapes_give_equivalent_models() {
             .name(name)
             .build()
             .unwrap()
-            .synthesize(&src).unwrap();
+            .synthesize(&src)
+            .unwrap();
         // `hits` is a pure log counter (never output-impacting), so the
         // *forwarding* model rightly omits it — same as the paper's
         // pass_stat (outside the packet slice entirely, never oisVar).
@@ -78,7 +79,7 @@ fn nested_shape_carries_tcp_semantics() {
         .build()
         .unwrap()
         .synthesize(&nfactor::corpus::structures::nested_loop())
-    .unwrap();
+        .unwrap();
     let mut interp = nfactor::interp::Interp::new(&syn.nf_loop).unwrap();
     let mut data = Packet::tcp(1, 9, 2, 80, TcpFlags::ack());
     data.payload = vec![1, 2, 3];

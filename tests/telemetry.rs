@@ -6,7 +6,9 @@
 
 use nfactor::core::Pipeline;
 use nfactor::packet::{Packet, PacketGen, TcpFlags};
-use nfactor::shard::{render_top, Backend, FlightOutcome, RunConfig, ShardEngine, SliceSource, TelemetryConfig};
+use nfactor::shard::{
+    render_top, Backend, FlightOutcome, RunConfig, ShardEngine, SliceSource, TelemetryConfig,
+};
 use nfactor::support::fault::FaultPlan;
 use nfactor::support::json::Value;
 use nfactor::trace::{MockClock, Tracer};
@@ -59,16 +61,38 @@ fn telemetry_does_not_change_run_behaviour() {
     for name in ["firewall", "nat"] {
         let on = engine(name, 4, Tracer::enabled());
         let off = engine(name, 4, Tracer::disabled());
-        let run_on = on.run_with(SliceSource::new(&packets), &RunConfig::threaded()).expect("telemetry-on run");
-        let run_off = off.run_with(SliceSource::new(&packets), &RunConfig::threaded()).expect("telemetry-off run");
-        assert!(run_on.stats.is_some(), "{name}: enabled tracer collects stats");
-        assert!(run_off.stats.is_none(), "{name}: disabled tracer collects nothing");
-        assert_eq!(run_on.output_signature(), run_off.output_signature(), "{name}");
+        let run_on = on
+            .run_with(SliceSource::new(&packets), &RunConfig::threaded())
+            .expect("telemetry-on run");
+        let run_off = off
+            .run_with(SliceSource::new(&packets), &RunConfig::threaded())
+            .expect("telemetry-off run");
+        assert!(
+            run_on.stats.is_some(),
+            "{name}: enabled tracer collects stats"
+        );
+        assert!(
+            run_off.stats.is_none(),
+            "{name}: disabled tracer collects nothing"
+        );
+        assert_eq!(
+            run_on.output_signature(),
+            run_off.output_signature(),
+            "{name}"
+        );
         assert_eq!(run_on.merged, run_off.merged, "{name}");
 
-        let seq_on = on.run_with(SliceSource::new(&packets), &RunConfig::sequential()).expect("sequential on");
-        let seq_off = off.run_with(SliceSource::new(&packets), &RunConfig::sequential()).expect("sequential off");
-        assert_eq!(seq_on.output_signature(), seq_off.output_signature(), "{name}");
+        let seq_on = on
+            .run_with(SliceSource::new(&packets), &RunConfig::sequential())
+            .expect("sequential on");
+        let seq_off = off
+            .run_with(SliceSource::new(&packets), &RunConfig::sequential())
+            .expect("sequential off");
+        assert_eq!(
+            seq_on.output_signature(),
+            seq_off.output_signature(),
+            "{name}"
+        );
         assert_eq!(seq_on.merged, seq_off.merged, "{name}");
     }
 }
@@ -79,7 +103,12 @@ fn telemetry_does_not_change_run_behaviour() {
 fn telemetry_config_switch_disables_collection() {
     let mut e = engine("firewall", 2, Tracer::enabled());
     e.set_telemetry(TelemetryConfig { enabled: false });
-    let run = e.run_with(SliceSource::new(&PacketGen::new(1).batch(100)), &RunConfig::threaded()).expect("run");
+    let run = e
+        .run_with(
+            SliceSource::new(&PacketGen::new(1).batch(100)),
+            &RunConfig::threaded(),
+        )
+        .expect("run");
     assert!(run.stats.is_none());
 }
 
@@ -90,7 +119,12 @@ fn telemetry_config_switch_disables_collection() {
 fn skewed_workload_reports_hot_keys() {
     let tracer = Tracer::enabled();
     let e = engine("firewall", 4, tracer.clone());
-    let run = e.run_with(SliceSource::new(&skewed_workload(900)), &RunConfig::threaded()).expect("run");
+    let run = e
+        .run_with(
+            SliceSource::new(&skewed_workload(900)),
+            &RunConfig::threaded(),
+        )
+        .expect("run");
     let stats = run.stats.expect("telemetry on");
     let profiled: Vec<_> = stats
         .shards
@@ -111,7 +145,10 @@ fn skewed_workload_reports_hot_keys() {
         heaviest.count,
         heaviest.key
     );
-    assert!(heaviest.key.contains("tcp.dport="), "keys render field=value pairs");
+    assert!(
+        heaviest.key.contains("tcp.dport="),
+        "keys render field=value pairs"
+    );
     let metrics = tracer.metrics();
     assert!(
         metrics.labels.keys().any(|k| k.ends_with(".hotkeys")),
@@ -121,10 +158,15 @@ fn skewed_workload_reports_hot_keys() {
     for (w, &pkts) in run.per_shard_pkts.iter().enumerate() {
         if pkts > 0 {
             let h = &metrics.histograms[&format!("shard.{w}.eval.ns")];
-            assert_eq!(h.count, pkts, "shard {w} eval histogram counts every packet");
+            assert_eq!(
+                h.count, pkts,
+                "shard {w} eval histogram counts every packet"
+            );
             assert!(h.p50() <= h.p99() && h.p99() <= h.max);
             assert!(
-                metrics.histograms.contains_key(&format!("shard.{w}.ring.occupancy")),
+                metrics
+                    .histograms
+                    .contains_key(&format!("shard.{w}.ring.occupancy")),
                 "shard {w} sampled ring occupancy"
             );
         }
@@ -140,7 +182,12 @@ fn flight_recorder_captures_faults_and_replays() {
     let e = engine("ratelimiter", 2, tracer);
     let faults = FaultPlan::parse("panic@0:5,panic@1:9").expect("plan parses");
     let packets = PacketGen::new(11).batch(400);
-    let run = e.run_with(SliceSource::new(&packets), &RunConfig::threaded().with_faults(faults.clone())).expect("faulted run");
+    let run = e
+        .run_with(
+            SliceSource::new(&packets),
+            &RunConfig::threaded().with_faults(faults.clone()),
+        )
+        .expect("faulted run");
     assert_eq!(run.quarantined_seqs.len(), 2);
     let stats = run.stats.as_ref().expect("telemetry on");
     let (events, recorded) = stats.flight(1_000_000);
@@ -169,7 +216,10 @@ fn flight_recorder_captures_faults_and_replays() {
     };
     assert!(!trace.is_empty() && trace.len() <= 16);
     for item in trace {
-        assert!(matches!(item, Value::Object(_)), "trace entries are packet objects");
+        assert!(
+            matches!(item, Value::Object(_)),
+            "trace entries are packet objects"
+        );
     }
 }
 
@@ -183,7 +233,10 @@ fn sequential_stats_deterministic_under_mock_clock() {
         let tracer = Tracer::with_clock(Arc::new(MockClock::new(75)));
         let e = engine("nat", 3, tracer.clone());
         let run = e
-            .run_with(SliceSource::new(&PacketGen::new(5).batch(300)), &RunConfig::sequential())
+            .run_with(
+                SliceSource::new(&PacketGen::new(5).batch(300)),
+                &RunConfig::sequential(),
+            )
             .expect("sequential run");
         let stats = run.stats_json().expect("stats collected").render_pretty();
         let table = tracer.metrics().render_table();
@@ -207,14 +260,15 @@ fn top_renders_per_shard_rows_from_run_metrics() {
         SliceSource::new(&PacketGen::new(2).batch(300)),
         &RunConfig::threaded().with_faults(faults.clone()),
     )
-        .expect("run");
+    .expect("run");
     let table = render_top(&tracer.metrics(), None);
     let rows: Vec<&str> = table.lines().collect();
     // Header + 3 shard rows at minimum (hot-key lines follow).
     assert!(rows.len() >= 4, "{table}");
     for w in 0..3 {
         assert!(
-            rows.iter().any(|r| r.trim_start().starts_with(&w.to_string())),
+            rows.iter()
+                .any(|r| r.trim_start().starts_with(&w.to_string())),
             "missing row for shard {w}: {table}"
         );
     }
@@ -227,7 +281,12 @@ fn global_lock_runs_collect_stats() {
     let tracer = Tracer::enabled();
     // `balance` shards `shared`-verdict state, forcing the global lock.
     let e = engine("balance", 2, tracer);
-    let run = e.run_with(SliceSource::new(&PacketGen::new(9).batch(200)), &RunConfig::threaded()).expect("run");
+    let run = e
+        .run_with(
+            SliceSource::new(&PacketGen::new(9).batch(200)),
+            &RunConfig::threaded(),
+        )
+        .expect("run");
     assert!(!run.partitioned, "balance must run under the global lock");
     let stats = run.stats.expect("telemetry on");
     assert_eq!(stats.shards.len(), 2);

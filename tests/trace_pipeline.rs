@@ -85,7 +85,10 @@ fn pipeline_emits_one_span_per_stage_with_nested_symex() {
         metrics.counter("symex.solver.calls"),
         Some(syn.exploration.solver_calls as u64)
     );
-    assert_eq!(metrics.counter("symex.forks"), Some(syn.exploration.forks as u64));
+    assert_eq!(
+        metrics.counter("symex.forks"),
+        Some(syn.exploration.forks as u64)
+    );
     assert!(metrics.counter("slice.pdg.edges").unwrap_or(0) > 0);
 }
 

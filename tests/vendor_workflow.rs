@@ -24,7 +24,7 @@ fn operator_verifies_from_shipped_model_only() {
         .build()
         .unwrap()
         .synthesize(&nfactor::corpus::firewall::source())
-    .unwrap();
+        .unwrap();
     let shipped = to_text(&syn.model);
 
     // --- operator side: only `shipped` crosses the boundary ---
@@ -40,10 +40,8 @@ fn operator_verifies_from_shipped_model_only() {
         .with_scalar("blocked_count", Value::Int(0))
         .with_map("pinholes");
     let nf = StatefulNf { model, state };
-    let outside = HeaderSpace::all().with(
-        Field::IpSrc,
-        IntervalSet::range(0x0b00_0000, 0xffff_ffff),
-    );
+    let outside =
+        HeaderSpace::all().with(Field::IpSrc, IntervalSet::range(0x0b00_0000, 0xffff_ffff));
     let through = nf.reachable_through(&outside);
     assert!(!through.is_empty());
     assert!(through
@@ -93,8 +91,7 @@ fn every_corpus_model_ships_losslessly() {
             .unwrap()
             .synthesize(&src)
             .unwrap_or_else(|e| panic!("{}: {e}", nf.name));
-        let round = from_text(&to_text(&syn.model))
-            .unwrap_or_else(|e| panic!("{}: {e}", nf.name));
+        let round = from_text(&to_text(&syn.model)).unwrap_or_else(|e| panic!("{}: {e}", nf.name));
         assert_eq!(round, syn.model, "{} shipping round trip", nf.name);
     }
 }
