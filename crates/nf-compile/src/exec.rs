@@ -3,15 +3,25 @@
 //! [`CompiledState`] is the state of one deployment: the program's
 //! initial store ([`ModelState`], from `nf-model`), stepped, plus the
 //! predicate memo and the buffer of pending writes. One
-//! [`step`](CompiledState::step) walks the decision tree to a leaf,
-//! checks the leaf candidates' obligations (residual flow literals,
-//! then state tags) in reference order, and fires the first full match
-//! exactly as the reference step would: all terms evaluated against the
-//! *pre* state, then committed through the store's one commit path
-//! ([`ModelState::commit`]), scalars before maps, in source order. For
-//! a packet the compiled step fails on, the reference step
-//! ([`ModelState::step`]) runs on the same store, and the store's undo
-//! log reverts either step.
+//! [`step`](CompiledState::step) takes the compiled fast step or runs
+//! the reference step, on the same store:
+//!
+//! * the fast step walks the decision tree to a leaf, checks the leaf
+//!   candidates' obligations (residual flow literals, then state tags)
+//!   in reference order, and fires the first full match exactly as the
+//!   reference step would: all terms evaluated against the *pre* state,
+//!   then committed through the store's one commit path
+//!   ([`ModelState::commit`]), scalars before maps, in source order;
+//! * wherever the fast path declines a term (see [`crate::expr`]), a
+//!   rewrite does not fit its field, or the tree has no child for the
+//!   packet, the fast step gives up before it commits anything, and the
+//!   reference step ([`ModelState::step`]) runs the packet from the
+//!   start with the model the program carries
+//!   ([`CompiledProgram::model`]).
+//!
+//! So every error, and every value the fast path does not compute, is
+//! the reference's by construction. The store's undo log reverts either
+//! step.
 //!
 //! Each packet pays once for each distinct piece of work. Flow literals
 //! and state tags are interned predicates ([`mod@crate::compile`]), and one
@@ -22,22 +32,13 @@
 //! go through the step's probe memo ([`Probes`]), which lives on the
 //! step's stack: each distinct `(map, key term)` pair is built and
 //! probed once. Neither memo allocates per step.
-//!
-//! Every term the step evaluates goes through the fast path of
-//! [`RunEnv`] first: predicates through `fast_bool`, rewrites through
-//! `fast_int`, map-op keys through `fast_key`, updates and inserted
-//! values through `fast_value` (see [`crate::expr`]). Where the fast
-//! path declines, the step runs [`eval_expr`] on the whole term,
-//! un-memoised, and keeps its value or its error, so outputs, `fired`,
-//! post-state and error strings are those of [`eval_expr`] on every
-//! packet.
 
 use crate::compile::{CEntry, CFlowAction, CMapOp, CompiledProgram, PredLit};
-use crate::expr::{eval_expr, CExpr, ProbeSlot, Probes, RunEnv, PROBE_SLOTS};
+use crate::expr::{ProbeSlot, Probes, RunEnv, PROBE_SLOTS};
 use crate::tree::{LeafCand, Node};
 use nf_model::{EvalError, ModelState, ModelStep, Writes};
 use nf_packet::Packet;
-use nfl_interp::value::{Value, ValueKey};
+use nfl_interp::value::Value;
 use std::collections::BTreeMap;
 
 /// Mutable runtime state of one compiled deployment.
@@ -78,12 +79,24 @@ impl CompiledState {
         self.memo.fill((0, false));
     }
 
-    /// Run one packet through the compiled program, mutating the state.
+    /// Run one packet through the compiled program, mutating the state:
+    /// the fast step, or where it declines, the reference step
+    /// ([`ModelState::step`]) with the program's model on this store.
     ///
-    /// For any packet on which the reference `ModelState::step`
-    /// succeeds, this returns `Ok` with the identical output, fired
-    /// entry, and post-state.
+    /// For any packet on which the reference step succeeds, this returns
+    /// `Ok` with the identical output, fired entry, and post-state; an
+    /// error is always the reference's.
     pub fn step(&mut self, prog: &CompiledProgram, pkt: &Packet) -> Result<ModelStep, EvalError> {
+        match self.fast_step(prog, pkt) {
+            Some(step) => Ok(step),
+            None => self.store.step(&prog.model, pkt),
+        }
+    }
+
+    /// The compiled step proper: `None` where it declines the packet,
+    /// always before committing anything.
+    #[inline]
+    fn fast_step(&mut self, prog: &CompiledProgram, pkt: &Packet) -> Option<ModelStep> {
         let generation = self.store.begin_step();
         let cands = leaf(prog, pkt)?;
         // The probe memo lives on the stack for this step; a program
@@ -95,13 +108,10 @@ impl CompiledState {
         } else {
             None
         };
-        let layout = self.store.layout();
         let env = RunEnv {
             pkt,
             slots: &self.store.scalars,
             maps: &self.store.maps,
-            map_names: layout.map_names(),
-            slot_names: layout.slot_names(),
             probes,
         };
         let mut memo = Memo {
@@ -110,7 +120,7 @@ impl CompiledState {
         };
         let Some(ei) = select(prog, &env, &mut memo, cands)? else {
             // Default action: drop.
-            return Ok(ModelStep {
+            return Some(ModelStep {
                 output: None,
                 fired: None,
             });
@@ -118,7 +128,7 @@ impl CompiledState {
         let entry = &prog.entries[ei];
         let output = evaluate(&env, entry, &mut self.pending)?;
         self.store.commit(&mut self.pending);
-        Ok(ModelStep {
+        Some(ModelStep {
             output,
             fired: Some(entry.origin),
         })
@@ -131,9 +141,11 @@ impl CompiledState {
     }
 }
 
-/// Walk the decision tree to the leaf `pkt` reaches.
+/// Walk the decision tree to the leaf `pkt` reaches. Every node over a
+/// field a packet can lack has a missing-layer child, so `None` (no
+/// child) does not happen on a tree `compile` built.
 #[inline]
-fn leaf<'p>(prog: &'p CompiledProgram, pkt: &Packet) -> Result<&'p [LeafCand], EvalError> {
+fn leaf<'p>(prog: &'p CompiledProgram, pkt: &Packet) -> Option<&'p [LeafCand]> {
     let mut node = prog.root;
     loop {
         match &prog.nodes[node] {
@@ -151,12 +163,7 @@ fn leaf<'p>(prog: &'p CompiledProgram, pkt: &Packet) -> Result<&'p [LeafCand], E
                         Err(_) => *default,
                     };
                 }
-                Err(e) => match missing {
-                    Some(m) => node = *m,
-                    // Unreachable: every node over a fallible field
-                    // is built with a missing child.
-                    None => return Err(EvalError::Stuck(e.to_string())),
-                },
+                Err(_) => node = (*missing)?,
             },
             Node::Range {
                 field,
@@ -168,12 +175,9 @@ fn leaf<'p>(prog: &'p CompiledProgram, pkt: &Packet) -> Result<&'p [LeafCand], E
                     let v = raw as i64;
                     node = children[cuts.partition_point(|&c| c <= v)];
                 }
-                Err(e) => match missing {
-                    Some(m) => node = *m,
-                    None => return Err(EvalError::Stuck(e.to_string())),
-                },
+                Err(_) => node = (*missing)?,
             },
-            Node::Leaf { cands } => return Ok(cands),
+            Node::Leaf { cands } => return Some(cands),
         }
     }
 }
@@ -187,122 +191,73 @@ struct Memo<'m> {
 impl Memo<'_> {
     /// Whether obligation `lit` holds: its predicate's truth value,
     /// evaluated at most once per step, against its own polarity.
-    fn holds(
-        &mut self,
-        prog: &CompiledProgram,
-        env: &RunEnv,
-        lit: PredLit,
-    ) -> Result<bool, EvalError> {
+    /// `None` where the fast path declines the predicate.
+    fn holds(&mut self, prog: &CompiledProgram, env: &RunEnv, lit: PredLit) -> Option<bool> {
         let (generation, memoised) = self.truths[lit.pred];
         let truth = if generation == self.generation {
             memoised
         } else {
-            let b = truth(env, prog.pred(lit.pred), lit.wrapped)?;
+            let b = env.fast_bool(prog.pred(lit.pred))?;
             self.truths[lit.pred] = (self.generation, b);
             b
         };
-        Ok(truth == lit.expect)
+        Some(truth == lit.expect)
     }
 }
 
-/// The first candidate, in priority order, whose obligations all hold.
+/// The first candidate, in priority order, whose obligations all hold
+/// (`Some(None)`: none does).
 #[inline]
 fn select(
     prog: &CompiledProgram,
     env: &RunEnv,
     memo: &mut Memo,
     cands: &[LeafCand],
-) -> Result<Option<usize>, EvalError> {
+) -> Option<Option<usize>> {
     'cand: for c in cands {
         for &lit in &c.lits {
             if !memo.holds(prog, env, lit)? {
                 continue 'cand;
             }
         }
-        return Ok(Some(c.entry));
+        return Some(Some(c.entry));
     }
-    Ok(None)
-}
-
-/// Evaluate a predicate to its truth value. A non-boolean value raises
-/// the reference's error: `not of v` for a literal the source wrapped
-/// in `!`, else `match literal evaluated to v`.
-fn truth(env: &RunEnv, e: &CExpr, wrapped: bool) -> Result<bool, EvalError> {
-    if let Some(b) = env.fast_bool(e) {
-        return Ok(b);
-    }
-    match eval_expr(env, e)? {
-        Value::Bool(b) => Ok(b),
-        other => Err(EvalError::Stuck(if wrapped {
-            format!("not of {other}")
-        } else {
-            format!("match literal evaluated to {other}")
-        })),
-    }
+    Some(None)
 }
 
 /// Evaluate the fired entry's rewrites, updates and map operations
 /// against the pre-state, exactly as the reference step does: returns
 /// the output packet and leaves the writes in `pending`.
 #[inline]
-fn evaluate(
-    env: &RunEnv,
-    entry: &CEntry,
-    pending: &mut Writes,
-) -> Result<Option<Packet>, EvalError> {
-    // An earlier step that failed mid-evaluation may have left writes.
+fn evaluate(env: &RunEnv, entry: &CEntry, pending: &mut Writes) -> Option<Option<Packet>> {
+    // An earlier step that declined mid-evaluation may have left writes.
     pending.slots.clear();
     pending.maps.clear();
-    let value = |term: &CExpr| {
-        env.fast_value(term)
-            .map_or_else(|| eval_expr(env, term), Ok)
-    };
-    let key = |term: &CExpr| -> Result<ValueKey, EvalError> {
-        match env.fast_key(term) {
-            Some(k) => Ok(k),
-            None => eval_expr(env, term)?
-                .as_key()
-                .ok_or_else(|| EvalError::Stuck("unkeyable map key".into())),
-        }
-    };
     let output = match &entry.flow_action {
         CFlowAction::Drop => None,
         CFlowAction::Forward { rewrites } => {
             let mut out = env.pkt.clone();
             for (field, term) in rewrites {
-                let iv = match env.fast_int(term) {
-                    Some(iv) => iv,
-                    None => {
-                        let v = eval_expr(env, term)?;
-                        v.as_int().ok_or_else(|| {
-                            EvalError::Stuck(format!("rewrite of {field} to non-int {v}"))
-                        })?
-                    }
-                };
-                let uv = u64::try_from(iv)
-                    .map_err(|_| EvalError::Field(format!("negative value {iv}")))?;
-                out.set(*field, uv)
-                    .map_err(|e| EvalError::Field(e.to_string()))?;
+                let v = u64::try_from(env.fast_int(term)?).ok()?;
+                out.set(*field, v).ok()?;
             }
             Some(out)
         }
     };
     for (slot, term) in &entry.updates {
-        pending.slots.push((*slot, value(term)?));
+        pending.slots.push((*slot, env.fast_value(term)?));
     }
     for op in &entry.map_ops {
         match op {
-            CMapOp::Insert {
-                map,
-                key: k,
-                value: v,
-            } => {
-                pending.maps.push((*map, key(k)?, Some(value(v)?)));
+            CMapOp::Insert { map, key, value } => {
+                pending
+                    .maps
+                    .push((*map, env.fast_key(key)?, Some(env.fast_value(value)?)));
             }
-            CMapOp::Remove { map, key: k } => pending.maps.push((*map, key(k)?, None)),
+            CMapOp::Remove { map, key } => pending.maps.push((*map, env.fast_key(key)?, None)),
         }
     }
-    Ok(output)
+    Some(output)
 }
 
 #[cfg(test)]
@@ -758,6 +713,43 @@ mod tests {
                 "{err}"
             );
             assert_eq!(cs.snapshot(&prog), before, "{foreign}");
+        }
+    }
+
+    /// The fast step answers every packet of the corpus traffic, so the
+    /// reference step runs only on packets the fast path cannot take. A
+    /// lost fast-path arm would move packets to the reference step
+    /// silently, and only throughput would show it.
+    #[test]
+    fn fast_step_answers_every_corpus_packet() {
+        for (name, src) in [
+            ("firewall", nf_corpus::firewall::source()),
+            ("portknock", nf_corpus::portknock::source()),
+            ("ratelimiter", nf_corpus::ratelimiter::source()),
+            ("router", nf_corpus::router::source()),
+            ("snort", nf_corpus::snort::source(25)),
+            ("fig1-lb", nf_corpus::fig1_lb::source()),
+            ("nat", nf_corpus::nat::source()),
+            ("balance", nf_corpus::balance::source(6)),
+        ] {
+            let syn = nfactor_core::Pipeline::builder()
+                .name(name)
+                .build()
+                .unwrap()
+                .synthesize(&src)
+                .unwrap_or_else(|e| panic!("{name}: synthesize: {e}"));
+            let interp = nfl_interp::Interp::new(&syn.nf_loop).unwrap();
+            let init = nfactor_core::accuracy::initial_model_state(&syn, &interp);
+            let prog = compile(&syn.model, &init).unwrap();
+            let mut cs = CompiledState::new(&prog);
+            let mut gen = nf_packet::PacketGen::new(1);
+            for i in 0..2_000 {
+                let p = gen.next_packet();
+                assert!(
+                    cs.fast_step(&prog, &p).is_some(),
+                    "{name}: the fast step declined packet {i}: {p}"
+                );
+            }
         }
     }
 }

@@ -33,7 +33,7 @@ pub mod render;
 pub mod store;
 pub mod text;
 
-pub use eval::{eval_bin, EvalError, ModelStep};
+pub use eval::{EvalError, ModelStep};
 pub use fsm::{ModelFsm, Transition};
 pub use model::{Completeness, ConfigTable, Entry, FlowAction, Model, StateAction};
 pub use render::render_figure6;

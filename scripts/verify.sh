@@ -386,6 +386,16 @@ if grep -rEn '(strip_prefix|starts_with|replace)\("(pkt\.|cfg:|st:)"|mentions_pr
 fi
 echo "    no prefix parsing or rewriting outside sym.rs: ok"
 
+echo "==> one-evaluator gate: only nf-model writes evaluation errors"
+# The model evaluator (`ModelState::eval`) is the one definition of
+# term semantics. The compiled step takes its fast path or runs the
+# reference step, so every error it returns is the reference's; a
+# compiled-side copy of the evaluator would construct its own.
+if grep -rn 'EvalError::' crates/nf-compile; then
+    echo "    nf-compile constructs an evaluation error (above)"; exit 1
+fi
+echo "    no EvalError constructed in nf-compile: ok"
+
 echo "==> panic gate"
 ./scripts/panic_gate.sh
 
@@ -393,6 +403,10 @@ echo "==> docs: rustdoc builds without a warning"
 # A deleted or renamed item must not leave a dangling doc link, and a
 # public doc must not link to a private item.
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
+
+echo "==> rustfmt: the workspace is formatted"
+# nfbench is a workspace of its own and is not checked here.
+cargo fmt --all --check
 
 echo "==> clippy: no lint warning in any workspace target"
 # Libraries, binaries, tests, benches and examples of the workspace.
