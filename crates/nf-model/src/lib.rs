@@ -37,5 +37,5 @@ pub use eval::{EvalError, ModelStep};
 pub use fsm::{ModelFsm, Transition};
 pub use model::{Completeness, ConfigTable, Entry, FlowAction, Model, StateAction};
 pub use render::render_figure6;
-pub use store::{Layout, ModelState, Writes};
+pub use store::{Layout, ModelState, Parts, Writes};
 pub use text::{from_text, parse_term, to_text};

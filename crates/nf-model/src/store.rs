@@ -92,6 +92,19 @@ pub struct ModelState {
     undo_maps: Vec<(usize, ValueKey, Option<Value>, bool)>,
 }
 
+/// A store taken apart by position ([`ModelState::into_parts`]).
+#[derive(Debug)]
+pub struct Parts {
+    /// Config values, in name order.
+    pub configs: Vec<Value>,
+    /// Scalar slots, indexed like [`Layout::slot_names`] (`None`:
+    /// unset).
+    pub scalars: Vec<Option<Value>>,
+    /// Map arenas, indexed like [`Layout::map_names`] (`None`: not
+    /// materialised).
+    pub maps: Vec<Option<HashMap<ValueKey, Value>>>,
+}
+
 /// A fired entry's writes, evaluated against the pre-state and resolved
 /// to slots and arenas, in commit order.
 #[derive(Debug, Clone, Default)]
@@ -298,6 +311,20 @@ impl ModelState {
             |i| scalars[i].take(),
             |i| self.materialized[i].then(|| std::mem::take(&mut maps[i]).into_iter().collect()),
         )
+    }
+
+    /// Consume the store into its [`Parts`], by position: every value
+    /// and entry moves, none is copied. Layouts only append, so a
+    /// config's rank, a slot and an arena mean the same name in every
+    /// clone of a store, and a caller that knows them takes each value
+    /// without looking a name up.
+    pub fn into_parts(self) -> Parts {
+        let maps = self.maps.into_iter().zip(self.materialized);
+        Parts {
+            configs: self.configs.into_values().collect(),
+            scalars: self.scalars,
+            maps: maps.map(|(m, live)| live.then_some(m)).collect(),
+        }
     }
 }
 

@@ -43,12 +43,19 @@
 //!
 //! One function assembles every [`ShardRun`]. It consumes the
 //! evaluators into one merged view ([`ShardRun::merged`]), moving their
-//! state instead of copying it. Partitioned maps union: the first
-//! shard's map takes the other shards' entries over (their key sets are
-//! disjoint by construction — a collision is reported as an engine
-//! bug). Log-only counters sum their per-shard deltas, and replicated
-//! state is checked untouched. A run with one evaluator (one shard, or
-//! the global lock) merges to that evaluator's state, moved.
+//! state instead of copying it. A partitioned run joins its evaluators
+//! by position: the engine plans the join once, listing every name of
+//! its prototype's by-name view in name order with the name's initial
+//! value, verdict and position (an interpreter global slot, or a
+//! store's config, scalar slot or map arena). Every evaluator is a
+//! clone of the prototype and layouts only append, so the join takes
+//! each name's values straight out of the evaluators, with no by-name
+//! view per shard and no lookup by name. Partitioned maps union: the
+//! first shard's map takes the other shards' entries over (their key
+//! sets are disjoint by construction — a collision is reported as an
+//! engine bug). Log-only counters sum their per-shard deltas, and
+//! replicated state is checked untouched. A global-lock run reports its
+//! one evaluator's by-name view, moved.
 //!
 //! With [`BatchConfig::rebalance`] a partitioned dispatcher also
 //! counters skew: when a shard's queue stays above the high-water mark
@@ -64,9 +71,9 @@
 //! `catch_unwind` and journalled by the evaluator's undo log, so a
 //! panic or runtime error rolls partial state writes back and
 //! quarantines the packet ([`crate::supervise`]) instead of aborting the
-//! run; the compiled backend additionally retries a failed packet on
-//! the model evaluator, with the model its program carries, over the
-//! same state. The failure streak
+//! run; after an injected eval error the compiled backend retries the
+//! packet on the model evaluator, with the model its program carries,
+//! over the same state. The failure streak
 //! that triggers a restart belongs to the evaluator a restart refreshes,
 //! so under the global lock it counts the shared evaluator's failures in
 //! arrival order, in every mode. A deterministic [`FaultPlan`] in the
@@ -280,7 +287,7 @@ pub struct FaultSummary {
     /// Failed enqueue attempts (ring full) absorbed by dispatch
     /// backoff.
     pub retries: u64,
-    /// Per-packet compiled→model fallbacks.
+    /// Per-packet compiled→model fallbacks after injected eval errors.
     pub fallbacks: u64,
     /// New flows the skew-aware rebalancer migrated off overloaded
     /// shards.
@@ -363,7 +370,8 @@ impl BackendState {
     }
 
     /// Consume the evaluator into a by-name view of all its persistent
-    /// state. Every backend moves its values into the view whole; a
+    /// state, names a run appended included: what a global-lock run
+    /// reports. Every backend moves its values into the view whole; a
     /// store's map entries move into key order.
     fn into_snapshot(self) -> BTreeMap<String, Value> {
         match self {
@@ -371,6 +379,37 @@ impl BackendState {
             BackendState::Model { state, .. } => state.into_snapshot(),
             BackendState::Compiled { state, .. } => state.store.into_snapshot(),
         }
+    }
+
+    /// Consume the evaluator into its state by position, for the
+    /// partitioned join ([`JoinPlan`]).
+    fn into_parts(self) -> Parts {
+        match self {
+            BackendState::Interp(i) => Parts::Globals(i.globals),
+            BackendState::Model { state, .. } => Parts::Store(state.into_parts()),
+            BackendState::Compiled { state, .. } => Parts::Store(state.store.into_parts()),
+        }
+    }
+
+    /// Every name the evaluator's state has a position for: the
+    /// interpreter's globals, or the store's configs, scalar slots and
+    /// map arenas, in that order.
+    fn positions(&self) -> Vec<(&str, At)> {
+        let store = match self {
+            BackendState::Interp(i) => {
+                let names = i.global_names().iter().enumerate();
+                return names.map(|(g, n)| (n.as_str(), At::Global(g))).collect();
+            }
+            BackendState::Model { state, .. } => state,
+            BackendState::Compiled { state, .. } => &state.store,
+        };
+        let configs = store.configs.keys().enumerate();
+        let configs = configs.map(|(c, n)| (n.as_str(), At::Config(c)));
+        let slots = store.layout().slot_names().iter().enumerate();
+        let slots = slots.map(|(i, n)| (n.as_str(), At::Scalar(i)));
+        let maps = store.layout().map_names().iter().enumerate();
+        let maps = maps.map(|(i, n)| (n.as_str(), At::Map(i)));
+        configs.chain(slots).chain(maps).collect()
     }
 
     /// The backend's display name (quarantine records, metrics).
@@ -419,12 +458,12 @@ impl BackendState {
         }
     }
 
-    /// The per-packet compiled→model fallback: the reference step, with
-    /// the model the program carries, on the compiled state's own store.
-    /// The compiled engine's one-sided contract (identical behaviour
-    /// wherever the reference succeeds) makes this exact: any packet the
-    /// model can evaluate produces the same output either way. `None`
-    /// when the backend has no fallback.
+    /// The per-packet compiled→model fallback after an injected eval
+    /// error: the reference step, with the model the program carries, on
+    /// the compiled state's own store. The compiled engine's one-sided
+    /// contract (identical behaviour wherever the reference succeeds)
+    /// makes this exact: any packet the model can evaluate produces the
+    /// same output either way. `None` when the backend has no fallback.
     fn fallback_step(&mut self, pkt: &Packet) -> Option<Result<Stepped, String>> {
         let BackendState::Compiled { prog, state } = self else {
             return None;
@@ -449,8 +488,11 @@ type Journal = u64;
 /// One isolated eval: apply eval-side faults, journal, step under
 /// `catch_unwind`, roll back on any failure. `Err` carries the
 /// quarantine reason, and the state is pre-packet clean whenever it is
-/// returned. A compiled-engine *error* (not a panic) retries the packet
-/// on the model evaluator over the same state, under the same guard.
+/// returned. An injected eval error on the compiled backend retries the
+/// packet on the model evaluator over the same state, under the same
+/// guard. An organic compiled error is not retried: the compiled step
+/// already ran the reference step for any packet its fast path
+/// declines, so the error is the model's own.
 fn supervised_step(
     state: &mut BackendState,
     shard: usize,
@@ -481,18 +523,13 @@ fn supervised_step(
         if inject_panic {
             panic!("injected fault: panic on shard {shard} packet {nth}");
         }
-        let e = if inject_err {
-            format!("injected fault: eval error on shard {shard} packet {nth}")
-        } else {
-            match state.step(pkt) {
-                Ok(out) => return Ok(out),
-                Err(e) => e,
-            }
-        };
-        // The fallback writes into the live state: undo the failed
-        // step first. The fallback's own writes then stay under
+        if !inject_err {
+            return state.step(pkt);
+        }
+        // The injected error fails before any step, so the fallback
+        // starts on the pre-packet state; its writes stay under
         // `journal`, so the rollback below undoes them if it fails.
-        state.rollback(journal);
+        let e = format!("injected fault: eval error on shard {shard} packet {nth}");
         match state.fallback_step(pkt) {
             None => Err(e),
             Some(Ok(out)) => {
@@ -973,8 +1010,9 @@ pub struct ShardRun {
     pub restarts: u64,
     /// Failed enqueue attempts (ring full) absorbed by dispatch backoff.
     pub retries: u64,
-    /// Per-packet compiled→model fallbacks (each is a recorded
-    /// divergence; the run continues).
+    /// Per-packet compiled→model fallbacks: compiled-backend packets an
+    /// injected eval error failed and the model step then stepped (the
+    /// run continues).
     pub fallbacks: u64,
     /// Packets forwarded (processed and not dropped by the NF) —
     /// counted even when per-packet outputs are not retained
@@ -1282,7 +1320,10 @@ impl<'a> Dispatcher<'a> {
     }
 }
 
-/// A sharded runtime instance for one NF.
+/// A sharded runtime instance for one NF: the prototype evaluator every
+/// run clones per shard, the placement plan, and the join plan a
+/// partitioned run merges its evaluators' state by (see the module
+/// docs).
 pub struct ShardEngine {
     name: String,
     shards: usize,
@@ -1293,10 +1334,10 @@ pub struct ShardEngine {
     /// state together with what it steps on (the model, or the compiled
     /// program and the model it carries).
     proto: BackendState,
-    /// `proto`'s by-name view: the baseline a partitioned merge unions
-    /// the shards' changes over. `proto` never changes, so this is
-    /// taken once, when the engine is built.
-    initial: BTreeMap<String, Value>,
+    /// How a partitioned run joins its evaluators: `proto`'s by-name
+    /// view with each name's verdict and position. `proto` never
+    /// changes, so this is planned once, when the engine is built.
+    join: JoinPlan,
     telemetry: TelemetryConfig,
 }
 
@@ -1387,9 +1428,9 @@ impl ShardEngine {
             name,
             shards: pipeline.shards(),
             plan: ShardPlan::from_report(&report),
+            join: JoinPlan::new(&report, &proto),
             report,
             tracer: pipeline.tracer().clone(),
-            initial: proto.clone().into_snapshot(),
             proto,
             telemetry: TelemetryConfig::default(),
         }
@@ -1642,10 +1683,11 @@ impl ShardEngine {
     }
 
     /// Build the run's [`ShardRun`] — the one place every run ends:
-    /// consume the evaluators into one merged state, fold the workers'
-    /// and the dispatcher's accounting into the run and its metrics,
-    /// sort what was retained, and assemble the telemetry plane's
-    /// [`RunStats`].
+    /// consume the evaluators into one merged state (the engine's
+    /// [`JoinPlan`] joins a partitioned run's evaluators by position),
+    /// fold the workers' and the dispatcher's accounting into the run
+    /// and its metrics, sort what was retained, and assemble the
+    /// telemetry plane's [`RunStats`].
     fn assemble(
         &self,
         workers: Vec<ShardWorker<'_>>,
@@ -1657,13 +1699,10 @@ impl ShardEngine {
     ) -> Result<ShardRun, ShardError> {
         let merge_span = self.tracer.span("shard.merge");
         let m0 = self.tracer.now();
-        // Each evaluator is consumed into its snapshot, and the merge
-        // moves entries out of the snapshots, so the join holds one copy
-        // of live state and never copies a live entry.
         // Restarts belong to evaluators: under the global lock the one
         // shared evaluator reports as shard 0.
         let (mut restarts, mut fallbacks) = (0, 0);
-        let mut snapshots = Vec::with_capacity(evals.len());
+        let mut states = Vec::with_capacity(evals.len());
         for (e, ev) in evals.into_iter().enumerate() {
             if ev.restarts > 0 {
                 self.tracer
@@ -1671,12 +1710,17 @@ impl ShardEngine {
             }
             restarts += ev.restarts;
             fallbacks += ev.fallbacks;
-            snapshots.push(ev.state.into_snapshot());
+            states.push(ev.state);
         }
+        // A partitioned run joins its evaluators by position; the one
+        // evaluator of a global-lock run is its by-name view.
         let merged = if partitioned {
-            merge_states(&self.report, &self.initial, snapshots)?
+            self.join.join(states)?
         } else {
-            snapshots.pop().unwrap_or_default()
+            states
+                .pop()
+                .map(BackendState::into_snapshot)
+                .unwrap_or_default()
         };
         let merge_ns = self.tracer.now().saturating_duration_since(m0).as_nanos() as u64;
         merge_span.end();
@@ -1749,53 +1793,143 @@ impl ShardEngine {
     }
 }
 
-/// Merge per-shard state snapshots into one view, per the report's
-/// verdicts. The snapshots are consumed: what the merged view keeps of
-/// them is moved, not copied.
-fn merge_states(
-    report: &ShardingReport,
-    initial: &BTreeMap<String, Value>,
-    mut shards: Vec<BTreeMap<String, Value>>,
-) -> Result<BTreeMap<String, Value>, ShardError> {
-    // Index the verdicts once per join: `ShardingReport::get` scans
-    // every state, and snort at paper scale has ~500 names. The first
-    // verdict for a name wins, as with `get`.
-    let mut verdicts: HashMap<&str, StateShard> = HashMap::with_capacity(report.len());
-    for s in report.states() {
-        verdicts.entry(s.var()).or_insert(s.verdict());
-    }
-    let mut merged = BTreeMap::new();
-    for (name, init) in initial {
-        let values: Vec<Value> = shards.iter_mut().filter_map(|s| s.remove(name)).collect();
-        if values.is_empty() {
-            merged.insert(name.clone(), init.clone());
-            continue;
+/// Where a name of the initial view lives in an evaluator's state.
+/// Every evaluator is a clone of the engine's prototype and layouts only
+/// append, so a position in the prototype holds in every shard.
+#[derive(Clone, Copy)]
+enum At {
+    /// An interpreter global, by slot.
+    Global(usize),
+    /// A store config, by rank in name order.
+    Config(usize),
+    /// A store scalar slot.
+    Scalar(usize),
+    /// A store map arena.
+    Map(usize),
+}
+
+/// One evaluator's state taken apart by position.
+enum Parts {
+    /// The interpreter's globals, by slot.
+    Globals(Vec<Value>),
+    /// A model store's configs, slots and arenas.
+    Store(nf_model::Parts),
+}
+
+impl Parts {
+    /// Move out the value at `at`: `None` where this state holds none
+    /// (an unset slot, a map that has not materialised). A map arena
+    /// moves into key order.
+    fn take(&mut self, at: At) -> Option<Value> {
+        match (self, at) {
+            (Parts::Globals(g), At::Global(i)) => g.get_mut(i).map(take_value),
+            (Parts::Store(s), At::Config(i)) => s.configs.get_mut(i).map(take_value),
+            (Parts::Store(s), At::Scalar(i)) => s.scalars.get_mut(i)?.take(),
+            (Parts::Store(s), At::Map(i)) => {
+                let arena = s.maps.get_mut(i)?.take()?;
+                Some(Value::Map(arena.into_iter().collect()))
+            }
+            _ => None,
         }
-        let out = match verdicts.get(name.as_str()) {
-            Some(StateShard::PerFlow) => merge_partitioned_map(name, init, values)?,
-            Some(StateShard::LogOnly) => merge_log(name, init, values)?,
-            Some(StateShard::Shared) => first_of(values),
+    }
+}
+
+fn take_value(v: &mut Value) -> Value {
+    std::mem::replace(v, Value::Unit)
+}
+
+/// One name of the initial view, as the join merges it.
+struct Joined {
+    name: String,
+    /// The prototype's value: the baseline the shards' changes merge
+    /// over.
+    init: Value,
+    /// The placement verdict; `None` for configs and consts.
+    verdict: Option<StateShard>,
+    at: At,
+}
+
+/// The partitioned join, planned once per engine: every name of the
+/// prototype's by-name view, in name order, with its initial value, its
+/// verdict and its position. A join takes each name's value out of
+/// every evaluator by position and merges it per its verdict, so a run
+/// pays no by-name view per shard and no lookup by name. A name a run
+/// appended to an open layout has no entry, so the join drops it.
+struct JoinPlan {
+    names: Vec<Joined>,
+}
+
+impl JoinPlan {
+    fn new(report: &ShardingReport, proto: &BackendState) -> JoinPlan {
+        // The first verdict for a name wins, as with `ShardingReport::get`.
+        let mut verdicts: HashMap<&str, StateShard> = HashMap::with_capacity(report.len());
+        for s in report.states() {
+            verdicts.entry(s.var()).or_insert(s.verdict());
+        }
+        // The by-name view: names the state holds a value for, a later
+        // position winning a name as in `into_snapshot`.
+        let mut parts = proto.clone().into_parts();
+        let mut view = BTreeMap::new();
+        for (name, at) in proto.positions() {
+            if let Some(init) = parts.take(at) {
+                view.insert(name, (init, at));
+            }
+        }
+        let names = view.into_iter().map(|(name, (init, at))| Joined {
+            name: name.to_string(),
+            init,
+            verdict: verdicts.get(name).copied(),
+            at,
+        });
+        JoinPlan {
+            names: names.collect(),
+        }
+    }
+
+    /// Merge the evaluators' states into one by-name view, consuming
+    /// them: each name's values move out of the shards that hold one
+    /// and merge per the name's verdict, and a name no shard holds
+    /// keeps its initial value.
+    fn join(&self, evals: Vec<BackendState>) -> Result<BTreeMap<String, Value>, ShardError> {
+        let mut shards: Vec<Parts> = evals.into_iter().map(BackendState::into_parts).collect();
+        let mut values = Vec::with_capacity(shards.len());
+        let mut merged = Vec::with_capacity(self.names.len());
+        for j in &self.names {
+            values.extend(shards.iter_mut().filter_map(|s| s.take(j.at)));
+            let out = if values.is_empty() {
+                j.init.clone()
+            } else {
+                j.merge(values.drain(..))?
+            };
+            merged.push((j.name.clone(), out));
+        }
+        // Already in name order: the map is built without a search.
+        Ok(merged.into_iter().collect())
+    }
+}
+
+impl Joined {
+    /// Merge the shards' values of this name, per its verdict.
+    /// `values` yields at least one.
+    fn merge(&self, mut values: impl Iterator<Item = Value>) -> Result<Value, ShardError> {
+        let (name, init) = (self.name.as_str(), &self.init);
+        match self.verdict {
+            Some(StateShard::PerFlow) => merge_partitioned_map(name, init, values),
+            Some(StateShard::LogOnly) => merge_log(name, init, values),
+            Some(StateShard::Shared) => Ok(values.next().unwrap_or(Value::Unit)),
             // Read-only state and configs/consts (no verdict) must be
             // identical everywhere — drift means a placement bug.
             Some(StateShard::ReadOnly) | None => {
-                let first = &values[0];
-                if let Some(bad) = values.iter().find(|v| *v != first) {
+                let first = values.next().unwrap_or(Value::Unit);
+                if let Some(bad) = values.find(|v| *v != first) {
                     return Err(ShardError::Merge(format!(
                         "replicated `{name}` diverged across shards: {first:?} vs {bad:?}"
                     )));
                 }
-                first_of(values)
+                Ok(first)
             }
-        };
-        merged.insert(name.clone(), out);
+        }
     }
-    Ok(merged)
-}
-
-/// The first shard's value, moved out. The merge passes only names
-/// some shard holds, so `values` is never empty.
-fn first_of(values: Vec<Value>) -> Value {
-    values.into_iter().next().unwrap_or(Value::Unit)
 }
 
 /// Union a partitioned map's per-shard copies. Entries that changed
@@ -1806,14 +1940,14 @@ fn first_of(values: Vec<Value>) -> Value {
 fn merge_partitioned_map(
     name: &str,
     init: &Value,
-    values: Vec<Value>,
+    mut values: impl Iterator<Item = Value>,
 ) -> Result<Value, ShardError> {
     let Value::Map(init_map) = init else {
         // A per-flow verdict on a non-map is unexpected; keep the first
         // copy rather than invent semantics.
-        return Ok(first_of(values));
+        return Ok(values.next().unwrap_or(Value::Unit));
     };
-    let mut maps = values.into_iter().map(|v| match v {
+    let mut maps = values.map(|v| match v {
         Value::Map(m) => Ok(m),
         _ => Err(ShardError::Merge(format!(
             "partitioned `{name}` is not a map on some shard"
@@ -1857,11 +1991,15 @@ fn merge_partitioned_map(
 
 /// Merge log-only state by summing per-shard deltas over the initial
 /// value (integers; integer-valued map entries likewise).
-fn merge_log(name: &str, init: &Value, values: Vec<Value>) -> Result<Value, ShardError> {
+fn merge_log(
+    name: &str,
+    init: &Value,
+    mut values: impl Iterator<Item = Value>,
+) -> Result<Value, ShardError> {
     match init {
         Value::Int(base) => {
             let mut total = *base;
-            for v in &values {
+            for v in values {
                 let Value::Int(x) = v else {
                     return Err(ShardError::Merge(format!(
                         "log-only `{name}` is not an integer on some shard"
@@ -1895,7 +2033,7 @@ fn merge_log(name: &str, init: &Value, values: Vec<Value>) -> Result<Value, Shar
         other => {
             // Non-numeric log state: all shards must agree or the merge
             // has no meaning.
-            if let Some(bad) = values.iter().find(|v| *v != other) {
+            if let Some(bad) = values.find(|v| v != other) {
                 return Err(ShardError::Merge(format!(
                     "log-only `{name}` has non-mergeable type and diverged: {bad:?}"
                 )));
@@ -2258,6 +2396,37 @@ mod tests {
     }
 
     #[test]
+    fn organic_compiled_error_is_the_model_error_and_not_retried() {
+        // Every packet reads a key the map lacks, so the model step
+        // fails. The compiled step runs that reference step itself, so
+        // its quarantine record must carry exactly the model's error,
+        // with no retry on top.
+        let src = r#"
+            state m = map();
+            fn cb(pkt: packet) {
+                if m[pkt.ip.src] > 0 { send(pkt); } else { drop(pkt); }
+            }
+            fn main() { sniff(cb); }
+        "#;
+        let packets = PacketGen::new(8).batch(10);
+        let run = |backend| {
+            ShardEngine::from_source(&pipeline("missing", 1), src, backend)
+                .unwrap()
+                .run_with(SliceSource::new(&packets), &RunConfig::single())
+                .unwrap()
+        };
+        let errors = |run: &ShardRun| -> Vec<(u64, String)> {
+            let records = run.quarantined.iter();
+            records.map(|r| (r.seq, r.error.clone())).collect()
+        };
+        let (model, compiled) = (run(Backend::Model), run(Backend::Compiled));
+        assert_eq!(compiled.quarantined_seqs.len(), 10);
+        assert_eq!(compiled.fallbacks, 0);
+        assert_eq!(errors(&compiled), errors(&model));
+        assert!(!errors(&compiled)[0].1.contains("fallback"));
+    }
+
+    #[test]
     fn global_lock_quarantine_advances_the_ticket() {
         // A quarantined seq under the ticket lock must hand the turn to
         // the next seq or the run deadlocks.
@@ -2494,8 +2663,8 @@ mod tests {
         }
     }
 
-    /// The merge rules pinned against the clone-based merge the by-move
-    /// one replaced, kept here as the oracle.
+    /// The merge rules of the join by position, pinned against a
+    /// clone-based merge over by-name views, kept here as the oracle.
     mod merge_rules {
         use super::*;
         use nf_support::check::{check, Config, Gen};
@@ -2504,6 +2673,10 @@ mod tests {
         use std::cell::Cell;
 
         type Snapshot = BTreeMap<String, Value>;
+
+        /// The one name with no verdict: a store config, which every
+        /// shard holds.
+        const CONFIG: &str = "LIMIT";
 
         /// The clone-based merge: every shard's values stay borrowed, and
         /// the union copies each entry it keeps.
@@ -2637,7 +2810,7 @@ mod tests {
         }
 
         /// One merge input: the verdict of each state name, the initial
-        /// view, and 1–4 shard snapshots derived from it.
+        /// view, and the by-name views of 1–4 shards derived from it.
         #[derive(Debug, Clone)]
         struct MergeCase {
             verdicts: Vec<(String, StateShard)>,
@@ -2657,11 +2830,64 @@ mod tests {
                 )
             }
 
-            /// Both merges' results, `Err` carrying the merge message.
+            /// The case as real stores sharing one layout: a store that
+            /// declares every name of the initial view, and clones of it
+            /// holding the initial view (the prototype) and each shard's
+            /// view. A name a shard lacks stays unset or unmaterialised
+            /// in its store, and a name only a shard has (`scratch`) is
+            /// appended to that shard's own layout, as a run on an open
+            /// layout appends what it writes.
+            fn stores(&self) -> (ModelState, Vec<ModelState>) {
+                let mut layout = ModelState::default();
+                for (name, init) in &self.initial {
+                    match init {
+                        _ if name == CONFIG => {}
+                        Value::Map(_) => _ = layout.declare_map(name),
+                        _ => _ = layout.declare_slot(name),
+                    }
+                }
+                let store = |view: &Snapshot| {
+                    let mut st = layout.clone();
+                    for (name, v) in view {
+                        st = match v {
+                            _ if name == CONFIG => st.with_config(name, v.clone()),
+                            Value::Map(m) => {
+                                let mut st = st.with_map(name);
+                                for (k, x) in m {
+                                    st.insert_entry(name, k.clone(), x.clone());
+                                }
+                                st
+                            }
+                            _ => st.with_scalar(name, v.clone()),
+                        };
+                    }
+                    assert_eq!(&st.snapshot(), view, "the store holds the view");
+                    let names = st.layout();
+                    let maps = names.map_names();
+                    assert!(names.slot_names().iter().all(|n| !maps.contains(n)));
+                    st
+                };
+                (
+                    store(&self.initial),
+                    self.shards.iter().map(store).collect(),
+                )
+            }
+
+            /// Both merges' results, `Err` carrying the merge message:
+            /// the engine's join by position over the stores, and the
+            /// oracle over their by-name views.
             fn merge(&self) -> (Result<Snapshot, String>, Result<Snapshot, String>) {
                 let report = self.report();
-                let want = oracle::merge_states(&report, &self.initial, &self.shards);
-                let got = merge_states(&report, &self.initial, self.shards.clone());
+                let (proto, shards) = self.stores();
+                let views: Vec<Snapshot> = shards.iter().map(ModelState::snapshot).collect();
+                let want = oracle::merge_states(&report, &proto.snapshot(), &views);
+                let model = Arc::new(Model::from_paths("merge", &[]));
+                let eval = |state| BackendState::Model {
+                    model: model.clone(),
+                    state,
+                };
+                let plan = JoinPlan::new(&report, &eval(proto));
+                let got = plan.join(shards.into_iter().map(eval).collect());
                 (outcome(got), outcome(want))
             }
         }
@@ -2715,19 +2941,18 @@ mod tests {
                     m.insert(k, v);
                 }
             }
-            if rng.gen_bool(0.03) {
-                return Value::Int(0);
-            }
             Value::Map(m)
         }
 
-        /// Shard copy of a log-only value: the initial value plus a delta.
+        /// Shard copy of a log-only value: the initial value plus a
+        /// delta, now and then of another type (a map stays a map: its
+        /// arena holds only maps).
         fn log_shard(rng: &mut Rng, init: &Value) -> Value {
             match init {
                 Value::Int(base) if !rng.gen_bool(0.03) => {
                     Value::Int(base + rng.gen_below(5) as i64)
                 }
-                Value::Map(init_map) if !rng.gen_bool(0.03) => {
+                Value::Map(init_map) => {
                     let mut m = init_map.clone();
                     for (k, _) in flow_map(rng, 3) {
                         let base = m.get(&k).and_then(Value::as_int).unwrap_or(0);
@@ -2778,20 +3003,23 @@ mod tests {
                     Some(StateShard::ReadOnly),
                     Value::Map(flow_map(rng, 3)),
                 ),
-                ("LIMIT", None, int(rng, 4)),
+                (CONFIG, None, int(rng, 4)),
             ];
             for (name, verdict, init) in states {
                 if !rng.gen_bool(0.7) {
                     continue;
                 }
                 for (s, shard) in case.shards.iter_mut().enumerate() {
-                    if rng.gen_bool(0.1) {
+                    if name != CONFIG && rng.gen_bool(0.1) {
                         continue; // the shard's evaluator lacks the name
                     }
                     let v = match (verdict, &init) {
                         (Some(StateShard::PerFlow), Value::Map(m)) => per_flow_shard(rng, m, s, n),
                         (Some(StateShard::LogOnly), _) => log_shard(rng, &init),
                         (Some(StateShard::Shared), _) => int(rng, 4),
+                        // Drift, of the name's own kind.
+                        (_, Value::Map(_)) if rng.gen_bool(0.05) => Value::Map(flow_map(rng, 3)),
+                        (_, Value::Map(_)) => init.clone(),
                         _ if rng.gen_bool(0.05) => int(rng, 4),
                         _ => init.clone(),
                     };
@@ -2804,7 +3032,7 @@ mod tests {
             }
             for shard in &mut case.shards {
                 if rng.gen_bool(0.2) {
-                    // A name the initial view lacks: the merge drops it.
+                    // A name the initial view lacks: the join drops it.
                     shard.insert("scratch".into(), int(rng, 4));
                 }
             }
@@ -2887,8 +3115,43 @@ mod tests {
             BTreeMap::from([
                 ("flows".to_string(), flows),
                 ("hits".to_string(), Value::Int(hits)),
-                ("LIMIT".to_string(), Value::Int(3)),
+                (CONFIG.to_string(), Value::Int(3)),
             ])
+        }
+
+        #[test]
+        fn interpreter_globals_join_by_slot() {
+            // `buckets` is per-flow, `passed` log-only and `MAX` a config.
+            let engine = engine_for(RATELIMITER_ISH, 2);
+            let BackendState::Interp(proto) = &engine.proto else {
+                unreachable!("an interpreter engine")
+            };
+            let slot = |name: &str| {
+                let names = proto.global_names();
+                names.iter().position(|n| n == name).unwrap()
+            };
+            let shard = |buckets: Value, passed: i64| {
+                let mut i = proto.clone();
+                i.globals[slot("buckets")] = buckets;
+                i.globals[slot("passed")] = Value::Int(passed);
+                BackendState::Interp(i)
+            };
+            let merged = engine
+                .join
+                .join(vec![shard(flows(&[(1, 2)]), 2), shard(flows(&[(7, 1)]), 3)])
+                .unwrap();
+            assert_eq!(merged["buckets"], flows(&[(1, 2), (7, 1)]));
+            assert_eq!(merged["passed"], Value::Int(5));
+            assert_eq!(merged["MAX"], Value::Int(3));
+            // A per-flow global that is no map on some shard.
+            let err = engine
+                .join
+                .join(vec![shard(flows(&[]), 0), shard(Value::Int(0), 0)])
+                .unwrap_err();
+            assert!(
+                matches!(&err, ShardError::Merge(m) if m == "partitioned `buckets` is not a map on some shard"),
+                "{err}"
+            );
         }
 
         #[test]

@@ -27,7 +27,7 @@ use crate::value::{stable_hash, Value, ValueKey};
 use nf_packet::{frag, Field, Packet};
 use nfl_analysis::normalize::PacketLoop;
 use nfl_lang::{BinOp, StmtId, UnOp};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -106,7 +106,8 @@ pub struct Interp {
     /// not the tree.
     code: Arc<Code>,
     /// Globals — consts, configs and states — by slot, in declaration
-    /// order; [`global`](Self::global) and
+    /// order, named by [`global_names`](Self::global_names);
+    /// [`global`](Self::global) and
     /// [`into_snapshot`](Self::into_snapshot) read them by name.
     pub globals: Vec<Value>,
     packets_seen: u64,
@@ -406,6 +407,13 @@ impl Interp {
         }
     }
 
+    /// The globals' names by slot: `global_names()[g]` names
+    /// `globals[g]`. Clones share them, so a slot names the same global
+    /// in every clone.
+    pub fn global_names(&self) -> &[String] {
+        &self.code.globals
+    }
+
     /// Read a global by name (state inspection for tests and the
     /// verifier).
     pub fn global(&self, name: &str) -> Option<&Value> {
@@ -436,7 +444,7 @@ impl Interp {
         } = self;
         let func = &code.funcs[*code.entry.as_ref().map_err(Clone::clone)?];
         let mut frame = Frame::of(func);
-        frame.slots[0] = Some(Value::Packet(pkt.clone()));
+        frame.slots[0] = Some(Value::Packet(Box::new(pkt.clone())));
         let mut m = Machine::new(code, globals, undo);
         m.block(&func.body, &mut frame)?;
         Ok(StepResult {
@@ -749,7 +757,7 @@ impl<'a> Machine<'a> {
                 let Value::Queue(q) = slot else {
                     return Err(RuntimeError::Type("q_push on non-queue".into()));
                 };
-                q.push_back(p);
+                q.push_back(*p);
                 self.bank(global, SlotUndo::Pushed);
                 Ok(Value::Unit)
             }
@@ -764,7 +772,7 @@ impl<'a> Machine<'a> {
                 if global.is_some() {
                     self.bank(global, SlotUndo::Popped(p.clone()));
                 }
-                Ok(Value::Packet(p))
+                Ok(Value::Packet(Box::new(p)))
             }
             Ex::Int(_) | Ex::Bool(_) | Ex::Field(..) | Ex::Binary(..) | Ex::Unary(..) => {
                 self.operand(e, fr).map(Operand::value)
@@ -941,7 +949,7 @@ impl<'a> Machine<'a> {
                 let Some(Value::Packet(p)) = vals.into_iter().next() else {
                     return Err(RuntimeError::Type("send takes a packet".into()));
                 };
-                self.outputs.push(p);
+                self.outputs.push(*p);
                 Ok(Value::Unit)
             }
             Builtin::Drop => Ok(Value::Unit),
@@ -988,12 +996,12 @@ impl<'a> Machine<'a> {
                 Ok(Value::Array(
                     frag::fragment(p, size.max(8))
                         .into_iter()
-                        .map(Value::Packet)
+                        .map(|p| Value::Packet(Box::new(p)))
                         .collect(),
                 ))
             }
             Builtin::Map => Ok(Value::Map(BTreeMap::new())),
-            Builtin::Queue => Ok(Value::Queue(VecDeque::new())),
+            Builtin::Queue => Ok(Value::Queue(Box::default())),
         }
     }
 }

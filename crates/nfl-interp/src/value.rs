@@ -42,7 +42,9 @@ impl fmt::Display for ValueKey {
     }
 }
 
-/// A runtime value.
+/// A runtime value. The two large payloads, a packet and a packet
+/// queue, are boxed, so a value takes 32 bytes instead of 72: every map
+/// entry, undo record and merged entry holds one.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// 64-bit integer.
@@ -58,9 +60,9 @@ pub enum Value {
     /// Dictionary. `BTreeMap` keeps iteration deterministic.
     Map(BTreeMap<ValueKey, Value>),
     /// A packet.
-    Packet(Packet),
+    Packet(Box<Packet>),
     /// A packet FIFO (consumer-producer programs).
-    Queue(VecDeque<Packet>),
+    Queue(Box<VecDeque<Packet>>),
     /// No value.
     Unit,
 }
@@ -96,7 +98,7 @@ impl Value {
     /// Packet view.
     pub fn as_packet(&self) -> Option<&Packet> {
         match self {
-            Value::Packet(p) => Some(p),
+            Value::Packet(p) => Some(p.as_ref()),
             _ => None,
         }
     }
@@ -193,7 +195,7 @@ pub fn stable_hash(v: &Value) -> i64 {
             }
             Value::Packet(p) => mix(h, &p.to_wire()),
             Value::Queue(q) => {
-                for p in q {
+                for p in q.iter() {
                     mix(h, &p.to_wire());
                 }
             }
@@ -238,6 +240,15 @@ mod tests {
     #[test]
     fn type_names() {
         assert_eq!(Value::Unit.type_name(), "unit");
-        assert_eq!(Value::Queue(VecDeque::new()).type_name(), "queue");
+        assert_eq!(Value::Queue(Box::default()).type_name(), "queue");
+    }
+
+    #[test]
+    fn a_value_takes_four_words() {
+        // 32 bytes on a 64-bit target.
+        assert_eq!(
+            std::mem::size_of::<Value>(),
+            4 * std::mem::size_of::<usize>()
+        );
     }
 }

@@ -42,10 +42,22 @@ echo "==> placement smoke: one plan per NF, whatever the backend"
 # prunes log-only counters, so its merged state differs by design.
 # Every run's makespan must be positive: busy time is read once per
 # run of steps, and a run that stepped packets took time.
+# Sharded must equal single end to end: the `== merged state ==`
+# section of a 4-shard run must equal the 1-shard run's, on every
+# backend (a partitioned run joins its shards' state by position, a
+# global-lock run reports its one evaluator).
+merged_state() { awk '/^== merged state ==$/ {on = 1} on'; }
 for nf in fig1-lb balance snort nat firewall ratelimiter portknock router; do
     ref=""
     for backend in interp model compiled; do
         out=$(./target/release/nfactor run --corpus "$nf" --backend "$backend")
+        single=$(printf '%s\n' "$out" | merged_state)
+        sharded=$(./target/release/nfactor run --corpus "$nf" --backend "$backend" --shards 4 \
+            | merged_state)
+        if [ -z "$single" ] || [ "$sharded" != "$single" ]; then
+            echo "    $nf on $backend: the merged state at 4 shards differs from 1 shard's:"
+            printf '%s\n---\n%s\n' "$single" "$sharded"; exit 1
+        fi
         plan=$(printf '%s\n' "$out" | awk 'NR > 1 && /^$/ {exit} NR > 1 {print}')
         if [ -z "$plan" ]; then
             echo "    $nf on $backend printed no plan"; exit 1
@@ -67,7 +79,8 @@ for nf in fig1-lb balance snort nat firewall ratelimiter portknock router; do
             printf '%s\n---\n%s\n' "$model_run" "$run"; exit 1
         fi
     done
-    echo "    plan $nf: identical on interp, model, compiled; compiled run == model run: ok"
+    echo "    plan $nf: identical on interp, model, compiled; compiled run == model run;"
+    echo "    merged state at 4 shards == at 1 shard on every backend: ok"
 done
 
 echo "==> fuzz smoke: 500 seeded cases, crash + differential oracles"
@@ -289,11 +302,11 @@ done
 echo "==> NAT port-exhaustion smoke: 86k packets on model and compiled"
 # Past ~80k seed-1 packets the NAT runs out of ports: new flows fail
 # and are quarantined, and every third failure in a row restarts the
-# evaluator. The compiled backend retries each failure on the model,
-# in place on its arenas, and restarts in place too, so both backends
-# finish in about a second; copying all live state per fallback or
-# restart would take minutes, which the timeout catches. Both must
-# quarantine and restart alike.
+# evaluator. Each failure rolls back and restarts in place on the
+# arenas (the compiled step's failure is the reference step's own, so
+# it is not retried), and both backends finish in about a second;
+# copying all live state per failure or restart would take minutes,
+# which the timeout catches. Both must quarantine and restart alike.
 ./target/release/nfactor workload --seed 1 --packets 86000 "$tracedir/nat.nfw" > /dev/null
 nat_ref=""
 for backend in model compiled; do
