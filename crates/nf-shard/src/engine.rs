@@ -1386,16 +1386,27 @@ impl ShardEngine {
         syn: &Synthesis,
         backend: Backend,
     ) -> Result<ShardEngine, ShardError> {
-        let interp = Interp::new(&syn.nf_loop).map_err(build_error)?;
         let tracer = pipeline.tracer();
+        // The interpreter and, for the model backends, the model's
+        // initial state: one span, closed before compiling.
+        let init_span = tracer.span("engine.init_state");
+        let interp = Interp::new(&syn.nf_loop).map_err(build_error)?;
         let proto = match backend {
-            Backend::Interp => BackendState::Interp(interp),
-            Backend::Model => BackendState::Model {
-                model: Arc::new(syn.model.clone()),
-                state: nfactor_core::accuracy::initial_model_state(syn, &interp),
-            },
+            Backend::Interp => {
+                init_span.end();
+                BackendState::Interp(interp)
+            }
+            Backend::Model => {
+                let state = nfactor_core::accuracy::initial_model_state(syn, &interp);
+                init_span.end();
+                BackendState::Model {
+                    model: Arc::new(syn.model.clone()),
+                    state,
+                }
+            }
             Backend::Compiled => {
                 let init = nfactor_core::accuracy::initial_model_state(syn, &interp);
+                init_span.end();
                 let t0 = Instant::now();
                 let prog = nf_compile::compile(&syn.model, &init).map_err(build_error)?;
                 tracer.observe_ns("compile.ns", t0.elapsed().as_nanos() as u64);

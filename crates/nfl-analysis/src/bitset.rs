@@ -26,6 +26,16 @@ impl BitSet {
         self.words[i / 64] & (1 << (i % 64)) != 0
     }
 
+    /// Unset every bit.
+    pub(crate) fn clear(&mut self) {
+        self.words.fill(0);
+    }
+
+    /// `self = other`, in place; both must have the same width.
+    pub(crate) fn copy_from(&mut self, other: &BitSet) {
+        self.words.copy_from_slice(&other.words);
+    }
+
     /// `self |= other`; returns whether anything changed.
     pub(crate) fn union_with(&mut self, other: &BitSet) -> bool {
         let mut changed = false;
@@ -102,6 +112,10 @@ mod tests {
         assert_eq!(c.iter_ones().collect::<Vec<_>>(), vec![5]);
         c.unset(5);
         assert_eq!(c.iter_ones().next(), None);
+        c.copy_from(&b);
+        assert_eq!(c, b);
+        c.clear();
+        assert_eq!(c, BitSet::new(130));
         assert_eq!(BitSet::new(0).iter_ones().next(), None);
     }
 

@@ -5,10 +5,14 @@
 //! A backward slice is backward reachability over this graph from a
 //! criterion — exactly `BackwardSlice(stmt, vars)` in the paper's
 //! Algorithm 1 (the slicer crate adds the variable-restriction layer).
+//!
+//! The edges are built one target node at a time and stored grouped by
+//! target, so a node's dependences are one contiguous run of
+//! [`Pdg::edges`].
 
 use crate::cd::control_deps;
 use crate::cfg::{build_cfg, Cfg, NodeId};
-use crate::reach::{cross_iteration_deps, data_deps, reaching_definitions, Reaching, VarId};
+use crate::reach::{reaching_definitions, Reaching, VarId};
 use nfl_lang::{Program, StmtId};
 use std::collections::{BTreeSet, HashSet, VecDeque};
 
@@ -39,11 +43,11 @@ pub struct DepEdge {
 pub struct Pdg {
     /// The function's CFG.
     pub cfg: Cfg,
-    /// All dependence edges.
+    /// All dependence edges, grouped by target node in node order.
     pub edges: Vec<DepEdge>,
-    /// Reverse adjacency: for each node, indices into `edges` arriving at
-    /// it.
-    pub incoming: Vec<Vec<usize>>,
+    /// Where each target's group starts: the edges arriving at node `n`
+    /// are `edges[incoming[n]..incoming[n + 1]]`.
+    incoming: Vec<usize>,
     /// The reaching-definitions solution.
     pub reaching: Reaching,
 }
@@ -60,43 +64,33 @@ impl Pdg {
         // Persistent state flows across packets through the implicit
         // packet loop (Figure 1: the NAT entry installed for a flow's
         // first packet serves its later packets).
-        let persistent: BTreeSet<String> = program
-            .consts
-            .iter()
-            .chain(&program.configs)
-            .chain(&program.states)
-            .map(|i| i.name.clone())
-            .collect();
-        let cross = cross_iteration_deps(&cfg, &reaching, &persistent);
-        // A cross-iteration edge often repeats an intra-iteration one;
-        // keep the first of each `(from, to, var)`. An edge can only
-        // repeat one with the same target, so the seen set is kept per
-        // target: small sets, where one set over every candidate (~376k
-        // on paper-scale snort) cost more than the whole dataflow.
+        let persistent = reaching.var_mask(
+            program
+                .consts
+                .iter()
+                .chain(&program.configs)
+                .chain(&program.states)
+                .map(|i| i.name.as_str()),
+        );
+        // Per target: its data dependences, then its control ones.
+        let cd = control_deps(&cfg);
         let mut edges = Vec::new();
-        let mut seen: Vec<HashSet<(NodeId, VarId)>> = vec![HashSet::new(); cfg.len()];
-        for (from, to, var) in data_deps(&cfg, &reaching).into_iter().chain(cross) {
-            if seen[to].insert((from, var)) {
+        let mut incoming = Vec::with_capacity(cfg.len() + 1);
+        incoming.push(0);
+        for (to, branches) in cd.deps.iter().enumerate() {
+            reaching.data_deps_of(to, &persistent, |from, var| {
                 edges.push(DepEdge {
                     from,
                     to,
                     kind: DepKind::Data(var),
-                });
-            }
-        }
-        let cd = control_deps(&cfg);
-        for (to, froms) in cd.deps.iter().enumerate() {
-            for &from in froms {
-                edges.push(DepEdge {
-                    from,
-                    to,
-                    kind: DepKind::Control,
-                });
-            }
-        }
-        let mut incoming: Vec<Vec<usize>> = vec![Vec::new(); cfg.len()];
-        for (i, e) in edges.iter().enumerate() {
-            incoming[e.to].push(i);
+                })
+            });
+            edges.extend(branches.iter().map(|&from| DepEdge {
+                from,
+                to,
+                kind: DepKind::Control,
+            }));
+            incoming.push(edges.len());
         }
         Pdg {
             cfg,
@@ -117,10 +111,9 @@ impl Pdg {
             }
         }
         while let Some(n) = queue.pop_front() {
-            for &ei in &self.incoming[n] {
-                let from = self.edges[ei].from;
-                if seen.insert(from) {
-                    queue.push_back(from);
+            for e in self.edges_into(n) {
+                if seen.insert(e.from) {
+                    queue.push_back(e.from);
                 }
             }
         }
@@ -140,12 +133,20 @@ impl Pdg {
         self.cfg.stmt_node.get(&stmt).copied()
     }
 
-    /// Dependence sources of `node` as `(from, kind)` pairs.
+    /// Dependence sources of `node` as `(from, kind)` pairs: first the
+    /// definitions of each variable it uses that reach it, then the other
+    /// definitions of each persistent one it uses (the implicit packet
+    /// loop), then the branches it is control dependent on.
     pub fn deps_of(&self, node: NodeId) -> Vec<(NodeId, &DepKind)> {
-        self.incoming[node]
+        self.edges_into(node)
             .iter()
-            .map(|&ei| (self.edges[ei].from, &self.edges[ei].kind))
+            .map(|e| (e.from, &e.kind))
             .collect()
+    }
+
+    /// The edges arriving at `node`.
+    fn edges_into(&self, node: NodeId) -> &[DepEdge] {
+        &self.edges[self.incoming[node]..self.incoming[node + 1]]
     }
 }
 

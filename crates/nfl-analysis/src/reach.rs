@@ -5,17 +5,21 @@
 //! (weak updates — map inserts, packet-field stores — generate but do not
 //! kill, so earlier contents still flow). Data-dependence edges connect a
 //! reaching definition to every node that *uses* its variable — the
-//! between-statements dependency of the paper's §2.1.
+//! between-statements dependency of the paper's §2.1 — and, for the NF's
+//! persistent variables, every definition to every use across the
+//! implicit packet loop.
 //!
 //! Definitions flowing in from outside the function (parameters, `state`
 //! and `config` globals) are modelled as definitions at the entry node,
 //! so slices correctly extend to the NF's persistent state.
 //!
 //! Implementation note: variable names are interned once into dense
-//! [`VarId`]s and definition sites into dense indices, the flow sets are
-//! bitsets, and dependence edges are keyed by variable id, so the
-//! analysis stays linear-ish even on the paper-scale snort corpus
-//! (≈2.6k statements, ≈500 state variables) — the naive
+//! [`VarId`]s and definition sites into dense indices, one per
+//! `(variable, node)`, and the flow sets are bitsets. A node's
+//! dependences are read off its reaching set by bit tests, so no edge
+//! is ever produced twice and none needs deduplicating. The analysis
+//! stays linear-ish even on the paper-scale snort corpus (≈2.6k
+//! statements, ≈500 state variables) — the naive
 //! `HashSet<(String, NodeId)>` formulation took tens of seconds there;
 //! this one takes milliseconds.
 
@@ -39,8 +43,15 @@ pub struct Reaching {
     var_names: Vec<String>,
     /// Name → [`VarId`].
     var_ids: HashMap<String, VarId>,
-    /// The interned definition sites: which variable, at which node.
+    /// Per node: the ids of the variables it uses that have a
+    /// definition, in name order.
+    use_ids: Vec<Vec<VarId>>,
+    /// The interned definition sites, one per `(variable, defining
+    /// node)`: the boundary sites at entry first, then the rest in node
+    /// order.
     defs: Vec<(VarId, NodeId)>,
+    /// How many of `defs` are boundary sites.
+    boundary_sites: usize,
     /// Definition-site indices per variable, indexed by [`VarId`].
     def_ids_by_var: Vec<Vec<usize>>,
     /// Per node: the definitions reaching its entry.
@@ -60,7 +71,7 @@ impl Reaching {
     }
 
     /// The definitions `(variable, defining node)` reaching the entry of
-    /// `node`.
+    /// `node`, each once.
     pub fn reaching_in(&self, node: NodeId) -> impl Iterator<Item = (&str, NodeId)> + '_ {
         self.reach_in[node].iter_ones().map(move |i| {
             let (var, def_node) = self.defs[i];
@@ -76,6 +87,57 @@ impl Reaching {
                 .iter()
                 .any(|&i| self.defs[i].1 == def_node && self.reach_in[use_node].get(i))
         })
+    }
+
+    /// A per-[`VarId`] mask of `names` (names the function never
+    /// defines are ignored).
+    pub(crate) fn var_mask<'a>(&self, names: impl IntoIterator<Item = &'a str>) -> Vec<bool> {
+        let mut mask = vec![false; self.var_names.len()];
+        for v in names.into_iter().filter_map(|name| self.var_id(name)) {
+            mask[v] = true;
+        }
+        mask
+    }
+
+    /// The data dependences of `to`, each once, as `(from, var)` pairs in
+    /// two groups:
+    ///
+    /// 1. for each variable `to` uses, its definitions reaching `to`'s
+    ///    entry;
+    /// 2. for each used variable that `persistent` marks, its in-function
+    ///    definitions that do **not** reach `to`.
+    ///
+    /// The second group is the loop-carried dependence of the *implicit
+    /// packet loop*. The normalised per-packet function has no enclosing
+    /// `while` any more, but the NF still runs it once per packet: a
+    /// `state` variable written while processing packet *k* is read while
+    /// processing packet *k+1* — the Figure 1 story, where the NAT entry
+    /// installed for a flow's first packet is the entry looked up for its
+    /// second. So every definition of a persistent variable reaches every
+    /// use of it, regardless of intra-iteration CFG reachability; one that
+    /// also reaches within the iteration is already in the first group.
+    pub(crate) fn data_deps_of(
+        &self,
+        to: NodeId,
+        persistent: &[bool],
+        mut emit: impl FnMut(NodeId, VarId),
+    ) {
+        let reach = &self.reach_in[to];
+        let used = &self.use_ids[to];
+        for &var in used {
+            for &site in &self.def_ids_by_var[var] {
+                if reach.get(site) {
+                    emit(self.defs[site].1, var);
+                }
+            }
+        }
+        for &var in used.iter().filter(|&&v| persistent[v]) {
+            for &site in &self.def_ids_by_var[var] {
+                if site >= self.boundary_sites && !reach.get(site) {
+                    emit(self.defs[site].1, var);
+                }
+            }
+        }
     }
 }
 
@@ -106,40 +168,51 @@ pub fn reaching_definitions(
     // entry, then per-node defs.
     let mut var_names: Vec<String> = Vec::new();
     let mut var_ids: HashMap<String, VarId> = HashMap::new();
-    let mut defs: Vec<(VarId, NodeId)> = Vec::new();
-    let mut def_ids_by_var: Vec<Vec<usize>> = Vec::new();
-    let mut intern = |var: &str, node: NodeId, defs: &mut Vec<(VarId, NodeId)>| {
-        let v = match var_ids.get(var) {
-            Some(&v) => v,
-            None => {
-                let v = var_names.len();
-                var_names.push(var.to_string());
-                var_ids.insert(var.to_string(), v);
-                def_ids_by_var.push(Vec::new());
-                v
-            }
-        };
-        let id = defs.len();
-        defs.push((v, node));
-        def_ids_by_var[v].push(id);
-        (v, id)
+    let mut intern = |var: &str| match var_ids.get(var) {
+        Some(&v) => v,
+        None => {
+            let v = var_names.len();
+            var_names.push(var.to_string());
+            var_ids.insert(var.to_string(), v);
+            v
+        }
     };
-    let mut boundary_ids = Vec::new();
-    for v in boundary_vars {
-        boundary_ids.push(intern(v, cfg.entry, &mut defs).1);
-    }
-    // gen set and strongly defined variables per node.
+    let mut defs: Vec<(VarId, NodeId)> = boundary_vars
+        .iter()
+        .map(|v| (intern(v), cfg.entry))
+        .collect();
+    let boundary_sites = defs.len();
+    // gen set and strongly defined variables per node. A statement may
+    // define a variable twice (`q_push(q, q_pop(q))`); both definitions
+    // would have the same gen/kill and reach sets, so the pair gets one
+    // site, which the node kills with if either definition is strong.
     let mut gen_ids: Vec<Vec<usize>> = vec![Vec::new(); n];
     let mut strong_vars: Vec<Vec<VarId>> = vec![Vec::new(); n];
     for node in 0..n {
         for (v, k) in &node_du[node].defs {
-            let (var, id) = intern(v, node, &mut defs);
-            gen_ids[node].push(id);
+            let var = intern(v);
+            if !gen_ids[node].iter().any(|&i| defs[i].0 == var) {
+                gen_ids[node].push(defs.len());
+                defs.push((var, node));
+            }
             if *k == DefKind::Strong {
                 strong_vars[node].push(var);
             }
         }
     }
+    let mut def_ids_by_var: Vec<Vec<usize>> = vec![Vec::new(); var_names.len()];
+    for (i, &(var, _)) in defs.iter().enumerate() {
+        def_ids_by_var[var].push(i);
+    }
+    let use_ids: Vec<Vec<VarId>> = node_du
+        .iter()
+        .map(|du| {
+            du.uses
+                .iter()
+                .filter_map(|u| var_ids.get(u).copied())
+                .collect()
+        })
+        .collect();
     let nbits = defs.len();
 
     // Kill masks: a node with a strong def of `var` kills every def of
@@ -161,10 +234,14 @@ pub fn reaching_definitions(
 
     let mut reach_in: Vec<BitSet> = vec![BitSet::new(nbits); n];
     let mut reach_out: Vec<BitSet> = vec![BitSet::new(nbits); n];
-    for &i in &boundary_ids {
+    for i in 0..boundary_sites {
         reach_out[cfg.entry].set(i);
     }
 
+    // Two scratch sets; a changed one is swapped into place, so the
+    // fixpoint allocates nothing.
+    let mut inset = BitSet::new(nbits);
+    let mut outset = BitSet::new(nbits);
     let order = cfg.rpo();
     let mut changed = true;
     while changed {
@@ -173,19 +250,19 @@ pub fn reaching_definitions(
             if node == cfg.entry {
                 continue;
             }
-            let mut inset = BitSet::new(nbits);
+            inset.clear();
             for p in cfg.preds(node) {
                 inset.union_with(&reach_out[p]);
             }
-            let mut outset = inset.clone();
+            outset.copy_from(&inset);
             outset.subtract(&kill[node]);
             outset.union_with(&gen[node]);
             if inset != reach_in[node] {
-                reach_in[node] = inset;
+                std::mem::swap(&mut reach_in[node], &mut inset);
                 changed = true;
             }
             if outset != reach_out[node] {
-                reach_out[node] = outset;
+                std::mem::swap(&mut reach_out[node], &mut outset);
                 changed = true;
             }
         }
@@ -194,73 +271,12 @@ pub fn reaching_definitions(
         node_du,
         var_names,
         var_ids,
+        use_ids,
         defs,
+        boundary_sites,
         def_ids_by_var,
         reach_in,
     }
-}
-
-/// A data-dependence edge `from → to` on variable `var`: `to` uses a
-/// variable defined at `from` (both CFG node ids; `from` may be the
-/// entry node for boundary variables).
-pub fn data_deps(cfg: &Cfg, reaching: &Reaching) -> Vec<(NodeId, NodeId, VarId)> {
-    let mut edges = Vec::new();
-    for node in 0..cfg.len() {
-        for used in &reaching.node_du[node].uses {
-            let Some(var) = reaching.var_id(used) else {
-                continue;
-            };
-            for &i in &reaching.def_ids_by_var[var] {
-                if reaching.reach_in[node].get(i) {
-                    edges.push((reaching.defs[i].1, node, var));
-                }
-            }
-        }
-    }
-    edges
-}
-
-/// Loop-carried dependences of the *implicit packet loop*.
-///
-/// The normalised per-packet function has no enclosing `while` any more,
-/// but the NF still runs it once per packet: a `state` variable written
-/// while processing packet *k* is read while processing packet *k+1* —
-/// the Figure 1 story, where the NAT entry installed for a flow's first
-/// packet is the entry looked up for its second. This function adds a
-/// def→use edge for every (def, use) pair of each persistent variable,
-/// regardless of intra-iteration CFG reachability.
-pub fn cross_iteration_deps(
-    cfg: &Cfg,
-    reaching: &Reaching,
-    persistent: &BTreeSet<String>,
-) -> Vec<(NodeId, NodeId, VarId)> {
-    // The in-function definition nodes of each persistent variable, in
-    // node order.
-    let mut def_nodes: Vec<Vec<NodeId>> = vec![Vec::new(); reaching.var_names.len()];
-    for node in 0..cfg.len() {
-        for (v, _) in &reaching.node_du[node].defs {
-            if persistent.contains(v) {
-                if let Some(var) = reaching.var_id(v) {
-                    def_nodes[var].push(node);
-                }
-            }
-        }
-    }
-    let mut edges = Vec::new();
-    for node in 0..cfg.len() {
-        for used in &reaching.node_du[node].uses {
-            let Some(var) = reaching.var_id(used) else {
-                continue;
-            };
-            if !persistent.contains(used) {
-                continue;
-            }
-            for &def_node in &def_nodes[var] {
-                edges.push((def_node, node, var));
-            }
-        }
-    }
-    edges
 }
 
 #[cfg(test)]
@@ -284,6 +300,17 @@ mod tests {
         (p.clone(), cfg, r)
     }
 
+    /// Every node's reaching-definition edges `(from, to, var)`: no
+    /// variable is persistent, so there are no loop-carried pairs.
+    fn reaching_edges(cfg: &Cfg, r: &Reaching) -> Vec<(NodeId, NodeId, VarId)> {
+        let none = vec![false; r.var_names.len()];
+        let mut edges = Vec::new();
+        for to in 0..cfg.len() {
+            r.data_deps_of(to, &none, |from, var| edges.push((from, to, var)));
+        }
+        edges
+    }
+
     fn node_of(p: &nfl_lang::Program, cfg: &Cfg, pred: impl Fn(&Stmt) -> bool) -> NodeId {
         let mut found = None;
         p.for_each_stmt(|s| {
@@ -297,7 +324,7 @@ mod tests {
     #[test]
     fn straight_line_dep() {
         let (p, cfg, r) = analyze("fn main() { let a = 1; let b = a + 1; }");
-        let deps = data_deps(&cfg, &r);
+        let deps = reaching_edges(&cfg, &r);
         let a_node = node_of(
             &p,
             &cfg,
@@ -317,7 +344,7 @@ mod tests {
     #[test]
     fn strong_redefinition_kills() {
         let (p, cfg, r) = analyze("fn main() { let a = 1; a = 2; let b = a; }");
-        let deps = data_deps(&cfg, &r);
+        let deps = reaching_edges(&cfg, &r);
         let let_a = node_of(
             &p,
             &cfg,
@@ -339,7 +366,7 @@ mod tests {
     fn weak_update_does_not_kill() {
         let (p, cfg, r) =
             analyze("state m = map(); fn main() { m[1] = 2; m[3] = 4; let x = m[1]; }");
-        let deps = data_deps(&cfg, &r);
+        let deps = reaching_edges(&cfg, &r);
         let first = node_of(&p, &cfg, |s| {
             matches!(&s.kind, nfl_lang::StmtKind::Assign { value, .. }
                 if matches!(value.kind, nfl_lang::ExprKind::Int(2)))
@@ -366,7 +393,7 @@ mod tests {
                 let y = x;
             }"#,
         );
-        let deps = data_deps(&cfg, &r);
+        let deps = reaching_edges(&cfg, &r);
         let y_node = node_of(
             &p,
             &cfg,
@@ -382,7 +409,7 @@ mod tests {
     #[test]
     fn loop_carried_dependence() {
         let (p, cfg, r) = analyze("fn main() { let i = 0; while i < 3 { i = i + 1; } }");
-        let deps = data_deps(&cfg, &r);
+        let deps = reaching_edges(&cfg, &r);
         let assign = node_of(&p, &cfg, |s| {
             matches!(&s.kind, nfl_lang::StmtKind::Assign { .. })
         });
@@ -397,7 +424,7 @@ mod tests {
     #[test]
     fn boundary_state_reaches_use() {
         let (p, cfg, r) = analyze("state rr = 0; fn main() { let x = rr; }");
-        let deps = data_deps(&cfg, &r);
+        let deps = reaching_edges(&cfg, &r);
         let x_node = node_of(
             &p,
             &cfg,
@@ -412,5 +439,53 @@ mod tests {
         assert!(r
             .reaching_in(x_node)
             .any(|(v, n)| v == "rr" && n == cfg.entry));
+    }
+
+    #[test]
+    fn double_definition_is_one_site() {
+        // `q_push(q, q_pop(q))` defines `q` twice in one statement.
+        let (p, cfg, r) =
+            analyze("state q = queue(); fn main() { q_push(q, q_pop(q)); let x = q; }");
+        let push = node_of(&p, &cfg, |s| matches!(&s.kind, nfl_lang::StmtKind::Expr(_)));
+        assert_eq!(
+            r.node_du[push]
+                .defs
+                .iter()
+                .filter(|(v, _)| v == "q")
+                .count(),
+            2,
+            "the statement defines q twice"
+        );
+        let x_node = node_of(
+            &p,
+            &cfg,
+            |s| matches!(&s.kind, nfl_lang::StmtKind::Let { name, .. } if name == "x"),
+        );
+        let reaching: Vec<_> = r.reaching_in(x_node).collect();
+        assert_eq!(
+            reaching
+                .iter()
+                .filter(|&&(v, n)| v == "q" && n == push)
+                .count(),
+            1,
+            "each (var, node) reaches once: {reaching:?}"
+        );
+        // With `q` persistent, each node's dependences are still distinct:
+        // the loop-carried pair from `push` to itself is the reaching one.
+        let persistent = r.var_mask(["q"]);
+        for to in 0..cfg.len() {
+            let mut deps = Vec::new();
+            r.data_deps_of(to, &persistent, |from, var| deps.push((from, var)));
+            let distinct: BTreeSet<_> = deps.iter().collect();
+            assert_eq!(
+                distinct.len(),
+                deps.len(),
+                "n{to} repeats a dependence: {deps:?}"
+            );
+        }
+        let q = r.var_id("q").unwrap();
+        let mut into_push = Vec::new();
+        r.data_deps_of(push, &persistent, |from, var| into_push.push((from, var)));
+        assert_eq!(into_push, [(cfg.entry, q), (push, q)]);
     }
 }

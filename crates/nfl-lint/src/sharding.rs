@@ -23,8 +23,11 @@
 //!
 //! Scalar state has no key: if it is written on the packet path it is a
 //! single cell every flow updates — `shared`, unless StateAlyzer proved
-//! it never impacts output (`logVar`), in which case per-shard copies
-//! can be aggregated offline — `log-only`. State never written is
+//! it never impacts output (`logVar`) and every write adds to it
+//! (`x = x + e`, `x = e + x` or `x = x - e`, with `e` traced through
+//! locals like a key and free of state), in which case per-shard copies
+//! sum to the single-shard value — `log-only`. An overwrite (`x = 7`) or
+//! an increment that reads state does not sum. State never written is
 //! `read-only` and replicates freely.
 
 use crate::ctx::AnalysisCtx;
@@ -592,6 +595,154 @@ impl<'a> Tracer<'a> {
         }
     }
 
+    /// The first state `expr` (evaluated at `node`) depends on, traced
+    /// through locals' reaching definitions as [`Tracer::classify_expr`]
+    /// traces a key, or `None` when its value is a function of the packet
+    /// and constants alone.
+    fn state_read(
+        &self,
+        node: NodeId,
+        expr: &Expr,
+        visiting: &mut HashSet<(String, NodeId)>,
+    ) -> Option<String> {
+        match &expr.kind {
+            ExprKind::Int(_) | ExprKind::Bool(_) | ExprKind::Str(_) => None,
+            ExprKind::Var(v) | ExprKind::Field(v, _) => self.state_read_var(node, v, visiting),
+            ExprKind::Tuple(es) | ExprKind::Array(es) => {
+                es.iter().find_map(|e| self.state_read(node, e, visiting))
+            }
+            ExprKind::Index(a, b) | ExprKind::Binary(_, a, b) => self
+                .state_read(node, a, visiting)
+                .or_else(|| self.state_read(node, b, visiting)),
+            ExprKind::Unary(_, e) => self.state_read(node, e, visiting),
+            ExprKind::Call(name, args) if is_pure_builtin(name) => {
+                args.iter().find_map(|a| self.state_read(node, a, visiting))
+            }
+            ExprKind::Call(name, _) => Some(format!("a call to `{name}`")),
+        }
+    }
+
+    /// [`Tracer::state_read`] of variable `v` as read at `node`.
+    fn state_read_var(
+        &self,
+        node: NodeId,
+        v: &str,
+        visiting: &mut HashSet<(String, NodeId)>,
+    ) -> Option<String> {
+        if self.configs.contains(v) {
+            return None;
+        }
+        if self.states.contains(v) {
+            return Some(format!("state `{v}`"));
+        }
+        if !visiting.insert((v.to_string(), node)) {
+            // A dependence cycle adds nothing; other definitions decide.
+            return None;
+        }
+        let mut saw_def = false;
+        let mut found = None;
+        for (dv, def_node) in self.ctx.pdg.reaching.reaching_in(node) {
+            if dv == v {
+                saw_def = true;
+                found = self.state_read_def(def_node, v, visiting);
+                if found.is_some() {
+                    break;
+                }
+            }
+        }
+        visiting.remove(&(v.to_string(), node));
+        if !saw_def {
+            return Some(format!("`{v}`, which has no reaching definition"));
+        }
+        found
+    }
+
+    /// [`Tracer::state_read`] of the definition of `v` at `def_node`.
+    fn state_read_def(
+        &self,
+        def_node: NodeId,
+        v: &str,
+        visiting: &mut HashSet<(String, NodeId)>,
+    ) -> Option<String> {
+        if def_node == self.ctx.pdg.cfg.entry {
+            // A parameter of the per-packet function: the packet.
+            return None;
+        }
+        let stmt = self.ctx.pdg.cfg.nodes[def_node]
+            .stmt
+            .and_then(|sid| self.stmts.get(&sid));
+        let Some(stmt) = stmt else {
+            return Some(format!("an opaque definition of `{v}`"));
+        };
+        let du = nfl_analysis::defuse::def_use(stmt);
+        if !du.defs.iter().any(|(d, k)| d == v && *k == DefKind::Strong) {
+            return Some(format!("a partial update of `{v}`"));
+        }
+        match &stmt.kind {
+            StmtKind::Let { value, .. }
+            | StmtKind::Assign {
+                target: LValue::Var(_),
+                value,
+            } => self.state_read(def_node, value, visiting),
+            StmtKind::For {
+                iter: ForIter::Range(lo, hi),
+                ..
+            } => self
+                .state_read(def_node, lo, visiting)
+                .or_else(|| self.state_read(def_node, hi, visiting)),
+            StmtKind::For {
+                iter: ForIter::Array(a),
+                ..
+            } => self.state_read(def_node, a, visiting),
+            _ => Some(format!("an opaque definition of `{v}`")),
+        }
+    }
+
+    /// Why per-shard copies of scalar state `x`, written at the CFG
+    /// nodes `writes`, would not sum to the single-shard value, or `None`
+    /// when every write adds a state-free amount: `x = x + e`,
+    /// `x = e + x` or `x = x - e`. The shard join merges a log-only
+    /// integer by summing per-shard deltas, which is exact only for such
+    /// updates.
+    fn non_additive_write(&self, x: &str, writes: &[NodeId]) -> Option<String> {
+        let is_x = |e: &Expr| matches!(&e.kind, ExprKind::Var(v) if v == x);
+        for &node in writes {
+            let stmt = self.ctx.pdg.cfg.nodes[node].stmt;
+            let Some(stmt) = stmt.and_then(|sid| self.stmts.get(&sid)) else {
+                continue;
+            };
+            let increment = match &stmt.kind {
+                StmtKind::Assign {
+                    target: LValue::Var(t),
+                    value,
+                } if t == x => match &value.kind {
+                    ExprKind::Binary(BinOp::Add, a, e) | ExprKind::Binary(BinOp::Sub, a, e)
+                        if is_x(a) =>
+                    {
+                        Some(e)
+                    }
+                    ExprKind::Binary(BinOp::Add, e, b) if is_x(b) => Some(e),
+                    _ => None,
+                },
+                _ => None,
+            };
+            let line = stmt.span.line;
+            let Some(e) = increment else {
+                return Some(format!(
+                    "the write at line {line} is not an increment, so per-shard copies \
+                     do not sum to one cell"
+                ));
+            };
+            if let Some(culprit) = self.state_read(node, e, &mut HashSet::new()) {
+                return Some(format!(
+                    "the increment at line {line} reads {culprit}, so per-shard copies \
+                     do not sum to one cell"
+                ));
+            }
+        }
+        None
+    }
+
     /// The exact shape of `expr` as a key, or `None` when the value is
     /// derived (arithmetic, hashing, container reads) rather than a
     /// plain tuple of flow fields and constants.
@@ -953,13 +1104,17 @@ pub fn analyze(ctx: &AnalysisCtx) -> (ShardingReport, Vec<Diagnostic>) {
     let tracer = Tracer::new(ctx, stmts);
     let sites = collect_key_sites(ctx, &tracer, &states);
 
-    // Which states are read/written at all in the per-packet function.
-    let mut written: BTreeSet<String> = BTreeSet::new();
+    // Which states are read at all in the per-packet function, and the
+    // nodes that write each.
+    let mut writes: HashMap<&str, Vec<NodeId>> = HashMap::new();
     let mut read: BTreeSet<String> = BTreeSet::new();
     for node in 0..ctx.pdg.cfg.len() {
         let du = &ctx.pdg.reaching.node_du[node];
         for (d, _) in &du.defs {
-            written.insert(d.clone());
+            let at = writes.entry(d.as_str()).or_default();
+            if at.last() != Some(&node) {
+                at.push(node);
+            }
         }
         for u in &du.uses {
             // A weak update's self-read does not count as a real read.
@@ -976,7 +1131,8 @@ pub fn analyze(ctx: &AnalysisCtx) -> (ShardingReport, Vec<Diagnostic>) {
         let my_sites: Vec<&KeySite> = sites.iter().filter(|s| &s.var == name).collect();
         let is_map = matches!(ctx.info.var_ty(ctx.func(), name), Some(Ty::Map(_, _)))
             || !my_sites.is_empty();
-        let is_written = written.contains(name);
+        let my_writes = writes.get(name.as_str()).map_or(&[][..], Vec::as_slice);
+        let is_written = !my_writes.is_empty();
         let is_log = ctx.classes.log_vars.contains(name);
 
         let (verdict, reason, bad_site): (StateShard, String, Option<&KeySite>) = if !is_written
@@ -1049,11 +1205,14 @@ pub fn analyze(ctx: &AnalysisCtx) -> (ShardingReport, Vec<Diagnostic>) {
                 }
             }
         } else if is_log {
-            (
-                StateShard::LogOnly,
-                "counter never impacts output; keep per-shard copies and aggregate".into(),
-                None,
-            )
+            match tracer.non_additive_write(name, my_writes) {
+                None => (
+                    StateShard::LogOnly,
+                    "counter never impacts output; keep per-shard copies and aggregate".into(),
+                    None,
+                ),
+                Some(reason) => (StateShard::Shared, reason, None),
+            }
         } else {
             (
                 StateShard::Shared,
@@ -1257,6 +1416,59 @@ pub(crate) mod tests {
         assert_eq!(verdict_of(&r, "budget").verdict, StateShard::Shared);
         // `floor` is read-only.
         assert_eq!(verdict_of(&r, "floor").verdict, StateShard::ReadOnly);
+        assert_eq!(r.nf_verdict(), StateShard::Shared);
+    }
+
+    #[test]
+    fn log_scalar_stays_log_only_only_when_every_write_adds() {
+        // The shard join sums a log-only scalar's per-shard deltas, so
+        // only additive, state-free updates keep that verdict.
+        let r = run(r#"
+            state seen = map();
+            state up = 0;
+            state up_rev = 0;
+            state down = 0;
+            state via_local = 0;
+            state last = 0;
+            state a = 0;
+            state b = 0;
+            state c = 0;
+            state q = queue();
+            state popped = 0;
+            fn cb(pkt: packet) {
+                seen[pkt.ip.src] = 1;
+                up = up + 1;
+                up_rev = pkt.ip.ttl + up_rev;
+                down = down - 2;
+                let d = pkt.tcp.sport % 7;
+                via_local = via_local + d;
+                last = 7;
+                a = a + 1;
+                b = b + a;
+                let t = a;
+                c = c + t;
+                q_push(q, pkt);
+                let p = q_pop(q);
+                popped = popped + p.ip.ttl;
+                send(pkt);
+            }
+            fn main() { sniff(cb); }
+        "#);
+        for var in ["up", "up_rev", "down", "via_local", "a"] {
+            assert_eq!(verdict_of(&r, var).verdict, StateShard::LogOnly, "{var}");
+        }
+        let last = verdict_of(&r, "last");
+        assert_eq!(last.verdict, StateShard::Shared);
+        assert!(last.reason.contains("not an increment"), "{}", last.reason);
+        for var in ["b", "c"] {
+            let v = verdict_of(&r, var);
+            assert_eq!(v.verdict, StateShard::Shared, "{var}");
+            assert!(v.reason.contains("reads state `a`"), "{var}: {}", v.reason);
+        }
+        // A field of a packet taken from state is traced to its source.
+        let popped = verdict_of(&r, "popped");
+        assert_eq!(popped.verdict, StateShard::Shared);
+        assert!(popped.reason.contains("`q_pop`"), "{}", popped.reason);
         assert_eq!(r.nf_verdict(), StateShard::Shared);
     }
 

@@ -190,15 +190,16 @@ echo "==> chaos differential: faulted runs match fault-free references"
 cargo test -q --offline --test differential chaos:: > /dev/null
 echo "    survivors unaffected by contained faults for all corpus NFs: ok"
 
-echo "==> graceful degradation: snort under a 10 ms deadline"
+echo "==> graceful degradation: snort under a 1 ms deadline"
 # Must return a *partial* model (exit 0) with the truncation visible,
-# not hang, panic, or error out.
-out=$(./target/release/nfactor synthesize --corpus snort --timeout-ms 10)
+# not hang, panic, or error out. The deadline is 1 ms so that a fast
+# host still truncates: a release build can finish snort inside 10 ms.
+out=$(./target/release/nfactor synthesize --corpus snort --timeout-ms 1)
 case "$out" in
     *"PARTIAL MODEL"*) echo "    truncated model rendered: ok" ;;
     *) echo "    expected a PARTIAL MODEL banner, got:"; echo "$out"; exit 1 ;;
 esac
-./target/release/nfactor synthesize --corpus snort --timeout-ms 10 --json \
+./target/release/nfactor synthesize --corpus snort --timeout-ms 1 --json \
     | grep -q '"state": "truncated"'
 echo "    truncation visible in JSON: ok"
 

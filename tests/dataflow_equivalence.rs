@@ -8,12 +8,17 @@
 //!   `BTreeSet<String>` fixpoint;
 //! * `Pdg::build`'s data edges equal the `(from, to, var)` set rebuilt
 //!   from `def_use`, `reaching_in` and every persistent def × use pair
-//!   (the implicit packet loop), with no edge emitted twice.
+//!   (the implicit packet loop), with no edge emitted twice;
+//! * every node's `deps_of` sequence equals one built in order from the
+//!   public API: each used variable's reaching definitions, then each
+//!   used persistent variable's other definition nodes, then the
+//!   node's control dependences.
 //!
 //! The subjects are the 8 corpus NFs, snort at 25 rules and
 //! grammar-generated NFs, each analysed as its normalised per-packet
 //! loop. The paper-scale snort PDG's edge count is pinned too.
 
+use nfactor::analysis::cd::control_deps;
 use nfactor::analysis::defuse::{def_use, DefUse};
 use nfactor::analysis::liveness;
 use nfactor::analysis::pdg::{default_boundary, DepKind, Pdg};
@@ -172,6 +177,53 @@ fn assert_data_edges_match(name: &str, s: &Subject) {
     );
 }
 
+/// A dependence as `deps_of` reports it, with the variable by name.
+#[derive(Debug, PartialEq)]
+enum Dep {
+    Data(usize, String),
+    Control(usize),
+}
+
+fn assert_deps_order_matches(name: &str, s: &Subject) {
+    let reaching = &s.pdg.reaching;
+    let cfg = &s.pdg.cfg;
+    let cd = control_deps(cfg);
+    for to in 0..cfg.len() {
+        let mut expected = Vec::new();
+        let mut reached: BTreeSet<(usize, &str)> = BTreeSet::new();
+        for used in &s.node_du[to].uses {
+            for (v, from) in reaching.reaching_in(to) {
+                if v == used {
+                    expected.push(Dep::Data(from, used.clone()));
+                    reached.insert((from, v));
+                }
+            }
+        }
+        for used in s.node_du[to]
+            .uses
+            .iter()
+            .filter(|u| s.persistent.contains(*u))
+        {
+            for from in 0..cfg.len() {
+                if s.node_du[from].defines(used) && !reached.contains(&(from, used.as_str())) {
+                    expected.push(Dep::Data(from, used.clone()));
+                }
+            }
+        }
+        expected.extend(cd.deps[to].iter().map(|&from| Dep::Control(from)));
+        let actual: Vec<Dep> = s
+            .pdg
+            .deps_of(to)
+            .into_iter()
+            .map(|(from, kind)| match kind {
+                DepKind::Data(var) => Dep::Data(from, reaching.var_name(*var).to_string()),
+                DepKind::Control => Dep::Control(from),
+            })
+            .collect();
+        assert_eq!(actual, expected, "{name}: deps_of(n{to})");
+    }
+}
+
 /// Subjects by number: the 8 corpus NFs, then snort at 25 rules, then a
 /// grammar-generated NF seeded by the number for everything above.
 fn subject_source(pick: u64) -> (String, String) {
@@ -188,13 +240,15 @@ fn subject_source(pick: u64) -> (String, String) {
     }
 }
 
-/// The property: bitset liveness and id-keyed PDG data edges agree with
-/// the name-based references on subject `pick`.
+/// The property: bitset liveness, id-keyed PDG data edges and each
+/// node's dependence order agree with the name-based references on
+/// subject `pick`.
 fn dataflow_matches(&pick: &u64) {
     let (name, src) = subject_source(pick);
     let s = subject(&name, &src);
     assert_liveness_matches(&name, &s);
     assert_data_edges_match(&name, &s);
+    assert_deps_order_matches(&name, &s);
 }
 
 /// Number of fixed subjects (corpus + snort at 25 rules).

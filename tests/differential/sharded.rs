@@ -164,3 +164,43 @@ fn mirror_pair_single_field_key_is_shared_and_consistent() {
         &StateScope::Full,
     );
 }
+
+/// A log-only scalar is merged by summing per-shard deltas, which is
+/// exact only for additive updates. An overwritten scalar (`last = 7`)
+/// and an increment that reads other state (`b = b + a`) are therefore
+/// `shared`, and the NF runs under the global lock like the single
+/// reference. Under a partitioned plan the delta sum made `last` 4 × 7
+/// on 4 busy shards, and `b` a sum of per-shard partial sums.
+#[test]
+fn non_additive_log_scalars_are_shared_and_consistent() {
+    oracle(
+        "overwrite",
+        r#"
+        state seen = map();
+        state last = 0;
+        fn cb(pkt: packet) {
+            seen[pkt.ip.src] = 1;
+            last = 7;
+            send(pkt);
+        }
+        fn main() { sniff(cb); }
+    "#,
+        false,
+    );
+    oracle(
+        "chained",
+        r#"
+        state seen = map();
+        state a = 0;
+        state b = 0;
+        fn cb(pkt: packet) {
+            seen[pkt.ip.src] = 1;
+            a = a + 1;
+            b = b + a;
+            send(pkt);
+        }
+        fn main() { sniff(cb); }
+    "#,
+        false,
+    );
+}
