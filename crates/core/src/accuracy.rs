@@ -21,6 +21,7 @@ use nf_model::ModelState;
 use nf_packet::{Packet, PacketGen};
 use nfl_interp::{Interp, Value};
 use nfl_symex::{ExplorationStats, PathLimits, SymExec};
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 
 /// Outcome of the differential test.
@@ -84,11 +85,11 @@ pub fn differential_test(
         let model = model_state
             .step(&syn.model, &pkt)
             .map_err(|e| format!("trial {trial}: {e}"))?;
-        let prog_out = prog.outputs.first().cloned();
-        if prog_out == model.output {
+        let prog_out = prog.outputs.first();
+        if prog_out == model.output.as_deref() {
             agreements += 1;
         } else if mismatches.len() < 8 {
-            mismatches.push((trial, prog_out, model.output.clone()));
+            mismatches.push((trial, prog_out.cloned(), model.output.map(Cow::into_owned)));
         }
     }
     Ok(AccuracyReport {

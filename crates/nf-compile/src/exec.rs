@@ -31,7 +31,10 @@
 //! each obligation compares it with its own expected polarity. Map reads
 //! go through the step's probe memo ([`Probes`]), which lives on the
 //! step's stack: each distinct `(map, key term)` pair is built and
-//! probed once. Neither memo allocates per step.
+//! probed once. Neither memo allocates per step, and a fired entry that
+//! rewrites nothing forwards the input packet by reference, as the
+//! reference step does ([`ModelStep::output`]), so only a rewrite copies
+//! the packet.
 
 use crate::compile::{CEntry, CFlowAction, CMapOp, CompiledProgram, PredLit};
 use crate::expr::{ProbeSlot, Probes, RunEnv, PROBE_SLOTS};
@@ -39,6 +42,7 @@ use crate::tree::{LeafCand, Node};
 use nf_model::{EvalError, ModelState, ModelStep, Writes};
 use nf_packet::Packet;
 use nfl_interp::value::Value;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 /// Mutable runtime state of one compiled deployment.
@@ -86,7 +90,11 @@ impl CompiledState {
     /// For any packet on which the reference step succeeds, this returns
     /// `Ok` with the identical output, fired entry, and post-state; an
     /// error is always the reference's.
-    pub fn step(&mut self, prog: &CompiledProgram, pkt: &Packet) -> Result<ModelStep, EvalError> {
+    pub fn step<'p>(
+        &mut self,
+        prog: &CompiledProgram,
+        pkt: &'p Packet,
+    ) -> Result<ModelStep<'p>, EvalError> {
         match self.fast_step(prog, pkt) {
             Some(step) => Ok(step),
             None => self.store.step(&prog.model, pkt),
@@ -96,7 +104,7 @@ impl CompiledState {
     /// The compiled step proper: `None` where it declines the packet,
     /// always before committing anything.
     #[inline]
-    fn fast_step(&mut self, prog: &CompiledProgram, pkt: &Packet) -> Option<ModelStep> {
+    fn fast_step<'p>(&mut self, prog: &CompiledProgram, pkt: &'p Packet) -> Option<ModelStep<'p>> {
         let generation = self.store.begin_step();
         let cands = leaf(prog, pkt)?;
         // The probe memo lives on the stack for this step; a program
@@ -126,7 +134,7 @@ impl CompiledState {
             });
         };
         let entry = &prog.entries[ei];
-        let output = evaluate(&env, entry, &mut self.pending)?;
+        let output = evaluate(&env, pkt, entry, &mut self.pending)?;
         self.store.commit(&mut self.pending);
         Some(ModelStep {
             output,
@@ -227,19 +235,26 @@ fn select(
 
 /// Evaluate the fired entry's rewrites, updates and map operations
 /// against the pre-state, exactly as the reference step does: returns
-/// the output packet and leaves the writes in `pending`.
+/// the output packet and leaves the writes in `pending`. `pkt` is
+/// `env`'s packet; an entry that rewrites nothing forwards it by
+/// reference, as the reference step does.
 #[inline]
-fn evaluate(env: &RunEnv, entry: &CEntry, pending: &mut Writes) -> Option<Option<Packet>> {
+fn evaluate<'p>(
+    env: &RunEnv,
+    pkt: &'p Packet,
+    entry: &CEntry,
+    pending: &mut Writes,
+) -> Option<Option<Cow<'p, Packet>>> {
     // An earlier step that declined mid-evaluation may have left writes.
     pending.slots.clear();
     pending.maps.clear();
     let output = match &entry.flow_action {
         CFlowAction::Drop => None,
         CFlowAction::Forward { rewrites } => {
-            let mut out = env.pkt.clone();
+            let mut out = Cow::Borrowed(pkt);
             for (field, term) in rewrites {
                 let v = u64::try_from(env.fast_int(term)?).ok()?;
-                out.set(*field, v).ok()?;
+                out.to_mut().set(*field, v).ok()?;
             }
             Some(out)
         }
@@ -318,6 +333,12 @@ mod tests {
             let want = ms.step(&m, p).expect("reference step");
             let got = cs.step(&prog, p).expect("compiled step");
             assert_eq!(got.output, want.output, "packet {i} output");
+            let borrowed = |s: &ModelStep| matches!(s.output, Some(Cow::Borrowed(_)));
+            assert_eq!(
+                borrowed(&got),
+                borrowed(&want),
+                "packet {i} forwarded by reference"
+            );
             assert_eq!(got.fired, want.fired, "packet {i} fired entry");
             let on_arena = arena.store.step(&m, p).expect("model_step");
             assert_eq!(on_arena, want, "packet {i} model_step");

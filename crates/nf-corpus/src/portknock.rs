@@ -156,8 +156,8 @@ mod tests {
             let prog = interp.process(&p).unwrap();
             let step = model.step(&syn.model, &p).unwrap();
             assert_eq!(
-                prog.outputs.first().cloned(),
-                step.output,
+                prog.outputs.first(),
+                step.output.as_deref(),
                 "divergence at dport {dport}"
             );
         }

@@ -10,6 +10,10 @@
 //! compiled engine keeps the same store and falls back to this step on
 //! it in place.
 //!
+//! A fired entry's flow action `send(f)` forwards the packet itself: an
+//! entry that rewrites no field forwards the input by reference, and
+//! only a rewriting entry copies it ([`ModelStep::output`]).
+//!
 //! Term evaluation mirrors the interpreter exactly (same euclidean `%`,
 //! the same stable `hash`), so model-vs-program equivalence is
 //! well-defined. Variables resolve by the class Algorithm 1 partitions
@@ -24,6 +28,7 @@ use nf_packet::Packet;
 use nfl_interp::value::{stable_hash, Value};
 use nfl_lang::BinOp;
 use nfl_symex::{MapOp, SymVal};
+use std::borrow::Cow;
 use std::fmt;
 
 /// Errors during model evaluation.
@@ -46,11 +51,13 @@ impl fmt::Display for EvalError {
 
 impl std::error::Error for EvalError {}
 
-/// Result of pushing one packet through the model.
+/// Result of pushing packet `'p` through the model.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ModelStep {
-    /// The forwarded packet, if any (`None` = dropped).
-    pub output: Option<Packet>,
+pub struct ModelStep<'p> {
+    /// The forwarded packet, if any (`None` = dropped): the input itself,
+    /// borrowed, when the fired entry rewrites nothing, or a rewritten
+    /// copy. Equality compares packets, whichever way each is held.
+    pub output: Option<Cow<'p, Packet>>,
     /// Index of the `(table, entry)` that fired, if any.
     pub fired: Option<(usize, usize)>,
 }
@@ -62,7 +69,7 @@ impl ModelState {
     /// computes is evaluated against the pre-state, then committed
     /// through [`commit`](Self::commit), so [`revert`](Self::revert)
     /// undoes the step.
-    pub fn step(&mut self, model: &Model, pkt: &Packet) -> Result<ModelStep, EvalError> {
+    pub fn step<'p>(&mut self, model: &Model, pkt: &'p Packet) -> Result<ModelStep<'p>, EvalError> {
         self.begin_step();
         for (ti, table) in model.tables.iter().enumerate() {
             // Configuration condition must hold for this deployment.
@@ -111,12 +118,17 @@ fn all_true(st: &ModelState, lits: &[SymVal], pkt: &Packet) -> Result<bool, Eval
     Ok(true)
 }
 
-fn fire(st: &mut ModelState, entry: &Entry, pkt: &Packet) -> Result<Option<Packet>, EvalError> {
+fn fire<'p>(
+    st: &mut ModelState,
+    entry: &Entry,
+    pkt: &'p Packet,
+) -> Result<Option<Cow<'p, Packet>>, EvalError> {
     // Evaluate everything against the PRE state, then commit.
     let output = match &entry.flow_action {
         FlowAction::Drop => None,
         FlowAction::Forward { rewrites } => {
-            let mut out = pkt.clone();
+            // The first rewrite copies the packet; none forwards it.
+            let mut out = Cow::Borrowed(pkt);
             for (field, term) in rewrites {
                 let v = eval_on(st, term, pkt)?;
                 let iv = v.as_int().ok_or_else(|| {
@@ -124,7 +136,8 @@ fn fire(st: &mut ModelState, entry: &Entry, pkt: &Packet) -> Result<Option<Packe
                 })?;
                 let uv = u64::try_from(iv)
                     .map_err(|_| EvalError::Field(format!("negative value {iv}")))?;
-                out.set(*field, uv)
+                out.to_mut()
+                    .set(*field, uv)
                     .map_err(|e| EvalError::Field(e.to_string()))?;
             }
             Some(out)
@@ -379,9 +392,11 @@ mod tests {
         "#,
         );
         let mut st = ModelState::default().with_config("PORT", Value::Int(80));
-        let hit = st.step(&m, &tcp(1, 80)).unwrap();
-        assert!(hit.output.is_some());
-        let miss = st.step(&m, &tcp(1, 81)).unwrap();
+        let (to_80, to_81) = (tcp(1, 80), tcp(1, 81));
+        let hit = st.step(&m, &to_80).unwrap();
+        // An entry that rewrites nothing forwards the input itself.
+        assert!(matches!(hit.output, Some(Cow::Borrowed(p)) if std::ptr::eq(p, &to_80)));
+        let miss = st.step(&m, &to_81).unwrap();
         assert!(miss.output.is_none());
     }
 
@@ -406,14 +421,17 @@ mod tests {
         let mut st = ModelState::default()
             .with_scalar("next", Value::Int(10000))
             .with_map("nat");
-        let r1 = st.step(&m, &tcp(5555, 80)).unwrap();
+        let (p1, p3) = (tcp(5555, 80), tcp(7777, 80));
+        let r1 = st.step(&m, &p1).unwrap();
+        // A rewriting entry forwards a rewritten copy.
+        assert!(matches!(r1.output, Some(Cow::Owned(_))));
         assert_eq!(
             r1.output.unwrap().get(nf_packet::Field::TcpSport).unwrap(),
             10000
         );
         assert_eq!(st.scalar("next"), Some(&Value::Int(10001)));
         // Same flow hits the existing-connection entry, same rewrite.
-        let r2 = st.step(&m, &tcp(5555, 80)).unwrap();
+        let r2 = st.step(&m, &p1).unwrap();
         assert_eq!(
             r2.output.unwrap().get(nf_packet::Field::TcpSport).unwrap(),
             10000
@@ -422,7 +440,7 @@ mod tests {
         assert_eq!(next, Some(&Value::Int(10001)), "no double install");
         assert_ne!(r1.fired, r2.fired, "different entries fired");
         // New flow gets the next port.
-        let r3 = st.step(&m, &tcp(7777, 80)).unwrap();
+        let r3 = st.step(&m, &p3).unwrap();
         assert_eq!(
             r3.output.unwrap().get(nf_packet::Field::TcpSport).unwrap(),
             10001
@@ -486,7 +504,8 @@ mod tests {
         // Deliberately leave the config unset for the drop entry's
         // evaluation: with PORT=99 nothing forwards.
         let mut st = ModelState::default().with_config("PORT", Value::Int(99));
-        let r = st.step(&m, &tcp(1, 80)).unwrap();
+        let p = tcp(1, 80);
+        let r = st.step(&m, &p).unwrap();
         assert!(r.output.is_none());
     }
 

@@ -6,8 +6,12 @@
 //! * [`NfwReader`] — the compact `.nfw` binary trace format: a 20-byte
 //!   header (`NFW1` magic, seed, packet count) followed by
 //!   length-prefixed packet records, written by [`NfwWriter`]. The
-//!   reader is a plain chunked `BufReader` (no mmap), so a
-//!   million-packet trace streams at constant memory.
+//!   reader streams through a 64 KiB `BufReader` (no mmap), so a
+//!   million-packet trace streams at constant memory. A record that
+//!   sits whole in the buffer is decoded in place and consumed; one
+//!   that straddles the buffer's end, and every error, goes through the
+//!   framed [`read_record`], so each error keeps its text and byte
+//!   offset. Decoding a record allocates its payload and nothing else.
 //! * [`JsonTraceSource`] — the CLI's JSON `{"trace": [{...}, ...]}`
 //!   workload files, scanned record by record instead of materializing
 //!   the whole document; a malformed record is reported with its byte
@@ -28,13 +32,17 @@ use nf_support::bytes::PutBytes;
 use nf_support::json::Value;
 use nf_support::workload::{read_record, write_record, WorkloadError, WorkloadSource};
 use std::fs::File;
-use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
+use std::io::{BufRead, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 
 /// `.nfw` file magic, first 4 bytes of the header.
 pub const NFW_MAGIC: &[u8; 4] = b"NFW1";
 
 /// `.nfw` header length: magic (4) + seed (8) + count (8).
 pub const NFW_HEADER_LEN: u64 = 20;
+
+/// [`NfwReader`]'s read buffer, in bytes: records that sit whole in it
+/// decode in place.
+const READ_BUF_LEN: usize = 64 * 1024;
 
 const TAG_TCP: u8 = 0;
 const TAG_UDP: u8 = 1;
@@ -76,77 +84,87 @@ pub fn encode_packet(pkt: &Packet, buf: &mut Vec<u8>) {
     buf.put_slice(&pkt.payload);
 }
 
+/// Length of a record's fixed part: Ethernet (source 0..8, destination
+/// 8..16, type 16..18), IPv4 (source 18..22, destination 22..26,
+/// protocol 26, TTL 27, id 28..30) and the transport tag (30).
+const FIXED_LEN: usize = 31;
+/// Length of a TCP transport section: ports, sequence, ack and flags.
+const TCP_LEN: usize = 13;
+/// Length of a UDP transport section: the ports.
+const UDP_LEN: usize = 4;
+
 /// Decode one `.nfw` record produced by [`encode_packet`]. The record
 /// must be consumed exactly; trailing bytes are an error.
-pub fn decode_packet(mut b: &[u8]) -> Result<Packet, String> {
-    fn take<'a>(b: &mut &'a [u8], n: usize) -> Result<&'a [u8], String> {
-        if b.len() < n {
-            return Err(format!(
-                "record short: wanted {n} more bytes, have {}",
-                b.len()
-            ));
+///
+/// Each section (the fixed part, the transport section, the payload
+/// length and the payload) is length-checked once; its fields are then
+/// read at fixed offsets.
+pub fn decode_packet(b: &[u8]) -> Result<Packet, String> {
+    let (fixed, rest) = section::<FIXED_LEN>(b)?;
+    let (transport, rest) = match fixed[30] {
+        TAG_TCP => {
+            let (t, rest) = section::<TCP_LEN>(rest)?;
+            let tcp = Transport::Tcp {
+                sport: u16::from_be_bytes(word::<0, _, _>(t)),
+                dport: u16::from_be_bytes(word::<2, _, _>(t)),
+                seq: u32::from_be_bytes(word::<4, _, _>(t)),
+                ack: u32::from_be_bytes(word::<8, _, _>(t)),
+                flags: t[12],
+            };
+            (tcp, rest)
         }
-        let (head, tail) = b.split_at(n);
-        *b = tail;
-        Ok(head)
-    }
-    fn u8_(b: &mut &[u8]) -> Result<u8, String> {
-        Ok(take(b, 1)?[0])
-    }
-    // `take` returns exactly `n` bytes, so the array conversions
-    // cannot fail; fold the impossible case into the short-record
-    // error rather than panicking.
-    fn u16_(b: &mut &[u8]) -> Result<u16, String> {
-        let s = take(b, 2)?;
-        Ok(u16::from_be_bytes(
-            s.try_into().map_err(|_| "bad u16 slice")?,
-        ))
-    }
-    fn u32_(b: &mut &[u8]) -> Result<u32, String> {
-        let s = take(b, 4)?;
-        Ok(u32::from_be_bytes(
-            s.try_into().map_err(|_| "bad u32 slice")?,
-        ))
-    }
-    fn u64_(b: &mut &[u8]) -> Result<u64, String> {
-        let s = take(b, 8)?;
-        Ok(u64::from_be_bytes(
-            s.try_into().map_err(|_| "bad u64 slice")?,
-        ))
-    }
-    let mut pkt = Packet {
-        eth_src: u64_(&mut b)?,
-        eth_dst: u64_(&mut b)?,
-        eth_type: u16_(&mut b)?,
-        ip_src: u32_(&mut b)?,
-        ip_dst: u32_(&mut b)?,
-        ip_proto: u8_(&mut b)?,
-        ip_ttl: u8_(&mut b)?,
-        ip_id: u16_(&mut b)?,
-        transport: Transport::Other,
-        payload: Vec::new(),
-    };
-    pkt.transport = match u8_(&mut b)? {
-        TAG_TCP => Transport::Tcp {
-            sport: u16_(&mut b)?,
-            dport: u16_(&mut b)?,
-            seq: u32_(&mut b)?,
-            ack: u32_(&mut b)?,
-            flags: u8_(&mut b)?,
-        },
-        TAG_UDP => Transport::Udp {
-            sport: u16_(&mut b)?,
-            dport: u16_(&mut b)?,
-        },
-        TAG_OTHER => Transport::Other,
+        TAG_UDP => {
+            let (t, rest) = section::<UDP_LEN>(rest)?;
+            let udp = Transport::Udp {
+                sport: u16::from_be_bytes(word::<0, _, _>(t)),
+                dport: u16::from_be_bytes(word::<2, _, _>(t)),
+            };
+            (udp, rest)
+        }
+        TAG_OTHER => (Transport::Other, rest),
         t => return Err(format!("unknown transport tag {t}")),
     };
-    let plen = u32_(&mut b)? as usize;
-    pkt.payload = take(&mut b, plen)?.to_vec();
-    if !b.is_empty() {
-        return Err(format!("{} trailing bytes after payload", b.len()));
+    let (plen, rest) = section::<4>(rest)?;
+    let plen = u32::from_be_bytes(*plen) as usize;
+    let Some((payload, trailing)) = rest.split_at_checked(plen) else {
+        return Err(short(plen, rest.len()));
+    };
+    if !trailing.is_empty() {
+        return Err(format!("{} trailing bytes after payload", trailing.len()));
     }
-    Ok(pkt)
+    Ok(Packet {
+        eth_src: u64::from_be_bytes(word::<0, _, _>(fixed)),
+        eth_dst: u64::from_be_bytes(word::<8, _, _>(fixed)),
+        eth_type: u16::from_be_bytes(word::<16, _, _>(fixed)),
+        ip_src: u32::from_be_bytes(word::<18, _, _>(fixed)),
+        ip_dst: u32::from_be_bytes(word::<22, _, _>(fixed)),
+        ip_proto: fixed[26],
+        ip_ttl: fixed[27],
+        ip_id: u16::from_be_bytes(word::<28, _, _>(fixed)),
+        transport,
+        payload: payload.to_vec(),
+    })
+}
+
+/// Split an `N`-byte section off the front of `b`.
+#[inline(always)]
+fn section<const N: usize>(b: &[u8]) -> Result<(&[u8; N], &[u8]), String> {
+    b.split_first_chunk().ok_or_else(|| short(N, b.len()))
+}
+
+/// The `N` bytes at offset `AT` of an `L`-byte section. `AT + N <= L`
+/// is checked when the call compiles, so the read cannot fail.
+#[inline(always)]
+fn word<const AT: usize, const N: usize, const L: usize>(s: &[u8; L]) -> [u8; N] {
+    const { assert!(AT + N <= L) };
+    let mut w = [0; N];
+    w.copy_from_slice(&s[AT..AT + N]);
+    w
+}
+
+/// The error for a section that wanted `wanted` bytes and had `have`.
+fn short(wanted: usize, have: usize) -> String {
+    format!("record short: wanted {wanted} more bytes, have {have}")
 }
 
 /// Streaming writer for the `.nfw` trace format.
@@ -215,7 +233,7 @@ impl NfwReader {
     /// Open `path` and validate its header.
     pub fn open(path: &str) -> Result<NfwReader, WorkloadError> {
         let f = File::open(path).map_err(|e| WorkloadError::msg(format!("{path}: {e}")))?;
-        let mut r = BufReader::new(f);
+        let mut r = BufReader::with_capacity(READ_BUF_LEN, f);
         let mut header = [0u8; NFW_HEADER_LEN as usize];
         r.read_exact(&mut header)
             .map_err(|e| WorkloadError::at(0, format!("short .nfw header: {e}")))?;
@@ -266,20 +284,39 @@ impl WorkloadSource for NfwReader {
         let mut n = 0;
         while n < max {
             let record_at = self.offset;
-            if !read_record(&mut self.r, &mut self.offset, &mut self.buf)? {
-                self.done = true;
-                if self.read != self.count {
-                    return Err(WorkloadError::at(
-                        record_at,
-                        format!(
-                            "trace ended after {} of {} packets (truncated or unfinished writer)",
-                            self.read, self.count
-                        ),
-                    ));
+            // A record whose length prefix and bytes all sit in the read
+            // buffer decodes in place. Any other (one that straddles the
+            // buffer's end, EOF, a truncation, an implausible length)
+            // goes through `read_record`, which refills the buffer and
+            // words each error.
+            let buffered = self.r.buffer().split_first_chunk::<4>();
+            let buffered =
+                buffered.and_then(|(len, rest)| rest.get(..u32::from_be_bytes(*len) as usize));
+            let decoded = match buffered {
+                Some(record) => {
+                    let (decoded, len) = (decode_packet(record), record.len());
+                    self.r.consume(4 + len);
+                    self.offset += 4 + len as u64;
+                    decoded
                 }
-                break;
-            }
-            let pkt = decode_packet(&self.buf)
+                None => {
+                    if !read_record(&mut self.r, &mut self.offset, &mut self.buf)? {
+                        self.done = true;
+                        if self.read != self.count {
+                            return Err(WorkloadError::at(
+                                record_at,
+                                format!(
+                                    "trace ended after {} of {} packets (truncated or unfinished writer)",
+                                    self.read, self.count
+                                ),
+                            ));
+                        }
+                        break;
+                    }
+                    decode_packet(&self.buf)
+                }
+            };
+            let pkt = decoded
                 .map_err(|e| WorkloadError::at(record_at, format!("bad packet record: {e}")))?;
             out.push(pkt);
             self.read += 1;
@@ -650,6 +687,118 @@ mod tests {
                 }
             },
         );
+    }
+
+    #[test]
+    fn every_cut_or_overlong_record_is_an_error() {
+        check::check(
+            "nfw_record_prefixes_err",
+            &Config::with_cases(200),
+            &arb_packet(),
+            |pkt| {
+                let mut buf = Vec::new();
+                encode_packet(pkt, &mut buf);
+                for cut in 0..buf.len() {
+                    let err = decode_packet(&buf[..cut]).unwrap_err();
+                    assert!(err.starts_with("record short: "), "{cut}: {err}");
+                }
+                buf.push(0);
+                let err = decode_packet(&buf).unwrap_err();
+                assert_eq!(err, "1 trailing bytes after payload");
+            },
+        );
+    }
+
+    /// Write `pkts` to a fresh `.nfw` trace; returns its path and each
+    /// record's byte offset.
+    fn write_trace(tag: &str, pkts: &[Packet]) -> (String, Vec<u64>) {
+        let path = temp_path(tag);
+        let mut w = NfwWriter::create(&path, 0).unwrap();
+        let mut at = Vec::with_capacity(pkts.len());
+        let mut offset = NFW_HEADER_LEN;
+        let mut buf = Vec::new();
+        for p in pkts {
+            w.push(p).unwrap();
+            at.push(offset);
+            buf.clear();
+            encode_packet(p, &mut buf);
+            offset += 4 + buf.len() as u64;
+        }
+        w.finish().unwrap();
+        (path, at)
+    }
+
+    /// Every packet of the trace at `path`, read in batches of `batch`,
+    /// or the first error.
+    fn read_trace(path: &str, batch: usize) -> (Vec<Packet>, Option<WorkloadError>) {
+        let mut r = NfwReader::open(path).unwrap();
+        let mut out = Vec::new();
+        loop {
+            match r.next_batch(&mut out, batch) {
+                Ok(0) => return (out, None),
+                Ok(_) => {}
+                Err(e) => return (out, Some(e)),
+            }
+        }
+    }
+
+    #[test]
+    fn traces_past_the_read_buffer_stream_every_packet() {
+        // Several read buffers' worth of records: most decode in place,
+        // and the ones that straddle a buffer's end take `read_record`.
+        let pkts = PacketGen::new(3).batch(4_000);
+        let (path, at) = write_trace("long", &pkts);
+        assert!(at[at.len() - 1] > 3 * READ_BUF_LEN as u64);
+        for batch in [1, 32, 5_000] {
+            assert_eq!(
+                read_trace(&path, batch),
+                (pkts.clone(), None),
+                "batch {batch}"
+            );
+        }
+        std::fs::remove_file(&path).ok();
+
+        // A record larger than the buffer, between ordinary ones.
+        let mut pkts = PacketGen::new(4).batch(600);
+        pkts[300].payload = (0..100 * 1024).map(|i| i as u8).collect();
+        let (path, _) = write_trace("huge", &pkts);
+        assert_eq!(read_trace(&path, 32), (pkts, None));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_bad_record_keeps_its_byte_offset_in_and_past_the_buffer() {
+        let pkts = PacketGen::new(5).batch(2_000);
+        let (path, at) = write_trace("badtag", &pkts);
+        let bytes = std::fs::read(&path).unwrap();
+        // The first record, one in the first buffer, the one that
+        // straddles its end, and the last.
+        let buf_end = READ_BUF_LEN as u64;
+        let straddler = at.iter().rposition(|&a| a < buf_end).unwrap();
+        assert!(at[straddler + 1] > buf_end, "record {straddler} straddles");
+        for bad in [0, 100, straddler, pkts.len() - 1] {
+            let mut corrupt = bytes.clone();
+            // The transport tag: after the length prefix and the 30
+            // bytes of Ethernet and IPv4.
+            corrupt[at[bad] as usize + 4 + 30] = 9;
+            std::fs::write(&path, &corrupt).unwrap();
+            let (good, err) = read_trace(&path, 64);
+            let err = err.expect("a bad tag is an error");
+            assert_eq!(err.offset, Some(at[bad]), "record {bad}: {err}");
+            assert!(err.msg.contains("unknown transport tag 9"), "{err}");
+            assert_eq!(good, pkts[..bad], "record {bad}: the records before it");
+        }
+
+        // Cut mid-record past the first buffer: still `truncated`, at the
+        // cut record.
+        let cut = at[1_500] as usize + 10;
+        std::fs::write(&path, &bytes[..cut]).unwrap();
+        let (good, err) = read_trace(&path, 64);
+        let err = err.expect("a cut trace is an error");
+        assert_eq!(err.offset, Some(at[1_500]), "{err}");
+        assert!(err.msg.contains("truncated"), "{err}");
+        assert_eq!(good, pkts[..1_500]);
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -99,6 +99,7 @@ use nf_trace::{Histogram, Tracer};
 use nfactor_core::{Pipeline, Synthesis};
 use nfl_interp::{Interp, StepResult, Value, ValueKey};
 use nfl_lint::{DispatchKey, ShardingReport, StateShard};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -324,17 +325,19 @@ enum BackendState {
     },
 }
 
-/// One packet's result, as its backend returned it. The worker reads
+/// Packet `'p`'s result, as its backend returned it. The worker reads
 /// whether the packet was dropped from it, and turns it into a packet
 /// list only when it keeps outputs.
-enum Stepped {
+enum Stepped<'p> {
     /// The interpreter's step: every `send`, in order.
     Interp(StepResult),
-    /// The model evaluator's or the compiled program's step.
-    Model(ModelStep),
+    /// The model evaluator's or the compiled program's step. An entry
+    /// that rewrites nothing forwards the input packet by reference, so
+    /// a run that drops outputs never copies a forwarded packet.
+    Model(ModelStep<'p>),
 }
 
-impl Stepped {
+impl Stepped<'_> {
     fn dropped(&self) -> bool {
         match self {
             Stepped::Interp(r) => r.dropped,
@@ -342,17 +345,19 @@ impl Stepped {
         }
     }
 
+    /// The packets sent, owned: a borrowed forward is copied here, and
+    /// only here.
     fn into_outputs(self) -> Vec<Packet> {
         match self {
             Stepped::Interp(r) => r.outputs,
-            Stepped::Model(m) => m.output.into_iter().collect(),
+            Stepped::Model(m) => m.output.map(Cow::into_owned).into_iter().collect(),
         }
     }
 }
 
 impl BackendState {
     /// Process one packet.
-    fn step(&mut self, pkt: &Packet) -> Result<Stepped, String> {
+    fn step<'p>(&mut self, pkt: &'p Packet) -> Result<Stepped<'p>, String> {
         match self {
             BackendState::Interp(i) => i
                 .process(pkt)
@@ -464,7 +469,7 @@ impl BackendState {
     /// contract (identical behaviour wherever the reference succeeds)
     /// makes this exact: any packet the model can evaluate produces the
     /// same output either way. `None` when the backend has no fallback.
-    fn fallback_step(&mut self, pkt: &Packet) -> Option<Result<Stepped, String>> {
+    fn fallback_step<'p>(&mut self, pkt: &'p Packet) -> Option<Result<Stepped<'p>, String>> {
         let BackendState::Compiled { prog, state } = self else {
             return None;
         };
@@ -493,14 +498,14 @@ type Journal = u64;
 /// guard. An organic compiled error is not retried: the compiled step
 /// already ran the reference step for any packet its fast path
 /// declines, so the error is the model's own.
-fn supervised_step(
+fn supervised_step<'p>(
     state: &mut BackendState,
     shard: usize,
     nth: u64,
-    pkt: &Packet,
+    pkt: &'p Packet,
     faults: &FaultPlan,
     fallbacks: &mut u64,
-) -> Result<Stepped, String> {
+) -> Result<Stepped<'p>, String> {
     let (mut inject_panic, mut inject_err, mut garbage) = (false, false, false);
     if !faults.is_empty() {
         for k in faults.at(shard, nth) {
@@ -577,13 +582,13 @@ impl Evaluator {
     /// [`supervised_step`], then supervision: a success ends the
     /// streak, and [`RESTART_AFTER`] failures in a row restart the
     /// evaluator in place.
-    fn step(
+    fn step<'p>(
         &mut self,
         shard: usize,
         nth: u64,
-        pkt: &Packet,
+        pkt: &'p Packet,
         faults: &FaultPlan,
-    ) -> Result<Stepped, String> {
+    ) -> Result<Stepped<'p>, String> {
         let stepped = supervised_step(
             &mut self.state,
             shard,

@@ -27,8 +27,12 @@
 //! (`x = x + e`, `x = e + x` or `x = x - e`, with `e` traced through
 //! locals like a key and free of state), in which case per-shard copies
 //! sum to the single-shard value — `log-only`. An overwrite (`x = 7`) or
-//! an increment that reads state does not sum. State never written is
-//! `read-only` and replicates freely.
+//! an increment that reads state does not sum. A `logVar` map under a
+//! non-flow key is held to the same rule entry by entry: `log-only` only
+//! when every write is `m[k] = m[k] + e`, `m[k] = e + m[k]` or
+//! `m[k] = m[k] - e` (one key on both sides, `e` free of state); any
+//! other entry write, or a remove, makes it `shared`. State never
+//! written is `read-only` and replicates freely.
 
 use crate::ctx::AnalysisCtx;
 use crate::diag::{Code, Diagnostic};
@@ -706,37 +710,60 @@ impl<'a> Tracer<'a> {
     /// updates.
     fn non_additive_write(&self, x: &str, writes: &[NodeId]) -> Option<String> {
         let is_x = |e: &Expr| matches!(&e.kind, ExprKind::Var(v) if v == x);
+        self.non_additive(writes, "one cell", |stmt| match &stmt.kind {
+            StmtKind::Assign {
+                target: LValue::Var(t),
+                value,
+            } if t == x => increment(value, is_x),
+            _ => None,
+        })
+    }
+
+    /// [`Tracer::non_additive_write`] for the entries of state map `m`:
+    /// every write must be `m[k] = m[k] + e`, `m[k] = e + m[k]` or
+    /// `m[k] = m[k] - e`, with one key `k` on both sides and `e` free of
+    /// state. The shard join sums each entry's per-shard deltas. Any
+    /// other write, or a remove, does not sum; neither does a first
+    /// write such as `m[k] = 0`, even under a `k not in m` guard.
+    fn non_additive_entry_write(&self, m: &str, writes: &[NodeId]) -> Option<String> {
+        self.non_additive(writes, "one map", |stmt| match &stmt.kind {
+            StmtKind::Assign {
+                target: LValue::Index(t, k),
+                value,
+            } if t == m => increment(value, |e| {
+                matches!(&e.kind, ExprKind::Index(b, j)
+                    if matches!(&b.kind, ExprKind::Var(v) if v == m) && same_expr(j, k))
+            }),
+            _ => None,
+        })
+    }
+
+    /// Why the writes at `writes` would not sum across shards: the
+    /// first whose statement `increment_of` finds no increment in, or
+    /// whose increment reads state. `None` when every write adds a
+    /// state-free amount to `what` (the reason's wording).
+    fn non_additive(
+        &self,
+        writes: &[NodeId],
+        what: &str,
+        increment_of: impl Fn(&'a Stmt) -> Option<&'a Expr>,
+    ) -> Option<String> {
         for &node in writes {
             let stmt = self.ctx.pdg.cfg.nodes[node].stmt;
-            let Some(stmt) = stmt.and_then(|sid| self.stmts.get(&sid)) else {
+            let Some(stmt) = stmt.and_then(|sid| self.stmts.get(&sid).copied()) else {
                 continue;
             };
-            let increment = match &stmt.kind {
-                StmtKind::Assign {
-                    target: LValue::Var(t),
-                    value,
-                } if t == x => match &value.kind {
-                    ExprKind::Binary(BinOp::Add, a, e) | ExprKind::Binary(BinOp::Sub, a, e)
-                        if is_x(a) =>
-                    {
-                        Some(e)
-                    }
-                    ExprKind::Binary(BinOp::Add, e, b) if is_x(b) => Some(e),
-                    _ => None,
-                },
-                _ => None,
-            };
             let line = stmt.span.line;
-            let Some(e) = increment else {
+            let Some(e) = increment_of(stmt) else {
                 return Some(format!(
                     "the write at line {line} is not an increment, so per-shard copies \
-                     do not sum to one cell"
+                     do not sum to {what}"
                 ));
             };
             if let Some(culprit) = self.state_read(node, e, &mut HashSet::new()) {
                 return Some(format!(
                     "the increment at line {line} reads {culprit}, so per-shard copies \
-                     do not sum to one cell"
+                     do not sum to {what}"
                 ));
             }
         }
@@ -942,6 +969,38 @@ fn resolve_dispatch(sites: &[&KeySite]) -> Option<DispatchKey> {
     }
 }
 
+/// The amount `e` when `value` is `x + e`, `e + x` or `x - e`, where
+/// `is_x` tells the written cell `x` apart.
+fn increment(value: &Expr, is_x: impl Fn(&Expr) -> bool) -> Option<&Expr> {
+    match &value.kind {
+        ExprKind::Binary(BinOp::Add, a, e) | ExprKind::Binary(BinOp::Sub, a, e) if is_x(a) => {
+            Some(e)
+        }
+        ExprKind::Binary(BinOp::Add, e, b) if is_x(b) => Some(e),
+        _ => None,
+    }
+}
+
+/// Whether `a` and `b` are one expression, spans aside.
+fn same_expr(a: &Expr, b: &Expr) -> bool {
+    let all = |xs: &[Expr], ys: &[Expr]| {
+        xs.len() == ys.len() && xs.iter().zip(ys).all(|(x, y)| same_expr(x, y))
+    };
+    match (&a.kind, &b.kind) {
+        (ExprKind::Tuple(xs), ExprKind::Tuple(ys)) | (ExprKind::Array(xs), ExprKind::Array(ys)) => {
+            all(xs, ys)
+        }
+        (ExprKind::Index(x, i), ExprKind::Index(y, j)) => same_expr(x, y) && same_expr(i, j),
+        (ExprKind::Binary(o, x, i), ExprKind::Binary(p, y, j)) => {
+            o == p && same_expr(x, y) && same_expr(i, j)
+        }
+        (ExprKind::Unary(o, x), ExprKind::Unary(p, y)) => o == p && same_expr(x, y),
+        (ExprKind::Call(f, xs), ExprKind::Call(g, ys)) => f == g && all(xs, ys),
+        // The rest hold no expression, so no span.
+        (x, y) => x == y,
+    }
+}
+
 /// Collect every keyed access to `states` in the per-packet function.
 fn collect_key_sites<'a>(
     ctx: &AnalysisCtx,
@@ -1135,91 +1194,95 @@ pub fn analyze(ctx: &AnalysisCtx) -> (ShardingReport, Vec<Diagnostic>) {
         let is_written = !my_writes.is_empty();
         let is_log = ctx.classes.log_vars.contains(name);
 
-        let (verdict, reason, bad_site): (StateShard, String, Option<&KeySite>) = if !is_written
-            && !read.contains(name)
-        {
-            (
-                StateShard::ReadOnly,
-                "never touched by the packet loop".into(),
-                None,
-            )
-        } else if !is_written {
-            (
-                StateShard::ReadOnly,
-                "never written during packet processing; replicate to every shard".into(),
-                None,
-            )
-        } else if is_map {
-            match my_sites.iter().find(|s| !matches!(s.origin, Origin::Flow)) {
-                None => {
-                    if let Some((fwd, rev)) = open_mirror_pair(&my_sites) {
-                        // Every key is flow-pure, but the sites form a
-                        // mirror pair that is not closed under direction
-                        // reversal (e.g. written under `ip.src`, probed
-                        // under `ip.dst`): no packet-field hash keeps the
-                        // write and the probe for one endpoint on one
-                        // shard, so the map couples flows after all.
-                        let render = |fs: &[Field]| {
-                            fs.iter().map(|f| f.path()).collect::<Vec<_>>().join(", ")
-                        };
-                        let reason = format!(
-                            "keys form an open mirror pair ({} vs {}): the write and \
+        let (verdict, reason, bad_site): (StateShard, String, Option<&KeySite>) =
+            if !is_written && !read.contains(name) {
+                (
+                    StateShard::ReadOnly,
+                    "never touched by the packet loop".into(),
+                    None,
+                )
+            } else if !is_written {
+                (
+                    StateShard::ReadOnly,
+                    "never written during packet processing; replicate to every shard".into(),
+                    None,
+                )
+            } else if is_map {
+                match my_sites.iter().find(|s| !matches!(s.origin, Origin::Flow)) {
+                    None => {
+                        if let Some((fwd, rev)) = open_mirror_pair(&my_sites) {
+                            // Every key is flow-pure, but the sites form a
+                            // mirror pair that is not closed under direction
+                            // reversal (e.g. written under `ip.src`, probed
+                            // under `ip.dst`): no packet-field hash keeps the
+                            // write and the probe for one endpoint on one
+                            // shard, so the map couples flows after all.
+                            let render = |fs: &[Field]| {
+                                fs.iter().map(|f| f.path()).collect::<Vec<_>>().join(", ")
+                            };
+                            let reason = format!(
+                                "keys form an open mirror pair ({} vs {}): the write and \
                                  the probe for one endpoint mix in the packet's other \
                                  endpoint, so they can land on different shards",
-                            render(&fwd),
-                            render(&rev)
-                        );
-                        (StateShard::Shared, reason, my_sites.first().copied())
-                    } else {
-                        (
-                            StateShard::PerFlow,
-                            format!(
-                                "all {} keys derive from the packet flow tuple",
-                                my_sites.len()
-                            ),
-                            None,
-                        )
-                    }
-                }
-                Some(bad) => {
-                    let culprit = match &bad.origin {
-                        Origin::Const => "constant key shared by every flow".to_string(),
-                        Origin::NonFlow(why) => why.clone(),
-                        Origin::Flow => unreachable!(),
-                    };
-                    let reason = format!(
-                        "{} key at line {} is not flow-derived: {}",
-                        bad.kind.as_str(),
-                        bad.span.line,
-                        culprit
-                    );
-                    if is_log {
-                        (
-                                StateShard::LogOnly,
-                                format!("{reason}; never output-impacting, so per-shard copies can be aggregated"),
+                                render(&fwd),
+                                render(&rev)
+                            );
+                            (StateShard::Shared, reason, my_sites.first().copied())
+                        } else {
+                            (
+                                StateShard::PerFlow,
+                                format!(
+                                    "all {} keys derive from the packet flow tuple",
+                                    my_sites.len()
+                                ),
                                 None,
                             )
-                    } else {
-                        (StateShard::Shared, reason, Some(bad))
+                        }
+                    }
+                    Some(bad) => {
+                        let culprit = match &bad.origin {
+                            Origin::Const => "constant key shared by every flow".to_string(),
+                            Origin::NonFlow(why) => why.clone(),
+                            Origin::Flow => unreachable!(),
+                        };
+                        let reason = format!(
+                            "{} key at line {} is not flow-derived: {}",
+                            bad.kind.as_str(),
+                            bad.span.line,
+                            culprit
+                        );
+                        if !is_log {
+                            (StateShard::Shared, reason, Some(bad))
+                        } else if let Some(why) = tracer.non_additive_entry_write(name, my_writes) {
+                            (StateShard::Shared, format!("{reason}; {why}"), Some(bad))
+                        } else {
+                            (
+                                StateShard::LogOnly,
+                                format!(
+                                    "{reason}; never output-impacting, so per-shard copies \
+                                 can be aggregated"
+                                ),
+                                None,
+                            )
+                        }
                     }
                 }
-            }
-        } else if is_log {
-            match tracer.non_additive_write(name, my_writes) {
-                None => (
-                    StateShard::LogOnly,
-                    "counter never impacts output; keep per-shard copies and aggregate".into(),
+            } else if is_log {
+                match tracer.non_additive_write(name, my_writes) {
+                    None => (
+                        StateShard::LogOnly,
+                        "counter never impacts output; keep per-shard copies and aggregate".into(),
+                        None,
+                    ),
+                    Some(reason) => (StateShard::Shared, reason, None),
+                }
+            } else {
+                (
+                    StateShard::Shared,
+                    "single cell updated on the packet path couples all flows".into(),
                     None,
-                ),
-                Some(reason) => (StateShard::Shared, reason, None),
-            }
-        } else {
-            (
-                StateShard::Shared,
-                "single cell updated on the packet path couples all flows".into(),
-                None,
-            )
-        };
+                )
+            };
 
         if verdict == StateShard::Shared {
             let span = bad_site.map(|s| s.span).unwrap_or(item.span);
@@ -1469,6 +1532,60 @@ pub(crate) mod tests {
         let popped = verdict_of(&r, "popped");
         assert_eq!(popped.verdict, StateShard::Shared);
         assert!(popped.reason.contains("`q_pop`"), "{}", popped.reason);
+        assert_eq!(r.nf_verdict(), StateShard::Shared);
+    }
+
+    #[test]
+    fn log_map_stays_log_only_only_when_every_entry_write_adds() {
+        // The shard join sums each entry's per-shard deltas of a log-only
+        // map, so only additive, state-free entry updates keep that
+        // verdict. Every key here is the non-flow `ip.ttl`.
+        let r = run(r#"
+            state n = 3;
+            state up = map();
+            state up_rev = map();
+            state down = map();
+            state set = map();
+            state moved = map();
+            state reads = map();
+            state guarded = map();
+            state removed = map();
+            fn cb(pkt: packet) {
+                let t = pkt.ip.ttl;
+                up[t] = up[t] + 1;
+                up_rev[t] = pkt.ip.id + up_rev[t];
+                down[pkt.ip.ttl] = down[pkt.ip.ttl] - 2;
+                set[t] = 7;
+                moved[t] = moved[pkt.ip.id] + 1;
+                reads[t] = reads[t] + n;
+                if t not in guarded { guarded[t] = 0; }
+                guarded[t] = guarded[t] + 1;
+                removed[t] = removed[t] + 1;
+                map_remove(removed, pkt.ip.id);
+                send(pkt);
+            }
+            fn main() { sniff(cb); }
+        "#);
+        for var in ["up", "up_rev", "down"] {
+            let v = verdict_of(&r, var);
+            assert_eq!(v.verdict, StateShard::LogOnly, "{var}: {}", v.reason);
+        }
+        for (var, line, why) in [
+            ("set", 16, "not an increment"),
+            ("moved", 17, "not an increment"),
+            ("reads", 18, "reads state `n`"),
+            ("guarded", 19, "not an increment"),
+            ("removed", 22, "not an increment"),
+        ] {
+            let v = verdict_of(&r, var);
+            assert_eq!(v.verdict, StateShard::Shared, "{var}");
+            let at = format!("line {line} ");
+            assert!(
+                v.reason.contains(&at) && v.reason.contains(why),
+                "{var}: {}",
+                v.reason
+            );
+        }
         assert_eq!(r.nf_verdict(), StateShard::Shared);
     }
 

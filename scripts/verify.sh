@@ -300,6 +300,25 @@ for run in interp:4 model:4 compiled:4 compiled:1; do
     echo "    100000 fresh-flow packets on $backend x$shards, $pinholes merged pinholes: ok"
 done
 
+echo "==> .nfw decode smoke: a 100k-packet trace equals its generated stream"
+# A .nfw record decodes out of the reader's buffer at fixed offsets, or,
+# when it straddles the buffer's end, through the framed record reader.
+# Snort's per-rule, TTL, fragment and payload-byte counters read most of
+# what a record carries, so its merged state over the decoded trace must
+# equal its merged state over the same stream generated in memory.
+./target/release/nfactor workload --seed 7 --packets 100000 "$tracedir/snort.nfw" > /dev/null
+printf '{"seed": 7, "packets": 100000}\n' > "$tracedir/snort-gen.json"
+decoded=$(./target/release/nfactor run --corpus snort --backend interp \
+    --workload "$tracedir/snort.nfw" | merged_state)
+generated=$(./target/release/nfactor run --corpus snort --backend interp \
+    --workload "$tracedir/snort-gen.json" | merged_state)
+if [ -z "$decoded" ] || [ "$decoded" != "$generated" ]; then
+    echo "    snort's merged state over the .nfw trace differs from the generated stream's:"
+    diff <(printf '%s\n' "$decoded") <(printf '%s\n' "$generated") | head -20
+    exit 1
+fi
+echo "    snort merged state over 100000 decoded packets == generated stream: ok"
+
 echo "==> NAT port-exhaustion smoke: 86k packets on model and compiled"
 # Past ~80k seed-1 packets the NAT runs out of ports: new flows fail
 # and are quarantined, and every third failure in a row restarts the

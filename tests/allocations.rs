@@ -1,0 +1,151 @@
+//! Heap allocations per packet, pinned.
+//!
+//! A warm compiled or model step whose fired entry rewrites nothing
+//! forwards the input packet by reference, so it allocates nothing; a
+//! `.nfw` record decodes straight out of the reader's buffer, so its
+//! payload is the one allocation it makes. A counting global allocator
+//! keeps per-thread tallies, so each test counts only what its own
+//! thread allocates while the harness runs tests side by side.
+
+use nfactor::compile::{compile, CompiledState};
+use nfactor::core::accuracy::initial_model_state;
+use nfactor::core::Pipeline;
+use nfactor::interp::Interp;
+use nfactor::packet::{NfwReader, NfwWriter, Packet, PacketGen};
+use nfactor::support::workload::WorkloadSource;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    /// Allocations (and reallocations) this thread has made.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+fn count() {
+    // A thread's allocations after its locals are torn down go
+    // uncounted.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// whose `GlobalAlloc` implementation is sound; the counter only
+// observes that a call happened.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: the caller upholds `alloc`'s contract for `layout`.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: the caller upholds `alloc_zeroed`'s contract.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` was allocated by this allocator, hence by
+        // `System`, with `layout`, as the caller guarantees.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        // SAFETY: as for `dealloc`, plus the caller's guarantees on
+        // `new_size`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+/// What `f` returns, and how many allocations it made on this thread.
+fn allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = ALLOCS.with(Cell::get);
+    let out = f();
+    (out, ALLOCS.with(Cell::get) - before)
+}
+
+/// The packets every test steps or decodes.
+fn packets() -> Vec<Packet> {
+    PacketGen::new(0xC0DE).batch(4_000)
+}
+
+/// Synthesize `src`, then count the allocations of a second pass of
+/// `pkts` through the compiled step and through the model step, each on
+/// a state the first pass warmed. Returns `(compiled, model)` counts.
+fn step_allocations(name: &str, src: &str, pkts: &[Packet]) -> (u64, u64) {
+    let pipeline = Pipeline::builder().name(name).build().unwrap();
+    let syn = pipeline.synthesize(src).unwrap();
+    let interp = Interp::new(&syn.nf_loop).unwrap();
+    let init = initial_model_state(&syn, &interp);
+    let prog = compile(&syn.model, &init).unwrap();
+
+    let mut cs = CompiledState::new(&prog);
+    let mut forwarded = 0;
+    for p in pkts {
+        forwarded += usize::from(cs.step(&prog, p).unwrap().output.is_some());
+    }
+    assert!(forwarded > 0, "{name}: no packet forwarded");
+    let ((), compiled) = allocations(|| {
+        for p in pkts {
+            std::hint::black_box(cs.step(&prog, p).unwrap());
+        }
+    });
+
+    let mut ms = init;
+    for p in pkts {
+        ms.step(&syn.model, p).unwrap();
+    }
+    let ((), model) = allocations(|| {
+        for p in pkts {
+            std::hint::black_box(ms.step(&syn.model, p).unwrap());
+        }
+    });
+    (compiled, model)
+}
+
+#[test]
+fn warm_snort_steps_allocate_nothing() {
+    let src = nfactor::corpus::snort::source(25);
+    let (compiled, model) = step_allocations("snort", &src, &packets());
+    assert_eq!((compiled, model), (0, 0), "(compiled, model)");
+}
+
+#[test]
+fn warm_compiled_ratelimiter_steps_allocate_nothing() {
+    let src = nfactor::corpus::ratelimiter::source();
+    let (compiled, _) = step_allocations("ratelimiter", &src, &packets());
+    assert_eq!(compiled, 0);
+}
+
+#[test]
+fn a_decoded_record_allocates_only_its_payload() {
+    /// A reader's own allocations: its read buffer, its fallback record
+    /// buffer and that buffer's growth.
+    const PER_READER: u64 = 4;
+    let pkts = packets();
+    let path = std::env::temp_dir().join(format!("nfw-allocations-{}", std::process::id()));
+    let path = path.to_string_lossy().into_owned();
+    let mut w = NfwWriter::create(&path, 0).unwrap();
+    for p in &pkts {
+        w.push(p).unwrap();
+    }
+    w.finish().unwrap();
+
+    let payloads = pkts.iter().filter(|p| !p.payload.is_empty()).count() as u64;
+    let mut out = Vec::with_capacity(pkts.len());
+    let ((), n) = allocations(|| {
+        let mut r = NfwReader::open(&path).unwrap();
+        while r.next_batch(&mut out, 32).unwrap() > 0 {}
+    });
+    std::fs::remove_file(&path).ok();
+    assert_eq!(out, pkts);
+    assert!(
+        (payloads..=payloads + PER_READER).contains(&n),
+        "{n} allocations decoding {payloads} records with a payload"
+    );
+}

@@ -204,3 +204,24 @@ fn non_additive_log_scalars_are_shared_and_consistent() {
         false,
     );
 }
+
+/// A log-only map is merged by summing each entry's per-shard deltas,
+/// so an entry overwrite (`m[ttl] = 7`) makes the map `shared`, and the
+/// NF runs under the global lock like the single reference. Under a
+/// partitioned plan the delta sum merged `m = {64: 28}` on 4 busy
+/// shards, against `{64: 7}` on one.
+#[test]
+fn non_additive_log_map_is_shared_and_consistent() {
+    oracle(
+        "entry-overwrite",
+        r#"
+        state m = map();
+        fn cb(pkt: packet) {
+            m[pkt.ip.ttl] = 7;
+            send(pkt);
+        }
+        fn main() { sniff(cb); }
+    "#,
+        false,
+    );
+}
