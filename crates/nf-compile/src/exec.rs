@@ -2,16 +2,16 @@
 //!
 //! [`CompiledState`] is the state of one deployment: the program's
 //! initial store ([`ModelState`], from `nf-model`), stepped, plus the
-//! predicate memo and the buffer of pending writes. One
-//! [`step`](CompiledState::step) takes the compiled fast step or runs
-//! the reference step, on the same store:
+//! predicate memo. One [`step`](CompiledState::step) takes the compiled
+//! fast step or runs the reference step, on the same store:
 //!
 //! * the fast step walks the decision tree to a leaf, checks the leaf
 //!   candidates' obligations (residual flow literals, then state tags)
 //!   in reference order, and fires the first full match exactly as the
-//!   reference step would: all terms evaluated against the *pre* state,
-//!   then committed through the store's one commit path
-//!   ([`ModelState::commit`]), scalars before maps, in source order;
+//!   reference step would: all terms evaluated against the *pre* state
+//!   into the store's pending writes ([`ModelState::pending`]), then
+//!   committed through its one commit path ([`ModelState::commit`]),
+//!   scalars before maps, in source order;
 //! * wherever the fast path declines a term (see [`crate::expr`]), a
 //!   rewrite does not fit its field, or the tree has no child for the
 //!   packet, the fast step gives up before it commits anything, and the
@@ -58,9 +58,6 @@ pub struct CompiledState {
     /// the generation at every step, so a truth value is never read
     /// after its packet, nor after a revert.
     memo: Vec<(u64, bool)>,
-    /// The fired entry's writes between evaluation and commit; empty
-    /// between steps, kept for its allocations.
-    pending: Writes,
 }
 
 impl CompiledState {
@@ -69,7 +66,6 @@ impl CompiledState {
         CompiledState {
             store: prog.init.clone(),
             memo: vec![(0, false); prog.pred_count()],
-            pending: Writes::default(),
         }
     }
 
@@ -134,8 +130,8 @@ impl CompiledState {
             });
         };
         let entry = &prog.entries[ei];
-        let output = evaluate(&env, pkt, entry, &mut self.pending)?;
-        self.store.commit(&mut self.pending);
+        let output = evaluate(&env, pkt, entry, &mut self.store.pending)?;
+        self.store.commit();
         Some(ModelStep {
             output,
             fired: Some(entry.origin),
@@ -235,9 +231,9 @@ fn select(
 
 /// Evaluate the fired entry's rewrites, updates and map operations
 /// against the pre-state, exactly as the reference step does: returns
-/// the output packet and leaves the writes in `pending`. `pkt` is
-/// `env`'s packet; an entry that rewrites nothing forwards it by
-/// reference, as the reference step does.
+/// the output packet and leaves the writes in `pending`, which the
+/// step began empty. `pkt` is `env`'s packet; an entry that rewrites
+/// nothing forwards it by reference, as the reference step does.
 #[inline]
 fn evaluate<'p>(
     env: &RunEnv,
@@ -245,9 +241,6 @@ fn evaluate<'p>(
     entry: &CEntry,
     pending: &mut Writes,
 ) -> Option<Option<Cow<'p, Packet>>> {
-    // An earlier step that declined mid-evaluation may have left writes.
-    pending.slots.clear();
-    pending.maps.clear();
     let output = match &entry.flow_action {
         CFlowAction::Drop => None,
         CFlowAction::Forward { rewrites } => {
@@ -310,9 +303,9 @@ mod tests {
     /// store (`store.step`); assert identical per-packet results and
     /// final snapshots. Halfway through, the compiled state is
     /// restarted as the supervisor does: its predicate memo is cleared,
-    /// no probe memo is left, and its generation must not go back. After every packet, and after
-    /// reverting a copy of it, the consuming snapshot must equal the
-    /// copying one.
+    /// no probe memo is left, and its generation must not go back. A
+    /// reverted copy of the state after every packet must equal the
+    /// state before it.
     fn lockstep(src: &str, init: ModelState, pkts: &[Packet]) {
         let m = model_of(src);
         let prog = compile(&m, &init).unwrap();
@@ -343,19 +336,9 @@ mod tests {
             let on_arena = arena.store.step(&m, p).expect("model_step");
             assert_eq!(on_arena, want, "packet {i} model_step");
             let after = cs.snapshot(&prog);
-            assert_eq!(
-                cs.store.clone().into_snapshot(),
-                after,
-                "packet {i} into_snapshot"
-            );
             let mut undone = cs.clone();
             undone.store.revert();
             assert_eq!(undone.snapshot(&prog), before, "packet {i} revert");
-            assert_eq!(
-                undone.store.into_snapshot(),
-                before,
-                "packet {i} reverted into_snapshot"
-            );
             before = after;
         }
         let want = ms.snapshot();

@@ -23,7 +23,7 @@
 //! evaluated.
 
 use crate::model::{Entry, FlowAction, Model};
-use crate::store::{ModelState, Writes};
+use crate::store::ModelState;
 use nf_packet::Packet;
 use nfl_interp::value::{stable_hash, Value};
 use nfl_lang::BinOp;
@@ -143,7 +143,9 @@ fn fire<'p>(
             Some(out)
         }
     };
-    let mut writes = Writes::default();
+    // The store's pending-writes buffer, taken out while the terms read
+    // the store; an error drops it with the writes it holds.
+    let mut writes = std::mem::take(&mut st.pending);
     for (name, term) in &entry.state_action.updates {
         let v = eval_on(st, term, pkt)?;
         writes.slots.push((st.slot_target(name)?, v));
@@ -165,7 +167,8 @@ fn fire<'p>(
             }
         }
     }
-    st.commit(&mut writes);
+    st.pending = writes;
+    st.commit();
     Ok(output)
 }
 

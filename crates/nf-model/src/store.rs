@@ -12,13 +12,14 @@
 //! * the scalar slot arena (`None`: unset) and one `HashMap` arena per
 //!   map, with a flag per map saying whether it has materialised
 //!   (declared, or written since);
-//! * the undo log of the most recent step, guarded by a step
-//!   generation.
+//! * the pending writes of the step under way, and the undo log of the
+//!   most recent step, guarded by a step generation.
 //!
-//! Every step commits through [`ModelState::commit`], which banks the
-//! pre-image of each write, so [`ModelState::revert`] undoes the step in
-//! O(entries it touched). What a store holds observably is its by-name
-//! view ([`ModelState::snapshot`]): the configs, the set scalars and the
+//! Every step fills the one pending-writes buffer and commits it
+//! through [`ModelState::commit`], which banks the pre-image of each
+//! write, so [`ModelState::revert`] undoes the step in O(entries it
+//! touched). What a store holds observably is its by-name view
+//! ([`ModelState::snapshot`]): the configs, the set scalars and the
 //! materialised maps. Two stores are `==` exactly when those views are,
 //! whatever their layout order or their maps' history. A name is one
 //! config, scalar or map, never two of them, as NFL globals are.
@@ -81,6 +82,11 @@ pub struct ModelState {
     /// not materialised is empty.
     pub maps: Vec<HashMap<ValueKey, Value>>,
     layout: Arc<Layout>,
+    /// The fired entry's writes between evaluation and
+    /// [`commit`](Self::commit), resolved to slots and arenas. Both the
+    /// reference step and the compiled step fill it; it is empty between
+    /// steps and keeps its allocations.
+    pub pending: Writes,
     /// Whether each map has materialised: only those are observable.
     materialized: Vec<bool>,
     /// Step generation, bumped by [`begin_step`](Self::begin_step).
@@ -239,27 +245,30 @@ impl ModelState {
     }
 
     /// Start a step: bump the generation and forget the previous step's
-    /// pre-images. Returns the new generation.
+    /// pre-images, and any writes a step that gave up left pending.
+    /// Returns the new generation.
     #[inline]
     pub fn begin_step(&mut self) -> u64 {
         self.generation += 1;
         self.undo_slots.clear();
         self.undo_maps.clear();
+        self.pending.slots.clear();
+        self.pending.maps.clear();
         self.generation
     }
 
-    /// Commit a fired entry's writes, scalars before maps, each in
-    /// order, banking every pre-image (and whether the map had
-    /// materialised) for [`revert`](Self::revert). Drains `writes` and
-    /// keeps its allocations. Nothing here can fail, so a step either
-    /// fails before its commit or commits all of it.
+    /// Commit the [`pending`](Self::pending) writes, scalars before
+    /// maps, each in order, banking every pre-image (and whether the map
+    /// had materialised) for [`revert`](Self::revert). Drains the buffer
+    /// and keeps its allocations. Nothing here can fail, so a step
+    /// either fails before its commit or commits all of it.
     #[inline]
-    pub fn commit(&mut self, writes: &mut Writes) {
-        for (slot, v) in writes.slots.drain(..) {
+    pub fn commit(&mut self) {
+        for (slot, v) in self.pending.slots.drain(..) {
             let prev = self.scalars[slot].replace(v);
             self.undo_slots.push((slot, prev));
         }
-        for (map, k, v) in writes.maps.drain(..) {
+        for (map, k, v) in self.pending.maps.drain(..) {
             let was = std::mem::replace(&mut self.materialized[map], true);
             let prev = match v {
                 Some(v) => self.maps[map].insert(k.clone(), v),
@@ -287,30 +296,18 @@ impl ModelState {
     }
 
     /// The by-name view: configs, set scalars and materialised maps,
-    /// each map in key order. It copies every entry; a caller done with
-    /// the store takes [`into_snapshot`](Self::into_snapshot).
+    /// each map in key order, copied. Each part comes in name order, so
+    /// the view is built from sorted runs instead of by one insert per
+    /// name; a later part wins a name, as in an insert per name.
     pub fn snapshot(&self) -> BTreeMap<String, Value> {
-        by_name(
-            &self.layout,
-            self.configs.clone(),
-            |i| self.scalars[i].clone(),
-            |i| {
-                let m = self.materialized[i].then_some(&self.maps[i])?;
-                Some(m.iter().map(|(k, v)| (k.clone(), v.clone())).collect())
-            },
-        )
-    }
-
-    /// [`snapshot`](Self::snapshot), consuming the store: every value
-    /// and entry moves into the view, none is copied.
-    pub fn into_snapshot(self) -> BTreeMap<String, Value> {
-        let (mut scalars, mut maps) = (self.scalars, self.maps);
-        by_name(
-            &self.layout,
-            self.configs,
-            |i| scalars[i].take(),
-            |i| self.materialized[i].then(|| std::mem::take(&mut maps[i]).into_iter().collect()),
-        )
+        let configs = self.configs.iter().map(|(n, v)| (n.clone(), v.clone()));
+        let scalars = self.scalars_by_name();
+        let scalars = scalars.map(|(n, v)| (n.to_string(), v.clone()));
+        let maps = self.maps_by_name().map(|(n, m)| {
+            let entries = m.iter().map(|(k, v)| (k.clone(), v.clone()));
+            (n.to_string(), Value::Map(entries.collect()))
+        });
+        configs.chain(scalars).chain(maps).collect()
     }
 
     /// Consume the store into its [`Parts`], by position: every value
@@ -332,27 +329,9 @@ fn not_in_layout(name: &str) -> EvalError {
     EvalError::Stuck(format!("state `{name}` is not in the compiled program"))
 }
 
-/// The by-name view of a store's parts: `scalar(i)` is slot `i`'s value
-/// and `map(i)` map `i`'s entries in key order (`None`: not
-/// materialised), by copy or by move. Each part comes in name order, so
-/// the view is built from sorted runs instead of by one insert per
-/// name; a later part wins a name, as in an insert per name.
-fn by_name(
-    layout: &Layout,
-    configs: BTreeMap<String, Value>,
-    mut scalar: impl FnMut(usize) -> Option<Value>,
-    mut map: impl FnMut(usize) -> Option<BTreeMap<ValueKey, Value>>,
-) -> BTreeMap<String, Value> {
-    let scalars = layout.slot_index.iter();
-    let scalars = scalars.filter_map(|(n, &i)| Some((n.clone(), scalar(i)?)));
-    let maps = layout.map_index.iter();
-    let maps = maps.filter_map(|(n, &i)| Some((n.clone(), Value::Map(map(i)?))));
-    configs.into_iter().chain(scalars).chain(maps).collect()
-}
-
 impl PartialEq for ModelState {
-    /// By-name equality: layouts, generations and undo logs are
-    /// bookkeeping.
+    /// By-name equality: layouts, generations, pending writes and undo
+    /// logs are bookkeeping.
     fn eq(&self, other: &Self) -> bool {
         self.configs == other.configs
             && self.scalars_by_name().eq(other.scalars_by_name())

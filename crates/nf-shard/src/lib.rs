@@ -15,23 +15,24 @@
 //! * **log-only** counters keep independent per-shard copies that are
 //!   delta-summed after the run;
 //! * **shared** state (or a per-flow map whose key shape could not be
-//!   resolved) drops the NF to a single instance behind a ticket-
-//!   ordered global lock — slower, but bit-identical to the
-//!   single-threaded run.
+//!   resolved) drops the NF to a global lock: one instance steps every
+//!   packet in arrival order on one thread — no faster than one shard,
+//!   but bit-identical to the single-threaded run.
 //!
 //! Every run is one dispatcher, one per-packet worker body per shard,
 //! and one of two executors. The dispatcher pulls, routes and numbers
 //! packets and applies dispatch-side faults; the worker steps each
 //! packet under supervision on the evaluator the plan's state-access
-//! policy hands it (its own when partitioned, the one shared evaluator
-//! under the lock). The threaded executor runs the workers as
-//! `std::thread`s fed over the `nf_support::spsc` rings; the inline
-//! executor steps each packet as it is routed, on the calling thread.
-//! Per-shard metrics (`shard.N.pkts` counters, `shard.N.ring.wait.ns`
-//! and `lock.wait.ns` histograms) flow into the session's `nf-trace`
-//! tracer. There is no work stealing by design: moving a packet off
-//! its hash-assigned shard would abandon the flow-state locality the
-//! dispatch exists to provide.
+//! policy hands it (its own when partitioned, the one evaluator under
+//! the lock). The threaded executor runs a partitioned run's workers as
+//! `std::thread`s fed over the `nf_support::spsc` rings, the only thing
+//! they share; the inline executor steps each batch as it is routed, on
+//! the calling thread, and runs every global-lock run. Per-shard
+//! metrics (`shard.N.pkts` counters, `shard.N.ring.wait.ns`
+//! histograms) flow into the session's `nf-trace` tracer. There is no
+//! work stealing by design: moving a packet off its hash-assigned shard
+//! would abandon the flow-state locality the dispatch exists to
+//! provide.
 //!
 //! The runtime is **supervised** ([`supervise`]): each packet's eval is
 //! isolated behind `catch_unwind` with journal-based state rollback, a

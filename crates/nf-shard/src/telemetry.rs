@@ -180,8 +180,8 @@ impl WorkerTelemetry {
         self.since_flush += 1;
     }
 
-    /// Record the ring depth observed at dequeue (threaded modes only;
-    /// the sequential simulations have no rings).
+    /// Record the ring depth observed at dequeue (threaded partitioned
+    /// runs only; inline runs have no rings).
     pub fn occupancy(&mut self, depth: u64) {
         self.pending_occupancy.observe(depth);
     }
@@ -307,8 +307,8 @@ pub struct RunStats {
     /// Per-shard summaries, indexed by shard.
     pub shards: Vec<ShardStats>,
     /// Wall-clock nanoseconds the dispatcher spent steering packets
-    /// (threaded modes; 0 in the sequential simulations, where dispatch
-    /// and eval interleave on one thread).
+    /// (threaded partitioned runs; 0 in inline runs, where dispatch and
+    /// eval interleave on one thread).
     pub dispatch_ns: u64,
     /// Wall-clock nanoseconds merging per-shard state at join.
     pub merge_ns: u64,

@@ -1,5 +1,5 @@
 //! The sharding differential oracle: for every corpus NF, a sharded
-//! run (4 worker threads, state placed per the lint's ShardingReport)
+//! run (4 shards, state placed per the lint's ShardingReport)
 //! must be observationally identical to the single-threaded
 //! interpreter — same per-packet outputs in arrival order, same merged
 //! final state.
@@ -7,8 +7,9 @@
 //! The per-flow NFs (firewall, portknock, ratelimiter, router, snort)
 //! exercise partitioned dispatch — including portknock/ratelimiter's
 //! source-IP-only key and the firewall's direction-symmetric pinhole
-//! key; the shared NFs (fig1-lb, nat, balance) exercise the
-//! ticket-ordered global-lock fallback.
+//! key; the shared NFs (fig1-lb, nat, balance) exercise the global-lock
+//! fallback, where one evaluator steps every packet in arrival order on
+//! the calling thread and the run joins that one evaluator.
 
 use crate::harness::{for_each_backend_pair, DiffEngine, Mode, StateScope};
 use nfactor::core::Pipeline;
