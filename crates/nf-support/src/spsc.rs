@@ -91,12 +91,6 @@ impl Backoff {
         self.round
     }
 
-    /// Whether the next [`snooze`](Backoff::snooze) will yield the
-    /// thread rather than spin.
-    pub fn yields(&self) -> bool {
-        self.round >= SPIN_ROUNDS
-    }
-
     /// Wait one round: spin `2^round` times while `round <
     /// SPIN_ROUNDS`, otherwise yield.
     pub fn snooze(&mut self) {
@@ -345,16 +339,13 @@ mod tests {
     fn backoff_spins_then_yields() {
         let mut b = Backoff::new();
         assert_eq!(b.rounds(), 0);
-        assert!(!b.yields());
         for _ in 0..SPIN_ROUNDS {
             b.snooze();
         }
-        assert!(b.yields());
         b.snooze();
         assert_eq!(b.rounds(), SPIN_ROUNDS + 1);
         b.reset();
         assert_eq!(b.rounds(), 0);
-        assert!(!b.yields());
     }
 
     /// A consumer that sleeps between takes must not starve the

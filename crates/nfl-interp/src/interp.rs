@@ -107,8 +107,7 @@ pub struct Interp {
     code: Arc<Code>,
     /// Globals — consts, configs and states — by slot, in declaration
     /// order, named by [`global_names`](Self::global_names);
-    /// [`global`](Self::global) and
-    /// [`into_snapshot`](Self::into_snapshot) read them by name.
+    /// [`global`](Self::global) reads one by name.
     pub globals: Vec<Value>,
     packets_seen: u64,
     /// Pre-images of every write the most recent
@@ -418,17 +417,6 @@ impl Interp {
     /// verifier).
     pub fn global(&self, name: &str) -> Option<&Value> {
         self.globals.get(*self.code.index.get(name)?)
-    }
-
-    /// Consume the interpreter into a by-name view of its globals:
-    /// every value moves into the view.
-    pub fn into_snapshot(self) -> BTreeMap<String, Value> {
-        self.code
-            .globals
-            .iter()
-            .cloned()
-            .zip(self.globals)
-            .collect()
     }
 
     /// Process one packet through the per-packet function.
@@ -1451,7 +1439,11 @@ mod more_tests {
     }
 
     fn sorted_globals(i: &Interp) -> BTreeMap<String, Value> {
-        i.clone().into_snapshot()
+        i.global_names()
+            .iter()
+            .cloned()
+            .zip(i.globals.iter().cloned())
+            .collect()
     }
 
     #[test]

@@ -18,6 +18,7 @@ use nfactor::model::ModelState;
 use nfactor::packet::{Field, Packet, PacketGen, TcpFlags};
 use nfactor::support::rng::Rng;
 use nfactor::symex::{Solver, SymVal};
+use std::collections::BTreeMap;
 
 /// Wire-format round trip for arbitrary header values.
 #[test]
@@ -244,7 +245,10 @@ fn step_then_revert_restores_state() {
     let interp_state = |i: &Interp| {
         format!(
             "{:?} packets_seen={}",
-            i.clone().into_snapshot(),
+            i.global_names()
+                .iter()
+                .zip(&i.globals)
+                .collect::<BTreeMap<_, _>>(),
             i.packets_seen()
         )
     };
