@@ -154,14 +154,14 @@ fn fire<'p>(
         match op {
             MapOp::Insert { map, key, value } => {
                 let k = eval_on(st, key, pkt)?
-                    .as_key()
+                    .into_key()
                     .ok_or_else(|| EvalError::Stuck("unkeyable map key".into()))?;
                 let v = eval_on(st, value, pkt)?;
                 writes.maps.push((st.map_target(map)?, k, Some(v)));
             }
             MapOp::Remove { map, key } => {
                 let k = eval_on(st, key, pkt)?
-                    .as_key()
+                    .into_key()
                     .ok_or_else(|| EvalError::Stuck("unkeyable map key".into()))?;
                 writes.maps.push((st.map_target(map)?, k, None));
             }
@@ -257,7 +257,7 @@ fn eval_on(st: &ModelState, term: &SymVal, pkt: &Packet) -> Result<Value, EvalEr
         }
         SymVal::MapGet(map, key) => {
             let k = eval_on(st, key, pkt)?
-                .as_key()
+                .into_key()
                 .ok_or_else(|| EvalError::Stuck("unkeyable key".into()))?;
             st.map(map)
                 .and_then(|m| m.get(&k))
@@ -266,7 +266,7 @@ fn eval_on(st: &ModelState, term: &SymVal, pkt: &Packet) -> Result<Value, EvalEr
         }
         SymVal::MapContains(map, key) => {
             let k = eval_on(st, key, pkt)?
-                .as_key()
+                .into_key()
                 .ok_or_else(|| EvalError::Stuck("unkeyable key".into()))?;
             Ok(Value::Bool(st.map(map).is_some_and(|m| m.contains_key(&k))))
         }

@@ -29,8 +29,11 @@
 //! * one **worker** per shard runs the per-packet body: the supervised
 //!   step on the evaluator the policy hands it, telemetry, counters and
 //!   retained outputs (built only when the run keeps them). It steps
-//!   packets in *runs* of back-to-back steps and reads the clock once
-//!   per run for its busy time;
+//!   packets in *runs* of back-to-back steps and reads the clock twice
+//!   per run for its busy time; with telemetry on it reads it once per
+//!   packet instead, plus once per run, and chains the stamps, so each
+//!   packet's latency is the time since the previous stamp and a
+//!   shard's latencies sum to its busy time;
 //! * an **executor** connects the two. The threaded executor runs a
 //!   partitioned [`RunMode::Threaded`] run's workers on scoped
 //!   `std::thread`s fed over SPSC rings, one bin of up to a batch of
@@ -88,15 +91,16 @@ use crate::supervise::{
     panic_message, quiet_catch_unwind, scramble_packet, Quarantine, QuarantineRecord,
     INJECTED_RING_DEADLINE, QUARANTINE_CAP, RESTART_AFTER,
 };
-use crate::telemetry::{FlightOutcome, RunStats, TelemetryConfig, WorkerTelemetry, HOTKEYS_K};
+use crate::telemetry::{
+    FlightOutcome, HotKeySketch, RunStats, TelemetryConfig, WorkerTelemetry, HOTKEYS_K,
+};
 use nf_compile::{CompiledProgram, CompiledState};
 use nf_model::{Model, ModelState, ModelStep};
 use nf_packet::Packet;
 use nf_support::fault::{FaultKind, FaultPlan};
-use nf_support::sketch::TopK;
 use nf_support::spsc::{Backoff, Consumer, Producer, TrySendError};
 use nf_support::workload::WorkloadSource;
-use nf_trace::{Histogram, Tracer};
+use nf_trace::{Histogram, Tracer, DEFAULT_NS_BUCKETS};
 use nfactor_core::{Pipeline, Synthesis};
 use nfl_interp::{Interp, StepResult, Value, ValueKey};
 use nfl_lint::{DispatchKey, ShardingReport, StateShard};
@@ -669,7 +673,7 @@ fn send_bin(
 /// Whether a shard's hot-key sketch proves a genuine heavy hitter: the
 /// top entry's count lower bound (count − err) must clear the sketch's
 /// tracking guarantee, so mere uniform load never opens a divert.
-fn has_heavy_hitter(sketch: &TopK<Vec<u64>>) -> bool {
+fn has_heavy_hitter(sketch: &HotKeySketch) -> bool {
     sketch
         .entries()
         .first()
@@ -738,7 +742,7 @@ impl Rebalancer {
     /// drained to half the high-water mark, open one (to the
     /// least-loaded shard) where load is high *and* the sketch proves a
     /// heavy hitter.
-    fn boundary(&mut self, loads: &[u64], sketches: &[TopK<Vec<u64>>]) {
+    fn boundary(&mut self, loads: &[u64], sketches: &[HotKeySketch]) {
         if !self.enabled {
             return;
         }
@@ -780,39 +784,56 @@ struct ShardWorker<'a> {
 
 impl<'a> ShardWorker<'a> {
     /// Step a run of back-to-back packets `(seq, nth, packet)` on `ev`,
-    /// and add the run's wall time to busy time: the clock is read once
-    /// per run, not per packet. An empty run reads no clock.
+    /// and add the run's wall time to busy time. `start` is the run's
+    /// first clock stamp when the caller already holds one (a ring
+    /// wait's end, the previous stretch's last stamp); otherwise the
+    /// run reads it. Returns the run's last stamp, or `start` for an
+    /// empty run, which reads no clock.
+    ///
+    /// With telemetry on, the clock is read once per packet, right
+    /// after its step, and the stamps chain: a packet's latency is the
+    /// time since the previous stamp (its own step plus the previous
+    /// packet's accounting), and busy time is the last stamp minus the
+    /// first, so a shard's latency samples sum exactly to its busy
+    /// time. With telemetry off the run reads the clock once more, at
+    /// its end.
     fn run<'p>(
         &mut self,
         ev: &mut Evaluator,
         rows: impl IntoIterator<Item = (u64, u64, &'p Packet)>,
-    ) {
+        start: Option<Instant>,
+    ) -> Option<Instant> {
         let mut rows = rows.into_iter().peekable();
         if rows.peek().is_none() {
-            return;
+            return start;
         }
-        let t0 = self.tracer.now();
+        let first = start.unwrap_or_else(|| self.tracer.now());
+        let mut last = first;
         for (seq, nth, pkt) in rows {
-            self.handle(ev, seq, nth, pkt);
+            self.handle(ev, seq, nth, pkt, &mut last);
         }
-        self.busy_ns += self.tracer.now().saturating_duration_since(t0).as_nanos() as u64;
+        if self.tel.is_none() {
+            last = self.tracer.now();
+        }
+        self.busy_ns += ns_between(first, last);
+        Some(last)
     }
 
-    /// Step one packet on `ev` under supervision and account it. The
-    /// packet's own eval latency is timed only while telemetry records
-    /// it.
-    fn handle(&mut self, ev: &mut Evaluator, seq: u64, nth: u64, pkt: &Packet) {
-        let t0 = self.tel.is_some().then(|| self.tracer.now());
+    /// Step one packet on `ev` under supervision and account it. While
+    /// telemetry records, the packet's stamp is read right after its
+    /// step and becomes `last`.
+    fn handle(&mut self, ev: &mut Evaluator, seq: u64, nth: u64, pkt: &Packet, last: &mut Instant) {
         let step = ev.step(self.shard, nth, pkt, self.faults);
-        if let (Some(tel), Some(t0)) = (self.tel.as_mut(), t0) {
-            let step_ns = self.tracer.now().saturating_duration_since(t0).as_nanos() as u64;
+        if let Some(tel) = self.tel.as_mut() {
+            let now = self.tracer.now();
             let outcome = match &step {
                 Ok(s) if s.dropped() => FlightOutcome::Dropped,
                 Ok(_) => FlightOutcome::Forwarded,
                 Err(_) => FlightOutcome::Quarantined,
             };
-            tel.record(seq, step_ns, outcome, pkt);
+            tel.record(seq, ns_between(*last, now), outcome, pkt);
             tel.maybe_flush(self.tracer);
+            *last = now;
         }
         match step {
             Ok(stepped) => {
@@ -840,23 +861,45 @@ impl<'a> ShardWorker<'a> {
 
     /// The threaded executor's worker loop: drain bins off the ring
     /// until the dispatcher hangs up, each bin one run on the worker's
-    /// own evaluator, and hand both back.
+    /// own evaluator, and hand both back. With a recording tracer, each
+    /// ring wait runs from the previous run's last stamp to the bin's
+    /// arrival, whose stamp also starts the bin's run; the waits
+    /// collect in a local histogram, merged into the tracer once, when
+    /// the ring closes.
     fn drain(mut self, rx: Consumer<Bin>, mut ev: Evaluator) -> (ShardWorker<'a>, Evaluator) {
-        let wait_name = format!("shard.{}.ring.wait.ns", self.shard);
-        loop {
-            let wait = self.tracer.now();
-            let Some(bin) = rx.recv() else { break };
-            let waited = self.tracer.now().saturating_duration_since(wait);
-            self.tracer.observe_ns(&wait_name, waited.as_nanos() as u64);
+        let mut waits = self
+            .tracer
+            .is_enabled()
+            .then(|| Histogram::new(&DEFAULT_NS_BUCKETS));
+        let mut last = waits.is_some().then(|| self.tracer.now());
+        while let Some(bin) = rx.recv() {
+            let start = match (waits.as_mut(), last) {
+                (Some(waits), Some(waited)) => {
+                    let now = self.tracer.now();
+                    waits.observe(ns_between(waited, now));
+                    Some(now)
+                }
+                _ => None,
+            };
             if let Some(tel) = self.tel.as_mut() {
                 // Bins still queued after this dequeue — the backlog
                 // signal.
                 tel.occupancy(rx.len() as u64);
             }
-            self.run(&mut ev, bin.iter().map(|(seq, nth, pkt)| (*seq, *nth, pkt)));
+            let rows = bin.iter().map(|(seq, nth, pkt)| (*seq, *nth, pkt));
+            last = self.run(&mut ev, rows, start);
+        }
+        if let Some(waits) = waits {
+            let name = format!("shard.{}.ring.wait.ns", self.shard);
+            self.tracer.merge_histogram(&name, &waits);
         }
         (self, ev)
     }
+}
+
+/// Nanoseconds from `from` to `to` (0 if `to` is earlier).
+fn ns_between(from: Instant, to: Instant) -> u64 {
+    u64::try_from(to.saturating_duration_since(from).as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// The observable result of processing one packet, tagged with its
@@ -1040,10 +1083,7 @@ struct Dispatcher<'a> {
     dropped_per_shard: Vec<u64>,
     /// Per-shard hot-key sketches: the telemetry plane's profile and
     /// the rebalancer's divert evidence.
-    sketches: Vec<TopK<Vec<u64>>>,
-    /// The packet's dispatch-key values, offered to its shard's sketch
-    /// by reference: one buffer for every packet.
-    key_values: Vec<u64>,
+    sketches: Vec<HotKeySketch>,
     fill: Vec<Histogram>,
 }
 
@@ -1052,7 +1092,7 @@ struct Dispatched {
     retries: Vec<u64>,
     dropped_seqs: Vec<u64>,
     dropped_per_shard: Vec<u64>,
-    sketches: Vec<TopK<Vec<u64>>>,
+    sketches: Vec<HotKeySketch>,
     migrations: u64,
 }
 
@@ -1075,11 +1115,10 @@ impl<'a> Dispatcher<'a> {
             dropped_seqs: Vec::new(),
             dropped_per_shard: vec![0; n],
             sketches: if sketched {
-                (0..n).map(|_| TopK::new(HOTKEYS_K)).collect()
+                (0..n).map(|_| HotKeySketch::with_data(HOTKEYS_K)).collect()
             } else {
                 Vec::new()
             },
-            key_values: Vec::new(),
             fill: if telemetry_on {
                 (0..n).map(|_| Histogram::new(&BATCH_FILL_BOUNDS)).collect()
             } else {
@@ -1105,21 +1144,23 @@ impl<'a> Dispatcher<'a> {
 
     /// Route the next packet in arrival order to `(shard, seq, nth)`,
     /// scrambling it in place under a garbage fault; `None` when
-    /// dispatch dropped it.
+    /// dispatch dropped it. The packet's dispatch hash is computed once,
+    /// when routing or the hot-key sketch needs it, and serves both.
     fn route(&mut self, pkt: &mut Packet) -> Option<(usize, u64, u64)> {
         let seq = self.seq;
         self.seq += 1;
         let w = match self.key {
+            // One shard and no sketch: nothing reads the hash.
+            Some(_) if self.n == 1 && self.sketches.is_empty() => 0,
             Some(key) => {
+                let h = dispatch_hash(key, pkt);
                 let w = if self.n > 1 {
-                    let h = dispatch_hash(key, pkt);
                     self.rebalancer.route(h, (h % self.n as u64) as usize)
                 } else {
                     0
                 };
                 if let Some(sketch) = self.sketches.get_mut(w) {
-                    dispatch_values_into(key, pkt, &mut self.key_values);
-                    sketch.offer_ref(self.key_values.as_slice());
+                    sketch.offer_with(h, |values| dispatch_values_into(key, pkt, values));
                 }
                 w
             }
@@ -1427,11 +1468,15 @@ impl ShardEngine {
             }));
             if partitioned {
                 for (w, (worker, ev)) in workers.iter_mut().zip(&mut evals).enumerate() {
-                    worker.run(ev, routed.iter().filter(|r| r.0 == w).map(row));
+                    worker.run(ev, routed.iter().filter(|r| r.0 == w).map(row), None);
                 }
             } else {
+                // The stretches step back to back on one evaluator, so
+                // each one's last stamp starts the next.
+                let mut at = None;
                 for stretch in routed.chunk_by(|a, b| a.0 == b.0) {
-                    workers[stretch[0].0].run(&mut evals[0], stretch.iter().map(row));
+                    let worker = &mut workers[stretch[0].0];
+                    at = worker.run(&mut evals[0], stretch.iter().map(row), at);
                 }
             }
             routed.clear();

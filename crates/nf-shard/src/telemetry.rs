@@ -6,10 +6,13 @@
 //! packet — and folds them into the run's `nf-trace` tracer every
 //! [`FLUSH_EVERY`] packets plus once at join, where
 //! they surface as `shard.N.eval.ns` / `shard.N.ring.occupancy`
-//! histograms for the live `nfactor top` view. At join the engine also
+//! histograms for the live `nfactor top` view. A packet costs the
+//! plane one clock read: the worker chains its stamps, so a packet's
+//! latency is the time since the previous stamp, and recording it
+//! neither allocates nor locks. At join the engine also
 //! assembles a [`RunStats`] (`nfactor run --stats-json`) carrying the
 //! full per-shard summaries, the dispatcher's space-saving sketch of
-//! the top [`HOTKEYS_K`] dispatch-key values ([`HotKey`], exported as
+//! the top [`HOTKEYS_K`] dispatch keys ([`HotKey`], exported as
 //! `shard.N.hotkeys` — the evidence skew-aware rebalancing consumes),
 //! and the merged flight recorder: the last [`FLIGHT_CAP`] per-packet
 //! events, replayable as a `--workload` via the dump's `trace` key
@@ -37,6 +40,12 @@ pub const OCCUPANCY_BUCKETS: [u64; 8] = [0, 1, 2, 4, 16, 64, 256, 1024];
 /// Tracked keys per shard in the hot-key profiler (the space-saving
 /// sketch's capacity).
 pub const HOTKEYS_K: usize = 8;
+
+/// The dispatcher's per-shard hot-key sketch: it tracks a flow by its
+/// 64-bit dispatch hash (the quantity routing computes and the
+/// rebalancer's flow identity), and a tracked flow keeps its
+/// dispatch-key values only to render them.
+pub type HotKeySketch = TopK<u64, Vec<u64>>;
 
 /// Flight-recorder capacity: per-packet events retained per worker
 /// while running, and in the merged run-level recorder's dump.
@@ -96,7 +105,9 @@ pub struct FlightEvent {
     pub backend: &'static str,
     /// How the evaluation ended.
     pub outcome: FlightOutcome,
-    /// Eval latency in nanoseconds.
+    /// Latency in nanoseconds: the time since the worker's previous
+    /// clock stamp, i.e. this packet's step plus the accounting of the
+    /// packet before it in the same run.
     pub latency_ns: u64,
     /// The input packet, for replay.
     pub packet: Packet,
@@ -154,29 +165,28 @@ impl WorkerTelemetry {
         }
     }
 
-    /// Record one evaluated packet: eval latency plus a flight-recorder
-    /// entry. Once the recorder is full, the packet is copied into the
-    /// evicted event's buffers, so recording does not allocate.
+    /// Record one evaluated packet: its latency plus a flight-recorder
+    /// entry. Once the recorder is full, the event overwrites the
+    /// oldest one in place, packet buffers included, so recording does
+    /// not allocate.
     pub fn record(&mut self, seq: u64, latency_ns: u64, outcome: FlightOutcome, pkt: &Packet) {
         self.pending_eval.observe(latency_ns);
-        let (shard, backend) = (self.shard, self.backend);
-        self.flight.push_with(|evicted| {
-            let packet = match evicted {
-                Some(FlightEvent { mut packet, .. }) => {
-                    packet.clone_from(pkt);
-                    packet
-                }
-                None => pkt.clone(),
-            };
-            FlightEvent {
+        match self.flight.recycle() {
+            Some(ev) => {
+                ev.seq = seq;
+                ev.outcome = outcome;
+                ev.latency_ns = latency_ns;
+                ev.packet.clone_from(pkt);
+            }
+            None => self.flight.push(FlightEvent {
                 seq,
-                shard,
-                backend,
+                shard: self.shard,
+                backend: self.backend,
                 outcome,
                 latency_ns,
-                packet,
-            }
-        });
+                packet: pkt.clone(),
+            }),
+        }
         self.since_flush += 1;
     }
 
@@ -195,17 +205,18 @@ impl WorkerTelemetry {
 
     /// Fold all pending observations into the tracer's shared registry
     /// (one lock acquisition per non-empty histogram) and into the
-    /// cumulative per-worker totals.
+    /// cumulative per-worker totals, then empty the pending histograms
+    /// in place.
     pub fn flush(&mut self, tracer: &Tracer) {
         if self.pending_eval.count > 0 {
             tracer.merge_histogram(&self.eval_name, &self.pending_eval);
             self.eval.merge(&self.pending_eval);
-            self.pending_eval = Histogram::new(&DEFAULT_NS_BUCKETS);
+            self.pending_eval.clear();
         }
         if self.pending_occupancy.count > 0 {
             tracer.merge_histogram(&self.occupancy_name, &self.pending_occupancy);
             self.occupancy.merge(&self.pending_occupancy);
-            self.pending_occupancy = Histogram::new(&OCCUPANCY_BUCKETS);
+            self.pending_occupancy.clear();
         }
         self.since_flush = 0;
     }
@@ -316,13 +327,13 @@ pub struct RunStats {
 
 impl RunStats {
     /// Assemble run stats: attach the dispatcher's hot-key sketches to
-    /// their shards, render key values against the dispatch key's field
-    /// names, and publish a compact `shard.N.hotkeys` label per shard
-    /// into the tracer (so `nfactor top` can show the hot flows without
-    /// the stats file).
+    /// their shards, render each tracked flow's key values against the
+    /// dispatch key's field names, and publish a compact
+    /// `shard.N.hotkeys` label per shard into the tracer (so `nfactor
+    /// top` can show the hot flows without the stats file).
     pub fn assemble(
         mut shards: Vec<ShardStats>,
-        sketches: Vec<TopK<Vec<u64>>>,
+        sketches: Vec<HotKeySketch>,
         key: Option<&DispatchKey>,
         dispatch_ns: u64,
         merge_ns: u64,
@@ -339,7 +350,7 @@ impl RunStats {
                     .entries()
                     .into_iter()
                     .map(|e| HotKey {
-                        key: render_key(key, &e.key),
+                        key: render_key(key, &e.data),
                         count: e.count,
                         err: e.err,
                     })

@@ -2,17 +2,22 @@
 //! runtime's flight recorder.
 //!
 //! Unlike [`crate::spsc`] (a channel), a [`RingLog`] is a plain
-//! single-owner container: pushes past capacity silently evict the
-//! oldest entry, and the total number of pushes is tracked so a reader
-//! can tell how much history was shed. Iteration is oldest-first.
-
-use std::collections::VecDeque;
+//! single-owner container: pushes past capacity evict the oldest entry,
+//! and the total number of pushes is tracked so a reader can tell how
+//! much history was shed. Iteration is oldest-first.
+//!
+//! The entries live in one fixed buffer that never moves once full: a
+//! push overwrites the oldest slot and advances the write position, so
+//! [`RingLog::recycle`] can hand that slot to the caller to overwrite in
+//! place, reusing whatever buffers the evicted entry owns.
 
 /// A bounded log retaining only the most recent `capacity` entries.
 #[derive(Debug, Clone)]
 pub struct RingLog<T> {
     cap: usize,
-    buf: VecDeque<T>,
+    buf: Vec<T>,
+    /// Where the next push goes once the log is full: the oldest entry.
+    next: usize,
     pushed: u64,
 }
 
@@ -23,26 +28,34 @@ impl<T> RingLog<T> {
         let cap = capacity.max(1);
         RingLog {
             cap,
-            buf: VecDeque::with_capacity(cap),
+            buf: Vec::with_capacity(cap),
+            next: 0,
             pushed: 0,
         }
     }
 
     /// Append `value`, evicting the oldest retained entry when full.
     pub fn push(&mut self, value: T) {
-        self.push_with(|_| value);
+        match self.recycle() {
+            Some(slot) => *slot = value,
+            None => {
+                self.buf.push(value);
+                self.pushed += 1;
+            }
+        }
     }
 
-    /// Append the entry `make` builds. When the log is full, `make` is
-    /// handed the entry this push evicts, so it can reuse its buffers.
-    pub fn push_with(&mut self, make: impl FnOnce(Option<T>) -> T) {
-        let evicted = if self.buf.len() == self.cap {
-            self.buf.pop_front()
-        } else {
-            None
-        };
-        self.buf.push_back(make(evicted));
+    /// Once the log is full, count a push and hand back the entry it
+    /// evicts, now the newest, for the caller to overwrite in place.
+    /// `None` while the log still has room: [`push`](Self::push) then.
+    pub fn recycle(&mut self) -> Option<&mut T> {
+        if self.buf.len() < self.cap {
+            return None;
+        }
+        let at = self.next;
+        self.next = (at + 1) % self.cap;
         self.pushed += 1;
+        self.buf.get_mut(at)
     }
 
     /// Entries currently retained.
@@ -68,7 +81,8 @@ impl<T> RingLog<T> {
 
     /// Iterate retained entries, oldest first.
     pub fn iter(&self) -> impl Iterator<Item = &T> {
-        self.buf.iter()
+        let (newer, older) = self.buf.split_at(self.next);
+        older.iter().chain(newer)
     }
 }
 
@@ -88,18 +102,44 @@ mod tests {
     }
 
     #[test]
-    fn push_with_hands_over_the_evicted_entry() {
+    fn recycle_hands_over_the_oldest_entry_once_full() {
         let mut r = RingLog::new(2);
         let mut evicted = Vec::new();
         for i in 0..4 {
-            r.push_with(|old| {
-                evicted.push(old);
-                i
-            });
+            match r.recycle() {
+                Some(slot) => {
+                    evicted.push(Some(*slot));
+                    *slot = i;
+                }
+                None => {
+                    evicted.push(None);
+                    r.push(i);
+                }
+            }
         }
         assert_eq!(evicted, vec![None, None, Some(0), Some(1)]);
         assert_eq!(r.pushed(), 4);
         assert_eq!(r.iter().copied().collect::<Vec<_>>(), vec![2, 3]);
+    }
+
+    #[test]
+    fn iterates_oldest_first_across_many_wraps() {
+        for cap in [1, 2, 5, 64] {
+            let mut r = RingLog::new(cap);
+            for i in 0..1_000u64 {
+                if i % 2 == 0 {
+                    r.push(i);
+                } else if let Some(slot) = r.recycle() {
+                    *slot = i;
+                } else {
+                    r.push(i);
+                }
+                assert_eq!(r.pushed(), i + 1, "cap {cap}");
+                let kept = (i + 1).min(cap as u64);
+                let want: Vec<u64> = (i + 1 - kept..=i).collect();
+                assert_eq!(r.iter().copied().collect::<Vec<_>>(), want, "cap {cap}");
+            }
+        }
     }
 
     #[test]

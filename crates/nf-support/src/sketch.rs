@@ -16,15 +16,18 @@
 //!   rebalancing relies on.
 //!
 //! `cap` is small (8–16 for the shard profiler), so slots are a plain
-//! `Vec` scanned linearly: one cache line beats a heap for these sizes,
-//! and the structure stays allocation-free after construction apart
-//! from key clones.
-
-use std::borrow::Borrow;
+//! `Vec` scanned linearly: one cache line beats a heap for these sizes.
+//!
+//! A tracked key can carry data `D` the sketch never compares (the
+//! shard profiler tracks a flow by its 64-bit dispatch hash and keeps
+//! the flow's field values only to render them). [`TopK::offer_with`]
+//! writes it only when the key starts being tracked, into the evicted
+//! entry's data when it evicts one, so a sketch whose data owns buffers
+//! stops allocating once every slot has been filled.
 
 /// One tracked key with its (over-)estimate and error bound.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TopEntry<K> {
+pub struct TopEntry<K, D = ()> {
     /// The tracked key.
     pub key: K,
     /// Estimated frequency; never below the true frequency.
@@ -33,25 +36,23 @@ pub struct TopEntry<K> {
     /// a previous minimum). `count - err` is a lower bound on the true
     /// frequency.
     pub err: u64,
+    /// What the caller keeps with the key, written when it started
+    /// being tracked.
+    pub data: D,
 }
 
 /// The space-saving sketch. See the [module docs](self).
 #[derive(Debug, Clone)]
-pub struct TopK<K> {
+pub struct TopK<K, D = ()> {
     cap: usize,
-    slots: Vec<TopEntry<K>>,
+    slots: Vec<TopEntry<K, D>>,
     total: u64,
 }
 
 impl<K: Eq + Clone> TopK<K> {
     /// A sketch tracking at most `cap` keys (`cap` is clamped up to 1).
     pub fn new(cap: usize) -> TopK<K> {
-        let cap = cap.max(1);
-        TopK {
-            cap,
-            slots: Vec::with_capacity(cap),
-            total: 0,
-        }
+        TopK::with_data(cap)
     }
 
     /// Count one occurrence of `key`.
@@ -61,39 +62,46 @@ impl<K: Eq + Clone> TopK<K> {
 
     /// Count `n` occurrences of `key` at once.
     pub fn offer_n(&mut self, key: K, n: u64) {
-        self.offer_ref_n(&key, n);
+        self.offer_n_with(key, n, |_| {});
+    }
+}
+
+impl<K: Eq + Clone, D: Default + Clone> TopK<K, D> {
+    /// A sketch tracking at most `cap` keys (`cap` is clamped up to 1),
+    /// each with its data `D`.
+    pub fn with_data(cap: usize) -> TopK<K, D> {
+        let cap = cap.max(1);
+        TopK {
+            cap,
+            slots: Vec::with_capacity(cap),
+            total: 0,
+        }
     }
 
-    /// Count one occurrence of a borrowed key (a `[u64]` for a
-    /// `Vec<u64>` sketch): the key is copied only when the sketch
-    /// starts tracking it, into the evicted entry's buffer if one is
-    /// evicted.
-    pub fn offer_ref<Q>(&mut self, key: &Q)
-    where
-        K: Borrow<Q>,
-        Q: Eq + ToOwned<Owned = K> + ?Sized,
-    {
-        self.offer_ref_n(key, 1);
+    /// Count one occurrence of `key`. When the sketch starts tracking
+    /// it, `fill` writes the key's data over what its slot held: a
+    /// default `D` in a free slot, the evicted entry's data otherwise.
+    pub fn offer_with(&mut self, key: K, fill: impl FnOnce(&mut D)) {
+        self.offer_n_with(key, 1, fill);
     }
 
-    fn offer_ref_n<Q>(&mut self, key: &Q, n: u64)
-    where
-        K: Borrow<Q>,
-        Q: Eq + ToOwned<Owned = K> + ?Sized,
-    {
+    fn offer_n_with(&mut self, key: K, n: u64, fill: impl FnOnce(&mut D)) {
         if n == 0 {
             return;
         }
         self.total += n;
-        if let Some(slot) = self.slots.iter_mut().find(|s| s.key.borrow() == key) {
+        if let Some(slot) = self.slots.iter_mut().find(|s| s.key == key) {
             slot.count += n;
             return;
         }
         if self.slots.len() < self.cap {
+            let mut data = D::default();
+            fill(&mut data);
             self.slots.push(TopEntry {
-                key: key.to_owned(),
+                key,
                 count: n,
                 err: 0,
+                data,
             });
             return;
         }
@@ -102,7 +110,8 @@ impl<K: Eq + Clone> TopK<K> {
         // untracked, never more). `None` only with a zero-cap sketch,
         // which tracks nothing by construction.
         if let Some(min) = self.slots.iter_mut().min_by_key(|s| s.count) {
-            key.clone_into(&mut min.key);
+            min.key = key;
+            fill(&mut min.data);
             min.err = min.count;
             min.count += n;
         }
@@ -140,7 +149,7 @@ impl<K: Eq + Clone> TopK<K> {
     }
 
     /// Tracked entries, heaviest first (ties keep insertion order).
-    pub fn entries(&self) -> Vec<TopEntry<K>> {
+    pub fn entries(&self) -> Vec<TopEntry<K, D>> {
         let mut out = self.slots.clone();
         out.sort_by_key(|s| std::cmp::Reverse(s.count));
         out
@@ -179,15 +188,27 @@ mod tests {
     }
 
     #[test]
-    fn borrowed_offers_count_like_owned_ones() {
-        let keys: [&[u64]; 6] = [&[1, 2], &[3], &[1, 2], &[4, 5, 6], &[3], &[7]];
-        let (mut owned, mut borrowed) = (TopK::new(2), TopK::new(2));
-        for k in keys {
-            owned.offer(k.to_vec());
-            borrowed.offer_ref(k);
+    fn data_is_written_only_when_a_key_starts_being_tracked() {
+        // Keys offered with their square as data; `fills` logs each write.
+        let mut s: TopK<u64, Vec<u64>> = TopK::with_data(2);
+        let mut fills = Vec::new();
+        for k in [1u64, 2, 1, 3, 3, 2] {
+            s.offer_with(k, |d| {
+                fills.push((k, d.clone()));
+                d.clear();
+                d.push(k * k);
+            });
         }
-        assert_eq!(owned.entries(), borrowed.entries());
-        assert_eq!(owned.total(), borrowed.total());
+        // 3 evicts 2 (count 1) and takes over its buffer; the second 2
+        // then evicts 1 (count 2 against 3's 3) and takes over 1's.
+        assert_eq!(
+            fills,
+            vec![(1, vec![]), (2, vec![]), (3, vec![4]), (2, vec![1])]
+        );
+        for e in s.entries() {
+            assert_eq!(e.data, vec![e.key * e.key]);
+        }
+        assert_eq!(s.total(), 6);
     }
 
     #[test]

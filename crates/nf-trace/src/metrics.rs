@@ -70,6 +70,15 @@ impl Histogram {
         self.max = self.max.max(v);
     }
 
+    /// Forget every observation, keeping the bucket layout and its
+    /// buffers: an emptied histogram is refilled without allocating.
+    pub fn clear(&mut self) {
+        self.counts.fill(0);
+        self.count = 0;
+        self.sum = 0;
+        self.max = 0;
+    }
+
     /// Fold another histogram into this one. Matching bucket bounds
     /// merge count-for-count; mismatched bounds are re-bucketed at each
     /// source bucket's upper edge (overflow at the source maximum), so
@@ -324,6 +333,16 @@ mod tests {
         assert_eq!(h.count, 4);
         assert_eq!(h.sum, 222);
         assert_eq!(h.mean(), 55);
+    }
+
+    #[test]
+    fn a_cleared_histogram_equals_a_new_one() {
+        let mut h = Histogram::new(&[10, 100]);
+        for v in [3, 50, 1_000] {
+            h.observe(v);
+        }
+        h.clear();
+        assert_eq!(h, Histogram::new(&[10, 100]));
     }
 
     #[test]

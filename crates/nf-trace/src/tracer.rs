@@ -193,10 +193,15 @@ impl Tracer {
         });
     }
 
-    /// Add `delta` to the counter `name`.
+    /// Add `delta` to the counter `name`. Like every registry write,
+    /// it looks the entry up by `&str` and allocates the name only
+    /// when it inserts it.
     pub fn count(&self, name: &str, delta: u64) {
-        self.with_sink(|s| {
-            *s.metrics.counters.entry(name.to_string()).or_insert(0) += delta;
+        self.with_sink(|s| match s.metrics.counters.get_mut(name) {
+            Some(c) => *c += delta,
+            None => {
+                s.metrics.counters.insert(name.to_string(), delta);
+            }
         });
     }
 
@@ -217,13 +222,7 @@ impl Tracer {
     /// Record `ns` into the fixed-bucket histogram `name`
     /// (default nanosecond buckets, 1 µs – 10 s).
     pub fn observe_ns(&self, name: &str, ns: u64) {
-        self.with_sink(|s| {
-            s.metrics
-                .histograms
-                .entry(name.to_string())
-                .or_insert_with(|| Histogram::new(&DEFAULT_NS_BUCKETS))
-                .observe(ns);
-        });
+        self.with_sink(|s| with_histogram(s, name, &DEFAULT_NS_BUCKETS, |h| h.observe(ns)));
     }
 
     /// Fold a locally-accumulated histogram into the registry under
@@ -237,13 +236,7 @@ impl Tracer {
         if h.count == 0 {
             return;
         }
-        self.with_sink(|s| {
-            s.metrics
-                .histograms
-                .entry(name.to_string())
-                .or_insert_with(|| Histogram::new(&h.bounds))
-                .merge(h);
-        });
+        self.with_sink(|s| with_histogram(s, name, &h.bounds, |into| into.merge(h)));
     }
 
     /// Snapshot of all metrics recorded so far (empty when disabled).
@@ -282,6 +275,19 @@ impl Tracer {
     /// Chrome trace-event-format JSON for everything recorded so far.
     pub fn trace_json(&self) -> Value {
         crate::chrome::trace_json(&self.events(), &self.thread_names())
+    }
+}
+
+/// Apply `f` to the registry's histogram `name`, created over `bounds`
+/// (and its name allocated) only if it does not exist yet.
+fn with_histogram(s: &mut Sink, name: &str, bounds: &[u64], f: impl FnOnce(&mut Histogram)) {
+    match s.metrics.histograms.get_mut(name) {
+        Some(h) => f(h),
+        None => {
+            let mut h = Histogram::new(bounds);
+            f(&mut h);
+            s.metrics.histograms.insert(name.to_string(), h);
+        }
     }
 }
 

@@ -79,6 +79,19 @@ impl Value {
         }
     }
 
+    /// [`as_key`](Self::as_key) for a value that is not needed
+    /// afterwards: a string's or tuple's buffer moves into the key
+    /// instead of being copied.
+    pub fn into_key(self) -> Option<ValueKey> {
+        match self {
+            Value::Int(v) => Some(ValueKey::Int(v)),
+            Value::Bool(b) => Some(ValueKey::Bool(b)),
+            Value::Str(s) => Some(ValueKey::Str(s)),
+            Value::Tuple(t) => Some(ValueKey::Tuple(t)),
+            _ => None,
+        }
+    }
+
     /// Integer view.
     pub fn as_int(&self) -> Option<i64> {
         match self {
@@ -219,6 +232,15 @@ mod tests {
             Some(ValueKey::Tuple(vec![1, 2]))
         );
         assert_eq!(Value::Array(vec![]).as_key(), None);
+        for v in [
+            Value::Int(7),
+            Value::Bool(true),
+            Value::Str("k".into()),
+            Value::Tuple(vec![1, 2]),
+            Value::Unit,
+        ] {
+            assert_eq!(v.as_key(), v.clone().into_key());
+        }
     }
 
     #[test]

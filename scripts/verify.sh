@@ -230,23 +230,30 @@ grep -q '"p99"' "$tracedir/stats.json"
 grep -q '"hotkeys"' "$tracedir/stats.json"
 grep -q '"ring_occupancy"' "$tracedir/stats.json"
 echo "    stats JSON carries percentiles, occupancy, hot keys: ok"
-# Per shard: busy time (read once per run of steps) must be positive,
-# and the eval-latency histogram must hold one sample per packet.
+# Per shard: busy time must be positive, the eval-latency histogram
+# must hold one sample per packet, and the samples must sum to the busy
+# time exactly: the worker reads the clock once per packet and chains
+# the reads, so a run's busy time is its last stamp minus its first.
 if ! awk '
     /"shard":/ { gsub(/[^0-9]/, "", $2); shard = $2 }
     /"pkts":/ { gsub(/[^0-9]/, "", $2); pkts = $2 }
     /"busy_ns":/ { gsub(/[^0-9]/, "", $2); busy = $2 }
     /"eval_ns":/ { in_eval = 1; next }
     in_eval && /"count":/ {
-        gsub(/[^0-9]/, "", $2); in_eval = 0; seen++
+        gsub(/[^0-9]/, "", $2); seen++
         if (busy + 0 == 0) { print "    shard " shard ": busy_ns is 0"; bad = 1 }
         if ($2 != pkts) { print "    shard " shard ": eval_ns count " $2 " != pkts " pkts; bad = 1 }
+        next
+    }
+    in_eval && /"sum":/ {
+        gsub(/[^0-9]/, "", $2); in_eval = 0
+        if ($2 != busy) { print "    shard " shard ": eval_ns sum " $2 " != busy_ns " busy; bad = 1 }
     }
     END { if (seen == 0) { print "    no per-shard stats"; bad = 1 } exit bad }
 ' "$tracedir/stats.json"; then
     exit 1
 fi
-echo "    every shard busy, one eval latency per packet: ok"
+echo "    every shard busy, one eval latency per packet, latencies sum to busy time: ok"
 ./target/release/nfactor json-check "$tracedir/flight.json" > /dev/null
 grep -q '"trace"' "$tracedir/flight.json"
 echo "    flight dump valid with a replayable trace: ok"

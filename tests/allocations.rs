@@ -2,9 +2,11 @@
 //!
 //! A warm compiled or model step whose fired entry rewrites nothing
 //! forwards the input packet by reference, and stages its state writes
-//! in the store's one pending-writes buffer, so it allocates nothing; a
-//! `.nfw` record decodes straight out of the reader's buffer, so its
-//! payload is the one allocation it makes. A counting global allocator
+//! in the store's one pending-writes buffer, so it allocates nothing
+//! beyond the map keys it builds; a `.nfw` record decodes straight out
+//! of the reader's buffer, so its payload is the one allocation it
+//! makes; and a warm shard worker's telemetry records and flushes
+//! without allocating. A counting global allocator
 //! keeps per-thread tallies, so each test counts only what its own
 //! thread allocates while the harness runs tests side by side.
 
@@ -13,7 +15,10 @@ use nfactor::core::accuracy::initial_model_state;
 use nfactor::core::Pipeline;
 use nfactor::interp::Interp;
 use nfactor::packet::{NfwReader, NfwWriter, Packet, PacketGen};
+use nfactor::shard::telemetry::WorkerTelemetry;
+use nfactor::shard::{FlightOutcome, FLIGHT_CAP};
 use nfactor::support::workload::WorkloadSource;
+use nfactor::trace::Tracer;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -123,6 +128,62 @@ fn warm_compiled_ratelimiter_steps_allocate_nothing() {
     let src = nfactor::corpus::ratelimiter::source();
     let (compiled, model) = step_allocations("ratelimiter", &src, &packets());
     assert_eq!((compiled, model), (0, 0), "(compiled, model)");
+}
+
+#[test]
+fn warm_firewall_model_steps_allocate_like_compiled_ones() {
+    // Each packet builds its 4-tuple key once for the pinhole probe and,
+    // on an outbound SYN, once for the insert; both steps move that
+    // tuple into the map key instead of copying it.
+    let src = nfactor::corpus::firewall::source();
+    let (compiled, model) = step_allocations("firewall", &src, &packets());
+    assert_eq!((compiled, model), (8_000, 8_000), "(compiled, model)");
+}
+
+#[test]
+fn warm_fig1_lb_model_steps_move_their_map_keys() {
+    // The model step moves each evaluated map key into the map (or the
+    // probe) instead of copying it out of its value.
+    let src = nfactor::corpus::fig1_lb::source();
+    let (compiled, model) = step_allocations("fig1-lb", &src, &packets());
+    assert_eq!(
+        model, 16_959,
+        "model step allocations (compiled: {compiled})"
+    );
+}
+
+#[test]
+fn warm_worker_telemetry_records_and_flushes_without_allocating() {
+    let tracer = Tracer::enabled();
+    let mut tel = WorkerTelemetry::new(0, "compiled");
+    let pkts = packets();
+    // Warm: create the tracer's histogram entry and fill the flight
+    // ring. 4,000 is not a multiple of the ring's 64 slots, so two passes
+    // leave every slot's packet buffer sized for each packet the timed
+    // pass writes into it.
+    for _ in 0..2 {
+        for (seq, p) in pkts.iter().enumerate() {
+            tel.record(seq as u64, 100, FlightOutcome::Forwarded, p);
+            tel.maybe_flush(&tracer);
+        }
+    }
+    tel.flush(&tracer);
+    let ((), n) = allocations(|| {
+        for (seq, p) in pkts.iter().enumerate() {
+            tel.record(seq as u64, 100, FlightOutcome::Forwarded, p);
+            tel.maybe_flush(&tracer);
+        }
+        tel.flush(&tracer);
+    });
+    assert_eq!(
+        n,
+        0,
+        "allocations recording and flushing {} packets",
+        pkts.len()
+    );
+    let stats = tel.finish(&tracer);
+    assert_eq!(stats.eval.count, 3 * pkts.len() as u64);
+    assert_eq!(stats.flight.len(), FLIGHT_CAP);
 }
 
 #[test]

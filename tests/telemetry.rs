@@ -1,17 +1,21 @@
 //! Integration tests for the shard telemetry plane: per-shard
 //! eval/occupancy histograms, the dispatcher's hot-key profile, the
 //! flight recorder, and the invariants the plane must hold — telemetry
-//! never changes what a run computes, and under a mock clock the
-//! sequential modes report byte-identical numbers.
+//! never changes what a run computes, under a mock clock the
+//! sequential modes report byte-identical numbers, a packet costs one
+//! clock read, and each shard's latencies sum to its busy time.
 
 use nfactor::core::Pipeline;
 use nfactor::packet::{Packet, PacketGen, TcpFlags};
+use nfactor::shard::telemetry::HOTKEYS_K;
 use nfactor::shard::{
-    render_top, Backend, FlightOutcome, RunConfig, ShardEngine, SliceSource, TelemetryConfig,
+    dispatch_values, render_top, shard_of, Backend, FlightOutcome, RunConfig, ShardEngine,
+    ShardRun, SliceSource, TelemetryConfig,
 };
 use nfactor::support::fault::FaultPlan;
 use nfactor::support::json::Value;
-use nfactor::trace::{MockClock, Tracer};
+use nfactor::support::sketch::TopK;
+use nfactor::trace::{Clock, MockClock, Tracer};
 use std::sync::Arc;
 
 fn corpus_source(name: &str) -> String {
@@ -294,4 +298,128 @@ fn global_lock_runs_collect_stats() {
     assert_eq!(evals, 200);
     // No dispatch key under the lock: the hot-key profile is empty.
     assert!(stats.shards.iter().all(|s| s.hotkeys.is_empty()));
+}
+
+/// Each shard's latency samples chain from one clock stamp to the next,
+/// so their sum is exactly the shard's busy time: partitioned and
+/// global-lock, inline and threaded.
+#[test]
+fn eval_latencies_sum_to_busy_time() {
+    let packets = PacketGen::new(21).batch(1_000);
+    let cases = [
+        ("firewall", RunConfig::sequential(), true),
+        ("firewall", RunConfig::threaded(), true),
+        ("balance", RunConfig::sequential(), false),
+        ("balance", RunConfig::threaded(), false),
+    ];
+    for (name, cfg, partitioned) in cases {
+        let e = engine(name, 4, Tracer::enabled());
+        let run = e
+            .run_with(SliceSource::new(&packets), &cfg)
+            .expect("telemetry-on run");
+        assert_eq!(run.partitioned, partitioned, "{name} {:?}", cfg.mode);
+        let stats = run.stats.as_ref().expect("telemetry on");
+        for s in &stats.shards {
+            assert_eq!(s.eval.count, run.per_shard_pkts[s.shard]);
+            assert_eq!(
+                s.eval.sum, run.busy_ns[s.shard],
+                "{name} {:?}: shard {} latencies must sum to its busy time",
+                cfg.mode, s.shard
+            );
+        }
+        assert!(run.busy_ns.iter().any(|&b| b > 0), "{name} {:?}", cfg.mode);
+    }
+}
+
+/// A telemetry-on run reads the clock once per packet, plus once per
+/// run of back-to-back steps and a few times per engine run (the merge
+/// span), not twice per packet.
+#[test]
+fn telemetry_reads_the_clock_once_per_packet() {
+    const PACKETS: u64 = 2_000;
+    let clock = Arc::new(MockClock::new(1));
+    let e = engine("firewall", 4, Tracer::with_clock(clock.clone()));
+    let packets = PacketGen::new(4).batch(PACKETS as usize);
+    let cfg = RunConfig::sequential();
+    let before = clock.now();
+    let run = e
+        .run_with(SliceSource::new(&packets), &cfg)
+        .expect("sequential run");
+    // Each read advances the mock clock one tick; the read that ends
+    // the measurement is one of them.
+    let reads = clock.now().duration_since(before).as_nanos() as u64 - 1;
+    assert!(run.partitioned && run.stats.is_some());
+    // The inline executor steps each shard's share of a batch as one run.
+    let runs = PACKETS.div_ceil(cfg.batch.size as u64) * e.shards() as u64;
+    assert!(
+        reads <= PACKETS + runs + 8,
+        "{reads} clock reads for {PACKETS} packets in at most {runs} runs"
+    );
+}
+
+/// The rendered hot keys of a run: per shard, `(key, count, err)`.
+fn hot_keys(run: &ShardRun) -> Vec<Vec<(String, u64, u64)>> {
+    let stats = run.stats.as_ref().expect("telemetry on");
+    stats
+        .shards
+        .iter()
+        .map(|s| {
+            s.hotkeys
+                .iter()
+                .map(|h| (h.key.clone(), h.count, h.err))
+                .collect()
+        })
+        .collect()
+}
+
+/// The hot-key sketch tracks flows by dispatch hash; it reports the same
+/// keys, counts and error bounds as a sketch keyed on the dispatch-key
+/// values themselves, fed the same packets per shard.
+#[test]
+fn hash_keyed_hot_keys_match_a_value_keyed_sketch() {
+    const SHARDS: usize = 4;
+    let workloads = [
+        ("skewed", skewed_workload(900)),
+        ("generated", PacketGen::new(0xF1AE).batch(2_000)),
+    ];
+    for (label, packets) in workloads {
+        let e = engine("firewall", SHARDS, Tracer::enabled());
+        let key = e.plan().dispatch().expect("firewall has a dispatch key");
+        let mut reference: Vec<TopK<Vec<u64>>> =
+            (0..SHARDS).map(|_| TopK::new(HOTKEYS_K)).collect();
+        for p in &packets {
+            reference[shard_of(key, p, SHARDS)].offer(dispatch_values(key, p));
+        }
+        let want: Vec<Vec<(String, u64, u64)>> = reference
+            .iter()
+            .map(|sketch| {
+                sketch
+                    .entries()
+                    .into_iter()
+                    .map(|e| {
+                        let text = key
+                            .fields()
+                            .iter()
+                            .zip(&e.key)
+                            .map(|(f, v)| format!("{}={v}", f.path()))
+                            .collect::<Vec<_>>()
+                            .join(",");
+                        (text, e.count, e.err)
+                    })
+                    .collect()
+            })
+            .collect();
+        for cfg in [RunConfig::sequential(), RunConfig::threaded()] {
+            let run = e
+                .run_with(SliceSource::new(&packets), &cfg)
+                .expect("telemetry-on run");
+            assert_eq!(hot_keys(&run), want, "{label} {:?}", cfg.mode);
+        }
+        // Eviction, where a newly tracked key takes over an entry, is
+        // exercised on both workloads.
+        assert!(
+            want.iter().flatten().any(|k| k.2 > 0),
+            "{label}: no tracked key has an error bound"
+        );
+    }
 }
