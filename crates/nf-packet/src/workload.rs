@@ -11,7 +11,11 @@
 //!   sits whole in the buffer is decoded in place and consumed; one
 //!   that straddles the buffer's end, and every error, goes through the
 //!   framed [`read_record`], so each error keeps its text and byte
-//!   offset. Decoding a record allocates its payload and nothing else.
+//!   offset. `next_batch` decodes each record into a new packet, whose
+//!   payload is its one allocation; `refill` decodes each into the
+//!   packet the batch already holds at its position ([`decode_into`]),
+//!   reusing its payload buffer, so a warm batch decodes without
+//!   allocating.
 //! * [`JsonTraceSource`] — the CLI's JSON `{"trace": [{...}, ...]}`
 //!   workload files, scanned record by record instead of materializing
 //!   the whole document; a malformed record is reported with its byte
@@ -93,13 +97,52 @@ const TCP_LEN: usize = 13;
 /// Length of a UDP transport section: the ports.
 const UDP_LEN: usize = 4;
 
-/// Decode one `.nfw` record produced by [`encode_packet`]. The record
-/// must be consumed exactly; trailing bytes are an error.
+/// Decode one `.nfw` record produced by [`encode_packet`] into a new
+/// packet. The record must be consumed exactly; trailing bytes are an
+/// error.
+pub fn decode_packet(b: &[u8]) -> Result<Packet, String> {
+    let (mut pkt, payload) = parse(b)?;
+    pkt.payload = payload.to_vec();
+    Ok(pkt)
+}
+
+/// Decode one `.nfw` record produced by [`encode_packet`] into `pkt`,
+/// overwriting every field and reusing `pkt`'s payload buffer, so a
+/// packet recycled from an earlier batch takes a record without
+/// allocating unless its payload is longer than the buffer's capacity.
+/// The record must be consumed exactly; trailing bytes are an error, and
+/// an error leaves `pkt` as it was.
+pub fn decode_into(b: &[u8], pkt: &mut Packet) -> Result<(), String> {
+    let (fields, payload) = parse(b)?;
+    let mut buf = std::mem::take(&mut pkt.payload);
+    buf.clear();
+    buf.extend_from_slice(payload);
+    *pkt = Packet {
+        payload: buf,
+        ..fields
+    };
+    Ok(())
+}
+
+/// Decode `record` into `out[at]`, or push it onto `out` when `at` is
+/// `out`'s length.
+#[inline(always)]
+fn decode_at(record: &[u8], out: &mut Vec<Packet>, at: usize) -> Result<(), String> {
+    match out.get_mut(at) {
+        Some(slot) => decode_into(record, slot),
+        None => decode_packet(record).map(|pkt| out.push(pkt)),
+    }
+}
+
+/// The one record parser behind [`decode_packet`] and [`decode_into`]:
+/// every field of the record's packet, with an empty payload, and the
+/// payload's bytes.
 ///
 /// Each section (the fixed part, the transport section, the payload
 /// length and the payload) is length-checked once; its fields are then
 /// read at fixed offsets.
-pub fn decode_packet(b: &[u8]) -> Result<Packet, String> {
+#[inline(always)]
+fn parse(b: &[u8]) -> Result<(Packet, &[u8]), String> {
     let (fixed, rest) = section::<FIXED_LEN>(b)?;
     let (transport, rest) = match fixed[30] {
         TAG_TCP => {
@@ -132,7 +175,7 @@ pub fn decode_packet(b: &[u8]) -> Result<Packet, String> {
     if !trailing.is_empty() {
         return Err(format!("{} trailing bytes after payload", trailing.len()));
     }
-    Ok(Packet {
+    let pkt = Packet {
         eth_src: u64::from_be_bytes(word::<0, _, _>(fixed)),
         eth_dst: u64::from_be_bytes(word::<8, _, _>(fixed)),
         eth_type: u16::from_be_bytes(word::<16, _, _>(fixed)),
@@ -142,8 +185,9 @@ pub fn decode_packet(b: &[u8]) -> Result<Packet, String> {
         ip_ttl: fixed[27],
         ip_id: u16::from_be_bytes(word::<28, _, _>(fixed)),
         transport,
-        payload: payload.to_vec(),
-    })
+        payload: Vec::new(),
+    };
+    Ok((pkt, payload))
 }
 
 /// Split an `N`-byte section off the front of `b`.
@@ -272,57 +316,88 @@ impl NfwReader {
     pub fn count(&self) -> u64 {
         self.count
     }
+
+    /// The decode loop behind both pulls: decode up to `max` records
+    /// into `out[start..]`, overwriting the packets already there and
+    /// pushing new ones past its end, then cut `out` to `start` plus the
+    /// records decoded, so that on an error it ends with the records
+    /// before the bad one. Returns how many records were decoded.
+    fn decode(
+        &mut self,
+        out: &mut Vec<Packet>,
+        start: usize,
+        max: usize,
+    ) -> Result<usize, WorkloadError> {
+        let mut n = 0;
+        let mut ended = Ok(());
+        while n < max && !self.done {
+            match self.decode_next(out, start + n) {
+                Ok(true) => n += 1,
+                Ok(false) => break,
+                Err(e) => {
+                    ended = Err(e);
+                    break;
+                }
+            }
+        }
+        out.truncate(start + n);
+        ended.map(|()| n)
+    }
+
+    /// Decode the next record into `out[at]`, or onto `out`'s end when
+    /// `at` is its length; `Ok(false)` at the end of the trace. A record
+    /// whose length prefix and bytes all sit in the read buffer decodes
+    /// in place. Any other (one that straddles the buffer's end, EOF, a
+    /// truncation, an implausible length) goes through `read_record`,
+    /// which refills the buffer and words each error.
+    #[inline]
+    fn decode_next(&mut self, out: &mut Vec<Packet>, at: usize) -> Result<bool, WorkloadError> {
+        let record_at = self.offset;
+        let buffered = self.r.buffer().split_first_chunk::<4>();
+        let buffered =
+            buffered.and_then(|(len, rest)| rest.get(..u32::from_be_bytes(*len) as usize));
+        let decoded = match buffered {
+            Some(record) => {
+                let (decoded, len) = (decode_at(record, out, at), record.len());
+                self.r.consume(4 + len);
+                self.offset += 4 + len as u64;
+                decoded
+            }
+            None => {
+                if !read_record(&mut self.r, &mut self.offset, &mut self.buf)? {
+                    self.done = true;
+                    if self.read != self.count {
+                        return Err(WorkloadError::at(
+                            record_at,
+                            format!(
+                                "trace ended after {} of {} packets (truncated or unfinished writer)",
+                                self.read, self.count
+                            ),
+                        ));
+                    }
+                    return Ok(false);
+                }
+                decode_at(&self.buf, out, at)
+            }
+        };
+        decoded.map_err(|e| WorkloadError::at(record_at, format!("bad packet record: {e}")))?;
+        self.read += 1;
+        Ok(true)
+    }
 }
 
 impl WorkloadSource for NfwReader {
     type Item = Packet;
 
     fn next_batch(&mut self, out: &mut Vec<Packet>, max: usize) -> Result<usize, WorkloadError> {
-        if self.done {
-            return Ok(0);
-        }
-        let mut n = 0;
-        while n < max {
-            let record_at = self.offset;
-            // A record whose length prefix and bytes all sit in the read
-            // buffer decodes in place. Any other (one that straddles the
-            // buffer's end, EOF, a truncation, an implausible length)
-            // goes through `read_record`, which refills the buffer and
-            // words each error.
-            let buffered = self.r.buffer().split_first_chunk::<4>();
-            let buffered =
-                buffered.and_then(|(len, rest)| rest.get(..u32::from_be_bytes(*len) as usize));
-            let decoded = match buffered {
-                Some(record) => {
-                    let (decoded, len) = (decode_packet(record), record.len());
-                    self.r.consume(4 + len);
-                    self.offset += 4 + len as u64;
-                    decoded
-                }
-                None => {
-                    if !read_record(&mut self.r, &mut self.offset, &mut self.buf)? {
-                        self.done = true;
-                        if self.read != self.count {
-                            return Err(WorkloadError::at(
-                                record_at,
-                                format!(
-                                    "trace ended after {} of {} packets (truncated or unfinished writer)",
-                                    self.read, self.count
-                                ),
-                            ));
-                        }
-                        break;
-                    }
-                    decode_packet(&self.buf)
-                }
-            };
-            let pkt = decoded
-                .map_err(|e| WorkloadError::at(record_at, format!("bad packet record: {e}")))?;
-            out.push(pkt);
-            self.read += 1;
-            n += 1;
-        }
-        Ok(n)
+        let start = out.len();
+        self.decode(out, start, max)
+    }
+
+    /// Decodes each record into the packet `out` already holds at its
+    /// position, reusing that packet's payload buffer.
+    fn refill(&mut self, out: &mut Vec<Packet>, max: usize) -> Result<usize, WorkloadError> {
+        self.decode(out, 0, max)
     }
 
     fn size_hint(&self) -> Option<u64> {
@@ -742,6 +817,35 @@ mod tests {
         }
     }
 
+    /// [`read_trace`] through `refill` into one reused `Vec`: every
+    /// packet pulled and the first error. Each pull must return what
+    /// `next_batch` into a fresh `Vec` returns at the same point, and
+    /// leave in `out` what that `Vec` holds: the batch, or on an error
+    /// the batch's records before the bad one. Past the end, `refill`
+    /// keeps returning 0 and leaves `out` empty.
+    fn refill_trace(path: &str, batch: usize) -> (Vec<Packet>, Option<WorkloadError>) {
+        let (mut r, mut fresh) = (
+            NfwReader::open(path).unwrap(),
+            NfwReader::open(path).unwrap(),
+        );
+        let (mut out, mut all) = (Vec::new(), Vec::new());
+        loop {
+            let (got, mut want) = (r.refill(&mut out, batch), Vec::new());
+            let pulled = fresh.next_batch(&mut want, batch);
+            assert_eq!((&got, &out), (&pulled, &want), "batch {batch}");
+            all.extend_from_slice(&out);
+            match got {
+                Ok(0) => {
+                    assert_eq!(r.refill(&mut out, batch), Ok(0), "stays exhausted");
+                    assert!(out.is_empty());
+                    return (all, None);
+                }
+                Ok(n) => assert_eq!(n, out.len()),
+                Err(e) => return (all, Some(e)),
+            }
+        }
+    }
+
     #[test]
     fn traces_past_the_read_buffer_stream_every_packet() {
         // Several read buffers' worth of records: most decode in place,
@@ -749,20 +853,24 @@ mod tests {
         let pkts = PacketGen::new(3).batch(4_000);
         let (path, at) = write_trace("long", &pkts);
         assert!(at[at.len() - 1] > 3 * READ_BUF_LEN as u64);
-        for batch in [1, 32, 5_000] {
-            assert_eq!(
-                read_trace(&path, batch),
-                (pkts.clone(), None),
-                "batch {batch}"
-            );
+        for batch in [1, 7, 32, 4_096, 5_000] {
+            let want = (pkts.clone(), None);
+            assert_eq!(read_trace(&path, batch), want, "batch {batch}");
+            assert_eq!(refill_trace(&path, batch), want, "refill, batch {batch}");
         }
         std::fs::remove_file(&path).ok();
 
-        // A record larger than the buffer, between ordinary ones.
+        // A record larger than the buffer, between ordinary ones: the
+        // refilled slot that held it takes short records, and the
+        // reverse.
         let mut pkts = PacketGen::new(4).batch(600);
         pkts[300].payload = (0..100 * 1024).map(|i| i as u8).collect();
         let (path, _) = write_trace("huge", &pkts);
-        assert_eq!(read_trace(&path, 32), (pkts, None));
+        for batch in [1, 7, 32, 4_096] {
+            let want = (pkts.clone(), None);
+            assert_eq!(read_trace(&path, batch), want, "batch {batch}");
+            assert_eq!(refill_trace(&path, batch), want, "refill, batch {batch}");
+        }
         std::fs::remove_file(&path).ok();
     }
 
@@ -783,6 +891,7 @@ mod tests {
             corrupt[at[bad] as usize + 4 + 30] = 9;
             std::fs::write(&path, &corrupt).unwrap();
             let (good, err) = read_trace(&path, 64);
+            assert_eq!(refill_trace(&path, 64), (good.clone(), err.clone()));
             let err = err.expect("a bad tag is an error");
             assert_eq!(err.offset, Some(at[bad]), "record {bad}: {err}");
             assert!(err.msg.contains("unknown transport tag 9"), "{err}");
@@ -794,11 +903,94 @@ mod tests {
         let cut = at[1_500] as usize + 10;
         std::fs::write(&path, &bytes[..cut]).unwrap();
         let (good, err) = read_trace(&path, 64);
+        assert_eq!(refill_trace(&path, 64), (good.clone(), err.clone()));
         let err = err.expect("a cut trace is an error");
         assert_eq!(err.offset, Some(at[1_500]), "{err}");
         assert!(err.msg.contains("truncated"), "{err}");
         assert_eq!(good, pkts[..1_500]);
         std::fs::remove_file(&path).ok();
+    }
+
+    /// A packet with every field set to a value no generated packet
+    /// has, the way a garbage fault scrambles a packet in its slot.
+    fn scrambled() -> Packet {
+        let mut pkt = Packet::udp(1, 2, 3, 4);
+        for (i, f) in Field::ALL.into_iter().enumerate() {
+            let _ = pkt.set(f, (0x5A5A_5A5A_5A5A + i as u64) % (f.max_value() + 1));
+        }
+        pkt.payload = vec![0xEE; 40];
+        pkt
+    }
+
+    #[test]
+    fn decode_into_a_used_slot_equals_decode_packet() {
+        let tcp = Packet::tcp(10, 1_000, 20, 80, TcpFlags(0x12));
+        let udp = Packet::udp(30, 53, 40, 5_353);
+        let other = Packet {
+            transport: Transport::Other,
+            ip_proto: 1,
+            ..Packet::default()
+        };
+        let with_payload = |p: &Packet, len: usize| Packet {
+            payload: (0..len).map(|i| i as u8).collect(),
+            ..p.clone()
+        };
+        let cases = [
+            (scrambled(), tcp.clone()),
+            (tcp.clone(), scrambled()),
+            (tcp.clone(), udp.clone()),
+            (tcp.clone(), other.clone()),
+            (udp.clone(), tcp.clone()),
+            (other.clone(), tcp.clone()),
+            (with_payload(&tcp, 8), with_payload(&udp, 100 * 1024)),
+            (with_payload(&udp, 100 * 1024), with_payload(&tcp, 8)),
+            (with_payload(&other, 3), tcp.clone()),
+        ];
+        for (i, (slot, record)) in cases.into_iter().enumerate() {
+            let mut bytes = Vec::new();
+            encode_packet(&record, &mut bytes);
+            let mut slot = slot;
+            let (buf, cap) = (slot.payload.as_ptr(), slot.payload.capacity());
+            decode_into(&bytes, &mut slot).unwrap();
+            assert_eq!(slot, decode_packet(&bytes).unwrap(), "case {i}");
+            assert_eq!(slot, record, "case {i}");
+            if record.payload.len() <= cap {
+                assert_eq!(
+                    slot.payload.as_ptr(),
+                    buf,
+                    "case {i}: payload buffer reused"
+                );
+            }
+        }
+        // Any packet over any other.
+        check::check(
+            "nfw_decode_into_any_slot",
+            &Config::with_cases(200),
+            &check::vec_of(arb_packet(), 2, 2),
+            |pair| {
+                let (mut slot, record) = (pair[0].clone(), &pair[1]);
+                let mut bytes = Vec::new();
+                encode_packet(record, &mut bytes);
+                decode_into(&bytes, &mut slot).unwrap();
+                assert_eq!(&slot, record);
+            },
+        );
+    }
+
+    #[test]
+    fn a_failed_decode_into_leaves_the_slot_as_it_was() {
+        let mut bytes = Vec::new();
+        encode_packet(&Packet::udp(5, 6, 7, 8), &mut bytes);
+        for cut in 0..bytes.len() {
+            let mut slot = scrambled();
+            assert!(decode_into(&bytes[..cut], &mut slot).is_err(), "{cut}");
+            assert_eq!(slot, scrambled(), "cut at {cut}");
+        }
+        let mut bad = bytes.clone();
+        bad[30] = 9;
+        let mut slot = scrambled();
+        assert!(decode_into(&bad, &mut slot).is_err());
+        assert_eq!(slot, scrambled());
     }
 
     #[test]

@@ -18,16 +18,14 @@
 use nf_packet::{Field, Packet};
 use nfl_lint::{mirror_field, DispatchKey};
 
-/// 64-bit FNV-1a over a sequence of field values — the reference form
-/// the tests pin [`dispatch_hash`]'s allocation-free path against.
-#[cfg(test)]
-fn fnv1a(values: &[u64]) -> u64 {
-    fnv1a_fold(values.iter().copied())
-}
+/// Keys of up to this many fields read their values into arrays on the
+/// stack. A key the lint derives names flow fields, of which there are
+/// five, so it fits unless it repeats one; a longer key reads into two
+/// `Vec`s instead.
+const STACK_FIELDS: usize = 8;
 
-/// [`fnv1a`] over an iterator, so the per-packet hash path never
-/// materialises the value sequence (see [`dispatch_hash`]).
-fn fnv1a_fold(values: impl Iterator<Item = u64>) -> u64 {
+/// 64-bit FNV-1a over a sequence of field values.
+pub(crate) fn fnv1a(values: &[u64]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for v in values {
         for b in v.to_le_bytes() {
@@ -47,47 +45,93 @@ fn field_value(pkt: &Packet, f: Field) -> u64 {
 /// The values a dispatch key hashes for `pkt`: the canonical direction
 /// for symmetric keys, the raw field values otherwise.
 pub fn dispatch_values(key: &DispatchKey, pkt: &Packet) -> Vec<u64> {
-    canonical(key, pkt).collect()
-}
-
-/// [`dispatch_values`] into `out`, replacing what it held, so one
-/// buffer serves every packet.
-pub fn dispatch_values_into(key: &DispatchKey, pkt: &Packet, out: &mut Vec<u64>) {
-    out.clear();
-    out.extend(canonical(key, pkt));
+    Steering::new(key).with_values(pkt, <[u64]>::to_vec)
 }
 
 /// The full 64-bit dispatch hash of `pkt` under `key` — the quantity
 /// [`shard_of`] reduces modulo the shard count. The skew-aware
 /// rebalancer keys its seen-flow table on this, so two packets steer
-/// together iff they hash identically.
+/// together iff they hash identically. This prepares the key for every
+/// call; the dispatcher prepares it once per run.
 pub fn dispatch_hash(key: &DispatchKey, pkt: &Packet) -> u64 {
-    // This runs once per packet on the dispatcher thread, so it hashes
-    // the values as they are read instead of materialising them.
-    fnv1a_fold(canonical(key, pkt))
+    Steering::new(key).with_values(pkt, fnv1a)
 }
 
-/// The dispatch values of `pkt` under `key`, read in order without
-/// allocating: for a symmetric key, the mirrored values when they sort
-/// before the forward ones.
-fn canonical<'k>(key: &'k DispatchKey, pkt: &'k Packet) -> impl Iterator<Item = u64> + 'k {
-    let mirrored = key.symmetric() && reversed(key, pkt);
-    key.fields()
-        .iter()
-        .map(move |&f| field_value(pkt, if mirrored { mirror_field(f) } else { f }))
+/// A dispatch key prepared for steering packets: its fields and, for a
+/// symmetric key, where each field's mirror is read from.
+pub(crate) struct Steering<'k> {
+    key: &'k DispatchKey,
+    /// Per field of a symmetric key, in key order; empty for a plain key.
+    mirrors: Vec<Mirror>,
 }
 
-/// Whether the mirrored values of `key` sort before the forward ones,
-/// compared field by field exactly as `reverse < forward` compares the
-/// two sequences.
-fn reversed(key: &DispatchKey, pkt: &Packet) -> bool {
-    for &f in key.fields() {
-        let (fw, rv) = (field_value(pkt, f), field_value(pkt, mirror_field(f)));
-        if rv != fw {
-            return rv < fw;
+/// Where a symmetric key's field's mirrored value comes from.
+#[derive(Clone, Copy)]
+enum Mirror {
+    /// The mirrored field is the key's field at this position, so its
+    /// value was read with the forward values. Every field of a
+    /// mirror-closed key (every symmetric key the lint derives) is one.
+    At(usize),
+    /// The mirrored field is not in the key: read it from the packet.
+    Read(Field),
+}
+
+impl<'k> Steering<'k> {
+    pub(crate) fn new(key: &'k DispatchKey) -> Steering<'k> {
+        let fields = key.fields();
+        let mirror = |&f: &Field| {
+            let m = mirror_field(f);
+            match fields.iter().position(|&k| k == m) {
+                Some(at) => Mirror::At(at),
+                None => Mirror::Read(m),
+            }
+        };
+        let mirrors = if key.symmetric() {
+            fields.iter().map(mirror).collect()
+        } else {
+            Vec::new()
+        };
+        Steering { key, mirrors }
+    }
+
+    /// Call `f` on [`dispatch_values`] without allocating them: each
+    /// field of the key is read once into an array on the stack, and for
+    /// a symmetric key the mirrored values are gathered into a second
+    /// one; the mirrored values are chosen when they sort before the
+    /// forward ones. The dispatcher hashes the values and, when its
+    /// hot-key sketch takes the flow in, copies them, all from one read.
+    pub(crate) fn with_values<R>(&self, pkt: &Packet, f: impl FnOnce(&[u64]) -> R) -> R {
+        let n = self.key.fields().len();
+        if n <= STACK_FIELDS {
+            let (mut fw, mut rv) = ([0; STACK_FIELDS], [0; STACK_FIELDS]);
+            f(self.canonical(pkt, &mut fw[..n], &mut rv[..n]))
+        } else {
+            f(self.canonical(pkt, &mut vec![0; n], &mut vec![0; n]))
         }
     }
-    false
+
+    /// Read the forward values of `pkt` into `fw` and, for a symmetric
+    /// key, the mirrored values into `rv`, and return the canonical
+    /// ones: the mirrored values when they sort before the forward ones.
+    fn canonical<'b>(&self, pkt: &Packet, fw: &'b mut [u64], rv: &'b mut [u64]) -> &'b [u64] {
+        for (v, &f) in fw.iter_mut().zip(self.key.fields()) {
+            *v = field_value(pkt, f);
+        }
+        if self.mirrors.is_empty() {
+            return fw;
+        }
+        for (v, &m) in rv.iter_mut().zip(&self.mirrors) {
+            *v = match m {
+                Mirror::At(at) => fw[at],
+                Mirror::Read(f) => field_value(pkt, f),
+            };
+        }
+        if *rv < *fw {
+            rv
+        } else {
+            fw
+        }
+    }
 }
 
 /// The shard (in `0..shards`) that owns `pkt` under `key`.
@@ -132,31 +176,69 @@ mod tests {
         }
     }
 
-    /// The allocation-free hash path must agree bit-for-bit with
-    /// hashing the materialised [`dispatch_values`] sequence — the
-    /// rebalancer's seen-flow table and the telemetry hot-key sketches
-    /// both key on these values, so the two views must never drift.
+    /// The dispatch values by definition: the key's field values, or for
+    /// a symmetric key the lexicographic minimum of them and their
+    /// mirrored values.
+    fn reference_values(key: &DispatchKey, pkt: &Packet) -> Vec<u64> {
+        let read = |f: fn(Field) -> Field| -> Vec<u64> {
+            key.fields()
+                .iter()
+                .map(|&k| field_value(pkt, f(k)))
+                .collect()
+        };
+        let forward = read(|f| f);
+        if key.symmetric() {
+            forward.min(read(mirror_field))
+        } else {
+            forward
+        }
+    }
+
+    /// The stack-array path must agree bit-for-bit with hashing the
+    /// values by definition — the rebalancer's seen-flow table and the
+    /// telemetry hot-key sketches both key on the hash, and the sketch
+    /// renders the values, so the two views must never drift. A key
+    /// longer than the stack arrays takes the same definition.
     #[test]
     fn hash_matches_materialized_values() {
+        let mut long = Field::ALL.to_vec();
+        long.push(Field::IpSrc);
         let keys = [
             plain(vec![Field::IpSrc, Field::TcpSport]),
             DispatchKey::new(
                 vec![Field::IpSrc, Field::TcpSport, Field::IpDst, Field::TcpDport],
                 true,
             ),
+            DispatchKey::new(
+                vec![
+                    Field::IpSrc,
+                    Field::IpDst,
+                    Field::TcpSport,
+                    Field::TcpDport,
+                    Field::IpProto,
+                ],
+                true,
+            ),
             DispatchKey::new(vec![Field::IpSrc, Field::IpDst], true),
+            DispatchKey::new(long, true),
         ];
         let mut gen = PacketGen::new(0xD15);
         for _ in 0..300 {
             let pkt = gen.next_packet();
             for key in &keys {
+                let want = reference_values(key, &pkt);
+                assert_eq!(dispatch_values(key, &pkt), want, "{}", key.render());
                 assert_eq!(
                     dispatch_hash(key, &pkt),
-                    fnv1a(&dispatch_values(key, &pkt)),
+                    fnv1a(&want),
                     "hash diverges from materialised values"
                 );
             }
         }
+        // FNV-1a itself, over each value's little-endian bytes.
+        assert_eq!(fnv1a(&[]), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(&[7]), 0x4bd7_a317_074c_5b62);
+        assert_eq!(fnv1a(&[1, 2]), 0x7717_9803_63c8_e066);
     }
 
     #[test]

@@ -37,13 +37,16 @@
 //! * an **executor** connects the two. The threaded executor runs a
 //!   partitioned [`RunMode::Threaded`] run's workers on scoped
 //!   `std::thread`s fed over SPSC rings, one bin of up to a batch of
-//!   packets per push; a bin is a run. The inline executor runs
-//!   everything else ([`RunMode::Sequential`], [`RunMode::Single`] and
-//!   every global-lock run): it routes a whole batch, then steps each
-//!   shard's share of it as a run on the calling thread (under the
-//!   global lock, the batch in arrival order, one run per stretch
-//!   routed to the same shard); its per-shard busy time gives a
-//!   deterministic makespan on a host without free cores.
+//!   packets per push; a bin is a run, and the dispatcher moves each
+//!   packet into its bin. The inline executor runs everything else
+//!   ([`RunMode::Sequential`], [`RunMode::Single`] and every
+//!   global-lock run): it routes a whole batch, then steps each shard's
+//!   share of it as a run on the calling thread (under the global lock,
+//!   the batch in arrival order, one run per stretch routed to the same
+//!   shard); its per-shard busy time gives a deterministic makespan on
+//!   a host without free cores. It routes and steps every packet in
+//!   the batch slot it was pulled into, and pulls the next batch with
+//!   [`WorkloadSource::refill`] over the same slots, so no packet moves.
 //!
 //! One function assembles every [`ShardRun`]. It consumes the
 //! evaluators into one merged view ([`ShardRun::merged`]) through the
@@ -85,7 +88,7 @@
 //! differential suite can prove that non-quarantined behaviour is
 //! byte-identical to the fault-free run.
 
-use crate::dispatch::{dispatch_hash, dispatch_values_into};
+use crate::dispatch::{fnv1a, Steering};
 use crate::plan::ShardPlan;
 use crate::supervise::{
     panic_message, quiet_catch_unwind, scramble_packet, Quarantine, QuarantineRecord,
@@ -103,7 +106,7 @@ use nf_support::workload::WorkloadSource;
 use nf_trace::{Histogram, Tracer, DEFAULT_NS_BUCKETS};
 use nfactor_core::{Pipeline, Synthesis};
 use nfl_interp::{Interp, StepResult, Value, ValueKey};
-use nfl_lint::{DispatchKey, ShardingReport, StateShard};
+use nfl_lint::{ShardingReport, StateShard};
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
@@ -127,12 +130,16 @@ const BATCH_FILL_BOUNDS: [u64; 9] = [1, 2, 4, 8, 16, 32, 64, 128, 256];
 /// pushed over the ring as a unit.
 type Bin = Vec<(u64, u64, Packet)>;
 
-/// A packet the inline executor has routed: `(shard, seq, nth, packet)`.
-type Routed = (usize, u64, u64, Packet);
+/// A packet the inline executor has routed: `(shard, seq, nth, slot)`,
+/// where `slot` is the packet's index in the batch it was pulled into.
+/// The packet stays in that slot: the worker steps it there, and the
+/// next pull overwrites it.
+type Routed = (usize, u64, u64, usize);
 
-/// The `(seq, nth, packet)` a worker steps for a routed packet.
-fn row((_, seq, nth, pkt): &Routed) -> (u64, u64, &Packet) {
-    (*seq, *nth, pkt)
+/// The `(seq, nth, packet)` a worker steps for a routed packet of
+/// `batch`.
+fn row<'b>(batch: &'b [Packet]) -> impl Fn(&Routed) -> (u64, u64, &'b Packet) {
+    move |&(_, seq, nth, slot)| (seq, nth, &batch[slot])
 }
 
 /// What executes on each shard.
@@ -1069,8 +1076,9 @@ impl ShardRun {
 /// shard, applies dispatch-side faults and accounts every drop.
 struct Dispatcher<'a> {
     n: usize,
-    /// The plan's dispatch key; `None` under the global lock.
-    key: Option<&'a DispatchKey>,
+    /// The plan's dispatch key, prepared once per run; `None` under the
+    /// global lock.
+    steering: Option<Steering<'a>>,
     faults: &'a FaultPlan,
     batch: usize,
     rebalancer: Rebalancer,
@@ -1104,7 +1112,7 @@ impl<'a> Dispatcher<'a> {
         let sketched = key.is_some() && (telemetry_on || rebalancer.enabled);
         Dispatcher {
             n,
-            key,
+            steering: key.map(Steering::new),
             faults: &cfg.fault_plan,
             batch: cfg.batch.size.max(1),
             rebalancer,
@@ -1127,18 +1135,17 @@ impl<'a> Dispatcher<'a> {
         }
     }
 
-    /// Start a round: pull the next batch into `buf`. `false` at the
+    /// Start a round: refill `buf` with the next batch, overwriting the
+    /// packets it still holds (the inline executor's last batch; the
+    /// threaded executor drains `buf` into its bins). `false` at the
     /// end of the stream.
     fn pull(
         &mut self,
         source: &mut dyn WorkloadSource<Item = Packet>,
         buf: &mut Vec<Packet>,
     ) -> Result<bool, String> {
-        buf.clear();
         self.round.fill(0);
-        let got = source
-            .next_batch(buf, self.batch)
-            .map_err(|e| e.to_string())?;
+        let got = source.refill(buf, self.batch).map_err(|e| e.to_string())?;
         Ok(got > 0)
     }
 
@@ -1149,21 +1156,26 @@ impl<'a> Dispatcher<'a> {
     fn route(&mut self, pkt: &mut Packet) -> Option<(usize, u64, u64)> {
         let seq = self.seq;
         self.seq += 1;
-        let w = match self.key {
+        let w = match &self.steering {
             // One shard and no sketch: nothing reads the hash.
             Some(_) if self.n == 1 && self.sketches.is_empty() => 0,
-            Some(key) => {
-                let h = dispatch_hash(key, pkt);
+            // The key's values are read once: hashed here, and copied
+            // into the sketch when it takes the flow in.
+            Some(steering) => steering.with_values(pkt, |values| {
+                let h = fnv1a(values);
                 let w = if self.n > 1 {
                     self.rebalancer.route(h, (h % self.n as u64) as usize)
                 } else {
                     0
                 };
                 if let Some(sketch) = self.sketches.get_mut(w) {
-                    sketch.offer_with(h, |values| dispatch_values_into(key, pkt, values));
+                    sketch.offer_with(h, |data| {
+                        data.clear();
+                        data.extend_from_slice(values);
+                    });
                 }
                 w
-            }
+            }),
             // Round-robin: one evaluator steps every packet in arrival
             // order anyway.
             None => (seq % self.n as u64) as usize,
@@ -1449,7 +1461,11 @@ impl ShardEngine {
     /// thread. Shared-nothing, each shard steps its share of the batch
     /// as one run, in arrival order. Under the global lock the one
     /// evaluator steps the whole batch in arrival order, one run per
-    /// stretch of packets routed to the same shard.
+    /// stretch of packets routed to the same shard. Every packet is
+    /// routed and stepped in the slot it was pulled into, and the next
+    /// pull refills those slots, so a source that decodes in place
+    /// (`.nfw`) moves, allocates and frees no packet once the first
+    /// batch is in.
     fn run_inline(
         &self,
         mut workers: Vec<ShardWorker<'_>>,
@@ -1462,13 +1478,14 @@ impl ShardEngine {
         let mut buf = Vec::with_capacity(d.batch);
         let mut routed: Vec<Routed> = Vec::with_capacity(d.batch);
         while d.pull(source, &mut buf).map_err(ShardError::Workload)? {
-            routed.extend(buf.drain(..).filter_map(|mut pkt| {
-                let (w, seq, nth) = d.route(&mut pkt)?;
-                Some((w, seq, nth, pkt))
+            routed.extend(buf.iter_mut().enumerate().filter_map(|(slot, pkt)| {
+                let (w, seq, nth) = d.route(pkt)?;
+                Some((w, seq, nth, slot))
             }));
+            let row = row(&buf);
             if partitioned {
                 for (w, (worker, ev)) in workers.iter_mut().zip(&mut evals).enumerate() {
-                    worker.run(ev, routed.iter().filter(|r| r.0 == w).map(row), None);
+                    worker.run(ev, routed.iter().filter(|r| r.0 == w).map(&row), None);
                 }
             } else {
                 // The stretches step back to back on one evaluator, so
@@ -1476,7 +1493,7 @@ impl ShardEngine {
                 let mut at = None;
                 for stretch in routed.chunk_by(|a, b| a.0 == b.0) {
                     let worker = &mut workers[stretch[0].0];
-                    at = worker.run(&mut evals[0], stretch.iter().map(row), at);
+                    at = worker.run(&mut evals[0], stretch.iter().map(&row), at);
                 }
             }
             routed.clear();

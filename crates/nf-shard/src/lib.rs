@@ -27,7 +27,8 @@
 //! the lock). The threaded executor runs a partitioned run's workers as
 //! `std::thread`s fed over the `nf_support::spsc` rings, the only thing
 //! they share; the inline executor steps each batch as it is routed, on
-//! the calling thread, and runs every global-lock run. Per-shard
+//! the calling thread, in the slots the source refilled, and runs every
+//! global-lock run. Per-shard
 //! metrics (`shard.N.pkts` counters, `shard.N.ring.wait.ns`
 //! histograms) flow into the session's `nf-trace` tracer. There is no
 //! work stealing by design: moving a packet off its hash-assigned shard

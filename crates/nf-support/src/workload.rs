@@ -68,6 +68,13 @@ impl std::error::Error for WorkloadError {}
 /// a bounded `max`; the source appends up to `max` items to `out` and
 /// returns how many it appended. Zero means the stream is exhausted —
 /// a source must keep returning zero once it has ended.
+///
+/// A consumer that is done with a batch before it pulls the next one
+/// calls [`refill`](Self::refill) instead: the source replaces `out`'s
+/// items with the next ones and may overwrite the items already there,
+/// so a source that decodes into existing items (`.nfw` records into
+/// the previous batch's packets) recycles their buffers instead of
+/// allocating new ones.
 pub trait WorkloadSource {
     /// The item type the source yields (packets, for the shard engine).
     type Item;
@@ -77,6 +84,20 @@ pub trait WorkloadSource {
     /// the caller owns the buffer and its reuse policy.
     fn next_batch(&mut self, out: &mut Vec<Self::Item>, max: usize)
         -> Result<usize, WorkloadError>;
+
+    /// Replace `out`'s items with up to `max` new ones, returning how
+    /// many `out` now holds; `Ok(0)` signals end of stream and leaves
+    /// `out` empty. The source may overwrite the items `out` held. On
+    /// an error `out` holds the items of this batch that came before
+    /// the failing one.
+    ///
+    /// The default clears `out` and calls
+    /// [`next_batch`](Self::next_batch), as `Clone::clone_from`
+    /// defaults to `clone`.
+    fn refill(&mut self, out: &mut Vec<Self::Item>, max: usize) -> Result<usize, WorkloadError> {
+        out.clear();
+        self.next_batch(out, max)
+    }
 
     /// Total items this source expects to yield, when known up front
     /// (a counted trace file, a sized generator). Purely advisory.
@@ -96,6 +117,10 @@ impl<S: WorkloadSource + ?Sized> WorkloadSource for &mut S {
         (**self).next_batch(out, max)
     }
 
+    fn refill(&mut self, out: &mut Vec<Self::Item>, max: usize) -> Result<usize, WorkloadError> {
+        (**self).refill(out, max)
+    }
+
     fn size_hint(&self) -> Option<u64> {
         (**self).size_hint()
     }
@@ -110,6 +135,10 @@ impl<S: WorkloadSource + ?Sized> WorkloadSource for Box<S> {
         max: usize,
     ) -> Result<usize, WorkloadError> {
         (**self).next_batch(out, max)
+    }
+
+    fn refill(&mut self, out: &mut Vec<Self::Item>, max: usize) -> Result<usize, WorkloadError> {
+        (**self).refill(out, max)
     }
 
     fn size_hint(&self) -> Option<u64> {
@@ -229,6 +258,71 @@ mod tests {
         assert_eq!(src.next_batch(&mut out, 4).unwrap(), 2);
         assert_eq!(src.next_batch(&mut out, 4).unwrap(), 0, "stays exhausted");
         assert_eq!(out, items);
+    }
+
+    #[test]
+    fn default_refill_replaces_the_batch() {
+        let items: Vec<u32> = (0..10).collect();
+        let mut src = SliceSource::new(&items);
+        let mut out = vec![99; 7];
+        assert_eq!(src.refill(&mut out, 4).unwrap(), 4);
+        assert_eq!(out, [0, 1, 2, 3]);
+        assert_eq!(src.refill(&mut out, 4).unwrap(), 4);
+        assert_eq!(out, [4, 5, 6, 7]);
+        assert_eq!(src.refill(&mut out, 4).unwrap(), 2);
+        assert_eq!(out, [8, 9]);
+        assert_eq!(src.refill(&mut out, 4).unwrap(), 0);
+        assert!(out.is_empty(), "end of stream leaves `out` empty");
+    }
+
+    /// A source whose `refill` overwrites its slots: item `i` of the
+    /// stream is `i`, and a refilled slot keeps a mark of its reuse.
+    struct Recycling {
+        next: u32,
+    }
+
+    impl WorkloadSource for Recycling {
+        type Item = (u32, bool);
+
+        fn next_batch(
+            &mut self,
+            out: &mut Vec<(u32, bool)>,
+            max: usize,
+        ) -> Result<usize, WorkloadError> {
+            for _ in 0..max {
+                out.push((self.next, false));
+                self.next += 1;
+            }
+            Ok(max)
+        }
+
+        fn refill(
+            &mut self,
+            out: &mut Vec<(u32, bool)>,
+            max: usize,
+        ) -> Result<usize, WorkloadError> {
+            out.truncate(max);
+            for slot in out.iter_mut() {
+                *slot = (self.next, true);
+                self.next += 1;
+            }
+            let reused = out.len();
+            self.next_batch(out, max - reused)?;
+            Ok(max)
+        }
+    }
+
+    #[test]
+    fn borrowed_and_boxed_sources_forward_refill() {
+        fn refill<S: WorkloadSource<Item = (u32, bool)>>(mut src: S, out: &mut Vec<(u32, bool)>) {
+            src.refill(out, 3).unwrap();
+        }
+        let mut src = Recycling { next: 0 };
+        let mut out = vec![(0, false); 2];
+        refill(&mut src, &mut out);
+        assert_eq!(out, [(0, true), (1, true), (2, false)]);
+        refill(Box::new(src), &mut out);
+        assert_eq!(out, [(3, true), (4, true), (5, true)]);
     }
 
     #[test]

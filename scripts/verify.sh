@@ -325,6 +325,32 @@ if [ -z "$decoded" ] || [ "$decoded" != "$generated" ]; then
     exit 1
 fi
 echo "    snort merged state over 100000 decoded packets == generated stream: ok"
+# Snort is partitioned, so `nfactor run` steps it on worker threads,
+# which take packets out of each batch. fig1-lb shares state, so its
+# run steps inline: each packet is routed and stepped in the slot the
+# reader decoded it into, and the next batch's records are decoded
+# over those packets. A garbage fault scrambles a packet in its slot;
+# the next refill must overwrite every field of it, so the run over the
+# trace must print what the run over the generated stream prints (whose
+# batches are fresh packets), faults included. Each garbage point
+# scrambles one packet on every shard, 32 in all, so a field the next
+# refill leaves stale reaches packets that fig1-lb's counters see.
+plan="garbage@*:5,garbage@*:40,garbage@*:99,garbage@*:250,garbage@*:1000,garbage@*:4000"
+plan="$plan,garbage@*:10000,garbage@*:20000,panic@0:77,err@1:300,err@2:301"
+for backend in interp model compiled; do
+    decoded=$(./target/release/nfactor run --corpus fig1-lb --backend "$backend" --shards 4 \
+        --fault-plan "$plan" --workload "$tracedir/snort.nfw" | grep -vE '^(makespan|throughput)')
+    generated=$(./target/release/nfactor run --corpus fig1-lb --backend "$backend" --shards 4 \
+        --fault-plan "$plan" --workload "$tracedir/snort-gen.json" | grep -vE '^(makespan|throughput)')
+    if ! printf '%s\n' "$decoded" | grep -q '^quarantined    : [1-9]' \
+        || ! printf '%s\n' "$decoded" | grep -q '^== merged state ==$' \
+        || [ "$decoded" != "$generated" ]; then
+        echo "    fig1-lb ($backend) over the .nfw trace differs from the generated stream, or quarantined nothing:"
+        diff <(printf '%s\n' "$decoded") <(printf '%s\n' "$generated") | head -20
+        exit 1
+    fi
+done
+echo "    fig1-lb (global lock, stepped in place) under garbage faults over 100000 decoded packets == generated stream on every backend: ok"
 
 echo "==> NAT port-exhaustion smoke: 86k packets on model and compiled"
 # Past ~80k seed-1 packets the NAT runs out of ports: new flows fail

@@ -3,12 +3,16 @@
 //! A warm compiled or model step whose fired entry rewrites nothing
 //! forwards the input packet by reference, and stages its state writes
 //! in the store's one pending-writes buffer, so it allocates nothing
-//! beyond the map keys it builds; a `.nfw` record decodes straight out
-//! of the reader's buffer, so its payload is the one allocation it
-//! makes; and a warm shard worker's telemetry records and flushes
-//! without allocating. A counting global allocator
-//! keeps per-thread tallies, so each test counts only what its own
-//! thread allocates while the harness runs tests side by side.
+//! beyond the map keys it builds. A `.nfw` record decodes straight out
+//! of the reader's buffer: pulled with `next_batch`, its payload is the
+//! one allocation it makes; refilled into the previous batch's packet,
+//! it reuses that packet's payload buffer. The inline executor routes
+//! and steps each packet in the slot it was refilled into, so a warm
+//! sequential run over a `.nfw` trace allocates nothing per packet. A
+//! warm shard worker's telemetry records and flushes without
+//! allocating. A counting global allocator keeps per-thread tallies, so
+//! each test counts only what its own thread allocates while the
+//! harness runs tests side by side.
 
 use nfactor::compile::{compile, CompiledState};
 use nfactor::core::accuracy::initial_model_state;
@@ -16,7 +20,7 @@ use nfactor::core::Pipeline;
 use nfactor::interp::Interp;
 use nfactor::packet::{NfwReader, NfwWriter, Packet, PacketGen};
 use nfactor::shard::telemetry::WorkerTelemetry;
-use nfactor::shard::{FlightOutcome, FLIGHT_CAP};
+use nfactor::shard::{Backend, FlightOutcome, RunConfig, ShardEngine, FLIGHT_CAP};
 use nfactor::support::workload::WorkloadSource;
 use nfactor::trace::Tracer;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -186,30 +190,110 @@ fn warm_worker_telemetry_records_and_flushes_without_allocating() {
     assert_eq!(stats.flight.len(), FLIGHT_CAP);
 }
 
+/// A `.nfw` trace in the system temp dir, removed on drop.
+struct Trace(String);
+
+impl Trace {
+    fn new(tag: &str, pkts: &[Packet]) -> Trace {
+        let path =
+            std::env::temp_dir().join(format!("nfw-allocations-{}-{tag}.nfw", std::process::id()));
+        let path = path.to_string_lossy().into_owned();
+        let mut w = NfwWriter::create(&path, 0).unwrap();
+        for p in pkts {
+            w.push(p).unwrap();
+        }
+        w.finish().unwrap();
+        Trace(path)
+    }
+
+    fn reader(&self) -> NfwReader {
+        NfwReader::open(&self.0).unwrap()
+    }
+}
+
+impl Drop for Trace {
+    fn drop(&mut self) {
+        std::fs::remove_file(&self.0).ok();
+    }
+}
+
+/// A reader's own allocations: its read buffer, its fallback record
+/// buffer and that buffer's growth.
+const PER_READER: u64 = 4;
+
 #[test]
 fn a_decoded_record_allocates_only_its_payload() {
-    /// A reader's own allocations: its read buffer, its fallback record
-    /// buffer and that buffer's growth.
-    const PER_READER: u64 = 4;
     let pkts = packets();
-    let path = std::env::temp_dir().join(format!("nfw-allocations-{}", std::process::id()));
-    let path = path.to_string_lossy().into_owned();
-    let mut w = NfwWriter::create(&path, 0).unwrap();
-    for p in &pkts {
-        w.push(p).unwrap();
-    }
-    w.finish().unwrap();
-
+    let trace = Trace::new("next-batch", &pkts);
     let payloads = pkts.iter().filter(|p| !p.payload.is_empty()).count() as u64;
     let mut out = Vec::with_capacity(pkts.len());
     let ((), n) = allocations(|| {
-        let mut r = NfwReader::open(&path).unwrap();
+        let mut r = trace.reader();
         while r.next_batch(&mut out, 32).unwrap() > 0 {}
     });
-    std::fs::remove_file(&path).ok();
     assert_eq!(out, pkts);
     assert!(
         (payloads..=payloads + PER_READER).contains(&n),
         "{n} allocations decoding {payloads} records with a payload"
     );
+}
+
+#[test]
+fn a_refilled_batch_reuses_its_packets() {
+    /// At most this many allocations for the whole pass: the reader's
+    /// own, the first batch's payloads, and each slot's payload buffer
+    /// growing to the longest payload the slot is refilled with. Pulled
+    /// with `next_batch` into a cleared batch, the same pass allocates
+    /// once per record with a payload (~3,900).
+    const MAX: u64 = 100;
+    let pkts = packets();
+    let trace = Trace::new("refill", &pkts);
+    let mut out = Vec::with_capacity(32);
+    let mut at = 0;
+    let ((), n) = allocations(|| {
+        let mut r = trace.reader();
+        loop {
+            let got = r.refill(&mut out, 32).unwrap();
+            if got == 0 {
+                break;
+            }
+            assert!(out[..] == pkts[at..at + got], "batch at {at}");
+            at += got;
+        }
+    });
+    assert_eq!(at, pkts.len());
+    assert!(
+        n <= MAX,
+        "{n} allocations refilling {} records in batches of 32",
+        pkts.len()
+    );
+}
+
+#[test]
+fn sequential_snort_runs_allocate_nothing_per_packet() {
+    /// Allocations a run may make more over twice the packets: none per
+    /// packet, and a little slack for what a run sizes once (its
+    /// buffers, the stores it clones and joins).
+    const SLACK: u64 = 8;
+    let src = nfactor::corpus::snort::source(25);
+    let pkts = packets();
+    let full = Trace::new("snort-full", &pkts);
+    let prefix = Trace::new("snort-prefix", &pkts[..pkts.len() / 2]);
+    let pipeline = Pipeline::builder().name("snort").build().unwrap();
+    let mut cfg = RunConfig::sequential();
+    cfg.keep_outputs = false;
+    for backend in [Backend::Compiled, Backend::Model] {
+        let engine = ShardEngine::from_source(&pipeline, &src, backend).unwrap();
+        let count = |trace: &Trace| {
+            let (run, n) = allocations(|| engine.run_with(trace.reader(), &cfg).unwrap());
+            (run.total_pkts(), n)
+        };
+        let (prefix_pkts, short) = count(&prefix);
+        let (full_pkts, long) = count(&full);
+        assert_eq!((prefix_pkts, full_pkts), (2_000, 4_000), "{backend:?}");
+        assert!(
+            long <= short + SLACK,
+            "{backend:?}: {long} allocations over 4,000 packets, {short} over 2,000"
+        );
+    }
 }
