@@ -79,6 +79,18 @@ impl Reaching {
         })
     }
 
+    /// The nodes defining `var` whose definitions reach the entry of
+    /// `node`, in [`Reaching::reaching_in`]'s order.
+    pub fn reaching_defs(&self, var: &str, node: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+        let sites = self
+            .var_id(var)
+            .map_or(&[][..], |v| &self.def_ids_by_var[v]);
+        sites
+            .iter()
+            .filter(move |&&i| self.reach_in[node].get(i))
+            .map(move |&i| self.defs[i].1)
+    }
+
     /// Does the definition of `var` at `def_node` reach `use_node`'s
     /// entry?
     pub fn reaches(&self, var: &str, def_node: NodeId, use_node: NodeId) -> bool {
@@ -439,6 +451,24 @@ mod tests {
         assert!(r
             .reaching_in(x_node)
             .any(|(v, n)| v == "rr" && n == cfg.entry));
+    }
+
+    #[test]
+    fn reaching_defs_is_reaching_in_of_one_variable() {
+        let (_, cfg, r) = analyze(
+            "state m = map(); fn main(x: int) { let a = 1; if x > 0 { a = 2; m[a] = x; } \
+             let b = a + x; m[b] = 1; }",
+        );
+        for node in 0..cfg.len() {
+            for var in ["a", "b", "m", "x", "undefined"] {
+                let by_name: Vec<NodeId> = r
+                    .reaching_in(node)
+                    .filter(|&(v, _)| v == var)
+                    .map(|(_, n)| n)
+                    .collect();
+                assert_eq!(r.reaching_defs(var, node).collect::<Vec<_>>(), by_name);
+            }
+        }
     }
 
     #[test]
