@@ -8,6 +8,7 @@
 //! Within that fragment the differential oracle can demand bit-exact
 //! agreement between `nfl-interp` and the synthesized model.
 
+use nf_packet::Field;
 use nf_support::rng::Rng;
 use std::fmt::Write;
 
@@ -23,11 +24,11 @@ const FIELDS: &[(&str, &[u64])] = &[
 ];
 
 /// Fields the generator rewrites, with in-domain replacement values.
-const REWRITES: &[(&str, &[u64])] = &[
-    ("pkt.ip.dst", &[0x01010101, 0x02020202]),
-    ("pkt.ip.ttl", &[1, 63]),
-    ("pkt.tcp.dport", &[8080, 9090]),
-    ("pkt.tcp.sport", &[10000, 20000]),
+pub const REWRITES: &[(Field, &[u64])] = &[
+    (Field::IpDst, &[0x01010101, 0x02020202]),
+    (Field::IpTtl, &[1, 63]),
+    (Field::TcpDport, &[8080, 9090]),
+    (Field::TcpSport, &[10000, 20000]),
 ];
 
 const CMPS: &[&str] = &["==", "!=", "<", "<=", ">", ">="];
@@ -106,7 +107,7 @@ impl Gen<'_> {
             _ => {
                 let (field, vals) = REWRITES[self.rng.gen_index(REWRITES.len())];
                 let v = vals[self.rng.gen_index(vals.len())];
-                let _ = writeln!(self.out, "{pad}{field} = {v};");
+                let _ = writeln!(self.out, "{pad}pkt.{} = {v};", field.path());
             }
         }
     }
