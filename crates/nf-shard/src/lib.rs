@@ -84,7 +84,7 @@ pub use engine::{
     ShardRun,
 };
 pub use nf_support::workload::{SliceSource, WorkloadError, WorkloadSource};
-pub use plan::{Placement, PlanMode, ShardPlan};
+pub use plan::ShardPlan;
 pub use supervise::{panic_message, quarantine_to_json, QuarantineRecord};
 pub use telemetry::{
     render_top, FlightEvent, FlightOutcome, RunStats, ShardStats, TelemetryConfig, FLIGHT_CAP,

@@ -25,58 +25,27 @@ use nfl_lint::sharding::is_flow_field;
 use nfl_lint::{DispatchKey, ShardingReport, StateShard};
 use std::collections::BTreeSet;
 
-/// Where one state variable lives at runtime.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Placement {
-    /// Per-flow map: entries partitioned across shards by the dispatch
-    /// hash.
-    Partitioned,
-    /// Read-only: replicated into every shard at startup.
-    Replicated,
-    /// Log-only: independent per-shard copies, aggregated after the
-    /// run.
-    PerShardMerged,
-    /// Shared: a single copy behind the global ordered lock.
-    GlobalLocked,
-}
-
-impl Placement {
-    /// Lowercase label for tables.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Placement::Partitioned => "partitioned",
-            Placement::Replicated => "replicated",
-            Placement::PerShardMerged => "per-shard",
-            Placement::GlobalLocked => "global-lock",
-        }
+/// Where state of a verdict lives at runtime (the placement column of
+/// [`ShardPlan::render_table`]).
+fn placement(verdict: StateShard) -> &'static str {
+    match verdict {
+        StateShard::PerFlow => "partitioned",
+        StateShard::ReadOnly => "replicated",
+        StateShard::LogOnly => "per-shard",
+        StateShard::Shared => "global-lock",
     }
-
-    fn of(verdict: StateShard) -> Placement {
-        match verdict {
-            StateShard::PerFlow => Placement::Partitioned,
-            StateShard::ReadOnly => Placement::Replicated,
-            StateShard::LogOnly => Placement::PerShardMerged,
-            StateShard::Shared => Placement::GlobalLocked,
-        }
-    }
-}
-
-/// How the engine executes the NF across shards.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PlanMode {
-    /// Every shard runs independently; packets are steered by the
-    /// dispatch key.
-    Partitioned(DispatchKey),
-    /// At least one state needs cross-shard coupling: one program
-    /// instance behind a lock, packets processed in arrival order.
-    GlobalLock,
 }
 
 /// The executable placement decision for one NF.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardPlan {
-    states: Vec<(String, StateShard, Placement)>,
-    mode: PlanMode,
+    /// Each state's verdict, in declaration order.
+    states: Vec<(String, StateShard)>,
+    /// The NF-wide dispatch key when every shard runs independently,
+    /// packets steered by it; `None` when at least one state needs
+    /// cross-shard coupling and one evaluator steps every packet in
+    /// arrival order.
+    dispatch: Option<DispatchKey>,
     /// Why the plan fell back to the global lock (empty when
     /// partitioned).
     fallback_reason: String,
@@ -102,66 +71,40 @@ impl ShardPlan {
     /// Derive the plan for `report`. Infallible: un-partitionable NFs
     /// get a correct (if slower) global-lock plan, never an error.
     pub fn from_report(report: &ShardingReport) -> ShardPlan {
-        let states: Vec<(String, StateShard, Placement)> = report
+        let states = report
             .states()
             .iter()
-            .map(|s| (s.var().to_string(), s.verdict(), Placement::of(s.verdict())))
+            .map(|s| (s.var().to_string(), s.verdict()))
             .collect();
-
-        let mut fallback = String::new();
-        if !report.shardable() {
-            let culprit = report
-                .states()
-                .iter()
-                .find(|s| s.verdict() == StateShard::Shared)
-                .map(|s| s.var().to_string())
-                .unwrap_or_default();
-            fallback = format!("state `{culprit}` is shared across flows");
-        }
-
-        let mode = if fallback.is_empty() {
-            match combine_dispatch(report) {
-                Ok(d) => PlanMode::Partitioned(d),
-                Err(why) => {
-                    fallback = why;
-                    PlanMode::GlobalLock
-                }
-            }
-        } else {
-            PlanMode::GlobalLock
+        let (dispatch, fallback_reason) = match report
+            .states()
+            .iter()
+            .find(|s| s.verdict() == StateShard::Shared)
+        {
+            Some(s) => (None, format!("state `{}` is shared across flows", s.var())),
+            None => match combine_dispatch(report) {
+                Ok(d) => (Some(d), String::new()),
+                Err(why) => (None, why),
+            },
         };
-
-        // Under the global lock every state is effectively global; keep
-        // the per-verdict placements in the table (they say what *would*
-        // partition) but the mode is what the engine obeys.
+        // Under the global lock every state is effectively global; the
+        // table keeps the per-verdict placements (they say what *would*
+        // partition), but the dispatch is what the engine obeys.
         ShardPlan {
             states,
-            mode,
-            fallback_reason: fallback,
+            dispatch,
+            fallback_reason,
         }
-    }
-
-    /// Per-state placements, in declaration order.
-    pub fn states(&self) -> &[(String, StateShard, Placement)] {
-        &self.states
-    }
-
-    /// The execution mode.
-    pub fn mode(&self) -> &PlanMode {
-        &self.mode
     }
 
     /// The dispatch key, when the plan partitions.
     pub fn dispatch(&self) -> Option<&DispatchKey> {
-        match &self.mode {
-            PlanMode::Partitioned(d) => Some(d),
-            PlanMode::GlobalLock => None,
-        }
+        self.dispatch.as_ref()
     }
 
     /// Whether packets fan out across shards without locking.
     pub fn partitioned(&self) -> bool {
-        matches!(self.mode, PlanMode::Partitioned(_))
+        self.dispatch.is_some()
     }
 
     /// Why the plan is global-locked (empty when partitioned).
@@ -173,11 +116,11 @@ impl ShardPlan {
     pub fn render_table(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
-        match &self.mode {
-            PlanMode::Partitioned(d) => {
+        match &self.dispatch {
+            Some(d) => {
                 let _ = writeln!(out, "mode: partitioned [dispatch: {}]", d.render());
             }
-            PlanMode::GlobalLock => {
+            None => {
                 let _ = writeln!(out, "mode: global-lock ({})", self.fallback_reason);
             }
         }
@@ -185,18 +128,13 @@ impl ShardPlan {
             let _ = writeln!(out, "  (no state)");
             return out;
         }
-        let width = self
-            .states
-            .iter()
-            .map(|(v, _, _)| v.len())
-            .max()
-            .unwrap_or(0);
-        for (var, verdict, placement) in &self.states {
+        let width = self.states.iter().map(|(v, _)| v.len()).max().unwrap_or(0);
+        for (var, verdict) in &self.states {
             let _ = writeln!(
                 out,
                 "  {var:<width$}  {:<9}  {}",
                 verdict.as_str(),
-                placement.as_str(),
+                placement(*verdict),
             );
         }
         out

@@ -7,7 +7,7 @@ use nfactor::core::{Pipeline, Synthesis};
 use nfactor::fuzz::{run, FuzzConfig};
 use nfactor::model::Completeness;
 use nfactor::packet::PacketGen;
-use nfactor::shard::{Backend, RunConfig, RunMode, ShardEngine, SliceSource};
+use nfactor::shard::{Backend, RunConfig, ShardEngine, SliceSource};
 use nfactor::support::budget::Budget;
 use nfactor::support::check::{check, tuple3, uint_range, Config};
 use nfactor::support::fault::FaultPlan;
@@ -225,8 +225,7 @@ fn random_fault_plans_never_break_accounting_or_merge() {
                 );
                 runs.push(run);
             }
-            // Both executors account faults alike. Retries are left out:
-            // real ring-full backoff on threads can add some.
+            // Both executors account faults alike.
             let (threaded, sequential) = (&runs[0], &runs[1]);
             let what = format!("{} under `{}`", nf.name, faults.render());
             assert_eq!(
@@ -234,8 +233,11 @@ fn random_fault_plans_never_break_accounting_or_merge() {
                 "{what}"
             );
             assert_eq!(threaded.dropped_seqs, sequential.dropped_seqs, "{what}");
-            assert_eq!(threaded.restarts, sequential.restarts, "{what}");
-            assert_eq!(threaded.fallbacks, sequential.fallbacks, "{what}");
+            assert_eq!(
+                threaded.fault_summary(),
+                sequential.fault_summary(),
+                "{what}"
+            );
         },
     );
 }
@@ -293,12 +295,7 @@ fn outputs_and_busy_time_agree_across_backends_and_executors() {
                 assert_eq!(streamed.per_shard_pkts, kept.per_shard_pkts, "{what}");
                 assert_eq!(streamed.quarantined_seqs, kept.quarantined_seqs, "{what}");
                 assert_eq!(streamed.merged, kept.merged, "{what}");
-                let (mut a, mut b) = (streamed.fault_summary(), kept.fault_summary());
-                if cfg.mode == RunMode::Threaded {
-                    // Real ring-full backoff on threads can add retries.
-                    (a.retries, b.retries) = (0, 0);
-                }
-                assert_eq!(a, b, "{what}");
+                assert_eq!(streamed.fault_summary(), kept.fault_summary(), "{what}");
                 for run in [&kept, &streamed] {
                     let stats = run.stats.as_ref().expect("telemetry on");
                     // At most 6 faults: every quarantine record is kept.
