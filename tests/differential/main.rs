@@ -6,7 +6,8 @@
 //!   arrival order + merged final state).
 //! * [`sharded`] — sharded ≡ single-threaded for every corpus NF on the
 //!   interpreter backend (the PR-5 oracle, now harness-driven), plus
-//!   the pinned known divergence for mirror-pair single-field keys.
+//!   the pinned known divergences (mirror-pair single-field keys, keys
+//!   read after a field rewrite) and a sweep over grammar-generated NFs.
 //! * [`three_way`] — interpreter ≡ model ≡ compiled for every corpus
 //!   NF, across shard counts {1, 4} and both run modes.
 //! * [`chaos`] — under deterministic fault injection, the packets a run
